@@ -143,14 +143,31 @@ impl std::fmt::Debug for Qsbr {
 /// Source of unique domain ids.
 static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Per-thread cache of reader handles, keyed by domain id. Registering a
+/// reader takes a lock on the domain's thread list, so callers that cannot
+/// conveniently hold a handle (e.g. trait methods taking `&self`) use this
+/// cache instead of re-registering on every operation.
+struct LocalHandles {
+    /// The entry served last: `(domain id, its handle in `all`)`, checked
+    /// before anything else. A lookup that repeats the previous one's
+    /// domain — an unsharded index, a batch running shard by shard — ends
+    /// here without touching `all`; a thread alternating between domains
+    /// (router, then the key's shard) falls through to the scan.
+    /// Domain ids start at 1; id 0 marks the empty state.
+    last: std::cell::Cell<(u64, *const QsbrHandle)>,
+    /// Every handle this thread has registered. Boxed so the addresses
+    /// stay stable when the vector grows; never removed while the thread
+    /// lives.
+    all: std::cell::RefCell<Vec<(u64, Box<QsbrHandle>)>>,
+}
+
 thread_local! {
-    /// Per-thread cache of reader handles, keyed by domain id. Registering a
-    /// reader takes a lock on the domain's thread list, so callers that
-    /// cannot conveniently hold a handle (e.g. trait methods taking `&self`)
-    /// use this cache instead of re-registering on every operation. Handles
-    /// are boxed so their addresses stay stable when the cache vector grows.
-    static LOCAL_HANDLES: std::cell::RefCell<Vec<(u64, Box<QsbrHandle>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static LOCAL_HANDLES: LocalHandles = const {
+        LocalHandles {
+            last: std::cell::Cell::new((0, std::ptr::null())),
+            all: std::cell::RefCell::new(Vec::new()),
+        }
+    };
 }
 
 impl Qsbr {
@@ -181,23 +198,29 @@ impl Qsbr {
     /// long-lived worker threads use QSBR in practice.
     pub fn with_local_handle<R>(&self, f: impl FnOnce(&QsbrHandle) -> R) -> R {
         let id = self.shared.domain_id;
-        LOCAL_HANDLES.with(|cell| {
-            let handle_ptr: *const QsbrHandle = {
-                let mut handles = cell.borrow_mut();
-                match handles.iter().find(|(hid, _)| *hid == id) {
+        LOCAL_HANDLES.with(|local| {
+            let (last_id, last_ptr) = local.last.get();
+            let handle_ptr: *const QsbrHandle = if last_id == id {
+                last_ptr
+            } else {
+                // The RefCell borrow ends with this block so `f` may
+                // recurse into `with_local_handle` for another domain.
+                let mut handles = local.all.borrow_mut();
+                let ptr: *const QsbrHandle = match handles.iter().find(|(hid, _)| *hid == id) {
                     Some((_, handle)) => handle.as_ref(),
                     None => {
                         handles.push((id, Box::new(self.register())));
-                        handles.last().unwrap().1.as_ref()
+                        handles.last().expect("just pushed").1.as_ref()
                     }
-                }
-                // The RefCell borrow ends here so `f` may recurse into
-                // `with_local_handle` for another domain.
+                };
+                local.last.set((id, ptr));
+                ptr
             };
             // SAFETY: the handle is heap-allocated (boxed), entries are never
-            // removed while the thread lives, and the cache is thread-local,
-            // so the pointee is valid and not aliased mutably for the
-            // duration of `f`.
+            // removed while the thread lives, and the cache — including the
+            // `last` pointer into it, which lives and dies with it in the
+            // same thread-local — is thread-local, so the pointee is valid
+            // and not aliased mutably for the duration of `f`.
             f(unsafe { &*handle_ptr })
         })
     }
@@ -620,6 +643,35 @@ mod tests {
         assert_eq!(q.readers(), 1);
         drop(h2);
         assert_eq!(q.readers(), 0);
+    }
+
+    #[test]
+    fn local_handle_cache_serves_each_domain_its_own_handle() {
+        // One thread alternating between domains (a reader of a sharded
+        // front holds one per shard plus the router's): every domain keeps
+        // getting the one handle it registered, whether the lookup is
+        // answered by the most-recently-used entry or by the scan behind it,
+        // and nested use for another domain works.
+        let domains: Vec<Qsbr> = (0..5).map(|_| Qsbr::new()).collect();
+        let address = |d: &Qsbr| d.with_local_handle(|h| h as *const QsbrHandle);
+        let first: Vec<*const QsbrHandle> = domains.iter().map(address).collect();
+        for round in 0..3 {
+            for (d, &expect) in domains.iter().zip(&first) {
+                // Twice in a row (MRU hit), then move on (MRU miss).
+                assert_eq!(address(d), expect, "round {round}");
+                assert_eq!(address(d), expect, "round {round}");
+                assert_eq!(d.readers(), 1, "no re-registration");
+            }
+        }
+        domains[0].with_local_handle(|outer| {
+            let _guard = outer.enter();
+            let inner = address(&domains[3]);
+            assert_eq!(inner, first[3]);
+            assert_ne!(inner, outer as *const QsbrHandle);
+        });
+        // The entry served last belongs to domain 3 now; domain 0 must still
+        // resolve to its own handle.
+        assert_eq!(address(&domains[0]), first[0]);
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Software CRC-32c (Castagnoli) with slice-by-8 table lookup.
+//! CRC-32c (Castagnoli): the CPU's CRC instruction where there is one, a
+//! slice-by-8 table kernel everywhere else.
 //!
-//! CRC-32c uses the reflected polynomial `0x82F63B78`. The tables are built
-//! at compile time with `const fn`, so there is no runtime initialisation and
-//! no external dependency. The implementation processes eight bytes per step
-//! on aligned bulk data and falls back to byte-at-a-time processing for the
-//! head and tail, matching the structure of the classic slice-by-8 kernels
-//! used by `libcrc32c` and the paper's C implementation.
+//! CRC-32c uses the reflected polynomial `0x82F63B78`, which is the one the
+//! x86 `crc32` (SSE 4.2) and the AArch64 `crc32c*` instructions implement,
+//! so [`crc32c_append`] runs on them when the CPU has them (detected at run
+//! time) and is bit-identical to the portable kernel either way. The
+//! portable kernel's tables are built at compile time with `const fn`, so
+//! there is no runtime initialisation and no external dependency; it
+//! processes eight bytes per step on bulk data and the tail byte by byte,
+//! matching the classic slice-by-8 kernels used by `libcrc32c` and the
+//! paper's C implementation. It stays as the fallback and as the oracle the
+//! tests compare the hardware kernel against.
 
 /// The reflected CRC-32c polynomial.
 pub const POLY_REFLECTED: u32 = 0x82F6_3B78;
@@ -69,14 +74,11 @@ fn step_u64(state: u32, chunk: &[u8]) -> u32 {
         ^ TABLES[0][((hi >> 24) & 0xFF) as usize]
 }
 
-/// Continues a CRC-32c computation over `data`, starting from `state`.
-///
-/// `state` is the *internal* (pre-finalisation) state: `0` for a fresh hash.
-/// The returned value is again an internal state; callers that need the
-/// conventional finalised CRC should invert the bits, but the Wormhole index
-/// only uses the raw state as hash material, so no finalisation is applied.
+/// The portable slice-by-8 kernel behind [`crc32c_append`]: the fallback on
+/// CPUs without a CRC instruction, and the oracle the hardware kernels are
+/// tested against.
 #[inline]
-pub fn crc32c_append(state: u32, data: &[u8]) -> u32 {
+fn crc32c_append_sw(state: u32, data: &[u8]) -> u32 {
     let mut crc = !state;
     let mut rest = data;
     while rest.len() >= 8 {
@@ -87,6 +89,94 @@ pub fn crc32c_append(state: u32, data: &[u8]) -> u32 {
         crc = step_byte(crc, b);
     }
     !crc
+}
+
+/// [`crc32c_append`] on the SSE 4.2 `crc32` instruction: eight bytes per
+/// step, then one four-, two- and one-byte step for the tail, so a short
+/// prefix extension (the LPM's common case) is a handful of dependent
+/// 3-cycle instructions.
+///
+/// # Safety
+///
+/// The CPU must support SSE 4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_append_hw(state: u32, data: &[u8]) -> u32 {
+    use core::arch::x86_64::{_mm_crc32_u16, _mm_crc32_u32, _mm_crc32_u64, _mm_crc32_u8};
+    let mut crc = u64::from(!state);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        crc = _mm_crc32_u64(crc, word);
+    }
+    let mut crc = crc as u32;
+    let mut rest = chunks.remainder();
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().expect("4-byte chunk"));
+        crc = _mm_crc32_u32(crc, word);
+        rest = &rest[4..];
+    }
+    if rest.len() >= 2 {
+        crc = _mm_crc32_u16(crc, u16::from_le_bytes([rest[0], rest[1]]));
+        rest = &rest[2..];
+    }
+    if let [byte] = rest {
+        crc = _mm_crc32_u8(crc, *byte);
+    }
+    !crc
+}
+
+/// [`crc32c_append`] on the AArch64 CRC extension (`crc32cx`/`crc32cb`).
+///
+/// # Safety
+///
+/// The CPU must support the `crc` feature.
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "crc")]
+unsafe fn crc32c_append_hw(state: u32, data: &[u8]) -> u32 {
+    use core::arch::aarch64::{__crc32cb, __crc32cd};
+    let mut crc = !state;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        crc = __crc32cd(crc, word);
+    }
+    for &byte in chunks.remainder() {
+        crc = __crc32cb(crc, byte);
+    }
+    !crc
+}
+
+/// Whether this CPU has the CRC-32c instruction the hardware kernel uses.
+/// The detection macro caches its answer, so this is one relaxed load.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn hw_available() -> bool {
+    std::arch::is_x86_feature_detected!("sse4.2")
+}
+
+/// Whether this CPU has the CRC-32c instructions the hardware kernel uses.
+/// The detection macro caches its answer, so this is one relaxed load.
+#[cfg(target_arch = "aarch64")]
+#[inline]
+fn hw_available() -> bool {
+    std::arch::is_aarch64_feature_detected!("crc")
+}
+
+/// Continues a CRC-32c computation over `data`, starting from `state`.
+///
+/// `state` is the *internal* (pre-finalisation) state: `0` for a fresh hash.
+/// The returned value is again an internal state; callers that need the
+/// conventional finalised CRC should invert the bits, but the Wormhole index
+/// only uses the raw state as hash material, so no finalisation is applied.
+#[inline]
+pub fn crc32c_append(state: u32, data: &[u8]) -> u32 {
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    if hw_available() {
+        // SAFETY: the required CPU feature was just detected.
+        return unsafe { crc32c_append_hw(state, data) };
+    }
+    crc32c_append_sw(state, data)
 }
 
 /// Computes the CRC-32c of `data` in one shot.
@@ -181,6 +271,41 @@ mod tests {
             let piecewise = crc32c_append(crc32c_append(0, a), b);
             assert_eq!(piecewise, crc32c(data), "split at {split}");
         }
+    }
+
+    /// The hardware kernel (when this CPU has one) and the slice-by-8
+    /// kernel must be the same function: random inputs of 0–300 bytes, cut
+    /// in two at every position, through the public entry point and the
+    /// portable kernel alike.
+    #[test]
+    fn hardware_and_software_kernels_agree_at_every_split_point() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in (0..=300usize).chain([64, 128, 255, 256]) {
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let seed = next() as u32;
+            let whole = crc32c_append_sw(seed, &data);
+            assert_eq!(crc32c_append(seed, &data), whole, "length {len}");
+            for split in 0..=len {
+                let (a, b) = data.split_at(split);
+                assert_eq!(
+                    crc32c_append(crc32c_append(seed, a), b),
+                    whole,
+                    "length {len}, split at {split}"
+                );
+                assert_eq!(
+                    crc32c_append_sw(crc32c_append(seed, a), b),
+                    whole,
+                    "length {len}, split at {split} (mixed kernels)"
+                );
+            }
+        }
+        assert_eq!(crc32c_append_sw(0, b"123456789"), 0xE306_9283);
     }
 
     #[test]

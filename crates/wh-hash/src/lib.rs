@@ -4,8 +4,10 @@
 //!
 //! * An *incremental* hash over key prefixes. During the binary search on
 //!   prefix lengths the search repeatedly extends an already-hashed prefix;
-//!   an incremental hash lets the extension reuse the previous state instead
-//!   of rehashing the whole prefix. The paper uses CRC-32c; so do we.
+//!   [`crc32c_append`] continues from the state of the longest prefix known
+//!   to exist instead of rehashing it, so every key byte is hashed once
+//!   (the search keeps that state itself, see `wormhole::meta`). The paper
+//!   uses CRC-32c; so do we, on the CPU's CRC instruction where it has one.
 //! * A 16-bit *tag* derived from the full hash, stored next to pointers in
 //!   hash slots and leaf nodes so that most comparisons touch only one cache
 //!   line.
@@ -13,16 +15,15 @@
 //!   use as a bucket index (CRC alone is a poor bucket spreader for short,
 //!   similar inputs).
 //!
-//! Everything here is implemented from scratch in safe Rust with `const`
-//! table generation, so the crate has no dependencies.
+//! Everything here is implemented from scratch with `const` table
+//! generation, so the crate has no dependencies; the only `unsafe` is the
+//! call into the feature-detected hardware CRC kernel.
 
 pub mod crc32c;
-pub mod incremental;
 pub mod mix;
 pub mod tag;
 
 pub use crc32c::{crc32c, crc32c_append};
-pub use incremental::IncrementalHasher;
 pub use mix::{mix64, mix_to_bucket, xorshift_mix};
 pub use tag::{tag16, tag8_match_mask, tag_position_hint};
 

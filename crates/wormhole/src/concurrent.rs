@@ -65,6 +65,7 @@
 //! values), while heap-owning value types transparently fall back to the
 //! per-leaf reader lock.
 
+use std::borrow::Cow;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -77,7 +78,7 @@ use crate::config::WormholeConfig;
 use crate::core;
 use crate::leaf::{LeafGarbage, LeafNode, ReadConflict, TailScratch};
 use crate::meta::{LeafRef, MetaPlan, MetaTable, TargetOutcome, BATCH_WINDOW};
-use crate::prefetch::prefetch_read;
+use crate::prefetch::prefetch_span;
 use crate::telemetry::WormholeMetrics;
 
 /// Seqlock conflicts tolerated before a point read falls back to the leaf
@@ -573,11 +574,11 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// mutex held).
     fn resolve_outcome(
         &self,
-        outcome: TargetOutcome<LeafHandle<V>>,
+        outcome: TargetOutcome<&LeafHandle<V>>,
         key: &[u8],
     ) -> Option<LeafHandle<V>> {
         match outcome {
-            TargetOutcome::Target(leaf) => Some(leaf),
+            TargetOutcome::Target(leaf) => Some(leaf.clone()),
             TargetOutcome::LeftOf(leaf) => {
                 let prev = leaf.0.data.read().prev.clone();
                 // When the left neighbour disappeared under us (merge racing
@@ -592,7 +593,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                     prev.upgrade().map(LeafHandle)
                 } else {
                     drop(data);
-                    Some(leaf)
+                    Some(leaf.clone())
                 }
             }
         }
@@ -600,15 +601,21 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 
     /// Lock-free variant of [`Wormhole::resolve_outcome`]: neighbour and
     /// anchor reads go through the seqlock. Must run inside a QSBR critical
-    /// section.
-    fn resolve_outcome_optimistic(
+    /// section. The common case — the search landed on the target itself —
+    /// hands the table's own handle through as a borrow, so a lookup leaves
+    /// the leaf's reference count alone; only a neighbour step owns its
+    /// (upgraded) handle. The borrow lives as long as `'m`, the caller's
+    /// view of the published table, and must not leave the critical section.
+    fn resolve_outcome_optimistic<'m>(
         &self,
-        outcome: TargetOutcome<LeafHandle<V>>,
+        outcome: TargetOutcome<&'m LeafHandle<V>>,
         key: &[u8],
-    ) -> Result<LeafHandle<V>, ReadConflict> {
+    ) -> Result<Cow<'m, LeafHandle<V>>, ReadConflict> {
         match outcome {
-            TargetOutcome::Target(leaf) => Ok(leaf),
-            TargetOutcome::LeftOf(leaf) => leaf.prev_optimistic()?.ok_or(ReadConflict),
+            TargetOutcome::Target(leaf) => Ok(Cow::Borrowed(leaf)),
+            TargetOutcome::LeftOf(leaf) => {
+                leaf.prev_optimistic()?.map(Cow::Owned).ok_or(ReadConflict)
+            }
             TargetOutcome::CompareAnchor(leaf) => {
                 let shared = &*leaf.0;
                 let snapshot = shared.seq_enter().ok_or(ReadConflict)?;
@@ -622,8 +629,11 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                     return Err(ReadConflict);
                 }
                 match prev {
-                    None => Ok(leaf),
-                    Some(weak) => weak.upgrade().map(LeafHandle).ok_or(ReadConflict),
+                    None => Ok(Cow::Borrowed(leaf)),
+                    Some(weak) => weak
+                        .upgrade()
+                        .map(|prev| Cow::Owned(LeafHandle(prev)))
+                        .ok_or(ReadConflict),
                 }
             }
         }
@@ -636,10 +646,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         loop {
             let found = self.qsbr.with_local_handle(|handle| {
                 let _guard = handle.enter();
-                // SAFETY: `current` always points to a live VersionedMeta;
-                // writers retire a table only after a grace period, and we
-                // are inside a read-side critical section.
-                let meta = unsafe { &*self.current.load(Ordering::Acquire) };
+                // SAFETY: inside a read-side critical section; only owned
+                // handles leave it.
+                let meta = unsafe { self.published() };
                 let outcome = meta.table.search_target(key, &self.config);
                 self.resolve_outcome(outcome, key)
                     .map(|leaf| (leaf, meta.version))
@@ -653,23 +662,46 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         }
     }
 
-    /// One lock-free attempt to find `key`'s target leaf: table search plus
-    /// seqlock-validated neighbour resolution, no reader locks anywhere.
-    /// Must run inside a QSBR critical section.
-    fn locate_optimistic(&self, key: &[u8]) -> Result<(LeafHandle<V>, u64), ReadConflict> {
-        // SAFETY: inside the caller's QSBR critical section; see `locate`.
-        let meta = unsafe { &*self.current.load(Ordering::Acquire) };
+    /// The published MetaTrieHT as a reader inside a QSBR critical section
+    /// sees it.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be inside a read-side critical section of
+    /// `self.qsbr` (or hold the writer mutex) and must not let the
+    /// reference, or anything borrowed from it, outlive that section:
+    /// writers retire a published table only after a grace period.
+    #[inline]
+    unsafe fn published(&self) -> &VersionedMeta<V> {
+        // SAFETY: `current` always points to a live table; the caller's
+        // critical section keeps it from being reclaimed.
+        unsafe { &*self.current.load(Ordering::Acquire) }
+    }
+
+    /// One lock-free attempt to find `key`'s target leaf in `meta`: table
+    /// search plus seqlock-validated neighbour resolution, no reader locks
+    /// anywhere. Must run inside the QSBR critical section `meta` was
+    /// loaded in.
+    #[inline]
+    fn locate_optimistic<'m>(
+        &self,
+        meta: &'m VersionedMeta<V>,
+        key: &[u8],
+    ) -> Result<Cow<'m, LeafHandle<V>>, ReadConflict> {
         let outcome = meta.table.search_target(key, &self.config);
-        let leaf = self.resolve_outcome_optimistic(outcome, key)?;
-        Ok((leaf, meta.version))
+        self.resolve_outcome_optimistic(outcome, key)
     }
 
     /// One attempt of the lock-free point read. Must run inside a QSBR
     /// critical section (the caller keeps it open across retries so the
     /// published table and every leaf reachable from it stay live).
+    #[inline]
     fn try_get_optimistic(&self, key: &[u8], hash: u32) -> Result<Option<V>, ReadConflict> {
-        let (leaf, version) = self.locate_optimistic(key)?;
-        self.leaf_read_optimistic(&leaf, key, hash, version)
+        // SAFETY: inside the caller's QSBR critical section; `meta` and the
+        // leaf borrowed from it are dropped before this returns.
+        let meta = unsafe { self.published() };
+        let leaf = self.locate_optimistic(meta, key)?;
+        self.leaf_read_optimistic(&leaf, key, hash, meta.version)
     }
 
     /// The seqlock-validated leaf read of the lock-free point path, shared
@@ -1085,6 +1117,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 0,
                 "leaf seqlock left odd outside a write"
             );
+            data.leaf.check_invariants();
             let anchor = data.leaf.anchor().to_vec();
             if let Some(prev) = &prev_anchor {
                 assert!(prev < &anchor, "anchors out of order");
@@ -1157,10 +1190,13 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
         let wh = *wh;
         wh.qsbr.with_local_handle(|handle| {
             handle.critical(|| {
-                let (leaf, version) = wh.locate_optimistic(resume)?;
+                // SAFETY: inside the critical section opened just above;
+                // only the owned `next` handle leaves it.
+                let meta = unsafe { wh.published() };
+                let leaf = wh.locate_optimistic(meta, resume)?;
                 let shared = &*leaf.0;
                 let snapshot = shared.seq_enter().ok_or(ReadConflict)?;
-                if leaf.expected_version() > version {
+                if leaf.expected_version() > meta.version {
                     return Err(ReadConflict);
                 }
                 // SAFETY: pointer valid (handle held); every access is
@@ -1411,41 +1447,56 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
         }
         // Pipelined batch path: per window of BATCH_WINDOW keys, one QSBR
         // critical section covers the batched meta search (prefetched,
-        // round-robined probes), the neighbour resolutions, and the
-        // seqlock-validated leaf reads — amortising the epoch entry and
-        // overlapping every level's cache misses. Keys that still conflict
-        // after the bounded retries are re-read through the per-key path
-        // (its own retries plus the locked fallback) after the guard closes.
+        // round-robined probes), the neighbour resolutions, the staging of
+        // every leaf's probe lines, and the seqlock-validated leaf reads —
+        // amortising the epoch entry and overlapping every level's cache
+        // misses. Keys that still conflict after the bounded retries are
+        // re-read through the locked path after the guard closes.
         for chunk in keys.chunks(BATCH_WINDOW) {
             // `Some(result)` = answered lock-free; `None` = needs fallback.
             let mut values: [Option<Option<V>>; BATCH_WINDOW] = [const { None }; BATCH_WINDOW];
+            let mut hashes = [0u32; BATCH_WINDOW];
+            for (hash, key) in hashes.iter_mut().zip(chunk) {
+                *hash = crc32c(key);
+            }
             self.qsbr.with_local_handle(|handle| {
                 let _guard = handle.enter();
-                // SAFETY: `current` always points to a live VersionedMeta;
-                // we are inside a read-side critical section (see `locate`).
-                let meta = unsafe { &*self.current.load(Ordering::Acquire) };
-                let mut outcomes: [Option<TargetOutcome<LeafHandle<V>>>; BATCH_WINDOW] =
-                    [const { None }; BATCH_WINDOW];
+                // SAFETY: inside a read-side critical section; every borrow
+                // of the table below ends with this closure.
+                let meta = unsafe { self.published() };
+                let mut outcomes = [None; BATCH_WINDOW];
                 meta.table
                     .search_targets_window(chunk, &self.config, &mut outcomes);
                 // Resolve every outcome to its leaf and prefetch the leaf
-                // headers (seqlock + expected-version line) before any
-                // seqlock read executes, so those fills overlap too.
-                let mut located: [Option<LeafHandle<V>>; BATCH_WINDOW] =
+                // headers (seqlock, expected version, the leaf's array
+                // pointers) before anything reads one, so those fills
+                // overlap too.
+                let mut located: [Option<Cow<'_, LeafHandle<V>>>; BATCH_WINDOW] =
                     [const { None }; BATCH_WINDOW];
                 for (i, key) in chunk.iter().enumerate() {
-                    let outcome = outcomes[i].take().expect("window filled");
+                    let outcome = outcomes[i].expect("window filled");
                     if let Ok(leaf) = self.resolve_outcome_optimistic(outcome, key) {
-                        prefetch_read(Arc::as_ptr(&leaf.0));
+                        prefetch_span(Arc::as_ptr(&leaf.0));
                         located[i] = Some(leaf);
                     }
                 }
+                // SAFETY: each pointer is valid (its handle is held by
+                // `located`); the leaves may be mid-mutation, which
+                // `stage_probes` tolerates by construction — bounds-checked
+                // reads that only ever feed a prefetch, over blocks the
+                // critical section keeps live.
+                let leaves = located.each_ref().map(|leaf| {
+                    leaf.as_ref()
+                        .map(|leaf| unsafe { &(*leaf.0.data.data_ptr()).leaf })
+                });
+                LeafNode::stage_probes(&leaves, &hashes, &self.config);
                 for (i, key) in chunk.iter().enumerate() {
-                    let hash = crc32c(key);
                     // First attempt reuses the batched search; later
                     // attempts re-search per key, like single-key `get`.
                     let first = match located[i].take() {
-                        Some(leaf) => self.leaf_read_optimistic(&leaf, key, hash, meta.version),
+                        Some(leaf) => {
+                            self.leaf_read_optimistic(&leaf, key, hashes[i], meta.version)
+                        }
                         None => Err(ReadConflict),
                     };
                     if let Ok(found) = first {
@@ -1454,7 +1505,7 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
                     }
                     self.metrics.seqlock_retries.inc();
                     for _ in 1..OPTIMISTIC_READ_RETRIES {
-                        match self.try_get_optimistic(key, hash) {
+                        match self.try_get_optimistic(key, hashes[i]) {
                             Ok(found) => {
                                 values[i] = Some(found);
                                 break;
@@ -1472,9 +1523,8 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
                     Some(found) => out.push(found),
                     None => {
                         self.metrics.locked_fallbacks.inc();
-                        let hash = crc32c(key);
                         out.push(self.with_leaf_read(key, |leaf| {
-                            leaf.get(key, hash, &self.config).cloned()
+                            leaf.get(key, hashes[i], &self.config).cloned()
                         }));
                     }
                 }

@@ -3,9 +3,11 @@
 //! A leaf stores up to `leaf_capacity` key/value items plus the node's
 //! *anchor*. Two orderings are maintained over the items:
 //!
-//! * the **hash order** — a tag array sorted by each key's 16-bit hash tag,
-//!   used by point lookups (*SortByTag*), optionally with speculative
-//!   positioning (*DirectPos*);
+//! * the **hash order** — the paper's tag array: one packed
+//!   `(tag: u16, slot: u16)` entry per item, sorted by (tag, key), used by
+//!   point lookups (*SortByTag*), optionally with speculative positioning
+//!   (*DirectPos*). The tags live *in* the array and nowhere else, so a
+//!   probe touches only the array's own cache lines until a tag matches;
 //! * the **key order** — a key-sorted view that is allowed to lag behind: new
 //!   items are appended unsorted and merged in only when a range scan or a
 //!   split needs full ordering (the paper's `incSort`).
@@ -16,9 +18,10 @@
 //! condition).
 
 use index_traits::RangeSink;
-use wh_hash::{tag16, tag_position_hint};
+use wh_hash::{crc32c, tag16, tag_position_hint};
 
 use crate::config::WormholeConfig;
+use crate::prefetch::prefetch_read;
 
 /// Marker returned by the `*_checked` read methods when an optimistic
 /// (unlocked) read observed internally inconsistent state — an index out of
@@ -114,6 +117,7 @@ impl TailScratch {
 pub struct LeafGarbage<V> {
     defer: bool,
     kv_bufs: Vec<Vec<Kv<V>>>,
+    tag_bufs: Vec<Vec<TagSlot>>,
     idx_bufs: Vec<Vec<u16>>,
     keys: Vec<Box<[u8]>>,
     values: Vec<V>,
@@ -125,6 +129,7 @@ impl<V> LeafGarbage<V> {
         Self {
             defer,
             kv_bufs: Vec::new(),
+            tag_bufs: Vec::new(),
             idx_bufs: Vec::new(),
             keys: Vec::new(),
             values: Vec::new(),
@@ -147,6 +152,7 @@ impl<V> LeafGarbage<V> {
     /// Returns `true` when nothing has been retired into the bin.
     pub fn is_empty(&self) -> bool {
         self.kv_bufs.is_empty()
+            && self.tag_bufs.is_empty()
             && self.idx_bufs.is_empty()
             && self.keys.is_empty()
             && self.values.is_empty()
@@ -197,6 +203,12 @@ impl<V> LeafGarbage<V> {
         }
     }
 
+    fn retire_tag_buf(&mut self, buf: Vec<TagSlot>) {
+        if self.defer {
+            self.tag_bufs.push(buf);
+        }
+    }
+
     fn retire_idx_buf(&mut self, buf: Vec<u16>) {
         if self.defer {
             self.idx_bufs.push(buf);
@@ -240,28 +252,70 @@ fn push_kv<V>(v: &mut Vec<Kv<V>>, kv: Kv<V>, bin: &mut LeafGarbage<V>) {
     v.push(kv);
 }
 
-/// Inserts into an ordering vector, retiring the old buffer on growth
-/// (see [`push_kv`]).
-fn insert_idx<V>(v: &mut Vec<u16>, pos: usize, idx: u16, bin: &mut LeafGarbage<V>) {
+/// Inserts into an ordering vector, handing the old buffer to `retire` —
+/// instead of freeing it — when the insert has to grow it (see [`push_kv`]).
+fn insert_idx<T: Copy>(v: &mut Vec<T>, pos: usize, idx: T, retire: impl FnOnce(Vec<T>)) {
     if v.len() == v.capacity() {
         let mut grown = Vec::with_capacity((v.capacity() * 2).max(8));
         grown.extend_from_slice(v);
-        bin.retire_idx_buf(std::mem::replace(v, grown));
+        retire(std::mem::replace(v, grown));
     }
     v.insert(pos, idx);
 }
 
-/// One key/value item plus its cached hash material.
+/// One key/value item. Its hash tag is not here: it lives in the leaf's
+/// tag array (`TagSlot`), the only place a lookup reads it from.
 #[derive(Debug, Clone)]
 pub struct Kv<V> {
-    /// Full CRC-32c hash of the key.
-    pub hash: u32,
-    /// 16-bit tag (low bits of the hash).
-    pub tag: u16,
     /// The key bytes.
     pub key: Box<[u8]>,
     /// The stored value.
     pub value: V,
+}
+
+/// One entry of a leaf's tag array: a key's 16-bit hash tag in the high
+/// half, the storage slot of its item in the low half. Sixteen entries per
+/// cache line; comparing two entries as integers orders them by tag first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TagSlot(u32);
+
+impl TagSlot {
+    #[inline]
+    fn new(tag: u16, slot: usize) -> Self {
+        debug_assert!(slot <= usize::from(u16::MAX));
+        Self(u32::from(tag) << 16 | slot as u32)
+    }
+
+    #[inline]
+    fn tag(self) -> u16 {
+        (self.0 >> 16) as u16
+    }
+
+    #[inline]
+    fn slot(self) -> usize {
+        (self.0 & 0xFFFF) as usize
+    }
+}
+
+/// Index of the first entry of `tags` whose tag is `>= tag`: by speculative
+/// positioning (*DirectPos*: start where a uniform hash puts the tag and
+/// walk) or by binary search. Every read is inside the slice, so the walk
+/// is as safe on an array a writer is changing underneath as on a quiescent
+/// one — it then merely lands somewhere meaningless, which the caller's
+/// seqlock validation discards.
+#[inline]
+fn tag_run_start(tags: &[TagSlot], tag: u16, direct_pos: bool) -> usize {
+    if !direct_pos {
+        return tags.partition_point(|e| e.tag() < tag);
+    }
+    let mut i = tag_position_hint(tag, tags.len());
+    while i > 0 && tag <= tags[i - 1].tag() {
+        i -= 1;
+    }
+    while i < tags.len() && tag > tags[i].tag() {
+        i += 1;
+    }
+    i
 }
 
 /// A Wormhole leaf node.
@@ -276,8 +330,9 @@ pub struct LeafNode<V> {
     table_key: Vec<u8>,
     /// Item storage in insertion order.
     kvs: Vec<Kv<V>>,
-    /// Indices into `kvs`, sorted by (tag, key) — the paper's tag array.
-    hash_order: Vec<u16>,
+    /// The paper's tag array: one `(tag, slot)` entry per item of `kvs`,
+    /// sorted by (tag, key).
+    hash_order: Vec<TagSlot>,
     /// Indices into `kvs`; the first `sorted_cnt` are sorted by key, the rest
     /// are unsorted appendees.
     key_order: Vec<u16>,
@@ -329,54 +384,63 @@ impl<V> LeafNode<V> {
         self.anchor.len()
             + self.table_key.len()
             + self.kvs.capacity() * std::mem::size_of::<Kv<V>>()
-            + (self.hash_order.capacity() + self.key_order.capacity()) * 2
+            + self.hash_order.capacity() * std::mem::size_of::<TagSlot>()
+            + self.key_order.capacity() * std::mem::size_of::<u16>()
     }
 
     /// Finds the storage slot of `key`, using the configuration's leaf-search
-    /// strategy.
-    fn find_slot(&self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<usize> {
-        if self.kvs.is_empty() {
-            return None;
-        }
+    /// strategy. This is the one leaf search: it is written for a leaf a
+    /// concurrent writer may be mutating (the seqlock read path), so every
+    /// access is bounds-checked and an inconsistency — instead of panicking
+    /// or over-reading — surfaces as [`ReadConflict`]; callers with
+    /// exclusive or locked access go through [`LeafNode::find_slot`], for
+    /// which a conflict is a broken invariant.
+    ///
+    /// With *SortByTag* the walk reads nothing but the tag array until a tag
+    /// matches; only then is an item's key compared.
+    #[inline]
+    fn find_slot_checked(
+        &self,
+        key: &[u8],
+        hash: u32,
+        config: &WormholeConfig,
+    ) -> Result<Option<usize>, ReadConflict> {
         if config.sort_by_tag {
             let tag = tag16(hash);
-            let n = self.hash_order.len();
-            // Find the first position whose tag is >= the search tag, either
-            // by speculative positioning (DirectPos) or by binary search.
-            let mut i = if config.direct_pos {
-                let mut i = tag_position_hint(tag, n);
-                while i > 0 && tag <= self.kvs[self.hash_order[i - 1] as usize].tag {
-                    i -= 1;
-                }
-                while i < n && tag > self.kvs[self.hash_order[i] as usize].tag {
-                    i += 1;
-                }
-                i
-            } else {
-                self.hash_order
-                    .partition_point(|&idx| self.kvs[idx as usize].tag < tag)
-            };
-            while i < n {
-                let idx = self.hash_order[i] as usize;
-                let kv = &self.kvs[idx];
-                if kv.tag != tag {
-                    return None;
-                }
+            let tags = self.hash_order.as_slice();
+            let run = tag_run_start(tags, tag, config.direct_pos);
+            for entry in tags[run..].iter().take_while(|e| e.tag() == tag) {
+                let kv = self.kvs.get(entry.slot()).ok_or(ReadConflict)?;
                 if kv.key.as_ref() == key {
-                    return Some(idx);
+                    return Ok(Some(entry.slot()));
                 }
-                i += 1;
             }
-            None
+            Ok(None)
         } else {
             // BaseWormhole leaf search: binary search over the key-sorted
             // view (which is kept fully sorted when SortByTag is off).
-            debug_assert_eq!(self.sorted_cnt, self.key_order.len());
-            self.key_order
-                .binary_search_by(|&idx| self.kvs[idx as usize].key.as_ref().cmp(key))
-                .ok()
-                .map(|pos| self.key_order[pos] as usize)
+            let order = self.key_order.as_slice();
+            let (mut lo, mut hi) = (0usize, order.len());
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                let slot = usize::from(order[mid]);
+                let kv = self.kvs.get(slot).ok_or(ReadConflict)?;
+                match kv.key.as_ref().cmp(key) {
+                    std::cmp::Ordering::Less => lo = mid + 1,
+                    std::cmp::Ordering::Greater => hi = mid,
+                    std::cmp::Ordering::Equal => return Ok(Some(slot)),
+                }
+            }
+            Ok(None)
         }
+    }
+
+    /// [`LeafNode::find_slot_checked`] on a leaf nobody is mutating.
+    #[inline]
+    fn find_slot(&self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<usize> {
+        debug_assert!(config.sort_by_tag || self.sorted_cnt == self.key_order.len());
+        self.find_slot_checked(key, hash, config)
+            .expect("quiescent leaf is consistent")
     }
 
     /// Returns a reference to the value stored under `key`.
@@ -414,36 +478,37 @@ impl<V> LeafNode<V> {
         if let Some(slot) = self.find_slot(key, hash, config) {
             return Some(bin.replace_value(&mut self.kvs[slot].value, value));
         }
-        let idx = self.kvs.len() as u16;
+        let slot = self.kvs.len();
         let tag = tag16(hash);
+        // Keep the tag array sorted by (tag, key): the paper's hash-ordered
+        // tag array supports DirectPos positioning.
+        let pos = self
+            .hash_order
+            .partition_point(|e| (e.tag(), self.kvs[e.slot()].key.as_ref()) < (tag, key));
+        let key_pos = if config.sort_by_tag {
+            // Key order is allowed to lag: append unsorted (incSort later).
+            self.key_order.len()
+        } else {
+            // Without SortByTag the key order must stay fully sorted so that
+            // lookups can binary-search it.
+            self.key_order
+                .partition_point(|&i| self.kvs[i as usize].key.as_ref() < key)
+        };
         push_kv(
             &mut self.kvs,
             Kv {
-                hash,
-                tag,
                 key: key.to_vec().into_boxed_slice(),
                 value,
             },
             bin,
         );
-        // Keep the tag array sorted by (tag, key): the paper's hash-ordered
-        // tag array supports DirectPos positioning.
-        let pos = self.hash_order.partition_point(|&i| {
-            let kv = &self.kvs[i as usize];
-            (kv.tag, kv.key.as_ref()) < (tag, key)
+        insert_idx(&mut self.hash_order, pos, TagSlot::new(tag, slot), |old| {
+            bin.retire_tag_buf(old)
         });
-        insert_idx(&mut self.hash_order, pos, idx, bin);
-        if config.sort_by_tag {
-            // Key order is allowed to lag: append unsorted (incSort later).
-            let end = self.key_order.len();
-            insert_idx(&mut self.key_order, end, idx, bin);
-        } else {
-            // Without SortByTag the key order must stay fully sorted so that
-            // lookups can binary-search it.
-            let pos = self
-                .key_order
-                .partition_point(|&i| self.kvs[i as usize].key.as_ref() < key);
-            insert_idx(&mut self.key_order, pos, idx, bin);
+        insert_idx(&mut self.key_order, key_pos, slot as u16, |old| {
+            bin.retire_idx_buf(old)
+        });
+        if !config.sort_by_tag {
             self.sorted_cnt = self.key_order.len();
         }
         None
@@ -482,13 +547,18 @@ impl<V> LeafNode<V> {
     /// values are deferred).
     fn remove_slot(&mut self, slot: usize) -> Kv<V> {
         let removed = self.kvs.remove(slot);
-        let slot = slot as u16;
         let hpos = self
             .hash_order
             .iter()
-            .position(|&i| i == slot)
+            .position(|e| e.slot() == slot)
             .expect("hash entry");
         self.hash_order.remove(hpos);
+        for e in self.hash_order.iter_mut() {
+            if e.slot() > slot {
+                *e = TagSlot::new(e.tag(), e.slot() - 1);
+            }
+        }
+        let slot = slot as u16;
         let kpos = self
             .key_order
             .iter()
@@ -497,11 +567,6 @@ impl<V> LeafNode<V> {
         self.key_order.remove(kpos);
         if kpos < self.sorted_cnt {
             self.sorted_cnt -= 1;
-        }
-        for i in self.hash_order.iter_mut() {
-            if *i > slot {
-                *i -= 1;
-            }
         }
         for i in self.key_order.iter_mut() {
             if *i > slot {
@@ -695,73 +760,64 @@ impl<V> LeafNode<V> {
     ///
     /// The returned reference (and any value cloned from it) must be
     /// discarded unless the caller's subsequent version validation succeeds.
+    #[inline]
     pub fn get_checked(
         &self,
         key: &[u8],
         hash: u32,
         config: &WormholeConfig,
     ) -> Result<Option<&V>, ReadConflict> {
-        if self.kvs.is_empty() {
-            return Ok(None);
+        match self.find_slot_checked(key, hash, config)? {
+            Some(slot) => Ok(Some(&self.kvs.get(slot).ok_or(ReadConflict)?.value)),
+            None => Ok(None),
         }
-        if config.sort_by_tag {
-            let tag = tag16(hash);
-            let n = self.hash_order.len();
-            let kv_at = |i: usize| -> Result<&Kv<V>, ReadConflict> {
-                let idx = *self.hash_order.get(i).ok_or(ReadConflict)?;
-                self.kvs.get(idx as usize).ok_or(ReadConflict)
-            };
-            // First position whose tag is >= the search tag, via the same
-            // DirectPos hint walk or a hand-rolled (checked) binary search.
-            let mut i = if config.direct_pos {
-                let mut i = tag_position_hint(tag, n).min(n);
-                while i > 0 && tag <= kv_at(i - 1)?.tag {
-                    i -= 1;
-                }
-                while i < n && tag > kv_at(i)?.tag {
-                    i += 1;
-                }
-                i
-            } else {
-                let (mut lo, mut hi) = (0usize, n);
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if kv_at(mid)?.tag < tag {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            };
-            while i < n {
-                let kv = kv_at(i)?;
-                if kv.tag != tag {
-                    return Ok(None);
-                }
-                if kv.key.as_ref() == key {
-                    return Ok(Some(&kv.value));
-                }
-                i += 1;
+    }
+
+    /// Stages the leaf half of a batched point read: three hint-only rounds
+    /// over a window of `(leaf, key hash)` pairs — each key's tag-array
+    /// line at its DirectPos position, then the first tag-matching slot's
+    /// item record, then that item's key bytes — so that the reads which
+    /// follow find their lines resident instead of walking one dependent
+    /// miss chain per key. Every round covers the whole window before the
+    /// next starts: a round's addresses come out of the lines the previous
+    /// round asked for.
+    ///
+    /// The leaves may be racing a writer, like in [`LeafNode::get_checked`]:
+    /// every address is computed from bounds-checked reads and only ever
+    /// handed to a prefetch, never dereferenced, and nothing read here is
+    /// kept, so a torn read costs one useless hint. A no-op without
+    /// *SortByTag*, whose leaf search is a binary search over keys.
+    pub fn stage_probes(window: &[Option<&Self>], hashes: &[u32], config: &WormholeConfig) {
+        if !config.sort_by_tag {
+            return;
+        }
+        for (leaf, &hash) in window.iter().zip(hashes) {
+            if let Some(leaf) = leaf {
+                let tags = leaf.hash_order.as_slice();
+                let at = if config.direct_pos {
+                    tag_position_hint(tag16(hash), tags.len())
+                } else {
+                    tags.len() / 2
+                };
+                prefetch_read(tags.as_ptr().wrapping_add(at));
             }
-            Ok(None)
-        } else {
-            // Checked binary search over the key-sorted view.
-            let key_at = |i: usize| -> Result<&Kv<V>, ReadConflict> {
-                let idx = *self.key_order.get(i).ok_or(ReadConflict)?;
-                self.kvs.get(idx as usize).ok_or(ReadConflict)
-            };
-            let (mut lo, mut hi) = (0usize, self.key_order.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let kv = key_at(mid)?;
-                match kv.key.as_ref().cmp(key) {
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                    std::cmp::Ordering::Equal => return Ok(Some(&kv.value)),
-                }
+        }
+        let mut slots = [None; crate::meta::BATCH_WINDOW];
+        for ((leaf, &hash), slot) in window.iter().zip(hashes).zip(&mut slots) {
+            let Some(leaf) = leaf else { continue };
+            let (tag, tags) = (tag16(hash), leaf.hash_order.as_slice());
+            let entry = tags.get(tag_run_start(tags, tag, config.direct_pos));
+            *slot = entry
+                .filter(|e| e.tag() == tag && e.slot() < leaf.kvs.len())
+                .map(|e| e.slot());
+            if let Some(slot) = *slot {
+                prefetch_read(leaf.kvs.as_ptr().wrapping_add(slot));
             }
-            Ok(None)
+        }
+        for (leaf, slot) in window.iter().zip(slots) {
+            if let Some(kv) = leaf.zip(slot).and_then(|(leaf, slot)| leaf.kvs.get(slot)) {
+                prefetch_read(kv.key.as_ptr());
+            }
         }
     }
 
@@ -910,17 +966,20 @@ impl<V> LeafNode<V> {
         self.sorted_cnt = self.key_order.len();
         right.key_order = moved.iter().map(|&i| remap[i as usize]).collect();
         right.sorted_cnt = right.key_order.len();
-        let rebuild_hash = |kvs: &[Kv<V>]| {
-            let mut order: Vec<u16> = (0..kvs.len() as u16).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (ka, kb) = (&kvs[a as usize], &kvs[b as usize]);
-                (ka.tag, ka.key.as_ref()).cmp(&(kb.tag, kb.key.as_ref()))
-            });
-            order
-        };
-        let old_hash = std::mem::replace(&mut self.hash_order, rebuild_hash(&self.kvs));
-        bin.retire_idx_buf(old_hash);
-        right.hash_order = rebuild_hash(&right.kvs);
+        // Deal the old tag array out to the two halves: each receives a
+        // subsequence of a (tag, key)-sorted sequence, so both stay sorted
+        // and every tag is carried over rather than re-derived.
+        let old_hash = std::mem::replace(&mut self.hash_order, Vec::with_capacity(self.kvs.len()));
+        right.hash_order.reserve_exact(right.kvs.len());
+        for entry in &old_hash {
+            let moved = TagSlot::new(entry.tag(), usize::from(remap[entry.slot()]));
+            if keep[entry.slot()] {
+                self.hash_order.push(moved);
+            } else {
+                right.hash_order.push(moved);
+            }
+        }
+        bin.retire_tag_buf(old_hash);
         right
     }
 
@@ -932,21 +991,39 @@ impl<V> LeafNode<V> {
     /// [`LeafNode::absorb`], retiring the victim's storage (and any buffer
     /// this leaf outgrows) through `bin`.
     pub fn absorb_retiring(&mut self, mut victim: LeafNode<V>, bin: &mut LeafGarbage<V>) {
+        // Merge the two tag arrays (both sorted by (tag, key)); the
+        // victim's items land behind this leaf's, so its slots shift by the
+        // current item count and its tags are carried over as they are.
+        let base = self.kvs.len();
+        let shifted = |e: &TagSlot| TagSlot::new(e.tag(), base + e.slot());
+        let (mine, theirs) = (&self.hash_order, &victim.hash_order);
+        let mut merged = Vec::with_capacity(mine.len() + theirs.len());
+        let (mut a, mut b) = (0usize, 0usize);
+        while a < mine.len() && b < theirs.len() {
+            let (x, y) = (mine[a], theirs[b]);
+            let x_key = self.kvs[x.slot()].key.as_ref();
+            let y_key = victim.kvs[y.slot()].key.as_ref();
+            if (x.tag(), x_key) <= (y.tag(), y_key) {
+                merged.push(x);
+                a += 1;
+            } else {
+                merged.push(shifted(&y));
+                b += 1;
+            }
+        }
+        merged.extend_from_slice(&mine[a..]);
+        merged.extend(theirs[b..].iter().map(shifted));
+        bin.retire_tag_buf(std::mem::replace(&mut self.hash_order, merged));
         for kv in victim.kvs.drain(..) {
             let idx = self.kvs.len() as u16;
-            let pos = self.hash_order.partition_point(|&i| {
-                let cur = &self.kvs[i as usize];
-                (cur.tag, cur.key.as_ref()) < (kv.tag, kv.key.as_ref())
-            });
-            insert_idx(&mut self.hash_order, pos, idx, bin);
             push_kv(&mut self.kvs, kv, bin);
             let end = self.key_order.len();
-            insert_idx(&mut self.key_order, end, idx, bin);
+            insert_idx(&mut self.key_order, end, idx, |old| bin.retire_idx_buf(old));
         }
         // Readers may still be traversing the victim's (now drained)
         // storage and anchor: retire the buffers wholesale.
         bin.retire_kv_buf(std::mem::take(&mut victim.kvs));
-        bin.retire_idx_buf(std::mem::take(&mut victim.hash_order));
+        bin.retire_tag_buf(std::mem::take(&mut victim.hash_order));
         bin.retire_idx_buf(std::mem::take(&mut victim.key_order));
         bin.retire_bytes(std::mem::take(&mut victim.anchor));
         bin.retire_bytes(std::mem::take(&mut victim.table_key));
@@ -956,6 +1033,51 @@ impl<V> LeafNode<V> {
         // relies on for its binary searches.
         self.sorted_cnt = self.sorted_cnt.min(self.key_order.len());
         self.ensure_key_sorted_retiring(bin);
+    }
+
+    /// Panics unless both orderings describe the stored items: the tag
+    /// array is sorted by (tag, key), names every slot exactly once and
+    /// carries each key's own tag; the key order names every slot exactly
+    /// once and its sorted prefix ascends. Tests and debugging.
+    pub fn check_invariants(&self) {
+        let n = self.kvs.len();
+        let key = |slot: usize| self.kvs[slot].key.as_ref();
+        let mut seen = vec![false; n];
+        for entry in &self.hash_order {
+            assert!(
+                !std::mem::replace(&mut seen[entry.slot()], true),
+                "tag array names slot {} twice",
+                entry.slot()
+            );
+            assert_eq!(
+                entry.tag(),
+                tag16(crc32c(key(entry.slot()))),
+                "stale tag for slot {}",
+                entry.slot()
+            );
+        }
+        assert_eq!(self.hash_order.len(), n, "tag array misses a slot");
+        assert!(
+            self.hash_order
+                .windows(2)
+                .all(|w| (w[0].tag(), key(w[0].slot())) < (w[1].tag(), key(w[1].slot()))),
+            "tag array not sorted by (tag, key)"
+        );
+        let mut seen = vec![false; n];
+        for &slot in &self.key_order {
+            assert!(
+                !std::mem::replace(&mut seen[usize::from(slot)], true),
+                "key order names slot {slot} twice"
+            );
+        }
+        assert_eq!(self.key_order.len(), n, "key order misses a slot");
+        assert!(self.sorted_cnt <= n);
+        assert!(
+            self.key_order[..self.sorted_cnt]
+                .windows(2)
+                .all(|w| key(usize::from(w[0])) < key(usize::from(w[1]))),
+            "sorted prefix of the key order does not ascend"
+        );
     }
 
     /// Updates the leaf's table key (used when an anchor is relocated with an
@@ -974,7 +1096,8 @@ impl<V> LeafNode<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wh_hash::crc32c;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn cfg() -> WormholeConfig {
         WormholeConfig::optimized().with_leaf_capacity(16)
@@ -1082,6 +1205,8 @@ mod tests {
         let (at, anchor) = crate::core::choose_split_point(&mut leaf).unwrap();
         let right = leaf.split_off(at, anchor.clone(), anchor.clone());
         assert_eq!(leaf.len() + right.len(), 10);
+        leaf.check_invariants();
+        right.check_invariants();
         assert!(leaf.max_key().unwrap() < right.min_key().unwrap());
         assert!(right.min_key().unwrap() >= anchor.as_slice());
         // Both halves remain searchable.
@@ -1107,6 +1232,7 @@ mod tests {
         }
         left.ensure_key_sorted();
         left.absorb(right);
+        left.check_invariants();
         assert_eq!(left.len(), 6);
         for k in ["a", "c", "e", "m", "o", "q"] {
             assert!(get(&left, k.as_bytes(), &config).is_some(), "{k}");
@@ -1205,6 +1331,143 @@ mod tests {
             // Lookups and further mutation still work after the bulk fixups.
             assert_eq!(insert(&mut leaf, b"rr07", 100, &config), None);
             assert_eq!(get(&leaf, b"rr07", &config), Some(100));
+            leaf.check_invariants();
+        }
+    }
+
+    #[test]
+    fn kv_holds_nothing_but_key_and_value() {
+        // The tags live in the tag array only: an item record is its key
+        // box and its value, and a tag-array entry is four bytes.
+        assert_eq!(std::mem::size_of::<Kv<u64>>(), 24);
+        assert_eq!(std::mem::size_of::<TagSlot>(), 4);
+        let entry = TagSlot::new(0xBEEF, 0x1234);
+        assert_eq!((entry.tag(), entry.slot()), (0xBEEF, 0x1234));
+    }
+
+    /// One step of the random leaf histories below.
+    #[derive(Debug, Clone)]
+    enum LeafOp {
+        Insert(Vec<u8>, u64),
+        Remove(Vec<u8>),
+        RemoveRange(Vec<u8>, Vec<u8>),
+        Split,
+        Absorb,
+    }
+
+    fn leaf_op() -> impl Strategy<Value = LeafOp> {
+        // A four-letter alphabet and short keys: overwrites, removals of
+        // present keys and non-empty ranges all happen often.
+        let key = || proptest::collection::vec(0u8..4, 0..5);
+        (0u8..10, key(), key(), any::<u64>()).prop_map(|(op, a, b, value)| match op {
+            0..=4 => LeafOp::Insert(a, value),
+            5 | 6 => LeafOp::Remove(a),
+            7 => LeafOp::RemoveRange(a.clone().min(b.clone()), a.max(b)),
+            8 => LeafOp::Split,
+            _ => LeafOp::Absorb,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random insert / overwrite / remove / `remove_range` / split /
+        /// absorb histories over a leaf and its (optional) right sibling,
+        /// against a `BTreeMap`: after every step both orderings of both
+        /// leaves satisfy `check_invariants` (tag array sorted by (tag, key),
+        /// every slot named once, every tag its key's own), and at the end
+        /// every lookup — plain and checked — and the ordered contents agree
+        /// with the model.
+        #[test]
+        fn orderings_survive_random_histories(
+            ops in proptest::collection::vec(leaf_op(), 1..120),
+            which in 0usize..3,
+        ) {
+            let config = [
+                WormholeConfig::optimized(),
+                WormholeConfig::base(),
+                WormholeConfig::optimized().with_direct_pos(false),
+            ][which];
+            let mut left: LeafNode<u64> = LeafNode::new(Vec::new(), Vec::new());
+            let mut right: Option<LeafNode<u64>> = None;
+            let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    LeafOp::Insert(key, value) => {
+                        let leaf = match &mut right {
+                            Some(r) if key.as_slice() >= r.anchor() => r,
+                            _ => &mut left,
+                        };
+                        prop_assert_eq!(
+                            insert(leaf, &key, value, &config),
+                            model.insert(key, value)
+                        );
+                    }
+                    LeafOp::Remove(key) => {
+                        let leaf = match &mut right {
+                            Some(r) if key.as_slice() >= r.anchor() => r,
+                            _ => &mut left,
+                        };
+                        prop_assert_eq!(
+                            leaf.remove(&key, crc32c(&key), &config),
+                            model.remove(&key)
+                        );
+                    }
+                    LeafOp::RemoveRange(lo, hi) => {
+                        let mut bin = LeafGarbage::immediate();
+                        let mut removed = left.remove_range_retiring(&lo, &hi, &mut bin).0;
+                        if let Some(r) = &mut right {
+                            removed += r.remove_range_retiring(&lo, &hi, &mut bin).0;
+                        }
+                        let doomed: Vec<Vec<u8>> = model
+                            .range(lo..hi)
+                            .map(|(k, _)| k.clone())
+                            .collect();
+                        prop_assert_eq!(removed, doomed.len());
+                        for key in doomed {
+                            model.remove(&key);
+                        }
+                    }
+                    LeafOp::Split => {
+                        if right.is_none() && left.len() >= 2 {
+                            left.ensure_key_sorted();
+                            let at = left.len() / 2;
+                            let anchor = left.key_at(at).to_vec();
+                            right = Some(left.split_off(at, anchor.clone(), anchor));
+                        }
+                    }
+                    LeafOp::Absorb => {
+                        if let Some(r) = right.take() {
+                            left.absorb(r);
+                        }
+                    }
+                }
+                left.check_invariants();
+                if let Some(r) = &right {
+                    r.check_invariants();
+                }
+            }
+            let total = left.len() + right.as_ref().map_or(0, LeafNode::len);
+            prop_assert_eq!(total, model.len());
+            for (key, value) in &model {
+                let leaf = match &right {
+                    Some(r) if key.as_slice() >= r.anchor() => r,
+                    _ => &left,
+                };
+                let hash = crc32c(key);
+                prop_assert_eq!(leaf.get(key, hash, &config), Some(value));
+                prop_assert_eq!(leaf.get_checked(key, hash, &config), Ok(Some(value)));
+            }
+            let mut contents = Vec::new();
+            left.ensure_key_sorted();
+            left.collect_range_into(b"", usize::MAX, &mut contents);
+            if let Some(r) = &mut right {
+                r.ensure_key_sorted();
+                r.collect_range_into(b"", usize::MAX, &mut contents);
+            }
+            let expect: Vec<(Vec<u8>, u64)> =
+                model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            prop_assert_eq!(contents, expect);
         }
     }
 }

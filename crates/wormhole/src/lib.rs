@@ -48,10 +48,14 @@
 //! hash and issues a software prefetch ([`prefetch::prefetch_read`]) for the
 //! corresponding MetaTrieHT bucket, and only then are the probes executed in
 //! turn — so while probe *i* waits for its cache line, the lines of probes
-//! *i+1..* are already in flight. The trie sibling step and the final leaf
-//! probes are overlapped the same way. On the concurrent index the leaf
-//! reads stay seqlock-validated with the usual per-key bounded-retry
-//! fallback, and the whole window shares one QSBR critical section.
+//! *i+1..* are already in flight. It is the same search state machine a
+//! single `get` runs, with a window of one. The trie sibling step is
+//! overlapped the same way, and the leaf half is staged in hint-only rounds
+//! over the window (leaf header, the tag-array line at the DirectPos
+//! position, the matched item, its key bytes) before the leaf reads run on
+//! resident lines. On the concurrent index those reads stay
+//! seqlock-validated with the usual per-key bounded-retry fallback, and the
+//! whole window shares one QSBR critical section.
 //!
 //! Prefetching is a pure hint: on targets without the intrinsic it is a
 //! no-op (see [`prefetch`]) and `get_batch` degrades to a correct, merely

@@ -46,7 +46,7 @@
 //! concurrent one. See [`meta_plan`].
 
 use index_traits::IndexStats;
-use wh_hash::{crc32c, crc32c_append, mix64, tag16, tag8_match_mask, IncrementalHasher};
+use wh_hash::{crc32c, crc32c_append, mix64, tag16, tag8_match_mask};
 
 use crate::config::WormholeConfig;
 use crate::prefetch::prefetch_read;
@@ -256,62 +256,90 @@ const GROW_NUM: usize = BUCKET_SLOTS - 2;
 /// per-window scratch stays a few hundred stack bytes.
 pub const BATCH_WINDOW: usize = 16;
 
-/// Per-key state of one in-flight LPM binary search in the batched pipeline.
-/// Deliberately plain data (no borrows) so a whole window of probes lives in
-/// one stack array and `get_batch` stays allocation-free.
+/// Sentinel item index: "no such item" ([`MetaTable::root_item`] before the
+/// root is installed).
+const NO_ITEM: u32 = u32::MAX;
+
+/// State of one LPM binary search over prefix lengths (Algorithm 1) — the
+/// only LPM state machine: a single `get` runs a window of one of these, a
+/// `get_batch` a window of [`BATCH_WINDOW`]. Deliberately plain data (no
+/// borrows) so a whole window lives in one stack array and lookups stay
+/// allocation-free.
+///
+/// The committed CRC state sits at `lo`, the longest prefix known to exist,
+/// and moves only on a hit (the paper's *IncHashing*): a probe at `mid`
+/// hashes just `key[lo..mid]`, and because a miss only lowers `hi`, every
+/// later probe still starts from `lo` — each key byte is hashed at most
+/// once per search.
 #[derive(Clone, Copy)]
 struct LpmProbe {
-    /// Binary-search bounds over prefix lengths (Algorithm 1).
+    /// Length of the longest prefix known to exist; the match so far.
     lo: usize,
+    /// Shortest prefix length known *not* to exist (exclusive bound).
     hi: usize,
-    /// Best match so far.
-    best_len: usize,
-    best_item: u32,
-    /// The prefix length whose bucket is prefetched and probed next.
+    /// The item found at `lo` (the root item while `lo == 0`).
+    lo_item: u32,
+    /// CRC-32c of `key[..lo]`.
+    lo_hash: u32,
+    /// The prefix length probed next; its bucket is what gets prefetched.
     mid: usize,
     /// CRC-32c of `key[..mid]`.
     hash: u32,
-    /// Incremental-hashing state (the paper's *IncHashing*, mirroring
-    /// [`IncrementalHasher`] in POD form).
-    committed_len: usize,
-    committed_state: u32,
-    /// Whether the binary search still has steps to run.
-    live: bool,
 }
 
 impl LpmProbe {
     const IDLE: LpmProbe = LpmProbe {
         lo: 0,
         hi: 0,
-        best_len: 0,
-        best_item: 0,
+        lo_item: NO_ITEM,
+        lo_hash: 0,
         mid: 0,
         hash: 0,
-        committed_len: 0,
-        committed_state: 0,
-        live: false,
     };
 
-    /// CRC-32c of `key[..len]`, reusing (and extending) the committed state
-    /// exactly like [`IncrementalHasher::hash_prefix_and_commit`].
+    /// Chooses and hashes the next prefix length to probe. Returns `false`
+    /// when the search is over (`lo` is the longest existing prefix). With
+    /// `inc_hashing` off the prefix is hashed from byte 0 — the ablation
+    /// baseline of Figure 11.
     #[inline]
-    fn prefix_hash(&mut self, key: &[u8], len: usize, inc_hashing: bool) -> u32 {
-        if !inc_hashing {
-            return crc32c(&key[..len]);
+    fn advance(&mut self, key: &[u8], inc_hashing: bool) -> bool {
+        if self.lo + 1 >= self.hi {
+            return false;
         }
-        if len >= self.committed_len {
-            let h = crc32c_append(self.committed_state, &key[self.committed_len..len]);
-            self.committed_len = len;
-            self.committed_state = h;
-            h
+        self.mid = (self.lo + self.hi) / 2;
+        self.hash = if inc_hashing {
+            crc32c_append(self.lo_hash, &key[self.lo..self.mid])
         } else {
-            crc32c_append(0, &key[..len])
+            crc32c(&key[..self.mid])
+        };
+        true
+    }
+
+    /// One step of the state machine: executes the pending probe at `mid`
+    /// against `table`, commits the outcome, and advances to the next
+    /// prefix length. Returns whether another step is pending.
+    #[inline]
+    fn step<L: LeafRef>(
+        &mut self,
+        table: &MetaTable<L>,
+        key: &[u8],
+        optimistic: bool,
+        inc_hashing: bool,
+    ) -> bool {
+        match table.probe(&key[..self.mid], self.hash, optimistic) {
+            Some(item) => {
+                self.lo = self.mid;
+                self.lo_item = item;
+                self.lo_hash = self.hash;
+            }
+            None => self.hi = self.mid,
         }
+        self.advance(key, inc_hashing)
     }
 }
 
-/// A queued sibling/child step of the batched trie search: everything needed
-/// to finish Algorithm 3 for one key once its child bucket's prefetch lands.
+/// A queued sibling/child step of the trie search: everything needed to
+/// finish Algorithm 3 for one key once its child bucket's prefetch lands.
 #[derive(Clone, Copy)]
 struct PendingChild {
     /// The LPM item whose stored CRC seeds the child hash.
@@ -322,21 +350,12 @@ struct PendingChild {
     sibling: u8,
     /// Whether the sibling is above the missing token (`LeftOf` outcomes).
     above: bool,
-    live: bool,
-}
-
-impl PendingChild {
-    const IDLE: PendingChild = PendingChild {
-        item_idx: 0,
-        match_len: 0,
-        sibling: 0,
-        above: false,
-        live: false,
-    };
 }
 
 /// Outcome of the trie search (Algorithm 3) before leaf-list adjustment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The searches return it over `&L`, borrowed from the table: a reader
+/// that only looks through the handle never touches its reference count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetOutcome<L> {
     /// The returned leaf is the target node.
     Target(L),
@@ -470,6 +489,9 @@ pub struct MetaTable<L> {
     /// Length of the longest anchor table key ever inserted (the paper's
     /// `Lanc`, used to bound the binary search).
     max_anchor_len: usize,
+    /// Index of the item stored under the empty key (the trie root, where
+    /// every LPM search starts), so no lookup has to probe for it.
+    root_item: u32,
 }
 
 impl<L: LeafRef> Default for MetaTable<L> {
@@ -488,6 +510,7 @@ impl<L: LeafRef> MetaTable<L> {
             free: Vec::new(),
             len: 0,
             max_anchor_len: 0,
+            root_item: NO_ITEM,
         }
     }
 
@@ -753,6 +776,9 @@ impl<L: LeafRef> MetaTable<L> {
         };
         self.insert_slot(hash, idx);
         self.len += 1;
+        if key.is_empty() {
+            self.root_item = idx;
+        }
         if is_leaf {
             self.max_anchor_len = self.max_anchor_len.max(key.len());
         }
@@ -766,6 +792,9 @@ impl<L: LeafRef> MetaTable<L> {
         self.remove_slot(hash, idx);
         self.len -= 1;
         self.free.push(idx);
+        if key.is_empty() {
+            self.root_item = NO_ITEM;
+        }
         self.items[idx as usize].take()
     }
 
@@ -791,125 +820,9 @@ impl<L: LeafRef> MetaTable<L> {
     }
 
     // ------------------------------------------------------------------
-    // Search (Algorithms 1 and 3).
-    // ------------------------------------------------------------------
-
-    /// Binary search on prefix lengths for the longest prefix of `key` that
-    /// exists in the table (Algorithm 1). Returns the matched item index and
-    /// the match length.
-    fn search_lpm(&self, key: &[u8], config: &WormholeConfig) -> (u32, usize) {
-        let bound = key.len().min(self.max_anchor_len);
-        let optimistic = config.tag_matching;
-        match self.search_lpm_once(key, bound, optimistic, config.inc_hashing) {
-            Some(found) => found,
-            // A tag false-positive misled the optimistic search; redo it
-            // with full prefix comparisons (§3.1).
-            None => {
-                debug_assert!(optimistic);
-                self.search_lpm_once(key, bound, false, config.inc_hashing)
-                    .expect("exact LPM search cannot fail verification")
-            }
-        }
-    }
-
-    /// One pass of the binary search. Returns `None` when the final
-    /// verification detects that optimistic tag matching went down a wrong
-    /// path.
-    fn search_lpm_once(
-        &self,
-        key: &[u8],
-        bound: usize,
-        optimistic: bool,
-        inc_hashing: bool,
-    ) -> Option<(u32, usize)> {
-        let mut hasher = IncrementalHasher::new(key);
-        let hash_at = |hasher: &mut IncrementalHasher<'_>, len: usize| -> u32 {
-            if inc_hashing {
-                hasher.hash_prefix_and_commit(len)
-            } else {
-                crc32c(&key[..len])
-            }
-        };
-        // The empty prefix is always present (the trie root).
-        let mut best_len = 0usize;
-        let root_hash = hash_at(&mut hasher, 0);
-        let mut best_item = self
-            .probe(&key[..0], root_hash, false)
-            .expect("the root item must exist");
-        let mut lo = 0usize;
-        let mut hi = bound + 1;
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            let h = hash_at(&mut hasher, mid);
-            match self.probe(&key[..mid], h, optimistic) {
-                Some(item) => {
-                    lo = mid;
-                    best_len = mid;
-                    best_item = item;
-                }
-                None => hi = mid,
-            }
-        }
-        if optimistic && best_len > 0 {
-            // Verify the final match; tag collisions may have lied earlier.
-            let item = self.items[best_item as usize].as_ref().expect("live item");
-            if item.key.as_ref() != &key[..best_len] {
-                return None;
-            }
-        }
-        Some((best_item, best_len))
-    }
-
-    /// Full trie search (Algorithm 3, `searchTrieHT`): returns the target
-    /// leaf, up to the final leaf-list adjustment which requires the caller's
-    /// leaf links.
-    pub fn search_target(&self, key: &[u8], config: &WormholeConfig) -> TargetOutcome<L> {
-        let (item_idx, match_len) = self.search_lpm(key, config);
-        let item = self.items[item_idx as usize].as_ref().expect("live item");
-        match &item.kind {
-            MetaKind::Leaf(leaf) => TargetOutcome::Target(leaf.clone()),
-            MetaKind::Internal(node) => {
-                if match_len == key.len() {
-                    // The whole key is an interior prefix: the target is the
-                    // subtree's leftmost leaf or its left neighbour.
-                    return TargetOutcome::CompareAnchor(node.leftmost.clone());
-                }
-                let missing = key[match_len];
-                let Some(sibling) = node.bitmap.find_one_sibling(missing) else {
-                    // An internal node always has at least one child; treat a
-                    // corrupted bitmap as "use the subtree bounds".
-                    debug_assert!(false, "internal node with empty bitmap");
-                    return TargetOutcome::Target(node.rightmost.clone());
-                };
-                // The child's key is the matched prefix plus one token; its
-                // hash extends the matched item's stored CRC, so the probe
-                // needs no materialised key (the lookup hot path stays
-                // allocation-free).
-                let child = self
-                    .find_child(&key[..match_len], item.hash, sibling)
-                    .expect("bitmap bit set but child item missing");
-                match &child.kind {
-                    MetaKind::Leaf(leaf) => {
-                        if sibling > missing {
-                            TargetOutcome::LeftOf(leaf.clone())
-                        } else {
-                            TargetOutcome::Target(leaf.clone())
-                        }
-                    }
-                    MetaKind::Internal(child_node) => {
-                        if sibling > missing {
-                            TargetOutcome::LeftOf(child_node.leftmost.clone())
-                        } else {
-                            TargetOutcome::Target(child_node.rightmost.clone())
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Batched search (the memory-level-parallelism pipeline).
+    // Search (Algorithms 1 and 3): one pipeline, run with a window of one
+    // key by `search_target` and of `BATCH_WINDOW` keys by
+    // `search_targets_window`.
     // ------------------------------------------------------------------
 
     /// Prefetches the main-array bucket for `hash` — the first cache line a
@@ -920,160 +833,174 @@ impl<L: LeafRef> MetaTable<L> {
         prefetch_read(&self.buckets[self.bucket_of(hash)] as *const Bucket);
     }
 
-    /// Pipelined LPM binary search over a window of keys (Algorithm 1,
-    /// batched). Semantically identical to running [`MetaTable::search_lpm`]
-    /// per key; the difference is scheduling: every in-flight probe's next
-    /// bucket is prefetched before any probe executes, and the search steps
-    /// are round-robined across the keys so each probe's cache miss overlaps
-    /// the others'. Fills `out[..keys.len()]` with `(item, match_len)`.
+    /// Binary search on prefix lengths for the longest prefix of each key
+    /// that exists in the table (Algorithm 1), over a window of keys. Every
+    /// in-flight search's next bucket is prefetched before any probe
+    /// executes, and the steps are round-robined across the keys so each
+    /// probe's cache miss overlaps the others'. On return `probes[i].lo` is
+    /// the match length of `keys[i]` and `probes[i].lo_item` the matched
+    /// item.
+    #[inline]
     fn search_lpm_window(
         &self,
         keys: &[&[u8]],
-        config: &WormholeConfig,
-        out: &mut [(u32, usize); BATCH_WINDOW],
+        optimistic: bool,
+        inc_hashing: bool,
+        probes: &mut [LpmProbe],
     ) {
-        debug_assert!(keys.len() <= BATCH_WINDOW);
-        let optimistic = config.tag_matching;
-        let inc_hashing = config.inc_hashing;
-        // The empty prefix (the trie root) is shared by every key in the
-        // window: probe it once for all of them.
-        let root_item = self
-            .probe(&[], crc32c(&[]), false)
-            .expect("the root item must exist");
-        let mut probes = [LpmProbe::IDLE; BATCH_WINDOW];
+        debug_assert!(keys.len() <= probes.len());
         let mut live = 0usize;
-        for (i, key) in keys.iter().enumerate() {
-            let bound = key.len().min(self.max_anchor_len);
-            let p = &mut probes[i];
+        for (key, p) in keys.iter().zip(probes.iter_mut()) {
             *p = LpmProbe {
-                lo: 0,
-                hi: bound + 1,
-                best_item: root_item,
+                hi: key.len().min(self.max_anchor_len) + 1,
+                lo_item: self.root_item,
                 ..LpmProbe::IDLE
             };
-            if p.lo + 1 < p.hi {
-                p.mid = (p.lo + p.hi) / 2;
-                p.hash = p.prefix_hash(key, p.mid, inc_hashing);
+            if p.advance(key, inc_hashing) {
                 self.prefetch_bucket(p.hash);
-                p.live = true;
                 live += 1;
             }
         }
-        // Round-robin rounds: execute each probe's already-prefetched step,
-        // then immediately compute and prefetch its next one. While probe
-        // i's line is filling, probes i+1.. execute theirs.
+        // Round-robin rounds: execute each search's already-prefetched
+        // step, then immediately prefetch its next one. While search i's
+        // line is filling, searches i+1.. execute theirs. A finished search
+        // is recognisable by its closed interval.
         while live > 0 {
-            for (i, key) in keys.iter().enumerate() {
-                let p = &mut probes[i];
-                if !p.live {
+            for (key, p) in keys.iter().zip(probes.iter_mut()) {
+                if p.lo + 1 >= p.hi {
                     continue;
                 }
-                match self.probe(&key[..p.mid], p.hash, optimistic) {
-                    Some(item) => {
-                        p.lo = p.mid;
-                        p.best_len = p.mid;
-                        p.best_item = item;
-                    }
-                    None => p.hi = p.mid,
-                }
-                if p.lo + 1 < p.hi {
-                    p.mid = (p.lo + p.hi) / 2;
-                    p.hash = p.prefix_hash(key, p.mid, inc_hashing);
+                if p.step(self, key, optimistic, inc_hashing) {
                     self.prefetch_bucket(p.hash);
                 } else {
-                    p.live = false;
                     live -= 1;
                 }
             }
         }
-        for (i, key) in keys.iter().enumerate() {
-            let p = &probes[i];
-            let mut found = (p.best_item, p.best_len);
-            if optimistic && p.best_len > 0 {
-                // Verify the final match; tag collisions may have misled the
-                // optimistic search — redo it exactly, like the single-key
-                // path (§3.1).
-                let item = self.items[p.best_item as usize]
-                    .as_ref()
-                    .expect("live item");
-                if item.key.as_ref() != &key[..p.best_len] {
-                    found = self
-                        .search_lpm_once(
-                            key,
-                            key.len().min(self.max_anchor_len),
-                            false,
-                            inc_hashing,
-                        )
-                        .expect("exact LPM search cannot fail verification");
+        if !optimistic {
+            return;
+        }
+        for (key, p) in keys.iter().zip(probes.iter_mut()) {
+            // Verify the final match; a tag false-positive may have misled
+            // the optimistic search — redo it with full prefix comparisons
+            // (§3.1). The root needs no check: it matches every key.
+            if p.lo > 0 {
+                let item = self.items[p.lo_item as usize].as_ref().expect("live item");
+                if item.key.as_ref() != &key[..p.lo] {
+                    self.search_lpm_window(
+                        std::slice::from_ref(key),
+                        false,
+                        inc_hashing,
+                        std::slice::from_mut(p),
+                    );
                 }
             }
-            out[i] = found;
         }
     }
 
-    /// Batched trie search (Algorithm 3 over a window of keys): the
-    /// pipelined LPM pass, then an overlapped sibling/child step whose
-    /// bucket lines are all prefetched before any child probe executes.
-    /// Produces exactly the outcomes [`MetaTable::search_target`] would per
-    /// key, written to `out[..keys.len()]`. `keys.len()` must not exceed
-    /// [`BATCH_WINDOW`].
-    pub fn search_targets_window(
-        &self,
+    /// The trie step after the LPM (Algorithm 3): either the outcome is
+    /// already decided by the matched item, or one child probe is still
+    /// needed — returned as a [`PendingChild`] with its bucket prefetched.
+    #[inline]
+    fn trie_step(&self, key: &[u8], lpm: &LpmProbe) -> Result<TargetOutcome<&L>, PendingChild> {
+        let (item_idx, match_len) = (lpm.lo_item, lpm.lo);
+        let item = self.items[item_idx as usize].as_ref().expect("live item");
+        match &item.kind {
+            MetaKind::Leaf(leaf) => Ok(TargetOutcome::Target(leaf)),
+            MetaKind::Internal(node) => {
+                if match_len == key.len() {
+                    // The whole key is an interior prefix: the target is the
+                    // subtree's leftmost leaf or its left neighbour.
+                    return Ok(TargetOutcome::CompareAnchor(&node.leftmost));
+                }
+                let missing = key[match_len];
+                let Some(sibling) = node.bitmap.find_one_sibling(missing) else {
+                    // An internal node always has at least one child; treat a
+                    // corrupted bitmap as "use the subtree bounds".
+                    debug_assert!(false, "internal node with empty bitmap");
+                    return Ok(TargetOutcome::Target(&node.rightmost));
+                };
+                // The child's key is the matched prefix plus one token; its
+                // hash extends the matched item's stored CRC, so the probe
+                // needs no materialised key (the lookup hot path stays
+                // allocation-free).
+                self.prefetch_bucket(crc32c_append(item.hash, &[sibling]));
+                Err(PendingChild {
+                    item_idx,
+                    match_len,
+                    sibling,
+                    above: sibling > missing,
+                })
+            }
+        }
+    }
+
+    /// Finishes a [`PendingChild`]: probes the sibling child and turns it
+    /// into the outcome.
+    #[inline]
+    fn child_step(&self, key: &[u8], p: PendingChild) -> TargetOutcome<&L> {
+        let item = self.items[p.item_idx as usize].as_ref().expect("live item");
+        let child = self
+            .find_child(&key[..p.match_len], item.hash, p.sibling)
+            .expect("bitmap bit set but child item missing");
+        match (&child.kind, p.above) {
+            (MetaKind::Leaf(leaf), true) => TargetOutcome::LeftOf(leaf),
+            (MetaKind::Leaf(leaf), false) => TargetOutcome::Target(leaf),
+            (MetaKind::Internal(node), true) => TargetOutcome::LeftOf(&node.leftmost),
+            (MetaKind::Internal(node), false) => TargetOutcome::Target(&node.rightmost),
+        }
+    }
+
+    /// The search pipeline over at most `N` keys: the windowed LPM pass,
+    /// then the sibling/child steps, whose bucket lines are all prefetched
+    /// before any child probe executes. `N` sizes the stack scratch, so the
+    /// window of one behind [`MetaTable::search_target`] carries none of
+    /// the batch's.
+    #[inline]
+    fn search_window<'t, const N: usize>(
+        &'t self,
         keys: &[&[u8]],
         config: &WormholeConfig,
-        out: &mut [Option<TargetOutcome<L>>],
+        out: &mut [Option<TargetOutcome<&'t L>>],
     ) {
-        assert!(keys.len() <= BATCH_WINDOW, "window exceeds BATCH_WINDOW");
+        assert!(keys.len() <= N, "window exceeds its scratch");
         assert!(out.len() >= keys.len(), "output window too small");
-        let mut lpm = [(0u32, 0usize); BATCH_WINDOW];
-        self.search_lpm_window(keys, config, &mut lpm);
-        // First pass: resolve the keys whose match is already terminal and
-        // queue the rest's sibling step with its child bucket prefetched.
-        let mut pending = [PendingChild::IDLE; BATCH_WINDOW];
+        let mut probes = [LpmProbe::IDLE; N];
+        self.search_lpm_window(keys, config.tag_matching, config.inc_hashing, &mut probes);
+        let mut pending: [Option<PendingChild>; N] = [None; N];
         for (i, key) in keys.iter().enumerate() {
-            let (item_idx, match_len) = lpm[i];
-            let item = self.items[item_idx as usize].as_ref().expect("live item");
-            match &item.kind {
-                MetaKind::Leaf(leaf) => out[i] = Some(TargetOutcome::Target(leaf.clone())),
-                MetaKind::Internal(node) => {
-                    if match_len == key.len() {
-                        out[i] = Some(TargetOutcome::CompareAnchor(node.leftmost.clone()));
-                        continue;
-                    }
-                    let missing = key[match_len];
-                    let Some(sibling) = node.bitmap.find_one_sibling(missing) else {
-                        debug_assert!(false, "internal node with empty bitmap");
-                        out[i] = Some(TargetOutcome::Target(node.rightmost.clone()));
-                        continue;
-                    };
-                    self.prefetch_bucket(crc32c_append(item.hash, &[sibling]));
-                    pending[i] = PendingChild {
-                        item_idx,
-                        match_len,
-                        sibling,
-                        above: sibling > missing,
-                        live: true,
-                    };
-                }
+            match self.trie_step(key, &probes[i]) {
+                Ok(outcome) => out[i] = Some(outcome),
+                Err(child) => pending[i] = Some(child),
             }
         }
-        // Second pass: the prefetched child probes.
         for (i, key) in keys.iter().enumerate() {
-            let p = pending[i];
-            if !p.live {
-                continue;
+            if let Some(child) = pending[i] {
+                out[i] = Some(self.child_step(key, child));
             }
-            let item = self.items[p.item_idx as usize].as_ref().expect("live item");
-            let child = self
-                .find_child(&key[..p.match_len], item.hash, p.sibling)
-                .expect("bitmap bit set but child item missing");
-            out[i] = Some(match (&child.kind, p.above) {
-                (MetaKind::Leaf(leaf), true) => TargetOutcome::LeftOf(leaf.clone()),
-                (MetaKind::Leaf(leaf), false) => TargetOutcome::Target(leaf.clone()),
-                (MetaKind::Internal(node), true) => TargetOutcome::LeftOf(node.leftmost.clone()),
-                (MetaKind::Internal(node), false) => TargetOutcome::Target(node.rightmost.clone()),
-            });
         }
+    }
+
+    /// Full trie search (Algorithm 3, `searchTrieHT`): returns the target
+    /// leaf, up to the final leaf-list adjustment which requires the caller's
+    /// leaf links. The handle is borrowed from the table.
+    pub fn search_target(&self, key: &[u8], config: &WormholeConfig) -> TargetOutcome<&L> {
+        let mut out = [None];
+        self.search_window::<1>(&[key], config, &mut out);
+        out[0].expect("window filled")
+    }
+
+    /// Batched trie search: [`MetaTable::search_target`] for up to
+    /// [`BATCH_WINDOW`] keys with every level's cache misses overlapped.
+    /// Produces exactly the per-key outcomes, written to
+    /// `out[..keys.len()]`.
+    pub fn search_targets_window<'t>(
+        &'t self,
+        keys: &[&[u8]],
+        config: &WormholeConfig,
+        out: &mut [Option<TargetOutcome<&'t L>>],
+    ) {
+        self.search_window::<BATCH_WINDOW>(keys, config, out);
     }
 
     // ------------------------------------------------------------------
@@ -1275,6 +1202,7 @@ impl<L: LeafRef> MetaTable<L> {
             free: Vec::new(),
             len: 0,
             max_anchor_len: 0,
+            root_item: NO_ITEM,
         }
     }
 
@@ -1288,6 +1216,7 @@ impl<L: LeafRef> MetaTable<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> WormholeConfig {
         WormholeConfig::optimized()
@@ -1510,31 +1439,37 @@ mod tests {
         // "Joseph" matches the anchor "Jos" exactly -> leaf 4.
         assert_eq!(
             t.search_target(b"Joseph", &config),
-            TargetOutcome::Target(4)
+            TargetOutcome::Target(&4)
         );
         // "James" has LPM "Jam" -> leaf 3.
-        assert_eq!(t.search_target(b"James", &config), TargetOutcome::Target(3));
+        assert_eq!(
+            t.search_target(b"James", &config),
+            TargetOutcome::Target(&3)
+        );
         // "Denice": LPM "", missing 'D', siblings 'A' (left) and 'J' (right);
         // the left subtree's rightmost leaf is leaf 2.
         assert_eq!(
             t.search_target(b"Denice", &config),
-            TargetOutcome::Target(2)
+            TargetOutcome::Target(&2)
         );
         // "Julian": LPM "J", missing 'u', left sibling 'o' -> subtree "Jo"
         // whose rightmost leaf is 4.
         assert_eq!(
             t.search_target(b"Julian", &config),
-            TargetOutcome::Target(4)
+            TargetOutcome::Target(&4)
         );
         // "A": the whole key is an interior prefix -> compare against the
         // anchor of the subtree's leftmost leaf (leaf 2, anchor "Au").
         assert_eq!(
             t.search_target(b"A", &config),
-            TargetOutcome::CompareAnchor(2)
+            TargetOutcome::CompareAnchor(&2)
         );
         // "Aaron": LPM "A", missing 'a' < 'u' -> right sibling "Au" is a
         // leaf, so the target is its left neighbour.
-        assert_eq!(t.search_target(b"Aaron", &config), TargetOutcome::LeftOf(2));
+        assert_eq!(
+            t.search_target(b"Aaron", &config),
+            TargetOutcome::LeftOf(&2)
+        );
     }
 
     #[test]
@@ -1590,7 +1525,7 @@ mod tests {
         for t in [&figure5_table(), &grown] {
             for (name, config) in WormholeConfig::ablation_ladder() {
                 for window in [1usize, 3, 7, BATCH_WINDOW] {
-                    let mut out: Vec<Option<TargetOutcome<u32>>> = vec![None; BATCH_WINDOW];
+                    let mut out: Vec<Option<TargetOutcome<&u32>>> = vec![None; BATCH_WINDOW];
                     for chunk in probes.chunks(window) {
                         let keys: Vec<&[u8]> = chunk.iter().map(|k| k.as_slice()).collect();
                         t.search_targets_window(&keys, &config, &mut out);
@@ -1604,6 +1539,205 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Builds a table by splitting a chain of leaves at `anchors` (any
+    /// order, duplicates and ⊥-terminated candidates skipped), starting
+    /// from `buckets` buckets so that small tables chain and grow.
+    fn table_of(anchors: &[Vec<u8>], buckets: usize) -> MetaTable<u32> {
+        let mut t: MetaTable<u32> = MetaTable::with_bucket_count(buckets);
+        t.install_root_leaf(0);
+        let mut sorted: Vec<&Vec<u8>> = anchors
+            .iter()
+            .filter(|a| a.last().is_some_and(|&b| b != 0))
+            .collect();
+        sorted.sort();
+        sorted.dedup();
+        for (prev, anchor) in (0u32..).zip(sorted) {
+            // Anchors arrive in ascending order, so every split carves the
+            // new leaf off the current rightmost one.
+            let key = t.reserve_anchor_key(anchor);
+            t.apply_split(&key, prev + 1, &prev, None);
+        }
+        t
+    }
+
+    /// The oracle: the longest prefix of `key` stored in the table, found
+    /// by trying every length from the longest down.
+    fn brute_force_lpm(t: &MetaTable<u32>, key: &[u8]) -> usize {
+        (0..=key.len().min(t.max_anchor_len()))
+            .rev()
+            .find(|&len| t.contains(&key[..len]))
+            .expect("the root item matches every key")
+    }
+
+    /// Probe keys around a set of stored keys: the empty key; each stored
+    /// key itself, a cut of it shorter than `max_anchor_len`, a cut or
+    /// extension of it longer than `max_anchor_len`, and its successor in
+    /// the last byte; plus the caller's extras.
+    fn probes_around(stored: &[Vec<u8>], max_anchor_len: usize, extra: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut probes = vec![Vec::new()];
+        for (i, key) in stored.iter().enumerate() {
+            probes.push(key.clone());
+            probes.push(key[..key.len().min(max_anchor_len) / 2].to_vec());
+            let mut longer = key.clone();
+            longer.resize(max_anchor_len + 1 + i % 7, b'a' + (i % 5) as u8);
+            probes.push(longer);
+            let mut sibling = key.clone();
+            if let Some(last) = sibling.last_mut() {
+                *last = last.wrapping_add(1);
+            }
+            probes.push(sibling);
+        }
+        probes.extend_from_slice(extra);
+        probes
+    }
+
+    /// Runs the LPM search over `probes` in every configuration of the
+    /// ablation ladder, per key (a window of one, what `search_target`
+    /// runs) and in windows, and checks each match against the oracle.
+    fn assert_lpm_matches_oracle(t: &MetaTable<u32>, probes: &[Vec<u8>]) {
+        let expect: Vec<usize> = probes.iter().map(|key| brute_force_lpm(t, key)).collect();
+        for (name, config) in WormholeConfig::ablation_ladder() {
+            for window in [1usize, 5, BATCH_WINDOW] {
+                for (chunk, expect) in probes.chunks(window).zip(expect.chunks(window)) {
+                    let keys: Vec<&[u8]> = chunk.iter().map(|k| k.as_slice()).collect();
+                    let mut lpm = [LpmProbe::IDLE; BATCH_WINDOW];
+                    t.search_lpm_window(&keys, config.tag_matching, config.inc_hashing, &mut lpm);
+                    for ((key, found), &expect) in keys.iter().zip(&lpm).zip(expect) {
+                        assert_eq!(
+                            found.lo, expect,
+                            "{name}, window {window}: wrong match length for {key:?}"
+                        );
+                        let item = t.items[found.lo_item as usize].as_ref().expect("live");
+                        assert_eq!(
+                            item.key.as_ref(),
+                            &key[..found.lo],
+                            "{name}, window {window}: wrong item for {key:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random anchor sets over a small alphabet, in a table that starts
+        /// at one bucket (so it chains, overflows and grows on the way up):
+        /// per-key and windowed LPM agree with the brute-force oracle.
+        #[test]
+        fn lpm_matches_brute_force_oracle(
+            anchors in proptest::collection::vec(
+                (proptest::collection::vec(0u8..4, 0..9), 1u8..4)
+                    .prop_map(|(mut head, last)| { head.push(last); head }),
+                1..120),
+            random in proptest::collection::vec(
+                proptest::collection::vec(0u8..5, 0..14), 0..48)) {
+            let t = table_of(&anchors, 1);
+            assert_lpm_matches_oracle(&t, &probes_around(&anchors, t.max_anchor_len(), &random));
+        }
+    }
+
+    #[test]
+    fn lpm_walks_overflow_chains() {
+        // Eleven items in a two-bucket table (below its grow threshold of
+        // twelve): the root, its relocated leaf, and nine one-byte anchors
+        // picked so that one bucket has to chain into the overflow pool.
+        let in_bucket =
+            |t: &MetaTable<u32>, byte: u8, bucket: usize| t.bucket_of(crc32c(&[byte])) == bucket;
+        let probe: MetaTable<u32> = MetaTable::with_bucket_count(2);
+        let crowded = usize::from((1u8..=255).filter(|&b| in_bucket(&probe, b, 0)).count() < 9);
+        let anchors: Vec<Vec<u8>> = (1u8..=255)
+            .filter(|&b| in_bucket(&probe, b, crowded))
+            .take(9)
+            .map(|b| vec![b])
+            .collect();
+        assert_eq!(anchors.len(), 9);
+        let t = table_of(&anchors, 2);
+        assert_eq!(t.buckets.len(), 2, "the table must not have grown");
+        assert!(
+            t.overflow_buckets() >= 1,
+            "nine residents of one bucket must chain"
+        );
+        let every_byte: Vec<Vec<u8>> = (0u8..=255).map(|b| vec![b, b]).collect();
+        assert_lpm_matches_oracle(
+            &t,
+            &probes_around(&anchors, t.max_anchor_len(), &every_byte),
+        );
+    }
+
+    #[test]
+    fn lpm_recovers_from_forced_tag_collisions() {
+        // Hunt for keys whose *first* probed prefix is absent from the table
+        // but shares bucket and 16-bit tag with a resident: the optimistic
+        // search is then certainly misled (it takes the hit, ends on a
+        // prefix that is not the key's, fails the final verification) and
+        // must redo the search exactly.
+        let anchors: Vec<Vec<u8>> = (0..400u32)
+            .map(|i| format!("{:02}-{:03}x{}", i % 37, i % 101, i).into_bytes())
+            .collect();
+        let t = table_of(&anchors, 64);
+        // Where a key at least `max_anchor_len` long is probed first:
+        // the midpoint of `0..=max_anchor_len`.
+        let first_mid = t.max_anchor_len().div_ceil(2);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut misled: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..4_000_000 {
+            if misled.len() == 8 {
+                break;
+            }
+            let mut key: Vec<u8> = (0..first_mid).map(|_| b'0' + (next() % 40) as u8).collect();
+            let hash = crc32c(&key);
+            if t.probe(&key, hash, true).is_some() && t.find(&key, hash).is_none() {
+                key.resize(t.max_anchor_len() + 3, b'~');
+                misled.push(key);
+            }
+        }
+        assert!(!misled.is_empty(), "no tag collision found to test with");
+        for key in &misled {
+            assert!(
+                brute_force_lpm(&t, key) < first_mid,
+                "the colliding prefix must be absent"
+            );
+        }
+        assert_lpm_matches_oracle(&t, &misled);
+        // And the trie search built on it agrees with the exact one.
+        for key in &misled {
+            assert_eq!(
+                t.search_target(key, &WormholeConfig::optimized()),
+                t.search_target(key, &WormholeConfig::base())
+            );
+        }
+    }
+
+    #[test]
+    fn lpm_matches_oracle_on_paper_keysets() {
+        // Real anchor shapes: the tables a small-leaf index builds over the
+        // paper's K3 (8-byte random), K10 (1 KiB random) and Url keysets.
+        use crate::single::WormholeUnsafe;
+        use index_traits::OrderedIndex;
+        use workloads::KeysetId;
+        for id in [KeysetId::K3, KeysetId::K10, KeysetId::Url] {
+            let keys = workloads::generate(id, 1500, 7).keys;
+            let absent = workloads::generate(id, 200, 8).keys;
+            let mut wh =
+                WormholeUnsafe::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
+            for (i, key) in keys.iter().enumerate() {
+                wh.set(key, i as u64);
+            }
+            let t = wh.meta_table();
+            assert!(t.len() > 300, "{id:?}: table too small to mean anything");
+            let stored: Vec<Vec<u8>> = keys.iter().step_by(3).cloned().collect();
+            assert_lpm_matches_oracle(t, &probes_around(&stored, t.max_anchor_len(), &absent));
         }
     }
 
@@ -1622,7 +1756,10 @@ mod tests {
             panic!("'J' should remain an internal item");
         }
         // Lookups that used to land in leaf 4 now land in 3.
-        assert_eq!(t.search_target(b"Joseph", &cfg()), TargetOutcome::Target(3));
+        assert_eq!(
+            t.search_target(b"Joseph", &cfg()),
+            TargetOutcome::Target(&3)
+        );
 
         // Merge leaf 3 ("Jam") into 2, then leaf 2 ("Au") into 1.
         t.apply_merge(b"Jam", &3, &2, None);
@@ -1631,9 +1768,9 @@ mod tests {
         assert!(matches!(t.get(b"\0").unwrap().kind, MetaKind::Leaf(1)));
         assert_eq!(
             t.search_target(b"Anything", &cfg()),
-            TargetOutcome::Target(1)
+            TargetOutcome::Target(&1)
         );
-        assert_eq!(t.search_target(b"zzz", &cfg()), TargetOutcome::Target(1));
+        assert_eq!(t.search_target(b"zzz", &cfg()), TargetOutcome::Target(&1));
     }
 
     #[test]
@@ -1665,8 +1802,11 @@ mod tests {
             MetaKind::Internal { .. }
         ));
         // Lookups for keys owned by the relocated leaf still resolve to it.
-        assert_eq!(t.search_target(b"Joe", &cfg()), TargetOutcome::Target(2));
-        assert_eq!(t.search_target(b"Joseph", &cfg()), TargetOutcome::Target(3));
+        assert_eq!(t.search_target(b"Joe", &cfg()), TargetOutcome::Target(&2));
+        assert_eq!(
+            t.search_target(b"Joseph", &cfg()),
+            TargetOutcome::Target(&3)
+        );
     }
 
     #[test]
@@ -1679,10 +1819,10 @@ mod tests {
         assert_eq!(t.max_anchor_len(), 100);
         let mut probe = anchor.clone();
         probe.push(77);
-        assert_eq!(t.search_target(&probe, &cfg()), TargetOutcome::Target(2));
+        assert_eq!(t.search_target(&probe, &cfg()), TargetOutcome::Target(&2));
         assert_eq!(
             t.search_target(&anchor[..50], &cfg()),
-            TargetOutcome::CompareAnchor(2)
+            TargetOutcome::CompareAnchor(&2)
         );
     }
 }

@@ -43,6 +43,19 @@ pub fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
+/// [`prefetch_read`] for every cache line of the `T` at `p`: one hint per
+/// 64 bytes plus one for the last byte, which covers an object that does
+/// not start on a line boundary.
+#[inline(always)]
+pub fn prefetch_span<T>(p: *const T) {
+    let base = p as *const u8;
+    let size = std::mem::size_of::<T>();
+    for offset in (0..size).step_by(64) {
+        prefetch_read(base.wrapping_add(offset));
+    }
+    prefetch_read(base.wrapping_add(size.saturating_sub(1)));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

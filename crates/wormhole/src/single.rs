@@ -26,7 +26,7 @@ use crate::config::WormholeConfig;
 use crate::core;
 use crate::leaf::{LeafGarbage, LeafNode};
 use crate::meta::{MetaTable, TargetOutcome, BATCH_WINDOW};
-use crate::prefetch::prefetch_read;
+use crate::prefetch::prefetch_span;
 
 /// Null leaf-list link.
 const NIL: u32 = u32::MAX;
@@ -130,10 +130,10 @@ impl<V: Clone> WormholeUnsafe<V> {
     }
 
     /// The leaf-list adjustment shared by the per-key and batched searches.
-    fn resolve_outcome(&self, outcome: TargetOutcome<u32>, key: &[u8]) -> u32 {
+    fn resolve_outcome(&self, outcome: TargetOutcome<&u32>, key: &[u8]) -> u32 {
         match outcome {
-            TargetOutcome::Target(leaf) => leaf,
-            TargetOutcome::LeftOf(leaf) => {
+            TargetOutcome::Target(&leaf) => leaf,
+            TargetOutcome::LeftOf(&leaf) => {
                 let prev = self.slot(leaf).prev;
                 if prev == NIL {
                     leaf
@@ -141,7 +141,7 @@ impl<V: Clone> WormholeUnsafe<V> {
                     prev
                 }
             }
-            TargetOutcome::CompareAnchor(leaf) => {
+            TargetOutcome::CompareAnchor(&leaf) => {
                 let slot = self.slot(leaf);
                 if key < slot.leaf.anchor() && slot.prev != NIL {
                     slot.prev
@@ -231,6 +231,7 @@ impl<V: Clone> WormholeUnsafe<V> {
                     "anchors out of order: {prev_anchor:?} !< {anchor:?}"
                 );
             }
+            slot.leaf.check_invariants();
             // Every key in the leaf is >= its anchor.
             let mut leaf_clone = slot.leaf.clone();
             leaf_clone.ensure_key_sorted();
@@ -320,29 +321,28 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
     fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<V>> {
         // The pipelined batch path: per window, run the meta searches with
         // their cache misses overlapped, prefetch every resolved leaf slot,
-        // then execute the leaf probes. The only allocation is the result
-        // vector itself; all per-probe scratch is on the stack.
+        // stage each leaf's probe lines round by round (tag-array line,
+        // matched item, its key bytes), then execute the leaf probes. The
+        // only allocation is the result vector itself; all per-probe
+        // scratch is on the stack.
         let mut out = Vec::with_capacity(keys.len());
-        let mut outcomes: [Option<TargetOutcome<u32>>; BATCH_WINDOW] =
-            [const { None }; BATCH_WINDOW];
-        let mut leaves = [0u32; BATCH_WINDOW];
+        let mut outcomes = [None; BATCH_WINDOW];
+        let mut leaves = [None; BATCH_WINDOW];
+        let mut hashes = [0u32; BATCH_WINDOW];
         for chunk in keys.chunks(BATCH_WINDOW) {
             self.meta
                 .search_targets_window(chunk, &self.config, &mut outcomes);
             for (i, key) in chunk.iter().enumerate() {
                 let outcome = outcomes[i].take().expect("window filled");
-                let leaf = self.resolve_outcome(outcome, key);
-                leaves[i] = leaf;
-                prefetch_read(&self.leaves[leaf as usize] as *const Option<SlotLeaf<V>>);
+                let slot = &self.leaves[self.resolve_outcome(outcome, key) as usize];
+                prefetch_span(slot as *const Option<SlotLeaf<V>>);
+                leaves[i] = slot.as_ref().map(|slot| &slot.leaf);
+                hashes[i] = crc32c(key);
             }
-            for (i, key) in chunk.iter().enumerate() {
-                let hash = crc32c(key);
-                out.push(
-                    self.slot(leaves[i])
-                        .leaf
-                        .get(key, hash, &self.config)
-                        .cloned(),
-                );
+            LeafNode::stage_probes(&leaves[..chunk.len()], &hashes, &self.config);
+            for ((key, leaf), &hash) in chunk.iter().zip(&leaves).zip(&hashes) {
+                let leaf = leaf.expect("live leaf");
+                out.push(leaf.get(key, hash, &self.config).cloned());
             }
         }
         out

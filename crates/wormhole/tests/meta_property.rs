@@ -614,11 +614,11 @@ proptest! {
             // LPM on the anchor itself lands on its own leaf in both modes.
             prop_assert_eq!(
                 model.table.search_target(table_key, &optimistic),
-                TargetOutcome::Target(*leaf)
+                TargetOutcome::Target(leaf)
             );
             prop_assert_eq!(
                 model.table.search_target(table_key, &exact),
-                TargetOutcome::Target(*leaf)
+                TargetOutcome::Target(leaf)
             );
         }
         // Arbitrary probe keys: optimistic (tag-trusting) and exact probe
