@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Output is a plain-text table per experiment (one row per x-axis category,
-//! one column per series), which is what `EXPERIMENTS.md` records.
+//! one column per series).
 
 use std::env;
 use std::process::ExitCode;

@@ -208,9 +208,8 @@ impl AnyIndex {
 
 /// A Masstree wrapped in a reader/writer lock so it can stand in for the
 /// original's internally synchronised implementation in the multi-threaded
-/// read/write experiment (Figure 17). The substitution is recorded in
-/// `DESIGN.md`; it penalises Masstree under write-heavy mixes, which is noted
-/// alongside the Figure 17 results.
+/// read/write experiment (Figure 17). The substitution penalises Masstree
+/// under write-heavy mixes, which is to be read into the Figure 17 results.
 pub struct LockedMasstree {
     inner: RwLock<Masstree<u64>>,
 }

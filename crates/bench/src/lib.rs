@@ -1,35 +1,20 @@
-//! Benchmark harness for the Wormhole reproduction.
+//! The paper's evaluation, reproduced: Table 1 and Figures 9–18.
 //!
-//! The crate has two faces:
-//!
-//! * a library ([`drivers`], [`measure`], [`figures`]) with a uniform driver
+//! * The library ([`drivers`], [`measure`], [`figures`]) has a uniform driver
 //!   over every index, thread-scaling measurement helpers, and one function
 //!   per table/figure of the paper's evaluation that returns the data series
-//!   the paper plots;
-//! * the `figures` binary (`cargo run -p bench --release --bin figures`)
-//!   which runs those functions and prints paper-style rows, and the
-//!   Criterion benches under `benches/` which track the same workloads with
-//!   statistical rigour at micro scale.
+//!   the paper plots.
+//! * The `figures` binary (`cargo run -p bench --release --bin figures`)
+//!   runs those functions and prints paper-style rows.
 //!
 //! Absolute numbers depend on the machine; the paper's claims are about the
-//! *relative* ordering and trends, which is what `EXPERIMENTS.md` records.
+//! *relative* ordering and trends. Performance of this repository's own
+//! stack is measured by the repository benchmark (`BENCHMARK.json`,
+//! `benchmark/`), not here.
 
-pub mod batch_lookup;
-pub mod contended;
 pub mod drivers;
 pub mod figures;
 pub mod measure;
-pub mod meta_layouts;
-pub mod scan_stream;
-pub mod service_latency;
-pub mod shard_scale;
 
-pub use batch_lookup::{
-    measure_batch_lookup, measure_service_batches, BatchSample, ServiceBatchSample,
-};
-pub use contended::{measure_contended, measure_modes, ContendedSample};
 pub use drivers::{AnyIndex, ConcurrentDriver, IndexKind, LockedMasstree};
-pub use measure::{mops, parallel_lookup_mops, quick_mode, quick_or, Timer};
-pub use meta_layouts::{measure_layouts, ProbeWorkload, SeedMetaTable};
-pub use service_latency::{measure_service_latency, measure_service_sweep, ServiceLatencySample};
-pub use shard_scale::{measure_scaling, measure_skew_shift, Mix, ShardSample, SkewShiftSample};
+pub use measure::{mops, parallel_lookup_mops, Timer};

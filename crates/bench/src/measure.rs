@@ -4,26 +4,6 @@ use std::time::Instant;
 
 use crate::drivers::AnyIndex;
 
-/// `true` when `WH_BENCH_QUICK` is set (and not `0`): the baseline bins
-/// shrink their keysets, windows, and round counts so a full run finishes
-/// in seconds. CI's bench-smoke job uses this to validate that every
-/// `BENCH_*.json` still parses and carries its expected keys on every PR;
-/// the numbers produced in quick mode are *not* comparable to tracked
-/// baselines and must never be committed.
-pub fn quick_mode() -> bool {
-    std::env::var_os("WH_BENCH_QUICK").is_some_and(|v| v != "0")
-}
-
-/// `full` normally, `quick` under [`quick_mode`] — the one-line dial the
-/// baseline bins size every parameter through.
-pub fn quick_or<T>(full: T, quick: T) -> T {
-    if quick_mode() {
-        quick
-    } else {
-        full
-    }
-}
-
 /// A simple wall-clock timer.
 #[derive(Debug)]
 pub struct Timer {

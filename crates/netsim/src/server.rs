@@ -22,10 +22,10 @@
 //!   `get_batch`), then splits the message into per-worker sub-batches.
 //!   Shards map to workers contiguously (`worker = shard * workers /
 //!   shards`), so each worker's working set stays range-local.
-//! * Each **worker** executes its sub-batch in slot order, batching runs
-//!   of consecutive point lookups through the index's pipelined
-//!   `get_batch`, and encodes responses into one buffer with per-item end
-//!   offsets.
+//! * Each **worker** executes its sub-batch in slot order through the
+//!   executor it shares with [`KvService`](crate::KvService) (runs of
+//!   consecutive point lookups through the index's pipelined `get_batch`),
+//!   which encodes responses into one buffer with per-item end offsets.
 //! * The **collector** receives the dispatcher's slot→worker assignment
 //!   and each participating worker's buffer, and reassembles the response
 //!   message by walking the slots in order — each worker's slots ascend,
@@ -54,25 +54,25 @@
 //! same-worker neighbours. See `docs/src/adr-003-serving-threading.md`
 //! for the full argument.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use index_traits::ConcurrentOrderedIndex;
 use wh_shard::ShardedWormhole;
 use wh_telemetry::{Counter, Histogram, Registry};
 
-use crate::service::{RequestBatch, ResponseBatch, ServiceStats};
+use crate::service::{
+    decode_message, drive_client, execute, RequestBatch, ResponseBatch, ServiceStats,
+};
 use crate::telemetry::ServiceMetrics;
 use crate::wire::{WireRequest, WireResponse};
 
-/// One worker's share of a decoded message: the original slot index of
-/// each request (ascending) plus the request itself.
+/// One worker's share of a decoded message, in slot order (the collector
+/// knows which slots they are from the [`Assignment`]).
 struct WorkBatch {
     seq: u64,
-    items: Vec<(usize, WireRequest)>,
+    items: Vec<WireRequest>,
 }
 
 /// One worker's encoded output for one message: `ends[j]` is the end
@@ -281,64 +281,17 @@ impl ShardServer {
     fn run_with(
         &self,
         requests: &[WireRequest],
-        mut on_resp: impl FnMut(&WireResponse),
+        on_resp: impl FnMut(&WireResponse),
     ) -> ServiceStats {
         let (req_tx, resp_rx, handles) = self.spawn();
-        let start = std::time::Instant::now();
-        let mut stats = ServiceStats {
-            operations: 0,
-            seconds: 0.0,
-            request_bytes: 0,
-            response_bytes: 0,
-            hits: 0,
-        };
-        let mut in_flight: VecDeque<Option<std::time::Instant>> = VecDeque::new();
-        let metrics = &self.metrics;
-        let mut drain =
-            |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<std::time::Instant>>| {
-                let batch = resp_rx.recv().expect("server alive");
-                stats.response_bytes += batch.payload.len();
-                let mut payload = batch.payload;
-                let mut count = 0u64;
-                while let Some(resp) = WireResponse::decode(&mut payload) {
-                    if !matches!(resp, WireResponse::Miss) {
-                        stats.hits += 1;
-                    }
-                    stats.operations += 1;
-                    count += 1;
-                    on_resp(&resp);
-                }
-                let sent = in_flight.pop_front().expect("a response implies a send");
-                if let Some(sent) = sent {
-                    metrics
-                        .client_rtt_ns
-                        .record_n(sent.elapsed().as_nanos() as u64, count);
-                }
-            };
-        for chunk in requests.chunks(self.batch_size) {
-            let mut buf = BytesMut::with_capacity(chunk.len() * 32);
-            for req in chunk {
-                req.encode(&mut buf);
-            }
-            stats.request_bytes += buf.len();
-            in_flight.push_back(wh_telemetry::start_timing());
-            req_tx
-                .send(RequestBatch {
-                    payload: buf.freeze(),
-                    count: chunk.len(),
-                })
-                .expect("server alive");
-            // Keep a pipeline of outstanding messages so successive
-            // decode/execute/encode stages overlap across the threads.
-            if in_flight.len() >= 8 {
-                drain(&mut stats, &mut in_flight);
-            }
-        }
-        while !in_flight.is_empty() {
-            drain(&mut stats, &mut in_flight);
-        }
-        stats.seconds = start.elapsed().as_secs_f64().max(1e-9);
-        drop(req_tx);
+        let stats = drive_client(
+            req_tx,
+            &resp_rx,
+            requests,
+            self.batch_size,
+            &self.metrics,
+            on_resp,
+        );
         for handle in handles {
             handle.join().expect("serving thread");
         }
@@ -407,13 +360,7 @@ fn dispatcher_loop(
     let mut last_epoch = index.router_epoch();
     let mut routes: Vec<usize> = Vec::new();
     while let Ok(batch) = req_rx.recv() {
-        let mut payload = batch.payload;
-        let mut requests = Vec::with_capacity(batch.count);
-        while let Some(req) = WireRequest::decode(&mut payload) {
-            requests.push(req);
-        }
-        metrics.requests.add(requests.len() as u64);
-        metrics.batch_requests.record(requests.len() as u64);
+        let requests = decode_message(batch, metrics);
 
         // Route the whole message against one router-table snapshot.
         routes.clear();
@@ -450,10 +397,10 @@ fn dispatcher_loop(
             .iter()
             .map(|&shard| shard * workers / shard_count)
             .collect();
-        let mut per_worker: Vec<Vec<(usize, WireRequest)>> = Vec::new();
+        let mut per_worker: Vec<Vec<WireRequest>> = Vec::new();
         per_worker.resize_with(workers, Vec::new);
-        for (slot, req) in requests.into_iter().enumerate() {
-            per_worker[worker_of_slot[slot]].push((slot, req));
+        for (req, &w) in requests.into_iter().zip(&worker_of_slot) {
+            per_worker[w].push(req);
         }
         for (w, items) in per_worker.into_iter().enumerate() {
             if items.is_empty() {
@@ -478,100 +425,24 @@ fn dispatcher_loop(
     }
 }
 
-/// Execute + encode. Slot order within the sub-batch; runs of consecutive
-/// point lookups go through the index's pipelined `get_batch` (which
-/// routes and gathers per shard internally), exactly like the
-/// single-threaded [`KvService`](crate::KvService) server loop.
+/// Execute + encode, slot order within the sub-batch: the executor of
+/// the single-threaded [`KvService`](crate::KvService), monomorphised over
+/// the sharded front (whose `get_batch` routes and gathers per shard).
 fn worker_loop(
     work_rx: &Receiver<WorkBatch>,
     out_tx: &Sender<WorkOutput>,
-    index: &Arc<ShardedWormhole<u64>>,
+    index: &ShardedWormhole<u64>,
     registry: &Registry,
     metrics: &ServiceMetrics,
 ) {
     while let Ok(batch) = work_rx.recv() {
-        let items = batch.items;
-        let mut out = BytesMut::with_capacity(items.len() * 16);
-        let mut ends = Vec::with_capacity(items.len());
-        let mut i = 0usize;
-        while i < items.len() {
-            match &items[i].1 {
-                WireRequest::Get { .. } => {
-                    let run_end = items[i..]
-                        .iter()
-                        .position(|(_, r)| !matches!(r, WireRequest::Get { .. }))
-                        .map_or(items.len(), |off| i + off);
-                    let keys: Vec<&[u8]> = items[i..run_end]
-                        .iter()
-                        .map(|(_, r)| match r {
-                            WireRequest::Get { key } => key.as_slice(),
-                            _ => unreachable!("run contains only gets"),
-                        })
-                        .collect();
-                    let timing = wh_telemetry::start_timing();
-                    let values = index.get_batch(&keys);
-                    if let Some(started) = timing {
-                        metrics
-                            .get_ns
-                            .record_n(started.elapsed().as_nanos() as u64, keys.len() as u64);
-                    }
-                    for value in values {
-                        match value {
-                            Some(v) => WireResponse::Value(v),
-                            None => WireResponse::Miss,
-                        }
-                        .encode(&mut out);
-                        ends.push(out.len());
-                    }
-                    i = run_end;
-                }
-                WireRequest::Set { key, value } => {
-                    let timing = wh_telemetry::start_timing();
-                    let resp = match index.set(key, *value) {
-                        Some(v) => WireResponse::Value(v),
-                        None => WireResponse::Miss,
-                    };
-                    metrics.set_ns.record_elapsed(timing);
-                    resp.encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-                WireRequest::Range { start, count } => {
-                    let timing = wh_telemetry::start_timing();
-                    let resp = WireResponse::Range(index.range_from(start, *count as usize));
-                    metrics.range_ns.record_elapsed(timing);
-                    resp.encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-                WireRequest::Scan { start, limit } => {
-                    let timing = wh_telemetry::start_timing();
-                    let page = index.scan_page(start, *limit as usize);
-                    metrics.scan_ns.record_elapsed(timing);
-                    WireResponse::ScanPage {
-                        items: page.items,
-                        resume: page.resume,
-                    }
-                    .encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-                WireRequest::Stats => {
-                    metrics.stats_requests.inc();
-                    WireResponse::Stats(registry.snapshot().render()).encode(&mut out);
-                    ends.push(out.len());
-                    i += 1;
-                }
-            }
-        }
-        if out_tx
-            .send(WorkOutput {
-                seq: batch.seq,
-                payload: out.freeze(),
-                ends,
-            })
-            .is_err()
-        {
+        let (payload, ends) = execute(index, &batch.items, registry, metrics);
+        let output = WorkOutput {
+            seq: batch.seq,
+            payload,
+            ends,
+        };
+        if out_tx.send(output).is_err() {
             return;
         }
     }
@@ -634,6 +505,7 @@ fn collector_loop(
 mod tests {
     use super::*;
     use crate::service::KvService;
+    use index_traits::ConcurrentOrderedIndex;
     use wh_shard::ShardedConfig;
 
     fn loaded_sharded(shards: usize, n: usize) -> Arc<ShardedWormhole<u64>> {

@@ -2,15 +2,23 @@
 //! exchanging encoded request/response batches over channels, mimicking
 //! HERD's request loop.
 //!
-//! The server decodes each incoming batch in full before touching the index,
-//! then executes every run of consecutive point lookups through the index's
-//! [`get_batch`](index_traits::ConcurrentOrderedIndex::get_batch) so the
-//! pipelined probe engine can overlap their cache misses; writes and range
-//! scans are executed individually in arrival order, so the response stream
-//! is byte-for-byte equivalent to serial per-request execution.
+//! Three pieces here are shared with the multi-worker
+//! [`ShardServer`](crate::ShardServer), so each exists once:
+//! `decode_message` (wire bytes → requests), `execute` (requests →
+//! encoded responses) and `drive_client` (the pipelined client). What is
+//! [`KvService`]'s own is one server thread over *any* index.
+//!
+//! `execute` runs every run of consecutive point lookups through the
+//! index's [`get_batch`](index_traits::ConcurrentOrderedIndex::get_batch)
+//! so the pipelined probe engine can overlap their cache misses; writes
+//! and range scans are executed individually in arrival order, so the
+//! response stream is byte-for-byte equivalent to serial per-request
+//! execution.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -62,6 +70,179 @@ impl ServiceStats {
     pub fn avg_response_bytes(&self) -> f64 {
         self.response_bytes as f64 / self.operations.max(1) as f64
     }
+}
+
+/// Decodes one message and counts it: the first step of every server.
+pub(crate) fn decode_message(batch: RequestBatch, metrics: &ServiceMetrics) -> Vec<WireRequest> {
+    let mut payload = batch.payload;
+    let mut requests = Vec::with_capacity(batch.count);
+    while let Some(req) = WireRequest::decode(&mut payload) {
+        requests.push(req);
+    }
+    metrics.requests.add(requests.len() as u64);
+    metrics.batch_requests.record(requests.len() as u64);
+    requests
+}
+
+/// The response to a point op: the value found (for a `Set`, replaced).
+fn value_or_miss(value: Option<u64>) -> WireResponse {
+    value.map_or(WireResponse::Miss, WireResponse::Value)
+}
+
+/// Executes decoded requests against `index` in slice order and returns
+/// the encoded responses plus the end offset of each response in them.
+///
+/// Runs of consecutive point lookups go through `get_batch` so the index
+/// can overlap their cache misses; everything else executes individually
+/// in place, preserving response order. Generic rather than `dyn` so the
+/// [`ShardServer`](crate::ShardServer) workers stay monomorphised over
+/// the sharded front; [`KvService`] passes its `dyn` index.
+pub(crate) fn execute<I>(
+    index: &I,
+    requests: &[WireRequest],
+    registry: &Registry,
+    metrics: &ServiceMetrics,
+) -> (Bytes, Vec<usize>)
+where
+    I: ConcurrentOrderedIndex<u64> + ?Sized,
+{
+    let mut out = BytesMut::with_capacity(requests.len() * 16);
+    let mut ends = Vec::with_capacity(requests.len());
+    let mut i = 0usize;
+    while i < requests.len() {
+        match &requests[i] {
+            WireRequest::Get { .. } => {
+                let run_end = requests[i..]
+                    .iter()
+                    .position(|r| !matches!(r, WireRequest::Get { .. }))
+                    .map_or(requests.len(), |off| i + off);
+                let keys: Vec<&[u8]> = requests[i..run_end]
+                    .iter()
+                    .map(|r| match r {
+                        WireRequest::Get { key } => key.as_slice(),
+                        _ => unreachable!("run contains only gets"),
+                    })
+                    .collect();
+                let timing = wh_telemetry::start_timing();
+                let values = index.get_batch(&keys);
+                if let Some(started) = timing {
+                    // The run executed together: each of its ops is
+                    // charged an equal share of the run's time.
+                    let n = keys.len() as u64;
+                    metrics
+                        .get_ns
+                        .record_n(started.elapsed().as_nanos() as u64 / n, n);
+                }
+                for value in values {
+                    value_or_miss(value).encode(&mut out);
+                    ends.push(out.len());
+                }
+                i = run_end;
+                continue;
+            }
+            WireRequest::Set { key, value } => {
+                let timing = wh_telemetry::start_timing();
+                let resp = value_or_miss(index.set(key, *value));
+                metrics.set_ns.record_elapsed(timing);
+                resp.encode(&mut out);
+            }
+            WireRequest::Range { start, count } => {
+                let timing = wh_telemetry::start_timing();
+                let resp = WireResponse::Range(index.range_from(start, *count as usize));
+                metrics.range_ns.record_elapsed(timing);
+                resp.encode(&mut out);
+            }
+            WireRequest::Scan { start, limit } => {
+                let timing = wh_telemetry::start_timing();
+                let page = index.scan_page(start, *limit as usize);
+                metrics.scan_ns.record_elapsed(timing);
+                WireResponse::ScanPage {
+                    items: page.items,
+                    resume: page.resume,
+                }
+                .encode(&mut out);
+            }
+            WireRequest::Stats => {
+                metrics.stats_requests.inc();
+                WireResponse::Stats(registry.snapshot().render()).encode(&mut out);
+            }
+        }
+        ends.push(out.len());
+        i += 1;
+    }
+    (out.freeze(), ends)
+}
+
+/// The client half of a run: encodes `requests` in messages of
+/// `batch_size`, keeps a small pipeline of them in flight (as HERD does,
+/// and so a multi-stage server's stages overlap), decodes the responses
+/// and hands each to `on_resp` in request order. Takes the sender so that
+/// returning hangs up, which is what stops the server.
+///
+/// The server answers messages in arrival order, so the front of the
+/// in-flight queue is always the one the next response completes. Each
+/// response batch records its full round trip (encode, queue, execute,
+/// decode) into `client_rtt_ns`, once per request it carried — the
+/// client-observed latency distribution.
+pub(crate) fn drive_client(
+    req_tx: Sender<RequestBatch>,
+    resp_rx: &Receiver<ResponseBatch>,
+    requests: &[WireRequest],
+    batch_size: usize,
+    metrics: &ServiceMetrics,
+    mut on_resp: impl FnMut(&WireResponse),
+) -> ServiceStats {
+    let start = Instant::now();
+    let mut stats = ServiceStats {
+        operations: 0,
+        seconds: 0.0,
+        request_bytes: 0,
+        response_bytes: 0,
+        hits: 0,
+    };
+    let mut in_flight: VecDeque<Option<Instant>> = VecDeque::new();
+    let mut drain = |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<Instant>>| {
+        let batch = resp_rx.recv().expect("server alive");
+        stats.response_bytes += batch.payload.len();
+        let mut payload = batch.payload;
+        let mut count = 0u64;
+        while let Some(resp) = WireResponse::decode(&mut payload) {
+            if !matches!(resp, WireResponse::Miss) {
+                stats.hits += 1;
+            }
+            stats.operations += 1;
+            count += 1;
+            on_resp(&resp);
+        }
+        let sent = in_flight.pop_front().expect("a response implies a send");
+        if let Some(sent) = sent {
+            metrics
+                .client_rtt_ns
+                .record_n(sent.elapsed().as_nanos() as u64, count);
+        }
+    };
+    for chunk in requests.chunks(batch_size) {
+        let mut buf = BytesMut::with_capacity(chunk.len() * 32);
+        for req in chunk {
+            req.encode(&mut buf);
+        }
+        stats.request_bytes += buf.len();
+        in_flight.push_back(wh_telemetry::start_timing());
+        req_tx
+            .send(RequestBatch {
+                payload: buf.freeze(),
+                count: chunk.len(),
+            })
+            .expect("server alive");
+        if in_flight.len() >= 8 {
+            drain(&mut stats, &mut in_flight);
+        }
+    }
+    while !in_flight.is_empty() {
+        drain(&mut stats, &mut in_flight);
+    }
+    stats.seconds = start.elapsed().as_secs_f64().max(1e-9);
+    stats
 }
 
 /// A batched key-value service over an index.
@@ -126,97 +307,10 @@ impl KvService<u64> {
         let registry = Arc::clone(&self.registry);
         let metrics = self.metrics.clone();
         let handle = std::thread::spawn(move || {
-            let mut requests: Vec<WireRequest> = Vec::new();
             while let Ok(batch) = req_rx.recv() {
-                // Decode the whole batch up front, then execute runs of
-                // consecutive point lookups through `get_batch` so the index
-                // can overlap their cache misses. Sets and ranges are executed
-                // individually in place, preserving response order.
-                let mut payload = batch.payload;
-                requests.clear();
-                requests.reserve(batch.count);
-                while let Some(req) = WireRequest::decode(&mut payload) {
-                    requests.push(req);
-                }
-                metrics.requests.add(requests.len() as u64);
-                metrics.batch_requests.record(requests.len() as u64);
-                let mut out = BytesMut::with_capacity(requests.len() * 16);
-                let mut i = 0usize;
-                while i < requests.len() {
-                    match &requests[i] {
-                        WireRequest::Get { .. } => {
-                            let run_end = requests[i..]
-                                .iter()
-                                .position(|r| !matches!(r, WireRequest::Get { .. }))
-                                .map_or(requests.len(), |off| i + off);
-                            let keys: Vec<&[u8]> = requests[i..run_end]
-                                .iter()
-                                .map(|r| match r {
-                                    WireRequest::Get { key } => key.as_slice(),
-                                    _ => unreachable!("run contains only gets"),
-                                })
-                                .collect();
-                            let timing = wh_telemetry::start_timing();
-                            let values = index.get_batch(&keys);
-                            if let Some(started) = timing {
-                                // Every op in the run shares the run's
-                                // service time: they were executed together.
-                                metrics.get_ns.record_n(
-                                    started.elapsed().as_nanos() as u64,
-                                    keys.len() as u64,
-                                );
-                            }
-                            for value in values {
-                                match value {
-                                    Some(v) => WireResponse::Value(v),
-                                    None => WireResponse::Miss,
-                                }
-                                .encode(&mut out);
-                            }
-                            i = run_end;
-                        }
-                        WireRequest::Set { key, value } => {
-                            let timing = wh_telemetry::start_timing();
-                            let resp = match index.set(key, *value) {
-                                Some(v) => WireResponse::Value(v),
-                                None => WireResponse::Miss,
-                            };
-                            metrics.set_ns.record_elapsed(timing);
-                            resp.encode(&mut out);
-                            i += 1;
-                        }
-                        WireRequest::Range { start, count } => {
-                            let timing = wh_telemetry::start_timing();
-                            let resp =
-                                WireResponse::Range(index.range_from(start, *count as usize));
-                            metrics.range_ns.record_elapsed(timing);
-                            resp.encode(&mut out);
-                            i += 1;
-                        }
-                        WireRequest::Stats => {
-                            metrics.stats_requests.inc();
-                            WireResponse::Stats(registry.snapshot().render()).encode(&mut out);
-                            i += 1;
-                        }
-                        WireRequest::Scan { start, limit } => {
-                            let timing = wh_telemetry::start_timing();
-                            let page = index.scan_page(start, *limit as usize);
-                            metrics.scan_ns.record_elapsed(timing);
-                            WireResponse::ScanPage {
-                                items: page.items,
-                                resume: page.resume,
-                            }
-                            .encode(&mut out);
-                            i += 1;
-                        }
-                    }
-                }
-                if resp_tx
-                    .send(ResponseBatch {
-                        payload: out.freeze(),
-                    })
-                    .is_err()
-                {
+                let requests = decode_message(batch, &metrics);
+                let (payload, _ends) = execute(&*index, &requests, &registry, &metrics);
+                if resp_tx.send(ResponseBatch { payload }).is_err() {
                     break;
                 }
             }
@@ -242,71 +336,17 @@ impl KvService<u64> {
     fn run_with(
         &self,
         requests: &[WireRequest],
-        mut on_resp: impl FnMut(&WireResponse),
+        on_resp: impl FnMut(&WireResponse),
     ) -> ServiceStats {
         let (req_tx, resp_rx, handle) = self.spawn_server();
-        let start = std::time::Instant::now();
-        let mut stats = ServiceStats {
-            operations: 0,
-            seconds: 0.0,
-            request_bytes: 0,
-            response_bytes: 0,
-            hits: 0,
-        };
-        // Send times of in-flight batches, FIFO: the single server thread
-        // answers batches in arrival order, so the front entry is always
-        // the one the next response completes. Each response batch records
-        // its full round trip (encode, queue, execute, decode) into
-        // `client_rtt_ns`, once per request it carried — the
-        // client-observed latency distribution.
-        let mut in_flight: std::collections::VecDeque<Option<std::time::Instant>> =
-            std::collections::VecDeque::new();
-        let metrics = &self.metrics;
-        let mut drain = |stats: &mut ServiceStats,
-                         in_flight: &mut std::collections::VecDeque<Option<std::time::Instant>>,
-                         resp_rx: &Receiver<ResponseBatch>| {
-            let batch = resp_rx.recv().expect("server alive");
-            stats.response_bytes += batch.payload.len();
-            let mut payload = batch.payload;
-            let mut count = 0u64;
-            while let Some(resp) = WireResponse::decode(&mut payload) {
-                if !matches!(resp, WireResponse::Miss) {
-                    stats.hits += 1;
-                }
-                stats.operations += 1;
-                count += 1;
-                on_resp(&resp);
-            }
-            let sent = in_flight.pop_front().expect("a response implies a send");
-            if let Some(sent) = sent {
-                metrics
-                    .client_rtt_ns
-                    .record_n(sent.elapsed().as_nanos() as u64, count);
-            }
-        };
-        for chunk in requests.chunks(self.batch_size) {
-            let mut buf = BytesMut::with_capacity(chunk.len() * 32);
-            for req in chunk {
-                req.encode(&mut buf);
-            }
-            stats.request_bytes += buf.len();
-            in_flight.push_back(wh_telemetry::start_timing());
-            req_tx
-                .send(RequestBatch {
-                    payload: buf.freeze(),
-                    count: chunk.len(),
-                })
-                .expect("server alive");
-            // Keep a small pipeline of outstanding batches, as HERD does.
-            if in_flight.len() >= 8 {
-                drain(&mut stats, &mut in_flight, &resp_rx);
-            }
-        }
-        while !in_flight.is_empty() {
-            drain(&mut stats, &mut in_flight, &resp_rx);
-        }
-        stats.seconds = start.elapsed().as_secs_f64().max(1e-9);
-        drop(req_tx);
+        let stats = drive_client(
+            req_tx,
+            &resp_rx,
+            requests,
+            self.batch_size,
+            &self.metrics,
+            on_resp,
+        );
         handle.join().expect("server thread");
         stats
     }
@@ -314,24 +354,11 @@ impl KvService<u64> {
     /// Scrapes the server over the wire: sends one [`WireRequest::Stats`]
     /// and returns the decoded text exposition.
     pub fn fetch_stats(&self) -> String {
-        let (req_tx, resp_rx, handle) = self.spawn_server();
-        let mut buf = BytesMut::new();
-        WireRequest::Stats.encode(&mut buf);
-        req_tx
-            .send(RequestBatch {
-                payload: buf.freeze(),
-                count: 1,
-            })
-            .expect("server alive");
-        let batch = resp_rx.recv().expect("server alive");
-        let mut payload = batch.payload;
-        let text = match WireResponse::decode(&mut payload) {
+        let (_, responses) = self.run_collect(&[WireRequest::Stats]);
+        match responses.into_iter().next() {
             Some(WireResponse::Stats(text)) => text,
             other => panic!("expected a Stats response, got {other:?}"),
-        };
-        drop(req_tx);
-        handle.join().expect("server thread");
-        text
+        }
     }
 
     /// Convenience wrapper: runs point lookups for the given keys.
@@ -484,6 +511,30 @@ mod tests {
             assert_eq!(m.batch_requests.snapshot().count(), 8);
         }
         service.registry().lint().expect("well-formed metric names");
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn a_get_run_is_charged_once_not_once_per_key() {
+        // One message of 64 Gets is one `get_batch` run: `get_ns` must hold
+        // 64 observations that together add up to the run's time, not 64
+        // copies of it. The wall time around the whole `run` bounds the sum.
+        let index = loaded_index(5000);
+        let service = KvService::with_batch_size(index, 64);
+        let keys: Vec<Vec<u8>> = (0..64u64)
+            .map(|i| format!("key-{:08}", i * 71 % 5000).into_bytes())
+            .collect();
+        let wall = Instant::now();
+        let stats = service.run_lookups(&keys);
+        let wall_ns = wall.elapsed().as_nanos() as u64;
+        assert_eq!(stats.hits, 64);
+        let get_ns = service.metrics().get_ns.snapshot();
+        assert_eq!(get_ns.count(), 64);
+        assert!(
+            get_ns.sum <= wall_ns,
+            "64 gets charged {} ns inside a run that took {wall_ns} ns",
+            get_ns.sum
+        );
     }
 
     #[test]

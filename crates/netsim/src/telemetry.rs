@@ -1,6 +1,6 @@
 //! Telemetry for the simulated service: per-op-type service latency (how
-//! long the server thread spent executing each decoded operation, with
-//! batched lookup runs attributing the run's duration to every op in it),
+//! long a server thread spent executing each decoded operation, with a
+//! batched lookup run's duration divided equally among the ops in it),
 //! the distribution of decoded batch sizes, and request counters.
 //!
 //! The service owns a [`Registry`] these register into; callers can add
@@ -10,15 +10,17 @@
 
 use wh_telemetry::{Counter, Histogram, Registry};
 
-/// Server-side metrics for one [`KvService`](crate::KvService).
+/// Server-side metrics for one [`KvService`](crate::KvService) or
+/// [`ShardServer`](crate::ShardServer).
 #[derive(Clone, Debug, Default)]
 pub struct ServiceMetrics {
     /// Requests decoded and executed (all op types).
     pub requests: Counter,
     /// `Stats` probes answered.
     pub stats_requests: Counter,
-    /// Service time per point lookup; a run of consecutive Gets executed
-    /// through `get_batch` records the run's duration once per op.
+    /// Service time per point lookup: a run of `n` consecutive Gets
+    /// executed through `get_batch` records `n` observations of the run's
+    /// duration divided by `n`, so the sum is the time spent on lookups.
     pub get_ns: Histogram,
     /// Service time per write.
     pub set_ns: Histogram,
@@ -32,8 +34,7 @@ pub struct ServiceMetrics {
     /// Client-observed latency per request: each request/response batch's
     /// full round trip (encode, queue, server execution, decode) recorded
     /// once per request it carried. The tail of this distribution — not
-    /// the server-side service time — is what a real client experiences,
-    /// and what `BENCH_service.json` reports as p50/p99/p999.
+    /// the server-side service time — is what a real client experiences.
     pub client_rtt_ns: Histogram,
 }
 

@@ -26,7 +26,6 @@ pub struct ShardedConfig {
     boundaries: Vec<Vec<u8>>,
     inner: WormholeConfig,
     rebalance: RebalanceConfig,
-    router_fast_path: bool,
 }
 
 /// The `numer/denom` quantile of an ascending key sample: the shared
@@ -77,7 +76,6 @@ impl ShardedConfig {
             boundaries,
             inner: WormholeConfig::default(),
             rebalance: RebalanceConfig::default(),
-            router_fast_path: true,
         }
     }
 
@@ -90,7 +88,6 @@ impl ShardedConfig {
             boundaries,
             inner: WormholeConfig::default(),
             rebalance: RebalanceConfig::default(),
-            router_fast_path: true,
         }
     }
 
@@ -123,7 +120,6 @@ impl ShardedConfig {
             boundaries,
             inner: WormholeConfig::default(),
             rebalance: RebalanceConfig::default(),
-            router_fast_path: true,
         }
     }
 
@@ -160,31 +156,8 @@ impl ShardedConfig {
         &self.inner
     }
 
-    /// Enables or disables the migration-idle **router fast path**
-    /// (default: enabled). While no migration is in flight, point ops route
-    /// off the published table through a biased QSBR entry — one relaxed
-    /// store, one fence, one flag load — instead of a full read-side
-    /// critical section; the migration engine's draining barrier keeps the
-    /// skipped sections ordered against table swaps. Disabling it forces
-    /// every op through the classic critical-section path, which is what
-    /// the A/B cells in `BENCH_shard.json` compare.
-    pub fn with_router_fast_path(mut self, enabled: bool) -> Self {
-        self.router_fast_path = enabled;
-        self
-    }
-
-    /// Whether the migration-idle router fast path is enabled.
-    pub fn router_fast_path(&self) -> bool {
-        self.router_fast_path
-    }
-
-    pub(crate) fn into_parts(self) -> (Vec<Vec<u8>>, WormholeConfig, RebalanceConfig, bool) {
-        (
-            self.boundaries,
-            self.inner,
-            self.rebalance,
-            self.router_fast_path,
-        )
+    pub(crate) fn into_parts(self) -> (Vec<Vec<u8>>, WormholeConfig, RebalanceConfig) {
+        (self.boundaries, self.inner, self.rebalance)
     }
 }
 

@@ -97,11 +97,10 @@ impl Drop for RetiredRouter {
 /// critical-section bookkeeping. A migration first executes a draining
 /// barrier that revokes the bias and waits out in-flight fast sections;
 /// only then does it publish, so ops that skipped the critical section
-/// are still ordered against every table swap. While the bias is revoked
-/// (or with [`ShardedConfig::with_router_fast_path`] disabled), ops fall
-/// back to classic read-side critical sections, which the migration
-/// engine orders with asynchronous grace periods — see the
-/// [crate docs](crate) for the full protocol, and
+/// are still ordered against every table swap. While the bias is
+/// revoked, ops fall back to classic read-side critical sections, which
+/// the migration engine orders with asynchronous grace periods — see
+/// the [crate docs](crate) for the full protocol, and
 /// [`ShardedWormhole::maybe_rebalance`] /
 /// [`ShardedWormhole::migrate_boundary`] for the entry points.
 pub struct ShardedWormhole<V> {
@@ -129,11 +128,6 @@ pub struct ShardedWormhole<V> {
     wormhole_metrics: Arc<WormholeMetrics>,
     /// The rebalance policy (from [`ShardedConfig`]).
     rebalance: RebalanceConfig,
-    /// Whether the migration-idle biased fast path is enabled
-    /// ([`ShardedConfig::with_router_fast_path`]). When `false`, every op
-    /// routes through the classic critical-section path — the A/B toggle
-    /// the benchmarks compare.
-    fast_path: bool,
     /// Serialises migrations and holds the rebalancer's decision state
     /// (the op-counter snapshot deltas are computed against).
     pub(crate) migration: Mutex<MigrationState>,
@@ -148,7 +142,7 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
 
     /// Creates an index from a full [`ShardedConfig`].
     pub fn with_config(config: ShardedConfig) -> Self {
-        let (boundaries, inner, rebalance, fast_path) = config.into_parts();
+        let (boundaries, inner, rebalance) = config.into_parts();
         let wormhole_metrics = Arc::new(WormholeMetrics::default());
         let shards: Vec<Wormhole<V>> = (0..boundaries.len() + 1)
             .map(|_| Wormhole::with_config_and_metrics(inner, Arc::clone(&wormhole_metrics)))
@@ -160,11 +154,9 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             freeze: None,
         }));
         let router_qsbr = Qsbr::new();
-        if fast_path {
-            // The index is born migration-idle: fast entries allowed until
-            // the first migration's draining barrier revokes them.
-            router_qsbr.resume_bias();
-        }
+        // The index is born migration-idle: fast entries allowed until
+        // the first migration's draining barrier revokes them.
+        router_qsbr.resume_bias();
         Self {
             shards: shards.into_boxed_slice(),
             router: AtomicPtr::new(router),
@@ -173,7 +165,6 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             metrics: ShardMetrics::default(),
             wormhole_metrics,
             rebalance,
-            fast_path,
             migration: Mutex::new(MigrationState::default()),
         }
     }
@@ -193,24 +184,22 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     /// Runs `f` against the live router table, protected either by a
     /// *biased fast entry* (migration idle: one relaxed store, one fence,
     /// one flag load — no critical-section bookkeeping) or, when a
-    /// migration has revoked the bias or the fast path is disabled, by a
-    /// classic read-side critical section of the router's QSBR domain.
+    /// migration has revoked the bias, by a classic read-side critical
+    /// section of the router's QSBR domain.
     /// Either way the table cannot be retired while `f` runs.
     pub(crate) fn with_router<R>(&self, f: impl FnOnce(&RouterTable) -> R) -> R {
         self.router_qsbr.with_local_handle(|handle| {
             let mut f = Some(f);
-            if self.fast_path {
-                if let Some(_fast) = handle.try_fast() {
-                    self.metrics.router_fast_entries.inc();
-                    // SAFETY: the fast guard was granted while the domain
-                    // is biased, i.e. no migration is mid-flight: the next
-                    // retirement is preceded by a draining barrier that
-                    // waits for this fast section (see
-                    // `Qsbr::drain_barrier` for the ordering argument), so
-                    // the table stays live for the whole section.
-                    let router = unsafe { &*self.router.load(Ordering::Acquire) };
-                    return (f.take().expect("called once"))(router);
-                }
+            if let Some(_fast) = handle.try_fast() {
+                self.metrics.router_fast_entries.inc();
+                // SAFETY: the fast guard was granted while the domain is
+                // biased, i.e. no migration is mid-flight: the next
+                // retirement is preceded by a draining barrier that waits
+                // for this fast section (see `Qsbr::drain_barrier` for the
+                // ordering argument), so the table stays live for the whole
+                // section.
+                let router = unsafe { &*self.router.load(Ordering::Acquire) };
+                return (f.take().expect("called once"))(router);
             }
             self.metrics.router_classic_entries.inc();
             handle.critical(|| {
@@ -241,9 +230,7 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     /// table (the bias store is ordered after the last swap), never a
     /// retired one. Callers must hold the migration mutex.
     pub(crate) fn end_router_mutation(&self) {
-        if self.fast_path {
-            self.router_qsbr.resume_bias();
-        }
+        self.router_qsbr.resume_bias();
     }
 
     /// Publishes a new router table, starts — without waiting for — the
@@ -1074,15 +1061,6 @@ mod tests {
             report.moved_keys as u64
         );
 
-        // With the fast path disabled every routed op is a classic
-        // critical-section entry.
-        let classic: ShardedWormhole<u64> =
-            ShardedWormhole::with_config(small().with_router_fast_path(false));
-        classic.set(b"k", 1);
-        classic.get(b"k");
-        assert_eq!(classic.metrics().router_fast_entries.get(), 0);
-        assert_eq!(classic.metrics().router_classic_entries.get(), 2);
-
         let registry = Registry::new();
         idx.register_metrics(&registry, "wh_shard");
         registry.lint().expect("names well-formed and unique");
@@ -1099,6 +1077,69 @@ mod tests {
         assert!(text.contains("wh_shard_router_fast_entries_total"));
         assert!(text.contains("wh_shard_wormhole_splits_total"));
         assert!(text.contains("wh_shard_router_epoch_section_entries_total"));
+    }
+
+    #[test]
+    fn ops_take_the_classic_path_while_the_bias_is_revoked() {
+        // The classic critical-section entry in the one state production
+        // reaches it: a migration holds the bias revoked. Every op must
+        // stay correct there and count as a classic entry, never a fast one.
+        use std::collections::BTreeMap;
+        let idx: ShardedWormhole<u64> = ShardedWormhole::with_config(small());
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let key_of = |i: u64| vec![(i * 37 % 256) as u8, (i / 7) as u8, i as u8];
+        for i in 0..600u64 {
+            model.insert(key_of(i), i);
+            idx.set(&key_of(i), i);
+        }
+        let classic = || idx.metrics().router_classic_entries.get();
+        let fast = || idx.metrics().router_fast_entries.get();
+        assert_eq!(classic(), 0, "migration idle: no classic entries yet");
+
+        let migration = idx.migration.lock();
+        idx.begin_router_mutation();
+        let fast_before = fast();
+        let mut routed = 0u64;
+        for i in 0..900u64 {
+            let key = key_of(i);
+            match i % 3 {
+                0 => assert_eq!(idx.set(&key, i + 1_000), model.insert(key, i + 1_000)),
+                1 => assert_eq!(idx.del(&key), model.remove(&key)),
+                _ => assert_eq!(idx.get(&key), model.get(&key).copied()),
+            }
+            routed += 1;
+        }
+        let key_bytes: Vec<Vec<u8>> = (0..900u64).step_by(5).map(key_of).collect();
+        let keys: Vec<&[u8]> = key_bytes.iter().map(Vec::as_slice).collect();
+        let want: Vec<Option<u64>> = keys.iter().map(|k| model.get(*k).copied()).collect();
+        assert_eq!(idx.get_batch(&keys), want);
+        routed += 1; // one entry for the whole batch
+        assert_eq!(classic(), routed, "one classic entry per routed op");
+
+        // Scans enter once per fill, so only "some, all classic" is pinned.
+        let want: Vec<(Vec<u8>, u64)> = model
+            .range(vec![0x30u8]..)
+            .take(250)
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(idx.range_from(&[0x30], 250), want);
+        let mut cursor = idx.scan(b"");
+        let mut streamed = Vec::new();
+        while let Some((key, value)) = cursor.next() {
+            streamed.push((key.to_vec(), *value));
+        }
+        drop(cursor);
+        assert!(streamed.iter().map(|(k, v)| (k, v)).eq(model.iter()));
+        assert!(classic() > routed, "scan fills entered classic sections");
+        assert_eq!(fast(), fast_before, "no fast entry while revoked");
+
+        idx.end_router_mutation();
+        drop(migration);
+        let classic_after = classic();
+        assert_eq!(idx.get(&key_of(2)), model.get(&key_of(2)).copied());
+        assert_eq!(fast(), fast_before + 1, "fast entries resume with the bias");
+        assert_eq!(classic(), classic_after);
+        idx.check_invariants();
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! read path must stay **allocation-free** and — while no migration is in
 //! flight — must make **zero** classic router critical-section entries
 //! (one relaxed store + one fence + one flag load instead), observed
-//! through [`ShardedWormhole::router_section_entries`]. The classic
-//! configuration and the single-shard bypass are pinned alongside so a
-//! routing change that silently re-introduces the per-op section tax (or
-//! removes the counter's meaning) fails here rather than only in a bench.
+//! through [`ShardedWormhole::router_section_entries`]. The single-shard
+//! bypass is pinned alongside so a routing change that silently
+//! re-introduces a per-op router tax fails here rather than only in the
+//! benchmark. (The classic path — what ops take while a migration holds
+//! the bias revoked — is pinned by an in-crate test of `wh-shard`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,11 +67,10 @@ fn keyset() -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn build(shards: &[&[u8]], fast_path: bool, keys: &[Vec<u8>]) -> ShardedWormhole<u64> {
+fn build(shards: &[&[u8]], keys: &[Vec<u8>]) -> ShardedWormhole<u64> {
     let idx = ShardedWormhole::with_config(
         ShardedConfig::with_boundaries(shards.iter().map(|b| b.to_vec()).collect())
-            .with_inner(WormholeConfig::optimized())
-            .with_router_fast_path(fast_path),
+            .with_inner(WormholeConfig::optimized()),
     );
     for (i, key) in keys.iter().enumerate() {
         idx.set(key, i as u64);
@@ -87,7 +87,7 @@ const FOUR_SHARDS: [&[u8]; 3] = [b"user-001000", b"user-002000", b"user-003000"]
 #[test]
 fn idle_fast_path_ops_enter_zero_router_sections() {
     let keys = keyset();
-    let idx = build(&FOUR_SHARDS, true, &keys);
+    let idx = build(&FOUR_SHARDS, &keys);
     // Preload registered this thread's handle and counted its sections; a
     // migration would revoke the bias, but none is in flight from here on.
     let before = idx.router_section_entries();
@@ -108,25 +108,11 @@ fn idle_fast_path_ops_enter_zero_router_sections() {
 }
 
 #[test]
-fn classic_path_gets_enter_one_router_section_each() {
+fn single_shard_bypass_skips_the_router() {
     let keys = keyset();
-    let idx = build(&FOUR_SHARDS, false, &keys);
+    let idx = build(&[], &keys);
     let before = idx.router_section_entries();
-    for (i, key) in keys.iter().enumerate() {
-        assert_eq!(idx.get(key), Some(i as u64));
-    }
-    assert_eq!(
-        idx.router_section_entries() - before,
-        N_KEYS,
-        "fast path off must route every get through a critical section"
-    );
-}
-
-#[test]
-fn single_shard_bypass_skips_the_router_even_without_fast_path() {
-    let keys = keyset();
-    let idx = build(&[], false, &keys);
-    let before = idx.router_section_entries();
+    let fast_before = idx.metrics().router_fast_entries.get();
     for (i, key) in keys.iter().enumerate() {
         assert_eq!(idx.get(key), Some(i as u64));
     }
@@ -137,12 +123,17 @@ fn single_shard_bypass_skips_the_router_even_without_fast_path() {
         0,
         "a 1-shard index can never migrate, so routing must bypass the router"
     );
+    assert_eq!(
+        idx.metrics().router_fast_entries.get() - fast_before,
+        0,
+        "the bypass takes no router entry at all, fast ones included"
+    );
 }
 
 #[test]
 fn migration_revokes_then_restores_the_fast_path() {
     let keys = keyset();
-    let idx = build(&FOUR_SHARDS, true, &keys);
+    let idx = build(&FOUR_SHARDS, &keys);
     // A migration's own router reads (freeze checks, drains) may enter
     // sections on this thread; what's pinned is the steady state around it.
     let before = idx.router_section_entries();
@@ -171,7 +162,7 @@ fn migration_revokes_then_restores_the_fast_path() {
 #[test]
 fn idle_fast_path_get_is_allocation_free() {
     let keys = keyset();
-    let idx = build(&FOUR_SHARDS, true, &keys);
+    let idx = build(&FOUR_SHARDS, &keys);
     // Warm up: thread registration with both the router QSBR domain and
     // every shard's domain happens on first contact.
     for key in keys.iter().take(64) {

@@ -451,7 +451,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         }
     }
 
-    /// Whether the optimistic read path is usable for this value type.
+    /// Whether reads of this index run lock-free, decided by the value type
+    /// alone.
     ///
     /// A racing read may clone a value from a leaf mid-mutation and
     /// discard the clone after seqlock validation fails. The lock-free
@@ -473,30 +474,25 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// pattern is inert to read and drop survives that window.
     ///
     /// Caveat (part of the documented seqlock race budget): absence of drop
-    /// glue does not prove every bit pattern is valid — a no-drop type with
-    /// a validity invariant (`char`, niche-carrying enums) could still
-    /// observe a torn value before validation discards it. A `Pod`-style
-    /// marker bound would close that gap; stable Rust has none built in, so
-    /// store plain integers (as the paper does) or disable
-    /// `optimistic_reads`.
+    /// glue does not prove every bit pattern is valid. A no-drop `V` with
+    /// invalid bit patterns (`char`, niche-carrying enums) could observe a
+    /// torn value before validation discards it, and is unsupported on the
+    /// lock-free path. No value type in the tree is one (`u64`, `u32`,
+    /// `String`, `Vec<u8>`, `Box<_>`, `Arc<_>`); the `Pod`-style marker
+    /// bound that would enforce it belongs to the checked-concurrency
+    /// direction in ROADMAP.md.
+    ///
+    /// Mutations must defer their heap frees exactly when this holds.
     #[inline]
-    fn optimistic_reads_safe() -> bool {
+    const fn optimistic_reads_safe() -> bool {
         !std::mem::needs_drop::<V>()
-    }
-
-    /// Whether reads of this index actually run lock-free (configuration
-    /// flag and value-type gate combined). Mutations must defer their heap
-    /// frees exactly when this holds.
-    #[inline]
-    fn uses_optimistic(&self) -> bool {
-        self.config.optimistic_reads && Self::optimistic_reads_safe()
     }
 
     /// A garbage bin matching the read mode: deferred reclamation when
     /// lock-free readers may race, immediate drops otherwise.
     #[inline]
     fn new_bin(&self) -> LeafGarbage<V> {
-        if self.uses_optimistic() {
+        if Self::optimistic_reads_safe() {
             LeafGarbage::deferred()
         } else {
             LeafGarbage::immediate()
@@ -734,8 +730,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 
     /// Runs `f` under the target leaf's read lock, restarting the search when
     /// the version check detects a concurrent split/merge. The contended
-    /// fallback of the optimistic read, and the whole read path when
-    /// `optimistic_reads` is disabled.
+    /// fallback of the optimistic read, and the whole read path of value
+    /// types with drop glue.
     fn with_leaf_read<R>(&self, key: &[u8], mut f: impl FnMut(&LeafNode<V>) -> R) -> R {
         loop {
             let (leaf, version) = self.locate(key);
@@ -1330,7 +1326,8 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
         let limit = limit.max(1);
         batch.clear();
         while !self.done {
-            let optimistic = self.wh.uses_optimistic() && self.conflicts < OPTIMISTIC_SCAN_RETRIES;
+            let optimistic =
+                Wormhole::<V>::optimistic_reads_safe() && self.conflicts < OPTIMISTIC_SCAN_RETRIES;
             if !optimistic {
                 self.fill_locked(batch, limit);
                 if !batch.is_empty() {
@@ -1407,7 +1404,7 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
 
     fn get(&self, key: &[u8]) -> Option<V> {
         let hash = crc32c(key);
-        if self.uses_optimistic() {
+        if Self::optimistic_reads_safe() {
             // Lock-free fast path: bounded seqlock-validated attempts inside
             // one QSBR critical section (kept open across retries so the
             // table and the leaves it references stay live).
@@ -1429,14 +1426,14 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
             }
             self.metrics.locked_fallbacks.inc();
         }
-        // Contended fallback (or optimistic reads disabled): the paper's
+        // Contended fallback (or a value type with drop glue): the paper's
         // per-leaf reader lock, which always makes progress.
         self.with_leaf_read(key, |leaf| leaf.get(key, hash, &self.config).cloned())
     }
 
     fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<V>> {
         let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
-        if !self.uses_optimistic() {
+        if !Self::optimistic_reads_safe() {
             // Without the lock-free read there is no miss chain to overlap
             // (every leaf read takes its lock anyway): plain per-key loop.
             out.extend(keys.iter().map(|key| {
@@ -1787,23 +1784,43 @@ mod tests {
 
     #[test]
     fn locked_reads_match_optimistic_reads() {
-        // The same operations through both read paths give identical
-        // results (the contended-read benchmark relies on the toggle).
-        let optimistic = Wormhole::with_config(small_config());
-        let locked = Wormhole::with_config(small_config().with_optimistic_reads(false));
+        // The same history through both read paths — `u64` reads lock-free,
+        // `String` under the leaf lock, each selected by its value type —
+        // checked against one model.
+        use std::collections::BTreeMap;
+        assert!(Wormhole::<u64>::optimistic_reads_safe());
+        assert!(!Wormhole::<String>::optimistic_reads_safe());
+        let optimistic: Wormhole<u64> = Wormhole::with_config(small_config());
+        let locked: Wormhole<String> = Wormhole::with_config(small_config());
+        let mut model = BTreeMap::new();
         for i in 0..1200u64 {
-            let key = format!("mode-{:05}", i * 31 % 1200);
-            optimistic.set(key.as_bytes(), i);
-            locked.set(key.as_bytes(), i);
+            let key = format!("mode-{:05}", i * 31 % 1200).into_bytes();
+            if i % 7 == 3 {
+                let gone = model.remove(&key);
+                assert_eq!(optimistic.del(&key), gone);
+                assert_eq!(locked.del(&key), gone.map(|v: u64| v.to_string()));
+            } else {
+                let old = model.insert(key.clone(), i);
+                assert_eq!(optimistic.set(&key, i), old);
+                assert_eq!(locked.set(&key, i.to_string()), old.map(|v| v.to_string()));
+            }
         }
         for i in 0..1200u64 {
-            let key = format!("mode-{i:05}");
-            assert_eq!(optimistic.get(key.as_bytes()), locked.get(key.as_bytes()));
+            let key = format!("mode-{i:05}").into_bytes();
+            let want = model.get(&key).copied();
+            assert_eq!(optimistic.get(&key), want);
+            assert_eq!(locked.get(&key), want.map(|v| v.to_string()));
         }
-        assert_eq!(
-            optimistic.range_from(b"mode-00300", 200),
-            locked.range_from(b"mode-00300", 200)
-        );
+        let start = b"mode-00300".to_vec();
+        let want: Vec<(Vec<u8>, u64)> = model
+            .range(start.clone()..)
+            .take(200)
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(optimistic.range_from(&start, 200), want);
+        let want: Vec<(Vec<u8>, String)> =
+            want.into_iter().map(|(k, v)| (k, v.to_string())).collect();
+        assert_eq!(locked.range_from(&start, 200), want);
     }
 
     #[test]

@@ -26,14 +26,6 @@ pub struct WormholeConfig {
     /// §3.2 *DirectPos*: start the tag-array search at the position predicted
     /// from the tag value instead of scanning from the ends.
     pub direct_pos: bool,
-    /// Concurrent variant only: serve `get`/`range_from` through the
-    /// seqlock-validated optimistic read path (no per-leaf `RwLock::read`)
-    /// instead of taking the leaf reader lock. Disabling this restores the
-    /// paper's original §2.5 locking reader, which the contended-read
-    /// benchmark uses as its baseline. Takes effect only for value types
-    /// without drop glue (e.g. `u64`); heap-owning values always use the
-    /// locking reader regardless of this flag.
-    pub optimistic_reads: bool,
 }
 
 impl Default for WormholeConfig {
@@ -52,7 +44,6 @@ impl WormholeConfig {
             inc_hashing: true,
             sort_by_tag: true,
             direct_pos: true,
-            optimistic_reads: true,
         }
     }
 
@@ -66,7 +57,6 @@ impl WormholeConfig {
             inc_hashing: false,
             sort_by_tag: false,
             direct_pos: false,
-            optimistic_reads: true,
         }
     }
 
@@ -99,14 +89,6 @@ impl WormholeConfig {
     /// Enables or disables the *DirectPos* optimisation.
     pub fn with_direct_pos(mut self, on: bool) -> Self {
         self.direct_pos = on;
-        self
-    }
-
-    /// Enables or disables the concurrent variant's optimistic (seqlock)
-    /// read path. Not part of the Figure 11 ablation ladder: it changes the
-    /// concurrency control, not the data-structure search.
-    pub fn with_optimistic_reads(mut self, on: bool) -> Self {
-        self.optimistic_reads = on;
         self
     }
 

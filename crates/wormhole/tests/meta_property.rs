@@ -130,7 +130,6 @@ fn concurrent_get_retry_path_is_allocation_free() {
     let wh: Arc<Wormhole<u64>> = Arc::new(Wormhole::with_config(
         WormholeConfig::optimized().with_leaf_capacity(8),
     ));
-    assert!(wh.config().optimistic_reads);
     let keys = lookup_keyset();
     for (i, k) in keys.iter().enumerate() {
         wh.set(k, i as u64);
@@ -401,7 +400,6 @@ fn concurrent_get_batch_allocates_only_the_result_vector() {
     // section, the pipelined window, and the optimistic leaf reads must
     // not allocate; one allocation per call for the returned `Vec`.
     let wh: Wormhole<u64> = Wormhole::new();
-    assert!(wh.config().optimistic_reads);
     let keys = lookup_keyset();
     for (i, k) in keys.iter().enumerate() {
         wh.set(k, i as u64);

@@ -23,9 +23,8 @@
 //! a test), and three ADRs — router epochs + biased QSBR
 //! (`adr-001-router-epoch-biased-qsbr.md`), WAL/snapshot ordering
 //! (`adr-002-wal-ordering.md`), and the serving threading model
-//! (`adr-003-serving-threading.md`). Client-observed p50/p99/p999
-//! round-trip latency, including a migration-churn tail cell, is
-//! tracked in `BENCH_service.json`.
+//! (`adr-003-serving-threading.md`). Client-observed round-trip
+//! latency lands in [`netsim::ServiceMetrics::client_rtt_ns`].
 //!
 //! # Observability
 //!

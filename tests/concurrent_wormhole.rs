@@ -426,20 +426,18 @@ fn sharded_multi_writer_scan_stress() {
     }
 }
 
-/// Release-gated stress for online shard rebalancing, run once per router
-/// regime: a migration thread forces boundary moves back and forth through
+/// Release-gated stress for online shard rebalancing: a migration thread forces boundary moves back and forth through
 /// the middle of the stable population while churn writers split/merge
 /// leaves in every shard (including inside the migrating ranges), point
 /// readers assert every stable key is readable with its exact value at
 /// every instant (a migrated key must never be unreachable or torn), and
 /// cross-shard cursor readers drain full scans asserting strict global
-/// order and the stable population seen exactly once. With the fast path
-/// on, every migration revokes the router bias through the draining
-/// barrier while the readers race it; with it off, every op takes the
-/// classic critical-section path. Iteration counts are high only under
-/// `--release` (scaled by WH_STRESS_MULT for nightly soaks); debug builds
-/// run a smoke pass.
-fn migration_under_churn_stress_with(fast_path: bool) {
+/// order and the stable population seen exactly once. Every migration
+/// revokes the router bias through the draining barrier while the readers
+/// race it. Iteration counts are high only under `--release` (scaled by
+/// WH_STRESS_MULT for nightly soaks); debug builds run a smoke pass.
+#[test]
+fn migration_under_churn_stress() {
     let migrations: u64 = if cfg!(debug_assertions) {
         6
     } else {
@@ -464,8 +462,7 @@ fn migration_under_churn_stress_with(fast_path: bool) {
             batch_keys: 64,
             sample_cap: 512,
             min_move_keys: 8,
-        })
-        .with_router_fast_path(fast_path),
+        }),
     ));
     for i in 0..n_stable {
         idx.set(format!("stable-{i:06}").as_bytes(), i);
@@ -595,16 +592,6 @@ fn migration_under_churn_stress_with(fast_path: bool) {
     for i in 0..n_stable {
         assert_eq!(idx.get(format!("stable-{i:06}").as_bytes()), Some(i));
     }
-}
-
-#[test]
-fn migration_under_churn_stress() {
-    migration_under_churn_stress_with(true);
-}
-
-#[test]
-fn migration_under_churn_stress_no_fast_path() {
-    migration_under_churn_stress_with(false);
 }
 
 #[test]

@@ -22,12 +22,10 @@ use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
 /// cranked all the way down so interleaved `maybe_rebalance()` calls
 /// actually migrate boundaries mid-sequence.
 ///
-/// Both router regimes run side by side in every differential: the default
-/// instance routes through the migration-idle biased fast path (with the
-/// interleaved migrations constantly revoking/restoring the bias via the
-/// draining barrier), the `fast_path(false)` instance through the classic
-/// critical-section path only.
-fn sharded_with_fast_path(fast_path: bool) -> ShardedWormhole<u64> {
+/// The interleaved migrations constantly revoke and restore the router's
+/// biased fast path through the draining barrier, so both router entries
+/// run in every differential.
+fn sharded_under_test() -> ShardedWormhole<u64> {
     ShardedWormhole::with_config(
         ShardedConfig::with_boundaries(vec![
             vec![0x01],
@@ -43,13 +41,8 @@ fn sharded_with_fast_path(fast_path: bool) -> ShardedWormhole<u64> {
             batch_keys: 4,
             sample_cap: 64,
             min_move_keys: 1,
-        })
-        .with_router_fast_path(fast_path),
+        }),
     )
-}
-
-fn sharded_under_test() -> ShardedWormhole<u64> {
-    sharded_with_fast_path(true)
 }
 
 /// An operation in the generated sequences.
@@ -96,7 +89,6 @@ proptest! {
         let mut wh_unsafe = WormholeUnsafe::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
         let wh = Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
         let sharded = sharded_under_test();
-        let sharded_slow = sharded_with_fast_path(false);
 
         for op in &ops {
             match op {
@@ -109,7 +101,6 @@ proptest! {
                     prop_assert_eq!(wh_unsafe.set(k, *v), expect);
                     prop_assert_eq!(wh.set(k, *v), expect);
                     prop_assert_eq!(sharded.set(k, *v), expect);
-                    prop_assert_eq!(sharded_slow.set(k, *v), expect);
                 }
                 Op::Del(k) => {
                     let expect = model.remove(k);
@@ -120,7 +111,6 @@ proptest! {
                     prop_assert_eq!(wh_unsafe.del(k), expect);
                     prop_assert_eq!(wh.del(k), expect);
                     prop_assert_eq!(sharded.del(k), expect);
-                    prop_assert_eq!(sharded_slow.del(k), expect);
                 }
                 Op::Range(start, count) => {
                     let expect: Vec<(Vec<u8>, u64)> = model
@@ -134,15 +124,13 @@ proptest! {
                     prop_assert_eq!(masstree.range_from(start, *count), expect.clone());
                     prop_assert_eq!(wh_unsafe.range_from(start, *count), expect.clone());
                     prop_assert_eq!(wh.range_from(start, *count), expect.clone());
-                    prop_assert_eq!(sharded.range_from(start, *count), expect.clone());
-                    prop_assert_eq!(sharded_slow.range_from(start, *count), expect);
+                    prop_assert_eq!(sharded.range_from(start, *count), expect);
                 }
                 Op::Rebalance => {
                     // Only the sharded front reacts: boundaries may migrate
                     // mid-sequence, but the observable key/value state must
                     // stay identical to every other index.
                     let _ = sharded.maybe_rebalance();
-                    let _ = sharded_slow.maybe_rebalance();
                 }
             }
         }
@@ -155,15 +143,12 @@ proptest! {
         prop_assert_eq!(wh_unsafe.len(), model.len());
         prop_assert_eq!(ConcurrentOrderedIndex::len(&wh), model.len());
         prop_assert_eq!(ConcurrentOrderedIndex::len(&sharded), model.len());
-        prop_assert_eq!(ConcurrentOrderedIndex::len(&sharded_slow), model.len());
         sharded.check_invariants();
-        sharded_slow.check_invariants();
         let expect_all: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
         prop_assert_eq!(btree.range_from(&[], usize::MAX), expect_all.clone());
         prop_assert_eq!(wh_unsafe.range_from(&[], usize::MAX), expect_all.clone());
         prop_assert_eq!(wh.range_from(&[], usize::MAX), expect_all.clone());
-        prop_assert_eq!(sharded.range_from(&[], usize::MAX), expect_all.clone());
-        prop_assert_eq!(sharded_slow.range_from(&[], usize::MAX), expect_all);
+        prop_assert_eq!(sharded.range_from(&[], usize::MAX), expect_all);
         for (k, v) in &model {
             prop_assert_eq!(art.get(k), Some(*v));
             prop_assert_eq!(masstree.get(k), Some(*v));
@@ -210,7 +195,6 @@ proptest! {
             WormholeUnsafe::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
         let wh = Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
         let sharded = sharded_under_test();
-        let sharded_slow = sharded_with_fast_path(false);
         for (k, v) in &sets {
             skiplist.set(k, *v);
             btree.set(k, *v);
@@ -219,7 +203,6 @@ proptest! {
             wh_unsafe.set(k, *v);
             wh.set(k, *v);
             sharded.set(k, *v);
-            sharded_slow.set(k, *v);
         }
 
         let mut batch: Vec<&[u8]> = raw_probes.iter().map(Vec::as_slice).collect();
@@ -242,13 +225,11 @@ proptest! {
         prop_assert_eq!(&OrderedIndex::get_batch(&wh_unsafe, &batch), &expect);
         prop_assert_eq!(&ConcurrentOrderedIndex::get_batch(&wh, &batch), &expect);
         prop_assert_eq!(&ConcurrentOrderedIndex::get_batch(&sharded, &batch), &expect);
-        prop_assert_eq!(&ConcurrentOrderedIndex::get_batch(&sharded_slow, &batch), &expect);
         // Per-key gets on the overriding indexes agree with the model too.
         for (k, e) in batch.iter().zip(&expect) {
             prop_assert_eq!(&OrderedIndex::get(&wh_unsafe, k), e);
             prop_assert_eq!(&ConcurrentOrderedIndex::get(&wh, k), e);
             prop_assert_eq!(&ConcurrentOrderedIndex::get(&sharded, k), e);
-            prop_assert_eq!(&ConcurrentOrderedIndex::get(&sharded_slow, k), e);
         }
     }
 
@@ -316,7 +297,6 @@ proptest! {
             WormholeUnsafe::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
         let wh = Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
         let sharded = sharded_under_test();
-        let sharded_slow = sharded_with_fast_path(false);
 
         let mut resume = start.clone();
         for (ops, window) in &phases {
@@ -330,7 +310,6 @@ proptest! {
                     prop_assert_eq!(wh_unsafe.del(k), expect);
                     prop_assert_eq!(wh.del(k), expect);
                     prop_assert_eq!(sharded.del(k), expect);
-                    prop_assert_eq!(sharded_slow.del(k), expect);
                 } else {
                     let expect = model.insert(k.clone(), *v);
                     prop_assert_eq!(skiplist.set(k, *v), expect);
@@ -340,14 +319,12 @@ proptest! {
                     prop_assert_eq!(wh_unsafe.set(k, *v), expect);
                     prop_assert_eq!(wh.set(k, *v), expect);
                     prop_assert_eq!(sharded.set(k, *v), expect);
-                    prop_assert_eq!(sharded_slow.set(k, *v), expect);
                 }
             }
             // A rebalance decision between mutation batches may migrate a
             // boundary under the resumable scans below — resume keys must
             // re-route through the moved boundaries transparently.
             let _ = sharded.maybe_rebalance();
-            let _ = sharded_slow.maybe_rebalance();
             // Stream one window from the shared resume point on every index
             // (the baselines via the default range_from-adapted cursor, the
             // Wormholes via their native leaf-streaming cursors).
@@ -364,7 +341,6 @@ proptest! {
                 pull(wh_unsafe.scan(&resume), *window),
                 pull(wh.scan(&resume), *window),
                 pull(sharded.scan(&resume), *window),
-                pull(sharded_slow.scan(&resume), *window),
             ];
             for (got, resume_key) in &windows {
                 prop_assert_eq!(got, &expect);
@@ -387,14 +363,12 @@ proptest! {
             pull(wh_unsafe.scan(&start), usize::MAX).0,
             pull(wh.scan(&start), usize::MAX).0,
             pull(sharded.scan(&start), usize::MAX).0,
-            pull(sharded_slow.scan(&start), usize::MAX).0,
         ];
         for drained in &drains {
             prop_assert_eq!(drained, &expect_all);
         }
         prop_assert_eq!(wh_unsafe.range_from(&start, usize::MAX), expect_all.clone());
         prop_assert_eq!(wh.range_from(&start, usize::MAX), expect_all.clone());
-        prop_assert_eq!(sharded.range_from(&start, usize::MAX), expect_all.clone());
-        prop_assert_eq!(sharded_slow.range_from(&start, usize::MAX), expect_all);
+        prop_assert_eq!(sharded.range_from(&start, usize::MAX), expect_all);
     }
 }
