@@ -13,7 +13,8 @@
 //! A cursor yields each key **at most once**, in **strictly ascending key
 //! order**. Each batch is an atomic snapshot of one region of the index
 //! (for the Wormhole indexes: exactly one leaf node, captured under seqlock
-//! validation), but there is **no global snapshot across batches**: a key
+//! validation, or under the leaf's lock when the scan first had to sort its
+//! key view), but there is **no global snapshot across batches**: a key
 //! inserted behind the cursor's position is never seen, a key inserted
 //! ahead of it may or may not be seen depending on timing, and a key that
 //! exists for the whole duration of the scan is seen exactly once. This is
@@ -197,12 +198,19 @@ pub trait CursorSource<V> {
     /// Returns `false` when the scan is exhausted (leaving `batch` empty);
     /// a `true` return guarantees at least one pair.
     ///
+    /// `from` is the scan's position, which the caller owns: the start key
+    /// on the first call, afterwards the successor of the last pair the
+    /// previous call filled. No pair below it may be filled. A source
+    /// therefore keeps no copy of the start key, and keeps a bound of its
+    /// own only where it knows a tighter one (the next leaf's anchor, the
+    /// next shard's boundary).
+    ///
     /// `limit` caps how many pairs this batch needs to hold (the consumer
     /// will not take more before asking again): implementations may stop
     /// collecting — and cloning values — once they reach it, as long as a
     /// truncated batch still resumes exactly after its last pair. Pass
     /// `usize::MAX` when streaming without a known bound.
-    fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool;
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool;
 
     /// Pre-sizes any internal buffers for batches of `items` pairs and
     /// `key_bytes` of key payload. Optional; the default does nothing.
@@ -212,15 +220,13 @@ pub trait CursorSource<V> {
 }
 
 /// Adapts `range_from` into a [`CursorSource`]: each batch is one
-/// `range_from(resume, DEFAULT_SCAN_BATCH)` call, resumed at the successor
-/// (`last key ++ 0x00`) of the previous batch. This is the default `scan`
-/// of every index that does not provide a native streaming path; it removes
-/// the `O(window)` copy of a single huge `range_from` but still pays one
-/// key-`Vec` allocation per pair inside the adapted call.
+/// `range_from(from, DEFAULT_SCAN_BATCH)` call at the position the cursor
+/// hands in. This is the default `scan` of every index that does not
+/// provide a native streaming path; it removes the `O(window)` copy of a
+/// single huge `range_from` but still pays one key-`Vec` allocation per
+/// pair inside the adapted call.
 struct RangeFnSource<V, F> {
     fetch: F,
-    /// Inclusive lower bound of the next batch (reused buffer).
-    resume: Vec<u8>,
     done: bool,
     _values: std::marker::PhantomData<fn() -> V>,
 }
@@ -229,27 +235,20 @@ impl<V, F> CursorSource<V> for RangeFnSource<V, F>
 where
     F: FnMut(&[u8], usize) -> Vec<(Vec<u8>, V)>,
 {
-    fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
         batch.clear();
         if self.done {
             return false;
         }
         let want = limit.min(DEFAULT_SCAN_BATCH);
-        let got = (self.fetch)(&self.resume, want);
+        let got = (self.fetch)(from, want);
         if got.len() < want {
             self.done = true;
         }
         for (key, value) in got {
             batch.push(&key, value);
         }
-        if let Some(last) = batch.last_key() {
-            crate::key::immediate_successor_into(last, &mut self.resume);
-        }
         !batch.is_empty()
-    }
-
-    fn reserve(&mut self, _items: usize, key_bytes: usize) {
-        self.resume.reserve(key_bytes);
     }
 }
 
@@ -296,7 +295,7 @@ impl<'a, V> ChainedSource<'a, V> {
 }
 
 impl<'a, V> CursorSource<V> for ChainedSource<'a, V> {
-    fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
         batch.clear();
         while !self.done {
             if self.current.is_none() {
@@ -317,7 +316,7 @@ impl<'a, V> CursorSource<V> for ChainedSource<'a, V> {
                 .current
                 .as_mut()
                 .expect("segment present")
-                .fill_next(batch, limit)
+                .fill_next(from, batch, limit)
             {
                 return true;
             }
@@ -358,12 +357,18 @@ pub struct Cursor<'a, V> {
 
 impl<'a, V> Cursor<'a, V> {
     /// Wraps an index-provided source into a cursor starting at `start`.
+    /// This is the scan's one copy of the start key: every fill hands the
+    /// source the cursor's position (see [`CursorSource::fill_next`]).
     pub fn new(start: &[u8], source: Box<dyn CursorSource<V> + 'a>) -> Self {
+        // Room for the successor of an equally long key, so the first
+        // batch boundary does not regrow the buffer.
+        let mut resume = Vec::with_capacity(start.len() + 1);
+        resume.extend_from_slice(start);
         Self {
             source,
             batch: ScanBatch::new(),
             pos: 0,
-            resume: start.to_vec(),
+            resume,
             fetch_budget: usize::MAX,
             done: false,
         }
@@ -380,7 +385,6 @@ impl<'a, V> Cursor<'a, V> {
             start,
             Box::new(RangeFnSource {
                 fetch,
-                resume: start.to_vec(),
                 done: false,
                 _values: std::marker::PhantomData,
             }),
@@ -409,7 +413,7 @@ impl<'a, V> Cursor<'a, V> {
         }
         if self
             .source
-            .fill_next(&mut self.batch, self.fetch_budget.max(1))
+            .fill_next(&self.resume, &mut self.batch, self.fetch_budget.max(1))
         {
             true
         } else {
@@ -525,7 +529,7 @@ impl<'a, V> Cursor<'a, V> {
 /// consumer's arena — the cursor's own batch stays empty, so stacking adds
 /// no copy.
 impl<'a, V: Clone> CursorSource<V> for Cursor<'a, V> {
-    fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
         batch.clear();
         // Pairs already buffered but not consumed (a caller that mixed
         // `next` with source use) are handed over first, by copy.
@@ -541,7 +545,9 @@ impl<'a, V: Clone> CursorSource<V> for Cursor<'a, V> {
         if self.done {
             return false;
         }
-        if self.source.fill_next(batch, limit.max(1)) {
+        // The tighter of the caller's position and this cursor's own.
+        let from = from.max(self.resume.as_slice());
+        if self.source.fill_next(from, batch, limit.max(1)) {
             // Keep resumability coherent: everything filled counts as
             // consumed, so `resume_key` continues after this batch.
             if let Some(last) = batch.last_key() {
@@ -844,7 +850,7 @@ mod tests {
         }
         let mut batch = ScanBatch::new();
         let mut seen = Vec::new();
-        while CursorSource::fill_next(&mut inner, &mut batch, usize::MAX) {
+        while CursorSource::fill_next(&mut inner, b"", &mut batch, usize::MAX) {
             for (k, v) in batch.iter() {
                 seen.push((k.to_vec(), *v));
             }

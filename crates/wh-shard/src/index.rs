@@ -555,7 +555,14 @@ enum FillStep {
 }
 
 impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
-    fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
+        // The sweep bound is this source's own, because it also jumps
+        // across shard boundaries; the cursor's position is ahead of it
+        // only when the cursor was opened behind where its consumer is.
+        if from > self.resume.as_slice() {
+            self.resume.clear();
+            self.resume.extend_from_slice(from);
+        }
         batch.clear();
         while !self.done {
             let Self {
@@ -590,7 +597,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
                     }
                     let seg = segment.as_mut().expect("segment open");
                     let upper = router.boundaries.get(seg.shard);
-                    if CursorSource::fill_next(&mut seg.cursor, batch, limit) {
+                    if CursorSource::fill_next(&mut seg.cursor, resume, batch, limit) {
                         // Clamp the segment to its shard's upper boundary:
                         // keys at/above it that the shard cursor surfaced are
                         // a migration's in-flight copies, whose authoritative

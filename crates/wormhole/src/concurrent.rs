@@ -13,7 +13,10 @@
 //!   reader falls back to the leaf's reader lock, which bounds worst-case
 //!   latency under heavy write contention. Ordered scans stream one
 //!   validated leaf snapshot per batch (`ScanSource`) — per-leaf
-//!   atomicity, no global snapshot across batches;
+//!   atomicity, no global snapshot across batches. The one time a scan
+//!   locks on its way is when the leaf it reached has items appended
+//!   behind its key-sorted view: it sorts the view under that leaf's write
+//!   lock, reads it there, and leaves it sorted for the scans that follow;
 //! * a **writer lock per leaf node** — in-place inserts, deletes, and the
 //!   structural operations serialise on it exactly as in the paper;
 //! * a single **writer mutex over the MetaTrieHT** — only split and merge
@@ -38,8 +41,10 @@
 //!
 //! Readers never take the writer mutex and never wait for grace periods.
 //! On the hot path they take no lock at all; the only blocking they can
-//! ever experience is on an individual leaf lock after
-//! [`OPTIMISTIC_READ_RETRIES`] consecutive seqlock conflicts.
+//! ever experience is on an individual leaf lock: after
+//! [`OPTIMISTIC_READ_RETRIES`] consecutive seqlock conflicts, or for a
+//! scan's sort. No thread waits for a grace period while it holds a leaf
+//! lock, so a reader may block on one inside its QSBR critical section.
 //!
 //! # Safety model of the optimistic read
 //!
@@ -48,7 +53,7 @@
 //! the whole critical section** — the read runs inside a QSBR critical
 //! section, and writers retire not just tables and leaf nodes but every
 //! *leaf-interior* block they unlink (storage vectors that outgrew their
-//! buffer, removed items' key boxes, merged-away siblings' storage)
+//! buffer, removed items' key blocks, merged-away siblings' storage)
 //! through [`LeafGarbage`] and `wh_epoch::Qsbr::defer`, reclaiming it only
 //! after a grace period; the leaf read uses the `*_checked` methods of
 //! [`LeafNode`], which bounds-check every index step and treat implausible
@@ -56,10 +61,11 @@
 //! seqlock validation discards everything read during a write. Like every
 //! seqlock (including the kernel's), the transient read of in-flux data is
 //! a deliberate race — but it is a race over *live* memory only, never
-//! freed memory. The residual exposure is torn multi-word reads (a fat
-//! pointer observed half-updated), which the bounds checks and the
-//! `MAX_OPTIMISTIC_KEY_LEN` guard contain until validation discards
-//! them; to keep discarded speculative value clones harmless, the
+//! freed memory. The residual exposure is torn multi-word reads (a
+//! vector's pointer and length observed half-updated; an item's key is one
+//! word, naming a block that states its own length), which the bounds
+//! checks and the `MAX_OPTIMISTIC_KEY_LEN` guard contain until validation
+//! discards them; to keep discarded speculative value clones harmless, the
 //! lock-free path is enabled only for value types without drop glue (see
 //! `optimistic_reads_safe` for why deferral alone cannot admit pointer
 //! values), while heap-owning value types transparently fall back to the
@@ -70,13 +76,13 @@ use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use index_traits::{ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, ScanBatch};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use wh_epoch::Qsbr;
 use wh_hash::crc32c;
 
 use crate::config::WormholeConfig;
 use crate::core;
-use crate::leaf::{LeafGarbage, LeafNode, ReadConflict, TailScratch};
+use crate::leaf::{LeafGarbage, LeafNode, ReadConflict};
 use crate::meta::{LeafRef, MetaPlan, MetaTable, TargetOutcome, BATCH_WINDOW};
 use crate::prefetch::prefetch_span;
 use crate::telemetry::WormholeMetrics;
@@ -411,6 +417,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                         for (leaf, new_key) in relocations {
                             leaf.0.data.write().leaf.set_table_key(new_key);
                         }
+                        // The finished leaf took its keys in ascending
+                        // order: its first scan need not sort it.
+                        tail.0.data.write().leaf.ensure_key_sorted();
                         tail = handle;
                         in_leaf = 0;
                     }
@@ -428,6 +437,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             debug_assert!(old.is_none());
             last_key = Some(key);
         }
+        tail.0.data.write().leaf.ensure_key_sorted();
 
         let current = Box::into_raw(Box::new(VersionedMeta {
             version: 0,
@@ -758,6 +768,29 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         }
     }
 
+    /// Write-locks `leaf` with its key-sorted view brought up to date: the
+    /// paper's `incSort`, run under the leaf lock by the range operation
+    /// that needs the order (§3.2) and kept, so the next scan of the leaf
+    /// finds its view current. The seqlock is odd only while the view is
+    /// rewritten. `None` when the leaf is being split or merged: the
+    /// caller searches again.
+    fn write_sorted<'l>(
+        &self,
+        leaf: &'l LeafHandle<V>,
+        version: u64,
+    ) -> Option<RwLockWriteGuard<'l, LeafData<V>>> {
+        let mut data = leaf.0.data.write();
+        if leaf.expected_version() > version {
+            return None;
+        }
+        if data.leaf.key_view_lags() {
+            let _section = SeqWriteSection::new(&leaf.0.seq);
+            data.leaf.ensure_key_sorted();
+            self.metrics.scan_sorts.inc();
+        }
+        Some(data)
+    }
+
     // ------------------------------------------------------------------
     // Split and merge (the third operation group of §2.5). The logic —
     // split-point selection, anchor formation, meta-item bookkeeping —
@@ -801,10 +834,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             return Some(old);
         }
         if left_guard.leaf.len() < self.config.leaf_capacity {
-            let old = left_guard
+            left_guard
                 .leaf
-                .insert_retiring(key, hash, value, &self.config, &mut bin);
-            debug_assert!(old.is_none());
+                .insert_absent(key, hash, value, &self.config, &mut bin);
             self.len.fetch_add(1, Ordering::Relaxed);
             self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
             drop(left_section);
@@ -818,10 +850,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let Some(prepared) = core::prepare_split(&mut left_guard.leaf, &current.table, &mut bin)
         else {
             // Fat node (§3.3): grow past the nominal capacity.
-            let old = left_guard
+            left_guard
                 .leaf
-                .insert_retiring(key, hash, value, &self.config, &mut bin);
-            debug_assert!(old.is_none());
+                .insert_absent(key, hash, value, &self.config, &mut bin);
             self.len.fetch_add(1, Ordering::Relaxed);
             self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
             drop(left_section);
@@ -846,16 +877,12 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         new_handle.set_expected_version(version + 1);
 
         // Insert the pending key into whichever half now covers it.
-        let old = if key >= anchor.as_slice() {
-            right_guard
-                .leaf
-                .insert_retiring(key, hash, value, &self.config, &mut bin)
+        let half = if key >= anchor.as_slice() {
+            &mut right_guard.leaf
         } else {
-            left_guard
-                .leaf
-                .insert_retiring(key, hash, value, &self.config, &mut bin)
+            &mut left_guard.leaf
         };
-        debug_assert!(old.is_none());
+        half.insert_absent(key, hash, value, &self.config, &mut bin);
         self.len.fetch_add(1, Ordering::Relaxed);
         self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
 
@@ -1130,66 +1157,115 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 }
 
-/// Seqlock-validated batch-per-leaf [`CursorSource`] over the concurrent
-/// index — the engine under both `scan` and `range_from`.
+/// What one read of a leaf tells the scan about where to go next.
+enum AfterLeaf {
+    /// The window budget may have cut the batch short mid-leaf: the next
+    /// fill continues inside the same leaf, past the last pair.
+    Truncated,
+    /// The leaf was the last of the list.
+    End,
+    /// The leaf was read to its end and has a right sibling. `true`: the
+    /// sibling's anchor now sits in the source's `anchor` scratch.
+    Sibling(bool),
+}
+
+/// Batch-per-leaf [`CursorSource`] over the concurrent index — the engine
+/// under both `scan` and `range_from`.
 ///
-/// Every batch snapshots exactly one leaf inside a QSBR critical section
-/// with the same discipline as the optimistic `get`: locate the leaf
-/// through the published MetaTrieHT, enter its seqlock, apply the
-/// expected-version gate, collect the covered range through the
-/// bounds-checked [`LeafNode::collect_leaf_checked`], and keep the batch
-/// only if the seqlock validates (validate-then-yield). A conflicted batch
-/// is discarded and retried; after [`OPTIMISTIC_SCAN_RETRIES`] conflicts
-/// the remainder of the scan reads leaves under their reader locks.
+/// Every batch reads exactly one leaf, located through the published
+/// MetaTrieHT inside a QSBR critical section. A leaf whose key-sorted view
+/// is current is read with the same discipline as the optimistic `get`:
+/// enter its seqlock, apply the expected-version gate, walk the view
+/// through the bounds-checked [`LeafNode::collect_leaf_checked`], and keep
+/// the batch only if the seqlock validates (validate-then-yield). A leaf
+/// whose view lags is the one case in which a scan writes: it takes that
+/// leaf's write lock, runs the paper's `incSort` there
+/// ([`Wormhole::write_sorted`]) and fills the batch under the same lock, so
+/// the sort is paid once and the next scan of the leaf reads it lock-free.
+/// A conflicted batch is discarded and retried; after
+/// [`OPTIMISTIC_SCAN_RETRIES`] conflicts the remainder of the scan reads
+/// leaves under their locks.
 ///
 /// Between batches the cursor holds **no position inside the structure**:
-/// it records the snapshotted leaf's right-sibling anchor (clamped to the
-/// successor of the last streamed key) as the next inclusive lower bound
-/// and re-descends the MetaTrieHT from it, so leaves split, merged, or
-/// retired between batches are simply re-resolved by the next descent.
-/// This is what makes the stream safe to run for minutes under structural
-/// churn: correctness never depends on a cached leaf link staying current.
+/// the [`Cursor`] owns the scan's position (the successor of the last
+/// streamed key) and hands it to every fill, and this source adds only the
+/// anchor of the right sibling of the leaf it read last, which is where
+/// the next descent of the MetaTrieHT lands when it is the greater of the
+/// two. Leaves split, merged, or retired between batches are simply
+/// re-resolved by that descent. This is what makes the stream safe to run
+/// for minutes under structural churn: correctness never depends on a
+/// cached leaf link staying current.
 struct ScanSource<'a, V: Clone + Send + Sync> {
     wh: &'a Wormhole<V>,
-    /// Inclusive lower bound of the next batch; strictly greater than every
-    /// key already streamed. Reused across batches and restarts.
-    resume: Vec<u8>,
-    /// Scratch used to assemble the next bound before swapping it in.
-    bound_buf: Vec<u8>,
-    /// Scratch holding the right sibling's anchor read.
-    anchor_buf: Vec<u8>,
-    /// Snapshot arena for lazily-sorted leaf tails (optimistic mode).
-    tail: TailScratch,
-    /// Index scratch for the locked fallback's lazy-tail merge.
-    scratch16: Vec<u16>,
+    /// Anchor of the right sibling of the last leaf read to its end; empty
+    /// before the first. Taking the greater of this and the cursor's
+    /// position keeps a stale anchor (a sibling merged away between batches
+    /// reports an outdated — possibly empty — one) from ever moving the
+    /// scan backwards.
+    hop: Vec<u8>,
+    /// Scratch a sibling's anchor is read into before it replaces `hop`.
+    anchor: Vec<u8>,
     /// Seqlock conflicts so far across the whole scan.
     conflicts: usize,
     done: bool,
 }
 
 impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
-    /// One optimistic batch attempt: snapshot the leaf covering `resume` —
-    /// up to `limit` pairs of it — and its successor link, all validated by
-    /// the leaf's seqlock. Runs inside one QSBR critical section so the
-    /// published table and the leaf stay live. The `bool` reports whether
-    /// the budget may have truncated the batch mid-leaf, in which case the
-    /// successor link is not meaningful and the caller must resume from the
-    /// last streamed key instead of the sibling anchor.
-    fn try_fill_optimistic(
-        &mut self,
+    /// Sizes an empty `batch` once for what reading `leaf` is about to put
+    /// in it, instead of letting three vectors grow by doubling. A consumer
+    /// that set no window budget goes on to the leaves that follow, so the
+    /// batch is sized for a full leaf of this one's key length. (The leaf
+    /// may be racing a writer: both counts are then some value a writer
+    /// stored, and a real leaf's worth at most.)
+    fn reserve_for(wh: &Wormhole<V>, leaf: &LeafNode<V>, batch: &mut ScanBatch<V>, limit: usize) {
+        let items = leaf.len().max(wh.config.leaf_capacity).min(limit);
+        let key_len = leaf.key_bytes().div_ceil(leaf.len().max(1));
+        batch.reserve(items, items.saturating_mul(key_len));
+    }
+
+    /// Reads up to `limit` pairs of a locked leaf whose key view is current
+    /// from `lower` on, and its right sibling's anchor, which is exact
+    /// here — holding this leaf's lock pins the link, since any split or
+    /// merge involving either leaf needs this leaf's write lock.
+    fn read_locked(
+        wh: &Wormhole<V>,
+        data: &LeafData<V>,
+        lower: &[u8],
         batch: &mut ScanBatch<V>,
         limit: usize,
-    ) -> Result<(Option<LeafHandle<V>>, bool), ReadConflict> {
-        let Self {
-            wh, resume, tail, ..
-        } = self;
-        let wh = *wh;
+        anchor: &mut Vec<u8>,
+    ) -> AfterLeaf {
+        batch.clear();
+        Self::reserve_for(wh, &data.leaf, batch, limit);
+        if data.leaf.collect_range_into(lower, limit, batch) == limit {
+            return AfterLeaf::Truncated;
+        }
+        let Some(next) = &data.next else {
+            return AfterLeaf::End;
+        };
+        anchor.clear();
+        anchor.extend_from_slice(next.0.data.read().leaf.anchor());
+        AfterLeaf::Sibling(true)
+    }
+
+    /// One optimistic batch attempt: the leaf covering `lower` — up to
+    /// `limit` pairs of it — and its successor link, validated by the
+    /// leaf's seqlock, or read under its write lock when its key view had
+    /// to be sorted first. Runs inside one QSBR critical section so the
+    /// published table and the leaf stay live.
+    fn try_read_optimistic(
+        wh: &Wormhole<V>,
+        lower: &[u8],
+        batch: &mut ScanBatch<V>,
+        limit: usize,
+        anchor: &mut Vec<u8>,
+    ) -> Result<AfterLeaf, ReadConflict> {
         wh.qsbr.with_local_handle(|handle| {
             handle.critical(|| {
                 // SAFETY: inside the critical section opened just above;
-                // only the owned `next` handle leaves it.
+                // nothing borrowed from the table leaves it.
                 let meta = unsafe { wh.published() };
-                let leaf = wh.locate_optimistic(meta, resume)?;
+                let leaf = wh.locate_optimistic(meta, lower)?;
                 let shared = &*leaf.0;
                 let snapshot = shared.seq_enter().ok_or(ReadConflict)?;
                 if leaf.expected_version() > meta.version {
@@ -1199,26 +1275,38 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
                 // bounds-checked and the batch is discarded unless the
                 // seqlock validates.
                 let data = unsafe { &*shared.data.data_ptr() };
-                let appended = data.leaf.collect_leaf_checked(
-                    resume,
-                    limit,
-                    batch,
-                    tail,
-                    MAX_OPTIMISTIC_KEY_LEN,
-                )?;
-                let truncated = appended == limit;
-                let next = if truncated { None } else { data.next.clone() };
+                if data.leaf.key_view_lags() {
+                    // Leaf locks are never held across a grace-period
+                    // wait, so blocking on one in here cannot deadlock.
+                    let data = wh.write_sorted(&leaf, meta.version).ok_or(ReadConflict)?;
+                    return Ok(Self::read_locked(wh, &data, lower, batch, limit, anchor));
+                }
+                Self::reserve_for(wh, &data.leaf, batch, limit);
+                let appended =
+                    data.leaf
+                        .collect_leaf_checked(lower, limit, batch, MAX_OPTIMISTIC_KEY_LEN)?;
+                if appended == limit {
+                    return if shared.seq_validate(snapshot) {
+                        Ok(AfterLeaf::Truncated)
+                    } else {
+                        Err(ReadConflict)
+                    };
+                }
+                let next = data.next.clone();
                 if !shared.seq_validate(snapshot) {
                     return Err(ReadConflict);
                 }
-                Ok((next, truncated))
+                Ok(match next {
+                    None => AfterLeaf::End,
+                    Some(next) => AfterLeaf::Sibling(Self::read_anchor(&next, anchor)),
+                })
             })
         })
     }
 
     /// Reads `leaf`'s anchor into `buf` under its seqlock, without taking
-    /// any lock. `false` means no clean read was obtained; the caller falls
-    /// back to the successor of the last streamed key.
+    /// any lock. `false` means no clean read was obtained; the scan then
+    /// goes on from the cursor's position alone.
     fn read_anchor(leaf: &LeafHandle<V>, buf: &mut Vec<u8>) -> bool {
         let shared = &*leaf.0;
         for _ in 0..4 {
@@ -1245,155 +1333,88 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
         false
     }
 
-    /// Sets `resume` to `max(anchor, last_key ++ 0x00)` when that strictly
-    /// advances it; returns whether it advanced. The clamp keeps a stale
-    /// anchor (a sibling merged away between batches reports an outdated —
-    /// possibly empty — anchor) from ever moving the bound backwards and
-    /// re-streaming keys.
-    fn bump_resume(
-        resume: &mut Vec<u8>,
-        bound_buf: &mut Vec<u8>,
-        last_key: Option<&[u8]>,
-        anchor: Option<&[u8]>,
-    ) -> bool {
-        bound_buf.clear();
-        if let Some(last) = last_key {
-            // The successor bound excludes exactly the keys already streamed.
-            index_traits::immediate_successor_into(last, bound_buf);
-        }
-        if let Some(anchor) = anchor {
-            if anchor > bound_buf.as_slice() {
-                bound_buf.clear();
-                bound_buf.extend_from_slice(anchor);
-            }
-        }
-        if bound_buf.as_slice() > resume.as_slice() {
-            std::mem::swap(resume, bound_buf);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Reader-lock fallback: reads the leaf covering `resume` under its
-    /// read lock (restarting on version conflicts) and advances the bound
-    /// from its right sibling's anchor, which is exact here — holding the
-    /// current leaf's read lock pins the link, since any split or merge
-    /// involving either leaf needs this leaf's write lock.
-    fn fill_locked(&mut self, batch: &mut ScanBatch<V>, limit: usize) {
+    /// Reader-lock fallback: reads the leaf covering `lower` under its lock
+    /// (restarting on version conflicts) — its read lock, or its write lock
+    /// when its key view has to be sorted first.
+    fn read_leaf_locked(
+        wh: &Wormhole<V>,
+        lower: &[u8],
+        batch: &mut ScanBatch<V>,
+        limit: usize,
+        anchor: &mut Vec<u8>,
+    ) -> AfterLeaf {
         loop {
-            let (leaf, version) = self.wh.locate(&self.resume);
+            let (leaf, version) = wh.locate(lower);
             let data = leaf.0.data.read();
             if leaf.expected_version() > version {
                 continue;
             }
-            batch.clear();
-            let appended =
-                data.leaf
-                    .collect_leaf_unsorted(&self.resume, limit, batch, &mut self.scratch16);
-            if appended == limit {
-                // Possibly truncated mid-leaf by the window budget: resume
-                // just past the last streamed key, within the same leaf.
-                let progressed = Self::bump_resume(
-                    &mut self.resume,
-                    &mut self.bound_buf,
-                    batch.last_key(),
-                    None,
-                );
-                debug_assert!(progressed, "truncated batch holds pairs");
-                return;
+            if !data.leaf.key_view_lags() {
+                return Self::read_locked(wh, &data, lower, batch, limit, anchor);
             }
-            match &data.next {
-                None => self.done = true,
-                Some(next) => {
-                    let next_data = next.0.data.read();
-                    let progressed = Self::bump_resume(
-                        &mut self.resume,
-                        &mut self.bound_buf,
-                        batch.last_key(),
-                        Some(next_data.leaf.anchor()),
-                    );
-                    debug_assert!(progressed, "locked scan failed to advance its bound");
-                }
+            drop(data);
+            let sorted = wh.write_sorted(&leaf, version);
+            if let Some(data) = sorted {
+                return Self::read_locked(wh, &data, lower, batch, limit, anchor);
             }
-            return;
         }
     }
 }
 
 impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
-    fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
         let limit = limit.max(1);
         batch.clear();
         while !self.done {
+            let Self {
+                wh, hop, anchor, ..
+            } = self;
+            let lower = from.max(hop.as_slice());
             let optimistic =
                 Wormhole::<V>::optimistic_reads_safe() && self.conflicts < OPTIMISTIC_SCAN_RETRIES;
-            if !optimistic {
-                self.fill_locked(batch, limit);
-                if !batch.is_empty() {
-                    return true;
-                }
-                continue;
-            }
-            batch.clear();
-            match self.try_fill_optimistic(batch, limit) {
-                Err(ReadConflict) => {
-                    self.conflicts += 1;
-                    std::hint::spin_loop();
-                }
-                Ok((_, true)) => {
-                    // Truncated mid-leaf by the window budget: resume just
-                    // past the last streamed pair; the next batch
-                    // re-descends into the remainder of the same leaf.
-                    let progressed = Self::bump_resume(
-                        &mut self.resume,
-                        &mut self.bound_buf,
-                        batch.last_key(),
-                        None,
-                    );
-                    debug_assert!(progressed, "truncated batch holds pairs");
-                    return true;
-                }
-                Ok((None, false)) => {
-                    self.done = true;
-                }
-                Ok((Some(next_leaf), false)) => {
-                    let have_anchor = Self::read_anchor(&next_leaf, &mut self.anchor_buf);
-                    let anchor = if have_anchor {
-                        Some(self.anchor_buf.as_slice())
-                    } else {
-                        None
-                    };
-                    let progressed = Self::bump_resume(
-                        &mut self.resume,
-                        &mut self.bound_buf,
-                        batch.last_key(),
-                        anchor,
-                    );
-                    if !progressed {
-                        // Only reachable with an empty snapshot and a stale
-                        // (or unreadable) sibling anchor: count it as a
-                        // conflict so the locked mode — whose anchors are
-                        // exact — eventually guarantees progress.
+            let after = if optimistic {
+                batch.clear();
+                match Self::try_read_optimistic(wh, lower, batch, limit, anchor) {
+                    Ok(after) => after,
+                    Err(ReadConflict) => {
                         self.conflicts += 1;
+                        std::hint::spin_loop();
                         continue;
                     }
-                    if batch.is_empty() {
-                        continue;
+                }
+            } else {
+                Self::read_leaf_locked(wh, lower, batch, limit, anchor)
+            };
+            match after {
+                // The next fill's `from` lies past the last streamed pair:
+                // it re-descends into the remainder of the same leaf.
+                AfterLeaf::Truncated => return true,
+                AfterLeaf::End => self.done = true,
+                AfterLeaf::Sibling(anchor_read) => {
+                    let advanced = anchor_read && anchor.as_slice() > lower;
+                    if advanced {
+                        std::mem::swap(hop, anchor);
                     }
-                    return true;
+                    if !batch.is_empty() {
+                        return true;
+                    }
+                    if !advanced {
+                        // An empty leaf and a stale (or unreadable) sibling
+                        // anchor: count it as a conflict so the locked mode
+                        // — whose anchors are exact — eventually guarantees
+                        // progress.
+                        debug_assert!(optimistic, "locked scan failed to advance");
+                        self.conflicts += 1;
+                    }
                 }
             }
         }
         !batch.is_empty()
     }
 
-    fn reserve(&mut self, items: usize, key_bytes: usize) {
-        self.resume.reserve(key_bytes);
-        self.bound_buf.reserve(key_bytes);
-        self.anchor_buf.reserve(key_bytes);
-        self.tail.reserve(items, key_bytes);
-        self.scratch16.reserve(items);
+    fn reserve(&mut self, _items: usize, key_bytes: usize) {
+        self.hop.reserve(key_bytes);
+        self.anchor.reserve(key_bytes);
     }
 }
 
@@ -1546,14 +1567,9 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
                 );
             }
             if data.leaf.len() < self.config.leaf_capacity {
-                let old = data.leaf.insert_retiring(
-                    key,
-                    hash,
-                    pending.take().expect("value present"),
-                    &self.config,
-                    &mut bin,
-                );
-                debug_assert!(old.is_none());
+                let value = pending.take().expect("value present");
+                data.leaf
+                    .insert_absent(key, hash, value, &self.config, &mut bin);
                 return FastPath::Inserted;
             }
             FastPath::NeedsSplit
@@ -1620,11 +1636,8 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
             start,
             Box::new(ScanSource {
                 wh: self,
-                resume: start.to_vec(),
-                bound_buf: Vec::new(),
-                anchor_buf: Vec::new(),
-                tail: TailScratch::new(),
-                scratch16: Vec::new(),
+                hop: Vec::new(),
+                anchor: Vec::new(),
                 conflicts: 0,
                 done: false,
             }),
@@ -2167,5 +2180,24 @@ mod tests {
         assert_eq!(stats.keys, 500);
         assert_eq!(stats.key_bytes, 500 * 14);
         assert!(stats.structure_bytes > 0);
+        // A churn history — keys of every length going in, over each other,
+        // out one by one and out by the range, through splits and merges —
+        // leaves the counters at what is resident.
+        let key = |i: u64| format!("churn-{:0w$}", i * 7919 % 3000, w = 1 + i as usize % 23);
+        for i in 0..3000u64 {
+            wh.set(key(i).as_bytes(), i);
+            if i % 3 == 0 {
+                wh.del(key(i / 2).as_bytes());
+            }
+        }
+        wh.delete_range(b"churn-00", b"churn-000000002");
+        wh.check_invariants();
+        let resident = wh.range_from(b"", usize::MAX);
+        let stats = Wormhole::stats(&wh);
+        assert_eq!(stats.keys, resident.len());
+        assert_eq!(
+            stats.key_bytes,
+            resident.iter().map(|(key, _)| key.len()).sum::<usize>()
+        );
     }
 }

@@ -89,7 +89,6 @@ pub fn prepare_split<V, L: LeafRef>(
     table: &MetaTable<L>,
     bin: &mut LeafGarbage<V>,
 ) -> Option<PreparedSplit<V>> {
-    leaf.ensure_key_sorted_retiring(bin);
     let (at, anchor) = choose_split_point(leaf)?;
     let table_key = table.reserve_anchor_key(&anchor);
     let right = leaf.split_off_retiring(at, anchor.clone(), table_key.clone(), bin);

@@ -1,7 +1,9 @@
 //! Wormhole leaf nodes (§3.2 of the paper).
 //!
 //! A leaf stores up to `leaf_capacity` key/value items plus the node's
-//! *anchor*. Two orderings are maintained over the items:
+//! *anchor*. An item is a sixteen-byte record — its value and a thin
+//! pointer to its key's own heap block, which holds the key's length and
+//! then its bytes (`KeyBox`). Two orderings are maintained over the items:
 //!
 //! * the **hash order** — the paper's tag array: one packed
 //!   `(tag: u16, slot: u16)` entry per item, sorted by (tag, key), used by
@@ -9,8 +11,10 @@
 //!   (*DirectPos*). The tags live *in* the array and nowhere else, so a
 //!   probe touches only the array's own cache lines until a tag matches;
 //! * the **key order** — a key-sorted view that is allowed to lag behind: new
-//!   items are appended unsorted and merged in only when a range scan or a
-//!   split needs full ordering (the paper's `incSort`).
+//!   items are appended unsorted, and the operation that needs full ordering
+//!   (a range scan, a split, a merge) merges them in, in place, under the
+//!   lock it holds (the paper's `incSort`). The order it paid for is kept:
+//!   the next scan of the leaf finds the view current.
 //!
 //! The leaf also remembers its *logical anchor* (used in ordering
 //! comparisons) and its *table key* (the anchor as registered in the
@@ -21,6 +25,7 @@ use index_traits::RangeSink;
 use wh_hash::{crc32c, tag16, tag_position_hint};
 
 use crate::config::WormholeConfig;
+use crate::keybox::KeyBox;
 use crate::prefetch::prefetch_read;
 
 /// Marker returned by the `*_checked` read methods when an optimistic
@@ -30,74 +35,19 @@ use crate::prefetch::prefetch_read;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadConflict;
 
-/// Reusable snapshot buffer for the unsorted tail of a leaf's key view,
-/// used by the `*_checked` collectors of the optimistic read path.
-///
-/// Tail keys are copied into one flat byte arena (rather than one `Vec<u8>`
-/// per entry) before being ordered, for two reasons: the sort comparator
-/// then runs over owned, immutable bytes — a genuine total order even when
-/// the leaf is being mutated underneath, which `sort_unstable_by` may
-/// otherwise punish with a panic — and a scan that reuses the scratch
-/// across leaves performs zero allocations per batch in steady state.
-#[derive(Debug, Default)]
-pub struct TailScratch {
-    /// Concatenated snapshotted key bytes.
-    bytes: Vec<u8>,
-    /// Per entry: (start, end) into `bytes` plus the item's `kvs` index.
-    ents: Vec<(usize, usize, u16)>,
-}
+/// `incSort` merges a tail of at most this many unsorted items into the
+/// key view one binary insertion at a time, which is what a scan mostly
+/// finds. Every step of a binary search waits for the key block the step
+/// before it chose, so for a longer tail (the half a leaf has taken in by
+/// the time it splits) the view is sorted whole instead: twice the
+/// comparisons, but of keys whose blocks load side by side. A load made of
+/// such splits ran 13 % longer with insertions only.
+const INC_SORT_INSERTIONS: usize = 8;
 
-impl TailScratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-sizes for `items` tail entries totalling `key_bytes` of payload.
-    pub fn reserve(&mut self, items: usize, key_bytes: usize) {
-        self.bytes.reserve(key_bytes);
-        self.ents.reserve(items);
-    }
-
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.ents.clear();
-    }
-
-    fn push(&mut self, key: &[u8], idx: u16) {
-        let start = self.bytes.len();
-        self.bytes.extend_from_slice(key);
-        self.ents.push((start, self.bytes.len(), idx));
-    }
-
-    /// Sorts the entries by snapshotted key (ties broken by item index —
-    /// duplicate keys only arise from torn reads, which the caller's
-    /// validation discards anyway).
-    fn sort(&mut self) {
-        let bytes = &self.bytes;
-        self.ents
-            .sort_unstable_by(|a, b| bytes[a.0..a.1].cmp(&bytes[b.0..b.1]).then(a.2.cmp(&b.2)));
-    }
-
-    fn len(&self) -> usize {
-        self.ents.len()
-    }
-
-    fn key(&self, i: usize) -> &[u8] {
-        let (start, end, _) = self.ents[i];
-        &self.bytes[start..end]
-    }
-
-    fn idx(&self, i: usize) -> u16 {
-        self.ents[i].2
-    }
-
-    /// Index of the first entry with key `>= start` (requires `sort`).
-    fn lower_bound(&self, start: &[u8]) -> usize {
-        self.ents
-            .partition_point(|&(s, e, _)| &self.bytes[s..e] < start)
-    }
-}
+/// A range collector copying item `i` of a run asks for the key box of item
+/// `i + KEY_PREFETCH_AHEAD`: every key is an allocation of its own, and a
+/// scan that chases them one after the other waits out one miss per key.
+const KEY_PREFETCH_AHEAD: usize = 8;
 
 /// Heap blocks unlinked from a leaf while optimistic readers may still be
 /// traversing them.
@@ -119,7 +69,7 @@ pub struct LeafGarbage<V> {
     kv_bufs: Vec<Vec<Kv<V>>>,
     tag_bufs: Vec<Vec<TagSlot>>,
     idx_bufs: Vec<Vec<u16>>,
-    keys: Vec<Box<[u8]>>,
+    keys: Vec<KeyBox>,
     values: Vec<V>,
     byte_bufs: Vec<Vec<u8>>,
 }
@@ -215,7 +165,7 @@ impl<V> LeafGarbage<V> {
         }
     }
 
-    fn retire_key(&mut self, key: Box<[u8]>) {
+    fn retire_key(&mut self, key: KeyBox) {
         if self.defer {
             self.keys.push(key);
         }
@@ -263,14 +213,13 @@ fn insert_idx<T: Copy>(v: &mut Vec<T>, pos: usize, idx: T, retire: impl FnOnce(V
     v.insert(pos, idx);
 }
 
-/// One key/value item. Its hash tag is not here: it lives in the leaf's
-/// tag array (`TagSlot`), the only place a lookup reads it from.
+/// One key/value item: the key's block and the value. Its hash tag is not
+/// here: it lives in the leaf's tag array (`TagSlot`), the only place a
+/// lookup reads it from.
 #[derive(Debug, Clone)]
-pub struct Kv<V> {
-    /// The key bytes.
-    pub key: Box<[u8]>,
-    /// The stored value.
-    pub value: V,
+struct Kv<V> {
+    key: KeyBox,
+    value: V,
 }
 
 /// One entry of a leaf's tag array: a key's 16-bit hash tag in the high
@@ -330,6 +279,8 @@ pub struct LeafNode<V> {
     table_key: Vec<u8>,
     /// Item storage in insertion order.
     kvs: Vec<Kv<V>>,
+    /// Total length of the keys of `kvs`.
+    key_bytes: usize,
     /// The paper's tag array: one `(tag, slot)` entry per item of `kvs`,
     /// sorted by (tag, key).
     hash_order: Vec<TagSlot>,
@@ -347,6 +298,7 @@ impl<V> LeafNode<V> {
             anchor,
             table_key,
             kvs: Vec::new(),
+            key_bytes: 0,
             hash_order: Vec::new(),
             key_order: Vec::new(),
             sorted_cnt: 0,
@@ -375,7 +327,7 @@ impl<V> LeafNode<V> {
 
     /// Total key payload bytes stored in the leaf.
     pub fn key_bytes(&self) -> usize {
-        self.kvs.iter().map(|kv| kv.key.len()).sum()
+        self.key_bytes
     }
 
     /// Approximate bytes used by the leaf structure itself (excluding key
@@ -386,6 +338,58 @@ impl<V> LeafNode<V> {
             + self.kvs.capacity() * std::mem::size_of::<Kv<V>>()
             + self.hash_order.capacity() * std::mem::size_of::<TagSlot>()
             + self.key_order.capacity() * std::mem::size_of::<u16>()
+    }
+
+    /// The key of the item in storage slot `slot`.
+    #[inline]
+    fn key(&self, slot: usize) -> &[u8] {
+        &self.kvs[slot].key
+    }
+
+    /// [`LeafNode::key`] on a leaf a concurrent writer may be mutating: a
+    /// slot outside what this read sees of the item storage is a
+    /// [`ReadConflict`]. The record may be a stale one, but its one word
+    /// names a block that is still allocated and states its own length.
+    #[inline]
+    fn key_checked(&self, slot: usize) -> Result<&[u8], ReadConflict> {
+        Ok(&self.kvs.get(slot).ok_or(ReadConflict)?.key)
+    }
+
+    /// Hints the key box a collector walking `run` will copy
+    /// [`KEY_PREFETCH_AHEAD`] items after position `at`. The address comes
+    /// out of bounds-checked reads and is only handed to a prefetch, so a
+    /// leaf racing a writer costs at worst a useless hint.
+    #[inline]
+    fn prefetch_key_ahead(&self, run: &[u16], at: usize) {
+        if let Some(&i) = run.get(at + 2 * KEY_PREFETCH_AHEAD) {
+            prefetch_read(self.kvs.as_ptr().wrapping_add(usize::from(i)));
+        }
+        let ahead = run.get(at + KEY_PREFETCH_AHEAD);
+        if let Some(kv) = ahead.and_then(|&i| self.kvs.get(usize::from(i))) {
+            prefetch_read(kv.key.as_ptr());
+        }
+    }
+
+    /// Index of the first entry of `order` — key-sorted slots of this leaf —
+    /// whose key is `>= key`.
+    fn lower_bound(&self, order: &[u16], key: &[u8]) -> usize {
+        order.partition_point(|&i| self.key(usize::from(i)) < key)
+    }
+
+    /// [`LeafNode::lower_bound`] over the whole key view of a leaf a
+    /// concurrent writer may be mutating.
+    fn lower_bound_checked(&self, key: &[u8]) -> Result<usize, ReadConflict> {
+        let order = self.key_order.as_slice();
+        let (mut lo, mut hi) = (0usize, order.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.key_checked(usize::from(order[mid]))? < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
     }
 
     /// Finds the storage slot of `key`, using the configuration's leaf-search
@@ -410,8 +414,7 @@ impl<V> LeafNode<V> {
             let tags = self.hash_order.as_slice();
             let run = tag_run_start(tags, tag, config.direct_pos);
             for entry in tags[run..].iter().take_while(|e| e.tag() == tag) {
-                let kv = self.kvs.get(entry.slot()).ok_or(ReadConflict)?;
-                if kv.key.as_ref() == key {
+                if self.key_checked(entry.slot())? == key {
                     return Ok(Some(entry.slot()));
                 }
             }
@@ -419,26 +422,18 @@ impl<V> LeafNode<V> {
         } else {
             // BaseWormhole leaf search: binary search over the key-sorted
             // view (which is kept fully sorted when SortByTag is off).
-            let order = self.key_order.as_slice();
-            let (mut lo, mut hi) = (0usize, order.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let slot = usize::from(order[mid]);
-                let kv = self.kvs.get(slot).ok_or(ReadConflict)?;
-                match kv.key.as_ref().cmp(key) {
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                    std::cmp::Ordering::Equal => return Ok(Some(slot)),
-                }
+            let at = self.lower_bound_checked(key)?;
+            match self.key_order.get(at) {
+                Some(&i) if self.key_checked(usize::from(i))? == key => Ok(Some(usize::from(i))),
+                _ => Ok(None),
             }
-            Ok(None)
         }
     }
 
     /// [`LeafNode::find_slot_checked`] on a leaf nobody is mutating.
     #[inline]
     fn find_slot(&self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<usize> {
-        debug_assert!(config.sort_by_tag || self.sorted_cnt == self.key_order.len());
+        debug_assert!(config.sort_by_tag || !self.key_view_lags());
         self.find_slot_checked(key, hash, config)
             .expect("quiescent leaf is consistent")
     }
@@ -460,48 +455,50 @@ impl<V> LeafNode<V> {
     where
         V: Clone,
     {
-        self.insert_retiring(key, hash, value, config, &mut LeafGarbage::immediate())
+        let bin = &mut LeafGarbage::immediate();
+        match self.find_slot(key, hash, config) {
+            Some(slot) => Some(bin.replace_value(&mut self.kvs[slot].value, value)),
+            None => {
+                self.insert_absent(key, hash, value, config, bin);
+                None
+            }
+        }
     }
 
-    /// [`LeafNode::insert`], retiring every freed heap block through `bin`.
-    pub fn insert_retiring(
+    /// Inserts `key`, which the caller has just searched this leaf for and
+    /// not found ([`LeafNode::get_mut`] returned `None`), retiring every
+    /// buffer the insert outgrows through `bin`.
+    pub fn insert_absent(
         &mut self,
         key: &[u8],
         hash: u32,
         value: V,
         config: &WormholeConfig,
         bin: &mut LeafGarbage<V>,
-    ) -> Option<V>
-    where
-        V: Clone,
-    {
-        if let Some(slot) = self.find_slot(key, hash, config) {
-            return Some(bin.replace_value(&mut self.kvs[slot].value, value));
-        }
+    ) {
+        debug_assert!(self.find_slot(key, hash, config).is_none());
         let slot = self.kvs.len();
         let tag = tag16(hash);
         // Keep the tag array sorted by (tag, key): the paper's hash-ordered
-        // tag array supports DirectPos positioning.
+        // tag array supports DirectPos positioning. A key is read only to
+        // break a tie of tags, so the search stays inside the array.
         let pos = self
             .hash_order
-            .partition_point(|e| (e.tag(), self.kvs[e.slot()].key.as_ref()) < (tag, key));
+            .partition_point(|e| e.tag() < tag || (e.tag() == tag && self.key(e.slot()) < key));
         let key_pos = if config.sort_by_tag {
             // Key order is allowed to lag: append unsorted (incSort later).
             self.key_order.len()
         } else {
             // Without SortByTag the key order must stay fully sorted so that
             // lookups can binary-search it.
-            self.key_order
-                .partition_point(|&i| self.kvs[i as usize].key.as_ref() < key)
+            self.lower_bound(&self.key_order, key)
         };
-        push_kv(
-            &mut self.kvs,
-            Kv {
-                key: key.to_vec().into_boxed_slice(),
-                value,
-            },
-            bin,
-        );
+        let kv = Kv {
+            key: KeyBox::new(key),
+            value,
+        };
+        push_kv(&mut self.kvs, kv, bin);
+        self.key_bytes += key.len();
         insert_idx(&mut self.hash_order, pos, TagSlot::new(tag, slot), |old| {
             bin.retire_tag_buf(old)
         });
@@ -511,7 +508,6 @@ impl<V> LeafNode<V> {
         if !config.sort_by_tag {
             self.sorted_cnt = self.key_order.len();
         }
-        None
     }
 
     /// Removes `key`, returning its value when present.
@@ -541,37 +537,40 @@ impl<V> LeafNode<V> {
         Some(bin.hand_off_value(removed.value))
     }
 
-    /// Unlinks the item at storage slot `slot`, fixing up both orderings:
-    /// the removed index is dropped and every index after it shifts down by
-    /// one. The caller retires the returned item's key (and value, when
-    /// values are deferred).
+    /// Unlinks the item at storage slot `slot`, fixing up both orderings in
+    /// one pass each: the entry naming the slot is dropped and every slot
+    /// after it shifts down by one. The caller retires the returned item's
+    /// key (and value, when values are deferred).
     fn remove_slot(&mut self, slot: usize) -> Kv<V> {
+        use std::cmp::Ordering::{Equal, Greater, Less};
         let removed = self.kvs.remove(slot);
-        let hpos = self
-            .hash_order
-            .iter()
-            .position(|e| e.slot() == slot)
-            .expect("hash entry");
-        self.hash_order.remove(hpos);
-        for e in self.hash_order.iter_mut() {
-            if e.slot() > slot {
+        self.key_bytes -= removed.key.len();
+        self.hash_order.retain_mut(|e| match e.slot().cmp(&slot) {
+            Less => true,
+            Equal => false,
+            Greater => {
                 *e = TagSlot::new(e.tag(), e.slot() - 1);
+                true
             }
-        }
+        });
         let slot = slot as u16;
-        let kpos = self
-            .key_order
-            .iter()
-            .position(|&i| i == slot)
-            .expect("key entry");
-        self.key_order.remove(kpos);
-        if kpos < self.sorted_cnt {
-            self.sorted_cnt -= 1;
-        }
-        for i in self.key_order.iter_mut() {
-            if *i > slot {
-                *i -= 1;
+        let (mut at, mut removed_at) = (0usize, 0usize);
+        self.key_order.retain_mut(|i| {
+            at += 1;
+            match (*i).cmp(&slot) {
+                Less => true,
+                Equal => {
+                    removed_at = at - 1;
+                    false
+                }
+                Greater => {
+                    *i -= 1;
+                    true
+                }
             }
+        });
+        if removed_at < self.sorted_cnt {
+            self.sorted_cnt -= 1;
         }
         removed
     }
@@ -594,86 +593,75 @@ impl<V> LeafNode<V> {
     where
         V: Clone,
     {
-        self.ensure_key_sorted_retiring(bin);
-        let start = self
-            .key_order
-            .partition_point(|&i| self.kvs[i as usize].key.as_ref() < lo);
-        let end = self
-            .key_order
-            .partition_point(|&i| self.kvs[i as usize].key.as_ref() < hi);
+        self.ensure_key_sorted();
+        let start = self.lower_bound(&self.key_order, lo);
+        let end = self.lower_bound(&self.key_order, hi);
         if start == end {
             return (0, 0);
         }
         let mut doomed: Vec<u16> = self.key_order[start..end].to_vec();
         doomed.sort_unstable_by(|a, b| b.cmp(a));
-        let mut removed = 0usize;
         let mut key_bytes = 0usize;
-        for slot in doomed {
-            let kv = self.remove_slot(slot as usize);
-            removed += 1;
+        for &slot in &doomed {
+            let kv = self.remove_slot(usize::from(slot));
             key_bytes += kv.key.len();
             bin.retire_key(kv.key);
             bin.retire_value(kv.value);
         }
-        (removed, key_bytes)
+        (doomed.len(), key_bytes)
+    }
+
+    /// Whether the key-sorted view lags behind the items: some were
+    /// appended since `incSort` last ran.
+    pub fn key_view_lags(&self) -> bool {
+        self.sorted_cnt != self.key_order.len()
     }
 
     /// The paper's `incSort`: brings the key-sorted view up to date by
-    /// sorting the unsorted tail and two-way merging it with the sorted
-    /// prefix.
+    /// merging the unsorted tail into the sorted prefix. It runs in place:
+    /// nothing is allocated and no buffer is replaced, so a racing reader
+    /// loses at most its seqlock validation.
     pub fn ensure_key_sorted(&mut self) {
-        self.ensure_key_sorted_retiring(&mut LeafGarbage::immediate());
-    }
-
-    /// [`LeafNode::ensure_key_sorted`], retiring the replaced key-order
-    /// buffer through `bin`.
-    pub fn ensure_key_sorted_retiring(&mut self, bin: &mut LeafGarbage<V>) {
-        if self.sorted_cnt == self.key_order.len() {
-            return;
-        }
-        let tail_start = self.sorted_cnt;
-        let mut tail: Vec<u16> = self.key_order.split_off(tail_start);
-        tail.sort_unstable_by(|&a, &b| self.kvs[a as usize].key.cmp(&self.kvs[b as usize].key));
-        let sorted = std::mem::take(&mut self.key_order);
-        self.key_order = Vec::with_capacity(sorted.len() + tail.len());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < sorted.len() && b < tail.len() {
-            if self.kvs[sorted[a] as usize].key <= self.kvs[tail[b] as usize].key {
-                self.key_order.push(sorted[a]);
-                a += 1;
-            } else {
-                self.key_order.push(tail[b]);
-                b += 1;
+        let Self {
+            kvs,
+            key_order,
+            sorted_cnt,
+            ..
+        } = self;
+        let key = |i: u16| &*kvs[usize::from(i)].key;
+        if key_order.len() - *sorted_cnt > INC_SORT_INSERTIONS {
+            key_order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        } else {
+            for at in *sorted_cnt..key_order.len() {
+                let item = key_order[at];
+                let pos = key_order[..at].partition_point(|&i| key(i) < key(item));
+                key_order.copy_within(pos..at, pos + 1);
+                key_order[pos] = item;
             }
         }
-        self.key_order.extend_from_slice(&sorted[a..]);
-        self.key_order.extend_from_slice(&tail[b..]);
-        self.sorted_cnt = self.key_order.len();
-        // `sorted` is the buffer readers may still hold a pointer into;
-        // `tail` was freshly allocated here and never published.
-        bin.retire_idx_buf(sorted);
+        *sorted_cnt = key_order.len();
     }
 
-    /// Iterates items in ascending key order. Call [`Self::ensure_key_sorted`]
-    /// first; otherwise only the sorted prefix is guaranteed to be ordered.
-    pub fn iter_key_order(&self) -> impl Iterator<Item = &Kv<V>> + '_ {
-        self.key_order.iter().map(|&i| &self.kvs[i as usize])
+    /// Iterates `(key, value)` in ascending key order. Call
+    /// [`Self::ensure_key_sorted`] first; otherwise only the sorted prefix
+    /// is guaranteed to be ordered.
+    pub fn iter_key_order(&self) -> impl Iterator<Item = (&[u8], &V)> + '_ {
+        self.key_order.iter().map(|&i| {
+            let slot = usize::from(i);
+            (self.key(slot), &self.kvs[slot].value)
+        })
     }
 
     /// The smallest key in the leaf (requires a sorted key view).
     pub fn min_key(&self) -> Option<&[u8]> {
-        debug_assert_eq!(self.sorted_cnt, self.key_order.len());
-        self.key_order
-            .first()
-            .map(|&i| self.kvs[i as usize].key.as_ref())
+        debug_assert!(!self.key_view_lags());
+        self.key_order.first().map(|&i| self.key(usize::from(i)))
     }
 
     /// The largest key in the leaf (requires a sorted key view).
     pub fn max_key(&self) -> Option<&[u8]> {
-        debug_assert_eq!(self.sorted_cnt, self.key_order.len());
-        self.key_order
-            .last()
-            .map(|&i| self.kvs[i as usize].key.as_ref())
+        debug_assert!(!self.key_view_lags());
+        self.key_order.last().map(|&i| self.key(usize::from(i)))
     }
 
     /// Collects up to `count` items with key `>= start` into `sink`, in key
@@ -684,29 +672,23 @@ impl<V> LeafNode<V> {
         count: usize,
         sink: &mut S,
     ) -> usize {
-        debug_assert_eq!(self.sorted_cnt, self.key_order.len());
-        let begin = self
-            .key_order
-            .partition_point(|&i| self.kvs[i as usize].key.as_ref() < start);
-        let mut appended = 0;
-        for &i in &self.key_order[begin..] {
-            if appended == count {
-                break;
-            }
-            let kv = &self.kvs[i as usize];
-            sink.accept(kv.key.as_ref(), &kv.value);
-            appended += 1;
+        debug_assert!(!self.key_view_lags());
+        let begin = self.lower_bound(&self.key_order, start);
+        let run = &self.key_order[begin..];
+        let run = &run[..run.len().min(count)];
+        for (at, &i) in run.iter().enumerate() {
+            self.prefetch_key_ahead(run, at);
+            sink.accept(self.key(usize::from(i)), &self.kvs[usize::from(i)].value);
         }
-        appended
+        run.len()
     }
 
-    /// Batch-per-leaf primitive of the single-threaded scan cursor: like
-    /// [`LeafNode::collect_range_into`], but usable while the key-sorted
-    /// view lags behind (`incSort` not yet run): the sorted prefix and the
-    /// unsorted tail are merged on the fly, ordering the tail through
-    /// `scratch` (a reusable index buffer) instead of cloning the leaf or
-    /// sorting it in place. Read-only range scans use this so they neither
-    /// mutate the leaf nor copy its keys.
+    /// Batch-per-leaf primitive of the single-threaded scan cursor, which
+    /// holds the index by shared reference and so cannot run `incSort`:
+    /// like [`LeafNode::collect_range_into`], but usable while the
+    /// key-sorted view lags behind. The sorted prefix and the unsorted tail
+    /// are merged on the fly, ordering the tail through `scratch` (a
+    /// reusable index buffer) instead of cloning the leaf.
     pub fn collect_leaf_unsorted<S: RangeSink<V>>(
         &self,
         start: &[u8],
@@ -714,39 +696,34 @@ impl<V> LeafNode<V> {
         sink: &mut S,
         scratch: &mut Vec<u16>,
     ) -> usize {
-        if self.sorted_cnt == self.key_order.len() {
+        if !self.key_view_lags() {
             return self.collect_range_into(start, count, sink);
         }
+        let key = |i: u16| self.key(usize::from(i));
         scratch.clear();
         scratch.extend_from_slice(&self.key_order[self.sorted_cnt..]);
-        scratch.sort_unstable_by(|&a, &b| self.kvs[a as usize].key.cmp(&self.kvs[b as usize].key));
+        scratch.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
         let sorted = &self.key_order[..self.sorted_cnt];
-        let mut a = sorted.partition_point(|&i| self.kvs[i as usize].key.as_ref() < start);
-        let mut b = scratch.partition_point(|&i| self.kvs[i as usize].key.as_ref() < start);
+        let mut a = self.lower_bound(sorted, start);
+        let mut b = self.lower_bound(scratch, start);
         let mut appended = 0;
         while appended < count {
             let next = match (sorted.get(a), scratch.get(b)) {
-                (Some(&x), Some(&y)) => {
-                    if self.kvs[x as usize].key <= self.kvs[y as usize].key {
-                        a += 1;
-                        x
-                    } else {
-                        b += 1;
-                        y
-                    }
+                (Some(&x), Some(&y)) if key(x) <= key(y) => {
+                    a += 1;
+                    x
                 }
                 (Some(&x), None) => {
                     a += 1;
                     x
                 }
-                (None, Some(&y)) => {
+                (_, Some(&y)) => {
                     b += 1;
                     y
                 }
                 (None, None) => break,
             };
-            let kv = &self.kvs[next as usize];
-            sink.accept(kv.key.as_ref(), &kv.value);
+            sink.accept(key(next), &self.kvs[usize::from(next)].value);
             appended += 1;
         }
         appended
@@ -821,104 +798,44 @@ impl<V> LeafNode<V> {
         }
     }
 
-    /// Batch-per-leaf primitive of the concurrent scan cursor: like
-    /// [`LeafNode::collect_leaf_unsorted`], but safe on a leaf a
-    /// concurrent writer may be mutating (see [`LeafNode::get_checked`]):
-    /// bounds-checked throughout, and any key whose recorded length exceeds
-    /// `max_key_len` is treated as torn state rather than copied. The
-    /// unsorted tail is snapshotted into `tail` (a reusable
-    /// [`TailScratch`] arena) before it is ordered, so the sort comparator
-    /// never touches racing memory — a comparator over in-flux data would
-    /// not be a total order, which `sort_unstable_by` may punish with a
-    /// panic. Everything accepted by `sink` must be discarded unless the
-    /// caller's seqlock validation succeeds.
+    /// Batch-per-leaf primitive of the concurrent scan cursor: a
+    /// bounds-checked walk of the key-sorted view, safe on a leaf a
+    /// concurrent writer may be mutating (see [`LeafNode::get_checked`]).
+    /// Any key whose recorded length exceeds `max_key_len` is treated as
+    /// torn state rather than copied, and so is a view that lags: the
+    /// cursor sorts it under the leaf's write lock and reads it there.
+    /// Everything accepted by `sink` must be discarded unless the caller's
+    /// seqlock validation succeeds.
     pub fn collect_leaf_checked<S: RangeSink<V>>(
         &self,
         start: &[u8],
         count: usize,
         sink: &mut S,
-        tail: &mut TailScratch,
         max_key_len: usize,
     ) -> Result<usize, ReadConflict> {
-        let total = self.key_order.len();
-        let sorted_cnt = self.sorted_cnt.min(total);
-        let key_of = |idx: u16| -> Result<&Kv<V>, ReadConflict> {
-            let kv = self.kvs.get(idx as usize).ok_or(ReadConflict)?;
+        if self.key_view_lags() {
+            return Err(ReadConflict);
+        }
+        let begin = self.lower_bound_checked(start)?;
+        let run = self.key_order.get(begin..).ok_or(ReadConflict)?;
+        let run = &run[..run.len().min(count)];
+        for (at, &i) in run.iter().enumerate() {
+            self.prefetch_key_ahead(run, at);
+            let kv = self.kvs.get(usize::from(i)).ok_or(ReadConflict)?;
             if kv.key.len() > max_key_len {
                 return Err(ReadConflict);
             }
-            Ok(kv)
-        };
-        // Snapshot the unsorted tail into the scratch arena — any torn
-        // index or implausible key surfaces as a conflict here — then sort
-        // the owned snapshot (a genuine total order, immune to races).
-        tail.clear();
-        for &idx in self.key_order.get(sorted_cnt..total).ok_or(ReadConflict)? {
-            tail.push(key_of(idx)?.key.as_ref(), idx);
+            sink.accept(&kv.key, &kv.value);
         }
-        tail.sort();
-        let sorted = self.key_order.get(..sorted_cnt).ok_or(ReadConflict)?;
-        // Checked lower bounds in both runs.
-        let mut a = {
-            let (mut lo, mut hi) = (0usize, sorted.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if key_of(sorted[mid])?.key.as_ref() < start {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
-        let mut b = tail.lower_bound(start);
-        let mut appended = 0;
-        while appended < count {
-            // Merge the two runs; tail entries reuse their snapshotted key.
-            let take_sorted = match (sorted.get(a), (b < tail.len()).then(|| tail.key(b))) {
-                (Some(&x), Some(tail_key)) => key_of(x)?.key.as_ref() <= tail_key,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_sorted {
-                let kv = key_of(sorted[a])?;
-                a += 1;
-                sink.accept(kv.key.as_ref(), &kv.value);
-            } else {
-                let idx = tail.idx(b) as usize;
-                let value = &self.kvs.get(idx).ok_or(ReadConflict)?.value;
-                sink.accept(tail.key(b), value);
-                b += 1;
-            }
-            appended += 1;
-        }
-        Ok(appended)
-    }
-
-    /// [`LeafNode::collect_leaf_checked`] materialising into a pair vector
-    /// (tests compare it against the unchecked collectors on quiescent
-    /// leaves).
-    pub fn collect_range_checked(
-        &self,
-        start: &[u8],
-        count: usize,
-        out: &mut Vec<(Vec<u8>, V)>,
-        tail: &mut TailScratch,
-        max_key_len: usize,
-    ) -> Result<usize, ReadConflict>
-    where
-        V: Clone,
-    {
-        self.collect_leaf_checked(start, count, out, tail, max_key_len)
+        Ok(run.len())
     }
 
     /// Key at sorted position `i` (requires the key-sorted view to be
     /// current; see [`LeafNode::ensure_key_sorted`]). Used by the core
     /// engine's split-point selection.
     pub fn key_at(&self, i: usize) -> &[u8] {
-        debug_assert_eq!(self.sorted_cnt, self.key_order.len());
-        self.kvs[self.key_order[i] as usize].key.as_ref()
+        debug_assert!(!self.key_view_lags());
+        self.key(usize::from(self.key_order[i]))
     }
 
     /// Splits the leaf at key-order position `at`, moving items `[at..]` into
@@ -937,7 +854,7 @@ impl<V> LeafNode<V> {
         table_key: Vec<u8>,
         bin: &mut LeafGarbage<V>,
     ) -> LeafNode<V> {
-        debug_assert_eq!(self.sorted_cnt, self.key_order.len());
+        debug_assert!(!self.key_view_lags());
         debug_assert!(at > 0 && at < self.key_order.len());
         let moved: Vec<u16> = self.key_order.split_off(at);
         let mut right = LeafNode::new(anchor, table_key);
@@ -955,6 +872,7 @@ impl<V> LeafNode<V> {
                 self.kvs.push(kv);
             } else {
                 remap[i] = right.kvs.len() as u16;
+                right.key_bytes += kv.key.len();
                 right.kvs.push(kv);
             }
         }
@@ -966,6 +884,7 @@ impl<V> LeafNode<V> {
         self.sorted_cnt = self.key_order.len();
         right.key_order = moved.iter().map(|&i| remap[i as usize]).collect();
         right.sorted_cnt = right.key_order.len();
+        self.key_bytes -= right.key_bytes;
         // Deal the old tag array out to the two halves: each receives a
         // subsequence of a (tag, key)-sorted sequence, so both stay sorted
         // and every tag is carried over rather than re-derived.
@@ -983,7 +902,8 @@ impl<V> LeafNode<V> {
         right
     }
 
-    /// Moves every item of `victim` into this leaf (used by merge).
+    /// Moves every item of `victim`, the right neighbour, into this leaf
+    /// (used by merge).
     pub fn absorb(&mut self, victim: LeafNode<V>) {
         self.absorb_retiring(victim, &mut LeafGarbage::immediate());
     }
@@ -991,6 +911,14 @@ impl<V> LeafNode<V> {
     /// [`LeafNode::absorb`], retiring the victim's storage (and any buffer
     /// this leaf outgrows) through `bin`.
     pub fn absorb_retiring(&mut self, mut victim: LeafNode<V>, bin: &mut LeafGarbage<V>) {
+        // Merges are rare and bounded by the merge size, so both key views
+        // are brought up to date here: every key of the right neighbour is
+        // greater than every key of this leaf, so the two views
+        // concatenate into a sorted one — the invariant the non-SortByTag
+        // configuration relies on for its binary searches.
+        self.ensure_key_sorted();
+        victim.ensure_key_sorted();
+        debug_assert!(self.is_empty() || victim.is_empty() || self.max_key() < victim.min_key());
         // Merge the two tag arrays (both sorted by (tag, key)); the
         // victim's items land behind this leaf's, so its slots shift by the
         // current item count and its tags are carried over as they are.
@@ -1001,9 +929,9 @@ impl<V> LeafNode<V> {
         let (mut a, mut b) = (0usize, 0usize);
         while a < mine.len() && b < theirs.len() {
             let (x, y) = (mine[a], theirs[b]);
-            let x_key = self.kvs[x.slot()].key.as_ref();
-            let y_key = victim.kvs[y.slot()].key.as_ref();
-            if (x.tag(), x_key) <= (y.tag(), y_key) {
+            if x.tag() < y.tag()
+                || (x.tag() == y.tag() && self.key(x.slot()) <= victim.key(y.slot()))
+            {
                 merged.push(x);
                 a += 1;
             } else {
@@ -1014,11 +942,16 @@ impl<V> LeafNode<V> {
         merged.extend_from_slice(&mine[a..]);
         merged.extend(theirs[b..].iter().map(shifted));
         bin.retire_tag_buf(std::mem::replace(&mut self.hash_order, merged));
-        for kv in victim.kvs.drain(..) {
-            let idx = self.kvs.len() as u16;
-            push_kv(&mut self.kvs, kv, bin);
+        self.key_bytes += victim.key_bytes;
+        for &i in &victim.key_order {
             let end = self.key_order.len();
-            insert_idx(&mut self.key_order, end, idx, |old| bin.retire_idx_buf(old));
+            insert_idx(&mut self.key_order, end, base as u16 + i, |old| {
+                bin.retire_idx_buf(old)
+            });
+        }
+        self.sorted_cnt = self.key_order.len();
+        for kv in victim.kvs.drain(..) {
+            push_kv(&mut self.kvs, kv, bin);
         }
         // Readers may still be traversing the victim's (now drained)
         // storage and anchor: retire the buffers wholesale.
@@ -1027,21 +960,21 @@ impl<V> LeafNode<V> {
         bin.retire_idx_buf(std::mem::take(&mut victim.key_order));
         bin.retire_bytes(std::mem::take(&mut victim.anchor));
         bin.retire_bytes(std::mem::take(&mut victim.table_key));
-        // The absorbed items landed in the unsorted tail; merges are rare and
-        // bounded by the merge size, so restore the key order eagerly. This
-        // keeps the "fully sorted" invariant the non-SortByTag configuration
-        // relies on for its binary searches.
-        self.sorted_cnt = self.sorted_cnt.min(self.key_order.len());
-        self.ensure_key_sorted_retiring(bin);
     }
 
     /// Panics unless both orderings describe the stored items: the tag
     /// array is sorted by (tag, key), names every slot exactly once and
     /// carries each key's own tag; the key order names every slot exactly
-    /// once and its sorted prefix ascends. Tests and debugging.
+    /// once and its sorted prefix ascends; the key-byte count is exact.
+    /// Tests and debugging.
     pub fn check_invariants(&self) {
         let n = self.kvs.len();
-        let key = |slot: usize| self.kvs[slot].key.as_ref();
+        assert_eq!(
+            self.kvs.iter().map(|kv| kv.key.len()).sum::<usize>(),
+            self.key_bytes,
+            "key bytes miscounted"
+        );
+        let key = |slot: usize| self.key(slot);
         let mut seen = vec![false; n];
         for entry in &self.hash_order {
             assert!(
@@ -1163,18 +1096,48 @@ mod tests {
             insert(&mut leaf, k.as_bytes(), 0, &config);
         }
         leaf.ensure_key_sorted();
-        let keys: Vec<&[u8]> = leaf.iter_key_order().map(|kv| kv.key.as_ref()).collect();
+        let keys: Vec<&[u8]> = leaf.iter_key_order().map(|(key, _)| key).collect();
         assert_eq!(keys, vec![b"a".as_ref(), b"b", b"c", b"m", b"t", b"x"]);
         // Add more after the sort: they form a new unsorted tail.
         for k in ["q", "d"] {
             insert(&mut leaf, k.as_bytes(), 0, &config);
         }
         leaf.ensure_key_sorted();
-        let keys: Vec<&[u8]> = leaf.iter_key_order().map(|kv| kv.key.as_ref()).collect();
+        let keys: Vec<&[u8]> = leaf.iter_key_order().map(|(key, _)| key).collect();
         assert_eq!(
             keys,
             vec![b"a".as_ref(), b"b", b"c", b"d", b"m", b"q", b"t", b"x"]
         );
+    }
+
+    #[test]
+    fn inc_sort_sorts_a_long_tail_whole() {
+        // More appendees than incSort inserts one by one: the view is
+        // sorted whole, and further short tails merge into it as usual.
+        let config = cfg();
+        let mut leaf = LeafNode::new(Vec::new(), Vec::new());
+        let n = 3 * INC_SORT_INSERTIONS as u64;
+        for i in 0..n {
+            insert(
+                &mut leaf,
+                format!("t{:04}", i * 7 % n).as_bytes(),
+                i,
+                &config,
+            );
+        }
+        assert!(leaf.key_view_lags());
+        leaf.ensure_key_sorted();
+        for i in [n + 1, n] {
+            insert(&mut leaf, format!("t{i:04}").as_bytes(), i, &config);
+        }
+        leaf.ensure_key_sorted();
+        assert!(!leaf.key_view_lags());
+        leaf.check_invariants();
+        let keys: Vec<Vec<u8>> = leaf.iter_key_order().map(|(key, _)| key.to_vec()).collect();
+        let expect: Vec<Vec<u8>> = (0..n + 2)
+            .map(|i| format!("t{i:04}").into_bytes())
+            .collect();
+        assert_eq!(keys, expect);
     }
 
     #[test]
@@ -1237,8 +1200,8 @@ mod tests {
         for k in ["a", "c", "e", "m", "o", "q"] {
             assert!(get(&left, k.as_bytes(), &config).is_some(), "{k}");
         }
-        left.ensure_key_sorted();
-        let keys: Vec<&[u8]> = left.iter_key_order().map(|kv| kv.key.as_ref()).collect();
+        assert!(!left.key_view_lags(), "absorb leaves the view current");
+        let keys: Vec<&[u8]> = left.iter_key_order().map(|(key, _)| key).collect();
         assert_eq!(keys, vec![b"a".as_ref(), b"c", b"e", b"m", b"o", b"q"]);
     }
 
@@ -1267,17 +1230,27 @@ mod tests {
                 );
             }
             assert_eq!(leaf.get_checked(b"zz", crc32c(b"zz"), &config), Ok(None));
-            // Range: the checked collector agrees with the unchecked one
-            // even while the key-sorted view lags behind.
+            // Range: the checked collector refuses a lagging key view (the
+            // cursor sorts it under the write lock) and agrees with the
+            // unchecked collectors once it is current.
             let mut expect = Vec::new();
-            let mut scratch16 = Vec::new();
-            leaf.collect_leaf_unsorted(b"ck010", 12, &mut expect, &mut scratch16);
-            let mut got = Vec::new();
-            let mut tail_scratch = TailScratch::new();
+            let mut scratch = Vec::new();
+            leaf.collect_leaf_unsorted(b"ck010", 12, &mut expect, &mut scratch);
+            let mut got: Vec<(Vec<u8>, u64)> = Vec::new();
+            if leaf.key_view_lags() {
+                assert_eq!(
+                    leaf.collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20),
+                    Err(ReadConflict)
+                );
+                leaf.ensure_key_sorted();
+            }
             let n = leaf
-                .collect_range_checked(b"ck010", 12, &mut got, &mut tail_scratch, 1 << 20)
+                .collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20)
                 .expect("quiescent leaf never conflicts");
             assert_eq!(n, expect.len());
+            assert_eq!(got, expect);
+            got.clear();
+            assert_eq!(leaf.collect_range_into(b"ck010", 12, &mut got), n);
             assert_eq!(got, expect);
         }
     }
@@ -1339,7 +1312,7 @@ mod tests {
     fn kv_holds_nothing_but_key_and_value() {
         // The tags live in the tag array only: an item record is its key
         // box and its value, and a tag-array entry is four bytes.
-        assert_eq!(std::mem::size_of::<Kv<u64>>(), 24);
+        assert_eq!(std::mem::size_of::<Kv<u64>>(), 16);
         assert_eq!(std::mem::size_of::<TagSlot>(), 4);
         let entry = TagSlot::new(0xBEEF, 0x1234);
         assert_eq!((entry.tag(), entry.slot()), (0xBEEF, 0x1234));
@@ -1375,12 +1348,12 @@ mod tests {
         /// absorb histories over a leaf and its (optional) right sibling,
         /// against a `BTreeMap`: after every step both orderings of both
         /// leaves satisfy `check_invariants` (tag array sorted by (tag, key),
-        /// every slot named once, every tag its key's own), and at the end
-        /// every lookup — plain and checked — and the ordered contents agree
-        /// with the model.
+        /// every slot named once, every tag its key's own, the key-byte
+        /// count exact), and at the end every lookup — plain and checked —
+        /// the key bytes and the ordered contents agree with the model.
         #[test]
         fn orderings_survive_random_histories(
-            ops in proptest::collection::vec(leaf_op(), 1..120),
+            ops in proptest::collection::vec(leaf_op(), 1..400),
             which in 0usize..3,
         ) {
             let config = [
@@ -1447,8 +1420,13 @@ mod tests {
                     r.check_invariants();
                 }
             }
+            let key_bytes: usize = model.keys().map(Vec::len).sum();
             let total = left.len() + right.as_ref().map_or(0, LeafNode::len);
             prop_assert_eq!(total, model.len());
+            prop_assert_eq!(
+                left.key_bytes() + right.as_ref().map_or(0, LeafNode::key_bytes),
+                key_bytes
+            );
             for (key, value) in &model {
                 let leaf = match &right {
                     Some(r) if key.as_slice() >= r.anchor() => r,

@@ -106,6 +106,7 @@
 pub mod concurrent;
 pub mod config;
 pub mod core;
+mod keybox;
 pub mod leaf;
 pub mod meta;
 pub mod prefetch;

@@ -235,11 +235,8 @@ impl<V: Clone> WormholeUnsafe<V> {
             // Every key in the leaf is >= its anchor.
             let mut leaf_clone = slot.leaf.clone();
             leaf_clone.ensure_key_sorted();
-            for kv in leaf_clone.iter_key_order() {
-                assert!(
-                    kv.key.as_ref() >= anchor.as_slice(),
-                    "key below anchor in leaf {idx}"
-                );
+            for (key, _) in leaf_clone.iter_key_order() {
+                assert!(key >= anchor.as_slice(), "key below anchor in leaf {idx}");
             }
             // The meta table registers this leaf under its table key.
             match &self.meta.get(slot.leaf.table_key()).map(|i| &i.kind) {
@@ -262,40 +259,32 @@ impl<V: Clone> WormholeUnsafe<V> {
 /// The cursor's `&'a` borrow freezes the structure (no splits or merges can
 /// run while it is alive), so the source simply walks the LeafList by slot
 /// index: one leaf per batch (or less, when the consumer's window budget
-/// caps it), the lower bound applied to the first leaf of each run. Each
-/// leaf's lazily-sorted tail is merged on the fly through one reusable
-/// index buffer, so steady-state batch advancement allocates nothing. To
-/// interleave writes with a scan, drop the cursor and reopen at
+/// caps it), each read from the position the cursor hands in. The borrow
+/// is shared, so a leaf's lagging key view cannot be sorted in place here
+/// as the concurrent cursor does: its tail is merged on the fly through one
+/// reusable index buffer, and steady-state batch advancement allocates
+/// nothing. To interleave writes with a scan, drop the cursor and reopen at
 /// [`Cursor::resume_key`].
 struct UnsafeScanSource<'a, V> {
     wh: &'a WormholeUnsafe<V>,
     /// Next leaf to stream, [`NIL`] when exhausted.
     next: u32,
-    /// Lower bound applied to the next streamed leaf (the scan start, or
-    /// the resume point of a budget-truncated batch); cleared otherwise.
-    lower: Vec<u8>,
     /// Reusable index buffer for the lazy-tail merge.
     scratch: Vec<u16>,
 }
 
 impl<V: Clone> CursorSource<V> for UnsafeScanSource<'_, V> {
-    fn fill_next(&mut self, batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
         let limit = limit.max(1);
         batch.clear();
         while self.next != NIL && batch.is_empty() {
             let slot = self.wh.slot(self.next);
-            let appended =
-                slot.leaf
-                    .collect_leaf_unsorted(&self.lower, limit, batch, &mut self.scratch);
-            if appended == limit {
-                // Possibly truncated mid-leaf by the window budget: stay on
-                // this leaf and resume just past the last streamed key.
-                index_traits::immediate_successor_into(
-                    batch.last_key().expect("truncated batch holds pairs"),
-                    &mut self.lower,
-                );
-            } else {
-                self.lower.clear();
+            let appended = slot
+                .leaf
+                .collect_leaf_unsorted(from, limit, batch, &mut self.scratch);
+            // A batch the window budget may have truncated mid-leaf stays
+            // on this leaf: the next fill starts past its last key.
+            if appended < limit {
                 self.next = slot.next;
             }
         }
@@ -365,11 +354,12 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
                 leaf_idx = right;
             }
         }
-        let old = self
-            .slot_mut(leaf_idx)
+        // The leaf (or the half of it that now covers the key) was searched
+        // above and did not hold it.
+        let bin = &mut LeafGarbage::immediate();
+        self.slot_mut(leaf_idx)
             .leaf
-            .insert(key, hash, value, &config);
-        debug_assert!(old.is_none());
+            .insert_absent(key, hash, value, &config, bin);
         self.len += 1;
         self.key_bytes += key.len();
         None
@@ -420,7 +410,6 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
             Box::new(UnsafeScanSource {
                 wh: self,
                 next: self.locate_leaf(start),
-                lower: start.to_vec(),
                 scratch: Vec::new(),
             }),
         )

@@ -1,7 +1,8 @@
 //! Telemetry for the concurrent index: counters for the events the bench
 //! story cares about (seqlock retries, locked fallbacks, structural
-//! splits/merges, LPM restarts), shareable across instances so a sharded
-//! front aggregates all its shards into one set of cells.
+//! splits/merges, LPM restarts, scan-time sorts), shareable across
+//! instances so a sharded front aggregates all its shards into one set of
+//! cells.
 //!
 //! All recording sites are *off* the clean hot path: a conflict-free
 //! optimistic `get` touches no counter at all, so the zero-alloc and
@@ -26,6 +27,9 @@ pub struct WormholeMetrics {
     /// MetaTrieHT lookup restarts: the LPM search resolved to a leaf that
     /// a racing merge retired before the neighbour step completed.
     pub lpm_restarts: Counter,
+    /// Scans that found a leaf's key-sorted view lagging and ran `incSort`
+    /// under its write lock. A second scan of an unchanged leaf adds none.
+    pub scan_sorts: Counter,
 }
 
 impl WormholeMetrics {
@@ -43,5 +47,6 @@ impl WormholeMetrics {
         registry.register_counter(&format!("{prefix}_splits_total"), &self.splits);
         registry.register_counter(&format!("{prefix}_merges_total"), &self.merges);
         registry.register_counter(&format!("{prefix}_lpm_restarts_total"), &self.lpm_restarts);
+        registry.register_counter(&format!("{prefix}_scan_sorts_total"), &self.scan_sorts);
     }
 }

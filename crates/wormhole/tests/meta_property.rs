@@ -322,6 +322,64 @@ fn short_window_range_from_does_not_copy_whole_leaves() {
 }
 
 #[test]
+fn warm_scan_and_in_capacity_mutations_allocate_a_fixed_handful() {
+    // What a call costs the allocator once the buffers it touches have
+    // room. A scan: its source, its position, the three vectors of its
+    // batch (each sized once for the leaf about to be read, never grown by
+    // doubling) and the two sibling anchors it hops over — whether or not
+    // it first has to sort the leaves it reads, which happens in place. An
+    // overwrite: nothing. An insert: the key's own block. A removal: the
+    // bin that carries the key's block past the grace period (its vector
+    // of keys, and the deferred callback that owns it).
+    let wh: Wormhole<u64> = Wormhole::new();
+    let keys = scan_keyset(4_000);
+    for (i, k) in keys.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+        wh.set(k, i as u64);
+    }
+    assert!(wh.get(&keys[0]).is_some()); // QSBR/TLS warm-up
+                                         // The leaves the scans below read each take a key behind their sorted
+                                         // view.
+    for i in (1003..1200).step_by(20) {
+        wh.set(&keys[i], i as u64);
+    }
+    let scan_64 = |from: &[u8]| {
+        let before = thread_allocs();
+        let mut cursor = wh.scan(from);
+        for _ in 0..64 {
+            cursor.next().expect("64 pairs at or after the start");
+        }
+        drop(cursor);
+        thread_allocs() - before
+    };
+    let sorts = wh.metrics().scan_sorts.get();
+    let first = scan_64(&keys[1000]);
+    assert!(wh.metrics().scan_sorts.get() > sorts, "the leaves lagged");
+    let sorts = wh.metrics().scan_sorts.get();
+    let warm = scan_64(&keys[1000]);
+    assert_eq!(wh.metrics().scan_sorts.get(), sorts, "the order was kept");
+    assert!(first <= 8, "a sorting 64-key scan allocated {first} times");
+    assert!(warm <= 8, "a warm 64-key scan allocated {warm} times");
+
+    // An odd key goes in, out and in again: the second time every buffer
+    // of its leaf has room for it.
+    let (key, value) = (&keys[1001], 1001u64);
+    assert_eq!(wh.set(key, value), None);
+    assert_eq!(wh.del(key), Some(value));
+    let before = thread_allocs();
+    assert_eq!(wh.set(key, value), None);
+    let insert = thread_allocs() - before;
+    let before = thread_allocs();
+    assert_eq!(wh.set(key, value + 1), Some(value));
+    let overwrite = thread_allocs() - before;
+    let before = thread_allocs();
+    assert_eq!(wh.del(key), Some(value + 1));
+    let remove = thread_allocs() - before;
+    assert_eq!(insert, 1, "an in-capacity insert allocates its key block");
+    assert_eq!(overwrite, 0, "an overwrite allocates nothing");
+    assert_eq!(remove, 2, "a removal allocates its garbage bin");
+}
+
+#[test]
 fn single_threaded_get_is_allocation_free() {
     let mut wh: WormholeUnsafe<u64> = WormholeUnsafe::new();
     let keys = lookup_keyset();

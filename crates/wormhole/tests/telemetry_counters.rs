@@ -1,6 +1,6 @@
-//! Structural-event counters: splits and merges observed through
-//! [`WormholeMetrics`], plus the registry round-trip for the exposition
-//! names. Retry/fallback/restart counters are race-dependent and only
+//! Structural-event counters: splits, merges and scan-time sorts observed
+//! through [`WormholeMetrics`], plus the registry round-trip for the
+//! exposition names. Retry/fallback/restart counters are race-dependent and only
 //! sanity-checked for registration here; their recording sites are
 //! exercised (not asserted non-zero) by the concurrent stress tests.
 
@@ -30,6 +30,38 @@ fn splits_and_merges_are_counted() {
     assert_eq!(index.metrics().seqlock_retries.get(), 0);
     assert_eq!(index.metrics().locked_fallbacks.get(), 0);
     assert_eq!(index.metrics().lpm_restarts.get(), 0);
+}
+
+#[test]
+fn a_scan_sorts_a_lagging_leaf_once() {
+    let index: Wormhole<u64> = Wormhole::new();
+    let key = |i: u64| format!("key{i:04}").into_bytes();
+    // One leaf's worth, in descending order: the key view lags all the way.
+    let n = index.config().leaf_capacity as u64 - 8;
+    for i in (0..n).rev() {
+        index.set(&key(i), i);
+    }
+    let expect = |n: u64| (0..n).map(|i| (key(i), i)).collect::<Vec<_>>();
+    let sorts = || index.metrics().scan_sorts.get();
+    assert_eq!(sorts(), 0, "inserts do not sort");
+    assert_eq!(index.range_from(b"", usize::MAX), expect(n));
+    assert_eq!(sorts(), 1, "the first scan sorts the leaf");
+    // The order it paid for was kept: nobody sorts the leaf again, however
+    // the next scans cut it up.
+    assert_eq!(index.range_from(b"", usize::MAX), expect(n));
+    assert_eq!(
+        index.range_from(&key(n / 2), 3),
+        expect(n)[n as usize / 2..][..3]
+    );
+    assert_eq!(sorts(), 1, "a current view is read as it is");
+    // A removal leaves the view current, an insert does not.
+    assert_eq!(index.del(&key(n - 1)), Some(n - 1));
+    assert_eq!(index.range_from(b"", usize::MAX), expect(n - 1));
+    assert_eq!(sorts(), 1);
+    assert_eq!(index.set(&key(n - 1), n - 1), None);
+    assert_eq!(index.range_from(b"", usize::MAX), expect(n));
+    assert_eq!(sorts(), 2);
+    index.check_invariants();
 }
 
 #[test]
@@ -64,5 +96,6 @@ fn metrics_register_and_render() {
     let text = registry.snapshot().render();
     assert!(text.contains("wormhole_splits_total"));
     assert!(text.contains("wormhole_seqlock_retries_total"));
+    assert!(text.contains("wormhole_scan_sorts_total"));
     assert!(text.contains("wormhole_epoch_section_entries_total"));
 }

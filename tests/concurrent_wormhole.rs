@@ -239,7 +239,10 @@ fn torn_scan_cursors_stream_consistent_state_under_churn() {
     // exact value for the stable population), keys must be strictly
     // ascending across the entire stream — per-leaf snapshots must never
     // re-yield or reorder across a batch boundary — and every key that is
-    // stable for the whole scan must appear exactly once. Iteration counts
+    // stable for the whole scan must appear exactly once. A cursor that
+    // finds a leaf's key view lagging sorts it in place under the leaf's
+    // write lock, so the three readers race each other's sorts as well as
+    // the writers' appends. Iteration counts
     // are kept high only under `--release` (scaled by WH_STRESS_MULT for
     // nightly soaks); debug builds run a smoke pass.
     let scans: u64 = if cfg!(debug_assertions) {
@@ -319,6 +322,10 @@ fn torn_scan_cursors_stream_consistent_state_under_churn() {
         stop.store(true, Ordering::Relaxed);
     });
     wh.check_invariants();
+    assert!(
+        wh.metrics().scan_sorts.get() > 0,
+        "no cursor ever sorted a leaf the writers had appended to"
+    );
     for i in (0..n_stable).step_by(41) {
         assert_eq!(wh.get(format!("stable-{i:06}").as_bytes()), Some(i));
     }

@@ -260,9 +260,25 @@ proptest! {
 
 /// Drains up to `count` pairs from a cursor and reports the continuation
 /// key a fresh `scan` would resume at.
-fn pull(mut cursor: Cursor<'_, u64>, count: usize) -> (Vec<(Vec<u8>, u64)>, Vec<u8>) {
+fn pull(cursor: Cursor<'_, u64>, count: usize) -> (Vec<(Vec<u8>, u64)>, Vec<u8>) {
+    pull_by(cursor, count, usize::MAX)
+}
+
+/// [`pull`], asking the cursor for at most `budget` pairs at a time: its
+/// source is then told to fetch no more than that per batch, so a leaf is
+/// read in several truncated batches, each a descent of its own.
+fn pull_by(
+    mut cursor: Cursor<'_, u64>,
+    count: usize,
+    budget: usize,
+) -> (Vec<(Vec<u8>, u64)>, Vec<u8>) {
     let mut got = Vec::new();
-    cursor.collect_next(count, &mut got);
+    while got.len() < count {
+        let want = budget.min(count - got.len());
+        if cursor.collect_next(want, &mut got) < want {
+            break;
+        }
+    }
     (got, cursor.resume_key())
 }
 
@@ -276,7 +292,8 @@ proptest! {
     /// window through a cursor on every ordered index, resume from the
     /// cursor's reported key after the next batch of mutations, and check
     /// each window — and the final quiesced full drain — against
-    /// `BTreeMap::range`.
+    /// `BTreeMap::range`. The Wormholes are read three times over: with the
+    /// window as the fetch budget, and one and seven pairs at a time.
     #[test]
     fn interleaved_scan_cursors_match_btreemap(
         phases in proptest::collection::vec(
@@ -341,6 +358,12 @@ proptest! {
                 pull(wh_unsafe.scan(&resume), *window),
                 pull(wh.scan(&resume), *window),
                 pull(sharded.scan(&resume), *window),
+                pull_by(wh_unsafe.scan(&resume), *window, 1),
+                pull_by(wh.scan(&resume), *window, 1),
+                pull_by(sharded.scan(&resume), *window, 1),
+                pull_by(wh_unsafe.scan(&resume), *window, 7),
+                pull_by(wh.scan(&resume), *window, 7),
+                pull_by(sharded.scan(&resume), *window, 7),
             ];
             for (got, resume_key) in &windows {
                 prop_assert_eq!(got, &expect);
@@ -363,6 +386,9 @@ proptest! {
             pull(wh_unsafe.scan(&start), usize::MAX).0,
             pull(wh.scan(&start), usize::MAX).0,
             pull(sharded.scan(&start), usize::MAX).0,
+            pull_by(wh_unsafe.scan(&start), usize::MAX, 1).0,
+            pull_by(wh.scan(&start), usize::MAX, 7).0,
+            pull_by(sharded.scan(&start), usize::MAX, 7).0,
         ];
         for drained in &drains {
             prop_assert_eq!(drained, &expect_all);
