@@ -431,14 +431,17 @@ impl Qsbr {
         self.shared.metrics.grace_wait_ns.record_elapsed(timing);
     }
 
-    /// Queues `f` to run after a future grace period.
-    pub fn defer(&self, f: Box<dyn FnOnce() + Send>) {
+    /// Queues `f` to run after a future grace period and returns how many
+    /// callbacks are now waiting, `f` included — what a caller that bounds
+    /// the queue needs, without locking it a second time.
+    pub fn defer(&self, f: Box<dyn FnOnce() + Send>) -> usize {
         let epoch = self.shared.global_epoch.load(Ordering::SeqCst) + 1;
         let mut q = self.shared.deferred.lock();
         q.push((epoch, f));
         // Published under the queue lock, so the gauge never goes stale
         // against a concurrent drain's own update.
         self.shared.metrics.deferred_depth.set(q.len() as u64);
+        q.len()
     }
 
     /// Runs all deferred callbacks after forcing a grace period.
@@ -972,9 +975,10 @@ mod tests {
         let ran = StdArc::new(AtomicUsize::new(0));
         for i in 1..=4u64 {
             let c = StdArc::clone(&ran);
-            q.defer(Box::new(move || {
+            let depth = q.defer(Box::new(move || {
                 c.fetch_add(1, Ordering::SeqCst);
             }));
+            assert_eq!(depth as u64, i, "defer reports the depth it leaves");
             assert_eq!(gauge.get(), i);
         }
         assert_eq!(gauge.high_water(), 4);

@@ -21,7 +21,7 @@
 //! * [`merge_eligible`] — Algorithm 2's `MergeSize` test.
 
 use crate::config::WormholeConfig;
-use crate::leaf::{LeafGarbage, LeafNode};
+use crate::leaf::{Bin, LeafNode};
 use crate::meta::{LeafRef, MetaPlan, MetaTable};
 
 /// Chooses a split position and the new right sibling's logical anchor.
@@ -87,7 +87,7 @@ pub struct PreparedSplit<V> {
 pub fn prepare_split<V, L: LeafRef>(
     leaf: &mut LeafNode<V>,
     table: &MetaTable<L>,
-    bin: &mut LeafGarbage<V>,
+    bin: &mut Bin<'_, V>,
 ) -> Option<PreparedSplit<V>> {
     let (at, anchor) = choose_split_point(leaf)?;
     let table_key = table.reserve_anchor_key(&anchor);
@@ -209,8 +209,7 @@ mod tests {
         for k in ["Joa", "Job", "Joc", "Jod"] {
             insert(&mut leaf, k.as_bytes(), 0, &config);
         }
-        let prepared =
-            prepare_split(&mut leaf, &table, &mut LeafGarbage::immediate()).expect("splittable");
+        let prepared = prepare_split(&mut leaf, &table, &mut Bin::immediate()).expect("splittable");
         assert_eq!(prepared.anchor, b"Joc".to_vec());
         assert_eq!(prepared.table_key, b"Joc".to_vec());
         assert_eq!(prepared.right.anchor(), b"Joc");

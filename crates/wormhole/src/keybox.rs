@@ -12,6 +12,8 @@
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 
+use crate::prefetch::prefetch_read;
+
 /// The length word in front of the key bytes.
 type Len = u32;
 const HEADER: usize = std::mem::size_of::<Len>();
@@ -54,6 +56,18 @@ impl KeyBox {
     #[inline]
     pub(crate) fn as_ptr(&self) -> *const u8 {
         self.0.as_ptr()
+    }
+
+    /// Hints the block's first line and the line a key of `key_len` bytes
+    /// ends on (the block states its real length, but reading that is the
+    /// miss the hint is there to hide; a leaf knows its keys' mean length).
+    #[inline]
+    pub(crate) fn prefetch(&self, key_len: usize) {
+        prefetch_read(self.as_ptr());
+        prefetch_read(
+            self.as_ptr()
+                .wrapping_add(HEADER + key_len.saturating_sub(1)),
+        );
     }
 }
 

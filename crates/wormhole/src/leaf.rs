@@ -3,7 +3,10 @@
 //! A leaf stores up to `leaf_capacity` key/value items plus the node's
 //! *anchor*. An item is a sixteen-byte record — its value and a thin
 //! pointer to its key's own heap block, which holds the key's length and
-//! then its bytes (`KeyBox`). Two orderings are maintained over the items:
+//! then its bytes (`KeyBox`). An item's storage slot is its name in the
+//! orderings and nothing else: a removal moves the last item into the
+//! vacated slot and renames it, in place, in both of them. Two orderings
+//! are maintained over the items:
 //!
 //! * the **hash order** — the paper's tag array: one packed
 //!   `(tag: u16, slot: u16)` entry per item, sorted by (tag, key), used by
@@ -13,8 +16,14 @@
 //! * the **key order** — a key-sorted view that is allowed to lag behind: new
 //!   items are appended unsorted, and the operation that needs full ordering
 //!   (a range scan, a split, a merge) merges them in, in place, under the
-//!   lock it holds (the paper's `incSort`). The order it paid for is kept:
-//!   the next scan of the leaf finds the view current.
+//!   lock it holds (the paper's `incSort`), after hinting every key block
+//!   of the leaf so that the comparisons do not wait for them one by one.
+//!   The order it paid for is kept: the next scan of the leaf finds the
+//!   view current.
+//!
+//! A mutation frees nothing a racing reader might still be reading: every
+//! block it unlinks goes through a [`Bin`], which either drops it on the
+//! spot or moves it into the index's [`LeafGarbage`].
 //!
 //! The leaf also remembers its *logical anchor* (used in ordering
 //! comparisons) and its *table key* (the anchor as registered in the
@@ -27,6 +36,7 @@ use wh_hash::{crc32c, tag16, tag_position_hint};
 use crate::config::WormholeConfig;
 use crate::keybox::KeyBox;
 use crate::prefetch::prefetch_read;
+use parking_lot::Mutex;
 
 /// Marker returned by the `*_checked` read methods when an optimistic
 /// (unlocked) read observed internally inconsistent state — an index out of
@@ -49,168 +59,152 @@ const INC_SORT_INSERTIONS: usize = 8;
 /// scan that chases them one after the other waits out one miss per key.
 const KEY_PREFETCH_AHEAD: usize = 8;
 
-/// Heap blocks unlinked from a leaf while optimistic readers may still be
-/// traversing them.
-///
-/// Every mutation of a [`LeafNode`] that would free memory — a storage
-/// vector outgrowing its buffer, a removed item's key box, a replaced table
-/// key, a merged-away sibling's storage — funnels the doomed block through
-/// one of these bins instead of dropping it inline. In **immediate** mode
-/// (the single-threaded index, or the concurrent index serving reads under
-/// leaf locks) the bin drops each block on the spot, so behaviour is
-/// unchanged. In **deferred** mode the blocks accumulate and the concurrent
-/// index hands the filled bin to `wh_epoch::Qsbr::defer`, so a lock-free
-/// reader that loaded a pointer to the old block inside its QSBR critical
-/// section can never touch freed memory: the block outlives every critical
-/// section that could have observed it.
+/// Freeing block `i` of a full [`LeafGarbage`] first asks for block
+/// `i + FREE_PREFETCH_AHEAD`: by the time its grace period is over every
+/// block of the bin is cold, and `free` reads the block it is given.
+const FREE_PREFETCH_AHEAD: usize = 8;
+
+/// One heap block unlinked from a leaf.
 #[derive(Debug)]
-pub struct LeafGarbage<V> {
-    defer: bool,
-    kv_bufs: Vec<Vec<Kv<V>>>,
-    tag_bufs: Vec<Vec<TagSlot>>,
-    idx_bufs: Vec<Vec<u16>>,
-    keys: Vec<KeyBox>,
-    values: Vec<V>,
-    byte_bufs: Vec<Vec<u8>>,
+enum Retired<V> {
+    /// An item vector that outgrew its buffer (its items moved out).
+    Items(Vec<Kv<V>>),
+    Tags(Vec<TagSlot>),
+    Order(Vec<u16>),
+    /// A removed item's key block.
+    Key(KeyBox),
+    /// A replaced table key, a merged-away sibling's anchor.
+    Bytes(Vec<u8>),
+}
+
+impl<V> Retired<V> {
+    /// Where the block starts, for prefetching.
+    fn start(&self) -> *const u8 {
+        match self {
+            Self::Items(buf) => buf.as_ptr().cast(),
+            Self::Tags(buf) => buf.as_ptr().cast(),
+            Self::Order(buf) => buf.as_ptr().cast(),
+            Self::Key(key) => key.as_ptr(),
+            Self::Bytes(buf) => buf.as_ptr(),
+        }
+    }
+}
+
+/// Heap blocks unlinked from leaves while optimistic readers may still be
+/// traversing them, kept until no reader can.
+///
+/// The concurrent index owns one of these behind a mutex — one for the
+/// whole index, not one per mutation — and every writer retires into it
+/// through a [`Bin`]. What it holds is handed to `wh_epoch::Qsbr::defer`
+/// as a whole and dropped after a grace period, so a lock-free reader that
+/// loaded a pointer to an old block inside its QSBR critical section can
+/// never touch freed memory: the block outlives every critical section
+/// that could have observed it.
+#[derive(Debug)]
+pub struct LeafGarbage<V>(Vec<Retired<V>>);
+
+impl<V> Default for LeafGarbage<V> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
 }
 
 impl<V> LeafGarbage<V> {
-    fn with_mode(defer: bool) -> Self {
-        Self {
-            defer,
-            kv_bufs: Vec::new(),
-            tag_bufs: Vec::new(),
-            idx_bufs: Vec::new(),
-            keys: Vec::new(),
-            values: Vec::new(),
-            byte_bufs: Vec::new(),
-        }
+    /// Moves every waiting block out, into a store sized for them; this
+    /// one keeps its room, so refilling it allocates nothing.
+    pub fn take(&mut self) -> Self {
+        Self(self.0.drain(..).collect())
     }
 
+    /// Number of blocks waiting.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Returns `true` when nothing has been retired into the store.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl<V> Drop for LeafGarbage<V> {
+    fn drop(&mut self) {
+        let mut blocks = std::mem::take(&mut self.0).into_iter();
+        while let Some(block) = blocks.next() {
+            if let Some(ahead) = blocks.as_slice().get(FREE_PREFETCH_AHEAD - 1) {
+                prefetch_read(ahead.start());
+            }
+            drop(block);
+        }
+    }
+}
+
+/// Where a mutation of a [`LeafNode`] puts every block it would otherwise
+/// free — a storage vector outgrowing its buffer, a removed item's key
+/// block, a replaced table key, a merged-away sibling's storage.
+///
+/// An **immediate** bin (the single-threaded index, or the concurrent
+/// index serving reads under leaf locks) drops each block on the spot. A
+/// **deferred** bin moves it, already unlinked, into the index's shared
+/// [`LeafGarbage`], holding that store's lock for the push alone: a
+/// retirement allocates nothing and writers of different leaves do not
+/// wait for each other's mutations.
+pub struct Bin<'a, V> {
+    shared: Option<&'a Mutex<LeafGarbage<V>>>,
+    held: usize,
+}
+
+impl<'a, V> Bin<'a, V> {
     /// A bin that drops every retired block immediately (no readers race
     /// with the mutation).
     pub fn immediate() -> Self {
-        Self::with_mode(false)
-    }
-
-    /// A bin that accumulates retired blocks for reclamation after a QSBR
-    /// grace period.
-    pub fn deferred() -> Self {
-        Self::with_mode(true)
-    }
-
-    /// Returns `true` when nothing has been retired into the bin.
-    pub fn is_empty(&self) -> bool {
-        self.kv_bufs.is_empty()
-            && self.tag_bufs.is_empty()
-            && self.idx_bufs.is_empty()
-            && self.keys.is_empty()
-            && self.values.is_empty()
-            && self.byte_bufs.is_empty()
-    }
-
-    /// Whether removed or overwritten *values* must also outlive a grace
-    /// period: only in deferred mode, and only when dropping a `V` frees
-    /// heap memory a racing optimistic reader could be cloning from.
-    /// (Currently always `false` in practice — the concurrent index only
-    /// runs deferred bins for no-drop-glue values — but it is the hook any
-    /// future widening of the optimistic value gate would rely on.)
-    pub fn defers_values(&self) -> bool {
-        self.defer && std::mem::needs_drop::<V>()
-    }
-
-    /// Takes ownership of a value unlinked from a leaf and returns what
-    /// the caller may hand out: the value itself in immediate mode, or —
-    /// when values are deferred — a clone, with the original retired so a
-    /// racing reader cloning from the old bits can never chase freed
-    /// memory.
-    pub fn hand_off_value(&mut self, value: V) -> V
-    where
-        V: Clone,
-    {
-        if self.defers_values() {
-            let returned = value.clone();
-            self.values.push(value);
-            returned
-        } else {
-            value
+        Self {
+            shared: None,
+            held: 0,
         }
     }
 
-    /// Retires a value unlinked from a leaf that nobody will be handed
-    /// (bulk range removal): kept past the grace period when values are
-    /// deferred, dropped on the spot otherwise. Unlike
-    /// [`LeafGarbage::hand_off_value`] this never clones.
-    pub fn retire_value(&mut self, value: V) {
-        if self.defers_values() {
-            self.values.push(value);
+    /// A bin that keeps retired blocks in `shared` for reclamation after a
+    /// QSBR grace period.
+    pub fn deferred(shared: &'a Mutex<LeafGarbage<V>>) -> Self {
+        Self {
+            shared: Some(shared),
+            held: 0,
         }
     }
 
-    fn retire_kv_buf(&mut self, buf: Vec<Kv<V>>) {
-        if self.defer {
-            self.kv_bufs.push(buf);
-        }
+    /// How many blocks the shared store held right after this bin's last
+    /// retirement; zero when it made none.
+    pub fn held(&self) -> usize {
+        self.held
     }
 
-    fn retire_tag_buf(&mut self, buf: Vec<TagSlot>) {
-        if self.defer {
-            self.tag_bufs.push(buf);
+    fn retire(&mut self, block: Retired<V>) {
+        if let Some(shared) = self.shared {
+            let mut shared = shared.lock();
+            shared.0.push(block);
+            self.held = shared.len();
         }
-    }
-
-    fn retire_idx_buf(&mut self, buf: Vec<u16>) {
-        if self.defer {
-            self.idx_bufs.push(buf);
-        }
-    }
-
-    fn retire_key(&mut self, key: KeyBox) {
-        if self.defer {
-            self.keys.push(key);
-        }
-    }
-
-    fn retire_bytes(&mut self, bytes: Vec<u8>) {
-        if self.defer {
-            self.byte_bufs.push(bytes);
-        }
-    }
-
-    /// Replaces `*slot` with `new`, returning the previous value (through
-    /// [`LeafGarbage::hand_off_value`], so a deferred-mode caller receives
-    /// a clone while the original is retired).
-    pub fn replace_value(&mut self, slot: &mut V, new: V) -> V
-    where
-        V: Clone,
-    {
-        let old = std::mem::replace(slot, new);
-        self.hand_off_value(old)
     }
 }
 
-/// Appends to a leaf's item storage, retiring — instead of freeing — the
-/// old buffer when the append would reallocate. Elements are *moved* into
+/// Inserts into one of a leaf's vectors, retiring — instead of freeing —
+/// the old buffer when the insert has to grow it. Elements are *moved* into
 /// the grown buffer (`append`), which leaves their bytes (and therefore the
 /// key pointers a racing reader may have loaded) intact in the retired one.
-fn push_kv<V>(v: &mut Vec<Kv<V>>, kv: Kv<V>, bin: &mut LeafGarbage<V>) {
+fn insert_retiring<T, V>(
+    v: &mut Vec<T>,
+    pos: usize,
+    item: T,
+    bin: &mut Bin<'_, V>,
+    block: fn(Vec<T>) -> Retired<V>,
+) {
     if v.len() == v.capacity() {
         let mut grown = Vec::with_capacity((v.capacity() * 2).max(8));
         grown.append(v);
-        bin.retire_kv_buf(std::mem::replace(v, grown));
+        bin.retire(block(std::mem::replace(v, grown)));
     }
-    v.push(kv);
-}
-
-/// Inserts into an ordering vector, handing the old buffer to `retire` —
-/// instead of freeing it — when the insert has to grow it (see [`push_kv`]).
-fn insert_idx<T: Copy>(v: &mut Vec<T>, pos: usize, idx: T, retire: impl FnOnce(Vec<T>)) {
-    if v.len() == v.capacity() {
-        let mut grown = Vec::with_capacity((v.capacity() * 2).max(8));
-        grown.extend_from_slice(v);
-        retire(std::mem::replace(v, grown));
-    }
-    v.insert(pos, idx);
+    v.insert(pos, item);
 }
 
 /// One key/value item: the key's block and the value. Its hash tag is not
@@ -277,7 +271,9 @@ pub struct LeafNode<V> {
     /// `anchor` unless ⊥ (zero) tokens had to be appended to satisfy the
     /// prefix condition.
     table_key: Vec<u8>,
-    /// Item storage in insertion order.
+    /// Item storage. A slot number is an item's name in the two orderings
+    /// below and nothing more: a removal hands the vacated slot to the last
+    /// item, so slots say nothing about insertion order.
     kvs: Vec<Kv<V>>,
     /// Total length of the keys of `kvs`.
     key_bytes: usize,
@@ -451,15 +447,17 @@ impl<V> LeafNode<V> {
     }
 
     /// Inserts `key`, returning the previous value when it already existed.
-    pub fn insert(&mut self, key: &[u8], hash: u32, value: V, config: &WormholeConfig) -> Option<V>
-    where
-        V: Clone,
-    {
-        let bin = &mut LeafGarbage::immediate();
+    pub fn insert(
+        &mut self,
+        key: &[u8],
+        hash: u32,
+        value: V,
+        config: &WormholeConfig,
+    ) -> Option<V> {
         match self.find_slot(key, hash, config) {
-            Some(slot) => Some(bin.replace_value(&mut self.kvs[slot].value, value)),
+            Some(slot) => Some(std::mem::replace(&mut self.kvs[slot].value, value)),
             None => {
-                self.insert_absent(key, hash, value, config, bin);
+                self.insert_absent(key, hash, value, config, &mut Bin::immediate());
                 None
             }
         }
@@ -474,7 +472,7 @@ impl<V> LeafNode<V> {
         hash: u32,
         value: V,
         config: &WormholeConfig,
-        bin: &mut LeafGarbage<V>,
+        bin: &mut Bin<'_, V>,
     ) {
         debug_assert!(self.find_slot(key, hash, config).is_none());
         let slot = self.kvs.len();
@@ -497,86 +495,72 @@ impl<V> LeafNode<V> {
             key: KeyBox::new(key),
             value,
         };
-        push_kv(&mut self.kvs, kv, bin);
+        insert_retiring(&mut self.kvs, slot, kv, bin, Retired::Items);
         self.key_bytes += key.len();
-        insert_idx(&mut self.hash_order, pos, TagSlot::new(tag, slot), |old| {
-            bin.retire_tag_buf(old)
-        });
-        insert_idx(&mut self.key_order, key_pos, slot as u16, |old| {
-            bin.retire_idx_buf(old)
-        });
+        let entry = TagSlot::new(tag, slot);
+        insert_retiring(&mut self.hash_order, pos, entry, bin, Retired::Tags);
+        insert_retiring(
+            &mut self.key_order,
+            key_pos,
+            slot as u16,
+            bin,
+            Retired::Order,
+        );
         if !config.sort_by_tag {
             self.sorted_cnt = self.key_order.len();
         }
     }
 
     /// Removes `key`, returning its value when present.
-    pub fn remove(&mut self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<V>
-    where
-        V: Clone,
-    {
-        self.remove_retiring(key, hash, config, &mut LeafGarbage::immediate())
+    pub fn remove(&mut self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<V> {
+        self.remove_retiring(key, hash, config, &mut Bin::immediate())
     }
 
-    /// [`LeafNode::remove`], retiring the removed item's key box (and, when
-    /// values are deferred, the value itself — the caller then receives a
-    /// clone) through `bin`.
+    /// [`LeafNode::remove`], retiring the removed item's key block through
+    /// `bin`.
     pub fn remove_retiring(
         &mut self,
         key: &[u8],
         hash: u32,
         config: &WormholeConfig,
-        bin: &mut LeafGarbage<V>,
-    ) -> Option<V>
-    where
-        V: Clone,
-    {
+        bin: &mut Bin<'_, V>,
+    ) -> Option<V> {
         let slot = self.find_slot(key, hash, config)?;
         let removed = self.remove_slot(slot);
-        bin.retire_key(removed.key);
-        Some(bin.hand_off_value(removed.value))
+        bin.retire(Retired::Key(removed.key));
+        Some(removed.value)
     }
 
-    /// Unlinks the item at storage slot `slot`, fixing up both orderings in
-    /// one pass each: the entry naming the slot is dropped and every slot
-    /// after it shifts down by one. The caller retires the returned item's
-    /// key (and value, when values are deferred).
+    /// Unlinks the item at storage slot `slot`. The last item takes over the
+    /// vacated slot, so in each ordering the entry naming `slot` is dropped
+    /// and the one entry naming the last slot is renamed — in place: both
+    /// orderings are by tag or key, not by slot, so a renamed item stays
+    /// where it is and the sorted prefix stays sorted. The caller retires
+    /// the returned item's key.
     fn remove_slot(&mut self, slot: usize) -> Kv<V> {
-        use std::cmp::Ordering::{Equal, Greater, Less};
-        let removed = self.kvs.remove(slot);
+        let removed = self.kvs.swap_remove(slot);
+        let last = self.kvs.len();
         self.key_bytes -= removed.key.len();
-        self.hash_order.retain_mut(|e| match e.slot().cmp(&slot) {
-            Less => true,
-            Equal => false,
-            Greater => {
-                *e = TagSlot::new(e.tag(), e.slot() - 1);
-                true
-            }
-        });
-        let slot = slot as u16;
-        let (mut at, mut removed_at) = (0usize, 0usize);
-        self.key_order.retain_mut(|i| {
-            at += 1;
-            match (*i).cmp(&slot) {
-                Less => true,
-                Equal => {
-                    removed_at = at - 1;
-                    false
-                }
-                Greater => {
-                    *i -= 1;
-                    true
-                }
-            }
-        });
-        if removed_at < self.sorted_cnt {
+        let at = self.hash_order.iter().position(|e| e.slot() == slot);
+        self.hash_order
+            .remove(at.expect("tag array names every slot"));
+        if let Some(e) = self.hash_order.iter_mut().find(|e| e.slot() == last) {
+            *e = TagSlot::new(e.tag(), slot);
+        }
+        let at = self.key_order.iter().position(|&i| usize::from(i) == slot);
+        let at = at.expect("key order names every slot");
+        self.key_order.remove(at);
+        if at < self.sorted_cnt {
             self.sorted_cnt -= 1;
+        }
+        if let Some(i) = self.key_order.iter_mut().find(|i| usize::from(**i) == last) {
+            *i = slot as u16;
         }
         removed
     }
 
     /// Removes every item with `lo <= key < hi`, retiring the unlinked key
-    /// boxes (and, when values are deferred, the values) through `bin`.
+    /// blocks through `bin`.
     /// Returns `(items removed, key payload bytes removed)`.
     ///
     /// This is the leaf-level primitive of the concurrent index's batched
@@ -588,11 +572,8 @@ impl<V> LeafNode<V> {
         &mut self,
         lo: &[u8],
         hi: &[u8],
-        bin: &mut LeafGarbage<V>,
-    ) -> (usize, usize)
-    where
-        V: Clone,
-    {
+        bin: &mut Bin<'_, V>,
+    ) -> (usize, usize) {
         self.ensure_key_sorted();
         let start = self.lower_bound(&self.key_order, lo);
         let end = self.lower_bound(&self.key_order, hi);
@@ -605,8 +586,7 @@ impl<V> LeafNode<V> {
         for &slot in &doomed {
             let kv = self.remove_slot(usize::from(slot));
             key_bytes += kv.key.len();
-            bin.retire_key(kv.key);
-            bin.retire_value(kv.value);
+            bin.retire(Retired::Key(kv.key));
         }
         (doomed.len(), key_bytes)
     }
@@ -621,13 +601,25 @@ impl<V> LeafNode<V> {
     /// merging the unsorted tail into the sorted prefix. It runs in place:
     /// nothing is allocated and no buffer is replaced, so a racing reader
     /// loses at most its seqlock validation.
+    ///
+    /// A lagging view asks before it compares: every key is a heap block of
+    /// its own, and a sort that meets them one comparison at a time waits
+    /// out one miss after the other. All of the leaf's blocks are hinted
+    /// first, so the sort — and the search and the copy a scan runs next
+    /// under the same lock — find them on their way or resident.
     pub fn ensure_key_sorted(&mut self) {
+        if !self.key_view_lags() {
+            return;
+        }
         let Self {
             kvs,
+            key_bytes,
             key_order,
             sorted_cnt,
             ..
         } = self;
+        let key_len = *key_bytes / kvs.len();
+        kvs.iter().for_each(|kv| kv.key.prefetch(key_len));
         let key = |i: u16| &*kvs[usize::from(i)].key;
         if key_order.len() - *sorted_cnt > INC_SORT_INSERTIONS {
             key_order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
@@ -841,7 +833,7 @@ impl<V> LeafNode<V> {
     /// Splits the leaf at key-order position `at`, moving items `[at..]` into
     /// a new leaf with the given anchor and table key.
     pub fn split_off(&mut self, at: usize, anchor: Vec<u8>, table_key: Vec<u8>) -> LeafNode<V> {
-        self.split_off_retiring(at, anchor, table_key, &mut LeafGarbage::immediate())
+        self.split_off_retiring(at, anchor, table_key, &mut Bin::immediate())
     }
 
     /// [`LeafNode::split_off`], retiring the replaced storage buffers of the
@@ -852,7 +844,7 @@ impl<V> LeafNode<V> {
         at: usize,
         anchor: Vec<u8>,
         table_key: Vec<u8>,
-        bin: &mut LeafGarbage<V>,
+        bin: &mut Bin<'_, V>,
     ) -> LeafNode<V> {
         debug_assert!(!self.key_view_lags());
         debug_assert!(at > 0 && at < self.key_order.len());
@@ -876,7 +868,7 @@ impl<V> LeafNode<V> {
                 right.kvs.push(kv);
             }
         }
-        bin.retire_kv_buf(old_kvs);
+        bin.retire(Retired::Items(old_kvs));
         // Rebuild the orderings of both leaves from the remap.
         self.key_order
             .iter_mut()
@@ -898,19 +890,19 @@ impl<V> LeafNode<V> {
                 right.hash_order.push(moved);
             }
         }
-        bin.retire_tag_buf(old_hash);
+        bin.retire(Retired::Tags(old_hash));
         right
     }
 
     /// Moves every item of `victim`, the right neighbour, into this leaf
     /// (used by merge).
     pub fn absorb(&mut self, victim: LeafNode<V>) {
-        self.absorb_retiring(victim, &mut LeafGarbage::immediate());
+        self.absorb_retiring(victim, &mut Bin::immediate());
     }
 
     /// [`LeafNode::absorb`], retiring the victim's storage (and any buffer
     /// this leaf outgrows) through `bin`.
-    pub fn absorb_retiring(&mut self, mut victim: LeafNode<V>, bin: &mut LeafGarbage<V>) {
+    pub fn absorb_retiring(&mut self, mut victim: LeafNode<V>, bin: &mut Bin<'_, V>) {
         // Merges are rare and bounded by the merge size, so both key views
         // are brought up to date here: every key of the right neighbour is
         // greater than every key of this leaf, so the two views
@@ -941,25 +933,27 @@ impl<V> LeafNode<V> {
         }
         merged.extend_from_slice(&mine[a..]);
         merged.extend(theirs[b..].iter().map(shifted));
-        bin.retire_tag_buf(std::mem::replace(&mut self.hash_order, merged));
+        bin.retire(Retired::Tags(std::mem::replace(
+            &mut self.hash_order,
+            merged,
+        )));
         self.key_bytes += victim.key_bytes;
         for &i in &victim.key_order {
-            let end = self.key_order.len();
-            insert_idx(&mut self.key_order, end, base as u16 + i, |old| {
-                bin.retire_idx_buf(old)
-            });
+            let (end, slot) = (self.key_order.len(), base as u16 + i);
+            insert_retiring(&mut self.key_order, end, slot, bin, Retired::Order);
         }
         self.sorted_cnt = self.key_order.len();
         for kv in victim.kvs.drain(..) {
-            push_kv(&mut self.kvs, kv, bin);
+            let end = self.kvs.len();
+            insert_retiring(&mut self.kvs, end, kv, bin, Retired::Items);
         }
         // Readers may still be traversing the victim's (now drained)
         // storage and anchor: retire the buffers wholesale.
-        bin.retire_kv_buf(std::mem::take(&mut victim.kvs));
-        bin.retire_tag_buf(std::mem::take(&mut victim.hash_order));
-        bin.retire_idx_buf(std::mem::take(&mut victim.key_order));
-        bin.retire_bytes(std::mem::take(&mut victim.anchor));
-        bin.retire_bytes(std::mem::take(&mut victim.table_key));
+        bin.retire(Retired::Items(std::mem::take(&mut victim.kvs)));
+        bin.retire(Retired::Tags(std::mem::take(&mut victim.hash_order)));
+        bin.retire(Retired::Order(std::mem::take(&mut victim.key_order)));
+        bin.retire(Retired::Bytes(std::mem::take(&mut victim.anchor)));
+        bin.retire(Retired::Bytes(std::mem::take(&mut victim.table_key)));
     }
 
     /// Panics unless both orderings describe the stored items: the tag
@@ -1016,13 +1010,16 @@ impl<V> LeafNode<V> {
     /// Updates the leaf's table key (used when an anchor is relocated with an
     /// appended ⊥ token by a later split).
     pub fn set_table_key(&mut self, table_key: Vec<u8>) {
-        self.set_table_key_retiring(table_key, &mut LeafGarbage::immediate());
+        self.set_table_key_retiring(table_key, &mut Bin::immediate());
     }
 
     /// [`LeafNode::set_table_key`], retiring the replaced key bytes through
     /// `bin`.
-    pub fn set_table_key_retiring(&mut self, table_key: Vec<u8>, bin: &mut LeafGarbage<V>) {
-        bin.retire_bytes(std::mem::replace(&mut self.table_key, table_key));
+    pub fn set_table_key_retiring(&mut self, table_key: Vec<u8>, bin: &mut Bin<'_, V>) {
+        bin.retire(Retired::Bytes(std::mem::replace(
+            &mut self.table_key,
+            table_key,
+        )));
     }
 }
 
@@ -1281,7 +1278,7 @@ mod tests {
                     &config,
                 );
             }
-            let mut bin = LeafGarbage::immediate();
+            let mut bin = Bin::immediate();
             let (n, bytes) = leaf.remove_range_retiring(b"rr05", b"rr15", &mut bin);
             assert_eq!(n, 10);
             assert_eq!(bytes, 10 * 4);
@@ -1309,6 +1306,72 @@ mod tests {
     }
 
     #[test]
+    fn a_removal_renames_one_item() {
+        // Removing an item hands its slot to the item in the last slot:
+        // besides the entries that named the removed item, exactly one
+        // entry of each ordering changes — the one that named the last slot
+        // — and it changes in place.
+        for config in [
+            WormholeConfig::optimized(),
+            WormholeConfig::base(),
+            WormholeConfig::optimized().with_direct_pos(false),
+        ] {
+            let mut leaf = LeafNode::new(Vec::new(), Vec::new());
+            let key = |i: u64| format!("mid{:03}", i * 37 % 100).into_bytes();
+            // Sorted at 60 items: the last slot sits in the unsorted tail.
+            for i in 0..100u64 {
+                insert(&mut leaf, &key(i), i, &config);
+                if i == 59 {
+                    leaf.ensure_key_sorted();
+                }
+            }
+            assert_eq!(leaf.key_view_lags(), config.sort_by_tag);
+            // Item `i` went into slot `i`. A middle one, then the last one.
+            for (doomed, renamed) in [(30usize, 1), (98, 0)] {
+                let last = leaf.len() - 1;
+                let rename = |slot: usize| if slot == last { doomed } else { slot };
+                let tags: Vec<(u16, usize)> = leaf
+                    .hash_order
+                    .iter()
+                    .filter(|e| e.slot() != doomed)
+                    .map(|e| (e.tag(), e.slot()))
+                    .collect();
+                let order: Vec<usize> = leaf
+                    .key_order
+                    .iter()
+                    .map(|&i| usize::from(i))
+                    .filter(|&slot| slot != doomed)
+                    .collect();
+                let sorted = leaf.sorted_cnt;
+                let gone = key(doomed as u64);
+                let removed = leaf.remove(&gone, crc32c(&gone), &config);
+                assert_eq!(removed, Some(doomed as u64));
+                leaf.check_invariants();
+                let tags_now: Vec<(u16, usize)> = leaf
+                    .hash_order
+                    .iter()
+                    .map(|e| (e.tag(), e.slot()))
+                    .collect();
+                let order_now: Vec<usize> =
+                    leaf.key_order.iter().map(|&i| usize::from(i)).collect();
+                let differ = tags.iter().zip(&tags_now).filter(|(a, b)| a != b).count();
+                assert_eq!(differ, renamed);
+                let differ = order.iter().zip(&order_now).filter(|(a, b)| a != b).count();
+                assert_eq!(differ, renamed);
+                let expect: Vec<_> = tags.iter().map(|&(t, slot)| (t, rename(slot))).collect();
+                assert_eq!(tags_now, expect);
+                let expect: Vec<_> = order.iter().map(|&slot| rename(slot)).collect();
+                assert_eq!(order_now, expect);
+                // The sorted prefix shrinks when the removed item sat in it.
+                let in_prefix = doomed < 60 || !config.sort_by_tag;
+                assert_eq!(leaf.sorted_cnt, sorted - usize::from(in_prefix));
+                assert_eq!(get(&leaf, &gone, &config), None);
+                assert_eq!(get(&leaf, &key(99), &config), Some(99));
+            }
+        }
+    }
+
+    #[test]
     fn kv_holds_nothing_but_key_and_value() {
         // The tags live in the tag array only: an item record is its key
         // box and its value, and a tag-array entry is four bytes.
@@ -1327,6 +1390,12 @@ mod tests {
         Split,
         Absorb,
     }
+
+    /// A key above the alphabet of [`leaf_op`]. It goes into a leaf right
+    /// before a removal and comes out right after it, so the removal meets
+    /// a view that lags (with *SortByTag*) and the item in the last slot —
+    /// the one the removal renames — sits in the unsorted tail.
+    const LAG_KEY: &[u8] = &[9];
 
     fn leaf_op() -> impl Strategy<Value = LeafOp> {
         // A four-letter alphabet and short keys: overwrites, removals of
@@ -1381,16 +1450,26 @@ mod tests {
                             Some(r) if key.as_slice() >= r.anchor() => r,
                             _ => &mut left,
                         };
+                        prop_assert_eq!(insert(leaf, LAG_KEY, 0, &config), None);
+                        prop_assert_eq!(leaf.key_view_lags(), config.sort_by_tag);
                         prop_assert_eq!(
                             leaf.remove(&key, crc32c(&key), &config),
                             model.remove(&key)
                         );
+                        leaf.check_invariants();
+                        prop_assert_eq!(leaf.remove(LAG_KEY, crc32c(LAG_KEY), &config), Some(0));
                     }
                     LeafOp::RemoveRange(lo, hi) => {
-                        let mut bin = LeafGarbage::immediate();
-                        let mut removed = left.remove_range_retiring(&lo, &hi, &mut bin).0;
-                        if let Some(r) = &mut right {
-                            removed += r.remove_range_retiring(&lo, &hi, &mut bin).0;
+                        let mut bin = Bin::immediate();
+                        let mut removed = 0;
+                        for leaf in [Some(&mut left), right.as_mut()].into_iter().flatten() {
+                            prop_assert_eq!(insert(leaf, LAG_KEY, 0, &config), None);
+                            removed += leaf.remove_range_retiring(&lo, &hi, &mut bin).0;
+                            leaf.check_invariants();
+                            prop_assert_eq!(
+                                leaf.remove(LAG_KEY, crc32c(LAG_KEY), &config),
+                                Some(0)
+                            );
                         }
                         let doomed: Vec<Vec<u8>> = model
                             .range(lo..hi)

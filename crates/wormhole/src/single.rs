@@ -24,7 +24,7 @@ use wh_hash::crc32c;
 
 use crate::config::WormholeConfig;
 use crate::core;
-use crate::leaf::{LeafGarbage, LeafNode};
+use crate::leaf::{Bin, LeafNode};
 use crate::meta::{MetaTable, TargetOutcome, BATCH_WINDOW};
 use crate::prefetch::prefetch_span;
 
@@ -158,8 +158,7 @@ impl<V: Clone> WormholeUnsafe<V> {
     fn split_leaf(&mut self, idx: u32) -> bool {
         let slot = self.leaves[idx as usize].as_mut().expect("live leaf");
         // No concurrent readers exist: retired blocks drop immediately.
-        let Some(prepared) =
-            core::prepare_split(&mut slot.leaf, &self.meta, &mut LeafGarbage::immediate())
+        let Some(prepared) = core::prepare_split(&mut slot.leaf, &self.meta, &mut Bin::immediate())
         else {
             // No valid anchor can be formed: the leaf becomes a fat node
             // (§3.3) and simply grows past the nominal capacity.
@@ -356,7 +355,7 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
         }
         // The leaf (or the half of it that now covers the key) was searched
         // above and did not hold it.
-        let bin = &mut LeafGarbage::immediate();
+        let bin = &mut Bin::immediate();
         self.slot_mut(leaf_idx)
             .leaf
             .insert_absent(key, hash, value, &config, bin);

@@ -1,8 +1,8 @@
 //! Telemetry for the concurrent index: counters for the events the bench
 //! story cares about (seqlock retries, locked fallbacks, structural
-//! splits/merges, LPM restarts, scan-time sorts), shareable across
-//! instances so a sharded front aggregates all its shards into one set of
-//! cells.
+//! splits/merges and merge attempts, LPM restarts, scan-time sorts),
+//! shareable across instances so a sharded front aggregates all its shards
+//! into one set of cells.
 //!
 //! All recording sites are *off* the clean hot path: a conflict-free
 //! optimistic `get` touches no counter at all, so the zero-alloc and
@@ -24,6 +24,9 @@ pub struct WormholeMetrics {
     pub splits: Counter,
     /// Leaf merges published.
     pub merges: Counter,
+    /// Times a removal took the writer mutex to run the merge test; a
+    /// removal whose leaf cannot pair with a neighbour does not get there.
+    pub merge_attempts: Counter,
     /// MetaTrieHT lookup restarts: the LPM search resolved to a leaf that
     /// a racing merge retired before the neighbour step completed.
     pub lpm_restarts: Counter,
@@ -46,6 +49,10 @@ impl WormholeMetrics {
         );
         registry.register_counter(&format!("{prefix}_splits_total"), &self.splits);
         registry.register_counter(&format!("{prefix}_merges_total"), &self.merges);
+        registry.register_counter(
+            &format!("{prefix}_merge_attempts_total"),
+            &self.merge_attempts,
+        );
         registry.register_counter(&format!("{prefix}_lpm_restarts_total"), &self.lpm_restarts);
         registry.register_counter(&format!("{prefix}_scan_sorts_total"), &self.scan_sorts);
     }

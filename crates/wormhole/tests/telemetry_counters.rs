@@ -33,6 +33,42 @@ fn splits_and_merges_are_counted() {
 }
 
 #[test]
+fn a_delete_asks_before_it_takes_the_writer_mutex() {
+    let index: Wormhole<u64> = Wormhole::new();
+    let (capacity, merge_size) = (index.config().leaf_capacity, index.config().merge_size);
+    let n = 8 * capacity as u64;
+    let key = |i: u64| format!("key{i:08}").into_bytes();
+    for i in 0..n {
+        index.set(&key(i), i);
+    }
+    let metrics = index.metrics();
+    // Ascending inserts leave every leaf but the last at half capacity: a
+    // delete takes one under `merge_size`, but no two neighbours add up to
+    // less than it. Churn that keeps it so never tries to merge.
+    assert_eq!(merge_size, capacity / 2);
+    for _ in 0..3 {
+        for i in (0..n).step_by(merge_size) {
+            assert_eq!(index.del(&key(i)), Some(i));
+        }
+        for i in (0..n).step_by(merge_size) {
+            assert_eq!(index.set(&key(i), i), None);
+        }
+    }
+    assert_eq!(metrics.merge_attempts.get(), 0, "no pair was ever eligible");
+    assert_eq!(metrics.merges.get(), 0);
+    // Deleting everything still merges down to one leaf, and every merge
+    // was an attempt.
+    for i in 0..n {
+        assert!(index.del(&key(i)).is_some());
+    }
+    assert!(index.is_empty());
+    assert_eq!(index.leaf_count(), 1);
+    assert!(metrics.merges.get() > 0);
+    assert!(metrics.merges.get() <= metrics.merge_attempts.get());
+    index.check_invariants();
+}
+
+#[test]
 fn a_scan_sorts_a_lagging_leaf_once() {
     let index: Wormhole<u64> = Wormhole::new();
     let key = |i: u64| format!("key{i:04}").into_bytes();
@@ -97,5 +133,6 @@ fn metrics_register_and_render() {
     assert!(text.contains("wormhole_splits_total"));
     assert!(text.contains("wormhole_seqlock_retries_total"));
     assert!(text.contains("wormhole_scan_sorts_total"));
+    assert!(text.contains("wormhole_merge_attempts_total"));
     assert!(text.contains("wormhole_epoch_section_entries_total"));
 }
