@@ -183,15 +183,15 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// Point-looks-up every key of `keys`, returning one result per key in
     /// input order (duplicates allowed, each answered independently).
     ///
-    /// The default is a per-key loop. Each lookup is individually
-    /// linearisable; the batch as a whole is **not** a snapshot — a racing
-    /// writer may land between two keys of one batch, exactly as it could
-    /// between two separate `get` calls. The concurrent Wormhole overrides
-    /// this with a pipelined probe engine (shared QSBR critical section,
-    /// prefetched buckets, seqlock-validated leaf reads with the usual
-    /// bounded-retry fallback), and the sharded front routes a whole batch
-    /// inside one router epoch. Batched and per-key results are always
-    /// identical.
+    /// This is the allocating wrapper over
+    /// [`get_batch_into`](ConcurrentOrderedIndex::get_batch_into), which is
+    /// the method an index implements; a caller that looks up batch after
+    /// batch keeps one result buffer and calls that instead.
+    ///
+    /// Each lookup is individually linearisable; the batch as a whole is
+    /// **not** a snapshot — a racing writer may land between two keys of
+    /// one batch, exactly as it could between two separate `get` calls.
+    /// Batched and per-key results are always identical.
     ///
     /// # Examples
     ///
@@ -231,7 +231,22 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// assert_eq!(index.get_batch(&keys), looped);
     /// ```
     fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<V>> {
-        keys.iter().map(|key| self.get(key)).collect()
+        let mut out = Vec::with_capacity(keys.len());
+        self.get_batch_into(keys, &mut out);
+        out
+    }
+
+    /// Point-looks-up every key of `keys` and appends one result per key
+    /// to `out`, in input order; what `out` already holds stays in front.
+    ///
+    /// The default is a per-key loop. The concurrent Wormhole overrides it
+    /// with a pipelined probe engine (shared QSBR critical section,
+    /// prefetched buckets, seqlock-validated leaf reads with the usual
+    /// bounded-retry fallback), and the sharded front routes a whole batch
+    /// inside one router epoch. Neither allocates once `out` has the
+    /// capacity.
+    fn get_batch_into(&self, keys: &[&[u8]], out: &mut Vec<Option<V>>) {
+        out.extend(keys.iter().map(|key| self.get(key)));
     }
 
     /// Inserts or overwrites `key`, returning the previous value if any.

@@ -15,17 +15,19 @@
 //!   throughput the client would observe through the link.
 //! * [`service`] — an in-process client/server pair connected by channels
 //!   that actually encodes requests into buffers, batches them (800 per
-//!   message, like the paper), decodes them on the server thread, executes
-//!   them against any index, and ships encoded responses back. The server
-//!   decodes a whole message before executing it and feeds runs of
-//!   consecutive point lookups through the index's `get_batch`, so an
-//!   800-request lookup batch becomes pipelined probes with overlapped
-//!   cache misses rather than 800 serial descents.
+//!   message, like the paper), reads them in place on the server thread,
+//!   executes them against any index, and ships encoded responses back.
+//!   The server parses a whole message before executing it and hoists
+//!   every point lookup whose key the message does not write into one
+//!   `get_batch_into`, so an 800-request batch becomes pipelined probes
+//!   with overlapped cache misses rather than 800 serial descents,
+//!   whatever the lookups were interleaved with.
 //! * [`server`] — the multi-worker serving layer over the sharded front:
-//!   a [`server::ShardServer`] dispatches each decoded message across N
+//!   a [`server::ShardServer`] dispatches each parsed message across N
 //!   shard-affine worker threads (routing the whole message against one
-//!   router-table snapshot via `ShardedWormhole::route_batch`), overlaps
-//!   the decode/execute/encode stages of successive messages, serves
+//!   router-table snapshot via `ShardedWormhole::route_batch`; workers
+//!   share the frame, no key is copied), overlaps the
+//!   parse/execute/encode stages of successive messages, serves
 //!   streaming scans as stateless [`wire::WireRequest::Scan`] pages, and
 //!   reassembles responses in request order. See
 //!   `docs/src/adr-003-serving-threading.md` for the threading model and
@@ -53,4 +55,4 @@ pub mod wire;
 pub use server::{ShardServer, ShardServerMetrics};
 pub use service::{KvService, ServiceStats};
 pub use telemetry::ServiceMetrics;
-pub use wire::{LinkModel, WireRequest, WireResponse};
+pub use wire::{LinkModel, PairsRef, WireRequest, WireRequestRef, WireResponse, WireResponseRef};

@@ -5,27 +5,31 @@
 //! # Threading model
 //!
 //! Three stages run as threads connected by bounded channels, so the
-//! decode, execute, and reassemble work of *successive* messages overlaps
-//! (while workers execute message `n`, the dispatcher is already decoding
+//! parse, execute, and reassemble work of *successive* messages overlaps
+//! (while workers execute message `n`, the dispatcher is already parsing
 //! and routing `n + 1`, and the collector is shipping `n - 1`):
 //!
 //! ```text
 //! client ──► dispatcher ──► worker 0..N ──► collector ──► client
-//!             (decode,        (execute,      (reassemble
-//!              route_batch)    encode)        in slot order)
+//!             (parse,         (plan, execute, (reassemble
+//!              route_batch)    encode)         in slot order)
 //! ```
 //!
-//! * The **dispatcher** decodes each incoming batch and routes *every*
-//!   request in it against a single router-table snapshot
-//!   ([`ShardedWormhole::route_batch`] — one router protection span for
-//!   the whole message, the same discipline as the index's own
-//!   `get_batch`), then splits the message into per-worker sub-batches.
-//!   Shards map to workers contiguously (`worker = shard * workers /
-//!   shards`), so each worker's working set stays range-local.
-//! * Each **worker** executes its sub-batch in slot order through the
-//!   executor it shares with [`KvService`](crate::KvService) (runs of
-//!   consecutive point lookups through the index's pipelined `get_batch`),
-//!   which encodes responses into one buffer with per-item end offsets.
+//! * The **dispatcher** parses each incoming frame in place into request
+//!   records and routes *every* request in it against a single
+//!   router-table snapshot ([`ShardedWormhole::route_batch`] — one router
+//!   protection span for the whole message, the same discipline as the
+//!   index's own `get_batch`), then splits the records into per-worker
+//!   shares; each goes out with a handle on the one shared frame, so no
+//!   key is copied between the wire and the index. Shards map to workers
+//!   contiguously (`worker = shard * workers / shards`), so each worker's
+//!   working set stays range-local.
+//! * Each **worker** executes its share through the executor it shares
+//!   with [`KvService`](crate::KvService): a two-pass plan that hoists
+//!   every Get whose key the share does not write into one
+//!   `get_batch_into`, then answers the slots in order (see the
+//!   [`service`](crate::service) module docs), encoding responses into
+//!   one buffer with per-item end offsets.
 //! * The **collector** receives the dispatcher's slot→worker assignment
 //!   and each participating worker's buffer, and reassembles the response
 //!   message by walking the slots in order — each worker's slots ascend,
@@ -42,17 +46,20 @@
 //! The consistency contract is **per-key program order**: all operations
 //! on one key in one client stream execute in client order. Within a
 //! message this holds because all slots were routed against one table
-//! snapshot — equal keys route equally, land on the same worker, and the
-//! worker executes slots in order. Across messages it holds because the
-//! shard→worker map is a pure function of the routing epoch, and when
-//! [`ShardedWormhole::route_batch`] reports a *new* epoch the dispatcher
-//! **flushes the pipeline** (waits for every in-flight message to
-//! complete) before dispatching under the new map — counted by
-//! [`ShardServerMetrics::epoch_flushes`]. Operations on *different* keys
-//! in one stream may execute out of order across workers; multi-key reads
-//! (`Range`, `Scan`) are concurrent snapshots, ordered only against
-//! same-worker neighbours. See `docs/src/adr-003-serving-threading.md`
-//! for the full argument.
+//! snapshot — equal keys route equally and land on the same worker — and
+//! that worker moves a Get ahead of its slot only when no Set of its
+//! share writes the Get's key; every Set, and every Get on a written key,
+//! executes at its slot. Across messages it holds because a worker takes
+//! messages in order, the shard→worker map is a pure function of the
+//! routing epoch, and when [`ShardedWormhole::route_batch`] reports a
+//! *new* epoch the dispatcher **flushes the pipeline** (waits for every
+//! in-flight message to complete) before dispatching under the new map —
+//! counted by [`ShardServerMetrics::epoch_flushes`]. Operations on
+//! *different* keys in one stream may execute out of order, across
+//! workers and within one; multi-key reads (`Range`, `Scan`) are
+//! concurrent snapshots, ordered only against the Sets and multi-key
+//! reads of same-worker neighbours. See
+//! `docs/src/adr-003-serving-threading.md` for the full argument.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,16 +70,19 @@ use wh_shard::ShardedWormhole;
 use wh_telemetry::{Counter, Histogram, Registry};
 
 use crate::service::{
-    decode_message, drive_client, execute, RequestBatch, ResponseBatch, ServiceStats,
+    decode_message, drive_client, Executor, RequestBatch, ResponseBatch, ServiceStats,
 };
 use crate::telemetry::ServiceMetrics;
-use crate::wire::{WireRequest, WireResponse};
+use crate::wire::{RequestRecord, WireRequest, WireResponse, WireResponseRef};
 
-/// One worker's share of a decoded message, in slot order (the collector
-/// knows which slots they are from the [`Assignment`]).
+/// One worker's share of a parsed message, in slot order (the collector
+/// knows which slots they are from the [`Assignment`]): its records and
+/// a handle on the frame they point into. Every worker of a message
+/// shares the one frame; no key is copied out of it.
 struct WorkBatch {
     seq: u64,
-    items: Vec<WireRequest>,
+    frame: Bytes,
+    records: Vec<RequestRecord>,
 }
 
 /// One worker's encoded output for one message: `ends[j]` is the end
@@ -131,19 +141,6 @@ pub struct ShardServer {
     registry: Arc<Registry>,
     metrics: ServiceMetrics,
     server_metrics: ShardServerMetrics,
-}
-
-/// The key a request routes by: its affinity signal. Multi-shard
-/// operations (`Range`, `Scan`) route by their start key; `Stats` routes
-/// to the first shard.
-fn routing_key(req: &WireRequest) -> &[u8] {
-    match req {
-        WireRequest::Get { key } => key,
-        WireRequest::Set { key, .. } => key,
-        WireRequest::Range { start, .. } => start,
-        WireRequest::Scan { start, .. } => start,
-        WireRequest::Stats => b"",
-    }
 }
 
 impl ShardServer {
@@ -274,14 +271,14 @@ impl ShardServer {
     /// in request order.
     pub fn run_collect(&self, requests: &[WireRequest]) -> (ServiceStats, Vec<WireResponse>) {
         let mut responses = Vec::with_capacity(requests.len());
-        let stats = self.run_with(requests, |resp| responses.push(resp.clone()));
+        let stats = self.run_with(requests, |resp| responses.push(resp.to_owned()));
         (stats, responses)
     }
 
     fn run_with(
         &self,
         requests: &[WireRequest],
-        on_resp: impl FnMut(&WireResponse),
+        on_resp: impl FnMut(WireResponseRef<'_>),
     ) -> ServiceStats {
         let (req_tx, resp_rx, handles) = self.spawn();
         let stats = drive_client(
@@ -340,7 +337,7 @@ impl ShardServer {
     }
 }
 
-/// Decode + route + split. One message per iteration; one
+/// Parse + route + split. One message per iteration; one
 /// `route_batch` router span per message.
 #[allow(clippy::too_many_arguments)]
 fn dispatcher_loop(
@@ -358,15 +355,19 @@ fn dispatcher_loop(
     let mut issued = 0u64;
     let mut completed = 0u64;
     let mut last_epoch = index.router_epoch();
+    let mut records: Vec<RequestRecord> = Vec::new();
     let mut routes: Vec<usize> = Vec::new();
     while let Ok(batch) = req_rx.recv() {
-        let requests = decode_message(batch, metrics);
+        let frame = decode_message(batch, &mut records, metrics);
 
         // Route the whole message against one router-table snapshot.
         routes.clear();
         let timing = wh_telemetry::start_timing();
         let epoch = {
-            let keys: Vec<&[u8]> = requests.iter().map(routing_key).collect();
+            let keys: Vec<&[u8]> = records
+                .iter()
+                .map(|record| record.request(frame.as_ref()).routing_key())
+                .collect();
             index.route_batch(&keys, &mut routes)
         };
         server_metrics.dispatch_route_ns.record_elapsed(timing);
@@ -391,23 +392,28 @@ fn dispatcher_loop(
             }
         }
 
-        // Split into per-worker sub-batches; slots stay ascending within
-        // each worker because the scan over slots is in order.
+        // Split into per-worker shares; slots stay ascending within each
+        // worker because the scan over slots is in order.
         let worker_of_slot: Vec<usize> = routes
             .iter()
             .map(|&shard| shard * workers / shard_count)
             .collect();
-        let mut per_worker: Vec<Vec<WireRequest>> = Vec::new();
+        let mut per_worker: Vec<Vec<RequestRecord>> = Vec::new();
         per_worker.resize_with(workers, Vec::new);
-        for (req, &w) in requests.into_iter().zip(&worker_of_slot) {
-            per_worker[w].push(req);
+        for (record, &w) in records.iter().zip(&worker_of_slot) {
+            per_worker[w].push(*record);
         }
-        for (w, items) in per_worker.into_iter().enumerate() {
-            if items.is_empty() {
+        for (w, records) in per_worker.into_iter().enumerate() {
+            if records.is_empty() {
                 continue;
             }
-            server_metrics.worker_items.record(items.len() as u64);
-            if work_txs[w].send(WorkBatch { seq, items }).is_err() {
+            server_metrics.worker_items.record(records.len() as u64);
+            let work = WorkBatch {
+                seq,
+                frame: frame.clone(),
+                records,
+            };
+            if work_txs[w].send(work).is_err() {
                 return;
             }
         }
@@ -425,9 +431,10 @@ fn dispatcher_loop(
     }
 }
 
-/// Execute + encode, slot order within the sub-batch: the executor of
-/// the single-threaded [`KvService`](crate::KvService), monomorphised over
-/// the sharded front (whose `get_batch` routes and gathers per shard).
+/// Execute + encode: the two-pass plan of the executor shared with the
+/// single-threaded [`KvService`](crate::KvService), monomorphised over the
+/// sharded front (whose `get_batch_into` routes and gathers per shard).
+/// The executor's buffers live as long as the worker.
 fn worker_loop(
     work_rx: &Receiver<WorkBatch>,
     out_tx: &Sender<WorkOutput>,
@@ -435,12 +442,19 @@ fn worker_loop(
     registry: &Registry,
     metrics: &ServiceMetrics,
 ) {
+    let mut executor = Executor::new();
     while let Ok(batch) = work_rx.recv() {
-        let (payload, ends) = execute(index, &batch.items, registry, metrics);
+        let payload = executor.execute(
+            index,
+            batch.frame.as_ref(),
+            &batch.records,
+            registry,
+            metrics,
+        );
         let output = WorkOutput {
             seq: batch.seq,
             payload,
-            ends,
+            ends: executor.ends().to_vec(),
         };
         if out_tx.send(output).is_err() {
             return;
@@ -591,6 +605,58 @@ mod tests {
     }
 
     #[test]
+    fn the_server_accounts_for_its_own_plan() {
+        // No Set anywhere: every Get is hoisted, one batch per worker share.
+        let index = loaded_sharded(4, 2000);
+        let server = ShardServer::with_batch_size(Arc::clone(&index), 2, 100);
+        let keys: Vec<Vec<u8>> = (0..1000u64)
+            .map(|i| format!("key-{:08}", i * 7 % 2500).into_bytes())
+            .collect();
+        server.run_lookups(&keys);
+        let m = server.metrics();
+        assert_eq!(m.gets_hoisted.get(), 1000);
+        assert_eq!(m.gets_in_place.get(), 0);
+        if wh_telemetry::enabled() {
+            let batches = m.get_batch_len.snapshot();
+            assert_eq!(batches.sum, 1000);
+            assert!(
+                (10..=20).contains(&batches.count()),
+                "ten messages, two workers"
+            );
+            assert_eq!(m.get_ns.snapshot().count(), 1000);
+        }
+
+        // Sixteen keys, each written every fourth time it comes round:
+        // nearly every Get shares its message share with a Set on its key
+        // and must stay in place.
+        let server = ShardServer::with_batch_size(index, 2, 100);
+        let requests: Vec<WireRequest> = (0..1000u64)
+            .map(|i| {
+                let key = format!("key-{:08}", i % 16).into_bytes();
+                if (i / 16 + i) % 4 == 0 {
+                    WireRequest::Set { key, value: i }
+                } else {
+                    WireRequest::Get { key }
+                }
+            })
+            .collect();
+        server.run(&requests);
+        let m = server.metrics();
+        assert_eq!(m.gets_hoisted.get() + m.gets_in_place.get(), 750);
+        assert!(m.gets_in_place.get() > 375, "{}", m.gets_in_place.get());
+        let text = server.fetch_stats();
+        for name in [
+            "netsim_gets_hoisted_total",
+            "netsim_gets_in_place_total",
+            "netsim_get_batch_len",
+            "netsim_malformed_frames_total 0",
+        ] {
+            assert!(text.contains(name), "{name} missing from the exposition");
+        }
+        server.registry().lint().expect("well-formed metric names");
+    }
+
+    #[test]
     fn mixed_ops_and_stats_round_trip() {
         let index = loaded_sharded(4, 500);
         let server = ShardServer::with_batch_size(index, 2, 64);
@@ -666,7 +732,12 @@ mod tests {
                 }
             })
         };
-        for _ in 0..10 {
+        // Ten rounds, times `WH_STRESS_MULT` for the nightly soak.
+        let mult: u64 = std::env::var("WH_STRESS_MULT")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(1);
+        for _ in 0..10 * mult {
             let keys: Vec<Vec<u8>> = (0..2000u64)
                 .map(|i| format!("key-{:08}", i * 7 % 4000).into_bytes())
                 .collect();

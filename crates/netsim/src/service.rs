@@ -4,18 +4,28 @@
 //!
 //! Three pieces here are shared with the multi-worker
 //! [`ShardServer`](crate::ShardServer), so each exists once:
-//! `decode_message` (wire bytes → requests), `execute` (requests →
-//! encoded responses) and `drive_client` (the pipelined client). What is
-//! [`KvService`]'s own is one server thread over *any* index.
+//! `decode_message` (wire bytes → request records over the frame),
+//! `Executor::execute` (records → encoded responses) and `drive_client`
+//! (the pipelined client). What is [`KvService`]'s own is one server
+//! thread over *any* index.
 //!
-//! `execute` runs every run of consecutive point lookups through the
-//! index's [`get_batch`](index_traits::ConcurrentOrderedIndex::get_batch)
-//! so the pipelined probe engine can overlap their cache misses; writes
-//! and range scans are executed individually in arrival order, so the
-//! response stream is byte-for-byte equivalent to serial per-request
-//! execution.
+//! # The execution plan
+//!
+//! A server thread executes its share of a message in two passes. The
+//! first collects every `Get` whose key no `Set` *of the same share*
+//! writes and runs them all through one
+//! [`get_batch_into`](index_traits::ConcurrentOrderedIndex::get_batch_into),
+//! so the pipelined probe engine sees full windows whatever the Gets were
+//! interleaved with. The second walks the share in order: it encodes the
+//! next hoisted value for such a Get and executes everything else — `Set`,
+//! `Range`, `Scan`, `Stats`, and a `Get` on a written key through
+//! single-key `get` — in place. Only Gets on unwritten keys move, and
+//! moving one past operations on *other* keys cannot change its answer, so
+//! per key the response stream is the one serial execution gives. No key
+//! is copied on the way: requests are read in place from the frame.
 
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -26,13 +36,13 @@ use index_traits::ConcurrentOrderedIndex;
 use wh_telemetry::Registry;
 
 use crate::telemetry::ServiceMetrics;
-use crate::wire::{WireRequest, WireResponse};
+use crate::wire::{
+    parse_frame, RequestRecord, WireRequest, WireRequestRef, WireResponse, WireResponseRef,
+};
 
 /// One batch of encoded requests travelling client → server.
 pub(crate) struct RequestBatch {
     pub(crate) payload: Bytes,
-    /// Number of requests in the batch.
-    pub(crate) count: usize,
 }
 
 /// One batch of encoded responses travelling server → client.
@@ -72,16 +82,21 @@ impl ServiceStats {
     }
 }
 
-/// Decodes one message and counts it: the first step of every server.
-pub(crate) fn decode_message(batch: RequestBatch, metrics: &ServiceMetrics) -> Vec<WireRequest> {
-    let mut payload = batch.payload;
-    let mut requests = Vec::with_capacity(batch.count);
-    while let Some(req) = WireRequest::decode(&mut payload) {
-        requests.push(req);
+/// Parses one message into `records` and counts it: the first step of
+/// every server. Returns the frame the records point into. A frame with a
+/// malformed tail is counted in `malformed_frames` and answered as far as
+/// it parsed.
+pub(crate) fn decode_message(
+    batch: RequestBatch,
+    records: &mut Vec<RequestRecord>,
+    metrics: &ServiceMetrics,
+) -> Bytes {
+    if !parse_frame(batch.payload.as_ref(), records) {
+        metrics.malformed_frames.inc();
     }
-    metrics.requests.add(requests.len() as u64);
-    metrics.batch_requests.record(requests.len() as u64);
-    requests
+    metrics.requests.add(records.len() as u64);
+    metrics.batch_requests.record(records.len() as u64);
+    batch.payload
 }
 
 /// The response to a point op: the value found (for a `Set`, replaced).
@@ -89,108 +104,245 @@ fn value_or_miss(value: Option<u64>) -> WireResponse {
     value.map_or(WireResponse::Miss, WireResponse::Value)
 }
 
-/// Executes decoded requests against `index` in slice order and returns
-/// the encoded responses plus the end offset of each response in them.
-///
-/// Runs of consecutive point lookups go through `get_batch` so the index
-/// can overlap their cache misses; everything else executes individually
-/// in place, preserving response order. Generic rather than `dyn` so the
-/// [`ShardServer`](crate::ShardServer) workers stay monomorphised over
-/// the sharded front; [`KvService`] passes its `dyn` index.
-pub(crate) fn execute<I>(
-    index: &I,
-    requests: &[WireRequest],
-    registry: &Registry,
-    metrics: &ServiceMetrics,
-) -> (Bytes, Vec<usize>)
-where
-    I: ConcurrentOrderedIndex<u64> + ?Sized,
-{
-    let mut out = BytesMut::with_capacity(requests.len() * 16);
-    let mut ends = Vec::with_capacity(requests.len());
-    let mut i = 0usize;
-    while i < requests.len() {
-        match &requests[i] {
-            WireRequest::Get { .. } => {
-                let run_end = requests[i..]
-                    .iter()
-                    .position(|r| !matches!(r, WireRequest::Get { .. }))
-                    .map_or(requests.len(), |off| i + off);
-                let keys: Vec<&[u8]> = requests[i..run_end]
-                    .iter()
-                    .map(|r| match r {
-                        WireRequest::Get { key } => key.as_slice(),
-                        _ => unreachable!("run contains only gets"),
-                    })
-                    .collect();
-                let timing = wh_telemetry::start_timing();
-                let values = index.get_batch(&keys);
-                if let Some(started) = timing {
-                    // The run executed together: each of its ops is
-                    // charged an equal share of the run's time.
-                    let n = keys.len() as u64;
-                    metrics
-                        .get_ns
-                        .record_n(started.elapsed().as_nanos() as u64 / n, n);
+/// The keys one share's `Set`s write, as an open-addressed set of 32-bit
+/// key hashes. Conservative: two keys may share a hash, and then a `Get`
+/// that could have been hoisted stays in place — never the reverse. The
+/// hash is seeded per set, so a client cannot pick keys that collide.
+struct WrittenKeys {
+    seed: u64,
+    /// `0` is an empty slot; stored hashes have their low bit set.
+    slots: Vec<u32>,
+}
+
+impl WrittenKeys {
+    fn new() -> Self {
+        Self {
+            seed: RandomState::new().hash_one(0u8),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Empties the set and sizes it for `writes` keys at half load; for
+    /// none it stays without slots, and `may_contain` hashes nothing.
+    fn reset(&mut self, writes: usize) {
+        self.slots.clear();
+        if writes > 0 {
+            self.slots.resize((writes * 2).next_power_of_two(), 0);
+        }
+    }
+
+    /// Eight key bytes per multiply (the Fx mix), folded to 32 bits.
+    fn hash(&self, key: &[u8]) -> u32 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+        let mut h = mix(self.seed, key.len() as u64);
+        let mut words = key.chunks_exact(8);
+        for word in &mut words {
+            h = mix(h, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        h = mix(h, u64::from_le_bytes(tail));
+        (h >> 32) as u32 | 1
+    }
+
+    /// The slot holding `hash`, or the empty one where it would go.
+    fn slot_of(&self, hash: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> 1) as usize & mask;
+        while self.slots[at] != 0 && self.slots[at] != hash {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn insert(&mut self, key: &[u8]) {
+        let hash = self.hash(key);
+        let at = self.slot_of(hash);
+        self.slots[at] = hash;
+    }
+
+    fn may_contain(&self, key: &[u8]) -> bool {
+        !self.slots.is_empty() && self.slots[self.slot_of(self.hash(key))] != 0
+    }
+}
+
+/// Empties `keys` and hands its storage to a list of another lifetime:
+/// the executor's key list borrows from one frame at a time. Collecting
+/// an emptied `Vec` through its own iterator reuses the allocation.
+fn recycled<'a, 'b>(mut keys: Vec<&'a [u8]>) -> Vec<&'b [u8]> {
+    keys.clear();
+    keys.into_iter().map(|_| -> &'b [u8] { &[] }).collect()
+}
+
+/// One server thread's executor: [`execute`](Executor::execute) plus the
+/// buffers it keeps from message to message.
+pub(crate) struct Executor {
+    /// The hoisted Gets' keys; empty (and `'static`) between messages.
+    keys: Vec<&'static [u8]>,
+    /// Their values, in `keys` order.
+    values: Vec<Option<u64>>,
+    written: WrittenKeys,
+    /// Positions in the share of the Gets left in place, ascending.
+    in_place: Vec<u32>,
+    out: BytesMut,
+    ends: Vec<usize>,
+}
+
+impl Executor {
+    pub(crate) fn new() -> Self {
+        Self {
+            keys: Vec::new(),
+            values: Vec::new(),
+            written: WrittenKeys::new(),
+            in_place: Vec::new(),
+            out: BytesMut::new(),
+            ends: Vec::new(),
+        }
+    }
+
+    /// Executes one share of a message — `records` over `frame`, in slot
+    /// order — against `index` by the two-pass plan of the
+    /// [module docs](self), and returns the encoded responses. `ends()`
+    /// then holds the end offset of each response in them.
+    ///
+    /// Generic rather than `dyn` so the [`ShardServer`](crate::ShardServer)
+    /// workers stay monomorphised over the sharded front; [`KvService`]
+    /// passes its `dyn` index.
+    pub(crate) fn execute<I>(
+        &mut self,
+        index: &I,
+        frame: &[u8],
+        records: &[RequestRecord],
+        registry: &Registry,
+        metrics: &ServiceMetrics,
+    ) -> Bytes
+    where
+        I: ConcurrentOrderedIndex<u64> + ?Sized,
+    {
+        // Pass one: the keys this share writes, then the Gets they leave
+        // free to move.
+        let requests = || records.iter().map(|record| record.request(frame));
+        let writes = requests()
+            .filter(|request| matches!(request, WireRequestRef::Set { .. }))
+            .count();
+        self.written.reset(writes);
+        if writes > 0 {
+            for request in requests() {
+                if let WireRequestRef::Set { key, .. } = request {
+                    self.written.insert(key);
                 }
-                for value in values {
-                    value_or_miss(value).encode(&mut out);
-                    ends.push(out.len());
-                }
-                i = run_end;
-                continue;
-            }
-            WireRequest::Set { key, value } => {
-                let timing = wh_telemetry::start_timing();
-                let resp = value_or_miss(index.set(key, *value));
-                metrics.set_ns.record_elapsed(timing);
-                resp.encode(&mut out);
-            }
-            WireRequest::Range { start, count } => {
-                let timing = wh_telemetry::start_timing();
-                let resp = WireResponse::Range(index.range_from(start, *count as usize));
-                metrics.range_ns.record_elapsed(timing);
-                resp.encode(&mut out);
-            }
-            WireRequest::Scan { start, limit } => {
-                let timing = wh_telemetry::start_timing();
-                let page = index.scan_page(start, *limit as usize);
-                metrics.scan_ns.record_elapsed(timing);
-                WireResponse::ScanPage {
-                    items: page.items,
-                    resume: page.resume,
-                }
-                .encode(&mut out);
-            }
-            WireRequest::Stats => {
-                metrics.stats_requests.inc();
-                WireResponse::Stats(registry.snapshot().render()).encode(&mut out);
             }
         }
-        ends.push(out.len());
-        i += 1;
+        let mut keys = recycled(std::mem::take(&mut self.keys));
+        self.in_place.clear();
+        for (slot, request) in requests().enumerate() {
+            if let WireRequestRef::Get { key } = request {
+                if self.written.may_contain(key) {
+                    self.in_place.push(slot as u32);
+                } else {
+                    keys.push(key);
+                }
+            }
+        }
+        self.values.clear();
+        if !keys.is_empty() {
+            let timing = wh_telemetry::start_timing();
+            index.get_batch_into(&keys, &mut self.values);
+            if let Some(started) = timing {
+                // The batch executed together: each of its Gets is
+                // charged an equal share of the batch's time.
+                let n = keys.len() as u64;
+                metrics
+                    .get_ns
+                    .record_n(started.elapsed().as_nanos() as u64 / n, n);
+            }
+            metrics.get_batch_len.record(keys.len() as u64);
+        }
+        metrics.gets_hoisted.add(keys.len() as u64);
+        metrics.gets_in_place.add(self.in_place.len() as u64);
+        self.keys = recycled(keys);
+
+        // Pass two: slot order. A Get is answered from the batch unless
+        // its slot is the next one left in place.
+        let out = &mut self.out;
+        self.ends.clear();
+        let mut hoisted = self.values.iter();
+        let mut in_place = self.in_place.iter().peekable();
+        for (slot, request) in requests().enumerate() {
+            match request {
+                WireRequestRef::Get { key } => {
+                    let value = if in_place.next_if_eq(&&(slot as u32)).is_some() {
+                        let timing = wh_telemetry::start_timing();
+                        let value = index.get(key);
+                        metrics.get_ns.record_elapsed(timing);
+                        value
+                    } else {
+                        *hoisted.next().expect("one value per hoisted Get")
+                    };
+                    value_or_miss(value).encode(out);
+                }
+                WireRequestRef::Set { key, value } => {
+                    let timing = wh_telemetry::start_timing();
+                    let resp = value_or_miss(index.set(key, value));
+                    metrics.set_ns.record_elapsed(timing);
+                    resp.encode(out);
+                }
+                WireRequestRef::Range { start, count } => {
+                    let timing = wh_telemetry::start_timing();
+                    let resp = WireResponse::Range(index.range_from(start, count as usize));
+                    metrics.range_ns.record_elapsed(timing);
+                    resp.encode(out);
+                }
+                WireRequestRef::Scan { start, limit } => {
+                    let timing = wh_telemetry::start_timing();
+                    let page = index.scan_page(start, limit as usize);
+                    metrics.scan_ns.record_elapsed(timing);
+                    WireResponse::ScanPage {
+                        items: page.items,
+                        resume: page.resume,
+                    }
+                    .encode(out);
+                }
+                WireRequestRef::Stats => {
+                    metrics.stats_requests.inc();
+                    WireResponse::Stats(registry.snapshot().render()).encode(out);
+                }
+            }
+            self.ends.push(out.len());
+        }
+        // The responses leave with the caller; the next message starts
+        // with room for as many bytes as this one took.
+        let next = BytesMut::with_capacity(out.len());
+        std::mem::replace(out, next).freeze()
     }
-    (out.freeze(), ends)
+
+    /// The end offset of each response of the last
+    /// [`execute`](Executor::execute), in slot order.
+    pub(crate) fn ends(&self) -> &[usize] {
+        &self.ends
+    }
 }
 
 /// The client half of a run: encodes `requests` in messages of
 /// `batch_size`, keeps a small pipeline of them in flight (as HERD does,
-/// and so a multi-stage server's stages overlap), decodes the responses
-/// and hands each to `on_resp` in request order. Takes the sender so that
-/// returning hangs up, which is what stops the server.
+/// and so a multi-stage server's stages overlap), reads the responses in
+/// place and hands each to `on_resp` in request order. Takes the sender so
+/// that returning hangs up, which is what stops the server.
 ///
 /// The server answers messages in arrival order, so the front of the
 /// in-flight queue is always the one the next response completes. Each
 /// response batch records its full round trip (encode, queue, execute,
 /// decode) into `client_rtt_ns`, once per request it carried — the
-/// client-observed latency distribution.
+/// client-observed latency distribution. A response frame is read up to
+/// its first malformed byte; what follows it is not counted.
 pub(crate) fn drive_client(
     req_tx: Sender<RequestBatch>,
     resp_rx: &Receiver<ResponseBatch>,
     requests: &[WireRequest],
     batch_size: usize,
     metrics: &ServiceMetrics,
-    mut on_resp: impl FnMut(&WireResponse),
+    mut on_resp: impl FnMut(WireResponseRef<'_>),
 ) -> ServiceStats {
     let start = Instant::now();
     let mut stats = ServiceStats {
@@ -204,15 +356,15 @@ pub(crate) fn drive_client(
     let mut drain = |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<Instant>>| {
         let batch = resp_rx.recv().expect("server alive");
         stats.response_bytes += batch.payload.len();
-        let mut payload = batch.payload;
+        let mut payload = batch.payload.as_ref();
         let mut count = 0u64;
-        while let Some(resp) = WireResponse::decode(&mut payload) {
-            if !matches!(resp, WireResponse::Miss) {
+        while let Some(resp) = WireResponseRef::decode(&mut payload) {
+            if !matches!(resp, WireResponseRef::Miss) {
                 stats.hits += 1;
             }
             stats.operations += 1;
             count += 1;
-            on_resp(&resp);
+            on_resp(resp);
         }
         let sent = in_flight.pop_front().expect("a response implies a send");
         if let Some(sent) = sent {
@@ -222,7 +374,7 @@ pub(crate) fn drive_client(
         }
     };
     for chunk in requests.chunks(batch_size) {
-        let mut buf = BytesMut::with_capacity(chunk.len() * 32);
+        let mut buf = BytesMut::with_capacity(chunk.iter().map(WireRequest::wire_size).sum());
         for req in chunk {
             req.encode(&mut buf);
         }
@@ -231,7 +383,6 @@ pub(crate) fn drive_client(
         req_tx
             .send(RequestBatch {
                 payload: buf.freeze(),
-                count: chunk.len(),
             })
             .expect("server alive");
         if in_flight.len() >= 8 {
@@ -307,9 +458,12 @@ impl KvService<u64> {
         let registry = Arc::clone(&self.registry);
         let metrics = self.metrics.clone();
         let handle = std::thread::spawn(move || {
+            let mut records = Vec::new();
+            let mut executor = Executor::new();
             while let Ok(batch) = req_rx.recv() {
-                let requests = decode_message(batch, &metrics);
-                let (payload, _ends) = execute(&*index, &requests, &registry, &metrics);
+                let frame = decode_message(batch, &mut records, &metrics);
+                let payload =
+                    executor.execute(&*index, frame.as_ref(), &records, &registry, &metrics);
                 if resp_tx.send(ResponseBatch { payload }).is_err() {
                     break;
                 }
@@ -329,14 +483,14 @@ impl KvService<u64> {
     /// served stream against in-process execution.
     pub fn run_collect(&self, requests: &[WireRequest]) -> (ServiceStats, Vec<WireResponse>) {
         let mut responses = Vec::with_capacity(requests.len());
-        let stats = self.run_with(requests, |resp| responses.push(resp.clone()));
+        let stats = self.run_with(requests, |resp| responses.push(resp.to_owned()));
         (stats, responses)
     }
 
     fn run_with(
         &self,
         requests: &[WireRequest],
-        on_resp: impl FnMut(&WireResponse),
+        on_resp: impl FnMut(WireResponseRef<'_>),
     ) -> ServiceStats {
         let (req_tx, resp_rx, handle) = self.spawn_server();
         let stats = drive_client(
@@ -465,6 +619,96 @@ mod tests {
         // Hits: the get after the first set, the second set's old value, and
         // the final get. The leading get and the "absent" probe miss.
         assert_eq!(stats.hits, 3);
+    }
+
+    #[test]
+    fn a_malformed_tail_is_counted_and_the_requests_before_it_answered() {
+        let index = loaded_index(10);
+        let mut buf = BytesMut::new();
+        for key in [&b"key-00000001"[..], b"absent", b"key-00000002"] {
+            WireRequest::Get { key: key.to_vec() }.encode(&mut buf);
+        }
+        let whole = buf.len();
+        WireRequest::Set {
+            key: b"key-00000003".to_vec(),
+            value: 9,
+        }
+        .encode(&mut buf);
+        let frame = buf.freeze();
+        let metrics = ServiceMetrics::default();
+        let registry = Registry::new();
+        let mut records = Vec::new();
+        let mut executor = Executor::new();
+        // Cut inside the Set's value, then replace its tag: both tails are
+        // refused, the three Gets in front are served.
+        let mut unknown = frame.as_ref().to_vec();
+        unknown[whole] = 0x7F;
+        let cut = frame.as_ref()[..frame.len() - 3].to_vec();
+        for (n, tail) in [cut, unknown].into_iter().enumerate() {
+            let batch = RequestBatch {
+                payload: Bytes::from(tail),
+            };
+            let frame = decode_message(batch, &mut records, &metrics);
+            assert_eq!(records.len(), 3);
+            assert_eq!(metrics.malformed_frames.get(), n as u64 + 1);
+            let payload = executor.execute(&*index, frame.as_ref(), &records, &registry, &metrics);
+            let mut rest = payload.as_ref();
+            let answered: Vec<WireResponse> =
+                std::iter::from_fn(|| Some(WireResponseRef::decode(&mut rest)?.to_owned()))
+                    .collect();
+            assert_eq!(
+                answered,
+                [
+                    WireResponse::Value(1),
+                    WireResponse::Miss,
+                    WireResponse::Value(2)
+                ]
+            );
+            assert_eq!(executor.ends(), [9, 10, 19]);
+        }
+        // The Set was never applied, and a well-formed frame counts nothing.
+        assert_eq!(index.get(b"key-00000003"), Some(3));
+        decode_message(RequestBatch { payload: frame }, &mut records, &metrics);
+        assert_eq!(records.len(), 4);
+        assert_eq!(metrics.malformed_frames.get(), 2);
+        assert_eq!(metrics.requests.get(), 10);
+    }
+
+    #[test]
+    fn the_key_list_keeps_its_storage_between_frames() {
+        // `recycled` leans on the standard library collecting a `Vec`'s own
+        // iterator in place. Nothing breaks if that ever stops (the list
+        // is then allocated per message), but the allocation comes back.
+        let frame = vec![0u8; 64];
+        let mut keys: Vec<&[u8]> = Vec::with_capacity(400);
+        keys.push(&frame[..8]);
+        let storage = keys.as_ptr() as usize;
+        let keys: Vec<&'static [u8]> = recycled(keys);
+        drop(frame);
+        assert!(keys.is_empty());
+        assert_eq!(keys.capacity(), 400);
+        assert_eq!(keys.as_ptr() as usize, storage);
+    }
+
+    #[test]
+    fn written_keys_never_miss_a_written_key() {
+        let keys: Vec<Vec<u8>> = (0..200u32)
+            .map(|i| format!("{i:0width$}", width = (i % 23) as usize).into_bytes())
+            .collect();
+        let mut written = WrittenKeys::new();
+        written.reset(0);
+        assert!(!keys.iter().any(|key| written.may_contain(key)));
+        for writes in [1, 2, 7, 64, 200] {
+            written.reset(writes);
+            keys[..writes].iter().for_each(|key| written.insert(key));
+            assert!(keys[..writes].iter().all(|key| written.may_contain(key)));
+            // Conservative, not vacuous: most other keys are told apart.
+            let strangers = keys[writes..]
+                .iter()
+                .filter(|key| written.may_contain(key))
+                .count();
+            assert!(strangers <= 1, "{strangers} false positives of {writes}");
+        }
     }
 
     #[test]

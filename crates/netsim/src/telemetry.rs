@@ -1,7 +1,9 @@
 //! Telemetry for the simulated service: per-op-type service latency (how
 //! long a server thread spent executing each decoded operation, with a
-//! batched lookup run's duration divided equally among the ops in it),
-//! the distribution of decoded batch sizes, and request counters.
+//! hoisted lookup batch's duration divided equally among the Gets in it),
+//! the server's own account of its execution plan (Gets hoisted, Gets left
+//! in place, keys per batch), the distribution of decoded batch sizes, and
+//! request counters.
 //!
 //! The service owns a [`Registry`] these register into; callers can add
 //! their index's metrics to the same registry before serving, and the
@@ -18,9 +20,21 @@ pub struct ServiceMetrics {
     pub requests: Counter,
     /// `Stats` probes answered.
     pub stats_requests: Counter,
-    /// Service time per point lookup: a run of `n` consecutive Gets
-    /// executed through `get_batch` records `n` observations of the run's
-    /// duration divided by `n`, so the sum is the time spent on lookups.
+    /// Request frames whose tail did not parse (truncated, corrupted,
+    /// unknown tag). The requests in front of the tail were still served.
+    pub malformed_frames: Counter,
+    /// Gets a server thread moved to the front of its share of a message
+    /// and answered through one `get_batch_into`.
+    pub gets_hoisted: Counter,
+    /// Gets answered where they stood, through single-key `get`, because
+    /// a `Set` in the same share writes their key (or a key with the same
+    /// hash).
+    pub gets_in_place: Counter,
+    /// Keys per hoisted batch: one observation per share that had any.
+    pub get_batch_len: Histogram,
+    /// Service time per point lookup: a batch of `n` hoisted Gets records
+    /// `n` observations of the batch's duration divided by `n`, a Get left
+    /// in place its own, so the sum is the time spent on lookups.
     pub get_ns: Histogram,
     /// Service time per write.
     pub set_ns: Histogram,
@@ -47,6 +61,16 @@ impl ServiceMetrics {
             &format!("{prefix}_stats_requests_total"),
             &self.stats_requests,
         );
+        registry.register_counter(
+            &format!("{prefix}_malformed_frames_total"),
+            &self.malformed_frames,
+        );
+        registry.register_counter(&format!("{prefix}_gets_hoisted_total"), &self.gets_hoisted);
+        registry.register_counter(
+            &format!("{prefix}_gets_in_place_total"),
+            &self.gets_in_place,
+        );
+        registry.register_histogram(&format!("{prefix}_get_batch_len"), &self.get_batch_len);
         registry.register_histogram(&format!("{prefix}_get_ns"), &self.get_ns);
         registry.register_histogram(&format!("{prefix}_set_ns"), &self.set_ns);
         registry.register_histogram(&format!("{prefix}_range_ns"), &self.range_ns);

@@ -1,4 +1,12 @@
 //! Wire format and link model.
+//!
+//! There is one parser per direction, and it borrows: [`WireRequestRef`]
+//! and [`WireResponseRef`] read a frame in place, checking every length
+//! against the bytes that remain, and allocate nothing. The owned
+//! [`WireRequest::decode`] and [`WireResponse::decode`] are those plus
+//! `to_owned`. A truncated, corrupted or hostile frame decodes to `None`;
+//! it never panics and never reserves memory for a count it merely
+//! announces.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -42,6 +50,120 @@ pub enum WireResponse {
     },
 }
 
+/// A request read in place: [`WireRequest`] with its key borrowed from the
+/// frame it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireRequestRef<'a> {
+    /// See [`WireRequest::Get`].
+    Get { key: &'a [u8] },
+    /// See [`WireRequest::Set`].
+    Set { key: &'a [u8], value: u64 },
+    /// See [`WireRequest::Range`].
+    Range { start: &'a [u8], count: u32 },
+    /// See [`WireRequest::Stats`].
+    Stats,
+    /// See [`WireRequest::Scan`].
+    Scan { start: &'a [u8], limit: u32 },
+}
+
+/// A response read in place: [`WireResponse`] with its keys and text
+/// borrowed from the frame it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireResponseRef<'a> {
+    /// See [`WireResponse::Value`].
+    Value(u64),
+    /// See [`WireResponse::Miss`].
+    Miss,
+    /// See [`WireResponse::Range`].
+    Range(PairsRef<'a>),
+    /// See [`WireResponse::Stats`].
+    Stats(&'a str),
+    /// See [`WireResponse::ScanPage`].
+    ScanPage {
+        items: PairsRef<'a>,
+        resume: Option<&'a [u8]>,
+    },
+}
+
+/// The encoded pairs of a range or scan-page response, checked when the
+/// response was decoded: iterating them cannot run out of bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairsRef<'a> {
+    count: usize,
+    encoded: &'a [u8],
+}
+
+/// The unread rest of a frame. Every getter checks what remains and
+/// returns `None` on a short buffer; nothing here indexes or asserts.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_be_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_be_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// A `u32` length and that many bytes.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = self.u32()?;
+        self.take(len as usize)
+    }
+
+    /// A `u32` count and that many pairs. A pair is at least
+    /// [`PAIR_MIN_BYTES`] long, which bounds the count by the bytes left
+    /// before anything is sized by it.
+    fn pairs(&mut self) -> Option<PairsRef<'a>> {
+        let count = self.u32()? as usize;
+        if count > self.0.len() / PAIR_MIN_BYTES {
+            return None;
+        }
+        let start = self.0;
+        for _ in 0..count {
+            self.bytes()?;
+            self.u64()?;
+        }
+        Some(PairsRef {
+            count,
+            encoded: &start[..start.len() - self.0.len()],
+        })
+    }
+}
+
+impl<'a> PairsRef<'a> {
+    /// The pairs in wire order (`iter().len()` is their number).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&'a [u8], u64)> {
+        let mut reader = Reader(self.encoded);
+        (0..self.count).map(move |_| {
+            let pair = reader.bytes().zip(reader.u64());
+            pair.expect("checked when the response was decoded")
+        })
+    }
+
+    /// Copies the pairs out of the frame.
+    pub fn to_vec(&self) -> Vec<(Vec<u8>, u64)> {
+        self.iter()
+            .map(|(key, value)| (key.to_vec(), value))
+            .collect()
+    }
+}
+
+/// Tag byte and key-length prefix: what every request starts with.
+const REQUEST_HEADER_BYTES: usize = 5;
+/// Key-length prefix and value: a pair with an empty key.
+const PAIR_MIN_BYTES: usize = 12;
 const TAG_GET: u8 = 1;
 const TAG_SET: u8 = 2;
 const TAG_RANGE: u8 = 3;
@@ -89,31 +211,15 @@ impl WireRequest {
         }
     }
 
-    /// Decodes one request from the front of `buf`.
+    /// Decodes one request from the front of `buf` and consumes it; on
+    /// `None` (empty, truncated or unknown tag) `buf` is left as it was.
+    /// This is [`WireRequestRef::decode`] plus `to_owned`.
     pub fn decode(buf: &mut Bytes) -> Option<WireRequest> {
-        if buf.is_empty() {
-            return None;
-        }
-        let tag = buf.get_u8();
-        let klen = buf.get_u32() as usize;
-        let key = buf.split_to(klen).to_vec();
-        Some(match tag {
-            TAG_GET => WireRequest::Get { key },
-            TAG_SET => WireRequest::Set {
-                key,
-                value: buf.get_u64(),
-            },
-            TAG_RANGE => WireRequest::Range {
-                start: key,
-                count: buf.get_u32(),
-            },
-            TAG_STATS => WireRequest::Stats,
-            TAG_SCAN => WireRequest::Scan {
-                start: key,
-                limit: buf.get_u32(),
-            },
-            _ => return None,
-        })
+        let mut rest = buf.as_ref();
+        let request = WireRequestRef::decode(&mut rest)?.to_owned();
+        let used = buf.len() - rest.len();
+        buf.advance(used);
+        Some(request)
     }
 
     /// Encoded size in bytes (excluding per-message overhead).
@@ -171,48 +277,16 @@ impl WireResponse {
         }
     }
 
-    /// Decodes one response from the front of `buf`.
+    /// Decodes one response from the front of `buf` and consumes it; on
+    /// `None` (empty, truncated, unknown tag, text that is not UTF-8)
+    /// `buf` is left as it was. This is [`WireResponseRef::decode`] plus
+    /// `to_owned`.
     pub fn decode(buf: &mut Bytes) -> Option<WireResponse> {
-        if buf.is_empty() {
-            return None;
-        }
-        Some(match buf.get_u8() {
-            TAG_VALUE => WireResponse::Value(buf.get_u64()),
-            TAG_MISS => WireResponse::Miss,
-            TAG_RANGE_RESP => {
-                let n = buf.get_u32() as usize;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let klen = buf.get_u32() as usize;
-                    let key = buf.split_to(klen).to_vec();
-                    items.push((key, buf.get_u64()));
-                }
-                WireResponse::Range(items)
-            }
-            TAG_STATS_RESP => {
-                let len = buf.get_u32() as usize;
-                let text = String::from_utf8(buf.split_to(len).to_vec()).ok()?;
-                WireResponse::Stats(text)
-            }
-            TAG_SCAN_PAGE => {
-                let n = buf.get_u32() as usize;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let klen = buf.get_u32() as usize;
-                    let key = buf.split_to(klen).to_vec();
-                    items.push((key, buf.get_u64()));
-                }
-                let resume = match buf.get_u8() {
-                    0 => None,
-                    _ => {
-                        let rlen = buf.get_u32() as usize;
-                        Some(buf.split_to(rlen).to_vec())
-                    }
-                };
-                WireResponse::ScanPage { items, resume }
-            }
-            _ => return None,
-        })
+        let mut rest = buf.as_ref();
+        let response = WireResponseRef::decode(&mut rest)?.to_owned();
+        let used = buf.len() - rest.len();
+        buf.advance(used);
+        Some(response)
     }
 
     /// Encoded size in bytes.
@@ -230,6 +304,176 @@ impl WireResponse {
                 6 + items_bytes + resume_bytes
             }
         }
+    }
+}
+
+impl<'a> WireRequestRef<'a> {
+    /// Decodes one request from the front of `buf` and moves `buf` past
+    /// it; on `None` (empty, truncated, unknown tag, a `STATS` with a key)
+    /// `buf` is left as it was. The request parser: nothing else reads
+    /// request bytes.
+    pub fn decode(buf: &mut &'a [u8]) -> Option<Self> {
+        let mut reader = Reader(buf);
+        let tag = reader.u8()?;
+        let key = reader.bytes()?;
+        let request = match tag {
+            TAG_GET => WireRequestRef::Get { key },
+            TAG_SET => WireRequestRef::Set {
+                key,
+                value: reader.u64()?,
+            },
+            TAG_RANGE => WireRequestRef::Range {
+                start: key,
+                count: reader.u32()?,
+            },
+            TAG_STATS if key.is_empty() => WireRequestRef::Stats,
+            TAG_SCAN => WireRequestRef::Scan {
+                start: key,
+                limit: reader.u32()?,
+            },
+            _ => return None,
+        };
+        *buf = reader.0;
+        Some(request)
+    }
+
+    /// Copies the key out of the frame.
+    pub fn to_owned(&self) -> WireRequest {
+        match *self {
+            WireRequestRef::Get { key } => WireRequest::Get { key: key.to_vec() },
+            WireRequestRef::Set { key, value } => WireRequest::Set {
+                key: key.to_vec(),
+                value,
+            },
+            WireRequestRef::Range { start, count } => WireRequest::Range {
+                start: start.to_vec(),
+                count,
+            },
+            WireRequestRef::Stats => WireRequest::Stats,
+            WireRequestRef::Scan { start, limit } => WireRequest::Scan {
+                start: start.to_vec(),
+                limit,
+            },
+        }
+    }
+
+    /// The key a request routes by: its affinity signal. Multi-shard
+    /// operations (`Range`, `Scan`) route by their start key; `Stats`
+    /// routes to the first shard.
+    pub fn routing_key(&self) -> &'a [u8] {
+        match *self {
+            WireRequestRef::Get { key } | WireRequestRef::Set { key, .. } => key,
+            WireRequestRef::Range { start, .. } | WireRequestRef::Scan { start, .. } => start,
+            WireRequestRef::Stats => b"",
+        }
+    }
+}
+
+impl<'a> WireResponseRef<'a> {
+    /// Decodes one response from the front of `buf` and moves `buf` past
+    /// it; on `None` (empty, truncated, unknown tag, a pair count the
+    /// remaining bytes cannot hold, text that is not UTF-8) `buf` is left
+    /// as it was. The response parser: nothing else reads response bytes.
+    pub fn decode(buf: &mut &'a [u8]) -> Option<Self> {
+        let mut reader = Reader(buf);
+        let response = match reader.u8()? {
+            TAG_VALUE => WireResponseRef::Value(reader.u64()?),
+            TAG_MISS => WireResponseRef::Miss,
+            TAG_RANGE_RESP => WireResponseRef::Range(reader.pairs()?),
+            TAG_STATS_RESP => WireResponseRef::Stats(std::str::from_utf8(reader.bytes()?).ok()?),
+            TAG_SCAN_PAGE => {
+                let items = reader.pairs()?;
+                let resume = match reader.u8()? {
+                    0 => None,
+                    _ => Some(reader.bytes()?),
+                };
+                WireResponseRef::ScanPage { items, resume }
+            }
+            _ => return None,
+        };
+        *buf = reader.0;
+        Some(response)
+    }
+
+    /// Copies keys and text out of the frame.
+    pub fn to_owned(&self) -> WireResponse {
+        match *self {
+            WireResponseRef::Value(value) => WireResponse::Value(value),
+            WireResponseRef::Miss => WireResponse::Miss,
+            WireResponseRef::Range(items) => WireResponse::Range(items.to_vec()),
+            WireResponseRef::Stats(text) => WireResponse::Stats(text.to_string()),
+            WireResponseRef::ScanPage { items, resume } => WireResponse::ScanPage {
+                items: items.to_vec(),
+                resume: resume.map(<[u8]>::to_vec),
+            },
+        }
+    }
+}
+
+/// One request of a parsed frame, its key as a range of the frame: what
+/// the servers pass between threads instead of an owned request. Only
+/// [`parse_frame`] makes them, so [`RequestRecord::request`] on the same
+/// frame is always in bounds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RequestRecord {
+    tag: u8,
+    key_at: u32,
+    key_len: u32,
+    /// `value`, `count` or `limit`, by tag.
+    arg: u64,
+}
+
+impl RequestRecord {
+    /// The request this record was parsed from, borrowing `frame`.
+    pub(crate) fn request<'a>(&self, frame: &'a [u8]) -> WireRequestRef<'a> {
+        let key = &frame[self.key_at as usize..][..self.key_len as usize];
+        match self.tag {
+            TAG_GET => WireRequestRef::Get { key },
+            TAG_SET => WireRequestRef::Set {
+                key,
+                value: self.arg,
+            },
+            TAG_RANGE => WireRequestRef::Range {
+                start: key,
+                count: self.arg as u32,
+            },
+            TAG_SCAN => WireRequestRef::Scan {
+                start: key,
+                limit: self.arg as u32,
+            },
+            _ => WireRequestRef::Stats,
+        }
+    }
+}
+
+/// Parses `frame` into `records` (cleared first), one per request, up to
+/// the end of the frame or the first byte that is not a request. Returns
+/// whether the whole frame parsed; what precedes a malformed tail is kept.
+/// Offsets are 32-bit: a frame of 4 GiB or more counts as malformed whole.
+pub(crate) fn parse_frame(frame: &[u8], records: &mut Vec<RequestRecord>) -> bool {
+    records.clear();
+    if u32::try_from(frame.len()).is_err() {
+        return false;
+    }
+    let mut rest = frame;
+    loop {
+        let at = frame.len() - rest.len();
+        let Some(request) = WireRequestRef::decode(&mut rest) else {
+            return rest.is_empty();
+        };
+        let (tag, key, arg) = match request {
+            WireRequestRef::Get { key } => (TAG_GET, key, 0),
+            WireRequestRef::Set { key, value } => (TAG_SET, key, value),
+            WireRequestRef::Range { start, count } => (TAG_RANGE, start, u64::from(count)),
+            WireRequestRef::Stats => (TAG_STATS, &b""[..], 0),
+            WireRequestRef::Scan { start, limit } => (TAG_SCAN, start, u64::from(limit)),
+        };
+        records.push(RequestRecord {
+            tag,
+            key_at: (at + REQUEST_HEADER_BYTES) as u32,
+            key_len: key.len() as u32,
+            arg,
+        });
     }
 }
 
@@ -515,6 +759,175 @@ mod tests {
         resp.put_u8(0x7F);
         let mut bytes = resp.freeze();
         assert_eq!(WireResponse::decode(&mut bytes), None);
+    }
+
+    /// One request and one response of every kind, keys and text of
+    /// lengths the property tests below cut and corrupt everywhere.
+    fn one_of_each() -> (Vec<WireRequest>, Vec<WireResponse>) {
+        let requests = vec![
+            WireRequest::Get {
+                key: b"James".to_vec(),
+            },
+            WireRequest::Set {
+                key: b"Jason".to_vec(),
+                value: 0x0102_0304_0506_0708,
+            },
+            WireRequest::Range {
+                start: b"J".to_vec(),
+                count: 100,
+            },
+            WireRequest::Stats,
+            WireRequest::Scan {
+                start: b"Jam".to_vec(),
+                limit: 64,
+            },
+        ];
+        let responses = vec![
+            WireResponse::Value(7),
+            WireResponse::Miss,
+            WireResponse::Range(vec![(b"a".to_vec(), 1), (b"bb".to_vec(), 2)]),
+            WireResponse::Stats("netsim_requests_total 3\n".to_string()),
+            WireResponse::ScanPage {
+                items: vec![(b"k1".to_vec(), 7), (Vec::new(), 8)],
+                resume: Some(b"k2\x00".to_vec()),
+            },
+        ];
+        (requests, responses)
+    }
+
+    /// Decodes `frame` as requests and as responses, borrowed and owned,
+    /// to the first `None` each way. Asserts that the two decoders of a
+    /// direction agree and that an owned pair list never holds more
+    /// entries than the frame has bytes; a panic anywhere fails the test.
+    fn decode_every_way(frame: &[u8]) -> (Vec<WireRequest>, Vec<WireResponse>) {
+        let mut rest = frame;
+        let mut owned = Bytes::copy_from_slice(frame);
+        let mut requests = Vec::new();
+        while let Some(request) = WireRequestRef::decode(&mut rest) {
+            assert_eq!(WireRequest::decode(&mut owned), Some(request.to_owned()));
+            requests.push(request.to_owned());
+        }
+        assert_eq!(WireRequest::decode(&mut owned), None);
+        assert_eq!(owned.as_ref(), rest, "a refused request consumes nothing");
+
+        let mut rest = frame;
+        let mut owned = Bytes::copy_from_slice(frame);
+        let mut responses = Vec::new();
+        while let Some(response) = WireResponseRef::decode(&mut rest) {
+            assert_eq!(WireResponse::decode(&mut owned), Some(response.to_owned()));
+            if let WireResponse::Range(items) | WireResponse::ScanPage { items, .. } =
+                response.to_owned()
+            {
+                assert!(items.capacity() <= frame.len(), "reserved beyond the input");
+            }
+            responses.push(response.to_owned());
+        }
+        assert_eq!(WireResponse::decode(&mut owned), None);
+        assert_eq!(owned.as_ref(), rest, "a refused response consumes nothing");
+
+        let mut records = Vec::new();
+        let whole = parse_frame(frame, &mut records);
+        assert!(records.capacity() <= frame.len().max(4));
+        let parsed: Vec<WireRequest> = records
+            .iter()
+            .map(|record| record.request(frame).to_owned())
+            .collect();
+        assert_eq!(parsed, requests, "records name the requests decode saw");
+        assert_eq!(
+            whole,
+            requests.iter().map(WireRequest::wire_size).sum::<usize>() == frame.len()
+        );
+        (requests, responses)
+    }
+
+    #[test]
+    fn valid_frames_decode_identically_borrowed_and_owned() {
+        let (requests, responses) = one_of_each();
+        let mut buf = BytesMut::new();
+        requests.iter().for_each(|request| request.encode(&mut buf));
+        assert_eq!(decode_every_way(buf.as_ref()).0, requests);
+        let mut buf = BytesMut::new();
+        responses
+            .iter()
+            .for_each(|response| response.encode(&mut buf));
+        assert_eq!(decode_every_way(buf.as_ref()).1, responses);
+    }
+
+    #[test]
+    fn every_prefix_and_single_byte_corruption_is_refused_or_decoded() {
+        let (requests, responses) = one_of_each();
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        for request in &requests {
+            let mut buf = BytesMut::new();
+            request.encode(&mut buf);
+            frames.push(buf.as_ref().to_vec());
+        }
+        for response in &responses {
+            let mut buf = BytesMut::new();
+            response.encode(&mut buf);
+            frames.push(buf.as_ref().to_vec());
+        }
+        for frame in &frames {
+            for cut in 0..frame.len() {
+                // A strict prefix of one frame holds no whole frame of
+                // its own direction (of the other it may, by accident).
+                decode_every_way(&frame[..cut]);
+            }
+            for at in 0..frame.len() {
+                for byte in [0x00, 0x01, 0x7F, 0x80, 0xFF, frame[at] ^ 0x01, !frame[at]] {
+                    let mut corrupt = frame.clone();
+                    corrupt[at] = byte;
+                    decode_every_way(&corrupt);
+                }
+            }
+        }
+        // Truncation is refused, not padded: no strict prefix of a request
+        // decodes as that request's direction.
+        let mut buf = BytesMut::new();
+        requests[1].encode(&mut buf);
+        for cut in 0..buf.len() {
+            assert!(decode_every_way(&buf.as_ref()[..cut]).0.is_empty());
+        }
+    }
+
+    /// The five bytes the issue names: a page that announces four billion
+    /// pairs. Refused from the count alone, nothing sized by it.
+    #[test]
+    fn an_announced_count_is_bounded_by_the_bytes_left() {
+        for tag in [TAG_RANGE_RESP, TAG_SCAN_PAGE] {
+            let frame = [tag, 0xFF, 0xFF, 0xFF, 0xFF];
+            assert!(decode_every_way(&frame).1.is_empty());
+            // Twelve bytes per announced pair must really be there.
+            let mut frame = vec![tag, 0, 0, 0, 2];
+            frame.extend_from_slice(&[0u8; 23]);
+            assert!(decode_every_way(&frame).1.is_empty());
+        }
+        // A key length beyond the frame: refused, not sliced.
+        assert!(decode_every_way(&[TAG_GET, 0xFF, 0xFF, 0xFF, 0xFF, b'k'])
+            .0
+            .is_empty());
+        assert!(decode_every_way(&[TAG_STATS_RESP, 0, 0, 0, 2, 0xC3, 0x28])
+            .1
+            .is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes never panic either decoder and never make one
+        /// reserve beyond the input; `decode_every_way` holds the checks.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            tag in 0u8..8,
+        ) {
+            decode_every_way(&bytes);
+            // The same bytes behind each real tag, so the length and count
+            // fields are reached and not only the tag check.
+            let mut tagged = vec![tag];
+            tagged.extend_from_slice(&bytes);
+            decode_every_way(&tagged);
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! subset of the `bytes` API the workspace uses: [`BytesMut`] as a growable
 //! write buffer with the [`BufMut`] putters, and [`Bytes`] as a cheaply
 //! cloneable read view with the [`Buf`] getters (big-endian, like `bytes`).
-//! Sharing is an `Arc<[u8]>` plus a cursor, so `clone` and `split_to` never
-//! copy payload bytes.
+//! Sharing is an `Arc<Vec<u8>>` plus a cursor, so `clone` and `split_to`
+//! never copy payload bytes and [`BytesMut::freeze`] moves the buffer it
+//! wrote instead of copying it into a fresh allocation.
 
 use std::sync::Arc;
 
@@ -100,12 +101,10 @@ impl BytesMut {
     }
 
     /// Freezes the buffer into an immutable, cheaply cloneable [`Bytes`].
+    /// The written bytes are moved, not copied: the view reads the very
+    /// allocation the putters filled.
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: Arc::from(self.data.into_boxed_slice()),
-            start: 0,
-            end_offset: 0,
-        }
+        Bytes::from(self.data)
     }
 }
 
@@ -124,7 +123,7 @@ impl AsRef<[u8]> for BytesMut {
 /// An immutable, cheaply cloneable view of a byte buffer.
 #[derive(Debug, Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     /// First live byte.
     start: usize,
     /// Bytes cut off the end (`data.len() - end_offset` is one past the
@@ -135,20 +134,12 @@ pub struct Bytes {
 impl Bytes {
     /// Creates an empty view.
     pub fn new() -> Self {
-        Self {
-            data: Arc::from([]),
-            start: 0,
-            end_offset: 0,
-        }
+        Self::from(Vec::new())
     }
 
     /// Copies `slice` into a new view.
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Self {
-            data: Arc::from(slice),
-            start: 0,
-            end_offset: 0,
-        }
+        Self::from(slice.to_vec())
     }
 
     fn end(&self) -> usize {
@@ -207,7 +198,7 @@ impl Eq for Bytes {}
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Self {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             start: 0,
             end_offset: 0,
         }
@@ -247,6 +238,19 @@ mod tests {
         assert_eq!(b.split_to(3).as_ref(), b"key");
         assert_eq!(b.get_u64(), 42);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn freeze_keeps_the_buffers_address() {
+        // A frozen message is the allocation the encoder wrote, even when
+        // the buffer has spare capacity (shrinking it would reallocate).
+        let mut buf = BytesMut::with_capacity(4096);
+        buf.put_slice(&[7u8; 1000]);
+        let written = buf.as_ref().as_ptr();
+        let frozen = buf.freeze();
+        assert_eq!(frozen.as_ref().as_ptr(), written);
+        assert_eq!(frozen.len(), 1000);
+        assert_eq!(frozen.clone().as_ref().as_ptr(), written);
     }
 
     #[test]

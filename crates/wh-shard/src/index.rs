@@ -17,6 +17,11 @@ use crate::config::ShardedConfig;
 use crate::rebalance::{MigrationState, RebalanceConfig};
 use crate::telemetry::ShardMetrics;
 
+/// Keys `get_batch_into` routes and gathers at a time: what its stack
+/// arrays hold. With a handful of shards a group still hands each of them
+/// several full probe windows.
+const GATHER_KEYS: usize = 128;
+
 /// The immutable routing state published to readers: one of these is live
 /// at any instant, swapped atomically by the migration engine and retired
 /// through the router's QSBR domain (`wh_epoch::Qsbr`) — the same
@@ -679,55 +684,67 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWorm
     }
 
     /// Batched point lookups with one router critical-section entry for the
-    /// whole batch: every key is routed against a single table snapshot,
-    /// the per-shard sub-batches run through each shard's pipelined
-    /// `get_batch`, and results are scattered back to input order. The
-    /// epoch entry/exit (two SeqCst stores plus a wake check per op on the
-    /// per-key path) is paid once per batch instead of once per key.
+    /// whole batch: every key is routed once against a single table
+    /// snapshot, the per-shard sub-batches run through each shard's
+    /// pipelined `get_batch_into`, and results are scattered back to input
+    /// order. The epoch entry/exit (two SeqCst stores plus a wake check per
+    /// op on the per-key path) is paid once per batch instead of once per
+    /// key.
+    ///
+    /// Routing and gathering work in groups of `GATHER_KEYS` (128) keys on the
+    /// stack, and a shard appends its answers behind the batch's own slots
+    /// in `out`, from where they move to their keys' positions: the call
+    /// allocates nothing once `out` has the capacity.
     ///
     /// A migration freeze never affects this path: freezes pause *writes*
     /// only, and a frozen range keeps routing reads to the donor shard,
     /// whose copy stays authoritative until the boundary moves.
-    fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<V>> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
+    fn get_batch_into(&self, keys: &[&[u8]], out: &mut Vec<Option<V>>) {
         if self.shards.len() == 1 {
             // Single-shard bypass: no boundaries, no migrations, no router
             // protection needed — hand the whole batch to the one shard's
             // pipelined engine (see `routed_read`).
             self.ops[0].add(keys.len() as u64);
-            return self.shards[0].get_batch(keys);
+            return self.shards[0].get_batch_into(keys, out);
         }
+        let base = out.len();
+        out.reserve(keys.len() + GATHER_KEYS.min(keys.len()));
+        out.resize_with(base + keys.len(), || None);
+        let scratch = out.len();
         self.with_router(|router| {
-            let mut out: Vec<Option<V>> = Vec::new();
-            out.resize_with(keys.len(), || None);
-            let routes: Vec<usize> = keys.iter().map(|key| router.route(key)).collect();
-            let mut sub_keys: Vec<&[u8]> = Vec::new();
-            let mut sub_pos: Vec<usize> = Vec::new();
-            for shard in 0..self.shards.len() {
-                sub_keys.clear();
-                sub_pos.clear();
-                for (i, &s) in routes.iter().enumerate() {
-                    if s == shard {
-                        sub_keys.push(keys[i]);
-                        sub_pos.push(i);
+            let mut routes = [0usize; GATHER_KEYS];
+            let mut sub_keys: [&[u8]; GATHER_KEYS] = [&[]; GATHER_KEYS];
+            let mut sub_pos = [0usize; GATHER_KEYS];
+            for (group, group_keys) in keys.chunks(GATHER_KEYS).enumerate() {
+                let first = base + group * GATHER_KEYS;
+                let routes = &mut routes[..group_keys.len()];
+                for (route, key) in routes.iter_mut().zip(group_keys) {
+                    *route = router.route(key);
+                }
+                for shard in 0..self.shards.len() {
+                    let mut n = 0;
+                    for (i, &route) in routes.iter().enumerate() {
+                        if route == shard {
+                            sub_keys[n] = group_keys[i];
+                            sub_pos[n] = first + i;
+                            n += 1;
+                        }
                     }
-                }
-                if sub_keys.is_empty() {
-                    continue;
-                }
-                // One counter bump per sub-batch; the rebalancer's load
-                // signal still counts individual ops.
-                self.ops[shard].add(sub_keys.len() as u64);
-                let values = self.shards[shard].get_batch(&sub_keys);
-                debug_assert_eq!(values.len(), sub_pos.len());
-                for (value, &i) in values.into_iter().zip(&sub_pos) {
-                    out[i] = value;
+                    if n == 0 {
+                        continue;
+                    }
+                    // One counter bump per sub-batch; the rebalancer's load
+                    // signal still counts individual ops.
+                    self.ops[shard].add(n as u64);
+                    self.shards[shard].get_batch_into(&sub_keys[..n], out);
+                    debug_assert_eq!(out.len(), scratch + n);
+                    for (j, &pos) in sub_pos[..n].iter().enumerate() {
+                        out[pos] = out[scratch + j].take();
+                    }
+                    out.truncate(scratch);
                 }
             }
-            out
-        })
+        });
     }
 
     fn set(&self, key: &[u8], value: V) -> Option<V> {
@@ -993,6 +1010,15 @@ mod tests {
         // per-key verification gets just issued).
         let ops_after: u64 = idx.op_counts().iter().sum();
         assert_eq!(ops_after - ops_before, 2 * keys.len() as u64);
+        // `get_batch_into` appends behind what the buffer holds and, given
+        // room for the batch and one gather group, never moves the buffer.
+        let mut out = Vec::with_capacity(1 + keys.len() + GATHER_KEYS);
+        out.push(Some(u64::MAX));
+        let storage = out.as_ptr();
+        idx.get_batch_into(&keys, &mut out);
+        assert_eq!(out[0], Some(u64::MAX));
+        assert_eq!(out[1..], batched[..]);
+        assert_eq!(out.as_ptr(), storage);
     }
 
     #[test]

@@ -1483,8 +1483,8 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
         self.with_leaf_read(key, |leaf| leaf.get(key, hash, &self.config).cloned())
     }
 
-    fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<V>> {
-        let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
+    fn get_batch_into(&self, keys: &[&[u8]], out: &mut Vec<Option<V>>) {
+        out.reserve(keys.len());
         if !Self::optimistic_reads_safe() {
             // Without the lock-free read there is no miss chain to overlap
             // (every leaf read takes its lock anyway): plain per-key loop.
@@ -1492,7 +1492,7 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
                 let hash = crc32c(key);
                 self.with_leaf_read(key, |leaf| leaf.get(key, hash, &self.config).cloned())
             }));
-            return out;
+            return;
         }
         // Pipelined batch path: per window of BATCH_WINDOW keys, one QSBR
         // critical section covers the batched meta search (prefetched,
@@ -1579,7 +1579,6 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
                 }
             }
         }
-        out
     }
 
     fn set(&self, key: &[u8], value: V) -> Option<V> {

@@ -39,8 +39,10 @@
 //! ## Batched lookups (memory-level parallelism)
 //!
 //! Both variants additionally expose `get_batch(&[&[u8]]) -> Vec<Option<V>>`
-//! (defaulted on the index traits, overridden here with a pipelined
-//! implementation). A single `get` serialises one DRAM miss chain: each LPM
+//! (defaulted on the index traits; `WormholeUnsafe` overrides it, and
+//! `Wormhole` overrides `get_batch_into`, which the concurrent trait's
+//! `get_batch` wraps and which fills a buffer the caller keeps, with a
+//! pipelined implementation). A single `get` serialises one DRAM miss chain: each LPM
 //! binary-search step must finish its bucket-line fill before the next
 //! prefix can be probed. The batched path instead processes a window of up
 //! to [`meta::BATCH_WINDOW`] keys at once and **round-robins** the search

@@ -13,8 +13,9 @@
 //! execution workers behind a routing dispatcher and a reassembling
 //! collector over a [`sharded::ShardedWormhole`] — one router-table
 //! snapshot per incoming message ([`sharded::ShardedWormhole::route_batch`]),
-//! pipelined request/response framing, batched point-lookup runs
-//! through `get_batch`, and streaming scans continued by stateless
+//! pipelined request/response framing read in place, each worker's
+//! point lookups hoisted into one `get_batch_into` per message share,
+//! and streaming scans continued by stateless
 //! resume keys ([`netsim::WireRequest::Scan`] /
 //! [`netsim::WireResponse::ScanPage`]). The architecture book under
 //! `docs/src/` documents the stack: the crate map and wire→leaf data
