@@ -402,14 +402,14 @@ pub(crate) fn drive_client(
 /// processes one encoded batch at a time; the client encodes requests,
 /// batches them, and decodes responses — the same division of labour as the
 /// HERD port used in the paper.
-pub struct KvService<V: Clone + Send + Sync + 'static> {
-    index: Arc<dyn ConcurrentOrderedIndex<V>>,
+pub struct KvService {
+    index: Arc<dyn ConcurrentOrderedIndex<u64>>,
     batch_size: usize,
     registry: Arc<Registry>,
     metrics: ServiceMetrics,
 }
 
-impl KvService<u64> {
+impl KvService {
     /// Creates a service over the given index with the paper's batch size of
     /// 800 requests per message.
     pub fn new(index: Arc<dyn ConcurrentOrderedIndex<u64>>) -> Self {

@@ -15,7 +15,7 @@ type DeferredCallback = (u64, Box<dyn FnOnce() + Send>);
 ///
 /// The section-entry counter is **load-bearing** (regression tests pin hot
 /// paths to "zero new entries" through it) and therefore live even under
-/// `telemetry-off`; only the histograms are subject to the kill switches.
+/// `telemetry-off`; only the histograms are subject to the kill switch.
 #[derive(Clone, Debug, Default)]
 pub struct EpochMetrics {
     /// Classic critical-section entries, domain-wide (fast entries do not

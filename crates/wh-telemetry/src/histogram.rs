@@ -73,9 +73,7 @@ impl Histogram {
         Self::default()
     }
 
-    /// Records one value. Subject to the runtime enable switch
-    /// ([`crate::set_enabled`]); compiled out entirely under
-    /// `telemetry-off`.
+    /// Records one value. Compiled out entirely under `telemetry-off`.
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_n(v, 1);
@@ -87,7 +85,7 @@ impl Histogram {
     #[inline]
     pub fn record_n(&self, v: u64, n: u64) {
         #[cfg(not(feature = "telemetry-off"))]
-        if crate::enabled() && n > 0 {
+        if n > 0 {
             self.cell.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
             self.cell
                 .sum

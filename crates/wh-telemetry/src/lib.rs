@@ -23,18 +23,16 @@
 //! * **No clock reads unless a histogram will consume them.** Latency
 //!   measurement goes through [`start_timing`], which returns `None` —
 //!   skipping the `Instant::now()` syscall/vdso call entirely — when
-//!   telemetry is disabled at runtime ([`set_enabled`]) or compiled out
-//!   (the `telemetry-off` feature).
+//!   telemetry is compiled out (the `telemetry-off` feature).
 //! * **Counters and gauges stay live under `telemetry-off`.** They are
 //!   load-bearing program state (the shard rebalancer reads the per-shard
 //!   op counters; test gates read the QSBR section-entry counter), so the
-//!   feature and the runtime switch only disable the *timed* half:
-//!   histogram recording and the timing helpers.
+//!   feature only disables the *timed* half: histogram recording and the
+//!   timing helpers.
 //!
 //! The practical consequence: a point-read path that increments one
 //! counter costs one relaxed `fetch_add` — an already-hot cache line in
-//! steady state — and a disabled histogram site costs one relaxed load of
-//! the global enable flag.
+//! steady state — and a disabled histogram site costs nothing.
 //!
 //! ## Snapshot consistency model
 //!
@@ -63,26 +61,13 @@ pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{Counter, Gauge};
 pub use registry::{Metric, MetricValue, MetricsSnapshot, Registry};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Runtime master switch for the *timed* half of telemetry (histograms
-/// and clock reads). Counters and gauges are unaffected — see the
-/// crate-level recording-cost contract.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables timed telemetry at runtime. Recording sites
-/// observe the change on their next relaxed load; there is no
-/// synchronization with in-flight recordings.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether timed telemetry (histograms, [`start_timing`]) is currently
-/// live: compiled in *and* runtime-enabled.
+/// Whether timed telemetry (histograms, [`start_timing`]) is live: a
+/// compile-time fact, `false` under the `telemetry-off` feature.
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(not(feature = "telemetry-off")) && ENABLED.load(Ordering::Relaxed)
+    cfg!(not(feature = "telemetry-off"))
 }
 
 /// Starts a latency measurement, or returns `None` — without reading the

@@ -4,9 +4,6 @@
 //! recorders quiesce, bucket counts must match *exactly*, the sum must
 //! match, quantiles must be monotone in `q`, and every value at or above
 //! `2^63` must have saturated into the overflow bucket.
-//!
-//! Runs in its own test binary so nothing here races the runtime enable
-//! switch exercised by `runtime_switch.rs` (separate process).
 
 #![cfg(not(feature = "telemetry-off"))]
 

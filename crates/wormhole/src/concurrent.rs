@@ -408,6 +408,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let mut last_key: Option<Vec<u8>> = None;
         let mut len = 0usize;
         let mut key_bytes = 0usize;
+        // Nobody reads the index before it is returned.
+        let mut bin = Bin::immediate();
 
         for (key, value) in pairs {
             if let Some(last) = &last_key {
@@ -427,7 +429,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                             t2.apply_split(&table_key, handle.clone(), &tail, None);
                         debug_assert_eq!(relocations.len(), relocations_t2.len());
                         for (leaf, new_key) in relocations {
-                            leaf.0.data.write().leaf.set_table_key(new_key);
+                            leaf.0.data.write().leaf.set_table_key(new_key, &mut bin);
                         }
                         // The finished leaf took its keys in ascending
                         // order: its first scan need not sort it.
@@ -440,13 +442,12 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             key_bytes += key.len();
             len += 1;
             in_leaf += 1;
-            let old = tail
-                .0
+            // Strictly ascending input: the key is in no leaf yet.
+            tail.0
                 .data
                 .write()
                 .leaf
-                .insert(&key, crc32c(&key), value, &config);
-            debug_assert!(old.is_none());
+                .insert_absent(&key, crc32c(&key), value, &config, &mut bin);
             last_key = Some(key);
         }
         tail.0.data.write().leaf.ensure_key_sorted();
@@ -908,20 +909,15 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         // One plan, two applications: computed against the published table,
         // applied to its logical copy (the spare), published, and — after
         // the grace period — applied to the retired original.
-        let plan = core::split_plan(
-            &current.table,
-            &table_key,
-            new_handle.clone(),
-            &leaf,
-            old_right.as_ref(),
-        );
+        let plan =
+            current
+                .table
+                .plan_split(&table_key, new_handle.clone(), &leaf, old_right.as_ref());
         for (relocated, new_key) in &plan.relocations {
             // The only anchor that can be a proper prefix of the new anchor
             // is the split leaf's own anchor, whose lock we hold.
             assert!(relocated.same(&leaf), "unexpected anchor relocation");
-            left_guard
-                .leaf
-                .set_table_key_retiring(new_key.clone(), &mut bin);
+            left_guard.leaf.set_table_key(new_key.clone(), &mut bin);
         }
         let mut spare = writer.spare.take().expect("spare table present");
         spare.table.apply_plan(&plan);
@@ -961,7 +957,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 core::merge_eligible(neighbour.leaf.len(), len, &self.config)
             })
         };
-        len < self.config.merge_size
+        len < self.config.merge_size()
             && (data.prev.upgrade().is_some_and(|prev| eligible(&prev))
                 || data.next.as_ref().is_some_and(|next| eligible(&next.0)))
     }
@@ -1012,7 +1008,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 LeafNode::new(Vec::new(), Vec::new()),
             );
             let victim_table_key = victim_leaf.table_key().to_vec();
-            left_guard.leaf.absorb_retiring(victim_leaf, &mut bin);
+            left_guard.leaf.absorb(victim_leaf, &mut bin);
             let right = victim_guard.next.clone();
             left_guard.next = right.clone();
             if let Some(right) = &right {
@@ -1022,13 +1018,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 neighbour.prev = left.downgrade();
             }
             // One plan, two applications (see `insert_with_split`).
-            let plan = core::merge_plan(
-                &current.table,
-                &victim_table_key,
-                victim,
-                left,
-                right.as_ref(),
-            );
+            let plan = current
+                .table
+                .plan_merge(&victim_table_key, victim, left, right.as_ref());
             drop(victim_section);
             drop(left_section);
             drop(victim_guard);
@@ -1098,7 +1090,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 }
                 let (n, kb) = {
                     let _section = SeqWriteSection::new(&leaf.0.seq);
-                    data.leaf.remove_range_retiring(&pos, hi, &mut bin)
+                    data.leaf.remove_range(&pos, hi, &mut bin)
                 };
                 // Right sibling's anchor = the next sweep position (lock
                 // order left → right, same as the merge engine).
@@ -1621,7 +1613,7 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
         let hash = crc32c(key);
         let mut bin = self.new_bin();
         let (removed, could_merge) = self.with_leaf_write(key, |data| {
-            let removed = data.leaf.remove_retiring(key, hash, &self.config, &mut bin);
+            let removed = data.leaf.remove(key, hash, &self.config, &mut bin);
             let could_merge = removed.is_some() && self.could_merge(data);
             (removed, could_merge)
         });

@@ -1,31 +1,38 @@
 //! Runtime configuration of the Wormhole index.
 //!
-//! The paper's Figure 11 measures how much each implementation optimisation
-//! contributes by enabling them one at a time on top of a plain
-//! "BaseWormhole". The same ablation is reproduced here by constructing the
-//! index with the corresponding [`WormholeConfig`].
+//! The paper's Figure 11 adds the implementation optimisations one at a
+//! time, each on top of the ones before, to a plain "BaseWormhole". A
+//! [`WormholeConfig`] names the [`Rung`] of that ladder an index stands on,
+//! so the five measured configurations are the only ones that can be built.
 
-/// Tunable parameters and optimisation toggles.
+/// How far up the Figure 11 ladder an index is built: every rung keeps the
+/// optimisations of the rungs below it, in the paper's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rung {
+    /// The paper's "BaseWormhole": the core data structure alone.
+    Base,
+    /// §3.1 *TagMatching*: trust 16-bit tag matches in the MetaTrieHT during
+    /// the binary search and only verify the final prefix, instead of
+    /// comparing the full prefix at every probe.
+    TagMatching,
+    /// §3.1 *IncHashing*: reuse the CRC state of a matched prefix when
+    /// hashing longer prefixes of the same key.
+    IncHashing,
+    /// §3.2 *SortByTag*: search leaf nodes through the tag array sorted in
+    /// hash order rather than binary search over fully key-sorted items.
+    SortByTag,
+    /// §3.2 *DirectPos*: start the tag-array search at the position predicted
+    /// from the tag value instead of scanning from the ends.
+    DirectPos,
+}
+
+/// The two values an index is built with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WormholeConfig {
     /// Maximum number of keys per leaf node (the paper uses 128).
     pub leaf_capacity: usize,
-    /// Merge two adjacent leaves when their combined size drops below this
-    /// value (the paper's `MergeSize`; defaults to `leaf_capacity / 2`).
-    pub merge_size: usize,
-    /// §3.1 *TagMatching*: trust 16-bit tag matches in the MetaTrieHT during
-    /// the binary search and only verify the final prefix, instead of
-    /// comparing the full prefix at every probe.
-    pub tag_matching: bool,
-    /// §3.1 *IncHashing*: reuse the CRC state of a matched prefix when
-    /// hashing longer prefixes of the same key.
-    pub inc_hashing: bool,
-    /// §3.2 *SortByTag*: search leaf nodes through the tag array sorted in
-    /// hash order rather than binary search over fully key-sorted items.
-    pub sort_by_tag: bool,
-    /// §3.2 *DirectPos*: start the tag-array search at the position predicted
-    /// from the tag value instead of scanning from the ends.
-    pub direct_pos: bool,
+    /// The optimisations in force.
+    pub rung: Rung,
 }
 
 impl Default for WormholeConfig {
@@ -35,83 +42,76 @@ impl Default for WormholeConfig {
 }
 
 impl WormholeConfig {
-    /// The fully optimised configuration used for all headline numbers.
-    pub fn optimized() -> Self {
+    /// The paper's leaf capacity on `rung`.
+    fn at(rung: Rung) -> Self {
         Self {
             leaf_capacity: 128,
-            merge_size: 64,
-            tag_matching: true,
-            inc_hashing: true,
-            sort_by_tag: true,
-            direct_pos: true,
+            rung,
         }
+    }
+
+    /// The fully optimised configuration used for all headline numbers.
+    pub fn optimized() -> Self {
+        Self::at(Rung::DirectPos)
     }
 
     /// The paper's "BaseWormhole": the core data structure with all
     /// implementation optimisations switched off.
     pub fn base() -> Self {
-        Self {
-            leaf_capacity: 128,
-            merge_size: 64,
-            tag_matching: false,
-            inc_hashing: false,
-            sort_by_tag: false,
-            direct_pos: false,
-        }
+        Self::at(Rung::Base)
     }
 
-    /// Overrides the leaf capacity (and scales `merge_size` to half of it).
+    /// Overrides the leaf capacity.
     pub fn with_leaf_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity >= 4, "leaf capacity must be at least 4");
         self.leaf_capacity = capacity;
-        self.merge_size = capacity / 2;
         self
     }
 
-    /// Enables or disables the *TagMatching* optimisation.
-    pub fn with_tag_matching(mut self, on: bool) -> Self {
-        self.tag_matching = on;
-        self
+    /// Two adjacent leaves merge when their combined size drops below this
+    /// value (the paper's `MergeSize`).
+    #[inline]
+    pub fn merge_size(&self) -> usize {
+        self.leaf_capacity / 2
     }
 
-    /// Enables or disables the *IncHashing* optimisation.
-    pub fn with_inc_hashing(mut self, on: bool) -> Self {
-        self.inc_hashing = on;
-        self
+    /// Whether *TagMatching* is in force.
+    #[inline]
+    pub fn tag_matching(&self) -> bool {
+        self.rung >= Rung::TagMatching
     }
 
-    /// Enables or disables the *SortByTag* optimisation.
-    pub fn with_sort_by_tag(mut self, on: bool) -> Self {
-        self.sort_by_tag = on;
-        self
+    /// Whether *IncHashing* is in force.
+    #[inline]
+    pub fn inc_hashing(&self) -> bool {
+        self.rung >= Rung::IncHashing
     }
 
-    /// Enables or disables the *DirectPos* optimisation.
-    pub fn with_direct_pos(mut self, on: bool) -> Self {
-        self.direct_pos = on;
-        self
+    /// Whether *SortByTag* is in force.
+    #[inline]
+    pub fn sort_by_tag(&self) -> bool {
+        self.rung >= Rung::SortByTag
+    }
+
+    /// Whether *DirectPos* is in force.
+    #[inline]
+    pub fn direct_pos(&self) -> bool {
+        self.rung >= Rung::DirectPos
     }
 
     /// The five configurations of the Figure 11 ablation, in the paper's
     /// order: BaseWormhole, +TagMatching, +IncHashing, +SortByTag,
     /// +DirectPos (each step keeps the previous ones enabled).
     pub fn ablation_ladder() -> Vec<(&'static str, WormholeConfig)> {
-        let base = Self::base();
-        vec![
-            ("BaseWormhole", base),
-            ("+TagMatching", base.with_tag_matching(true)),
-            (
-                "+IncHashing",
-                base.with_tag_matching(true).with_inc_hashing(true),
-            ),
-            (
-                "+SortByTag",
-                base.with_tag_matching(true)
-                    .with_inc_hashing(true)
-                    .with_sort_by_tag(true),
-            ),
-            ("+DirectPos", Self::optimized()),
+        [
+            ("BaseWormhole", Rung::Base),
+            ("+TagMatching", Rung::TagMatching),
+            ("+IncHashing", Rung::IncHashing),
+            ("+SortByTag", Rung::SortByTag),
+            ("+DirectPos", Rung::DirectPos),
         ]
+        .map(|(name, rung)| (name, Self::at(rung)))
+        .to_vec()
     }
 }
 
@@ -122,29 +122,24 @@ mod tests {
     #[test]
     fn default_is_fully_optimized() {
         let c = WormholeConfig::default();
-        assert!(c.tag_matching && c.inc_hashing && c.sort_by_tag && c.direct_pos);
+        assert!(c.tag_matching() && c.inc_hashing() && c.sort_by_tag() && c.direct_pos());
         assert_eq!(c.leaf_capacity, 128);
-        assert_eq!(c.merge_size, 64);
+        assert_eq!(c.merge_size(), 64);
     }
 
     #[test]
     fn base_disables_everything() {
         let c = WormholeConfig::base();
-        assert!(!c.tag_matching && !c.inc_hashing && !c.sort_by_tag && !c.direct_pos);
+        assert!(!c.tag_matching() && !c.inc_hashing() && !c.sort_by_tag() && !c.direct_pos());
     }
 
     #[test]
     fn ablation_ladder_is_monotone() {
         let ladder = WormholeConfig::ablation_ladder();
         assert_eq!(ladder.len(), 5);
-        let flags = |c: &WormholeConfig| {
-            [c.tag_matching, c.inc_hashing, c.sort_by_tag, c.direct_pos]
-                .iter()
-                .filter(|&&b| b)
-                .count()
-        };
+        assert_eq!(ladder[0].1, WormholeConfig::base());
         for pair in ladder.windows(2) {
-            assert!(flags(&pair[1].1) == flags(&pair[0].1) + 1);
+            assert!(pair[0].1.rung < pair[1].1.rung);
         }
         assert_eq!(ladder.last().unwrap().1, WormholeConfig::optimized());
     }
@@ -153,7 +148,7 @@ mod tests {
     fn leaf_capacity_override() {
         let c = WormholeConfig::optimized().with_leaf_capacity(32);
         assert_eq!(c.leaf_capacity, 32);
-        assert_eq!(c.merge_size, 16);
+        assert_eq!(c.merge_size(), 16);
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! * [`prepare_split`] — split-point selection ([`choose_split_point`]),
 //!   anchor formation, anchor table-key reservation, and the leaf-level
 //!   carve ([`LeafNode::split_off`]);
-//! * [`split_plan`] / [`merge_plan`] — declarative
-//!   [`crate::meta::MetaPlan`]s listing the MetaTrieHT item
-//!   writes, executed with [`MetaTable::apply_plan`] once per table;
 //! * [`merge_eligible`] — Algorithm 2's `MergeSize` test.
+//!
+//! The MetaTrieHT item writes of either operation are a declarative
+//! [`crate::meta::MetaPlan`] that the table itself computes
+//! ([`MetaTable::plan_split`], [`MetaTable::plan_merge`]) and executes
+//! ([`MetaTable::apply_plan`]), once per table.
 
 use crate::config::WormholeConfig;
 use crate::leaf::{Bin, LeafNode};
-use crate::meta::{LeafRef, MetaPlan, MetaTable};
+use crate::meta::{LeafRef, MetaTable};
 
 /// Chooses a split position and the new right sibling's logical anchor.
 ///
@@ -76,7 +78,7 @@ pub struct PreparedSplit<V> {
     /// tokens to satisfy the prefix condition).
     pub table_key: Vec<u8>,
     /// The carved-off right half; the caller links it into its leaf list and
-    /// registers it through [`split_plan`].
+    /// registers it through [`MetaTable::plan_split`].
     pub right: LeafNode<V>,
 }
 
@@ -91,7 +93,7 @@ pub fn prepare_split<V, L: LeafRef>(
 ) -> Option<PreparedSplit<V>> {
     let (at, anchor) = choose_split_point(leaf)?;
     let table_key = table.reserve_anchor_key(&anchor);
-    let right = leaf.split_off_retiring(at, anchor.clone(), table_key.clone(), bin);
+    let right = leaf.split_off(at, anchor.clone(), table_key.clone(), bin);
     Some(PreparedSplit {
         anchor,
         table_key,
@@ -99,35 +101,10 @@ pub fn prepare_split<V, L: LeafRef>(
     })
 }
 
-/// Computes the meta-update plan for a split prepared by [`prepare_split`]
-/// (Algorithm 4, split half). `table` must be the table the plan will be
-/// applied to — or, for the concurrent index, its exact logical copy.
-pub fn split_plan<L: LeafRef>(
-    table: &MetaTable<L>,
-    table_key: &[u8],
-    new_leaf: L,
-    split_leaf: &L,
-    old_right: Option<&L>,
-) -> MetaPlan<L> {
-    table.plan_split(table_key, new_leaf, split_leaf, old_right)
-}
-
-/// Computes the meta-update plan for merging `victim` into `victim_left`
-/// (Algorithm 4, merge half).
-pub fn merge_plan<L: LeafRef>(
-    table: &MetaTable<L>,
-    victim_table_key: &[u8],
-    victim: &L,
-    victim_left: &L,
-    victim_right: Option<&L>,
-) -> MetaPlan<L> {
-    table.plan_merge(victim_table_key, victim, victim_left, victim_right)
-}
-
 /// Algorithm 2's merge test: two adjacent leaves merge when their combined
 /// size has dropped below `MergeSize`.
 pub fn merge_eligible(left_len: usize, victim_len: usize, config: &WormholeConfig) -> bool {
-    left_len + victim_len < config.merge_size
+    left_len + victim_len < config.merge_size()
 }
 
 #[cfg(test)]
@@ -140,7 +117,7 @@ mod tests {
     }
 
     fn insert(leaf: &mut LeafNode<u64>, key: &[u8], value: u64, config: &WormholeConfig) {
-        leaf.insert(key, crc32c(key), value, config);
+        leaf.insert_absent(key, crc32c(key), value, config, &mut Bin::immediate());
     }
 
     #[test]

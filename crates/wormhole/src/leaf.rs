@@ -192,7 +192,7 @@ impl<'a, V> Bin<'a, V> {
 /// the old buffer when the insert has to grow it. Elements are *moved* into
 /// the grown buffer (`append`), which leaves their bytes (and therefore the
 /// key pointers a racing reader may have loaded) intact in the retired one.
-fn insert_retiring<T, V>(
+fn insert_growing<T, V>(
     v: &mut Vec<T>,
     pos: usize,
     item: T,
@@ -405,10 +405,10 @@ impl<V> LeafNode<V> {
         hash: u32,
         config: &WormholeConfig,
     ) -> Result<Option<usize>, ReadConflict> {
-        if config.sort_by_tag {
+        if config.sort_by_tag() {
             let tag = tag16(hash);
             let tags = self.hash_order.as_slice();
-            let run = tag_run_start(tags, tag, config.direct_pos);
+            let run = tag_run_start(tags, tag, config.direct_pos());
             for entry in tags[run..].iter().take_while(|e| e.tag() == tag) {
                 if self.key_checked(entry.slot())? == key {
                     return Ok(Some(entry.slot()));
@@ -429,7 +429,7 @@ impl<V> LeafNode<V> {
     /// [`LeafNode::find_slot_checked`] on a leaf nobody is mutating.
     #[inline]
     fn find_slot(&self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<usize> {
-        debug_assert!(config.sort_by_tag || !self.key_view_lags());
+        debug_assert!(config.sort_by_tag() || !self.key_view_lags());
         self.find_slot_checked(key, hash, config)
             .expect("quiescent leaf is consistent")
     }
@@ -444,23 +444,6 @@ impl<V> LeafNode<V> {
     pub fn get_mut(&mut self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<&mut V> {
         self.find_slot(key, hash, config)
             .map(|i| &mut self.kvs[i].value)
-    }
-
-    /// Inserts `key`, returning the previous value when it already existed.
-    pub fn insert(
-        &mut self,
-        key: &[u8],
-        hash: u32,
-        value: V,
-        config: &WormholeConfig,
-    ) -> Option<V> {
-        match self.find_slot(key, hash, config) {
-            Some(slot) => Some(std::mem::replace(&mut self.kvs[slot].value, value)),
-            None => {
-                self.insert_absent(key, hash, value, config, &mut Bin::immediate());
-                None
-            }
-        }
     }
 
     /// Inserts `key`, which the caller has just searched this leaf for and
@@ -483,7 +466,7 @@ impl<V> LeafNode<V> {
         let pos = self
             .hash_order
             .partition_point(|e| e.tag() < tag || (e.tag() == tag && self.key(e.slot()) < key));
-        let key_pos = if config.sort_by_tag {
+        let key_pos = if config.sort_by_tag() {
             // Key order is allowed to lag: append unsorted (incSort later).
             self.key_order.len()
         } else {
@@ -495,30 +478,25 @@ impl<V> LeafNode<V> {
             key: KeyBox::new(key),
             value,
         };
-        insert_retiring(&mut self.kvs, slot, kv, bin, Retired::Items);
+        insert_growing(&mut self.kvs, slot, kv, bin, Retired::Items);
         self.key_bytes += key.len();
         let entry = TagSlot::new(tag, slot);
-        insert_retiring(&mut self.hash_order, pos, entry, bin, Retired::Tags);
-        insert_retiring(
+        insert_growing(&mut self.hash_order, pos, entry, bin, Retired::Tags);
+        insert_growing(
             &mut self.key_order,
             key_pos,
             slot as u16,
             bin,
             Retired::Order,
         );
-        if !config.sort_by_tag {
+        if !config.sort_by_tag() {
             self.sorted_cnt = self.key_order.len();
         }
     }
 
-    /// Removes `key`, returning its value when present.
-    pub fn remove(&mut self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<V> {
-        self.remove_retiring(key, hash, config, &mut Bin::immediate())
-    }
-
-    /// [`LeafNode::remove`], retiring the removed item's key block through
-    /// `bin`.
-    pub fn remove_retiring(
+    /// Removes `key`, returning its value when present and retiring its key
+    /// block through `bin`.
+    pub fn remove(
         &mut self,
         key: &[u8],
         hash: u32,
@@ -568,12 +546,7 @@ impl<V> LeafNode<V> {
     /// it); the whole doomed run is resolved against the key-sorted view
     /// once and unlinked slot by slot in descending storage order, so the
     /// shift-down fixups of earlier removals never invalidate later ones.
-    pub fn remove_range_retiring(
-        &mut self,
-        lo: &[u8],
-        hi: &[u8],
-        bin: &mut Bin<'_, V>,
-    ) -> (usize, usize) {
+    pub fn remove_range(&mut self, lo: &[u8], hi: &[u8], bin: &mut Bin<'_, V>) -> (usize, usize) {
         self.ensure_key_sorted();
         let start = self.lower_bound(&self.key_order, lo);
         let end = self.lower_bound(&self.key_order, hi);
@@ -757,13 +730,13 @@ impl<V> LeafNode<V> {
     /// kept, so a torn read costs one useless hint. A no-op without
     /// *SortByTag*, whose leaf search is a binary search over keys.
     pub fn stage_probes(window: &[Option<&Self>], hashes: &[u32], config: &WormholeConfig) {
-        if !config.sort_by_tag {
+        if !config.sort_by_tag() {
             return;
         }
         for (leaf, &hash) in window.iter().zip(hashes) {
             if let Some(leaf) = leaf {
                 let tags = leaf.hash_order.as_slice();
-                let at = if config.direct_pos {
+                let at = if config.direct_pos() {
                     tag_position_hint(tag16(hash), tags.len())
                 } else {
                     tags.len() / 2
@@ -775,7 +748,7 @@ impl<V> LeafNode<V> {
         for ((leaf, &hash), slot) in window.iter().zip(hashes).zip(&mut slots) {
             let Some(leaf) = leaf else { continue };
             let (tag, tags) = (tag16(hash), leaf.hash_order.as_slice());
-            let entry = tags.get(tag_run_start(tags, tag, config.direct_pos));
+            let entry = tags.get(tag_run_start(tags, tag, config.direct_pos()));
             *slot = entry
                 .filter(|e| e.tag() == tag && e.slot() < leaf.kvs.len())
                 .map(|e| e.slot());
@@ -831,15 +804,10 @@ impl<V> LeafNode<V> {
     }
 
     /// Splits the leaf at key-order position `at`, moving items `[at..]` into
-    /// a new leaf with the given anchor and table key.
-    pub fn split_off(&mut self, at: usize, anchor: Vec<u8>, table_key: Vec<u8>) -> LeafNode<V> {
-        self.split_off_retiring(at, anchor, table_key, &mut Bin::immediate())
-    }
-
-    /// [`LeafNode::split_off`], retiring the replaced storage buffers of the
-    /// left half through `bin` (the right half is freshly allocated and not
-    /// yet visible to readers).
-    pub fn split_off_retiring(
+    /// a new leaf with the given anchor and table key, and retiring the
+    /// replaced storage buffers of the left half through `bin` (the right
+    /// half is freshly allocated and not yet visible to readers).
+    pub fn split_off(
         &mut self,
         at: usize,
         anchor: Vec<u8>,
@@ -895,14 +863,9 @@ impl<V> LeafNode<V> {
     }
 
     /// Moves every item of `victim`, the right neighbour, into this leaf
-    /// (used by merge).
-    pub fn absorb(&mut self, victim: LeafNode<V>) {
-        self.absorb_retiring(victim, &mut Bin::immediate());
-    }
-
-    /// [`LeafNode::absorb`], retiring the victim's storage (and any buffer
-    /// this leaf outgrows) through `bin`.
-    pub fn absorb_retiring(&mut self, mut victim: LeafNode<V>, bin: &mut Bin<'_, V>) {
+    /// (used by merge), retiring the victim's storage (and any buffer this
+    /// leaf outgrows) through `bin`.
+    pub fn absorb(&mut self, mut victim: LeafNode<V>, bin: &mut Bin<'_, V>) {
         // Merges are rare and bounded by the merge size, so both key views
         // are brought up to date here: every key of the right neighbour is
         // greater than every key of this leaf, so the two views
@@ -940,12 +903,12 @@ impl<V> LeafNode<V> {
         self.key_bytes += victim.key_bytes;
         for &i in &victim.key_order {
             let (end, slot) = (self.key_order.len(), base as u16 + i);
-            insert_retiring(&mut self.key_order, end, slot, bin, Retired::Order);
+            insert_growing(&mut self.key_order, end, slot, bin, Retired::Order);
         }
         self.sorted_cnt = self.key_order.len();
         for kv in victim.kvs.drain(..) {
             let end = self.kvs.len();
-            insert_retiring(&mut self.kvs, end, kv, bin, Retired::Items);
+            insert_growing(&mut self.kvs, end, kv, bin, Retired::Items);
         }
         // Readers may still be traversing the victim's (now drained)
         // storage and anchor: retire the buffers wholesale.
@@ -1008,14 +971,9 @@ impl<V> LeafNode<V> {
     }
 
     /// Updates the leaf's table key (used when an anchor is relocated with an
-    /// appended ⊥ token by a later split).
-    pub fn set_table_key(&mut self, table_key: Vec<u8>) {
-        self.set_table_key_retiring(table_key, &mut Bin::immediate());
-    }
-
-    /// [`LeafNode::set_table_key`], retiring the replaced key bytes through
-    /// `bin`.
-    pub fn set_table_key_retiring(&mut self, table_key: Vec<u8>, bin: &mut Bin<'_, V>) {
+    /// appended ⊥ token by a later split), retiring the replaced key bytes
+    /// through `bin`.
+    pub fn set_table_key(&mut self, table_key: Vec<u8>, bin: &mut Bin<'_, V>) {
         bin.retire(Retired::Bytes(std::mem::replace(
             &mut self.table_key,
             table_key,
@@ -1026,6 +984,7 @@ impl<V> LeafNode<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Rung;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -1039,7 +998,25 @@ mod tests {
         value: u64,
         config: &WormholeConfig,
     ) -> Option<u64> {
-        leaf.insert(key, crc32c(key), value, config)
+        let hash = crc32c(key);
+        if let Some(slot) = leaf.get_mut(key, hash, config) {
+            return Some(std::mem::replace(slot, value));
+        }
+        leaf.insert_absent(key, hash, value, config, &mut Bin::immediate());
+        None
+    }
+
+    fn remove(leaf: &mut LeafNode<u64>, key: &[u8], config: &WormholeConfig) -> Option<u64> {
+        leaf.remove(key, crc32c(key), config, &mut Bin::immediate())
+    }
+
+    /// The three leaf searches: a leaf reads nothing of its rung but
+    /// whether *SortByTag* and *DirectPos* are in force.
+    fn leaf_configs() -> [WormholeConfig; 3] {
+        [Rung::DirectPos, Rung::Base, Rung::SortByTag].map(|rung| WormholeConfig {
+            rung,
+            ..WormholeConfig::optimized()
+        })
     }
 
     fn get(leaf: &LeafNode<u64>, key: &[u8], config: &WormholeConfig) -> Option<u64> {
@@ -1048,12 +1025,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip_all_configs() {
-        for config in [
-            WormholeConfig::optimized(),
-            WormholeConfig::base(),
-            WormholeConfig::base().with_sort_by_tag(true),
-            WormholeConfig::optimized().with_direct_pos(false),
-        ] {
+        for config in leaf_configs() {
             let mut leaf = LeafNode::new(Vec::new(), Vec::new());
             let names = ["Abby", "Bob", "Bond", "Ella", "Alex", "Jack", "Alan", "Ada"];
             for (i, name) in names.iter().enumerate() {
@@ -1069,7 +1041,7 @@ mod tests {
             }
             assert_eq!(get(&leaf, b"Zed", &config), None);
             assert_eq!(insert(&mut leaf, b"Bob", 99, &config), Some(1));
-            assert_eq!(leaf.remove(b"Bob", crc32c(b"Bob"), &config), Some(99));
+            assert_eq!(remove(&mut leaf, b"Bob", &config), Some(99));
             assert_eq!(get(&leaf, b"Bob", &config), None);
             assert_eq!(leaf.len(), names.len() - 1);
             // Every other key still reachable after the removal fix-ups.
@@ -1163,7 +1135,7 @@ mod tests {
             insert(&mut leaf, format!("key{i}").as_bytes(), i, &config);
         }
         let (at, anchor) = crate::core::choose_split_point(&mut leaf).unwrap();
-        let right = leaf.split_off(at, anchor.clone(), anchor.clone());
+        let right = leaf.split_off(at, anchor.clone(), anchor.clone(), &mut Bin::immediate());
         assert_eq!(leaf.len() + right.len(), 10);
         leaf.check_invariants();
         right.check_invariants();
@@ -1191,7 +1163,7 @@ mod tests {
             insert(&mut right, k.as_bytes(), 2, &config);
         }
         left.ensure_key_sorted();
-        left.absorb(right);
+        left.absorb(right, &mut Bin::immediate());
         left.check_invariants();
         assert_eq!(left.len(), 6);
         for k in ["a", "c", "e", "m", "o", "q"] {
@@ -1204,11 +1176,7 @@ mod tests {
 
     #[test]
     fn checked_reads_match_unchecked_on_quiescent_leaf() {
-        for config in [
-            WormholeConfig::optimized(),
-            WormholeConfig::optimized().with_direct_pos(false),
-            WormholeConfig::base(),
-        ] {
+        for config in leaf_configs() {
             let mut leaf = LeafNode::new(Vec::new(), Vec::new());
             for i in 0..40u64 {
                 insert(
@@ -1255,22 +1223,18 @@ mod tests {
     #[test]
     fn table_key_can_be_relocated() {
         let mut leaf: LeafNode<u64> = LeafNode::new(b"Jo".to_vec(), b"Jo".to_vec());
-        leaf.set_table_key(b"Jo\0".to_vec());
+        leaf.set_table_key(b"Jo\0".to_vec(), &mut Bin::immediate());
         assert_eq!(leaf.anchor(), b"Jo");
         assert_eq!(leaf.table_key(), b"Jo\0");
     }
 
     #[test]
     fn remove_range_drains_exactly_the_half_open_window() {
-        for config in [
-            WormholeConfig::optimized(),
-            WormholeConfig::base(),
-            WormholeConfig::optimized().with_direct_pos(false),
-        ] {
+        for config in leaf_configs() {
             let mut leaf = LeafNode::new(Vec::new(), Vec::new());
             for i in 0..24u64 {
                 // Insert out of key order so the sorted view lags (incSort
-                // must run inside remove_range_retiring).
+                // must run inside remove_range).
                 insert(
                     &mut leaf,
                     format!("rr{:02}", i * 7 % 24).as_bytes(),
@@ -1279,7 +1243,7 @@ mod tests {
                 );
             }
             let mut bin = Bin::immediate();
-            let (n, bytes) = leaf.remove_range_retiring(b"rr05", b"rr15", &mut bin);
+            let (n, bytes) = leaf.remove_range(b"rr05", b"rr15", &mut bin);
             assert_eq!(n, 10);
             assert_eq!(bytes, 10 * 4);
             assert_eq!(leaf.len(), 14);
@@ -1293,11 +1257,8 @@ mod tests {
                 );
             }
             // Empty window and disjoint window are no-ops.
-            assert_eq!(
-                leaf.remove_range_retiring(b"rr05", b"rr05", &mut bin),
-                (0, 0)
-            );
-            assert_eq!(leaf.remove_range_retiring(b"zz", b"zzz", &mut bin), (0, 0));
+            assert_eq!(leaf.remove_range(b"rr05", b"rr05", &mut bin), (0, 0));
+            assert_eq!(leaf.remove_range(b"zz", b"zzz", &mut bin), (0, 0));
             // Lookups and further mutation still work after the bulk fixups.
             assert_eq!(insert(&mut leaf, b"rr07", 100, &config), None);
             assert_eq!(get(&leaf, b"rr07", &config), Some(100));
@@ -1311,11 +1272,7 @@ mod tests {
         // besides the entries that named the removed item, exactly one
         // entry of each ordering changes — the one that named the last slot
         // — and it changes in place.
-        for config in [
-            WormholeConfig::optimized(),
-            WormholeConfig::base(),
-            WormholeConfig::optimized().with_direct_pos(false),
-        ] {
+        for config in leaf_configs() {
             let mut leaf = LeafNode::new(Vec::new(), Vec::new());
             let key = |i: u64| format!("mid{:03}", i * 37 % 100).into_bytes();
             // Sorted at 60 items: the last slot sits in the unsorted tail.
@@ -1325,7 +1282,7 @@ mod tests {
                     leaf.ensure_key_sorted();
                 }
             }
-            assert_eq!(leaf.key_view_lags(), config.sort_by_tag);
+            assert_eq!(leaf.key_view_lags(), config.sort_by_tag());
             // Item `i` went into slot `i`. A middle one, then the last one.
             for (doomed, renamed) in [(30usize, 1), (98, 0)] {
                 let last = leaf.len() - 1;
@@ -1344,7 +1301,7 @@ mod tests {
                     .collect();
                 let sorted = leaf.sorted_cnt;
                 let gone = key(doomed as u64);
-                let removed = leaf.remove(&gone, crc32c(&gone), &config);
+                let removed = remove(&mut leaf, &gone, &config);
                 assert_eq!(removed, Some(doomed as u64));
                 leaf.check_invariants();
                 let tags_now: Vec<(u16, usize)> = leaf
@@ -1363,7 +1320,7 @@ mod tests {
                 let expect: Vec<_> = order.iter().map(|&slot| rename(slot)).collect();
                 assert_eq!(order_now, expect);
                 // The sorted prefix shrinks when the removed item sat in it.
-                let in_prefix = doomed < 60 || !config.sort_by_tag;
+                let in_prefix = doomed < 60 || !config.sort_by_tag();
                 assert_eq!(leaf.sorted_cnt, sorted - usize::from(in_prefix));
                 assert_eq!(get(&leaf, &gone, &config), None);
                 assert_eq!(get(&leaf, &key(99), &config), Some(99));
@@ -1425,11 +1382,7 @@ mod tests {
             ops in proptest::collection::vec(leaf_op(), 1..400),
             which in 0usize..3,
         ) {
-            let config = [
-                WormholeConfig::optimized(),
-                WormholeConfig::base(),
-                WormholeConfig::optimized().with_direct_pos(false),
-            ][which];
+            let config = leaf_configs()[which];
             let mut left: LeafNode<u64> = LeafNode::new(Vec::new(), Vec::new());
             let mut right: Option<LeafNode<u64>> = None;
             let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
@@ -1451,25 +1404,19 @@ mod tests {
                             _ => &mut left,
                         };
                         prop_assert_eq!(insert(leaf, LAG_KEY, 0, &config), None);
-                        prop_assert_eq!(leaf.key_view_lags(), config.sort_by_tag);
-                        prop_assert_eq!(
-                            leaf.remove(&key, crc32c(&key), &config),
-                            model.remove(&key)
-                        );
+                        prop_assert_eq!(leaf.key_view_lags(), config.sort_by_tag());
+                        prop_assert_eq!(remove(leaf, &key, &config), model.remove(&key));
                         leaf.check_invariants();
-                        prop_assert_eq!(leaf.remove(LAG_KEY, crc32c(LAG_KEY), &config), Some(0));
+                        prop_assert_eq!(remove(leaf, LAG_KEY, &config), Some(0));
                     }
                     LeafOp::RemoveRange(lo, hi) => {
                         let mut bin = Bin::immediate();
                         let mut removed = 0;
                         for leaf in [Some(&mut left), right.as_mut()].into_iter().flatten() {
                             prop_assert_eq!(insert(leaf, LAG_KEY, 0, &config), None);
-                            removed += leaf.remove_range_retiring(&lo, &hi, &mut bin).0;
+                            removed += leaf.remove_range(&lo, &hi, &mut bin).0;
                             leaf.check_invariants();
-                            prop_assert_eq!(
-                                leaf.remove(LAG_KEY, crc32c(LAG_KEY), &config),
-                                Some(0)
-                            );
+                            prop_assert_eq!(remove(leaf, LAG_KEY, &config), Some(0));
                         }
                         let doomed: Vec<Vec<u8>> = model
                             .range(lo..hi)
@@ -1485,12 +1432,12 @@ mod tests {
                             left.ensure_key_sorted();
                             let at = left.len() / 2;
                             let anchor = left.key_at(at).to_vec();
-                            right = Some(left.split_off(at, anchor.clone(), anchor));
+                            right = Some(left.split_off(at, anchor.clone(), anchor, &mut Bin::immediate()));
                         }
                     }
                     LeafOp::Absorb => {
                         if let Some(r) = right.take() {
-                            left.absorb(r);
+                            left.absorb(r, &mut Bin::immediate());
                         }
                     }
                 }

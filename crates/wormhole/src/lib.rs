@@ -33,16 +33,17 @@
 //!
 //! The implementation optimisations of §3 — 16-bit tag matching, incremental
 //! CRC hashing, hash-ordered leaf tag arrays, and speculative leaf
-//! positioning — are all implemented and individually switchable through
-//! [`WormholeConfig`] (the paper's Figure 11 ablation).
+//! positioning — are all implemented, and [`WormholeConfig`] builds an index
+//! on any [`Rung`] of the paper's cumulative Figure 11 ladder.
 //!
 //! ## Batched lookups (memory-level parallelism)
 //!
 //! Both variants additionally expose `get_batch(&[&[u8]]) -> Vec<Option<V>>`
-//! (defaulted on the index traits; `WormholeUnsafe` overrides it, and
-//! `Wormhole` overrides `get_batch_into`, which the concurrent trait's
-//! `get_batch` wraps and which fills a buffer the caller keeps, with a
-//! pipelined implementation). A single `get` serialises one DRAM miss chain: each LPM
+//! (defaulted on the index traits as a per-key loop, which is what
+//! `WormholeUnsafe` answers with; `Wormhole` overrides `get_batch_into`,
+//! which the concurrent trait's `get_batch` wraps and which fills a buffer
+//! the caller keeps, with a pipelined implementation). A single `get`
+//! serialises one DRAM miss chain: each LPM
 //! binary-search step must finish its bucket-line fill before the next
 //! prefix can be probed. The batched path instead processes a window of up
 //! to [`meta::BATCH_WINDOW`] keys at once and **round-robins** the search
@@ -116,7 +117,7 @@ pub mod single;
 pub mod telemetry;
 
 pub use concurrent::Wormhole;
-pub use config::WormholeConfig;
+pub use config::{Rung, WormholeConfig};
 pub use single::WormholeUnsafe;
 pub use telemetry::WormholeMetrics;
 

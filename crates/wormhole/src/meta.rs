@@ -739,15 +739,6 @@ impl<L: LeafRef> MetaTable<L> {
         self.get(key).is_some()
     }
 
-    /// Tag-only membership probe — the §3.1 optimistic *TagMatching* probe
-    /// the LPM binary search runs at every step: bucket tag lanes are
-    /// scanned without ever touching an item record, so rare 16-bit-tag
-    /// false positives are possible. Exposed for the probe benchmarks.
-    pub fn probe_optimistic(&self, key: &[u8]) -> bool {
-        let hash = crc32c(key);
-        self.probe(key, hash, true).is_some()
-    }
-
     /// Inserts `kind` under `key`, replacing and returning any previous item.
     pub fn insert(&mut self, key: &[u8], kind: MetaKind<L>) -> Option<MetaKind<L>> {
         let hash = crc32c(key);
@@ -966,7 +957,12 @@ impl<L: LeafRef> MetaTable<L> {
         assert!(keys.len() <= N, "window exceeds its scratch");
         assert!(out.len() >= keys.len(), "output window too small");
         let mut probes = [LpmProbe::IDLE; N];
-        self.search_lpm_window(keys, config.tag_matching, config.inc_hashing, &mut probes);
+        self.search_lpm_window(
+            keys,
+            config.tag_matching(),
+            config.inc_hashing(),
+            &mut probes,
+        );
         let mut pending: [Option<PendingChild>; N] = [None; N];
         for (i, key) in keys.iter().enumerate() {
             match self.trie_step(key, &probes[i]) {
@@ -1604,7 +1600,12 @@ mod tests {
                 for (chunk, expect) in probes.chunks(window).zip(expect.chunks(window)) {
                     let keys: Vec<&[u8]> = chunk.iter().map(|k| k.as_slice()).collect();
                     let mut lpm = [LpmProbe::IDLE; BATCH_WINDOW];
-                    t.search_lpm_window(&keys, config.tag_matching, config.inc_hashing, &mut lpm);
+                    t.search_lpm_window(
+                        &keys,
+                        config.tag_matching(),
+                        config.inc_hashing(),
+                        &mut lpm,
+                    );
                     for ((key, found), &expect) in keys.iter().zip(&lpm).zip(expect) {
                         assert_eq!(
                             found.lo, expect,

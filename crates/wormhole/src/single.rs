@@ -10,11 +10,11 @@
 //!
 //! This module holds none of the split/merge logic itself. When a leaf
 //! overflows, [`crate::core::prepare_split`] selects the split point, forms
-//! the anchor, and carves the leaf; [`crate::core::split_plan`] then
+//! the anchor, and carves the leaf; [`MetaTable::plan_split`] then
 //! computes the MetaTrieHT item writes as a declarative
 //! [`MetaPlan`](crate::meta::MetaPlan), which is applied to the single
 //! table with [`MetaTable::apply_plan`]. Merges mirror this with
-//! [`crate::core::merge_eligible`] and [`crate::core::merge_plan`]. The
+//! [`crate::core::merge_eligible`] and [`MetaTable::plan_merge`]. The
 //! only work left here is representation-specific: the `u32` arena slots
 //! and their prev/next links. The concurrent variant consumes the exact
 //! same core API, applying each plan to its two tables in turn.
@@ -25,8 +25,7 @@ use wh_hash::crc32c;
 use crate::config::WormholeConfig;
 use crate::core;
 use crate::leaf::{Bin, LeafNode};
-use crate::meta::{MetaTable, TargetOutcome, BATCH_WINDOW};
-use crate::prefetch::prefetch_span;
+use crate::meta::{MetaTable, TargetOutcome};
 
 /// Null leaf-list link.
 const NIL: u32 = u32::MAX;
@@ -126,12 +125,7 @@ impl<V: Clone> WormholeUnsafe<V> {
     /// Resolves the search outcome of the MetaTrieHT to the target leaf
     /// (the final leaf-list adjustment of Algorithm 3).
     fn locate_leaf(&self, key: &[u8]) -> u32 {
-        self.resolve_outcome(self.meta.search_target(key, &self.config), key)
-    }
-
-    /// The leaf-list adjustment shared by the per-key and batched searches.
-    fn resolve_outcome(&self, outcome: TargetOutcome<&u32>, key: &[u8]) -> u32 {
-        match outcome {
+        match self.meta.search_target(key, &self.config) {
             TargetOutcome::Target(&leaf) => leaf,
             TargetOutcome::LeftOf(&leaf) => {
                 let prev = self.slot(leaf).prev;
@@ -175,16 +169,13 @@ impl<V: Clone> WormholeUnsafe<V> {
             self.slot_mut(old_next).prev = new_idx;
         }
         let old_right = (old_next != NIL).then_some(old_next);
-        let plan = core::split_plan(
-            &self.meta,
-            &prepared.table_key,
-            new_idx,
-            &idx,
-            old_right.as_ref(),
-        );
+        let plan = self
+            .meta
+            .plan_split(&prepared.table_key, new_idx, &idx, old_right.as_ref());
         self.meta.apply_plan(&plan);
         for (leaf, new_table_key) in plan.relocations {
-            self.slot_mut(leaf).leaf.set_table_key(new_table_key);
+            let leaf = &mut self.slot_mut(leaf).leaf;
+            leaf.set_table_key(new_table_key, &mut Bin::immediate());
         }
         true
     }
@@ -201,15 +192,15 @@ impl<V: Clone> WormholeUnsafe<V> {
             self.slot_mut(right).prev = left;
         }
         let right_opt = (right != NIL).then_some(right);
-        let plan = core::merge_plan(
-            &self.meta,
+        let plan = self.meta.plan_merge(
             victim_slot.leaf.table_key(),
             &victim,
             &left,
             right_opt.as_ref(),
         );
         self.meta.apply_plan(&plan);
-        self.slot_mut(left).leaf.absorb(victim_slot.leaf);
+        let left = &mut self.slot_mut(left).leaf;
+        left.absorb(victim_slot.leaf, &mut Bin::immediate());
     }
 
     /// Walks the LeafList validating every structural invariant. Panics on
@@ -306,36 +297,6 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
         self.slot(leaf).leaf.get(key, hash, &self.config).cloned()
     }
 
-    fn get_batch(&self, keys: &[&[u8]]) -> Vec<Option<V>> {
-        // The pipelined batch path: per window, run the meta searches with
-        // their cache misses overlapped, prefetch every resolved leaf slot,
-        // stage each leaf's probe lines round by round (tag-array line,
-        // matched item, its key bytes), then execute the leaf probes. The
-        // only allocation is the result vector itself; all per-probe
-        // scratch is on the stack.
-        let mut out = Vec::with_capacity(keys.len());
-        let mut outcomes = [None; BATCH_WINDOW];
-        let mut leaves = [None; BATCH_WINDOW];
-        let mut hashes = [0u32; BATCH_WINDOW];
-        for chunk in keys.chunks(BATCH_WINDOW) {
-            self.meta
-                .search_targets_window(chunk, &self.config, &mut outcomes);
-            for (i, key) in chunk.iter().enumerate() {
-                let outcome = outcomes[i].take().expect("window filled");
-                let slot = &self.leaves[self.resolve_outcome(outcome, key) as usize];
-                prefetch_span(slot as *const Option<SlotLeaf<V>>);
-                leaves[i] = slot.as_ref().map(|slot| &slot.leaf);
-                hashes[i] = crc32c(key);
-            }
-            LeafNode::stage_probes(&leaves[..chunk.len()], &hashes, &self.config);
-            for ((key, leaf), &hash) in chunk.iter().zip(&leaves).zip(&hashes) {
-                let leaf = leaf.expect("live leaf");
-                out.push(leaf.get(key, hash, &self.config).cloned());
-            }
-        }
-        out
-    }
-
     fn set(&mut self, key: &[u8], value: V) -> Option<V> {
         let hash = crc32c(key);
         let mut leaf_idx = self.locate_leaf(key);
@@ -368,7 +329,8 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
         let hash = crc32c(key);
         let config = self.config;
         let leaf_idx = self.locate_leaf(key);
-        let removed = self.slot_mut(leaf_idx).leaf.remove(key, hash, &config)?;
+        let leaf = &mut self.slot_mut(leaf_idx).leaf;
+        let removed = leaf.remove(key, hash, &config, &mut Bin::immediate())?;
         self.len -= 1;
         self.key_bytes -= key.len();
         // Merge with a neighbour when the combined size has dropped below

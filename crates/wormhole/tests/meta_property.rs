@@ -413,47 +413,6 @@ fn single_threaded_get_is_allocation_free() {
 }
 
 #[test]
-fn single_threaded_get_batch_allocates_only_the_result_vector() {
-    // Steady-state batched lookups: all pipeline scratch (probe windows,
-    // hash state, located leaves) lives on the stack, so the only
-    // allocation a `get_batch` call may make is the returned `Vec` itself
-    // — exactly one allocation per call, regardless of batch size.
-    let mut wh: WormholeUnsafe<u64> = WormholeUnsafe::new();
-    let keys = lookup_keyset();
-    for (i, k) in keys.iter().enumerate() {
-        wh.set(k, i as u64);
-    }
-    let mut probes: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    let misses: Vec<Vec<u8>> = (0..64u32)
-        .map(|i| format!("missing/{i:06}").into_bytes())
-        .collect();
-    probes.extend(misses.iter().map(|k| k.as_slice()));
-    for k in keys.iter().take(16) {
-        assert!(wh.get(k).is_some());
-    }
-
-    let mut calls = 0usize;
-    let before = thread_allocs();
-    let mut hits = 0usize;
-    for batch in [1usize, 7, 16, 128] {
-        for chunk in probes.chunks(batch) {
-            hits += wh.get_batch(chunk).iter().flatten().count();
-            calls += 1;
-        }
-    }
-    let after = thread_allocs();
-    assert_eq!(hits, 4 * keys.len());
-    assert_eq!(
-        after - before,
-        calls,
-        "WormholeUnsafe::get_batch allocated beyond the result vector \
-         ({} allocations over {} calls)",
-        after - before,
-        calls,
-    );
-}
-
-#[test]
 fn concurrent_get_batch_allocates_only_the_result_vector() {
     // Same guard for the concurrent seqlock path: the shared QSBR critical
     // section, the pipelined window, and the optimistic leaf reads must

@@ -35,7 +35,7 @@ fn splits_and_merges_are_counted() {
 #[test]
 fn a_delete_asks_before_it_takes_the_writer_mutex() {
     let index: Wormhole<u64> = Wormhole::new();
-    let (capacity, merge_size) = (index.config().leaf_capacity, index.config().merge_size);
+    let (capacity, merge_size) = (index.config().leaf_capacity, index.config().merge_size());
     let n = 8 * capacity as u64;
     let key = |i: u64| format!("key{i:08}").into_bytes();
     for i in 0..n {

@@ -49,7 +49,8 @@ fn main() {
     // ----------------------------------------------------------------
     // The thread-unsafe variant (the paper's "Wormhole-unsafe"): the same
     // structure without locks, for single-threaded or externally
-    // synchronised use. Optimisations can be toggled per §3 of the paper.
+    // synchronised use. `WormholeConfig::rung` builds either variant on any
+    // rung of the paper's Figure 11 ladder of §3 optimisations.
     // ----------------------------------------------------------------
     let config = WormholeConfig::optimized().with_leaf_capacity(64);
     let mut single: WormholeUnsafe<u64> = WormholeUnsafe::with_config(config);

@@ -49,10 +49,9 @@
 //!   `STATS` wire command that ships the whole exposition in-band
 //!   (`ServiceMetrics`, `WireRequest::Stats`).
 //!
-//! Recording is allocation-free and branch-cheap. Two kill switches
-//! exist: the `telemetry-off` cargo feature compiles histogram buckets
-//! and clock reads out entirely, and `telemetry::set_enabled(false)`
-//! skips them at runtime. Counters and gauges stay live under both —
+//! Recording is allocation-free and branch-cheap. One kill switch
+//! exists: the `telemetry-off` cargo feature compiles histogram buckets
+//! and clock reads out entirely. Counters and gauges stay live under it —
 //! they double as load signals (the shard rebalancer) and test gates.
 
 pub use baseline_art as art;

@@ -175,9 +175,9 @@ proptest! {
     }
 
     /// `get_batch` must answer exactly like one `get` per key, in order,
-    /// on every ordered index — the baselines through the trait's default
-    /// loop, both Wormholes and the sharded front through their pipelined
-    /// overrides. The probe batch deliberately mixes generated keys (mostly
+    /// on every ordered index — the baselines and `WormholeUnsafe` through
+    /// the trait's default loop, `Wormhole` and the sharded front through
+    /// their pipelined overrides. The probe batch deliberately mixes generated keys (mostly
     /// misses), guaranteed hits sampled from the inserted set, and repeats
     /// of the same key within one batch.
     #[test]
@@ -233,26 +233,64 @@ proptest! {
         }
     }
 
+    /// One history on every rung of the Figure 11 ladder, through both
+    /// variants: whatever a rung leaves out — the single-threaded index's
+    /// lagging key view, the concurrent index's eagerly sorted insert and
+    /// its scan over a view that never lags — every answer is the
+    /// `BTreeMap`'s.
     #[test]
     fn wormhole_ablation_configs_agree_with_each_other(
-        ops in proptest::collection::vec((key_strategy(), any::<u64>()), 1..150)) {
-        let mut indexes: Vec<WormholeUnsafe<u64>> = WormholeConfig::ablation_ladder()
-            .into_iter()
-            .map(|(_, config)| WormholeUnsafe::with_config(config.with_leaf_capacity(8)))
-            .collect();
-        for (key, value) in &ops {
-            for index in indexes.iter_mut() {
-                index.set(key, *value);
+        ops in proptest::collection::vec(op_strategy(), 1..150)) {
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let mut rungs: Vec<(&str, WormholeUnsafe<u64>, Wormhole<u64>)> =
+            WormholeConfig::ablation_ladder()
+                .into_iter()
+                .map(|(name, config)| {
+                    let config = config.with_leaf_capacity(8);
+                    (name, WormholeUnsafe::with_config(config), Wormhole::with_config(config))
+                })
+                .collect();
+        for op in &ops {
+            match op {
+                Op::Set(k, v) => {
+                    let expect = model.insert(k.clone(), *v);
+                    for (name, single, concurrent) in rungs.iter_mut() {
+                        prop_assert_eq!(single.set(k, *v), expect, "{}", name);
+                        prop_assert_eq!(concurrent.set(k, *v), expect, "{}", name);
+                        prop_assert_eq!(single.get(k), Some(*v), "{}", name);
+                        prop_assert_eq!(concurrent.get(k), Some(*v), "{}", name);
+                    }
+                }
+                Op::Del(k) => {
+                    let expect = model.remove(k);
+                    for (name, single, concurrent) in rungs.iter_mut() {
+                        prop_assert_eq!(single.del(k), expect, "{}", name);
+                        prop_assert_eq!(concurrent.del(k), expect, "{}", name);
+                        prop_assert_eq!(single.get(k), None, "{}", name);
+                        prop_assert_eq!(concurrent.get(k), None, "{}", name);
+                    }
+                }
+                Op::Range(start, count) => {
+                    let expect: Vec<(Vec<u8>, u64)> = model
+                        .range(start.clone()..)
+                        .take(*count)
+                        .map(|(k, v)| (k.clone(), *v))
+                        .collect();
+                    for (name, single, concurrent) in &rungs {
+                        prop_assert_eq!(&single.range_from(start, *count), &expect, "{}", name);
+                        prop_assert_eq!(&concurrent.range_from(start, *count), &expect, "{}", name);
+                    }
+                }
+                Op::Rebalance => {}
             }
         }
-        let reference = indexes[0].range_from(&[], usize::MAX);
-        for index in &indexes[1..] {
-            prop_assert_eq!(index.range_from(&[], usize::MAX), reference.clone());
-        }
-        for (key, _) in &ops {
-            let expect = indexes[0].get(key);
-            for index in &indexes[1..] {
-                prop_assert_eq!(index.get(key), expect);
+        let expect_all: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        for (name, single, concurrent) in &rungs {
+            prop_assert_eq!(&single.range_from(&[], usize::MAX), &expect_all, "{}", name);
+            prop_assert_eq!(&concurrent.range_from(&[], usize::MAX), &expect_all, "{}", name);
+            for (k, v) in &model {
+                prop_assert_eq!(single.get(k), Some(*v), "{}", name);
+                prop_assert_eq!(concurrent.get(k), Some(*v), "{}", name);
             }
         }
     }
