@@ -86,7 +86,7 @@ use wh_hash::crc32c;
 use crate::config::WormholeConfig;
 use crate::core;
 use crate::leaf::{Bin, LeafGarbage, LeafNode, ReadConflict};
-use crate::meta::{LeafRef, MetaPlan, MetaTable, TargetOutcome, BATCH_WINDOW};
+use crate::meta::{LeafRef, MetaItem, MetaPlan, MetaShape, MetaTable, TargetOutcome, BATCH_WINDOW};
 use crate::prefetch::prefetch_span;
 use crate::telemetry::WormholeMetrics;
 
@@ -200,6 +200,10 @@ impl<V> std::fmt::Debug for LeafHandle<V> {
     }
 }
 
+// A handle is one pointer, so an item record is one cache line (the layout
+// is in the `meta` module docs).
+const _: () = assert!(std::mem::size_of::<MetaItem<LeafHandle<u64>>>() <= 64);
+
 impl<V> LeafHandle<V> {
     fn new(leaf: LeafNode<V>, prev: Weak<LeafShared<V>>, next: Option<LeafHandle<V>>) -> Self {
         Self(Arc::new(LeafShared {
@@ -276,6 +280,9 @@ struct WriterState<V> {
     spare: Option<Box<VersionedMeta<V>>>,
     /// The previously published table, aging through its grace period.
     retiring: Option<RetiringTable<V>>,
+    /// The size of the published table as this index last added it to the
+    /// `meta_*` gauges of its metrics.
+    published: MetaShape,
 }
 
 /// The thread-safe Wormhole ordered index.
@@ -332,25 +339,35 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         t1.install_root_leaf(head.clone());
         let mut t2 = MetaTable::new();
         t2.install_root_leaf(head.clone());
-        let current = Box::into_raw(Box::new(VersionedMeta {
-            version: 0,
-            table: t1,
-        }));
+        Self::assemble(config, metrics, head, [t1, t2], 0, 0)
+    }
+
+    /// An index over `head`'s leaf list and its two tables, logical copies
+    /// of each other: the first is published, the second the spare.
+    fn assemble(
+        config: WormholeConfig,
+        metrics: Arc<WormholeMetrics>,
+        head: LeafHandle<V>,
+        [published, spare]: [MetaTable<LeafHandle<V>>; 2],
+        len: usize,
+        key_bytes: usize,
+    ) -> Self {
+        let shape = published.shape();
+        metrics.meta_published(MetaShape::default(), shape);
+        let versioned = |table| Box::new(VersionedMeta { version: 0, table });
         Self {
             config,
-            current: AtomicPtr::new(current),
+            current: AtomicPtr::new(Box::into_raw(versioned(published))),
             writer: Mutex::new(WriterState {
-                spare: Some(Box::new(VersionedMeta {
-                    version: 0,
-                    table: t2,
-                })),
+                spare: Some(versioned(spare)),
                 retiring: None,
+                published: shape,
             }),
             qsbr: Qsbr::new(),
             garbage: Mutex::default(),
             head,
-            len: AtomicUsize::new(0),
-            key_bytes: AtomicUsize::new(0),
+            len: AtomicUsize::new(len),
+            key_bytes: AtomicUsize::new(key_bytes),
             metrics,
         }
     }
@@ -452,27 +469,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         }
         tail.0.data.write().leaf.ensure_key_sorted();
 
-        let current = Box::into_raw(Box::new(VersionedMeta {
-            version: 0,
-            table: t1,
-        }));
-        Self {
-            config,
-            current: AtomicPtr::new(current),
-            writer: Mutex::new(WriterState {
-                spare: Some(Box::new(VersionedMeta {
-                    version: 0,
-                    table: t2,
-                })),
-                retiring: None,
-            }),
-            qsbr: Qsbr::new(),
-            garbage: Mutex::default(),
-            head,
-            len: AtomicUsize::new(len),
-            key_bytes: AtomicUsize::new(key_bytes),
-            metrics: Arc::new(WormholeMetrics::default()),
-        }
+        let metrics = Arc::new(WormholeMetrics::default());
+        Self::assemble(config, metrics, head, [t1, t2], len, key_bytes)
     }
 
     /// Whether reads of this index run lock-free, decided by the value type
@@ -568,6 +566,25 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         table.table.apply_plan(&retiring.plan);
         table.version = retiring.version;
         writer.spare = Some(table);
+    }
+
+    /// Publishes the spare table, brought to `version` by `plan`, and
+    /// returns the table it replaces: the caller parks that one in
+    /// `writer.retiring` once it has released its leaf locks. Must be called
+    /// while holding the writer mutex, after [`Wormhole::reclaim_spare`].
+    fn publish(
+        &self,
+        writer: &mut WriterState<V>,
+        plan: &MetaPlan<LeafHandle<V>>,
+        version: u64,
+    ) -> *mut VersionedMeta<V> {
+        let mut spare = writer.spare.take().expect("spare table present");
+        spare.table.apply_plan(plan);
+        spare.version = version;
+        let shape = spare.table.shape();
+        self.metrics.meta_published(writer.published, shape);
+        writer.published = shape;
+        self.current.swap(Box::into_raw(spare), Ordering::AcqRel)
     }
 
     /// Number of deferred-reclamation callbacks still waiting for a grace
@@ -919,10 +936,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             assert!(relocated.same(&leaf), "unexpected anchor relocation");
             left_guard.leaf.set_table_key(new_key.clone(), &mut bin);
         }
-        let mut spare = writer.spare.take().expect("spare table present");
-        spare.table.apply_plan(&plan);
-        spare.version = version + 1;
-        let old_table = self.current.swap(Box::into_raw(spare), Ordering::AcqRel);
+        let old_table = self.publish(&mut writer, &plan, version + 1);
 
         // Release the seqlock sections and leaf locks so that readers
         // blocked on them can finish against the new table (§2.5), queue
@@ -1029,10 +1043,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             // reclaims it.
             self.retire_garbage(bin, 1);
 
-            let mut spare = writer.spare.take().expect("spare table present");
-            spare.table.apply_plan(&plan);
-            spare.version = version + 1;
-            let old_table = self.current.swap(Box::into_raw(spare), Ordering::AcqRel);
+            let old_table = self.publish(&mut writer, &plan, version + 1);
             // Start — without waiting for — the grace period retiring the
             // old table; the next structural operation completes it.
             writer.retiring = Some(RetiringTable {
@@ -1679,9 +1690,13 @@ impl<V> Drop for Wormhole<V> {
         // `&mut self` guarantees no reader of *this* index is active, so
         // the flush returns promptly.
         self.qsbr.flush();
+        let writer = self.writer.get_mut();
+        // The cells may outlive this index in a sibling's hands.
+        self.metrics
+            .meta_published(writer.published, MetaShape::default());
         // A table still aging through its grace period is exclusively ours
         // now for the same reason; free it without replaying its plan.
-        if let Some(retiring) = self.writer.get_mut().retiring.take() {
+        if let Some(retiring) = writer.retiring.take() {
             // SAFETY: no readers remain (`&mut self`).
             unsafe { drop(Box::from_raw(retiring.table)) };
         }
@@ -2316,5 +2331,59 @@ mod tests {
             stats.key_bytes,
             resident.iter().map(|(key, _)| key.len()).sum::<usize>()
         );
+    }
+
+    #[test]
+    fn meta_gauges_follow_the_published_tables() {
+        // Two indexes on one set of cells, as a sharded front has them:
+        // after every leg of a split and merge run the gauges are the sum
+        // of what the two published tables count themselves.
+        let metrics = StdArc::new(WormholeMetrics::default());
+        let shards: Vec<Wormhole<u64>> = (0..2)
+            .map(|_| Wormhole::with_config_and_metrics(small_config(), metrics.clone()))
+            .collect();
+        let check = |shards: &[Wormhole<u64>]| {
+            let mut sum = MetaShape::default();
+            for shard in shards {
+                let writer = shard.writer.lock();
+                // SAFETY: holding the writer mutex pins the published table.
+                let table = &unsafe { &*shard.current.load(Ordering::Acquire) }.table;
+                assert_eq!(table.shape(), writer.published);
+                sum.items += table.len();
+                sum.bitmaps += table.bitmaps();
+                sum.overflow_buckets += table.overflow_buckets();
+                sum.bytes += table.structure_bytes();
+            }
+            let read = MetaShape {
+                items: metrics.meta_items.get() as usize,
+                bitmaps: metrics.meta_bitmaps.get() as usize,
+                overflow_buckets: metrics.meta_overflow_buckets.get() as usize,
+                bytes: metrics.meta_bytes.get() as usize,
+            };
+            assert_eq!(read, sum);
+            sum
+        };
+        let empty = check(&shards);
+        assert_eq!((empty.items, empty.bitmaps), (2, 0), "two root leaves");
+        let key = |shard: usize, i: u32| format!("{shard}/{:05}", i * 7919 % 3000).into_bytes();
+        for i in 0..3000u32 {
+            for (s, shard) in shards.iter().enumerate() {
+                shard.set(&key(s, i), u64::from(i));
+            }
+        }
+        let full = check(&shards);
+        assert!(metrics.splits.get() > 100 && full.items > 200 && full.bitmaps > 20);
+        assert!(full.bitmaps < shards.iter().map(Wormhole::leaf_count).sum());
+        for i in 0..3000u32 {
+            shards[1].del(&key(1, i));
+        }
+        assert!(metrics.merges.get() > 50);
+        let half = check(&shards);
+        assert!(half.items < full.items && half.bitmaps < full.bitmaps);
+        // A dropped index takes its part with it.
+        let mut shards = shards;
+        shards.pop();
+        let one = check(&shards);
+        assert_eq!(one.items, half.items - 2, "less a root and its leaf");
     }
 }

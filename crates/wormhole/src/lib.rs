@@ -22,9 +22,9 @@
 //! one flat allocation of 64-byte buckets, each packing eight 16-bit tags
 //! and eight item indices, with a small overflow chain for the rare bucket
 //! holding more than eight residents. A probe SWAR-compares all eight tags
-//! of a line at once and touches an item record only on a tag match, so the
-//! LPM binary search costs a handful of cache-line fills; see
-//! [`meta`] for the full layout. On top of that layout the
+//! of a line at once and touches an item record — itself one cache line,
+//! prefix and payload inline — only on a tag match, so the LPM binary search
+//! costs a handful of cache-line fills; see [`meta`] for the full layout. On top of that layout the
 //! point-lookup path — the [`Wormhole`] `get`, the LPM search, and the trie
 //! sibling step — performs **zero heap allocations per call**, and ordered
 //! scans stream through a resumable cursor (`scan(start)` on both index

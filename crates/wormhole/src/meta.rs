@@ -2,11 +2,12 @@
 //! anchors.
 //!
 //! Every anchor and every prefix of every anchor is an item in the table.
-//! Leaf items point at a leaf node; internal items carry a 256-bit child
-//! bitmap and pointers to the leftmost and rightmost leaves of the subtree
-//! they root. Lookups never walk trie edges: each probed prefix is hashed
-//! and looked up directly, and the longest prefix match is found with a
-//! binary search over prefix lengths (Algorithm 1).
+//! Leaf items point at a leaf node; internal items carry their child
+//! tokens (one token, or a 256-bit bitmap from the second child on) and
+//! pointers to the leftmost and rightmost leaves of the subtree they root.
+//! Lookups never walk trie edges: each probed prefix is hashed and looked up
+//! directly, and the longest prefix match is found with a binary search over
+//! prefix lengths (Algorithm 1).
 //!
 //! # Bucket layout (§3.1, §3.4)
 //!
@@ -24,13 +25,35 @@
 //! * the rare bucket with more than eight residents chains into a small
 //!   **overflow pool** (`overflow` holds an off-by-one index into it; the
 //!   pool is rebuilt empty on every resize, so chains never accumulate);
-//! * item records (prefix bytes, full hash, payload) live in a side array
-//!   indexed by the `u32` slot values; exact probes only touch an item after
-//!   its 16-bit tag matched, optimistic probes not at all.
+//! * item records live in one side array indexed by the `u32` slot values;
+//!   exact probes only touch a record after its 16-bit tag matched,
+//!   optimistic probes not at all.
 //!
 //! `grow()` doubles the flat array and rehashes every slot directly from the
 //! item records (each stores its full CRC), with no intermediate per-bucket
 //! allocations.
+//!
+//! # Item records
+//!
+//! An item is one plain 64-byte, 64-byte-aligned record — one cache line —
+//! in one array, which grows 1024 records at a time and never moves one;
+//! whatever a lookup wants from an item (its prefix, for the verification;
+//! its payload, for the trie step) arrives with that line:
+//!
+//! | bytes | field |
+//! |---|---|
+//! | 0..4 | CRC-32c of the prefix |
+//! | 4..8 | prefix length |
+//! | 8..40 | the prefix bytes inline, up to [`INLINE_PREFIX`] of them; a longer prefix spills into a boxed slice whose pointer and length sit at 8..24 — the only heap block an item can own |
+//! | 40..64 | the payload: nothing (a vacant record on the free list), the leaf handle of an anchor, or an interior node's `leftmost` and `rightmost` handles and its children |
+//!
+//! The children of an interior node are **one token** in the record while
+//! the node has one child — 96 % of the nodes over 1.2 M `Az1` keys — and an
+//! index into a side array of 256-bit [`TokenBitmap`]s from its second child
+//! on. A split that adds the second child promotes the node, a merge that
+//! leaves one demotes it, and the slot goes to a free list, so churn does
+//! not grow the side array. With handles of four bytes (the single-threaded
+//! index) the payload is 16 bytes and the record keeps its 64.
 //!
 //! The table is generic over the leaf handle type `L` so the same code backs
 //! both the single-threaded index (arena indices) and the concurrent index
@@ -44,6 +67,8 @@
 //! [`MetaTable::apply_plan`] executes — once for the single-threaded index,
 //! and once per table (T2, then T1 after the grace period) for the
 //! concurrent one. See [`meta_plan`].
+
+use std::mem::ManuallyDrop;
 
 use index_traits::IndexStats;
 use wh_hash::{crc32c, crc32c_append, mix64, tag16, tag8_match_mask};
@@ -101,6 +126,15 @@ impl TokenBitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The set token, when exactly one is.
+    pub fn only(&self) -> Option<u8> {
+        if self.count() != 1 {
+            return None;
+        }
+        let word = self.words.iter().position(|&w| w != 0)?;
+        Some((word as u32 * 64 + self.words[word].trailing_zeros()) as u8)
+    }
+
     /// The largest set token strictly less than `token`, if any.
     pub fn prev_set(&self, token: u8) -> Option<u8> {
         let mut t = token as i32 - 1;
@@ -140,10 +174,9 @@ impl TokenBitmap {
     }
 }
 
-/// Payload of an interior trie node: the child bitmap plus the subtree's
-/// leaf bounds. Boxed behind [`MetaKind::Internal`] so every item record
-/// stays 40 bytes (down from 72 with the payload inline) — exact probes
-/// then touch at most one extra cache line per key comparison.
+/// What an interior trie node carries, as the plans and the readers of
+/// [`MetaTable::kind`] see it; the table keeps it packed in the item record
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct InternalNode<L> {
     /// Which child tokens exist.
@@ -154,35 +187,202 @@ pub struct InternalNode<L> {
     pub rightmost: L,
 }
 
-/// Payload of a MetaTrieHT item.
+/// Payload of a MetaTrieHT item, in transit: what [`MetaTable::insert`]
+/// takes, a [`MetaOp`] carries and [`MetaTable::kind`] returns.
 #[derive(Debug, Clone)]
 pub enum MetaKind<L> {
     /// The prefix is an anchor; the item points at its leaf node.
     Leaf(L),
     /// The prefix is an interior trie node.
-    Internal(Box<InternalNode<L>>),
+    Internal(InternalNode<L>),
 }
 
 impl<L> MetaKind<L> {
     /// Builds an internal item payload.
     pub fn internal(bitmap: TokenBitmap, leftmost: L, rightmost: L) -> Self {
-        MetaKind::Internal(Box::new(InternalNode {
+        MetaKind::Internal(InternalNode {
             bitmap,
             leftmost,
             rightmost,
-        }))
+        })
     }
 }
 
-/// One hash-table item: a prefix (or anchor) plus its payload.
-#[derive(Debug, Clone)]
-pub struct MetaItem<L> {
-    /// The prefix bytes (an anchor table key for leaf items).
-    pub key: Box<[u8]>,
-    /// CRC-32c of `key`.
-    pub hash: u32,
-    /// Item payload.
-    pub kind: MetaKind<L>,
+/// Prefix bytes an item record holds inline; a longer prefix spills into a
+/// boxed slice. Covers every anchor of the short-key keysets (Az1: 24).
+pub const INLINE_PREFIX: usize = 32;
+
+/// The bytes of a [`StoredPrefix`]: inline, or the boxed slice of a prefix
+/// longer than [`INLINE_PREFIX`]. Which one is live is recorded beside it,
+/// in `StoredPrefix::len`.
+#[repr(C)]
+union PrefixBytes {
+    inline: [u8; INLINE_PREFIX],
+    spilled: ManuallyDrop<Box<[u8]>>,
+}
+
+/// A prefix and its CRC: the first 40 bytes of an item record.
+///
+/// Invariant, kept by the three functions that touch `bytes`: the live
+/// field is `inline` (all of it initialised) when `len <= INLINE_PREFIX`,
+/// and `spilled`, a slice of exactly `len` bytes, otherwise.
+#[repr(C)]
+struct StoredPrefix {
+    /// CRC-32c of the prefix.
+    hash: u32,
+    len: u32,
+    bytes: PrefixBytes,
+}
+
+impl StoredPrefix {
+    fn new(prefix: &[u8], hash: u32) -> Self {
+        let len = u32::try_from(prefix.len()).expect("anchor longer than 4 GiB");
+        let bytes = if prefix.len() <= INLINE_PREFIX {
+            let mut inline = [0; INLINE_PREFIX];
+            inline[..prefix.len()].copy_from_slice(prefix);
+            PrefixBytes { inline }
+        } else {
+            PrefixBytes {
+                spilled: ManuallyDrop::new(prefix.into()),
+            }
+        };
+        Self { hash, len, bytes }
+    }
+
+    /// Bytes this prefix keeps on the heap.
+    fn spilled_len(&self) -> usize {
+        let len = self.len as usize;
+        if len > INLINE_PREFIX {
+            len
+        } else {
+            0
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        let len = self.len as usize;
+        if len <= INLINE_PREFIX {
+            // SAFETY: `len <= INLINE_PREFIX`, so `inline` is the live field
+            // (the type's invariant) and every byte of it is initialised.
+            unsafe { &self.bytes.inline[..len] }
+        } else {
+            // SAFETY: `len > INLINE_PREFIX`, so `spilled` is the live field.
+            unsafe { &self.bytes.spilled }
+        }
+    }
+}
+
+impl Drop for StoredPrefix {
+    fn drop(&mut self) {
+        if self.len as usize > INLINE_PREFIX {
+            // SAFETY: `len > INLINE_PREFIX`, so `spilled` is the live field;
+            // it is dropped here only, and never read again.
+            unsafe { ManuallyDrop::drop(&mut self.bytes.spilled) }
+        }
+    }
+}
+
+/// The children of an interior node, as its record holds them.
+#[derive(Clone, Copy)]
+enum Children {
+    /// The node's only child.
+    One(u8),
+    /// Two or more: the slot of the node's bitmap in `MetaTable::bitmaps`.
+    Many(u32),
+}
+
+/// The payload of an item record.
+enum Node<L> {
+    /// A record on the free list; no bucket slot names it.
+    Vacant,
+    /// The prefix is an anchor; the item points at its leaf node.
+    Leaf(L),
+    /// The prefix is an interior trie node.
+    Internal {
+        /// Leftmost leaf of the subtree rooted here.
+        leftmost: L,
+        /// Rightmost leaf of the subtree rooted here.
+        rightmost: L,
+        children: Children,
+    },
+}
+
+/// One hash-table item: a prefix (or anchor) and its payload in one cache
+/// line (the module docs have the byte offsets).
+#[repr(C, align(64))]
+pub(crate) struct MetaItem<L> {
+    prefix: StoredPrefix,
+    node: Node<L>,
+}
+
+impl<L> MetaItem<L> {
+    const VACANT: Self = Self {
+        prefix: StoredPrefix {
+            hash: 0,
+            len: 0,
+            bytes: PrefixBytes {
+                inline: [0; INLINE_PREFIX],
+            },
+        },
+        node: Node::Vacant,
+    };
+}
+
+// A record is a cache line whatever the handle; `concurrent.rs` asserts the
+// same of its `Arc` handles.
+const _: () = assert!(std::mem::size_of::<MetaItem<u32>>() == 64);
+const _: () = assert!(std::mem::align_of::<MetaItem<u32>>() == 64);
+
+/// Records per segment of a table's record array: 64 KiB of them.
+const SEGMENT: usize = 1024;
+
+/// The item records of a table, indexed by the `u32` values stored in
+/// bucket slots: an array that grows a segment at a time, so a record is
+/// written once and never moves. (A `Vec` of these over-aligned records
+/// cannot grow in place — the system allocator has no aligned `realloc` —
+/// and each doubling left its old half behind in the heap: 11 of the 58
+/// bytes per key of `index-get`'s resident set, and a 2 MB copy under the
+/// writer mutex.)
+struct Records<L> {
+    segments: Vec<Box<[MetaItem<L>]>>,
+    /// Records handed out so far, vacant ones included.
+    len: usize,
+}
+
+impl<L> Records<L> {
+    /// Appends `item` and returns its index.
+    fn push(&mut self, item: MetaItem<L>) -> u32 {
+        if self.len == self.segments.len() * SEGMENT {
+            let vacant = (0..SEGMENT).map(|_| MetaItem::VACANT);
+            self.segments.push(vacant.collect());
+        }
+        let idx = u32::try_from(self.len).expect("fewer than 2^32 items");
+        self.len += 1;
+        self[idx] = item;
+        idx
+    }
+
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        self.segments.capacity() * std::mem::size_of::<Box<[MetaItem<L>]>>()
+            + self.segments.len() * SEGMENT * std::mem::size_of::<MetaItem<L>>()
+    }
+}
+
+impl<L> std::ops::Index<u32> for Records<L> {
+    type Output = MetaItem<L>;
+    #[inline]
+    fn index(&self, idx: u32) -> &MetaItem<L> {
+        &self.segments[idx as usize / SEGMENT][idx as usize % SEGMENT]
+    }
+}
+
+impl<L> std::ops::IndexMut<u32> for Records<L> {
+    #[inline]
+    fn index_mut(&mut self, idx: u32) -> &mut MetaItem<L> {
+        &mut self.segments[idx as usize / SEGMENT][idx as usize % SEGMENT]
+    }
 }
 
 /// Number of slots per bucket: eight (tag16, item-index) pairs fill one
@@ -342,8 +542,8 @@ impl LpmProbe {
 /// finish Algorithm 3 for one key once its child bucket's prefetch lands.
 #[derive(Clone, Copy)]
 struct PendingChild {
-    /// The LPM item whose stored CRC seeds the child hash.
-    item_idx: u32,
+    /// CRC-32c of the child's key: the matched prefix plus `sibling`.
+    hash: u32,
     /// Length of the matched prefix.
     match_len: usize,
     /// The sibling token chosen by `findOneSibling`.
@@ -440,7 +640,7 @@ pub mod meta_plan {
             if let Some((_, kind)) = self.overlay.iter().find(|(k, _)| k.as_slice() == key) {
                 return kind.clone();
             }
-            self.table.get(key).map(|item| item.kind.clone())
+            self.table.kind(key)
         }
 
         pub(super) fn put(&mut self, key: Vec<u8>, kind: MetaKind<L>) {
@@ -472,9 +672,22 @@ pub mod meta_plan {
 
 pub use meta_plan::{MetaOp, MetaPlan};
 
+/// The size of a table in the four numbers the `wormhole_meta_*` gauges
+/// report ([`MetaTable::shape`]; each an O(1) read).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MetaShape {
+    /// [`MetaTable::len`].
+    pub items: usize,
+    /// [`MetaTable::bitmaps`].
+    pub bitmaps: usize,
+    /// [`MetaTable::overflow_buckets`].
+    pub overflow_buckets: usize,
+    /// [`MetaTable::structure_bytes`].
+    pub bytes: usize,
+}
+
 /// The MetaTrieHT hash table (cache-line-bucketized; see the module docs
 /// for the layout).
-#[derive(Debug, Clone)]
 pub struct MetaTable<L> {
     /// The flat bucket array — one contiguous allocation of 64-byte records,
     /// always a power-of-two length.
@@ -483,8 +696,16 @@ pub struct MetaTable<L> {
     /// `Bucket::overflow` links; cleared on every resize.
     overflow: Vec<Bucket>,
     /// Item records, indexed by the `u32` values stored in bucket slots.
-    items: Vec<Option<MetaItem<L>>>,
+    items: Records<L>,
+    /// The vacant records of `items`.
     free: Vec<u32>,
+    /// Child bitmaps of the interior nodes with two or more children,
+    /// indexed by their `Children::Many` slots.
+    bitmaps: Vec<TokenBitmap>,
+    /// The unused slots of `bitmaps`.
+    bitmap_free: Vec<u32>,
+    /// Heap bytes of the prefixes too long for their records.
+    spilled_bytes: usize,
     len: usize,
     /// Length of the longest anchor table key ever inserted (the paper's
     /// `Lanc`, used to bound the binary search).
@@ -503,11 +724,24 @@ impl<L: LeafRef> Default for MetaTable<L> {
 impl<L: LeafRef> MetaTable<L> {
     /// Creates an empty table.
     pub fn new() -> Self {
+        Self::with_bucket_count(64)
+    }
+
+    /// Creates an empty table of `buckets` buckets (a power of two); tests
+    /// pass a tiny count to force bucket-overflow chains deterministically.
+    fn with_bucket_count(buckets: usize) -> Self {
+        assert!(buckets.is_power_of_two());
         Self {
-            buckets: vec![Bucket::EMPTY; 64].into_boxed_slice(),
+            buckets: vec![Bucket::EMPTY; buckets].into_boxed_slice(),
             overflow: Vec::new(),
-            items: Vec::new(),
+            items: Records {
+                segments: Vec::new(),
+                len: 0,
+            },
             free: Vec::new(),
+            bitmaps: Vec::new(),
+            bitmap_free: Vec::new(),
+            spilled_bytes: 0,
             len: 0,
             max_anchor_len: 0,
             root_item: NO_ITEM,
@@ -529,17 +763,38 @@ impl<L: LeafRef> MetaTable<L> {
         self.max_anchor_len
     }
 
-    /// Approximate structure bytes used by the table.
+    /// Interior nodes with two or more children: the live slots of the
+    /// bitmap side array.
+    pub fn bitmaps(&self) -> usize {
+        self.bitmaps.len() - self.bitmap_free.len()
+    }
+
+    /// Overflow buckets chained behind full main-array buckets since the
+    /// last resize.
+    pub fn overflow_buckets(&self) -> usize {
+        self.overflow.len()
+    }
+
+    /// Heap bytes the table holds: the bucket array, the segments of item
+    /// records, the capacity of the overflow pool, of the bitmaps and of the
+    /// two free lists, and the prefixes that spilled out of their records.
     pub fn structure_bytes(&self) -> usize {
-        let bucket_bytes =
-            (self.buckets.len() + self.overflow.capacity()) * std::mem::size_of::<Bucket>();
-        let item_keys: usize = self
-            .items
-            .iter()
-            .flatten()
-            .map(|i| i.key.len() + std::mem::size_of::<MetaItem<L>>())
-            .sum();
-        bucket_bytes + item_keys + self.items.capacity() * 8
+        use std::mem::size_of;
+        (self.buckets.len() + self.overflow.capacity()) * size_of::<Bucket>()
+            + self.items.bytes()
+            + self.bitmaps.capacity() * size_of::<TokenBitmap>()
+            + (self.free.capacity() + self.bitmap_free.capacity()) * size_of::<u32>()
+            + self.spilled_bytes
+    }
+
+    /// The table's size as the gauges report it.
+    pub fn shape(&self) -> MetaShape {
+        MetaShape {
+            items: self.len,
+            bitmaps: self.bitmaps(),
+            overflow_buckets: self.overflow_buckets(),
+            bytes: self.structure_bytes(),
+        }
     }
 
     /// Memory statistics contribution of the meta structure.
@@ -598,8 +853,7 @@ impl<L: LeafRef> MetaTable<L> {
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let idx = bucket.items[slot];
-                let item = self.items[idx as usize].as_ref().expect("live item");
-                if item.key.as_ref() == key {
+                if self.items[idx].prefix.as_slice() == key {
                     return Some(idx);
                 }
             }
@@ -625,24 +879,18 @@ impl<L: LeafRef> MetaTable<L> {
         }
     }
 
-    /// Finds the item whose key is `prefix` extended by `token`, given the
-    /// CRC of `prefix`. Used by the trie search's sibling step (Algorithm 3)
-    /// so that no concatenated key needs to be materialised.
-    fn find_child(&self, prefix: &[u8], prefix_hash: u32, token: u8) -> Option<&MetaItem<L>> {
-        let hash = crc32c_append(prefix_hash, &[token]);
+    /// Finds the item whose key is `prefix` extended by `token`, given that
+    /// key's CRC. Used by the trie search's sibling step (Algorithm 3) so
+    /// that no concatenated key needs to be materialised.
+    fn find_child(&self, prefix: &[u8], token: u8, hash: u32) -> Option<&MetaItem<L>> {
         let tag = tag16(hash);
         for (_, bucket) in self.chain(hash) {
             let mut mask = bucket.tag_matches(tag);
             while mask != 0 {
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let idx = bucket.items[slot];
-                let item = self.items[idx as usize].as_ref().expect("live item");
-                let k = item.key.as_ref();
-                if k.len() == prefix.len() + 1
-                    && k[prefix.len()] == token
-                    && &k[..prefix.len()] == prefix
-                {
+                let item = &self.items[bucket.items[slot]];
+                if item.prefix.as_slice().split_last() == Some((&token, prefix)) {
                     return Some(item);
                 }
             }
@@ -720,73 +968,133 @@ impl<L: LeafRef> MetaTable<L> {
         }
     }
 
-    /// Returns the item stored under `key`, if any.
-    pub fn get(&self, key: &[u8]) -> Option<&MetaItem<L>> {
-        let hash = crc32c(key);
-        self.find(key, hash)
-            .map(|idx| self.items[idx as usize].as_ref().expect("live item"))
-    }
-
-    /// Returns the item stored under `key`, mutably.
-    pub fn get_mut(&mut self, key: &[u8]) -> Option<&mut MetaItem<L>> {
-        let hash = crc32c(key);
-        let idx = self.find(key, hash)?;
-        self.items[idx as usize].as_mut()
+    /// The payload stored under `key`, if any (handles cloned, the
+    /// children as a bitmap whichever way the record holds them).
+    pub fn kind(&self, key: &[u8]) -> Option<MetaKind<L>> {
+        let idx = self.find(key, crc32c(key))?;
+        Some(match &self.items[idx].node {
+            Node::Leaf(leaf) => MetaKind::Leaf(leaf.clone()),
+            Node::Internal {
+                leftmost,
+                rightmost,
+                children,
+            } => {
+                let bitmap = match *children {
+                    Children::One(token) => {
+                        let mut only = TokenBitmap::new();
+                        only.set(token);
+                        only
+                    }
+                    Children::Many(slot) => self.bitmaps[slot as usize],
+                };
+                MetaKind::internal(bitmap, leftmost.clone(), rightmost.clone())
+            }
+            Node::Vacant => unreachable!("a bucket slot names a vacant record"),
+        })
     }
 
     /// Returns `true` when `key` is present.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
+        self.find(key, crc32c(key)).is_some()
     }
 
-    /// Inserts `kind` under `key`, replacing and returning any previous item.
-    pub fn insert(&mut self, key: &[u8], kind: MetaKind<L>) -> Option<MetaKind<L>> {
+    /// Packs `kind` into a record payload. `old` is the children of the
+    /// record being overwritten, if it was an interior node: a node that
+    /// keeps two or more children keeps its bitmap slot, one that is back
+    /// to a single child gives it up, and a node's second child takes one
+    /// (off the free list first).
+    fn pack(&mut self, kind: MetaKind<L>, old: Option<Children>) -> Node<L> {
+        let held = match old {
+            Some(Children::Many(slot)) => Some(slot),
+            _ => None,
+        };
+        let node = match kind {
+            MetaKind::Leaf(leaf) => {
+                self.bitmap_free.extend(held);
+                return Node::Leaf(leaf);
+            }
+            MetaKind::Internal(node) => node,
+        };
+        let children = match node.bitmap.only() {
+            Some(token) => {
+                self.bitmap_free.extend(held);
+                Children::One(token)
+            }
+            None => {
+                let slot = held.or_else(|| self.bitmap_free.pop()).unwrap_or_else(|| {
+                    self.bitmaps.push(TokenBitmap::new());
+                    (self.bitmaps.len() - 1) as u32
+                });
+                self.bitmaps[slot as usize] = node.bitmap;
+                Children::Many(slot)
+            }
+        };
+        Node::Internal {
+            leftmost: node.leftmost,
+            rightmost: node.rightmost,
+            children,
+        }
+    }
+
+    /// Inserts `kind` under `key`; `true` when it replaced an item.
+    pub fn insert(&mut self, key: &[u8], kind: MetaKind<L>) -> bool {
         let hash = crc32c(key);
         if let Some(idx) = self.find(key, hash) {
-            let item = self.items[idx as usize].as_mut().expect("live item");
-            return Some(std::mem::replace(&mut item.kind, kind));
+            let old = match self.items[idx].node {
+                Node::Internal { children, .. } => Some(children),
+                _ => None,
+            };
+            self.items[idx].node = self.pack(kind, old);
+            return true;
         }
         if self.len + 1 > self.buckets.len() * GROW_NUM {
             self.grow();
         }
-        let is_leaf = matches!(kind, MetaKind::Leaf(_));
+        if matches!(kind, MetaKind::Leaf(_)) {
+            self.max_anchor_len = self.max_anchor_len.max(key.len());
+        }
         let item = MetaItem {
-            key: key.to_vec().into_boxed_slice(),
-            hash,
-            kind,
+            prefix: StoredPrefix::new(key, hash),
+            node: self.pack(kind, None),
         };
+        self.spilled_bytes += item.prefix.spilled_len();
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.items[idx as usize] = Some(item);
+                self.items[idx] = item;
                 idx
             }
-            None => {
-                self.items.push(Some(item));
-                (self.items.len() - 1) as u32
-            }
+            None => self.items.push(item),
         };
         self.insert_slot(hash, idx);
         self.len += 1;
         if key.is_empty() {
             self.root_item = idx;
         }
-        if is_leaf {
-            self.max_anchor_len = self.max_anchor_len.max(key.len());
-        }
-        None
+        false
     }
 
-    /// Removes the item stored under `key`.
-    pub fn remove(&mut self, key: &[u8]) -> Option<MetaItem<L>> {
+    /// Removes the item stored under `key`; `false` when there was none.
+    pub fn remove(&mut self, key: &[u8]) -> bool {
         let hash = crc32c(key);
-        let idx = self.find(key, hash)?;
+        let Some(idx) = self.find(key, hash) else {
+            return false;
+        };
         self.remove_slot(hash, idx);
         self.len -= 1;
         self.free.push(idx);
         if key.is_empty() {
             self.root_item = NO_ITEM;
         }
-        self.items[idx as usize].take()
+        let item = std::mem::replace(&mut self.items[idx], MetaItem::VACANT);
+        self.spilled_bytes -= item.prefix.spilled_len();
+        if let Node::Internal {
+            children: Children::Many(slot),
+            ..
+        } = item.node
+        {
+            self.bitmap_free.push(slot);
+        }
+        true
     }
 
     /// Doubles the flat bucket array, rehashing every slot straight from the
@@ -797,17 +1105,12 @@ impl<L: LeafRef> MetaTable<L> {
         let new_size = self.buckets.len() * 2;
         self.buckets = vec![Bucket::EMPTY; new_size].into_boxed_slice();
         self.overflow.clear();
-        for idx in 0..self.items.len() {
-            let Some(hash) = self.items[idx].as_ref().map(|item| item.hash) else {
-                continue;
-            };
-            self.insert_slot(hash, idx as u32);
+        for idx in 0..self.items.len as u32 {
+            let item = &self.items[idx];
+            if !matches!(item.node, Node::Vacant) {
+                self.insert_slot(item.prefix.hash, idx);
+            }
         }
-    }
-
-    /// Iterates all live items.
-    pub fn iter(&self) -> impl Iterator<Item = &MetaItem<L>> + '_ {
-        self.items.iter().flatten()
     }
 
     // ------------------------------------------------------------------
@@ -875,17 +1178,25 @@ impl<L: LeafRef> MetaTable<L> {
             // Verify the final match; a tag false-positive may have misled
             // the optimistic search — redo it with full prefix comparisons
             // (§3.1). The root needs no check: it matches every key.
-            if p.lo > 0 {
-                let item = self.items[p.lo_item as usize].as_ref().expect("live item");
-                if item.key.as_ref() != &key[..p.lo] {
-                    self.search_lpm_window(
-                        std::slice::from_ref(key),
-                        false,
-                        inc_hashing,
-                        std::slice::from_mut(p),
-                    );
-                }
+            if p.lo > 0 && self.items[p.lo_item].prefix.as_slice() != &key[..p.lo] {
+                self.search_lpm_window(
+                    std::slice::from_ref(key),
+                    false,
+                    inc_hashing,
+                    std::slice::from_mut(p),
+                );
             }
+        }
+    }
+
+    /// `findOneSibling` (Algorithm 3) over a record's children: the nearest
+    /// existing token below `missing`, or the nearest one above it when none
+    /// exists below. An only child answers for itself, without a bitmap.
+    #[inline]
+    fn find_one_sibling(&self, children: Children, missing: u8) -> Option<u8> {
+        match children {
+            Children::One(token) => (token != missing).then_some(token),
+            Children::Many(slot) => self.bitmaps[slot as usize].find_one_sibling(missing),
         }
     }
 
@@ -894,35 +1205,42 @@ impl<L: LeafRef> MetaTable<L> {
     /// needed — returned as a [`PendingChild`] with its bucket prefetched.
     #[inline]
     fn trie_step(&self, key: &[u8], lpm: &LpmProbe) -> Result<TargetOutcome<&L>, PendingChild> {
-        let (item_idx, match_len) = (lpm.lo_item, lpm.lo);
-        let item = self.items[item_idx as usize].as_ref().expect("live item");
-        match &item.kind {
-            MetaKind::Leaf(leaf) => Ok(TargetOutcome::Target(leaf)),
-            MetaKind::Internal(node) => {
+        let match_len = lpm.lo;
+        let item = &self.items[lpm.lo_item];
+        match &item.node {
+            Node::Leaf(leaf) => Ok(TargetOutcome::Target(leaf)),
+            Node::Internal {
+                leftmost,
+                rightmost,
+                children,
+            } => {
                 if match_len == key.len() {
                     // The whole key is an interior prefix: the target is the
                     // subtree's leftmost leaf or its left neighbour.
-                    return Ok(TargetOutcome::CompareAnchor(&node.leftmost));
+                    return Ok(TargetOutcome::CompareAnchor(leftmost));
                 }
                 let missing = key[match_len];
-                let Some(sibling) = node.bitmap.find_one_sibling(missing) else {
-                    // An internal node always has at least one child; treat a
-                    // corrupted bitmap as "use the subtree bounds".
-                    debug_assert!(false, "internal node with empty bitmap");
-                    return Ok(TargetOutcome::Target(&node.rightmost));
+                let Some(sibling) = self.find_one_sibling(*children, missing) else {
+                    // An internal node always has a child other than the one
+                    // the LPM did not find; treat corrupted children as "use
+                    // the subtree bounds".
+                    debug_assert!(false, "internal node without a sibling");
+                    return Ok(TargetOutcome::Target(rightmost));
                 };
                 // The child's key is the matched prefix plus one token; its
                 // hash extends the matched item's stored CRC, so the probe
                 // needs no materialised key (the lookup hot path stays
                 // allocation-free).
-                self.prefetch_bucket(crc32c_append(item.hash, &[sibling]));
+                let hash = crc32c_append(item.prefix.hash, &[sibling]);
+                self.prefetch_bucket(hash);
                 Err(PendingChild {
-                    item_idx,
+                    hash,
                     match_len,
                     sibling,
                     above: sibling > missing,
                 })
             }
+            Node::Vacant => unreachable!("the LPM matched a vacant record"),
         }
     }
 
@@ -930,15 +1248,15 @@ impl<L: LeafRef> MetaTable<L> {
     /// into the outcome.
     #[inline]
     fn child_step(&self, key: &[u8], p: PendingChild) -> TargetOutcome<&L> {
-        let item = self.items[p.item_idx as usize].as_ref().expect("live item");
         let child = self
-            .find_child(&key[..p.match_len], item.hash, p.sibling)
-            .expect("bitmap bit set but child item missing");
-        match (&child.kind, p.above) {
-            (MetaKind::Leaf(leaf), true) => TargetOutcome::LeftOf(leaf),
-            (MetaKind::Leaf(leaf), false) => TargetOutcome::Target(leaf),
-            (MetaKind::Internal(node), true) => TargetOutcome::LeftOf(&node.leftmost),
-            (MetaKind::Internal(node), false) => TargetOutcome::Target(&node.rightmost),
+            .find_child(&key[..p.match_len], p.sibling, p.hash)
+            .expect("a node's child token without the child's item");
+        match (&child.node, p.above) {
+            (Node::Leaf(leaf), true) => TargetOutcome::LeftOf(leaf),
+            (Node::Leaf(leaf), false) => TargetOutcome::Target(leaf),
+            (Node::Internal { leftmost, .. }, true) => TargetOutcome::LeftOf(leftmost),
+            (Node::Internal { rightmost, .. }, false) => TargetOutcome::Target(rightmost),
+            (Node::Vacant, _) => unreachable!("a bucket slot names a vacant record"),
         }
     }
 
@@ -1185,34 +1503,13 @@ impl<L: LeafRef> MetaTable<L> {
         debug_assert!(self.is_empty());
         self.insert(&[], MetaKind::Leaf(leaf));
     }
-
-    /// Creates an empty table with a tiny bucket array, so tests can force
-    /// bucket-overflow chains deterministically.
-    #[cfg(test)]
-    fn with_bucket_count(buckets: usize) -> Self {
-        assert!(buckets.is_power_of_two());
-        Self {
-            buckets: vec![Bucket::EMPTY; buckets].into_boxed_slice(),
-            overflow: Vec::new(),
-            items: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-            max_anchor_len: 0,
-            root_item: NO_ITEM,
-        }
-    }
-
-    /// Number of overflow buckets currently allocated (tests only).
-    #[cfg(test)]
-    fn overflow_buckets(&self) -> usize {
-        self.overflow.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn cfg() -> WormholeConfig {
         WormholeConfig::optimized()
@@ -1258,20 +1555,17 @@ mod tests {
     #[test]
     fn insert_get_remove_items() {
         let mut t: MetaTable<u32> = MetaTable::new();
-        assert!(t.insert(b"Ja", MetaKind::Leaf(1)).is_none());
+        assert!(!t.insert(b"Ja", MetaKind::Leaf(1)));
         assert!(t.contains(b"Ja"));
         assert!(!t.contains(b"J"));
         let mut bitmap = TokenBitmap::new();
         bitmap.set(b'a');
         t.insert(b"J", MetaKind::internal(bitmap, 1, 1));
         assert_eq!(t.len(), 2);
-        assert!(matches!(
-            t.get(b"J").unwrap().kind,
-            MetaKind::Internal { .. }
-        ));
-        assert!(t.remove(b"Ja").is_some());
+        assert!(matches!(t.kind(b"J").unwrap(), MetaKind::Internal { .. }));
+        assert!(t.remove(b"Ja"));
         assert!(!t.contains(b"Ja"));
-        assert!(t.remove(b"Ja").is_none());
+        assert!(!t.remove(b"Ja"));
         assert_eq!(t.len(), 1);
     }
 
@@ -1290,18 +1584,18 @@ mod tests {
         }
         assert_eq!(t.len(), 10);
         for (i, k) in keys.iter().enumerate() {
-            match &t.get(k).expect("present").kind {
-                MetaKind::Leaf(l) => assert_eq!(*l, i as u32, "{k:?}"),
+            match t.kind(k).expect("present") {
+                MetaKind::Leaf(l) => assert_eq!(l, i as u32, "{k:?}"),
                 other => panic!("unexpected {other:?}"),
             }
         }
         // Remove from the middle and the ends; every survivor stays findable.
         let removed = [0usize, 4, 9, 5];
         for &victim in &removed {
-            assert!(t.remove(&keys[victim]).is_some());
+            assert!(t.remove(&keys[victim]));
         }
         for (i, k) in keys.iter().enumerate() {
-            assert_eq!(t.get(k).is_some(), !removed.contains(&i), "{k:?}");
+            assert_eq!(t.contains(k), !removed.contains(&i), "{k:?}");
         }
         assert_eq!(t.len(), 6);
     }
@@ -1325,14 +1619,14 @@ mod tests {
         }
         assert!(t.overflow_buckets() >= 1, "ten colliding keys must chain");
         for (v, k) in picked.iter().enumerate() {
-            match &t.get(k).expect("present").kind {
-                MetaKind::Leaf(l) => assert_eq!(*l, v as u32),
+            match t.kind(k).expect("present") {
+                MetaKind::Leaf(l) => assert_eq!(l, v as u32),
                 other => panic!("unexpected {other:?}"),
             }
         }
         // Drain the chain completely and refill it.
         for k in &picked {
-            assert!(t.remove(k).is_some());
+            assert!(t.remove(k));
         }
         assert!(t.is_empty());
         for (v, k) in picked.iter().enumerate() {
@@ -1369,8 +1663,8 @@ mod tests {
         }
         assert_eq!(t.len(), 5000);
         for i in 0..5000u32 {
-            match &t.get(format!("prefix-{i}").as_bytes()).unwrap().kind {
-                MetaKind::Leaf(l) => assert_eq!(*l, i),
+            match t.kind(format!("prefix-{i}").as_bytes()).unwrap() {
+                MetaKind::Leaf(l) => assert_eq!(l, i),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1398,30 +1692,27 @@ mod tests {
     fn figure5_structure() {
         let t = figure5_table();
         // The root is internal; the original leaf was relocated to "\0".
-        assert!(matches!(
-            t.get(b"").unwrap().kind,
-            MetaKind::Internal { .. }
-        ));
-        assert!(matches!(t.get(b"\0").unwrap().kind, MetaKind::Leaf(1)));
-        assert!(matches!(t.get(b"Au").unwrap().kind, MetaKind::Leaf(2)));
-        assert!(matches!(t.get(b"Jam").unwrap().kind, MetaKind::Leaf(3)));
-        assert!(matches!(t.get(b"Jos").unwrap().kind, MetaKind::Leaf(4)));
+        assert!(matches!(t.kind(b"").unwrap(), MetaKind::Internal { .. }));
+        assert!(matches!(t.kind(b"\0").unwrap(), MetaKind::Leaf(1)));
+        assert!(matches!(t.kind(b"Au").unwrap(), MetaKind::Leaf(2)));
+        assert!(matches!(t.kind(b"Jam").unwrap(), MetaKind::Leaf(3)));
+        assert!(matches!(t.kind(b"Jos").unwrap(), MetaKind::Leaf(4)));
         // Internal prefixes: "A", "J", "Ja", "Jo".
         for p in [b"A".as_ref(), b"J", b"Ja", b"Jo"] {
             assert!(
-                matches!(t.get(p).unwrap().kind, MetaKind::Internal { .. }),
+                matches!(t.kind(p).unwrap(), MetaKind::Internal { .. }),
                 "{p:?}"
             );
         }
         // Figure 5's root bitmap lists children ⊥, 'A', 'J'.
-        if let MetaKind::Internal(node) = &t.get(b"").unwrap().kind {
+        if let MetaKind::Internal(node) = &t.kind(b"").unwrap() {
             assert!(node.bitmap.test(0) && node.bitmap.test(b'A') && node.bitmap.test(b'J'));
             assert_eq!(node.bitmap.count(), 3);
             assert_eq!(node.leftmost, 1);
             assert_eq!(node.rightmost, 4);
         }
         // The "J" subtree spans leaves 3..4 ("Jam" and "Jos").
-        if let MetaKind::Internal(node) = &t.get(b"J").unwrap().kind {
+        if let MetaKind::Internal(node) = &t.kind(b"J").unwrap() {
             assert_eq!(node.leftmost, 3);
             assert_eq!(node.rightmost, 4);
         }
@@ -1542,21 +1833,15 @@ mod tests {
     /// order, duplicates and ⊥-terminated candidates skipped), starting
     /// from `buckets` buckets so that small tables chain and grow.
     fn table_of(anchors: &[Vec<u8>], buckets: usize) -> MetaTable<u32> {
-        let mut t: MetaTable<u32> = MetaTable::with_bucket_count(buckets);
-        t.install_root_leaf(0);
-        let mut sorted: Vec<&Vec<u8>> = anchors
-            .iter()
-            .filter(|a| a.last().is_some_and(|&b| b != 0))
-            .collect();
+        let mut sorted: Vec<&Vec<u8>> = anchors.iter().collect();
         sorted.sort();
-        sorted.dedup();
-        for (prev, anchor) in (0u32..).zip(sorted) {
-            // Anchors arrive in ascending order, so every split carves the
-            // new leaf off the current rightmost one.
-            let key = t.reserve_anchor_key(anchor);
-            t.apply_split(&key, prev + 1, &prev, None);
+        let mut model = Model::new(buckets);
+        for anchor in sorted {
+            // Ascending, so every split carves the new leaf off the
+            // current rightmost one.
+            model.split(anchor);
         }
-        t
+        model.t
     }
 
     /// The oracle: the longest prefix of `key` stored in the table, found
@@ -1611,9 +1896,8 @@ mod tests {
                             found.lo, expect,
                             "{name}, window {window}: wrong match length for {key:?}"
                         );
-                        let item = t.items[found.lo_item as usize].as_ref().expect("live");
                         assert_eq!(
-                            item.key.as_ref(),
+                            t.items[found.lo_item].prefix.as_slice(),
                             &key[..found.lo],
                             "{name}, window {window}: wrong item for {key:?}"
                         );
@@ -1747,10 +2031,10 @@ mod tests {
         let mut t = figure5_table();
         // Merge leaf 4 ("Jos") into leaf 3.
         t.apply_merge(b"Jos", &4, &3, None);
-        assert!(t.get(b"Jos").is_none());
-        assert!(t.get(b"Jo").is_none(), "exclusively-owned prefix removed");
+        assert!(!t.contains(b"Jos"));
+        assert!(!t.contains(b"Jo"), "exclusively-owned prefix removed");
         // "J" still exists for "Jam", and its rightmost pointer fell back to 3.
-        if let MetaKind::Internal(node) = &t.get(b"J").unwrap().kind {
+        if let MetaKind::Internal(node) = &t.kind(b"J").unwrap() {
             assert_eq!(node.leftmost, 3);
             assert_eq!(node.rightmost, 3);
         } else {
@@ -1766,7 +2050,7 @@ mod tests {
         t.apply_merge(b"Jam", &3, &2, None);
         t.apply_merge(b"Au", &2, &1, None);
         // Only the relocated root anchor remains.
-        assert!(matches!(t.get(b"\0").unwrap().kind, MetaKind::Leaf(1)));
+        assert!(matches!(t.kind(b"\0").unwrap(), MetaKind::Leaf(1)));
         assert_eq!(
             t.search_target(b"Anything", &cfg()),
             TargetOutcome::Target(&1)
@@ -1797,11 +2081,8 @@ mod tests {
         assert_eq!(relocations.len(), 1);
         assert_eq!(relocations[0].0, 2);
         assert_eq!(relocations[0].1, b"Jo\0".to_vec());
-        assert!(matches!(t.get(b"Jo\0").unwrap().kind, MetaKind::Leaf(2)));
-        assert!(matches!(
-            t.get(b"Jo").unwrap().kind,
-            MetaKind::Internal { .. }
-        ));
+        assert!(matches!(t.kind(b"Jo\0").unwrap(), MetaKind::Leaf(2)));
+        assert!(matches!(t.kind(b"Jo").unwrap(), MetaKind::Internal { .. }));
         // Lookups for keys owned by the relocated leaf still resolve to it.
         assert_eq!(t.search_target(b"Joe", &cfg()), TargetOutcome::Target(&2));
         assert_eq!(
@@ -1825,5 +2106,254 @@ mod tests {
             t.search_target(&anchor[..50], &cfg()),
             TargetOutcome::CompareAnchor(&2)
         );
+    }
+
+    /// A table beside the leaf list it indexes, `(table key, leaf)` in key
+    /// order: drives splits and merges anywhere in the list the way the
+    /// indexes do, and knows what the table must then hold.
+    struct Model {
+        t: MetaTable<u32>,
+        leaves: Vec<(Vec<u8>, u32)>,
+        next_leaf: u32,
+    }
+
+    impl Model {
+        fn new(buckets: usize) -> Self {
+            let mut t = MetaTable::with_bucket_count(buckets);
+            t.install_root_leaf(0);
+            Self {
+                t,
+                leaves: vec![(Vec::new(), 0)],
+                next_leaf: 1,
+            }
+        }
+
+        /// Splits the leaf covering `anchor` there and returns the new
+        /// leaf, or `None` for an anchor no split produces: empty, ending
+        /// in ⊥, or not above its covering leaf's table key.
+        fn split(&mut self, anchor: &[u8]) -> Option<u32> {
+            if anchor.last().is_none_or(|&b| b == 0) {
+                return None;
+            }
+            let table_key = self.t.reserve_anchor_key(anchor);
+            let pos = self.leaves.partition_point(|(k, _)| k < &table_key);
+            if self.leaves[pos - 1].0.as_slice() >= anchor {
+                return None;
+            }
+            let leaf = self.next_leaf;
+            self.next_leaf += 1;
+            let left = self.leaves[pos - 1].1;
+            let right = self.leaves.get(pos).map(|(_, l)| *l);
+            for (moved, new_key) in self.t.apply_split(&table_key, leaf, &left, right.as_ref()) {
+                let entry = self.leaves.iter_mut().find(|(_, l)| *l == moved);
+                entry.expect("relocated leaf is registered").0 = new_key;
+            }
+            self.leaves.insert(pos, (table_key, leaf));
+            Some(leaf)
+        }
+
+        /// Merges `leaf` (not the head) into its left neighbour.
+        fn merge(&mut self, leaf: u32) {
+            let pos = self.leaves.iter().position(|(_, l)| *l == leaf).unwrap();
+            let (key, victim) = self.leaves.remove(pos);
+            let left = self.leaves[pos - 1].1;
+            let right = self.leaves.get(pos).map(|(_, l)| *l);
+            self.t.apply_merge(&key, &victim, &left, right.as_ref());
+        }
+
+        /// The trie the leaf list implies, by brute force: every proper
+        /// prefix of every table key with its child tokens and the first
+        /// and last leaf below it.
+        fn expected_nodes(&self) -> BTreeMap<&[u8], (BTreeSet<u8>, u32, u32)> {
+            let mut nodes: BTreeMap<&[u8], (BTreeSet<u8>, u32, u32)> = BTreeMap::new();
+            for (key, leaf) in &self.leaves {
+                for plen in 0..key.len() {
+                    let node = nodes
+                        .entry(&key[..plen])
+                        .or_insert_with(|| (BTreeSet::new(), *leaf, *leaf));
+                    node.0.insert(key[plen]);
+                    node.2 = *leaf;
+                }
+            }
+            nodes
+        }
+
+        /// Checks the table against the oracle: the items it holds, each
+        /// interior node's children, bounds and `findOneSibling` answers as
+        /// its record gives them, one bitmap per multi-child node, and the
+        /// leaf every probe's `search_target` outcome resolves to, on every
+        /// rung of the ablation ladder.
+        fn check(&self) {
+            let t = &self.t;
+            let nodes = self.expected_nodes();
+            assert_eq!(t.len(), nodes.len() + self.leaves.len());
+            let multi = nodes.values().filter(|(tokens, ..)| tokens.len() > 1);
+            assert_eq!(t.bitmaps(), multi.count(), "a bitmap per multi-child node");
+            for (prefix, (tokens, leftmost, rightmost)) in &nodes {
+                let Some(MetaKind::Internal(node)) = t.kind(prefix) else {
+                    panic!("{prefix:?} must be an interior item");
+                };
+                let stored: BTreeSet<u8> = (0..=255).filter(|&b| node.bitmap.test(b)).collect();
+                assert_eq!(&stored, tokens, "children of {prefix:?}");
+                assert_eq!((node.leftmost, node.rightmost), (*leftmost, *rightmost));
+                let idx = t.find(prefix, crc32c(prefix)).unwrap();
+                let Node::Internal { children, .. } = t.items[idx].node else {
+                    unreachable!();
+                };
+                assert_eq!(matches!(children, Children::One(_)), tokens.len() == 1);
+                for missing in (0..=255).filter(|b| !tokens.contains(b)) {
+                    let below = tokens.range(..missing).next_back();
+                    let expect = below.or_else(|| tokens.range(missing..).next()).copied();
+                    assert_eq!(t.find_one_sibling(children, missing), expect);
+                }
+            }
+            // An anchor never ends in ⊥: it is its table key less the ⊥s.
+            let anchor = |key: &[u8]| key.len() - key.iter().rev().take_while(|&&b| b == 0).count();
+            let anchors: Vec<&[u8]> = self.leaves.iter().map(|(k, _)| &k[..anchor(k)]).collect();
+            let keys: Vec<Vec<u8>> = self.leaves.iter().map(|(k, _)| k.clone()).collect();
+            let probes = probes_around(&keys, t.max_anchor_len(), &[]);
+            for (key, leaf) in &self.leaves {
+                assert!(matches!(t.kind(key), Some(MetaKind::Leaf(l)) if l == *leaf));
+            }
+            for (name, config) in WormholeConfig::ablation_ladder() {
+                for probe in &probes {
+                    let at = |leaf: &u32| self.leaves.iter().position(|(_, l)| l == leaf).unwrap();
+                    let found = match t.search_target(probe, &config) {
+                        TargetOutcome::Target(leaf) => at(leaf),
+                        TargetOutcome::LeftOf(leaf) => at(leaf) - 1,
+                        TargetOutcome::CompareAnchor(leaf) => {
+                            at(leaf) - usize::from(probe.as_slice() < anchors[at(leaf)])
+                        }
+                    };
+                    let covering = anchors.partition_point(|a| *a <= probe.as_slice()) - 1;
+                    assert_eq!(found, covering, "{name}: wrong leaf for {probe:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A prefix goes from no node to one child, to two, back to one and
+        /// away again, in a table of unrelated anchors: after each step the
+        /// table is what the oracle says, its record holds a token or a
+        /// bitmap slot accordingly, and the slot is given back.
+        #[test]
+        fn a_node_is_promoted_and_demoted_with_its_children(
+            base in proptest::collection::vec(
+                proptest::collection::vec(1u8..4, 1..7), 0..40),
+            stem in proptest::collection::vec(5u8..8, 1..6),
+            first in any::<u8>(),
+            apart in 1u8..=255,
+            tails in proptest::collection::vec(proptest::collection::vec(1u8..4, 1..4), 2)) {
+            let mut model = Model::new(1);
+            for anchor in &base {
+                model.split(anchor);
+            }
+            model.check();
+            let below = |token: u8, tail: &[u8]| [&stem[..], &[token], tail].concat();
+            let children = |model: &Model| match model.t.kind(&stem) {
+                Some(MetaKind::Internal(node)) => node.bitmap.count(),
+                _ => 0,
+            };
+            let slots = model.t.bitmaps.len();
+            let one = model.split(&below(first, &tails[0])).expect("a fresh subtree");
+            model.check();
+            let bitmaps = model.t.bitmaps();
+            prop_assert_eq!(children(&model), 1);
+            let second = first.wrapping_add(apart);
+            let two = model.split(&below(second, &tails[1])).expect("a fresh subtree");
+            model.check();
+            prop_assert_eq!((children(&model), model.t.bitmaps()), (2, bitmaps + 1));
+            model.merge(two);
+            model.check();
+            prop_assert_eq!((children(&model), model.t.bitmaps()), (1, bitmaps));
+            model.merge(one);
+            model.check();
+            prop_assert_eq!(children(&model), 0);
+            prop_assert!(model.t.bitmaps.len() <= slots + 2, "slots are recycled");
+        }
+    }
+
+    #[test]
+    fn split_merge_cycles_do_not_grow_the_side_arrays() {
+        let mut model = Model::new(64);
+        for anchor in [&b"ab"[..], b"abc", b"b", b"ca", b"cb"] {
+            model.split(anchor).unwrap();
+        }
+        model.check();
+        let (bitmaps, slots, records) =
+            (model.t.bitmaps(), model.t.bitmaps.len(), model.t.items.len);
+        for cycle in 0..10_000u32 {
+            // "aa": the second child of "a". "dx…": a chain of one-child
+            // nodes whose last gets a second child, by turns below and
+            // above the first.
+            let deep = [&b"dx"[..], &cycle.to_le_bytes()[..2], &[2]].concat();
+            let sibling = [&deep[..4], &[1 + (cycle % 2) as u8 * 2]].concat();
+            let made: Vec<u32> = [&b"aa"[..], &deep, &sibling]
+                .iter()
+                .map(|anchor| model.split(anchor).expect("a fresh anchor"))
+                .collect();
+            if cycle % 1000 == 0 {
+                assert_eq!(model.t.bitmaps(), bitmaps + 2);
+                model.check();
+            }
+            for leaf in made.into_iter().rev() {
+                model.merge(leaf);
+            }
+            assert_eq!(model.t.bitmaps(), bitmaps, "cycle {cycle} leaked a bitmap");
+        }
+        model.check();
+        assert!(
+            model.t.bitmaps.len() <= slots + 2,
+            "bitmap slots are recycled"
+        );
+        assert!(model.t.items.len <= records + 8, "records are recycled");
+    }
+
+    #[test]
+    fn prefixes_at_and_past_the_inline_room() {
+        // Straight through the hash-table layer, in a table that starts at
+        // one bucket: the four records survive its chains and resizes.
+        let prefix =
+            |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + len) as u8 | 1).collect() };
+        let lens = [INLINE_PREFIX - 1, INLINE_PREFIX, INLINE_PREFIX + 1, 200];
+        let mut t: MetaTable<u32> = MetaTable::with_bucket_count(1);
+        for (i, len) in lens.iter().enumerate() {
+            assert!(!t.insert(&prefix(*len), MetaKind::Leaf(i as u32)));
+        }
+        assert_eq!(t.spilled_bytes, INLINE_PREFIX + 1 + 200);
+        for filler in 0..40u32 {
+            t.insert(format!("filler-{filler}").as_bytes(), MetaKind::Leaf(99));
+        }
+        assert!(t.buckets.len() > 1, "the table must have grown");
+        for (i, len) in lens.iter().enumerate() {
+            let key = prefix(*len);
+            assert!(matches!(t.kind(&key), Some(MetaKind::Leaf(l)) if l == i as u32));
+            // One byte off at either end of a stored prefix is another key.
+            assert!(!t.contains(&key[1..]) && !t.contains(&key[..len - 1]));
+            assert!(t.insert(&key, MetaKind::Leaf(7)), "an overwrite");
+            assert!(t.remove(&key) && !t.contains(&key) && !t.remove(&key));
+        }
+        assert_eq!(t.spilled_bytes, 0);
+        assert_eq!(t.len(), 40);
+
+        // And as anchors, where every prefix of the four is an item too:
+        // probes, sibling steps and verification across the boundary.
+        let mut model = Model::new(1);
+        for len in lens {
+            model.split(&prefix(len)).unwrap();
+        }
+        model.check();
+        assert_eq!(model.t.max_anchor_len(), 200);
+        let spilled: usize = (INLINE_PREFIX + 1..=200).sum();
+        assert!(model.t.spilled_bytes >= spilled);
+        while let Some(&(_, leaf)) = model.leaves.last().filter(|(_, leaf)| *leaf != 0) {
+            model.merge(leaf);
+            model.check();
+        }
+        // The root and the head leaf, relocated to ⊥ by the first split.
+        assert_eq!((model.t.len(), model.t.spilled_bytes), (2, 0));
     }
 }

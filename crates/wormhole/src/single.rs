@@ -229,8 +229,8 @@ impl<V: Clone> WormholeUnsafe<V> {
                 assert!(key >= anchor.as_slice(), "key below anchor in leaf {idx}");
             }
             // The meta table registers this leaf under its table key.
-            match &self.meta.get(slot.leaf.table_key()).map(|i| &i.kind) {
-                Some(crate::meta::MetaKind::Leaf(l)) => assert_eq!(*l, idx),
+            match self.meta.kind(slot.leaf.table_key()) {
+                Some(crate::meta::MetaKind::Leaf(l)) => assert_eq!(l, idx),
                 other => panic!("leaf {idx} not registered correctly: {other:?}"),
             }
             seen_keys += slot.leaf.len();

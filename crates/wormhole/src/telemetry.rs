@@ -1,14 +1,19 @@
 //! Telemetry for the concurrent index: counters for the events the bench
 //! story cares about (seqlock retries, locked fallbacks, structural
-//! splits/merges and merge attempts, LPM restarts, scan-time sorts),
-//! shareable across instances so a sharded front aggregates all its shards
-//! into one set of cells.
+//! splits/merges and merge attempts, LPM restarts, scan-time sorts) and
+//! gauges for the size of the published MetaTrieHT, shareable across
+//! instances so a sharded front aggregates all its shards into one set of
+//! cells.
 //!
 //! All recording sites are *off* the clean hot path: a conflict-free
 //! optimistic `get` touches no counter at all, so the zero-alloc and
 //! sub-microsecond read gates are unaffected.
 
-use wh_telemetry::{Counter, Registry};
+use std::cmp::Ordering;
+
+use wh_telemetry::{Counter, Gauge, Registry};
+
+use crate::meta::MetaShape;
 
 /// Event counters for one (or several — the handles are shared clones)
 /// [`Wormhole`](crate::Wormhole) instances.
@@ -33,6 +38,21 @@ pub struct WormholeMetrics {
     /// Scans that found a leaf's key-sorted view lagging and ran `incSort`
     /// under its write lock. A second scan of an unchanged leaf adds none.
     pub scan_sorts: Counter,
+    /// Items (anchors and their prefixes) of the published MetaTrieHT —
+    /// like the three gauges below, summed over the instances sharing
+    /// these cells and moved under the writer mutex when a table is
+    /// published.
+    pub meta_items: Gauge,
+    /// Interior nodes with two or more children, each holding a slot of
+    /// the table's bitmap side array.
+    pub meta_bitmaps: Gauge,
+    /// Overflow buckets chained behind full buckets of the table.
+    pub meta_overflow_buckets: Gauge,
+    /// Heap bytes of the table ([`MetaTable::structure_bytes`]), spare
+    /// capacity included.
+    ///
+    /// [`MetaTable::structure_bytes`]: crate::meta::MetaTable::structure_bytes
+    pub meta_bytes: Gauge,
 }
 
 impl WormholeMetrics {
@@ -55,5 +75,31 @@ impl WormholeMetrics {
         );
         registry.register_counter(&format!("{prefix}_lpm_restarts_total"), &self.lpm_restarts);
         registry.register_counter(&format!("{prefix}_scan_sorts_total"), &self.scan_sorts);
+        registry.register_gauge(&format!("{prefix}_meta_items"), &self.meta_items);
+        registry.register_gauge(&format!("{prefix}_meta_bitmaps"), &self.meta_bitmaps);
+        registry.register_gauge(
+            &format!("{prefix}_meta_overflow_buckets"),
+            &self.meta_overflow_buckets,
+        );
+        registry.register_gauge(&format!("{prefix}_meta_bytes"), &self.meta_bytes);
+    }
+
+    /// Moves the table gauges by one instance's step from the table it had
+    /// published (`was`) to the one it publishes (`now`): the cells may be
+    /// shared, so an instance moves its own part and sets nothing.
+    pub(crate) fn meta_published(&self, was: MetaShape, now: MetaShape) {
+        let step = |gauge: &Gauge, was: usize, now: usize| match now.cmp(&was) {
+            Ordering::Greater => gauge.add((now - was) as u64),
+            Ordering::Less => gauge.sub((was - now) as u64),
+            Ordering::Equal => {}
+        };
+        step(&self.meta_items, was.items, now.items);
+        step(&self.meta_bitmaps, was.bitmaps, now.bitmaps);
+        step(
+            &self.meta_overflow_buckets,
+            was.overflow_buckets,
+            now.overflow_buckets,
+        );
+        step(&self.meta_bytes, was.bytes, now.bytes);
     }
 }

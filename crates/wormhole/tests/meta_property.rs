@@ -8,7 +8,10 @@
 //!   outcomes in optimistic (TagMatching) and exact probe modes;
 //! * `Wormhole::get` / `WormholeUnsafe::get` — and therefore the LPM binary
 //!   search and trie sibling step under them — must perform **zero** heap
-//!   allocations per call, enforced by a counting `#[global_allocator]`.
+//!   allocations per call, enforced by a counting `#[global_allocator]`;
+//! * the same allocator holds the table to its item layout: a record whose
+//!   prefix fits inline owns no heap block, and `structure_bytes` is what
+//!   the table has allocated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,6 +30,13 @@ thread_local! {
     /// Allocations made by the current thread (counts `alloc` and
     /// `realloc`; `dealloc` is free).
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes the current thread has allocated and not freed (as requested,
+    /// without the allocator's own overhead).
+    static THREAD_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count_bytes(delta: isize) {
+    THREAD_LIVE_BYTES.with(|c| c.set(c.get() + delta));
 }
 
 /// Wraps the system allocator, counting per-thread allocation events so a
@@ -39,15 +49,18 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        count_bytes(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        count_bytes(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -57,6 +70,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn thread_allocs() -> usize {
     THREAD_ALLOCS.with(|c| c.get())
+}
+
+fn thread_live_bytes() -> isize {
+    THREAD_LIVE_BYTES.with(|c| c.get())
 }
 
 // ---------------------------------------------------------------------
@@ -484,6 +501,70 @@ fn meta_search_target_is_allocation_free() {
 }
 
 // ---------------------------------------------------------------------
+// The item layout: what a table allocates
+// ---------------------------------------------------------------------
+
+/// A table over `anchors` (ascending, none ending in ⊥), every split
+/// carving the new leaf (1, 2, …) off the rightmost one; `LeafListModel`
+/// would do, at a quadratic price in the 25 000 anchors of the test below.
+fn table_over(anchors: &[Vec<u8>]) -> MetaTable<u32> {
+    let mut table = MetaTable::new();
+    table.install_root_leaf(0);
+    for (prev, anchor) in (0u32..).zip(anchors) {
+        let key = table.reserve_anchor_key(anchor);
+        table.apply_split(&key, prev + 1, &prev, None);
+    }
+    table
+}
+
+#[test]
+fn structure_bytes_is_what_the_table_holds() {
+    use workloads::KeysetId;
+    let mut anchors = workloads::generate(KeysetId::Az1, 20_000, 3).keys;
+    anchors.extend(workloads::generate(KeysetId::Url, 5_000, 4).keys);
+    anchors.retain(|a| a.last().is_some_and(|&b| b != 0));
+    anchors.sort();
+    anchors.dedup();
+    let before = thread_live_bytes();
+    let table = table_over(&anchors);
+    let held = (thread_live_bytes() - before) as f64;
+    assert!(table.len() > 100_000, "every prefix of every anchor");
+    let reported = table.structure_bytes() as f64;
+    assert!(
+        (reported - held).abs() <= 0.05 * held,
+        "structure_bytes says {reported}, the allocator {held}"
+    );
+    let shape = table.shape();
+    assert_eq!(
+        (shape.items, shape.bytes),
+        (table.len(), table.structure_bytes())
+    );
+    assert!(shape.bitmaps > 0 && shape.bitmaps < anchors.len());
+}
+
+#[test]
+fn a_record_with_an_inline_prefix_owns_no_heap_block() {
+    // The same split twice, a merge between: the second time the records
+    // and the bitmap slot come off the free lists and no `Vec` grows, so
+    // whatever the table allocates, an item owns. That is nothing while
+    // the prefixes fit their records, and one block per longer prefix.
+    let inline = vec![b'q'; wormhole::meta::INLINE_PREFIX];
+    let long = [&inline[..], b"-and-on"].concat();
+    for (anchor, blocks) in [(inline.clone(), 0), (long, 7)] {
+        let mut table = table_over(&[b"pa".to_vec(), b"pb".to_vec(), b"r".to_vec()]);
+        // Between "pb" (leaf 2) and "r" (leaf 3): "q" becomes the root's
+        // fourth child, the rest a chain of one-child nodes.
+        let plan = table.plan_split(&anchor, 4, &2, Some(&3));
+        table.apply_plan(&plan);
+        table.apply_merge(&anchor, &4, &2, Some(&3));
+        let before = thread_allocs();
+        table.apply_plan(&plan);
+        assert_eq!(thread_allocs() - before, blocks, "{} bytes", anchor.len());
+        assert_eq!(table.len(), 6 + anchor.len());
+    }
+}
+
+// ---------------------------------------------------------------------
 // Property: hash-table layer agrees with a HashMap model across grow()
 // ---------------------------------------------------------------------
 
@@ -497,10 +578,10 @@ proptest! {
         let mut model: HashMap<Vec<u8>, u32> = HashMap::new();
         for (i, (key, is_remove)) in ops.iter().enumerate() {
             if *is_remove {
-                let removed = table.remove(key).is_some();
+                let removed = table.remove(key);
                 prop_assert_eq!(removed, model.remove(key).is_some());
             } else {
-                let replaced = table.insert(key, MetaKind::Leaf(i as u32)).is_some();
+                let replaced = table.insert(key, MetaKind::Leaf(i as u32));
                 prop_assert_eq!(replaced, model.insert(key.clone(), i as u32).is_some());
             }
             prop_assert_eq!(table.len(), model.len());
@@ -509,8 +590,8 @@ proptest! {
         // plus several hundred live items drives the table through at least
         // one grow() (the initial 64-bucket array resizes at 384 items).
         for (key, value) in &model {
-            match table.get(key).map(|item| &item.kind) {
-                Some(MetaKind::Leaf(leaf)) => prop_assert_eq!(*leaf, *value),
+            match table.kind(key) {
+                Some(MetaKind::Leaf(leaf)) => prop_assert_eq!(leaf, *value),
                 other => return Err(TestCaseError::fail(format!("missing {key:?}: {other:?}"))),
             }
         }
@@ -622,8 +703,8 @@ proptest! {
         // boundary of the initial 64-bucket array.
         for (table_key, leaf) in &model.leaves {
             // find: every registered anchor resolves exactly.
-            match model.table.get(table_key).map(|item| &item.kind) {
-                Some(MetaKind::Leaf(found)) => prop_assert_eq!(*found, *leaf),
+            match model.table.kind(table_key) {
+                Some(MetaKind::Leaf(found)) => prop_assert_eq!(found, *leaf),
                 other => return Err(TestCaseError::fail(format!(
                     "anchor {table_key:?} lost: {other:?}"))),
             }

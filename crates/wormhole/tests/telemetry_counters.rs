@@ -134,5 +134,8 @@ fn metrics_register_and_render() {
     assert!(text.contains("wormhole_seqlock_retries_total"));
     assert!(text.contains("wormhole_scan_sorts_total"));
     assert!(text.contains("wormhole_merge_attempts_total"));
+    for gauge in ["items", "bitmaps", "overflow_buckets", "bytes"] {
+        assert!(text.contains(&format!("wormhole_meta_{gauge}")), "{gauge}");
+    }
     assert!(text.contains("wormhole_epoch_section_entries_total"));
 }
