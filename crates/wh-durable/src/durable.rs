@@ -613,6 +613,50 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Checkpoints `values` under keys `k00`, `k01`, ... and reopens from
+    /// the snapshot alone.
+    fn snapshot_roundtrip(tag: &str, values: &[Vec<u8>]) {
+        let dir = test_dir(tag);
+        {
+            let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+            for (i, value) in values.iter().enumerate() {
+                idx.set(format!("k{i:02}").as_bytes(), value.clone());
+            }
+            idx.checkpoint().unwrap();
+        }
+        let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+        assert_eq!(
+            idx.recovery().snapshot_records,
+            values.len() as u64,
+            "{tag}"
+        );
+        assert_eq!(idx.recovery().replayed_operations, 0, "{tag}");
+        assert_eq!(idx.len(), values.len(), "{tag}");
+        for (i, value) in values.iter().enumerate() {
+            let got = idx.get(format!("k{i:02}").as_bytes());
+            assert_eq!(got.as_ref(), Some(value), "{tag}: k{i:02}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_values_of_every_size_round_trip() {
+        const CHUNK: usize = 64 << 10;
+        snapshot_roundtrip("empty", &[Vec::new(), Vec::new(), Vec::new()]);
+        snapshot_roundtrip("chunk", &[vec![0xA5; CHUNK]]);
+        snapshot_roundtrip("over", &[vec![1; 10], vec![2; 3 * CHUNK + 7], vec![3; 10]]);
+        // The first record (`k00`, 11 bytes of framing after the 16-byte
+        // header) ends at, one short of, and one past each of a chunk's
+        // plausible flush points; the next records start a fresh chunk.
+        for end in [CHUNK - (4 << 10), CHUNK, 2 * CHUNK] {
+            for delta in [-1isize, 0, 1] {
+                let len = (end as isize + delta) as usize - 16 - 11;
+                let values = [vec![7; len], Vec::new(), vec![9; 100]];
+                snapshot_roundtrip(&format!("edge-{end}{delta:+}"), &values);
+            }
+        }
+    }
+
     #[test]
     fn checkpoint_under_concurrent_writers_loses_nothing() {
         let dir = test_dir("fuzzy");

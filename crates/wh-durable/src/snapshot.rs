@@ -242,6 +242,34 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Known-answer file: the exact WHSNAP01 bytes (including the CRC) of
+    /// a fixed image. This pins the snapshot format the way
+    /// `record::tests::known_answer_frames` pins the WAL's.
+    #[test]
+    fn known_answer_snapshot_bytes() {
+        let dir = tmp_dir("kat");
+        let path = snapshot_path(&dir, 0x0102_0304_0506_0708);
+        let records = vec![
+            (Vec::new(), Vec::new()),
+            (b"K".to_vec(), b"V".to_vec()),
+            (b"key".to_vec(), 7u64.to_le_bytes().to_vec()),
+        ];
+        write_snapshot(&path, 0x0102_0304_0506_0708, records.into_iter()).unwrap();
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            b'W', b'H', b'S', b'N', b'A', b'P', b'0', b'1', // magic
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // covered_lsn
+            0, 0, 0, 0, 0, 0, 0, 0,                         // "" -> ""
+            1, 0, 0, 0, b'K', 1, 0, 0, 0, b'V',             // "K" -> "V"
+            3, 0, 0, 0, b'k', b'e', b'y',                   // "key" ->
+            8, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0,             //   7u64
+            3, 0, 0, 0, 0, 0, 0, 0,                         // count
+            0xCB, 0x4C, 0xDF, 0x9C,                         // crc
+        ];
+        assert_eq!(fs::read(&path).unwrap(), expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn corruption_anywhere_is_rejected() {
         let dir = tmp_dir("corrupt");
