@@ -24,6 +24,10 @@
 //! [`wal_sync`](index_traits::DurableIndex::wal_sync) — the bulk-load
 //! setting.
 //!
+//! Frames are written **in place**: header reserved, payload (the value
+//! by [`DurableValue::encode_into`]) written behind it, length and CRC
+//! patched in — a `set` or `del` allocates nothing but the buffer's growth.
+//!
 //! # Checkpoint protocol
 //!
 //! 1. **Rotate** the WAL: seal the current segment with a `Commit(S)` and
@@ -31,7 +35,8 @@
 //!    `covered_lsn`.
 //! 2. **Fuzzy scan**: stream the whole index through a [`Cursor`] into a
 //!    temp file while writers keep running. The scan may capture any
-//!    subset of the operations racing it.
+//!    subset of the operations racing it. Each batch is encoded into the
+//!    [`snapshot::SnapshotWriter`]'s one 64 KiB chunk, CRC'd and written whole.
 //! 3. **Commit through `S_end`** (the highest LSN assigned when the scan
 //!    finished): every operation the scan *could* have captured is now
 //!    durable in the WAL, so the snapshot never embeds a write that a
@@ -54,6 +59,10 @@
 //! crash can silently revert (the "fsyncgate" failure mode). Callers that
 //! want to handle storage errors use the `try_*` methods and decide for
 //! themselves; the trait surface refuses to guess.
+//!
+//! Either way the first failed append or fsync **poisons** the log (see
+//! [`crate::wal`]): every later commit, barrier and checkpoint errors, and
+//! reopening the directory recovers exactly the acknowledged prefix.
 
 use std::fs::{self, OpenOptions};
 use std::io;
@@ -211,14 +220,18 @@ impl<V: DurableValue> DurableWormhole<V> {
         // only the leaf list needs to be durable.
         let index = match base {
             Some(snap) => {
-                report.snapshot_records = snap.records.len() as u64;
-                let mut pairs = Vec::with_capacity(snap.records.len());
-                for (key, value) in snap.records {
-                    let value =
-                        V::decode(&value).ok_or_else(|| corrupt("undecodable snapshot value"))?;
-                    pairs.push((key, value));
+                report.snapshot_records = snap.count;
+                let mut undecodable = false;
+                let pairs = snap.records().map_while(|(key, value)| {
+                    let value = V::decode(value);
+                    undecodable |= value.is_none();
+                    Some((key.to_vec(), value?))
+                });
+                let index = Wormhole::from_sorted(options.config, pairs);
+                if undecodable {
+                    return Err(corrupt("undecodable snapshot value"));
                 }
-                Wormhole::from_sorted(options.config, pairs)
+                index
             }
             None => Wormhole::with_config(options.config),
         };
@@ -230,7 +243,7 @@ impl<V: DurableValue> DurableWormhole<V> {
         let mut committed_max = covered;
         let mut decode_failure = false;
         for (i, (_, path)) in segments.iter().enumerate() {
-            let bytes = FileStorage::read_all(path)?;
+            let bytes = fs::read(path)?;
             let (valid_end, seg_committed, _) = replay_committed(&bytes, |rec| {
                 if rec.lsn() <= covered {
                     return;
@@ -320,12 +333,10 @@ impl<V: DurableValue> DurableWormhole<V> {
     /// insert/overwrite. The fallible form of
     /// [`ConcurrentOrderedIndex::set`].
     pub fn try_set(&self, key: &[u8], value: V) -> io::Result<Option<V>> {
-        let mut encoded = Vec::new();
-        value.encode_into(&mut encoded);
-        let (lsn, old) = self.wal.log(
-            |buf, lsn| record::encode_put(buf, lsn, key, &encoded),
-            || self.index.set(key, value),
-        );
+        let (lsn, old) = self.wal.log_then(|buf, lsn| {
+            record::encode_put_with(buf, lsn, key, |out| value.encode_into(out));
+            || self.index.set(key, value)
+        });
         self.commit_policy(lsn)?;
         Ok(old)
     }
@@ -363,29 +374,23 @@ impl<V: DurableValue> DurableWormhole<V> {
         // 1. Rotate: seal the live segment; the snapshot will cover
         //    exactly the sealed prefix, and every racing operation lands
         //    in the new segment (named after its first LSN).
-        let dir = self.dir.clone();
-        let covered = self.wal.rotate_with(move |sealed| {
-            let storage = FileStorage::open(&segment_path(&dir, sealed + 1))?;
-            snapshot::sync_dir(&dir)?;
+        let covered = self.wal.rotate_with(|sealed| {
+            let storage = FileStorage::open(&segment_path(&self.dir, sealed + 1))?;
+            snapshot::sync_dir(&self.dir)?;
             Ok(Box::new(storage) as Box<dyn WalStorage>)
         })?;
 
         // 2. Fuzzy scan into the temp file — writers keep running.
         let final_path = snapshot::snapshot_path(&self.dir, covered);
+        let mut writer = snapshot::SnapshotWriter::create(&final_path, covered)?;
         let mut cursor = self.index.scan(b"");
-        let mut encoded = Vec::new();
-        let (tmp_path, _count) = snapshot::write_snapshot_tmp(
-            &final_path,
-            covered,
-            std::iter::from_fn(|| {
-                cursor.next().map(|(key, value)| {
-                    encoded.clear();
-                    value.encode_into(&mut encoded);
-                    (key.to_vec(), encoded.clone())
-                })
-            }),
-        )?;
+        while let Some(batch) = cursor.next_batch() {
+            for (key, value) in batch.iter() {
+                writer.push(key, |out| value.encode_into(out))?;
+            }
+        }
         drop(cursor);
+        writer.finish()?;
 
         // 3. Make the WAL durable through everything the scan could have
         //    observed, BEFORE the snapshot becomes load-bearing: a fuzzy
@@ -395,7 +400,7 @@ impl<V: DurableValue> DurableWormhole<V> {
         self.wal.commit(scan_end)?;
 
         // 4. Publish (rename + dir fsync), then GC what it superseded.
-        snapshot::publish_snapshot(&tmp_path, &final_path)?;
+        snapshot::publish_snapshot(&final_path)?;
         self.collect_garbage()?;
         self.metrics().checkpoint_ns.record_elapsed(timing);
         Ok(covered)

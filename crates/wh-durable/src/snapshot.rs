@@ -28,102 +28,118 @@
 //! next-older one. `covered_lsn` keys WAL truncation: WAL segments whose
 //! every record has `lsn <= covered_lsn` are redundant once the snapshot
 //! is published.
+//!
+//! [`SnapshotWriter`] encodes each record straight into one reused chunk
+//! (the value by its own encoder, its length patched in after it) and
+//! gives a full chunk one CRC update and one `write_all`: no block per
+//! record. [`load_snapshot`] validates a whole file, then
+//! [`SnapshotData::records`] reads the pairs in place.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use wh_hash::crc32c_append;
 
+use crate::record::{push_bytes, push_sized};
+
 /// Snapshot file magic (8 bytes, includes a format version).
 pub const SNAP_MAGIC: &[u8; 8] = b"WHSNAP01";
 
-/// Buffered snapshot writer that tracks the running CRC.
-struct CrcWriter {
-    file: io::BufWriter<File>,
+/// The writer's chunk: 64 KiB, under glibc's 128 KiB mmap threshold. It
+/// is written out once past 60 KiB, so a record up to 4 KiB never grows it.
+const CHUNK: usize = 64 << 10;
+
+/// Streams a snapshot into a temp file next to its final name. The
+/// records may come from a live cursor: the snapshot is *fuzzy*, and
+/// replaying the WAL from `covered_lsn + 1` converges ([`crate::durable`]).
+pub struct SnapshotWriter {
+    file: File,
+    chunk: Vec<u8>,
+    /// CRC-32c of every byte already written to `file`.
     crc: u32,
+    count: u64,
 }
 
-impl CrcWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<()> {
-        self.crc = crc32c_append(self.crc, data);
-        self.file.write_all(data)
+impl SnapshotWriter {
+    /// Creates (truncating) `final_path`'s temp file, `*.tmp`, and starts
+    /// the image with its header.
+    pub fn create(final_path: &Path, covered_lsn: u64) -> io::Result<Self> {
+        let file = File::create(final_path.with_extension("tmp"))?;
+        let mut chunk = Vec::with_capacity(CHUNK);
+        chunk.extend_from_slice(SNAP_MAGIC);
+        chunk.extend_from_slice(&covered_lsn.to_le_bytes());
+        Ok(Self {
+            file,
+            chunk,
+            crc: 0,
+            count: 0,
+        })
+    }
+
+    /// Appends one record; `value` writes the value's encoding in place.
+    pub fn push(&mut self, key: &[u8], value: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        push_bytes(&mut self.chunk, key);
+        push_sized(&mut self.chunk, value);
+        self.count += 1;
+        if self.chunk.len() > CHUNK - (4 << 10) {
+            self.crc = crc32c_append(self.crc, &self.chunk);
+            self.file.write_all(&self.chunk)?;
+            self.chunk.clear();
+        }
+        Ok(())
+    }
+
+    /// Ends the image with its count and CRC and fsyncs it, but does
+    /// **not** publish: checkpointing uses the gap to commit the WAL
+    /// through everything the fuzzy scan may have observed *before* the
+    /// snapshot becomes load-bearing ([`publish_snapshot`]).
+    pub fn finish(mut self) -> io::Result<()> {
+        self.chunk.extend_from_slice(&self.count.to_le_bytes());
+        let crc = crc32c_append(self.crc, &self.chunk);
+        self.chunk.extend_from_slice(&crc.to_le_bytes());
+        self.file.write_all(&self.chunk)?;
+        // Every data byte is durable before the final name can exist.
+        self.file.sync_all()
     }
 }
 
-/// Streams `records` into a temp file next to `final_path`, then
-/// publishes it by fsync + atomic rename + directory fsync. Returns the
-/// number of records written.
-///
-/// `records` may be a live cursor over a concurrently-mutating index: the
-/// snapshot is *fuzzy*, and callers restore consistency by replaying the
-/// WAL from `covered_lsn + 1` (every record is a last-write-wins state
-/// assignment, so replay converges — see [`crate::durable`]).
-pub fn write_snapshot(
-    final_path: &Path,
-    covered_lsn: u64,
-    records: impl Iterator<Item = (Vec<u8>, Vec<u8>)>,
-) -> io::Result<u64> {
-    let (tmp_path, count) = write_snapshot_tmp(final_path, covered_lsn, records)?;
-    publish_snapshot(&tmp_path, final_path)?;
-    Ok(count)
-}
-
-/// The write half of [`write_snapshot`]: streams the records into the
-/// temp file and fsyncs it, but does **not** publish. Checkpointing uses
-/// the gap between the two halves to commit the WAL through everything
-/// the fuzzy scan may have observed *before* the snapshot becomes
-/// load-bearing.
-pub fn write_snapshot_tmp(
-    final_path: &Path,
-    covered_lsn: u64,
-    records: impl Iterator<Item = (Vec<u8>, Vec<u8>)>,
-) -> io::Result<(PathBuf, u64)> {
-    let tmp_path = final_path.with_extension("tmp");
-    let file = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&tmp_path)?;
-    let mut writer = CrcWriter {
-        file: io::BufWriter::new(file),
-        crc: 0,
-    };
-    writer.write(SNAP_MAGIC)?;
-    writer.write(&covered_lsn.to_le_bytes())?;
-    let mut count = 0u64;
-    for (key, value) in records {
-        writer.write(&(key.len() as u32).to_le_bytes())?;
-        writer.write(&key)?;
-        writer.write(&(value.len() as u32).to_le_bytes())?;
-        writer.write(&value)?;
-        count += 1;
-    }
-    writer.write(&count.to_le_bytes())?;
-    let crc = writer.crc;
-    writer.file.write_all(&crc.to_le_bytes())?;
-    let file = writer.file.into_inner()?;
-    // Every data byte is durable before the final name can exist.
-    file.sync_all()?;
-    Ok((tmp_path, count))
-}
-
-/// The publish half of [`write_snapshot`]: atomic rename to the final
-/// name, then a directory fsync so the rename itself survives. The
-/// snapshot must already be fully synced ([`write_snapshot_tmp`]).
-pub fn publish_snapshot(tmp_path: &Path, final_path: &Path) -> io::Result<()> {
-    fs::rename(tmp_path, final_path)?;
+/// The publish half of a snapshot: atomic rename of the temp file to
+/// `final_path`, then a directory fsync so the rename itself survives. The
+/// temp file must already be fully synced ([`SnapshotWriter::finish`]).
+pub fn publish_snapshot(final_path: &Path) -> io::Result<()> {
+    fs::rename(final_path.with_extension("tmp"), final_path)?;
     sync_dir(final_path.parent().unwrap_or(Path::new(".")))
 }
 
-/// A fully validated, decoded snapshot.
+/// A fully validated snapshot file, held whole.
 pub struct SnapshotData {
     /// Every WAL record with `lsn <= covered_lsn` is reflected in (or
     /// superseded by) this snapshot.
     pub covered_lsn: u64,
-    /// The key/value image, in the order the cursor emitted it (sorted
-    /// for a quiescent index).
-    pub records: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Number of records in the image.
+    pub count: u64,
+    bytes: Vec<u8>,
+}
+
+impl SnapshotData {
+    /// The `(key, encoded value)` pairs, borrowed from the file in the
+    /// order the cursor emitted them (sorted for a quiescent index).
+    pub fn records(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        let mut rest = &self.bytes[16..self.bytes.len() - 12];
+        std::iter::from_fn(move || split_record(&mut rest))
+    }
+}
+
+/// Splits `klen | key | vlen | value` off the front of `rest`.
+fn split_record<'a>(rest: &mut &'a [u8]) -> Option<(&'a [u8], &'a [u8])> {
+    fn sized<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+        let (len, tail) = rest.split_first_chunk::<4>()?;
+        let (bytes, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+        *rest = tail;
+        Some(bytes)
+    }
+    Some((sized(rest)?, sized(rest)?))
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -134,8 +150,7 @@ fn bad(msg: &str) -> io::Error {
 /// short file, bad magic, bad CRC, count mismatch — is an error; the
 /// caller treats the file as absent and falls back to an older snapshot.
 pub fn load_snapshot(path: &Path) -> io::Result<SnapshotData> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
+    let buf = fs::read(path)?;
     if buf.len() < SNAP_MAGIC.len() + 8 + 8 + 4 {
         return Err(bad("truncated header"));
     }
@@ -147,32 +162,20 @@ pub fn load_snapshot(path: &Path) -> io::Result<SnapshotData> {
     if crc32c_append(0, &buf[..body_len]) != crc {
         return Err(bad("bad crc"));
     }
-    let count = u64::from_le_bytes(buf[body_len - 8..body_len].try_into().unwrap());
-    let covered_lsn = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    let mut records = Vec::with_capacity(count.min(1 << 20) as usize);
-    let mut pos = 16usize;
-    let records_end = body_len - 8;
-    while pos < records_end {
-        let read_chunk = |pos: &mut usize| -> io::Result<Vec<u8>> {
-            let len_end = pos.checked_add(4).filter(|&e| e <= records_end);
-            let len_end = len_end.ok_or_else(|| bad("record overruns body"))?;
-            let len = u32::from_le_bytes(buf[*pos..len_end].try_into().unwrap()) as usize;
-            let end = len_end.checked_add(len).filter(|&e| e <= records_end);
-            let end = end.ok_or_else(|| bad("record overruns body"))?;
-            let chunk = buf[len_end..end].to_vec();
-            *pos = end;
-            Ok(chunk)
-        };
-        let key = read_chunk(&mut pos)?;
-        let value = read_chunk(&mut pos)?;
-        records.push((key, value));
+    let mut rest = &buf[16..body_len - 8];
+    let mut records = 0u64;
+    while !rest.is_empty() {
+        split_record(&mut rest).ok_or_else(|| bad("record overruns body"))?;
+        records += 1;
     }
-    if records.len() as u64 != count {
+    let count = u64::from_le_bytes(buf[body_len - 8..body_len].try_into().unwrap());
+    if records != count {
         return Err(bad("record count mismatch"));
     }
     Ok(SnapshotData {
-        covered_lsn,
-        records,
+        covered_lsn: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
+        count,
+        bytes: buf,
     })
 }
 
@@ -225,20 +228,30 @@ mod tests {
         dir
     }
 
+    /// Writes and publishes `records` through the one writer.
+    fn write_snapshot<K: AsRef<[u8]>, B: AsRef<[u8]>>(
+        final_path: &Path,
+        covered_lsn: u64,
+        records: impl Iterator<Item = (K, B)>,
+    ) -> io::Result<()> {
+        let mut writer = SnapshotWriter::create(final_path, covered_lsn)?;
+        for (key, value) in records {
+            writer.push(key.as_ref(), |out| out.extend_from_slice(value.as_ref()))?;
+        }
+        writer.finish()?;
+        publish_snapshot(final_path)
+    }
+
     #[test]
     fn roundtrip_preserves_records_and_lsn() {
         let dir = tmp_dir("roundtrip");
         let path = snapshot_path(&dir, 42);
-        let records = vec![
-            (b"alpha".to_vec(), b"1".to_vec()),
-            (b"beta".to_vec(), vec![]),
-            (vec![], b"empty-key".to_vec()),
-        ];
-        let count = write_snapshot(&path, 42, records.clone().into_iter()).unwrap();
-        assert_eq!(count, 3);
+        let records: [(&[u8], &[u8]); 3] = [(b"alpha", b"1"), (b"beta", b""), (b"", b"empty-key")];
+        write_snapshot(&path, 42, records.into_iter()).unwrap();
         let snap = load_snapshot(&path).unwrap();
         assert_eq!(snap.covered_lsn, 42);
-        assert_eq!(snap.records, records);
+        assert_eq!(snap.count, 3);
+        assert!(snap.records().eq(records));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -297,7 +310,8 @@ mod tests {
     fn listing_orders_newest_first_and_ignores_tmp() {
         let dir = tmp_dir("list");
         for lsn in [5u64, 999, 70] {
-            write_snapshot(&snapshot_path(&dir, lsn), lsn, std::iter::empty()).unwrap();
+            let none = std::iter::empty::<(&[u8], &[u8])>();
+            write_snapshot(&snapshot_path(&dir, lsn), lsn, none).unwrap();
         }
         fs::write(dir.join("snap-junk.tmp"), b"partial").unwrap();
         let snaps = list_snapshots(&dir).unwrap();

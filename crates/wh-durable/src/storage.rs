@@ -9,7 +9,7 @@
 //! test-only.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -54,13 +54,6 @@ impl FileStorage {
             .open(path)?;
         let len = file.metadata()?.len();
         Ok(Self { file, len })
-    }
-
-    /// Reads the entire current contents of `path`.
-    pub fn read_all(path: &Path) -> io::Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        File::open(path)?.read_to_end(&mut buf)?;
-        Ok(buf)
     }
 }
 
@@ -250,7 +243,7 @@ mod tests {
         assert_eq!(storage.len(), 11);
         storage.append(b"!").unwrap();
         drop(storage);
-        assert_eq!(FileStorage::read_all(&path).unwrap(), b"hello world!");
+        assert_eq!(std::fs::read(&path).unwrap(), b"hello world!");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

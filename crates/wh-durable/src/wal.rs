@@ -21,9 +21,15 @@
 //! ([`crate::record::replay_committed`]) applies exactly the operations
 //! covered by a surviving `Commit` frame, so the set of acknowledged
 //! operations is always a prefix of the log and is never lost.
+//!
+//! A failed append or fsync **poisons** the log: every later `commit`,
+//! `sync_all` and `rotate_with` returns an error and the durable watermark
+//! never moves again. The failed append may have left part of its batch on
+//! the medium, and replay stops at that torn frame — a later batch
+//! appended behind it could be acknowledged and still never be recovered.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -47,6 +53,8 @@ pub struct Wal {
     file: Mutex<WalFile>,
     /// Highest LSN sealed by a synced `Commit` frame.
     durable_lsn: AtomicU64,
+    /// Set by the first failed append or sync; see [`Wal::commit`].
+    poisoned: AtomicBool,
     metrics: DurableMetrics,
 }
 
@@ -55,15 +63,6 @@ impl Wal {
     /// assign (1 for a fresh log; `committed + 1` after recovery). All
     /// bytes already in `storage` are assumed durable.
     pub fn new(storage: Box<dyn WalStorage>, next_lsn: u64) -> Self {
-        Self::with_metrics(storage, next_lsn, DurableMetrics::default())
-    }
-
-    /// [`Wal::new`] recording into caller-supplied metrics cells.
-    pub fn with_metrics(
-        storage: Box<dyn WalStorage>,
-        next_lsn: u64,
-        metrics: DurableMetrics,
-    ) -> Self {
         Self {
             seq: Mutex::new(WalSeq {
                 pending: Vec::new(),
@@ -71,7 +70,8 @@ impl Wal {
             }),
             file: Mutex::new(WalFile { storage }),
             durable_lsn: AtomicU64::new(next_lsn.saturating_sub(1)),
-            metrics,
+            poisoned: AtomicBool::new(false),
+            metrics: DurableMetrics::default(),
         }
     }
 
@@ -91,18 +91,31 @@ impl Wal {
         encode: impl FnOnce(&mut Vec<u8>, u64),
         apply: impl FnOnce() -> R,
     ) -> (u64, R) {
+        self.log_then(|pending, lsn| {
+            encode(pending, lsn);
+            apply
+        })
+    }
+
+    /// [`Wal::log`] for an apply step that consumes what the frame borrowed
+    /// (a value encoded in place, then moved into the index): `op` writes
+    /// the frame and returns the apply step, run under the same lock.
+    pub fn log_then<R, A: FnOnce() -> R>(
+        &self,
+        op: impl FnOnce(&mut Vec<u8>, u64) -> A,
+    ) -> (u64, R) {
         let mut seq = self.seq.lock();
         let lsn = seq.next_lsn;
         seq.next_lsn += 1;
-        encode(&mut seq.pending, lsn);
-        let result = apply();
-        (lsn, result)
+        let apply = op(&mut seq.pending, lsn);
+        (lsn, apply())
     }
 
     /// Makes every operation with LSN `<= lsn` durable, group-committing
     /// with concurrent callers. Returns the durable watermark, which is
     /// `>= lsn` on success.
     pub fn commit(&self, lsn: u64) -> io::Result<u64> {
+        self.check_poisoned()?;
         let durable = self.durable_lsn.load(Ordering::Acquire);
         if durable >= lsn {
             return Ok(durable);
@@ -113,21 +126,7 @@ impl Wal {
         if durable >= lsn {
             return Ok(durable);
         }
-        // We are the leader: steal the whole pending buffer and seal it.
-        let (mut batch, upto) = {
-            let mut seq = self.seq.lock();
-            (std::mem::take(&mut seq.pending), seq.next_lsn - 1)
-        };
-        record::encode_commit(&mut batch, upto);
-        let timing = wh_telemetry::start_timing();
-        file.storage.append(&batch)?;
-        file.storage.sync()?;
-        self.metrics.fsync_ns.record_elapsed(timing);
-        self.metrics.fsyncs.inc();
-        self.metrics.wal_bytes.add(batch.len() as u64);
-        self.metrics.commit_batch_ops.record(upto - durable);
-        self.durable_lsn.store(upto, Ordering::Release);
-        Ok(upto)
+        self.seal(&mut file)
     }
 
     /// Makes everything logged so far durable (a full barrier).
@@ -136,40 +135,53 @@ impl Wal {
     }
 
     /// Seals the current stream (flushing the pending buffer with a final
-    /// `Commit`) and swaps in `new_storage` for subsequent batches.
-    /// Returns the sealed-through LSN — every operation at or below it is
-    /// durable in the *old* stream; every later one goes to the new.
-    /// Used by checkpointing to rotate segments.
-    pub fn rotate(&self, new_storage: Box<dyn WalStorage>) -> io::Result<u64> {
-        self.rotate_with(|_| Ok(new_storage))
-    }
-
-    /// [`Wal::rotate`] with the replacement storage built *after* the seal,
-    /// from the sealed-through LSN — checkpointing names the new segment
-    /// file after the first LSN it will contain (`sealed + 1`). If `make`
-    /// fails, the old storage stays in place; the extra seal it absorbed is
-    /// harmless (a log may contain any number of `Commit` frames).
+    /// `Commit`) and swaps in the storage `make` builds from the
+    /// sealed-through LSN for subsequent batches; returns that LSN. Every
+    /// operation at or below it is durable in the *old* stream, every later
+    /// one goes to the new — checkpointing names the new segment file after
+    /// its first LSN (`sealed + 1`). If `make` fails, the old storage stays
+    /// in place; the extra seal is harmless (a log may contain any number
+    /// of `Commit` frames).
     pub fn rotate_with(
         &self,
         make: impl FnOnce(u64) -> io::Result<Box<dyn WalStorage>>,
     ) -> io::Result<u64> {
         let mut file = self.file.lock();
+        let upto = self.seal(&mut file)?;
+        file.storage = make(upto)?;
+        Ok(upto)
+    }
+
+    /// The batch leader's step, under the file lock: steal the whole
+    /// pending buffer, seal it with one `Commit`, and append + fsync it.
+    /// A storage error poisons the log for good (see the module docs).
+    fn seal(&self, file: &mut WalFile) -> io::Result<u64> {
+        self.check_poisoned()?;
         let (mut batch, upto) = {
             let mut seq = self.seq.lock();
             (std::mem::take(&mut seq.pending), seq.next_lsn - 1)
         };
         record::encode_commit(&mut batch, upto);
-        let covered = upto - self.durable_lsn.load(Ordering::Acquire);
         let timing = wh_telemetry::start_timing();
-        file.storage.append(&batch)?;
-        file.storage.sync()?;
+        let storage = &mut file.storage;
+        if let Err(e) = storage.append(&batch).and_then(|()| storage.sync()) {
+            self.poisoned.store(true, Ordering::Release);
+            return Err(e);
+        }
         self.metrics.fsync_ns.record_elapsed(timing);
         self.metrics.fsyncs.inc();
         self.metrics.wal_bytes.add(batch.len() as u64);
-        self.metrics.commit_batch_ops.record(covered);
+        let durable = self.durable_lsn();
+        self.metrics.commit_batch_ops.record(upto - durable);
         self.durable_lsn.store(upto, Ordering::Release);
-        file.storage = make(upto)?;
         Ok(upto)
+    }
+
+    fn check_poisoned(&self) -> io::Result<()> {
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(io::Error::other("wal poisoned by a failed write"));
+        }
+        Ok(())
     }
 
     /// Bytes in the current (post-rotation) storage stream — the
@@ -262,7 +274,7 @@ mod tests {
         let (s2, h2) = FailpointStorage::new(u64::MAX, CrashMode::DropUnsynced);
         let wal = Wal::new(Box::new(s1), 1);
         put(&wal, b"old", b"1");
-        let sealed = wal.rotate(Box::new(s2)).unwrap();
+        let sealed = wal.rotate_with(|_| Ok(Box::new(s2))).unwrap();
         assert_eq!(sealed, 1);
         put(&wal, b"new", b"2");
         wal.sync_all().unwrap();
@@ -276,6 +288,68 @@ mod tests {
         });
         assert_eq!(committed_new, 2);
         assert_eq!(new_keys, vec![b"new".to_vec()]);
+    }
+
+    /// A storage whose `fail_at`-th append writes half of its bytes and
+    /// fails, and which works again afterwards — a real file that hit
+    /// ENOSPC and later found room.
+    struct FailOnce {
+        bytes: Arc<Mutex<Vec<u8>>>,
+        appends: usize,
+        fail_at: usize,
+    }
+
+    impl WalStorage for FailOnce {
+        fn append(&mut self, data: &[u8]) -> io::Result<()> {
+            self.appends += 1;
+            let mut bytes = self.bytes.lock();
+            if self.appends == self.fail_at {
+                bytes.extend_from_slice(&data[..data.len() / 2]);
+                return Err(io::Error::other("no space left on device"));
+            }
+            bytes.extend_from_slice(data);
+            Ok(())
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn len(&self) -> u64 {
+            self.bytes.lock().len() as u64
+        }
+    }
+
+    #[test]
+    fn acknowledged_writes_survive_a_failed_append() {
+        let bytes = Arc::new(Mutex::new(Vec::new()));
+        let storage = FailOnce {
+            bytes: Arc::clone(&bytes),
+            appends: 0,
+            fail_at: 2,
+        };
+        let wal = Wal::new(Box::new(storage), 1);
+        let a = put(&wal, b"a", b"1");
+        assert_eq!(wal.commit(a).unwrap(), a);
+        let b = put(&wal, b"b", b"2");
+        assert!(wal.commit(b).is_err(), "the torn append fails");
+        // The storage works again, but the torn batch sits before anything
+        // appended now: replay would stop there, so nothing may be
+        // acknowledged after it.
+        let c = put(&wal, b"c", b"3");
+        assert!(wal.commit(c).is_err(), "a commit behind a torn batch");
+        assert!(wal.sync_all().is_err());
+        assert!(wal.commit(a).is_err());
+        assert!(wal.rotate_with(|_| unreachable!("no seal")).is_err());
+        assert_eq!(wal.durable_lsn(), a);
+        let mut keys = Vec::new();
+        let (_, committed, _) = replay_committed(&bytes.lock(), |r| {
+            if let WalRecord::Put { key, .. } = r {
+                keys.push(key.clone());
+            }
+        });
+        assert_eq!(committed, a, "every acknowledged write is recovered");
+        assert_eq!(keys, vec![b"a".to_vec()]);
     }
 
     #[test]
