@@ -53,7 +53,7 @@ pub struct Wal {
     file: Mutex<WalFile>,
     /// Highest LSN sealed by a synced `Commit` frame.
     durable_lsn: AtomicU64,
-    /// Set by the first failed append or sync; see [`Wal::commit`].
+    /// Set by the first failed append or sync (see the module docs).
     poisoned: AtomicBool,
     metrics: DurableMetrics,
 }
