@@ -1047,12 +1047,14 @@ mod tests {
         let initial = Box::into_raw(Box::new(vec![1u64; 64]));
         let ptr = StdArc::new(AtomicPtr::new(initial));
         let stop = StdArc::new(AtomicBool::new(false));
+        let fast_seen = StdArc::new(AtomicBool::new(false));
 
         let mut readers = Vec::new();
         for _ in 0..4 {
             let q = q.clone();
             let ptr = StdArc::clone(&ptr);
             let stop = StdArc::clone(&stop);
+            let fast_seen = StdArc::clone(&fast_seen);
             readers.push(thread::spawn(move || {
                 let h = q.register();
                 let mut checksum = 0u64;
@@ -1067,6 +1069,7 @@ mod tests {
                         checksum = checksum.wrapping_add(v[0]);
                         fast_hits += 1;
                         drop(fast);
+                        fast_seen.store(true, Ordering::SeqCst);
                     } else {
                         let guard = h.enter();
                         let p = ptr.load(Ordering::SeqCst);
@@ -1092,6 +1095,15 @@ mod tests {
             q.resume_bias();
             // Give readers a window to actually take the fast path.
             thread::yield_now();
+        }
+        // On a host whose CPUs other tests share, every cycle above can
+        // finish before a reader runs at all. The bias stays on after the
+        // last `resume_bias`, so hold it until some reader reports a fast
+        // section; the bound is long enough that only a bias that never
+        // takes effect fails the assertion below.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !fast_seen.load(Ordering::SeqCst) && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(1));
         }
         stop.store(true, Ordering::SeqCst);
         let mut total_fast = 0u64;

@@ -48,38 +48,37 @@
 //!
 //! # Safety model of the optimistic read
 //!
-//! A racing read may observe a leaf mid-mutation. Three layers make that
-//! tolerable: **every heap block a reader can reach stays allocated for
-//! the whole critical section** — the read runs inside a QSBR critical
-//! section, and writers retire not just tables and leaf nodes but every
-//! *leaf-interior* block they unlink (storage vectors that outgrew their
-//! buffer, removed items' key blocks, merged-away siblings' storage):
-//! each goes, once unlinked, into the index's one [`LeafGarbage`] bin, and
-//! a full bin is handed to `wh_epoch::Qsbr::defer` whole, so it is dropped
-//! only after a grace period that began when every block in it was already
-//! unreachable (`Wormhole::retire_garbage`); the leaf read uses the
-//! `*_checked` methods of
-//! [`LeafNode`], which bounds-check every index step and treat implausible
-//! key lengths as conflicts instead of panicking or over-copying; and the
-//! seqlock validation discards everything read during a write. Like every
-//! seqlock (including the kernel's), the transient read of in-flux data is
-//! a deliberate race — but it is a race over *live* memory only, never
-//! freed memory. The residual exposure is torn multi-word reads (a
-//! vector's pointer and length observed half-updated; an item's key is one
-//! word, naming a block that states its own length), which the bounds
-//! checks and the `MAX_OPTIMISTIC_KEY_LEN` guard contain until validation
-//! discards them; to keep discarded speculative value clones harmless, the
-//! lock-free path is enabled only for value types without drop glue (see
-//! `optimistic_reads_safe` for why deferral alone cannot admit pointer
-//! values), while heap-owning value types transparently fall back to the
-//! per-leaf reader lock.
+//! Every lock-free read of a leaf — the point read, the scan batch, the
+//! neighbour step of a search, a sibling's anchor, the staging peek of a
+//! batched read — goes through one primitive, `LeafShared::read`: seqlock
+//! enter, the expected-version gate, an unlocked view of the leaf, the
+//! caller's closure, validation. Its doc comment carries the argument,
+//! which rests on three layers:
+//!
+//! * **every heap block a reader can reach stays allocated for its whole
+//!   critical section**: writers retire not only tables and leaf nodes but
+//!   every leaf-interior block they unlink, for every value type, into the
+//!   index's one [`LeafGarbage`] bin, whose full loads are dropped only
+//!   after a grace period (`Wormhole::retire_garbage`);
+//! * **a live leaf's vector is never reallocated in place** (the rule in
+//!   the [`crate::leaf`] docs): it grows by moving into a new buffer and
+//!   retiring the old, or is replaced whole, so a pointer and a length
+//!   read one write apart still name written records in an allocated
+//!   buffer, and the `*_checked` methods of [`LeafNode`] bounds-check every
+//!   index step and treat implausible key lengths as conflicts;
+//! * **validation discards everything read during a write.**
+//!
+//! Like every seqlock (the kernel's included), the transient read of
+//! in-flux data is a deliberate race, over live memory only. Values are
+//! cloned speculatively only when they have no drop glue
+//! (`optimistic_reads_safe`); other value types read under the leaf lock.
 
 use std::borrow::Cow;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use index_traits::{ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, ScanBatch};
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wh_epoch::Qsbr;
 use wh_hash::crc32c;
 
@@ -90,14 +89,11 @@ use crate::meta::{LeafRef, MetaItem, MetaPlan, MetaShape, MetaTable, TargetOutco
 use crate::prefetch::prefetch_span;
 use crate::telemetry::WormholeMetrics;
 
-/// Seqlock conflicts tolerated before a point read falls back to the leaf
-/// reader lock.
+/// Seqlock conflicts a lock-free read tolerates. Then a point read falls
+/// back to its leaf's reader lock, a scan cursor (and so `range_from`,
+/// which streams through one) reads the rest of its scan under leaf locks,
+/// and a sibling's anchor goes unread.
 pub const OPTIMISTIC_READ_RETRIES: usize = 8;
-
-/// Seqlock conflicts tolerated before a scan cursor (and therefore
-/// `range_from`, which streams through one) falls back to leaf reader
-/// locks for the remainder of the scan.
-const OPTIMISTIC_SCAN_RETRIES: usize = 8;
 
 /// Keys longer than this are treated as torn state by the optimistic range
 /// reader rather than copied (a racing read of a key's length field could
@@ -143,6 +139,61 @@ impl<V> LeafShared<V> {
     fn seq_validate(&self, snapshot: u64) -> bool {
         fence(Ordering::Acquire);
         self.seq.load(Ordering::Relaxed) == snapshot
+    }
+
+    /// The one optimistic read of a leaf: enters the seqlock, restarts when
+    /// `gate` — the version of the table the leaf was found in — is older
+    /// than the leaf's expected version (§2.5), runs `f` on the leaf's data
+    /// without its lock, and keeps `f`'s answer only if no write began in
+    /// the meantime. Any [`ReadConflict`] means: search again.
+    ///
+    /// `f` sees data a writer may be changing under it, so it may only:
+    ///
+    /// * read through bounds-checked accessors (the `*_checked` methods of
+    ///   [`LeafNode`]) and turn what they cannot make sense of into a
+    ///   [`ReadConflict`];
+    /// * clone a value without drop glue, a `Weak` or an `Arc`, or follow a
+    ///   link to a neighbour leaf and read that one through this primitive;
+    /// * follow an item's `KeyBox`.
+    ///
+    /// Its answer may borrow the data only to feed prefetch hints.
+    ///
+    /// Why that is sound. The caller is inside a QSBR critical section, or
+    /// holds the writer mutex and reads only what no point mutation changes
+    /// (anchors and `prev` links). Every block `f` can reach then stays
+    /// allocated until the caller is done: the leaf and its neighbours are
+    /// held by the published or a retired table, which is freed only after
+    /// a grace period, and every leaf-interior block a writer unlinks — a
+    /// grown vector's old buffer, a removed key's block, a merged-away
+    /// sibling's storage and anchor — goes through the index's bin, which
+    /// frees it only after a grace period too, for every value type. That
+    /// is the only reason a `KeyBox` may be followed. A live vector is never
+    /// reallocated in place (the rule in the [`crate::leaf`] docs), so a
+    /// buffer pointer `f` loads names records that were written, and the
+    /// bounds checks keep `f` inside the length it loaded beside it. A
+    /// value is only ever cloned by callers that checked
+    /// `Wormhole::optimistic_reads_safe`: a clone of a torn value with no
+    /// drop glue owns nothing, so discarding it is harmless. Validation
+    /// then discards everything read during a write. The read itself is a
+    /// data race in Rust's memory model, as every seqlock's is.
+    #[inline]
+    fn read<'s, R>(
+        &'s self,
+        gate: Option<u64>,
+        f: impl FnOnce(&'s LeafData<V>) -> Result<R, ReadConflict>,
+    ) -> Result<R, ReadConflict> {
+        let snapshot = self.seq_enter().ok_or(ReadConflict)?;
+        if gate.is_some_and(|version| self.expected_version.load(Ordering::Acquire) > version) {
+            return Err(ReadConflict);
+        }
+        // SAFETY: the argument above; the pointer itself is valid for as
+        // long as `self` is borrowed.
+        let answer = f(unsafe { &*self.data.data_ptr() })?;
+        if self.seq_validate(snapshot) {
+            Ok(answer)
+        } else {
+            Err(ReadConflict)
+        }
     }
 }
 
@@ -225,23 +276,18 @@ impl<V> LeafHandle<V> {
         Arc::downgrade(&self.0)
     }
 
-    /// Optimistically reads this leaf's `prev` link without the lock.
-    ///
-    /// The `Weak` is cloned from a raw view of the leaf data and the clone
-    /// is kept only if the seqlock validates; the pointee is protected by
-    /// the caller's QSBR critical section (an unlinked neighbour stays
-    /// strongly referenced by the retired MetaTrieHT until a grace period
-    /// the caller is part of).
-    fn prev_optimistic(&self) -> Result<Option<LeafHandle<V>>, ReadConflict> {
-        let shared = &*self.0;
-        let snapshot = shared.seq_enter().ok_or(ReadConflict)?;
-        // SAFETY: the pointer is valid (we hold the Arc); the racy read of
-        // the Weak is validated below and discarded on conflict.
-        let prev = unsafe { (*shared.data.data_ptr()).prev.clone() };
-        if !shared.seq_validate(snapshot) {
-            return Err(ReadConflict);
-        }
-        Ok(prev.upgrade().map(LeafHandle))
+    /// The leaf's reader lock, or `None` when a split or merge has moved
+    /// keys across it since a table of `version` was searched (§2.5): the
+    /// caller searches again.
+    fn read_at(&self, version: u64) -> Option<RwLockReadGuard<'_, LeafData<V>>> {
+        let data = self.0.data.read();
+        (self.expected_version() <= version).then_some(data)
+    }
+
+    /// [`LeafHandle::read_at`] with the writer lock.
+    fn write_at(&self, version: u64) -> Option<RwLockWriteGuard<'_, LeafData<V>>> {
+        let data = self.0.data.write();
+        (self.expected_version() <= version).then_some(data)
     }
 }
 
@@ -295,7 +341,6 @@ pub struct Wormhole<V> {
     qsbr: Qsbr,
     /// The blocks this index's mutations unlinked since the bin was last
     /// swapped: one store for all writers, locked for a push at a time.
-    /// Stays empty when reads run under leaf locks.
     garbage: Mutex<LeafGarbage<V>>,
     /// Leftmost leaf of the LeafList (never merged away).
     head: LeafHandle<V>,
@@ -504,21 +549,23 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// bound that would enforce it belongs to the checked-concurrency
     /// direction in ROADMAP.md.
     ///
-    /// Mutations must defer their heap frees exactly when this holds.
+    /// This gates value reads only: reclamation is deferred for every value
+    /// type ([`Wormhole::new_bin`]).
     #[inline]
     const fn optimistic_reads_safe() -> bool {
         !std::mem::needs_drop::<V>()
     }
 
-    /// A garbage bin matching the read mode: into the index's shared store
-    /// when lock-free readers may race, immediate drops otherwise.
+    /// A garbage bin into the index's shared store. Every value type defers
+    /// its frees: the neighbour step of every search, the locked paths'
+    /// included, reads anchors and `prev` links without a lock
+    /// ([`Wormhole::resolve`]), and a merge retires the victim's anchor.
+    /// A retired block never holds a live `V` — `insert_growing` moves the
+    /// items out of the buffer it retires, and a removed value goes back
+    /// to the caller — so deferring delays only the blocks' own frees.
     #[inline]
     fn new_bin(&self) -> Bin<'_, V> {
-        if Self::optimistic_reads_safe() {
-            Bin::deferred(&self.garbage)
-        } else {
-            Bin::immediate()
-        }
+        Bin::deferred(&self.garbage)
     }
 
     /// What every mutation does with its bin once its leaf locks are
@@ -604,97 +651,36 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         n
     }
 
-    /// Resolves the MetaTrieHT search outcome to a leaf handle, taking the
-    /// neighbours' reader locks. Used by writers and the locked fallback;
-    /// `meta` must stay valid for the duration of the call (guard or writer
-    /// mutex held).
-    fn resolve_outcome(
-        &self,
-        outcome: TargetOutcome<&LeafHandle<V>>,
-        key: &[u8],
-    ) -> Option<LeafHandle<V>> {
-        match outcome {
-            TargetOutcome::Target(leaf) => Some(leaf.clone()),
-            TargetOutcome::LeftOf(leaf) => {
-                let prev = leaf.0.data.read().prev.clone();
-                // When the left neighbour disappeared under us (merge racing
-                // with this lookup), return None and let the caller restart.
-                prev.upgrade().map(LeafHandle)
-            }
-            TargetOutcome::CompareAnchor(leaf) => {
-                let data = leaf.0.data.read();
-                if key < data.leaf.anchor() {
-                    let prev = data.prev.clone();
-                    drop(data);
-                    prev.upgrade().map(LeafHandle)
-                } else {
-                    drop(data);
-                    Some(leaf.clone())
-                }
-            }
-        }
-    }
-
-    /// Lock-free variant of [`Wormhole::resolve_outcome`]: neighbour and
-    /// anchor reads go through the seqlock. Must run inside a QSBR critical
-    /// section. The common case — the search landed on the target itself —
-    /// hands the table's own handle through as a borrow, so a lookup leaves
-    /// the leaf's reference count alone; only a neighbour step owns its
-    /// (upgraded) handle. The borrow lives as long as `'m`, the caller's
-    /// view of the published table, and must not leave the critical section.
-    fn resolve_outcome_optimistic<'m>(
-        &self,
+    /// The one neighbour resolution: turns a MetaTrieHT search outcome into
+    /// the target leaf. A `LeftOf` or a `CompareAnchor` below the anchor
+    /// steps to the left neighbour through one [`LeafShared::read`] of the
+    /// leaf's anchor and `prev` link; a neighbour a racing merge retired is
+    /// a [`ReadConflict`], and the caller searches again. The common case —
+    /// the search landed on the target itself — hands the table's own
+    /// handle through as a borrow, so a lookup leaves the leaf's reference
+    /// count alone; only a neighbour step owns its handle.
+    ///
+    /// The caller is inside a QSBR critical section and keeps the borrow in
+    /// it, or holds the writer mutex: anchors and `prev` links change only
+    /// under it, so its holder reads them race-free.
+    #[inline]
+    fn resolve<'m>(
         outcome: TargetOutcome<&'m LeafHandle<V>>,
         key: &[u8],
     ) -> Result<Cow<'m, LeafHandle<V>>, ReadConflict> {
-        match outcome {
-            TargetOutcome::Target(leaf) => Ok(Cow::Borrowed(leaf)),
-            TargetOutcome::LeftOf(leaf) => {
-                leaf.prev_optimistic()?.map(Cow::Owned).ok_or(ReadConflict)
-            }
-            TargetOutcome::CompareAnchor(leaf) => {
-                let shared = &*leaf.0;
-                let snapshot = shared.seq_enter().ok_or(ReadConflict)?;
-                // SAFETY: pointer valid (handle held); the racy reads are
-                // validated below and discarded on conflict. The anchor
-                // comparison reads at most `key.len()` bytes.
-                let data = unsafe { &*shared.data.data_ptr() };
-                let below = key < data.leaf.anchor();
-                let prev = below.then(|| data.prev.clone());
-                if !shared.seq_validate(snapshot) {
-                    return Err(ReadConflict);
-                }
-                match prev {
-                    None => Ok(Cow::Borrowed(leaf)),
-                    Some(weak) => weak
-                        .upgrade()
-                        .map(|prev| Cow::Owned(LeafHandle(prev)))
-                        .ok_or(ReadConflict),
-                }
-            }
-        }
-    }
-
-    /// Searches the published MetaTrieHT for `key`'s target leaf inside a
-    /// QSBR critical section and returns the leaf together with the version
-    /// of the table that produced it.
-    fn locate(&self, key: &[u8]) -> (LeafHandle<V>, u64) {
-        loop {
-            let found = self.qsbr.with_local_handle(|handle| {
-                let _guard = handle.enter();
-                // SAFETY: inside a read-side critical section; only owned
-                // handles leave it.
-                let meta = unsafe { self.published() };
-                let outcome = meta.table.search_target(key, &self.config);
-                self.resolve_outcome(outcome, key)
-                    .map(|leaf| (leaf, meta.version))
-            });
-            if let Some(found) = found {
-                return found;
-            }
-            // The LPM search resolved to a leaf a racing merge retired
-            // before the neighbour step completed; search the new table.
-            self.metrics.lpm_restarts.inc();
+        let (leaf, compare) = match outcome {
+            TargetOutcome::Target(leaf) => return Ok(Cow::Borrowed(leaf)),
+            TargetOutcome::LeftOf(leaf) => (leaf, false),
+            TargetOutcome::CompareAnchor(leaf) => (leaf, true),
+        };
+        let prev = leaf.0.read(None, |data| {
+            let left = !compare || key < data.leaf.anchor();
+            Ok(left.then(|| data.prev.upgrade()))
+        })?;
+        match prev {
+            None => Ok(Cow::Borrowed(leaf)),
+            Some(Some(prev)) => Ok(Cow::Owned(LeafHandle(prev))),
+            Some(None) => Err(ReadConflict),
         }
     }
 
@@ -714,88 +700,153 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         unsafe { &*self.current.load(Ordering::Acquire) }
     }
 
-    /// One lock-free attempt to find `key`'s target leaf in `meta`: table
-    /// search plus seqlock-validated neighbour resolution, no reader locks
-    /// anywhere. Must run inside the QSBR critical section `meta` was
-    /// loaded in.
-    #[inline]
-    fn locate_optimistic<'m>(
-        &self,
-        meta: &'m VersionedMeta<V>,
-        key: &[u8],
-    ) -> Result<Cow<'m, LeafHandle<V>>, ReadConflict> {
-        let outcome = meta.table.search_target(key, &self.config);
-        self.resolve_outcome_optimistic(outcome, key)
-    }
-
-    /// One attempt of the lock-free point read. Must run inside a QSBR
-    /// critical section (the caller keeps it open across retries so the
-    /// published table and every leaf reachable from it stay live).
-    #[inline]
-    fn try_get_optimistic(&self, key: &[u8], hash: u32) -> Result<Option<V>, ReadConflict> {
-        // SAFETY: inside the caller's QSBR critical section; `meta` and the
-        // leaf borrowed from it are dropped before this returns.
-        let meta = unsafe { self.published() };
-        let leaf = self.locate_optimistic(meta, key)?;
-        self.leaf_read_optimistic(&leaf, key, hash, meta.version)
-    }
-
-    /// The seqlock-validated leaf read of the lock-free point path, shared
-    /// by the per-key and batched lookups: snapshot the counter, apply the
-    /// expected-version gate against the searched table's `version`, do the
-    /// bounds-checked read, and keep the result only if the counter is
-    /// unchanged. Must run inside a QSBR critical section.
-    fn leaf_read_optimistic(
-        &self,
-        leaf: &LeafHandle<V>,
-        key: &[u8],
-        hash: u32,
-        version: u64,
-    ) -> Result<Option<V>, ReadConflict> {
-        let shared = &*leaf.0;
-        let snapshot = shared.seq_enter().ok_or(ReadConflict)?;
-        if leaf.expected_version() > version {
-            return Err(ReadConflict);
+    /// The one point pipeline: answers `keys[i]` into `out[i]` for a window
+    /// of at most `N` keys — `get` runs it with a window of one,
+    /// `get_batch_into` with windows of [`BATCH_WINDOW`].
+    ///
+    /// One QSBR critical section covers the window: the table search
+    /// ([`MetaTable::search_target`] for one key, the round-robined
+    /// [`MetaTable::search_targets_window`] for more), the neighbour
+    /// resolutions, and the seqlock-validated leaf reads. A window of more
+    /// than one key first stages every leaf's probe lines in hint-only
+    /// rounds, so that their misses overlap; a window of one has nothing to
+    /// overlap them with. A key whose read conflicts searches the table
+    /// published by then, up to [`OPTIMISTIC_READ_RETRIES`] attempts in
+    /// all. The keys still unanswered, and every key of a value type with
+    /// drop glue, are read under their leaf's lock once the section closed.
+    fn get_window<const N: usize>(&self, keys: &[&[u8]], out: &mut [Option<V>]) {
+        debug_assert!(keys.len() <= N && out.len() == keys.len());
+        let mut hashes = [0u32; N];
+        for (hash, key) in hashes.iter_mut().zip(keys) {
+            *hash = crc32c(key);
         }
-        // SAFETY: pointer valid (handle held); `get_checked` bounds-checks
-        // every access, and the result is discarded unless the seqlock
-        // validates.
-        let data = unsafe { &*shared.data.data_ptr() };
-        let value = data.leaf.get_checked(key, hash, &self.config)?.cloned();
-        if !shared.seq_validate(snapshot) {
-            return Err(ReadConflict);
+        let mut answered = [false; N];
+        if Self::optimistic_reads_safe() {
+            self.qsbr.with_local_handle(|handle| {
+                let _guard = handle.enter();
+                // SAFETY: inside a read-side critical section; every borrow
+                // of a table below ends with this closure.
+                let meta = unsafe { self.published() };
+                let mut outcomes = [None; N];
+                if N == 1 {
+                    outcomes[0] = Some(meta.table.search_target(keys[0], &self.config));
+                } else {
+                    meta.table
+                        .search_targets_window(keys, &self.config, &mut outcomes);
+                }
+                let mut located: [Option<Cow<'_, LeafHandle<V>>>; N] = [const { None }; N];
+                for (i, key) in keys.iter().enumerate() {
+                    let outcome = outcomes[i].expect("window filled");
+                    located[i] = Self::resolve(outcome, key).ok();
+                }
+                if N > 1 {
+                    // Every leaf header first, then the probe lines. The
+                    // peek feeds only prefetches: `stage_probes` tolerates a
+                    // leaf that is mid-mutation by construction.
+                    for leaf in located.iter().flatten() {
+                        prefetch_span(Arc::as_ptr(&leaf.0));
+                    }
+                    let leaves = located.each_ref().map(|leaf| {
+                        let leaf = leaf.as_ref()?;
+                        leaf.0.read(None, |data| Ok(&data.leaf)).ok()
+                    });
+                    LeafNode::stage_probes(&leaves, &hashes, &self.config);
+                }
+                for (i, key) in keys.iter().enumerate() {
+                    let probe = |leaf: &LeafHandle<V>, version| {
+                        leaf.0.read(Some(version), |data| {
+                            let value = data.leaf.get_checked(key, hashes[i], &self.config)?;
+                            Ok(value.cloned())
+                        })
+                    };
+                    // The first attempt reads the leaf the window's search
+                    // found; a retry searches the table published by then.
+                    let mut found = located[i]
+                        .take()
+                        .ok_or(ReadConflict)
+                        .and_then(|leaf| probe(&leaf, meta.version));
+                    for _ in 1..OPTIMISTIC_READ_RETRIES {
+                        if found.is_ok() {
+                            break;
+                        }
+                        self.metrics.seqlock_retries.inc();
+                        std::hint::spin_loop();
+                        // SAFETY: as above.
+                        let meta = unsafe { self.published() };
+                        let outcome = meta.table.search_target(key, &self.config);
+                        found =
+                            Self::resolve(outcome, key).and_then(|leaf| probe(&leaf, meta.version));
+                    }
+                    match found {
+                        Ok(value) => {
+                            out[i] = value;
+                            answered[i] = true;
+                        }
+                        Err(ReadConflict) => self.metrics.seqlock_retries.inc(),
+                    }
+                }
+            });
         }
-        Ok(value)
-    }
-
-    /// Runs `f` under the target leaf's read lock, restarting the search when
-    /// the version check detects a concurrent split/merge. The contended
-    /// fallback of the optimistic read, and the whole read path of value
-    /// types with drop glue.
-    fn with_leaf_read<R>(&self, key: &[u8], mut f: impl FnMut(&LeafNode<V>) -> R) -> R {
-        loop {
-            let (leaf, version) = self.locate(key);
-            let data = leaf.0.data.read();
-            if leaf.expected_version() > version {
+        for (i, key) in keys.iter().enumerate() {
+            if answered[i] {
                 continue;
             }
-            return f(&data.leaf);
+            if Self::optimistic_reads_safe() {
+                self.metrics.locked_fallbacks.inc();
+            }
+            // The paper's per-leaf reader lock, which always makes progress.
+            out[i] = self.with_leaf(key, |leaf, version| {
+                let data = leaf.read_at(version)?;
+                Some(data.leaf.get(key, hashes[i], &self.config).cloned())
+            });
         }
     }
 
-    /// Runs `f` under the target leaf's write lock (for in-place updates that
-    /// do not change the set of leaves), restarting on version conflicts.
-    /// The leaf's seqlock is held odd while `f` runs.
+    /// The locked paths' one loop: finds `key`'s leaf ([`Wormhole::locate`])
+    /// and runs `f` on it with the version of the table searched, until `f`
+    /// answers. `f` takes the
+    /// leaf's lock through [`LeafHandle::read_at`] or
+    /// [`LeafHandle::write_at`], which give up — and so does `f` — when a
+    /// split or merge moved keys across the leaf since that search.
+    fn with_leaf<R>(&self, key: &[u8], mut f: impl FnMut(&LeafHandle<V>, u64) -> Option<R>) -> R {
+        loop {
+            let (leaf, version) = self.locate(key);
+            if let Some(answer) = f(&leaf, version) {
+                return answer;
+            }
+        }
+    }
+
+    /// Searches the published MetaTrieHT for `key`'s leaf inside a QSBR
+    /// critical section: the leaf and the version of the table searched.
+    /// Kept out of [`Wormhole::with_leaf`]: with the search written into it,
+    /// and so into every locked caller, `index-churn` ran about 1 % slower.
+    fn locate(&self, key: &[u8]) -> (LeafHandle<V>, u64) {
+        loop {
+            let located = self.qsbr.with_local_handle(|handle| {
+                let _guard = handle.enter();
+                // SAFETY: inside a read-side critical section; only owned
+                // handles leave it.
+                let meta = unsafe { self.published() };
+                let outcome = meta.table.search_target(key, &self.config);
+                Self::resolve(outcome, key).map(|leaf| (leaf.into_owned(), meta.version))
+            });
+            match located {
+                Ok(found) => return found,
+                // A racing write or merge stopped the neighbour step.
+                Err(ReadConflict) => self.metrics.lpm_restarts.inc(),
+            }
+        }
+    }
+
+    /// Runs `f` under the write lock of `key`'s leaf (for in-place updates
+    /// that do not change the set of leaves), with the leaf's seqlock odd.
     fn with_leaf_write<R>(&self, key: &[u8], mut f: impl FnMut(&mut LeafData<V>) -> R) -> R {
-        loop {
-            let (leaf, version) = self.locate(key);
-            let mut data = leaf.0.data.write();
-            if leaf.expected_version() > version {
-                continue;
-            }
+        self.with_leaf(key, |leaf, version| {
+            let mut data = leaf.write_at(version)?;
             let _section = SeqWriteSection::new(&leaf.0.seq);
-            return f(&mut data);
-        }
+            Some(f(&mut data))
+        })
     }
 
     /// Write-locks `leaf` with its key-sorted view brought up to date: the
@@ -809,10 +860,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         leaf: &'l LeafHandle<V>,
         version: u64,
     ) -> Option<RwLockWriteGuard<'l, LeafData<V>>> {
-        let mut data = leaf.0.data.write();
-        if leaf.expected_version() > version {
-            return None;
-        }
+        let mut data = leaf.write_at(version)?;
         if data.leaf.key_view_lags() {
             let _section = SeqWriteSection::new(&leaf.0.seq);
             data.leaf.ensure_key_sorted();
@@ -843,9 +891,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let current = unsafe { &*self.current.load(Ordering::Acquire) };
         let version = current.version;
         let outcome = current.table.search_target(key, &self.config);
-        let Some(leaf) = self.resolve_outcome(outcome, key) else {
-            // A merge retired the neighbour we needed; drop the mutex and let
-            // the caller's retry loop run the fast path again.
+        let Ok(leaf) = Self::resolve(outcome, key).map(Cow::into_owned) else {
+            // A write to the neighbour raced the step; drop the mutex and
+            // run the fast path again.
             drop(writer);
             return self.set(key, value);
         };
@@ -988,7 +1036,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let current = unsafe { &*self.current.load(Ordering::Acquire) };
         let version = current.version;
         let outcome = current.table.search_target(key, &self.config);
-        let Some(leaf) = self.resolve_outcome(outcome, key) else {
+        let Ok(leaf) = Self::resolve(outcome, key).map(Cow::into_owned) else {
             return;
         };
         // Choose the merge pair: (left, leaf) if the left neighbour is small
@@ -1093,24 +1141,17 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let mut pos = lo.to_vec();
         loop {
             let mut bin = self.new_bin();
-            let (removed, key_bytes, could_merge, next_anchor) = loop {
-                let (leaf, version) = self.locate(&pos);
-                let mut data = leaf.0.data.write();
-                if leaf.expected_version() > version {
-                    continue;
-                }
-                let (n, kb) = {
-                    let _section = SeqWriteSection::new(&leaf.0.seq);
-                    data.leaf.remove_range(&pos, hi, &mut bin)
-                };
-                // Right sibling's anchor = the next sweep position (lock
-                // order left → right, same as the merge engine).
-                let next_anchor = data
-                    .next
-                    .as_ref()
-                    .map(|next| next.0.data.read().leaf.anchor().to_vec());
-                break (n, kb, n > 0 && self.could_merge(&data), next_anchor);
-            };
+            let (removed, key_bytes, could_merge, next_anchor) =
+                self.with_leaf_write(&pos, |data| {
+                    let (n, kb) = data.leaf.remove_range(&pos, hi, &mut bin);
+                    // Right sibling's anchor = the next sweep position (lock
+                    // order left → right, same as the merge engine).
+                    let next_anchor = data
+                        .next
+                        .as_ref()
+                        .map(|next| next.0.data.read().leaf.anchor().to_vec());
+                    (n, kb, n > 0 && self.could_merge(data), next_anchor)
+                });
             self.len.fetch_sub(removed, Ordering::Relaxed);
             self.key_bytes.fetch_sub(key_bytes, Ordering::Relaxed);
             removed_total += removed;
@@ -1208,16 +1249,16 @@ enum AfterLeaf {
 ///
 /// Every batch reads exactly one leaf, located through the published
 /// MetaTrieHT inside a QSBR critical section. A leaf whose key-sorted view
-/// is current is read with the same discipline as the optimistic `get`:
-/// enter its seqlock, apply the expected-version gate, walk the view
-/// through the bounds-checked [`LeafNode::collect_leaf_checked`], and keep
-/// the batch only if the seqlock validates (validate-then-yield). A leaf
+/// is current is read through the same primitive as a `get`
+/// ([`LeafShared::read`]): a walk of the view through the bounds-checked
+/// [`LeafNode::collect_leaf_checked`], kept only if the seqlock validates
+/// (validate-then-yield). A leaf
 /// whose view lags is the one case in which a scan writes: it takes that
 /// leaf's write lock, runs the paper's `incSort` there
 /// ([`Wormhole::write_sorted`]) and fills the batch under the same lock, so
 /// the sort is paid once and the next scan of the leaf reads it lock-free.
 /// A conflicted batch is discarded and retried; after
-/// [`OPTIMISTIC_SCAN_RETRIES`] conflicts the remainder of the scan reads
+/// [`OPTIMISTIC_READ_RETRIES`] conflicts the remainder of the scan reads
 /// leaves under their locks.
 ///
 /// Between batches the cursor holds **no position inside the structure**:
@@ -1283,10 +1324,10 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
     }
 
     /// One optimistic batch attempt: the leaf covering `lower` — up to
-    /// `limit` pairs of it — and its successor link, validated by the
-    /// leaf's seqlock, or read under its write lock when its key view had
-    /// to be sorted first. Runs inside one QSBR critical section so the
-    /// published table and the leaf stay live.
+    /// `limit` pairs of it — and its right sibling's anchor, in one
+    /// [`LeafShared::read`], or under the leaf's write lock when its key
+    /// view had to be sorted first. Runs inside one QSBR critical section
+    /// so the published table and the leaf stay live.
     fn try_read_optimistic(
         wh: &Wormhole<V>,
         lower: &[u8],
@@ -1299,77 +1340,57 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
                 // SAFETY: inside the critical section opened just above;
                 // nothing borrowed from the table leaves it.
                 let meta = unsafe { wh.published() };
-                let leaf = wh.locate_optimistic(meta, lower)?;
-                let shared = &*leaf.0;
-                let snapshot = shared.seq_enter().ok_or(ReadConflict)?;
-                if leaf.expected_version() > meta.version {
-                    return Err(ReadConflict);
+                let outcome = meta.table.search_target(lower, &wh.config);
+                let leaf = Wormhole::resolve(outcome, lower)?;
+                // `None`: the key view lags behind the leaf's items.
+                let read = leaf.0.read(Some(meta.version), |data| {
+                    if data.leaf.key_view_lags() {
+                        return Ok(None);
+                    }
+                    Self::reserve_for(wh, &data.leaf, batch, limit);
+                    let appended = data.leaf.collect_leaf_checked(
+                        lower,
+                        limit,
+                        batch,
+                        MAX_OPTIMISTIC_KEY_LEN,
+                    )?;
+                    Ok(Some(match &data.next {
+                        _ if appended == limit => AfterLeaf::Truncated,
+                        None => AfterLeaf::End,
+                        Some(next) => AfterLeaf::Sibling(Self::read_anchor(next, anchor)),
+                    }))
+                })?;
+                if let Some(after) = read {
+                    return Ok(after);
                 }
-                // SAFETY: pointer valid (handle held); every access is
-                // bounds-checked and the batch is discarded unless the
-                // seqlock validates.
-                let data = unsafe { &*shared.data.data_ptr() };
-                if data.leaf.key_view_lags() {
-                    // Leaf locks are never held across a grace-period
-                    // wait, so blocking on one in here cannot deadlock.
-                    let data = wh.write_sorted(&leaf, meta.version).ok_or(ReadConflict)?;
-                    return Ok(Self::read_locked(wh, &data, lower, batch, limit, anchor));
-                }
-                Self::reserve_for(wh, &data.leaf, batch, limit);
-                let appended =
-                    data.leaf
-                        .collect_leaf_checked(lower, limit, batch, MAX_OPTIMISTIC_KEY_LEN)?;
-                if appended == limit {
-                    return if shared.seq_validate(snapshot) {
-                        Ok(AfterLeaf::Truncated)
-                    } else {
-                        Err(ReadConflict)
-                    };
-                }
-                let next = data.next.clone();
-                if !shared.seq_validate(snapshot) {
-                    return Err(ReadConflict);
-                }
-                Ok(match next {
-                    None => AfterLeaf::End,
-                    Some(next) => AfterLeaf::Sibling(Self::read_anchor(&next, anchor)),
-                })
+                // Leaf locks are never held across a grace-period wait, so
+                // blocking on one in here cannot deadlock.
+                let data = wh.write_sorted(&leaf, meta.version).ok_or(ReadConflict)?;
+                Ok(Self::read_locked(wh, &data, lower, batch, limit, anchor))
             })
         })
     }
 
-    /// Reads `leaf`'s anchor into `buf` under its seqlock, without taking
-    /// any lock. `false` means no clean read was obtained; the scan then
-    /// goes on from the cursor's position alone.
+    /// Reads `leaf`'s anchor into `buf` without taking any lock. `false`
+    /// means no clean read was obtained; the scan then goes on from the
+    /// cursor's position alone.
     fn read_anchor(leaf: &LeafHandle<V>, buf: &mut Vec<u8>) -> bool {
-        let shared = &*leaf.0;
-        for _ in 0..4 {
-            let Some(snapshot) = shared.seq_enter() else {
-                std::hint::spin_loop();
-                continue;
-            };
-            // SAFETY: pointer valid (handle held). The racy anchor read is
-            // length-guarded and discarded when validation fails — the same
-            // discipline as the anchor comparison in
-            // `resolve_outcome_optimistic`; the anchor bytes stay allocated
-            // for the leaf's whole lifetime.
-            let data = unsafe { &*shared.data.data_ptr() };
-            let anchor = data.leaf.anchor();
-            if anchor.len() > MAX_OPTIMISTIC_KEY_LEN {
-                continue;
-            }
-            buf.clear();
-            buf.extend_from_slice(anchor);
-            if shared.seq_validate(snapshot) {
-                return true;
-            }
-        }
-        false
+        (0..OPTIMISTIC_READ_RETRIES).any(|_| {
+            let read = leaf.0.read(None, |data| {
+                let anchor = data.leaf.anchor();
+                if anchor.len() > MAX_OPTIMISTIC_KEY_LEN {
+                    return Err(ReadConflict);
+                }
+                buf.clear();
+                buf.extend_from_slice(anchor);
+                Ok(())
+            });
+            read.is_ok()
+        })
     }
 
-    /// Reader-lock fallback: reads the leaf covering `lower` under its lock
-    /// (restarting on version conflicts) — its read lock, or its write lock
-    /// when its key view has to be sorted first.
+    /// Reader-lock fallback: reads the leaf covering `lower` under its read
+    /// lock, or its write lock when its key view has to be sorted first.
     fn read_leaf_locked(
         wh: &Wormhole<V>,
         lower: &[u8],
@@ -1377,21 +1398,15 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
         limit: usize,
         anchor: &mut Vec<u8>,
     ) -> AfterLeaf {
-        loop {
-            let (leaf, version) = wh.locate(lower);
-            let data = leaf.0.data.read();
-            if leaf.expected_version() > version {
-                continue;
-            }
+        wh.with_leaf(lower, |leaf, version| {
+            let data = leaf.read_at(version)?;
             if !data.leaf.key_view_lags() {
-                return Self::read_locked(wh, &data, lower, batch, limit, anchor);
+                return Some(Self::read_locked(wh, &data, lower, batch, limit, anchor));
             }
             drop(data);
-            let sorted = wh.write_sorted(&leaf, version);
-            if let Some(data) = sorted {
-                return Self::read_locked(wh, &data, lower, batch, limit, anchor);
-            }
-        }
+            let data = wh.write_sorted(leaf, version)?;
+            Some(Self::read_locked(wh, &data, lower, batch, limit, anchor))
+        })
     }
 }
 
@@ -1405,7 +1420,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
             } = self;
             let lower = from.max(hop.as_slice());
             let optimistic =
-                Wormhole::<V>::optimistic_reads_safe() && self.conflicts < OPTIMISTIC_SCAN_RETRIES;
+                Wormhole::<V>::optimistic_reads_safe() && self.conflicts < OPTIMISTIC_READ_RETRIES;
             let after = if optimistic {
                 batch.clear();
                 match Self::try_read_optimistic(wh, lower, batch, limit, anchor) {
@@ -1458,129 +1473,18 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
     }
 
     fn get(&self, key: &[u8]) -> Option<V> {
-        let hash = crc32c(key);
-        if Self::optimistic_reads_safe() {
-            // Lock-free fast path: bounded seqlock-validated attempts inside
-            // one QSBR critical section (kept open across retries so the
-            // table and the leaves it references stay live).
-            let fast = self.qsbr.with_local_handle(|handle| {
-                let _guard = handle.enter();
-                for _ in 0..OPTIMISTIC_READ_RETRIES {
-                    match self.try_get_optimistic(key, hash) {
-                        Ok(found) => return Some(found),
-                        Err(ReadConflict) => {
-                            self.metrics.seqlock_retries.inc();
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                None
-            });
-            if let Some(found) = fast {
-                return found;
-            }
-            self.metrics.locked_fallbacks.inc();
-        }
-        // Contended fallback (or a value type with drop glue): the paper's
-        // per-leaf reader lock, which always makes progress.
-        self.with_leaf_read(key, |leaf| leaf.get(key, hash, &self.config).cloned())
+        let mut out = [None];
+        self.get_window::<1>(&[key], &mut out);
+        let [found] = out;
+        found
     }
 
     fn get_batch_into(&self, keys: &[&[u8]], out: &mut Vec<Option<V>>) {
-        out.reserve(keys.len());
-        if !Self::optimistic_reads_safe() {
-            // Without the lock-free read there is no miss chain to overlap
-            // (every leaf read takes its lock anyway): plain per-key loop.
-            out.extend(keys.iter().map(|key| {
-                let hash = crc32c(key);
-                self.with_leaf_read(key, |leaf| leaf.get(key, hash, &self.config).cloned())
-            }));
-            return;
-        }
-        // Pipelined batch path: per window of BATCH_WINDOW keys, one QSBR
-        // critical section covers the batched meta search (prefetched,
-        // round-robined probes), the neighbour resolutions, the staging of
-        // every leaf's probe lines, and the seqlock-validated leaf reads —
-        // amortising the epoch entry and overlapping every level's cache
-        // misses. Keys that still conflict after the bounded retries are
-        // re-read through the locked path after the guard closes.
-        for chunk in keys.chunks(BATCH_WINDOW) {
-            // `Some(result)` = answered lock-free; `None` = needs fallback.
-            let mut values: [Option<Option<V>>; BATCH_WINDOW] = [const { None }; BATCH_WINDOW];
-            let mut hashes = [0u32; BATCH_WINDOW];
-            for (hash, key) in hashes.iter_mut().zip(chunk) {
-                *hash = crc32c(key);
-            }
-            self.qsbr.with_local_handle(|handle| {
-                let _guard = handle.enter();
-                // SAFETY: inside a read-side critical section; every borrow
-                // of the table below ends with this closure.
-                let meta = unsafe { self.published() };
-                let mut outcomes = [None; BATCH_WINDOW];
-                meta.table
-                    .search_targets_window(chunk, &self.config, &mut outcomes);
-                // Resolve every outcome to its leaf and prefetch the leaf
-                // headers (seqlock, expected version, the leaf's array
-                // pointers) before anything reads one, so those fills
-                // overlap too.
-                let mut located: [Option<Cow<'_, LeafHandle<V>>>; BATCH_WINDOW] =
-                    [const { None }; BATCH_WINDOW];
-                for (i, key) in chunk.iter().enumerate() {
-                    let outcome = outcomes[i].expect("window filled");
-                    if let Ok(leaf) = self.resolve_outcome_optimistic(outcome, key) {
-                        prefetch_span(Arc::as_ptr(&leaf.0));
-                        located[i] = Some(leaf);
-                    }
-                }
-                // SAFETY: each pointer is valid (its handle is held by
-                // `located`); the leaves may be mid-mutation, which
-                // `stage_probes` tolerates by construction — bounds-checked
-                // reads that only ever feed a prefetch, over blocks the
-                // critical section keeps live.
-                let leaves = located.each_ref().map(|leaf| {
-                    leaf.as_ref()
-                        .map(|leaf| unsafe { &(*leaf.0.data.data_ptr()).leaf })
-                });
-                LeafNode::stage_probes(&leaves, &hashes, &self.config);
-                for (i, key) in chunk.iter().enumerate() {
-                    // First attempt reuses the batched search; later
-                    // attempts re-search per key, like single-key `get`.
-                    let first = match located[i].take() {
-                        Some(leaf) => {
-                            self.leaf_read_optimistic(&leaf, key, hashes[i], meta.version)
-                        }
-                        None => Err(ReadConflict),
-                    };
-                    if let Ok(found) = first {
-                        values[i] = Some(found);
-                        continue;
-                    }
-                    self.metrics.seqlock_retries.inc();
-                    for _ in 1..OPTIMISTIC_READ_RETRIES {
-                        match self.try_get_optimistic(key, hashes[i]) {
-                            Ok(found) => {
-                                values[i] = Some(found);
-                                break;
-                            }
-                            Err(ReadConflict) => {
-                                self.metrics.seqlock_retries.inc();
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                }
-            });
-            for (i, key) in chunk.iter().enumerate() {
-                match values[i].take() {
-                    Some(found) => out.push(found),
-                    None => {
-                        self.metrics.locked_fallbacks.inc();
-                        out.push(self.with_leaf_read(key, |leaf| {
-                            leaf.get(key, hashes[i], &self.config).cloned()
-                        }));
-                    }
-                }
-            }
+        let start = out.len();
+        out.resize(start + keys.len(), None);
+        let windows = out[start..].chunks_mut(BATCH_WINDOW);
+        for (keys, out) in keys.chunks(BATCH_WINDOW).zip(windows) {
+            self.get_window::<BATCH_WINDOW>(keys, out);
         }
     }
 

@@ -25,6 +25,23 @@
 //! block it unlinks goes through a [`Bin`], which either drops it on the
 //! spot or moves it into the index's [`LeafGarbage`].
 //!
+//! The concurrent index's lock-free readers rely on one more rule, which
+//! every mutation here keeps: **a live leaf's vector is never reallocated
+//! in place.** It grows only through `insert_growing`, which moves its
+//! records into a larger buffer and retires the old one, or it is replaced
+//! whole — built off to the side in a buffer sized for it (`split_off`'s
+//! kept items, `absorb`'s merged tag array) and installed with one
+//! assignment, the old buffer going to the bin. Otherwise it only changes
+//! in place: a record written, moved within the buffer (`remove`,
+//! `swap_remove`, the in-place sort) or dropped from its end (`drain`). So
+//! a buffer pointer a racing reader loaded always names an allocation that
+//! held those records, and a length it loaded beside it names records that
+//! were written. `remove_slot`, `remove_range` and `ensure_key_sorted` work
+//! in place; `insert_absent` and `absorb` grow through `insert_growing`.
+//! What the rule cannot cover is a reader whose loads of one vector's
+//! pointer and length straddle a whole replacement: closing that takes
+//! word-wise copies of the leaf header.
+//!
 //! The leaf also remembers its *logical anchor* (used in ordering
 //! comparisons) and its *table key* (the anchor as registered in the
 //! MetaTrieHT, which may carry appended `⊥`/zero tokens to satisfy the prefix
@@ -818,25 +835,28 @@ impl<V> LeafNode<V> {
         debug_assert!(at > 0 && at < self.key_order.len());
         let moved: Vec<u16> = self.key_order.split_off(at);
         let mut right = LeafNode::new(anchor, table_key);
-        // Move the selected kvs into the new leaf; remaining kvs are
-        // compacted into a fresh storage vector to keep indices dense.
+        // Deal the items out to the two halves, each into a vector sized
+        // for it so that no push reallocates. This leaf may be racing
+        // readers: its kept items are gathered off to the side and the
+        // vector is replaced whole (the rule in the module docs).
         let mut keep = vec![false; self.kvs.len()];
         for &i in &self.key_order {
             keep[i as usize] = true;
         }
-        let mut old_kvs = std::mem::take(&mut self.kvs);
-        let mut remap = vec![u16::MAX; old_kvs.len()];
-        for (i, kv) in old_kvs.drain(..).enumerate() {
+        let mut kept = Vec::with_capacity(self.key_order.len());
+        right.kvs.reserve_exact(moved.len());
+        let mut remap = vec![u16::MAX; self.kvs.len()];
+        for (i, kv) in self.kvs.drain(..).enumerate() {
             if keep[i] {
-                remap[i] = self.kvs.len() as u16;
-                self.kvs.push(kv);
+                remap[i] = kept.len() as u16;
+                kept.push(kv);
             } else {
                 remap[i] = right.kvs.len() as u16;
                 right.key_bytes += kv.key.len();
                 right.kvs.push(kv);
             }
         }
-        bin.retire(Retired::Items(old_kvs));
+        bin.retire(Retired::Items(std::mem::replace(&mut self.kvs, kept)));
         // Rebuild the orderings of both leaves from the remap.
         self.key_order
             .iter_mut()
