@@ -61,8 +61,6 @@ struct ThreadState {
     /// [`FastGuard`] section, even otherwise. Only the owning thread writes
     /// it; [`Qsbr::drain_barrier`] spins on it becoming even.
     fast_gen: AtomicU64,
-    /// Unique id used to exclude the caller in `synchronize_excluding`.
-    id: u64,
 }
 
 /// Shared state of a QSBR domain.
@@ -96,8 +94,6 @@ struct Shared {
     /// publication that will retire shared state; restored by
     /// [`Qsbr::resume_bias`]. Domains start unbiased — owners opt in.
     bias: AtomicBool,
-    /// Source of reader ids.
-    next_id: AtomicU64,
     /// Domain telemetry (see [`EpochMetrics`]).
     metrics: EpochMetrics,
 }
@@ -182,7 +178,6 @@ impl Qsbr {
             quiesce_lock: Mutex::new(()),
             waiters: AtomicU64::new(0),
             bias: AtomicBool::new(false),
-            next_id: AtomicU64::new(0),
             metrics: EpochMetrics::default(),
         };
         Self {
@@ -231,7 +226,6 @@ impl Qsbr {
             active: AtomicBool::new(false),
             local_epoch: AtomicU64::new(self.shared.global_epoch.load(Ordering::SeqCst)),
             fast_gen: AtomicU64::new(0),
-            id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
         });
         self.shared.threads.lock().push(Arc::clone(&state));
         QsbrHandle {
@@ -256,17 +250,11 @@ impl Qsbr {
     /// state (or is currently quiescent) after this call began.
     ///
     /// The calling thread must not be inside one of its own read-side
-    /// critical sections, otherwise the wait would deadlock; use
-    /// [`Qsbr::synchronize_excluding`] when the caller holds a registered
-    /// handle and wants it ignored.
+    /// critical sections, otherwise the wait would deadlock.
     pub fn synchronize(&self) {
-        self.synchronize_inner(None);
-    }
-
-    /// Like [`Qsbr::synchronize`], but ignores the reader represented by
-    /// `handle` (typically the calling thread's own registration).
-    pub fn synchronize_excluding(&self, handle: &QsbrHandle) {
-        self.synchronize_inner(Some(handle.state.id));
+        // Readers that announce a quiescent state after this point carry
+        // an epoch at or beyond the grace period started here.
+        self.wait_grace(self.start_grace());
     }
 
     /// Starts a grace period *without waiting for it*, returning a token
@@ -285,7 +273,52 @@ impl Qsbr {
     /// deferred at or before `target`. The caller must not be inside one of
     /// its own read-side critical sections.
     pub fn wait_grace(&self, target: u64) {
-        self.wait_grace_inner(target, None);
+        let timing = wh_telemetry::start_timing();
+        let threads: Vec<Arc<ThreadState>> = self.shared.threads.lock().clone();
+        for t in threads {
+            let mut spins = 0u32;
+            loop {
+                // A reader counts as having passed the grace period when it is
+                // either outside any critical section *right now* (it will see
+                // the new pointer when it re-enters), or it has announced a
+                // quiescent state with an epoch at or beyond the target.
+                if !t.active.load(Ordering::SeqCst)
+                    || t.local_epoch.load(Ordering::SeqCst) >= target
+                {
+                    break;
+                }
+                // Read-side critical sections never block, so an active flag
+                // almost always means the reader was *preempted* mid-section
+                // (common on oversubscribed hosts, where this wait is on the
+                // scheduling latency, not the section length). Hand it the
+                // CPU a few times before falling back to timed sleeps.
+                if spins < 64 {
+                    spins += 1;
+                    std::thread::yield_now();
+                    continue;
+                }
+                // Announce the waiter *before* the locked re-check: an exiting
+                // reader stores its state and then loads `waiters` (both
+                // SeqCst), so either it observes our increment and notifies,
+                // or its state update is visible to the re-check below.
+                self.shared.waiters.fetch_add(1, Ordering::SeqCst);
+                let mut g = self.shared.quiesce_lock.lock();
+                // Re-check under the lock to avoid missing a wakeup.
+                if !t.active.load(Ordering::SeqCst)
+                    || t.local_epoch.load(Ordering::SeqCst) >= target
+                {
+                    self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
+                    break;
+                }
+                self.shared
+                    .quiesce_cv
+                    .wait_for(&mut g, std::time::Duration::from_millis(1));
+                drop(g);
+                self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        self.run_deferred_up_to(target);
+        self.shared.metrics.grace_wait_ns.record_elapsed(timing);
     }
 
     /// Non-blocking probe of the grace period started by the
@@ -372,65 +405,6 @@ impl Qsbr {
         self.shared.metrics.drain_barrier_ns.record_elapsed(timing);
     }
 
-    fn synchronize_inner(&self, exclude: Option<u64>) {
-        // Start a new grace period. Readers that announce a quiescent state
-        // after this point will carry an epoch >= `target`.
-        let target = self.start_grace();
-        self.wait_grace_inner(target, exclude);
-    }
-
-    fn wait_grace_inner(&self, target: u64, exclude: Option<u64>) {
-        let timing = wh_telemetry::start_timing();
-        let threads: Vec<Arc<ThreadState>> = self.shared.threads.lock().clone();
-        for t in threads {
-            if Some(t.id) == exclude {
-                continue;
-            }
-            let mut spins = 0u32;
-            loop {
-                // A reader counts as having passed the grace period when it is
-                // either outside any critical section *right now* (it will see
-                // the new pointer when it re-enters), or it has announced a
-                // quiescent state with an epoch at or beyond the target.
-                if !t.active.load(Ordering::SeqCst)
-                    || t.local_epoch.load(Ordering::SeqCst) >= target
-                {
-                    break;
-                }
-                // Read-side critical sections never block, so an active flag
-                // almost always means the reader was *preempted* mid-section
-                // (common on oversubscribed hosts, where this wait is on the
-                // scheduling latency, not the section length). Hand it the
-                // CPU a few times before falling back to timed sleeps.
-                if spins < 64 {
-                    spins += 1;
-                    std::thread::yield_now();
-                    continue;
-                }
-                // Announce the waiter *before* the locked re-check: an exiting
-                // reader stores its state and then loads `waiters` (both
-                // SeqCst), so either it observes our increment and notifies,
-                // or its state update is visible to the re-check below.
-                self.shared.waiters.fetch_add(1, Ordering::SeqCst);
-                let mut g = self.shared.quiesce_lock.lock();
-                // Re-check under the lock to avoid missing a wakeup.
-                if !t.active.load(Ordering::SeqCst)
-                    || t.local_epoch.load(Ordering::SeqCst) >= target
-                {
-                    self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
-                    break;
-                }
-                self.shared
-                    .quiesce_cv
-                    .wait_for(&mut g, std::time::Duration::from_millis(1));
-                drop(g);
-                self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        self.run_deferred_up_to(target);
-        self.shared.metrics.grace_wait_ns.record_elapsed(timing);
-    }
-
     /// Queues `f` to run after a future grace period and returns how many
     /// callbacks are now waiting, `f` included — what a caller that bounds
     /// the queue needs, without locking it a second time.
@@ -492,7 +466,6 @@ pub struct QsbrHandle {
 impl std::fmt::Debug for QsbrHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QsbrHandle")
-            .field("id", &self.state.id)
             .field("active", &self.state.active.load(Ordering::Relaxed))
             .finish()
     }
@@ -559,16 +532,6 @@ impl QsbrHandle {
     pub fn section_entries(&self) -> u64 {
         self.shared.metrics.section_entries.get()
     }
-
-    /// Explicitly announces a quiescent state outside any critical section.
-    #[inline]
-    pub fn quiescent(&self) {
-        let epoch = self.shared.global_epoch.load(Ordering::SeqCst);
-        self.state.local_epoch.store(epoch, Ordering::SeqCst);
-        if self.shared.waiters.load(Ordering::SeqCst) != 0 {
-            self.shared.quiesce_cv.notify_all();
-        }
-    }
 }
 
 impl Drop for QsbrHandle {
@@ -576,7 +539,7 @@ impl Drop for QsbrHandle {
         // Unregister: remove this thread's state from the domain so writers
         // stop waiting on it.
         let mut threads = self.shared.threads.lock();
-        threads.retain(|t| t.id != self.state.id);
+        threads.retain(|t| !Arc::ptr_eq(t, &self.state));
         drop(threads);
         if self.shared.waiters.load(Ordering::SeqCst) != 0 {
             self.shared.quiesce_cv.notify_all();
@@ -843,15 +806,6 @@ mod tests {
         let last = ptr.load(Ordering::SeqCst);
         // SAFETY: all readers have exited.
         unsafe { drop(Box::from_raw(last)) };
-    }
-
-    #[test]
-    fn synchronize_excluding_skips_callers_own_critical_section() {
-        let q = Qsbr::new();
-        let h = q.register();
-        let _guard = h.enter();
-        // Would deadlock if the caller's own active section were considered.
-        q.synchronize_excluding(&h);
     }
 
     #[test]

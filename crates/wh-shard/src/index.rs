@@ -584,77 +584,62 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
             // migration is mid-flight the fill runs in a classic critical
             // section, exactly as before.
             let step = index.with_router(|router| {
-                {
-                    let valid = matches!(segment, Some(seg) if seg.epoch == router.epoch);
-                    if !valid {
-                        // (Re-)route the sweep bound through the live
-                        // boundaries and open the owning shard's cursor.
-                        let shard = router.route(resume);
-                        let mut cursor = index.shards[shard].scan(resume);
-                        if let Some((items, key_bytes)) = *hint {
-                            cursor.reserve(items, key_bytes);
-                        }
-                        *segment = Some(Segment {
-                            cursor,
-                            epoch: router.epoch,
-                            shard,
-                        });
+                let valid = matches!(segment, Some(seg) if seg.epoch == router.epoch);
+                if !valid {
+                    // (Re-)route the sweep bound through the live
+                    // boundaries and open the owning shard's cursor.
+                    let shard = router.route(resume);
+                    let mut cursor = index.shards[shard].scan(resume);
+                    if let Some((items, key_bytes)) = *hint {
+                        cursor.reserve(items, key_bytes);
                     }
-                    let seg = segment.as_mut().expect("segment open");
-                    let upper = router.boundaries.get(seg.shard);
-                    if CursorSource::fill_next(&mut seg.cursor, resume, batch, limit) {
-                        // Clamp the segment to its shard's upper boundary:
-                        // keys at/above it that the shard cursor surfaced are
-                        // a migration's in-flight copies, whose authoritative
-                        // home is still the *donor* — streaming them here
-                        // could let the sweep bound advance past copies that
-                        // land behind the shard cursor's internal position,
-                        // silently skipping them. The donor (or, after the
-                        // boundary publishes, a re-routed segment) serves
-                        // them instead.
-                        if let Some(upper) = upper {
-                            let mut keep = batch.len();
-                            while keep > 0 && batch.key(keep - 1) >= upper.as_slice() {
-                                keep -= 1;
-                            }
-                            batch.truncate(keep);
+                    *segment = Some(Segment {
+                        cursor,
+                        epoch: router.epoch,
+                        shard,
+                    });
+                }
+                let seg = segment.as_mut().expect("segment open");
+                let upper = router.boundaries.get(seg.shard);
+                if CursorSource::fill_next(&mut seg.cursor, resume, batch, limit) {
+                    // Clamp the segment to its shard's upper boundary:
+                    // keys at/above it that the shard cursor surfaced are
+                    // a migration's in-flight copies, whose authoritative
+                    // home is still the *donor* — streaming them here
+                    // could let the sweep bound advance past copies that
+                    // land behind the shard cursor's internal position,
+                    // silently skipping them. The donor (or, after the
+                    // boundary publishes, a re-routed segment) serves
+                    // them instead.
+                    if let Some(upper) = upper {
+                        let mut keep = batch.len();
+                        while keep > 0 && batch.key(keep - 1) >= upper.as_slice() {
+                            keep -= 1;
                         }
-                        if let Some(last) = batch.last_key() {
-                            // Advance the sweep bound past everything
-                            // streamed, so a re-route (or a later segment)
-                            // resumes exactly after this batch.
-                            index_traits::immediate_successor_into(last, resume);
-                            FillStep::Filled
-                        } else {
-                            // Everything the shard yielded was at/above its
-                            // boundary: this segment is done; sweep on from
-                            // the boundary.
-                            let upper = upper.expect("clamp only fires with an upper boundary");
-                            if upper.as_slice() > resume.as_slice() {
-                                resume.clear();
-                                resume.extend_from_slice(upper);
-                            }
-                            FillStep::NextShard
-                        }
-                    } else {
-                        match upper {
-                            // Jump the sweep bound to the shard's upper
-                            // boundary (forward only — the bound may already
-                            // sit exactly on it when a boundary equals a
-                            // streamed key's successor). Either way the next
-                            // attempt routes to a later shard, so the sweep
-                            // progresses.
-                            Some(upper) => {
-                                if upper.as_slice() > resume.as_slice() {
-                                    resume.clear();
-                                    resume.extend_from_slice(upper);
-                                }
-                                FillStep::NextShard
-                            }
-                            None => FillStep::Done,
-                        }
+                        batch.truncate(keep);
+                    }
+                    if let Some(last) = batch.last_key() {
+                        // Advance the sweep bound past everything
+                        // streamed, so a re-route (or a later segment)
+                        // resumes exactly after this batch.
+                        index_traits::immediate_successor_into(last, resume);
+                        return FillStep::Filled;
                     }
                 }
+                // The shard is exhausted, or all it yielded was at/above its
+                // boundary. Jump the sweep bound to that boundary (forward
+                // only — the bound may already sit exactly on it when a
+                // boundary equals a streamed key's successor). Either way
+                // the next attempt routes to a later shard, so the sweep
+                // progresses.
+                let Some(upper) = upper else {
+                    return FillStep::Done;
+                };
+                if upper.as_slice() > resume.as_slice() {
+                    resume.clear();
+                    resume.extend_from_slice(upper);
+                }
+                FillStep::NextShard
             });
             match step {
                 FillStep::Filled => return true,

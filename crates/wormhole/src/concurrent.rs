@@ -19,18 +19,17 @@
 //!   lock, reads it there, and leaves it sorted for the scans that follow;
 //! * a **writer lock per leaf node** — in-place inserts, deletes, and the
 //!   structural operations serialise on it exactly as in the paper;
-//! * a single **writer mutex over the MetaTrieHT** — only split and merge
-//!   operations take it. They ask the shared core engine
-//!   ([`crate::core`]) for a declarative [`crate::meta::MetaPlan`]
-//!   and apply it to a second hash table (T2), atomically publish it, and
-//!   *start* an RCU grace period (QSBR) that retires the old table (T1)
-//!   with the plan still pending. The **next** structural operation
-//!   completes the grace period — by then it has almost always elapsed for
-//!   free — replays the plan onto T1, and uses it as its spare, so no
-//!   split or merge blocks on reader quiescence in steady state. All
-//!   split-point selection, anchor formation, and meta-item bookkeeping
-//!   lives in the core engine — this module only wires leaves into the
-//!   list and runs the publication protocol;
+//! * a single **writer mutex over the MetaTrieHT** — splits, merges and
+//!   the bulk load's splits take it, through one structural commit step
+//!   (`Wormhole::commit`; its order is the *Structural updates* paragraph
+//!   of `docs/src/architecture.md`). A commit applies a declarative
+//!   [`crate::meta::MetaPlan`] to a second hash table (T2), publishes it,
+//!   and *starts* an RCU grace period (QSBR) that retires the old table
+//!   (T1) with the plan still pending. The **next** commit completes the
+//!   grace period — by then it has almost always elapsed for free — and
+//!   replays the plan onto T1, its spare, so no structural operation blocks
+//!   on reader quiescence in steady state. Split points, anchors and
+//!   meta-item bookkeeping come from the core engine ([`crate::core`]);
 //! * **version numbers** — every published MetaTrieHT carries a version,
 //!   and a leaf about to be split or merged records `version + 1` as its
 //!   *expected version*. A lookup that reaches a leaf whose expected
@@ -78,9 +77,10 @@ use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use index_traits::{ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, ScanBatch};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wh_epoch::Qsbr;
 use wh_hash::crc32c;
+use wh_telemetry::Counter;
 
 use crate::config::WormholeConfig;
 use crate::core;
@@ -268,10 +268,6 @@ impl<V> LeafHandle<V> {
         self.0.expected_version.load(Ordering::Acquire)
     }
 
-    fn set_expected_version(&self, v: u64) {
-        self.0.expected_version.store(v, Ordering::Release);
-    }
-
     fn downgrade(&self) -> Weak<LeafShared<V>> {
         Arc::downgrade(&self.0)
     }
@@ -311,8 +307,6 @@ struct RetiringTable<V> {
     table: *mut VersionedMeta<V>,
     /// The plan already applied to the published table, pending replay.
     plan: MetaPlan<LeafHandle<V>>,
-    /// Version the replay brings the table to.
-    version: u64,
     /// Grace-period token from publication time.
     grace: u64,
 }
@@ -329,6 +323,46 @@ struct WriterState<V> {
     /// The size of the published table as this index last added it to the
     /// `meta_*` gauges of its metrics.
     published: MetaShape,
+}
+
+/// What [`Wormhole::commit`] hands a structural operation's leaf surgery:
+/// the writer mutex, the published table and its version, a bin for the
+/// blocks the surgery unlinks, and the one way to publish.
+struct Commit<'w, V> {
+    wh: &'w Wormhole<V>,
+    writer: MutexGuard<'w, WriterState<V>>,
+    /// The published table, pinned by the writer mutex.
+    table: &'w MetaTable<LeafHandle<V>>,
+    version: u64,
+    bin: Bin<'w, V>,
+    /// The table a publication replaced, with the plan still to replay.
+    replaced: Option<(*mut VersionedMeta<V>, MetaPlan<LeafHandle<V>>)>,
+}
+
+impl<V> Commit<'_, V> {
+    /// Marks `leaf` as one whose keys this commit moves: a lookup that
+    /// searched an older table and reaches it restarts (§2.5).
+    fn claim(&self, leaf: &LeafHandle<V>) {
+        leaf.0
+            .expected_version
+            .store(self.version + 1, Ordering::Release);
+    }
+
+    /// Applies `plan` to the spare table and publishes it as the next
+    /// version. At most once per commit, with the surgery's leaf locks
+    /// held; the commit parks the replaced table once they are released.
+    fn publish(&mut self, plan: MetaPlan<LeafHandle<V>>) {
+        debug_assert!(self.replaced.is_none(), "one publication per commit");
+        let writer = &mut *self.writer;
+        let mut spare = writer.spare.take().expect("spare table present");
+        spare.table.apply_plan(&plan);
+        spare.version = self.version + 1;
+        let shape = spare.table.shape();
+        self.wh.metrics.meta_published(writer.published, shape);
+        writer.published = shape;
+        let replaced = self.wh.current.swap(Box::into_raw(spare), Ordering::AcqRel);
+        self.replaced = Some((replaced, plan));
+    }
 }
 
 /// The thread-safe Wormhole ordered index.
@@ -380,39 +414,28 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// `Arc` to every shard so their events aggregate.
     pub fn with_config_and_metrics(config: WormholeConfig, metrics: Arc<WormholeMetrics>) -> Self {
         let head = LeafHandle::new(LeafNode::new(Vec::new(), Vec::new()), Weak::new(), None);
-        let mut t1 = MetaTable::new();
-        t1.install_root_leaf(head.clone());
-        let mut t2 = MetaTable::new();
-        t2.install_root_leaf(head.clone());
-        Self::assemble(config, metrics, head, [t1, t2], 0, 0)
-    }
-
-    /// An index over `head`'s leaf list and its two tables, logical copies
-    /// of each other: the first is published, the second the spare.
-    fn assemble(
-        config: WormholeConfig,
-        metrics: Arc<WormholeMetrics>,
-        head: LeafHandle<V>,
-        [published, spare]: [MetaTable<LeafHandle<V>>; 2],
-        len: usize,
-        key_bytes: usize,
-    ) -> Self {
-        let shape = published.shape();
+        // The published table and the spare, logical copies of each other.
+        let root_table = || {
+            let mut table = MetaTable::new();
+            table.install_root_leaf(head.clone());
+            Box::new(VersionedMeta { version: 0, table })
+        };
+        let published = root_table();
+        let shape = published.table.shape();
         metrics.meta_published(MetaShape::default(), shape);
-        let versioned = |table| Box::new(VersionedMeta { version: 0, table });
         Self {
             config,
-            current: AtomicPtr::new(Box::into_raw(versioned(published))),
+            current: AtomicPtr::new(Box::into_raw(published)),
             writer: Mutex::new(WriterState {
-                spare: Some(versioned(spare)),
+                spare: Some(root_table()),
                 retiring: None,
                 published: shape,
             }),
             qsbr: Qsbr::new(),
             garbage: Mutex::default(),
             head,
-            len: AtomicUsize::new(len),
-            key_bytes: AtomicUsize::new(key_bytes),
+            len: AtomicUsize::new(0),
+            key_bytes: AtomicUsize::new(0),
             metrics,
         }
     }
@@ -436,14 +459,14 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// Bulk-loads a **strictly ascending** stream of key/value pairs into
     /// a fresh index by packing leaves directly — the snapshot-restore
     /// path: instead of `set`-ing every pair through the split machinery
-    /// (O(n) splits, each publishing a table), leaves are greedy-packed to
-    /// ~¾ of the configured capacity, linked into the leaf list, and
-    /// registered in both hash tables as they are produced.
+    /// (O(n) splits, each carving a full leaf), leaves are greedy-packed to
+    /// ~¾ of the configured capacity, and each next leaf is split off the
+    /// tail empty, through the same structural commit as a live split (and
+    /// counted with them).
     ///
-    /// Anchor formation follows the same §2.2 rule as a live split (common
-    /// prefix of the boundary pair plus one byte, never ending in a ⊥
-    /// token); when no valid anchor exists at the target boundary the
-    /// current leaf keeps growing past the target — the §3.3 fat-node
+    /// The anchor at a boundary is the core engine's
+    /// (`core::anchor_between`); when the target boundary admits none
+    /// the current leaf keeps growing past the target — the §3.3 fat-node
     /// relaxation, arising here for the same reason it does under `set`.
     ///
     /// # Panics
@@ -456,53 +479,39 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         config: WormholeConfig,
         pairs: impl IntoIterator<Item = (Vec<u8>, V)>,
     ) -> Self {
-        let head = LeafHandle::new(LeafNode::new(Vec::new(), Vec::new()), Weak::new(), None);
-        let mut t1 = MetaTable::new();
-        t1.install_root_leaf(head.clone());
-        let mut t2 = MetaTable::new();
-        t2.install_root_leaf(head.clone());
-
+        let mut wh = Self::with_config(config);
         // Pack to ¾ capacity so post-restore inserts do not immediately
         // split every leaf, while staying well above the merge threshold.
         let target = (config.leaf_capacity * 3 / 4).max(1);
-        let mut tail = head.clone();
+        let mut tail = wh.head.clone();
         let mut in_leaf = 0usize;
         let mut last_key: Option<Vec<u8>> = None;
-        let mut len = 0usize;
-        let mut key_bytes = 0usize;
         // Nobody reads the index before it is returned.
         let mut bin = Bin::immediate();
 
         for (key, value) in pairs {
             if let Some(last) = &last_key {
                 assert!(key > *last, "from_sorted requires strictly ascending keys");
-                if in_leaf >= target {
-                    let cpl = index_traits::common_prefix_len(last, &key);
-                    // A candidate anchor ending in ⊥ is invalid (§3.3):
-                    // keep extending the current leaf instead.
-                    if key[cpl] != 0 {
-                        let anchor = key[..=cpl].to_vec();
-                        let table_key = t1.reserve_anchor_key(&anchor);
-                        let leaf = LeafNode::new(anchor, table_key.clone());
-                        let handle = LeafHandle::new(leaf, tail.downgrade(), None);
-                        tail.0.data.write().next = Some(handle.clone());
-                        let relocations = t1.apply_split(&table_key, handle.clone(), &tail, None);
-                        let relocations_t2 =
-                            t2.apply_split(&table_key, handle.clone(), &tail, None);
-                        debug_assert_eq!(relocations.len(), relocations_t2.len());
-                        for (leaf, new_key) in relocations {
-                            leaf.0.data.write().leaf.set_table_key(new_key, &mut bin);
-                        }
+                let anchor = (in_leaf >= target)
+                    .then(|| core::anchor_between(last, &key))
+                    .flatten();
+                if let Some(anchor) = anchor {
+                    tail = wh.commit(&key, &wh.metrics.splits, |leaf, commit| {
+                        debug_assert!(leaf.same(&tail), "the last key lies in the tail");
+                        let table_key = commit.table.reserve_anchor_key(&anchor);
+                        let mut left = leaf.0.data.write();
+                        let _section = SeqWriteSection::new(&leaf.0.seq);
                         // The finished leaf took its keys in ascending
                         // order: its first scan need not sort it.
-                        tail.0.data.write().leaf.ensure_key_sorted();
-                        tail = handle;
-                        in_leaf = 0;
-                    }
+                        left.leaf.ensure_key_sorted();
+                        let right = LeafNode::new(anchor, table_key);
+                        Self::link_split(commit, leaf, &mut left, right)
+                    });
+                    in_leaf = 0;
                 }
             }
-            key_bytes += key.len();
-            len += 1;
+            *wh.len.get_mut() += 1;
+            *wh.key_bytes.get_mut() += key.len();
             in_leaf += 1;
             // Strictly ascending input: the key is in no leaf yet.
             tail.0
@@ -513,9 +522,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             last_key = Some(key);
         }
         tail.0.data.write().leaf.ensure_key_sorted();
-
-        let metrics = Arc::new(WormholeMetrics::default());
-        Self::assemble(config, metrics, head, [t1, t2], len, key_bytes)
+        wh
     }
 
     /// Whether reads of this index run lock-free, decided by the value type
@@ -598,40 +605,67 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// plan onto the retired table. Must be called while holding the
     /// writer mutex and no QSBR critical section.
     fn reclaim_spare(&self, writer: &mut WriterState<V>) {
-        if writer.spare.is_some() {
+        // No table is retiring exactly when the spare is ready.
+        let Some(retiring) = writer.retiring.take() else {
             return;
-        }
-        let retiring = writer
-            .retiring
-            .take()
-            .expect("either spare or retiring table present");
+        };
         self.qsbr.wait_grace(retiring.grace);
         // SAFETY: the grace period has elapsed, so no reader that could
         // have observed the pre-swap published pointer is still inside its
         // critical section; the mutex makes the table exclusively ours.
         let mut table = unsafe { Box::from_raw(retiring.table) };
         table.table.apply_plan(&retiring.plan);
-        table.version = retiring.version;
         writer.spare = Some(table);
     }
 
-    /// Publishes the spare table, brought to `version` by `plan`, and
-    /// returns the table it replaces: the caller parks that one in
-    /// `writer.retiring` once it has released its leaf locks. Must be called
-    /// while holding the writer mutex, after [`Wormhole::reclaim_spare`].
-    fn publish(
+    /// The one structural commit (§2.5) behind every split, merge and
+    /// bulk-load split, in the order the *Structural updates* paragraph of
+    /// `docs/src/architecture.md` gives: the writer mutex and the previous
+    /// publication's grace period first, before any leaf lock, since no
+    /// thread may wait for a grace period while it holds one; then `key`'s
+    /// leaf, found again; then `surgery` on it with a [`Commit`], which
+    /// publishes through [`Commit::publish`] while it holds its leaf locks;
+    /// once they are released, the bin's garbage queued; and last the
+    /// replaced table parked with a grace period started, and the
+    /// publication counted in `counter`.
+    fn commit<R>(
         &self,
-        writer: &mut WriterState<V>,
-        plan: &MetaPlan<LeafHandle<V>>,
-        version: u64,
-    ) -> *mut VersionedMeta<V> {
-        let mut spare = writer.spare.take().expect("spare table present");
-        spare.table.apply_plan(plan);
-        spare.version = version;
-        let shape = spare.table.shape();
-        self.metrics.meta_published(writer.published, shape);
-        writer.published = shape;
-        self.current.swap(Box::into_raw(spare), Ordering::AcqRel)
+        key: &[u8],
+        counter: &Counter,
+        surgery: impl FnOnce(&LeafHandle<V>, &mut Commit<'_, V>) -> R,
+    ) -> R {
+        let mut writer = self.writer.lock();
+        self.reclaim_spare(&mut writer);
+        // The published table cannot change while the mutex is held.
+        let (leaf, version) = self.locate(key);
+        debug_assert!(leaf.expected_version() <= version);
+        let mut commit = Commit {
+            wh: self,
+            writer,
+            // SAFETY: only holders of the writer mutex swap or free the
+            // published table, and the commit holds it throughout.
+            table: unsafe { &self.published().table },
+            version,
+            bin: self.new_bin(),
+            replaced: None,
+        };
+        let answer = surgery(&leaf, &mut commit);
+        let Commit {
+            mut writer,
+            bin,
+            replaced,
+            ..
+        } = commit;
+        let Some((table, plan)) = replaced else {
+            drop(writer);
+            self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
+            return answer;
+        };
+        self.retire_garbage(bin, 1);
+        let grace = self.qsbr.start_grace();
+        writer.retiring = Some(RetiringTable { table, plan, grace });
+        counter.inc();
+        answer
     }
 
     /// Number of deferred-reclamation callbacks still waiting for a grace
@@ -870,140 +904,90 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 
     // ------------------------------------------------------------------
-    // Split and merge (the third operation group of §2.5). The logic —
-    // split-point selection, anchor formation, meta-item bookkeeping —
-    // lives in the shared core engine; this code owns only the leaf
-    // linking, the seqlock/version marking, and the T2-then-T1 protocol.
+    // Split and merge (the third operation group of §2.5). Split points,
+    // anchors and meta-item bookkeeping come from the core engine; this
+    // code links leaves, marks seqlocks and versions, and publishes
+    // through the one structural commit (`Wormhole::commit`).
     // ------------------------------------------------------------------
 
-    /// Inserts `key` via the split path: takes the writer mutex, re-locates
-    /// the leaf, splits it when (still) necessary, and publishes the new
-    /// MetaTrieHT with the RCU double-table protocol.
+    /// Inserts `key` when the fast path found its leaf full: re-checks the
+    /// leaf under the writer mutex and splits it if it is still full and
+    /// has a valid split point.
     fn insert_with_split(&self, key: &[u8], hash: u32, value: V) -> Option<V> {
-        let mut bin = self.new_bin();
-        let mut writer = self.writer.lock();
-        // Finish the previous publication's grace period first (usually
-        // already elapsed, so this is one atomic load per reader).
-        self.reclaim_spare(&mut writer);
-        // While the mutex is held the published table cannot change or be
-        // retired, so it is safe to read it without a QSBR guard.
-        // SAFETY: see above; only mutex holders swap or free `current`.
-        let current = unsafe { &*self.current.load(Ordering::Acquire) };
-        let version = current.version;
-        let outcome = current.table.search_target(key, &self.config);
-        let Ok(leaf) = Self::resolve(outcome, key).map(Cow::into_owned) else {
-            // A write to the neighbour raced the step; drop the mutex and
-            // run the fast path again.
-            drop(writer);
-            return self.set(key, value);
-        };
-        let mut left_guard = leaf.0.data.write();
-        debug_assert!(leaf.expected_version() <= version);
-        let left_section = SeqWriteSection::new(&leaf.0.seq);
-
-        // The situation may have changed between the fast path giving up and
-        // the mutex being acquired: re-run the cheap cases first.
-        if let Some(slot) = left_guard.leaf.get_mut(key, hash, &self.config) {
-            let old = std::mem::replace(slot, value);
-            drop(left_section);
-            drop(left_guard);
-            drop(writer);
-            self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
-            return Some(old);
-        }
-        if left_guard.leaf.len() < self.config.leaf_capacity {
-            left_guard
-                .leaf
-                .insert_absent(key, hash, value, &self.config, &mut bin);
+        self.commit(key, &self.metrics.splits, |leaf, commit| {
+            let mut left = leaf.0.data.write();
+            let _section = SeqWriteSection::new(&leaf.0.seq);
+            // The key may have arrived between the fast path giving up and
+            // the mutex being taken.
+            if let Some(slot) = left.leaf.get_mut(key, hash, &self.config) {
+                return Some(std::mem::replace(slot, value));
+            }
             self.len.fetch_add(1, Ordering::Relaxed);
             self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
-            drop(left_section);
-            drop(left_guard);
-            drop(writer);
-            self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
-            return None;
-        }
-        // Split point, anchor, table key, and the carved right half all come
-        // from the core engine.
-        let Some(prepared) = core::prepare_split(&mut left_guard.leaf, &current.table, &mut bin)
-        else {
-            // Fat node (§3.3): grow past the nominal capacity.
-            left_guard
-                .leaf
-                .insert_absent(key, hash, value, &self.config, &mut bin);
-            self.len.fetch_add(1, Ordering::Relaxed);
-            self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
-            drop(left_section);
-            drop(left_guard);
-            drop(writer);
-            self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
-            return None;
-        };
-        let core::PreparedSplit {
-            anchor,
-            table_key,
-            right,
-        } = prepared;
+            // Split point, anchor, table key and the carved right half come
+            // from the core engine. A leaf with room takes the key as it is,
+            // and so does a fat one (§3.3), which has no valid split point.
+            let split = (left.leaf.len() >= self.config.leaf_capacity)
+                .then(|| core::prepare_split(&mut left.leaf, commit.table, &mut commit.bin))
+                .flatten();
+            let Some(mut split) = split else {
+                left.leaf
+                    .insert_absent(key, hash, value, &self.config, &mut commit.bin);
+                return None;
+            };
+            // Into whichever half covers the key; the right one is not
+            // linked yet.
+            let half = if key >= split.anchor.as_slice() {
+                &mut split.right
+            } else {
+                &mut left.leaf
+            };
+            half.insert_absent(key, hash, value, &self.config, &mut commit.bin);
+            Self::link_split(commit, leaf, &mut left, split.right);
+            None
+        })
+    }
 
-        // Wire the new leaf into the list while holding the leaf locks.
-        let old_right = left_guard.next.clone();
-        let new_handle = LeafHandle::new(right, leaf.downgrade(), old_right.clone());
-        let mut right_guard = new_handle.0.data.write();
-        let right_section = SeqWriteSection::new(&new_handle.0.seq);
-        left_guard.next = Some(new_handle.clone());
-        leaf.set_expected_version(version + 1);
-        new_handle.set_expected_version(version + 1);
-
-        // Insert the pending key into whichever half now covers it.
-        let half = if key >= anchor.as_slice() {
-            &mut right_guard.leaf
-        } else {
-            &mut left_guard.leaf
-        };
-        half.insert_absent(key, hash, value, &self.config, &mut bin);
-        self.len.fetch_add(1, Ordering::Relaxed);
-        self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
-
+    /// Links `right`, a split's right half, into the leaf list after `leaf`,
+    /// whose write lock the caller holds as `left` inside a seqlock write
+    /// section, and publishes the plan that registers it while the new
+    /// leaf is still locked too. Returns the new leaf.
+    fn link_split(
+        commit: &mut Commit<'_, V>,
+        leaf: &LeafHandle<V>,
+        left: &mut LeafData<V>,
+        right: LeafNode<V>,
+    ) -> LeafHandle<V> {
+        let old_right = left.next.clone();
+        let new = LeafHandle::new(right, leaf.downgrade(), old_right.clone());
+        let new_guard = new.0.data.write();
+        let new_section = SeqWriteSection::new(&new.0.seq);
+        left.next = Some(new.clone());
+        commit.claim(leaf);
+        commit.claim(&new);
         // Fix the right neighbour's back link (lock ordering: left to right).
         if let Some(right) = &old_right {
             let mut neighbour = right.0.data.write();
             let _section = SeqWriteSection::new(&right.0.seq);
-            neighbour.prev = new_handle.downgrade();
+            neighbour.prev = new.downgrade();
         }
-
         // One plan, two applications: computed against the published table,
-        // applied to its logical copy (the spare), published, and — after
-        // the grace period — applied to the retired original.
-        let plan =
-            current
-                .table
-                .plan_split(&table_key, new_handle.clone(), &leaf, old_right.as_ref());
+        // applied to its logical copy (the spare) and published, and — after
+        // the grace period — replayed onto the retired original.
+        let table_key = new_guard.leaf.table_key();
+        let plan = commit
+            .table
+            .plan_split(table_key, new.clone(), leaf, old_right.as_ref());
         for (relocated, new_key) in &plan.relocations {
             // The only anchor that can be a proper prefix of the new anchor
-            // is the split leaf's own anchor, whose lock we hold.
-            assert!(relocated.same(&leaf), "unexpected anchor relocation");
-            left_guard.leaf.set_table_key(new_key.clone(), &mut bin);
+            // is the split leaf's own anchor, whose lock is held.
+            assert!(relocated.same(leaf), "unexpected anchor relocation");
+            left.leaf.set_table_key(new_key.clone(), &mut commit.bin);
         }
-        let old_table = self.publish(&mut writer, &plan, version + 1);
-
-        // Release the seqlock sections and leaf locks so that readers
-        // blocked on them can finish against the new table (§2.5), queue
-        // the garbage, and start — without waiting for — the grace period
-        // that retires the old table. The next structural operation
-        // completes it and replays the plan (`reclaim_spare`).
-        drop(right_section);
-        drop(left_section);
-        drop(right_guard);
-        drop(left_guard);
-        self.retire_garbage(bin, 1);
-        writer.retiring = Some(RetiringTable {
-            table: old_table,
-            plan,
-            version: version + 1,
-            grace: self.qsbr.start_grace(),
-        });
-        self.metrics.splits.inc();
-        None
+        commit.publish(plan);
+        drop(new_section);
+        drop(new_guard);
+        new
     }
 
     /// Whether Algorithm 2's merge test could hold for the leaf behind
@@ -1025,95 +1009,70 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 
     /// Attempts to merge the leaf owning `key` with one of its neighbours
-    /// (Algorithm 2, DEL). Runs entirely under the writer mutex.
+    /// (Algorithm 2, DEL): into its left neighbour first, else absorbing
+    /// its right one.
     fn try_merge(&self, key: &[u8]) {
-        let mut writer = self.writer.lock();
         self.metrics.merge_attempts.inc();
-        // Finish the previous publication's grace period first (usually
-        // already elapsed; see `reclaim_spare`).
-        self.reclaim_spare(&mut writer);
-        // SAFETY: only mutex holders swap or free `current`.
-        let current = unsafe { &*self.current.load(Ordering::Acquire) };
-        let version = current.version;
-        let outcome = current.table.search_target(key, &self.config);
-        let Ok(leaf) = Self::resolve(outcome, key).map(Cow::into_owned) else {
-            return;
-        };
-        // Choose the merge pair: (left, leaf) if the left neighbour is small
-        // enough, otherwise (leaf, right). Locks are taken left-to-right.
-        let (prev_weak, next) = {
-            let data = leaf.0.data.read();
-            (data.prev.clone(), data.next.clone())
-        };
-        let prev = prev_weak.upgrade().map(LeafHandle);
+        self.commit(key, &self.metrics.merges, |leaf, commit| {
+            let (prev, next) = {
+                let data = leaf.0.data.read();
+                (data.prev.upgrade().map(LeafHandle), data.next.clone())
+            };
+            if !prev.is_some_and(|prev| self.merge_into_left(commit, &prev, leaf)) {
+                if let Some(next) = next {
+                    self.merge_into_left(commit, leaf, &next);
+                }
+            }
+        });
+    }
 
-        let mut merge_into_left = |left: &LeafHandle<V>, victim: &LeafHandle<V>| -> bool {
-            let mut left_guard = left.0.data.write();
-            // Verify adjacency (the list may have changed before the mutex
-            // was taken).
-            match &left_guard.next {
-                Some(next) if next.same(victim) => {}
-                _ => return false,
-            }
-            let mut victim_guard = victim.0.data.write();
-            if !core::merge_eligible(left_guard.leaf.len(), victim_guard.leaf.len(), &self.config) {
-                return false;
-            }
-            left.set_expected_version(version + 1);
-            victim.set_expected_version(version + 1);
-            let mut bin = self.new_bin();
-            let left_section = SeqWriteSection::new(&left.0.seq);
-            let victim_section = SeqWriteSection::new(&victim.0.seq);
-            // Move the items and unlink the victim.
-            let victim_leaf = std::mem::replace(
-                &mut victim_guard.leaf,
-                LeafNode::new(Vec::new(), Vec::new()),
-            );
-            let victim_table_key = victim_leaf.table_key().to_vec();
-            left_guard.leaf.absorb(victim_leaf, &mut bin);
-            let right = victim_guard.next.clone();
-            left_guard.next = right.clone();
-            if let Some(right) = &right {
-                // Lock ordering: left < victim < right.
-                let mut neighbour = right.0.data.write();
-                let _section = SeqWriteSection::new(&right.0.seq);
-                neighbour.prev = left.downgrade();
-            }
-            // One plan, two applications (see `insert_with_split`).
-            let plan = current
+    /// Merges `victim` into `left` if the two are still neighbours and pass
+    /// Algorithm 2's test under their locks (taken left to right), and
+    /// publishes the plan that unregisters it with both still locked.
+    /// Returns whether it did.
+    fn merge_into_left(
+        &self,
+        commit: &mut Commit<'_, V>,
+        left: &LeafHandle<V>,
+        victim: &LeafHandle<V>,
+    ) -> bool {
+        let mut left_guard = left.0.data.write();
+        if !left_guard
+            .next
+            .as_ref()
+            .is_some_and(|next| next.same(victim))
+        {
+            return false;
+        }
+        let mut victim_guard = victim.0.data.write();
+        if !core::merge_eligible(left_guard.leaf.len(), victim_guard.leaf.len(), &self.config) {
+            return false;
+        }
+        commit.claim(left);
+        commit.claim(victim);
+        let _left_section = SeqWriteSection::new(&left.0.seq);
+        let _victim_section = SeqWriteSection::new(&victim.0.seq);
+        // One plan, two applications (see `link_split`).
+        let right = victim_guard.next.clone();
+        let plan =
+            commit
                 .table
-                .plan_merge(&victim_table_key, victim, left, right.as_ref());
-            drop(victim_section);
-            drop(left_section);
-            drop(victim_guard);
-            drop(left_guard);
-            // Queued before the publication's grace period, which therefore
-            // reclaims it.
-            self.retire_garbage(bin, 1);
-
-            let old_table = self.publish(&mut writer, &plan, version + 1);
-            // Start — without waiting for — the grace period retiring the
-            // old table; the next structural operation completes it.
-            writer.retiring = Some(RetiringTable {
-                table: old_table,
-                plan,
-                version: version + 1,
-                grace: self.qsbr.start_grace(),
-            });
-            self.metrics.merges.inc();
-            true
-        };
-
-        // Try merging this leaf into its left neighbour first, then absorbing
-        // the right neighbour, mirroring Algorithm 2.
-        if let Some(prev) = prev {
-            if merge_into_left(&prev, &leaf) {
-                return;
-            }
+                .plan_merge(victim_guard.leaf.table_key(), victim, left, right.as_ref());
+        // Move the items and unlink the victim.
+        let victim_leaf = std::mem::replace(
+            &mut victim_guard.leaf,
+            LeafNode::new(Vec::new(), Vec::new()),
+        );
+        left_guard.leaf.absorb(victim_leaf, &mut commit.bin);
+        left_guard.next = right.clone();
+        if let Some(right) = &right {
+            // Lock ordering: left < victim < right.
+            let mut neighbour = right.0.data.write();
+            let _section = SeqWriteSection::new(&right.0.seq);
+            neighbour.prev = left.downgrade();
         }
-        if let Some(next) = next {
-            let _ = merge_into_left(&leaf, &next);
-        }
+        commit.publish(plan);
+        true
     }
 
     /// Removes every key with `lo <= key < hi`, returning how many were
@@ -1312,7 +1271,11 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
     ) -> AfterLeaf {
         batch.clear();
         Self::reserve_for(wh, &data.leaf, batch, limit);
-        if data.leaf.collect_range_into(lower, limit, batch) == limit {
+        let appended = data
+            .leaf
+            .collect_leaf_checked(lower, limit, batch, usize::MAX)
+            .expect("a locked, sorted leaf cannot conflict");
+        if appended == limit {
             return AfterLeaf::Truncated;
         }
         let Some(next) = &data.next else {

@@ -12,6 +12,9 @@
 //! locking vs leaf seqlocks plus the T2-then-T1 double-table protocol) and
 //! consume the core's outputs:
 //!
+//! * `anchor_between` — the anchor rule (common prefix plus one byte,
+//!   never ending in ⊥). It is written here and nowhere else: a live split
+//!   and the concurrent index's bulk load both form anchors through it;
 //! * [`prepare_split`] — split-point selection ([`choose_split_point`]),
 //!   anchor formation, anchor table-key reservation, and the leaf-level
 //!   carve ([`LeafNode::split_off`]);
@@ -26,41 +29,35 @@ use crate::config::WormholeConfig;
 use crate::leaf::{Bin, LeafNode};
 use crate::meta::{LeafRef, MetaTable};
 
-/// Chooses a split position and the new right sibling's logical anchor.
-///
-/// Implements the anchor-formation rule of §2.2 with the §3.3 relaxation:
-/// starting from the middle, find an adjacent pair `(i-1, i)` such that the
-/// candidate anchor (common prefix plus one byte) does not end in a zero
-/// byte (ending in the smallest token would make the anchor ambiguous
-/// against anchors that only differ by trailing ⊥ tokens). Returns `None`
-/// when no valid split point exists — the caller keeps the leaf as a
-/// *fat node*.
+/// The anchor rule of §2.2 with the §3.3 relaxation, and the only place it
+/// is written: the anchor between adjacent keys `prev < next` is their
+/// common prefix plus `next`'s following byte. `None` when that byte is ⊥
+/// (zero): an anchor ending in the smallest token would be ambiguous
+/// against anchors that differ only by trailing ⊥ tokens, so the two keys
+/// cannot be split apart (fat nodes).
+pub(crate) fn anchor_between(prev: &[u8], next: &[u8]) -> Option<Vec<u8>> {
+    let cpl = index_traits::common_prefix_len(prev, next);
+    debug_assert!(cpl < next.len(), "adjacent keys must be ascending");
+    (next[cpl] != 0).then(|| next[..=cpl].to_vec())
+}
+
+/// Chooses a split position and the new right sibling's logical anchor:
+/// starting from the middle, the first adjacent pair `(i-1, i)` that
+/// `anchor_between` can separate. Returns `None` when no valid split
+/// point exists — the caller keeps the leaf as a *fat node*.
 pub fn choose_split_point<V>(leaf: &mut LeafNode<V>) -> Option<(usize, Vec<u8>)> {
     leaf.ensure_key_sorted();
     let n = leaf.len();
     if n < 2 {
         return None;
     }
-    let candidate_at = |i: usize| -> Option<Vec<u8>> {
-        let prev = leaf.key_at(i - 1);
-        let next = leaf.key_at(i);
-        let cpl = index_traits::common_prefix_len(prev, next);
-        debug_assert!(cpl < next.len(), "adjacent keys must differ");
-        let last = next[cpl];
-        if last == 0 {
-            // Splitting here would create an anchor that ends in the
-            // smallest token; see §3.3 (fat nodes).
-            return None;
-        }
-        Some(next[..=cpl].to_vec())
-    };
     // Try the middle first, then walk outwards (the paper: "Try another i
     // in range [1, size-1]").
     let mid = n / 2;
     for delta in 0..n {
         for i in [mid.wrapping_sub(delta), mid + delta] {
             if (1..n).contains(&i) {
-                if let Some(anchor) = candidate_at(i) {
+                if let Some(anchor) = anchor_between(leaf.key_at(i - 1), leaf.key_at(i)) {
                     return Some((i, anchor));
                 }
             }

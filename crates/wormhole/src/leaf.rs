@@ -646,28 +646,9 @@ impl<V> LeafNode<V> {
         self.key_order.last().map(|&i| self.key(usize::from(i)))
     }
 
-    /// Collects up to `count` items with key `>= start` into `sink`, in key
-    /// order. Returns the number of items accepted.
-    pub fn collect_range_into<S: RangeSink<V>>(
-        &self,
-        start: &[u8],
-        count: usize,
-        sink: &mut S,
-    ) -> usize {
-        debug_assert!(!self.key_view_lags());
-        let begin = self.lower_bound(&self.key_order, start);
-        let run = &self.key_order[begin..];
-        let run = &run[..run.len().min(count)];
-        for (at, &i) in run.iter().enumerate() {
-            self.prefetch_key_ahead(run, at);
-            sink.accept(self.key(usize::from(i)), &self.kvs[usize::from(i)].value);
-        }
-        run.len()
-    }
-
     /// Batch-per-leaf primitive of the single-threaded scan cursor, which
     /// holds the index by shared reference and so cannot run `incSort`:
-    /// like [`LeafNode::collect_range_into`], but usable while the
+    /// like [`LeafNode::collect_leaf_checked`], but usable while the
     /// key-sorted view lags behind. The sorted prefix and the unsorted tail
     /// are merged on the fly, ordering the tail through `scratch` (a
     /// reusable index buffer) instead of cloning the leaf.
@@ -679,7 +660,9 @@ impl<V> LeafNode<V> {
         scratch: &mut Vec<u16>,
     ) -> usize {
         if !self.key_view_lags() {
-            return self.collect_range_into(start, count, sink);
+            return self
+                .collect_leaf_checked(start, count, sink, usize::MAX)
+                .expect("a sorted leaf nobody writes cannot conflict");
         }
         let key = |i: u16| self.key(usize::from(i));
         scratch.clear();
@@ -780,14 +763,16 @@ impl<V> LeafNode<V> {
         }
     }
 
-    /// Batch-per-leaf primitive of the concurrent scan cursor: a
-    /// bounds-checked walk of the key-sorted view, safe on a leaf a
-    /// concurrent writer may be mutating (see [`LeafNode::get_checked`]).
-    /// Any key whose recorded length exceeds `max_key_len` is treated as
-    /// torn state rather than copied, and so is a view that lags: the
-    /// cursor sorts it under the leaf's write lock and reads it there.
-    /// Everything accepted by `sink` must be discarded unless the caller's
-    /// seqlock validation succeeds.
+    /// Collects up to `count` items with key `>= start` into `sink`, in key
+    /// order, and returns how many it accepted: the batch-per-leaf
+    /// primitive of both scan cursors. A bounds-checked walk of the
+    /// key-sorted view, safe on a leaf a concurrent writer may be mutating
+    /// (see [`LeafNode::get_checked`]). Any key whose recorded length
+    /// exceeds `max_key_len` is treated as torn state rather than copied,
+    /// and so is a view that lags: the cursor sorts it under the leaf's
+    /// write lock and reads it there. Everything accepted by `sink` must be
+    /// discarded unless the caller's seqlock validation succeeds. On a
+    /// sorted leaf that nobody writes it cannot conflict.
     pub fn collect_leaf_checked<S: RangeSink<V>>(
         &self,
         start: &[u8],
@@ -1138,7 +1123,9 @@ mod tests {
         }
         leaf.ensure_key_sorted();
         let mut out = Vec::new();
-        let n = leaf.collect_range_into(b"k03", 4, &mut out);
+        let n = leaf
+            .collect_leaf_checked(b"k03", 4, &mut out, usize::MAX)
+            .unwrap();
         assert_eq!(n, 4);
         let keys: Vec<String> = out
             .iter()
@@ -1235,7 +1222,10 @@ mod tests {
             assert_eq!(n, expect.len());
             assert_eq!(got, expect);
             got.clear();
-            assert_eq!(leaf.collect_range_into(b"ck010", 12, &mut got), n);
+            assert_eq!(
+                leaf.collect_leaf_checked(b"ck010", 12, &mut got, usize::MAX),
+                Ok(n)
+            );
             assert_eq!(got, expect);
         }
     }
@@ -1484,10 +1474,10 @@ mod tests {
             }
             let mut contents = Vec::new();
             left.ensure_key_sorted();
-            left.collect_range_into(b"", usize::MAX, &mut contents);
+            left.collect_leaf_checked(b"", usize::MAX, &mut contents, usize::MAX).unwrap();
             if let Some(r) = &mut right {
                 r.ensure_key_sorted();
-                r.collect_range_into(b"", usize::MAX, &mut contents);
+                r.collect_leaf_checked(b"", usize::MAX, &mut contents, usize::MAX).unwrap();
             }
             let expect: Vec<(Vec<u8>, u64)> =
                 model.iter().map(|(k, v)| (k.clone(), *v)).collect();

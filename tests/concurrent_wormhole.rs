@@ -1,6 +1,7 @@
 //! Concurrency-focused integration tests for the thread-safe Wormhole:
-//! multi-threaded writers with disjoint key spaces, readers racing with
-//! structural changes, and end-to-end use through the netsim service.
+//! multi-threaded writers with disjoint and with shared key spaces, readers
+//! racing with structural changes, and end-to-end use through the netsim
+//! service.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,6 +71,48 @@ fn disjoint_writers_preserve_every_key() {
     let scan = wh.range_from(b"", usize::MAX);
     assert_eq!(scan.len(), threads * per_thread as usize);
     assert!(scan.windows(2).all(|w| w[0].0 < w[1].0));
+}
+
+#[test]
+fn contended_writers_insert_and_remove_each_shared_key_once() {
+    // Every writer sets, then deletes, the same keys in the same order, so
+    // writers keep meeting in the same full leaf and re-checking it under
+    // the writer mutex. Each key must be inserted exactly once and removed
+    // exactly once, and the emptied index must merge back into one leaf.
+    // Rounds repeat only under `--release` (scaled by WH_STRESS_MULT for
+    // nightly soaks); debug builds run one.
+    fn race(threads: usize, keys: u64, op: impl Fn(u64) -> bool + Sync) -> usize {
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..keys).filter(|&i| op(i)).count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
+    }
+    let rounds: u64 = if cfg!(debug_assertions) {
+        1
+    } else {
+        40 * stress_mult()
+    };
+    let keys = 2_000u64;
+    let key = |i: u64| format!("shared-{i:06}").into_bytes();
+    for _ in 0..rounds {
+        let wh = Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
+        let inserted = race(4, keys, |i| wh.set(&key(i), i).is_none());
+        assert_eq!(inserted, keys as usize, "a key inserted twice or lost");
+        assert_eq!(wh.len(), keys as usize);
+        wh.check_invariants();
+        let removed = race(4, keys, |i| wh.del(&key(i)).is_some());
+        assert_eq!(removed, keys as usize, "a key removed twice or never");
+        assert_eq!(wh.len(), 0);
+        assert_eq!(wh.leaf_count(), 1, "the emptied index did not merge back");
+    }
 }
 
 #[test]
