@@ -7,6 +7,7 @@
 //! <dir>/wal-<first_lsn>.log    append-only record segments
 //! <dir>/snap-<covered>.snap    full-index snapshots
 //! <dir>/*.tmp                  in-flight snapshot (never load-bearing)
+//! <dir>/snapshot.spare         superseded snapshot the next one overwrites
 //! ```
 //!
 //! File names zero-pad their LSN to twenty digits so lexical order is
@@ -34,15 +35,18 @@
 //!    start a new segment named `wal-<S+1>`. `S` becomes the snapshot's
 //!    `covered_lsn`.
 //! 2. **Fuzzy scan**: stream the whole index through a [`Cursor`] into a
-//!    temp file while writers keep running. The scan may capture any
-//!    subset of the operations racing it. Each batch is encoded into the
-//!    [`snapshot::SnapshotWriter`]'s one 64 KiB chunk, CRC'd and written whole.
+//!    temp file (the spare, renamed, if there is one) while writers keep
+//!    running. The scan may capture any subset of the operations racing
+//!    it. Each batch is encoded into the [`snapshot::SnapshotWriter`]'s
+//!    one 64 KiB chunk, CRC'd and written whole.
 //! 3. **Commit through `S_end`** (the highest LSN assigned when the scan
 //!    finished): every operation the scan *could* have captured is now
 //!    durable in the WAL, so the snapshot never embeds a write that a
 //!    crash could un-happen (prefix consistency).
-//! 4. **Publish** by atomic rename + directory fsync, then delete older
-//!    snapshots and every segment the new snapshot fully covers.
+//! 4. **Publish** by atomic rename + directory fsync, then collect what
+//!    it supersedes: the oldest snapshot becomes the spare that step 2 of
+//!    the next checkpoint overwrites (or is deleted if a spare exists), and
+//!    every segment the retained snapshots cover is deleted.
 //!
 //! Replaying the WAL tail (all records with `lsn > covered_lsn`, in LSN
 //! order) over the fuzzy image converges to the exact committed state:
@@ -189,11 +193,12 @@ impl<V: DurableValue> DurableWormhole<V> {
         let mut report = RecoveryReport::default();
 
         // A leftover `.tmp` is an unpublished snapshot: by the publish
-        // ordering it was never load-bearing, so it is plain garbage.
+        // ordering it was never load-bearing, so its blocks are free to
+        // become the spare.
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
-                fs::remove_file(&path)?;
+                snapshot::retire(&path)?;
             }
         }
 
@@ -407,7 +412,8 @@ impl<V: DurableValue> DurableWormhole<V> {
     }
 
     /// Prunes what the new snapshot supersedes, keeping one generation of
-    /// redundancy: the two newest snapshots survive, and a WAL segment is
+    /// redundancy: the two newest snapshots survive (an older one becomes
+    /// the spare, [`snapshot::retire`]), and a WAL segment is
     /// deleted only when the *older* retained snapshot covers it (its
     /// successor segment starts at or below that snapshot's
     /// `covered + 1`). If the newest snapshot is later found corrupt,
@@ -416,7 +422,7 @@ impl<V: DurableValue> DurableWormhole<V> {
         const RETAIN_SNAPSHOTS: usize = 2;
         let snaps = snapshot::list_snapshots(&self.dir)?;
         for snap in snaps.iter().skip(RETAIN_SNAPSHOTS) {
-            fs::remove_file(snap)?;
+            snapshot::retire(snap)?;
         }
         let retained = &snaps[..snaps.len().min(RETAIN_SNAPSHOTS)];
         let Some(floor) = retained
@@ -738,6 +744,81 @@ mod tests {
         }
         let idx: DurableWormhole<u64> = DurableWormhole::open_with(&dir, options).unwrap();
         assert_eq!(idx.len(), 100, "unsynced tail must not survive");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoint `k` turns snapshot `k - 2` into the spare, so from the
+    /// fourth checkpoint on each one writes into the file its predecessor
+    /// superseded, and the directory never holds more than two snapshots
+    /// plus the spare.
+    #[cfg(unix)]
+    #[test]
+    fn checkpoints_write_into_the_superseded_snapshot_file() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = test_dir("reuse");
+        let ino = |path: &Path| fs::metadata(path).unwrap().ino();
+        let spare = dir.join(snapshot::SPARE);
+        let mut published = Vec::new();
+        {
+            let idx: DurableWormhole<u64> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+            for round in 0..10u64 {
+                for i in 0..200u64 {
+                    idx.set(format!("r-{:03}", (round * 37 + i) % 300).as_bytes(), round);
+                }
+                let spare_ino = spare.exists().then(|| ino(&spare));
+                assert_eq!(spare_ino.is_some(), round >= 3, "round {round}");
+                let covered = idx.checkpoint().unwrap();
+                let newest = ino(&snapshot::snapshot_path(&dir, covered));
+                if let Some(spare_ino) = spare_ino {
+                    assert_eq!(newest, spare_ino, "round {round}");
+                    assert_eq!(newest, published[round as usize - 3], "round {round}");
+                }
+                published.push(newest);
+            }
+        }
+        let mut kept: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| !name.starts_with("wal-"))
+            .collect();
+        kept.sort();
+        assert_eq!(kept.len(), 3, "{kept:?}");
+        assert_eq!(kept[2], snapshot::SPARE);
+        let idx: DurableWormhole<u64> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+        assert_eq!(idx.recovery().skipped_snapshots, 0);
+        assert_eq!(idx.len(), 300);
+        assert_eq!(idx.get(b"r-100"), Some(9));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_small_image_over_a_larger_spare_has_its_own_length() {
+        let dir = test_dir("shrink");
+        {
+            let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+            for round in 0..3 {
+                for i in 0..200u64 {
+                    idx.set(format!("s-{i:03}").as_bytes(), vec![i as u8 + round; 100]);
+                }
+                idx.checkpoint().unwrap();
+            }
+            let spare_len = fs::metadata(dir.join(snapshot::SPARE)).unwrap().len();
+            idx.delete_range(b"s-001", b"s-200");
+            let covered = idx.checkpoint().unwrap();
+            let len = fs::metadata(snapshot::snapshot_path(&dir, covered))
+                .unwrap()
+                .len();
+            // Header, one record ("s-000" -> 100 bytes), count and CRC.
+            assert_eq!(len, 16 + (4 + 5 + 4 + 100) + 12);
+            assert!(spare_len > 200 * 100, "the spare held the full image");
+        }
+        let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+        assert_eq!(idx.recovery().snapshot_records, 1);
+        assert_eq!(idx.recovery().replayed_operations, 0);
+        assert_eq!(
+            idx.range_from(b"", usize::MAX),
+            [(b"s-000".to_vec(), vec![2; 100])]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

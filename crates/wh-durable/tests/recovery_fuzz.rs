@@ -20,15 +20,22 @@
 //!   durability contract proper: every operation acknowledged before the
 //!   crash is present after recovery.
 //!
+//! [`crash_states_around_the_spare_recover_the_committed_model`] then
+//! builds the directory states a crash can leave around the spare
+//! snapshot file (see `wh_durable::snapshot`) and checks that `open`
+//! recovers the committed model, never from the spare, and that the next
+//! checkpoint succeeds.
+//!
 //! Iteration counts scale with `WH_STRESS_MULT` for the nightly soak.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use index_traits::ConcurrentOrderedIndex;
+use index_traits::{ConcurrentOrderedIndex, DurableIndex};
 use wh_durable::record::{encode_delete, encode_delete_range, encode_put};
-use wh_durable::{CrashMode, DurableWormhole, FailpointStorage, Wal};
+use wh_durable::snapshot::{self, SnapshotWriter};
+use wh_durable::{CrashMode, DurableOptions, DurableWormhole, FailpointStorage, SyncPolicy, Wal};
 use wh_hash::crc32c;
 
 fn stress_mult() -> u64 {
@@ -302,5 +309,126 @@ fn acknowledged_operations_survive_mid_append_crashes() {
         }
     }
     assert!(crashed_runs > 0, "no run actually hit its kill point");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// Runs a store through four checkpoints over a shrinking image, then a
+/// synced tail and an unsynced one, and drops it (the crash). The spare
+/// then holds the second image, the longest file in the directory.
+/// Returns the committed state.
+fn store_with_spare(dir: &Path) -> Model {
+    let _ = fs::remove_dir_all(dir);
+    let options = DurableOptions {
+        sync: SyncPolicy::Manual,
+        ..DurableOptions::default()
+    };
+    let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(dir, options).unwrap();
+    let mut model = Model::new();
+    let mut rng = Rng(0xC0FF_EE00_5EED_0028);
+    for round in 0..5u8 {
+        for _ in 0..300 {
+            let key = format!("key-{:03}", rng.next() % 120).into_bytes();
+            if rng.next().is_multiple_of(6) {
+                idx.del(&key);
+                model.remove(&key);
+            } else {
+                let value = vec![b'a' + round; 2048 >> round];
+                idx.set(&key, value.clone());
+                model.insert(key, value);
+            }
+        }
+        match round {
+            0..4 => drop(idx.checkpoint().unwrap()),
+            _ => drop(idx.wal_sync().unwrap()),
+        }
+    }
+    idx.set(b"key-000", b"unsynced".to_vec());
+    idx.del(b"key-001");
+    model
+}
+
+fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+    let paths = fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    paths
+        .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
+        .collect()
+}
+
+/// Opens a store in a crash state and demands exactly the committed
+/// model, rebuilt from the newest snapshot (the spare is never loaded; a
+/// listed spare would be tried first and skipped), no `*.tmp` left and
+/// `spare` as the spare's bytes. Then a checkpoint must succeed and a
+/// reopen still agree.
+fn recover_around_the_spare(dir: &Path, mut model: Model, spare: &[u8], state: &str) {
+    let newest = snapshot::list_snapshots(dir).unwrap()[0].clone();
+    let newest = snapshot::covered_lsn_of(&newest).unwrap();
+    {
+        let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open(dir).unwrap();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
+        assert_eq!(idx.range_from(b"", usize::MAX), expected, "{state}");
+        assert_eq!(idx.recovery().snapshot_covered_lsn, newest, "{state}");
+        assert_eq!(idx.recovery().skipped_snapshots, 0, "{state}");
+        assert_eq!(tmp_files(dir), Vec::<PathBuf>::new(), "{state}");
+        let kept = fs::read(dir.join(snapshot::SPARE)).unwrap();
+        assert!(kept == spare, "{state}: the wrong file became the spare");
+        idx.set(b"key-after", b"checkpoint".to_vec());
+        model.insert(b"key-after".to_vec(), b"checkpoint".to_vec());
+        idx.checkpoint().unwrap();
+    }
+    let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open(dir).unwrap();
+    let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+    assert_eq!(idx.range_from(b"", usize::MAX), expected, "{state}");
+    assert_eq!(idx.recovery().replayed_operations, 0, "{state}");
+    assert_eq!(snapshot::list_snapshots(dir).unwrap().len(), 2, "{state}");
+    assert!(dir.join(snapshot::SPARE).exists(), "{state}");
+}
+
+#[test]
+fn crash_states_around_the_spare_recover_the_committed_model() {
+    let dir = fresh_dir("spare");
+    let spare = dir.join(snapshot::SPARE);
+
+    // A spare holding a complete, valid, older image: it loads under the
+    // name its header gives it.
+    let model = store_with_spare(&dir);
+    let image = fs::read(&spare).unwrap();
+    let lsn = u64::from_le_bytes(image[8..16].try_into().unwrap());
+    let check = fresh_dir("spare-image");
+    fs::write(snapshot::snapshot_path(&check, lsn), &image).unwrap();
+    assert!(snapshot::load_snapshot(&snapshot::snapshot_path(&check, lsn)).is_ok());
+    fs::remove_dir_all(&check).unwrap();
+    recover_around_the_spare(&dir, model, &image, "valid spare");
+
+    // A spare and a leftover `*.tmp` (a copy of the newest snapshot) both
+    // present: the tmp goes, the spare stays.
+    let model = store_with_spare(&dir);
+    let image = fs::read(&spare).unwrap();
+    let newest = &snapshot::list_snapshots(&dir).unwrap()[0];
+    fs::copy(newest, dir.join(format!("snap-{:020}.tmp", u64::MAX))).unwrap();
+    recover_around_the_spare(&dir, model, &image, "spare and tmp");
+
+    // The spare renamed to a checkpoint's `*.tmp` by the production writer,
+    // with nothing, then one chunk, of a new image written over it: the
+    // tmp becomes the spare again.
+    for records in [0usize, 70] {
+        let model = store_with_spare(&dir);
+        let old_len = fs::metadata(&spare).unwrap().len();
+        let final_path = snapshot::snapshot_path(&dir, u64::MAX - 1);
+        let mut writer = SnapshotWriter::create(&final_path, u64::MAX - 1).unwrap();
+        for i in 0..records {
+            let key = format!("key-{i:03}");
+            writer
+                .push(key.as_bytes(), |out| out.extend_from_slice(&[b'!'; 1000]))
+                .unwrap();
+        }
+        drop(writer); // the crash: no count, no CRC, no cut
+        assert!(!spare.exists());
+        let half = fs::read(final_path.with_extension("tmp")).unwrap();
+        assert_eq!(half.len() as u64, old_len, "the old image is longer");
+        assert_eq!(half[8..16] == (u64::MAX - 1).to_le_bytes(), records > 0);
+        recover_around_the_spare(&dir, model, &half, &format!("half-written {records}"));
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
