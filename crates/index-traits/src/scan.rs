@@ -252,88 +252,6 @@ where
     }
 }
 
-/// Chains the scans of several sources whose key spaces are pairwise
-/// disjoint and ascending — segment `i + 1`'s keys are all strictly greater
-/// than segment `i`'s, as holds for the shards of a range-partitioned index.
-///
-/// Segments are produced lazily by a factory closure (so a cross-shard scan
-/// only opens a shard's cursor when the stream actually reaches it) and
-/// consumed in order: each [`CursorSource::fill_next`] delegates to the
-/// current segment, advancing to the next one when it is exhausted. Because
-/// the segments' ranges ascend, the concatenation satisfies the
-/// [`CursorSource`] contract (strictly ascending across every batch) as
-/// long as each segment does.
-///
-/// A whole [`Cursor`] can serve as a segment — see the
-/// [`CursorSource` impl for `Cursor`](Cursor#impl-CursorSource%3CV%3E-for-Cursor%3C'a,+V%3E).
-/// (`ShardedWormhole` used to chain its per-shard cursors through this
-/// type; online rebalancing moved it to its own routed source that
-/// re-validates boundaries per batch, so this remains as the general
-/// static-partition building block.)
-pub struct ChainedSource<'a, V> {
-    /// Produces the next segment, or `None` when every segment has been
-    /// consumed. Invoked exactly once per segment, in chain order.
-    next_segment: Box<dyn FnMut() -> Option<Box<dyn CursorSource<V> + 'a>> + 'a>,
-    current: Option<Box<dyn CursorSource<V> + 'a>>,
-    /// Reserve hint replayed onto each newly opened segment.
-    hint: Option<(usize, usize)>,
-    done: bool,
-}
-
-impl<'a, V> ChainedSource<'a, V> {
-    /// Builds a chain over the segments produced by `next_segment`.
-    pub fn new(
-        next_segment: Box<dyn FnMut() -> Option<Box<dyn CursorSource<V> + 'a>> + 'a>,
-    ) -> Self {
-        Self {
-            next_segment,
-            current: None,
-            hint: None,
-            done: false,
-        }
-    }
-}
-
-impl<'a, V> CursorSource<V> for ChainedSource<'a, V> {
-    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
-        batch.clear();
-        while !self.done {
-            if self.current.is_none() {
-                match (self.next_segment)() {
-                    Some(mut segment) => {
-                        if let Some((items, key_bytes)) = self.hint {
-                            segment.reserve(items, key_bytes);
-                        }
-                        self.current = Some(segment);
-                    }
-                    None => {
-                        self.done = true;
-                        break;
-                    }
-                }
-            }
-            if self
-                .current
-                .as_mut()
-                .expect("segment present")
-                .fill_next(from, batch, limit)
-            {
-                return true;
-            }
-            // Segment exhausted: drop it and move on to the next one.
-            self.current = None;
-        }
-        false
-    }
-
-    fn reserve(&mut self, items: usize, key_bytes: usize) {
-        self.hint = Some((items, key_bytes));
-        if let Some(current) = self.current.as_mut() {
-            current.reserve(items, key_bytes);
-        }
-    }
-}
-
 /// A resumable ordered-scan cursor over an index.
 ///
 /// Borrowing the index for `'a`, the cursor streams pairs in strictly
@@ -520,50 +438,6 @@ impl<'a, V> Cursor<'a, V> {
     /// Returns `true` once the scan is exhausted and fully consumed.
     pub fn is_done(&self) -> bool {
         self.done && self.pos == self.batch.len()
-    }
-}
-
-/// A cursor is itself a [`CursorSource`]: one index's whole scan can serve
-/// as a segment of a larger scan (see [`ChainedSource`]). In steady state
-/// each batch is filled by the cursor's underlying source directly into the
-/// consumer's arena — the cursor's own batch stays empty, so stacking adds
-/// no copy.
-impl<'a, V: Clone> CursorSource<V> for Cursor<'a, V> {
-    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
-        batch.clear();
-        // Pairs already buffered but not consumed (a caller that mixed
-        // `next` with source use) are handed over first, by copy.
-        if self.pos < self.batch.len() {
-            let take = (self.batch.len() - self.pos).min(limit.max(1));
-            for i in self.pos..self.pos + take {
-                let (key, value) = self.batch.get(i);
-                batch.push(key, value.clone());
-            }
-            self.pos += take;
-            return true;
-        }
-        if self.done {
-            return false;
-        }
-        // The tighter of the caller's position and this cursor's own.
-        let from = from.max(self.resume.as_slice());
-        if self.source.fill_next(from, batch, limit.max(1)) {
-            // Keep resumability coherent: everything filled counts as
-            // consumed, so `resume_key` continues after this batch.
-            if let Some(last) = batch.last_key() {
-                crate::key::immediate_successor_into(last, &mut self.resume);
-            }
-            self.batch.clear();
-            self.pos = 0;
-            true
-        } else {
-            self.done = true;
-            false
-        }
-    }
-
-    fn reserve(&mut self, items: usize, key_bytes: usize) {
-        Cursor::reserve(self, items, key_bytes);
     }
 }
 
@@ -770,93 +644,5 @@ mod tests {
         assert!(cursor.next().is_none());
         assert!(cursor.next().is_none(), "exhaustion is sticky");
         assert!(cursor.is_done());
-    }
-
-    /// Three disjoint ascending key ranges chained into one stream, each
-    /// segment served by a whole `Cursor` over its own model index — the
-    /// shape a range-sharded index produces.
-    fn chained_models() -> Vec<Model> {
-        let mut shards = vec![Model::default(), Model::default(), Model::default()];
-        for i in 0..90u64 {
-            shards[(i / 30) as usize].set(format!("key-{i:05}").as_bytes(), i);
-        }
-        shards
-    }
-
-    #[test]
-    fn chained_source_concatenates_disjoint_segments() {
-        let shards = chained_models();
-        let shards_ref = &shards;
-        let mut next = 0usize;
-        let factory = move || -> Option<Box<dyn CursorSource<u64> + '_>> {
-            let shard = shards_ref.get(next)?;
-            next += 1;
-            Some(Box::new(shard.scan(b"")))
-        };
-        let mut cursor = Cursor::new(b"", Box::new(ChainedSource::new(Box::new(factory))));
-        let mut seen = Vec::new();
-        while let Some((k, v)) = cursor.next() {
-            seen.push((k.to_vec(), *v));
-        }
-        assert_eq!(seen.len(), 90);
-        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(seen[0].1, 0);
-        assert_eq!(seen[89].1, 89);
-        assert!(cursor.is_done());
-    }
-
-    #[test]
-    fn chained_source_skips_empty_segments_and_resumes() {
-        let shards = chained_models();
-        // Segment 1 drained empty; the chain must skip straight over it.
-        let make = |start: Vec<u8>| {
-            let shards = &shards;
-            let mut next = 0usize;
-            let mut first = Some(start);
-            let factory = move || -> Option<Box<dyn CursorSource<u64> + '_>> {
-                let shard = shards.get(next)?;
-                next += 1;
-                let from = first.take().unwrap_or_default();
-                Some(Box::new(if next == 2 {
-                    shard.scan(b"zzz") // exhausted immediately
-                } else {
-                    shard.scan(&from)
-                }))
-            };
-            Cursor::new(b"", Box::new(ChainedSource::new(Box::new(factory))))
-        };
-        let mut cursor = make(Vec::new());
-        let mut first_window = Vec::new();
-        cursor.collect_next(10, &mut first_window);
-        assert_eq!(first_window.len(), 10);
-        let resume = cursor.resume_key();
-        drop(cursor);
-        // Resuming a fresh chain from the reported key re-yields nothing.
-        let mut rest = Vec::new();
-        make(resume).collect_next(usize::MAX, &mut rest);
-        assert_eq!(first_window.len() + rest.len(), 60); // segment 1 skipped
-        let mut all = first_window;
-        all.extend(rest);
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "dup or disorder");
-    }
-
-    #[test]
-    fn cursor_as_source_hands_over_buffered_pairs() {
-        let model = populated(10);
-        let mut inner = model.scan(b"");
-        // Consume 3 pairs through `next`, leaving buffered pairs behind.
-        for _ in 0..3 {
-            inner.next();
-        }
-        let mut batch = ScanBatch::new();
-        let mut seen = Vec::new();
-        while CursorSource::fill_next(&mut inner, b"", &mut batch, usize::MAX) {
-            for (k, v) in batch.iter() {
-                seen.push((k.to_vec(), *v));
-            }
-        }
-        assert_eq!(seen.len(), 7, "buffered remainder must not be lost");
-        assert_eq!(seen[0].0, b"key-00003".to_vec());
-        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -495,6 +495,22 @@ pub trait DurableIndex<V>: ConcurrentOrderedIndex<V> {
     }
 }
 
+/// An index that can be built in one pass from a strictly ascending stream
+/// of pairs: how a durable front rebuilds the index it logs from a
+/// snapshot, deriving every inner structure from the sorted records.
+pub trait FromSorted<V>: Sized {
+    /// What the index is built with (its configuration).
+    type Config;
+
+    /// Builds an index holding exactly `pairs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pairs` is not strictly ascending: the source is an
+    /// ordered scan, so an out-of-order pair means it is corrupt.
+    fn from_sorted(config: Self::Config, pairs: impl IntoIterator<Item = (Vec<u8>, V)>) -> Self;
+}
+
 /// A point-only (unordered) index — the cuckoo hash table baseline.
 ///
 /// Figure 13 compares Wormhole's lookup throughput against a hash table that

@@ -1,5 +1,15 @@
-//! `DurableWormhole`: the concurrent Wormhole index with a write-ahead
-//! log and crash-consistent snapshots underneath it.
+//! `DurableWormhole`: a concurrent ordered index — the bare [`Wormhole`]
+//! by default, or any [`FromSorted`] index such as the sharded front —
+//! with a write-ahead log and crash-consistent snapshots underneath it.
+//!
+//! The log sits *above* the index it wraps, so it records what the index
+//! holds and nothing about how the index lays it out: a sharded front's
+//! boundary migration moves keys between shards without changing any
+//! key's value, so it logs nothing, and one log (one sequencer, one group
+//! commit) covers every shard. A write whose key a migration batch has
+//! frozen waits for that batch while it holds the sequencer: the stall is
+//! bounded, and it cannot deadlock, because the freeze's grace period
+//! waits only on router critical sections, never on the WAL's locks.
 //!
 //! # Directory layout
 //!
@@ -70,9 +80,10 @@
 
 use std::fs::{self, OpenOptions};
 use std::io;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-use index_traits::{ConcurrentOrderedIndex, Cursor, DurableIndex, IndexStats};
+use index_traits::{ConcurrentOrderedIndex, Cursor, DurableIndex, FromSorted, IndexStats};
 use parking_lot::Mutex;
 use wormhole::{Wormhole, WormholeConfig};
 
@@ -96,11 +107,12 @@ pub enum SyncPolicy {
     Manual,
 }
 
-/// Tuning for a [`DurableWormhole`].
+/// Tuning for a [`DurableWormhole`]; `C` is the configuration of the
+/// index it logs ([`FromSorted::Config`]).
 #[derive(Debug, Clone, Copy)]
-pub struct DurableOptions {
+pub struct DurableOptions<C = WormholeConfig> {
     /// In-memory index configuration.
-    pub config: WormholeConfig,
+    pub config: C,
     /// When operations are made durable (see [`SyncPolicy`]).
     pub sync: SyncPolicy,
     /// [`DurableIndex::maybe_checkpoint`] triggers once the live WAL
@@ -108,10 +120,10 @@ pub struct DurableOptions {
     pub checkpoint_wal_bytes: u64,
 }
 
-impl Default for DurableOptions {
+impl<C: Default> Default for DurableOptions<C> {
     fn default() -> Self {
         Self {
-            config: WormholeConfig::default(),
+            config: C::default(),
             sync: SyncPolicy::Always,
             checkpoint_wal_bytes: 8 << 20,
         }
@@ -165,29 +177,45 @@ fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("recovery: {msg}"))
 }
 
-/// A crash-durable [`Wormhole`] (see the [module docs](self) for the
-/// write path, checkpoint protocol, and failure policy).
-pub struct DurableWormhole<V: DurableValue> {
-    index: Wormhole<V>,
+/// A crash-durable concurrent index, [`Wormhole`] unless `I` names
+/// another (see the [module docs](self) for the write path, checkpoint
+/// protocol, and failure policy).
+pub struct DurableWormhole<V: DurableValue, I = Wormhole<V>> {
+    index: I,
     wal: Wal,
     dir: PathBuf,
-    options: DurableOptions,
+    sync: SyncPolicy,
+    checkpoint_wal_bytes: u64,
     /// Serialises checkpoints; `maybe_checkpoint` try-locks it so policy
     /// ticks never pile up behind a running checkpoint.
     checkpoint_lock: Mutex<()>,
     recovery: RecoveryReport,
+    /// What `index` holds.
+    values: PhantomData<V>,
 }
 
-impl<V: DurableValue> DurableWormhole<V> {
+impl<V, I> DurableWormhole<V, I>
+where
+    V: DurableValue,
+    I: ConcurrentOrderedIndex<V> + FromSorted<V>,
+{
     /// Opens (or creates) the index persisted in `dir` with default
     /// options: newest valid snapshot + committed WAL tail, exactly the
     /// acknowledged state.
-    pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
+    pub fn open(dir: impl AsRef<Path>) -> io::Result<Self>
+    where
+        I::Config: Default,
+    {
         Self::open_with(dir, DurableOptions::default())
     }
 
-    /// [`DurableWormhole::open`] with explicit options.
-    pub fn open_with(dir: impl AsRef<Path>, options: DurableOptions) -> io::Result<Self> {
+    /// [`DurableWormhole::open`] with explicit options. The index is
+    /// rebuilt with `options.config`, whatever its shape was before the
+    /// drop (a sharded front starts again from the configured boundaries).
+    pub fn open_with(
+        dir: impl AsRef<Path>,
+        options: DurableOptions<I::Config>,
+    ) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let mut report = RecoveryReport::default();
@@ -223,6 +251,11 @@ impl<V: DurableValue> DurableWormhole<V> {
         // stream — leaves are packed directly and the MetaTrieHT is
         // derived from them (`from_sorted`), the paper's observation that
         // only the leaf list needs to be durable.
+        let DurableOptions {
+            config,
+            sync,
+            checkpoint_wal_bytes,
+        } = options;
         let index = match base {
             Some(snap) => {
                 report.snapshot_records = snap.count;
@@ -232,13 +265,13 @@ impl<V: DurableValue> DurableWormhole<V> {
                     undecodable |= value.is_none();
                     Some((key.to_vec(), value?))
                 });
-                let index = Wormhole::from_sorted(options.config, pairs);
+                let index = I::from_sorted(config, pairs);
                 if undecodable {
                     return Err(corrupt("undecodable snapshot value"));
                 }
                 index
             }
-            None => Wormhole::with_config(options.config),
+            None => I::from_sorted(config, std::iter::empty()),
         };
 
         // Replay the committed prefix of every segment, oldest first,
@@ -299,15 +332,28 @@ impl<V: DurableValue> DurableWormhole<V> {
             index,
             wal: Wal::new(storage, next_lsn),
             dir,
-            options,
+            sync,
+            checkpoint_wal_bytes,
             checkpoint_lock: Mutex::new(()),
             recovery: report,
+            values: PhantomData,
         })
     }
 
     /// What recovery found when this handle was opened.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
+    }
+
+    /// The in-memory index, for reads and maintenance: a sharded front's
+    /// `maybe_rebalance`, its metrics and shard handles.
+    ///
+    /// A **write through it bypasses the log**: it is neither recovered
+    /// after a crash nor ordered with the logged writes. Mutate through
+    /// the durable front; a migration is safe here because it moves keys
+    /// without changing what the index holds.
+    pub fn index(&self) -> &I {
+        &self.index
     }
 
     /// The persistence directory.
@@ -368,7 +414,7 @@ impl<V: DurableValue> DurableWormhole<V> {
     }
 
     fn commit_policy(&self, lsn: u64) -> io::Result<()> {
-        match self.options.sync {
+        match self.sync {
             SyncPolicy::Always => self.wal.commit(lsn).map(|_| ()),
             SyncPolicy::Manual => Ok(()),
         }
@@ -441,7 +487,11 @@ impl<V: DurableValue> DurableWormhole<V> {
     }
 }
 
-impl<V: DurableValue> ConcurrentOrderedIndex<V> for DurableWormhole<V> {
+impl<V, I> ConcurrentOrderedIndex<V> for DurableWormhole<V, I>
+where
+    V: DurableValue,
+    I: ConcurrentOrderedIndex<V> + FromSorted<V>,
+{
     fn name(&self) -> &'static str {
         "wormhole-durable"
     }
@@ -491,7 +541,11 @@ impl<V: DurableValue> ConcurrentOrderedIndex<V> for DurableWormhole<V> {
     }
 }
 
-impl<V: DurableValue> DurableIndex<V> for DurableWormhole<V> {
+impl<V, I> DurableIndex<V> for DurableWormhole<V, I>
+where
+    V: DurableValue,
+    I: ConcurrentOrderedIndex<V> + FromSorted<V>,
+{
     fn wal_sync(&self) -> io::Result<u64> {
         self.wal.sync_all()
     }
@@ -506,7 +560,7 @@ impl<V: DurableValue> DurableIndex<V> for DurableWormhole<V> {
     }
 
     fn maybe_checkpoint(&self) -> io::Result<Option<u64>> {
-        if self.wal.current_segment_len() < self.options.checkpoint_wal_bytes {
+        if self.wal.current_segment_len() < self.checkpoint_wal_bytes {
             return Ok(None);
         }
         match self.checkpoint_lock.try_lock() {

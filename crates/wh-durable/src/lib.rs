@@ -2,6 +2,12 @@
 //! crash-consistent snapshots, and recovery that rebuilds the in-memory
 //! structure from the two.
 //!
+//! [`DurableWormhole<V, I>`](durable::DurableWormhole) wraps the index it
+//! is given: the bare `Wormhole` by default, or the sharded front
+//! (`wh_shard::ShardedWormhole`), which then keeps rebalancing live under
+//! one log. All it asks of `I` is the concurrent-index contract plus
+//! [`index_traits::FromSorted`], the bulk load recovery rebuilds it with.
+//!
 //! # The persistence-ordering invariant
 //!
 //! Every layer in this crate follows one discipline, the same
@@ -36,10 +42,10 @@
 //! snapshot falls back to the older retained one plus more WAL replay;
 //! because every record is a last-write-wins state assignment, replaying
 //! from an older position converges to the same state. Only the leaf
-//! records are persisted — the meta trie and hash tables are derived
-//! structures, rebuilt from the sorted leaf stream on open
-//! (`Wormhole::from_sorted`), which is what keeps the log small and the
-//! format independent of the in-memory layout.
+//! records are persisted — the meta trie and hash tables (and a sharded
+//! front's partition) are derived structures, rebuilt from the sorted leaf
+//! stream on open ([`index_traits::FromSorted`]), which is what keeps the
+//! log small and the format independent of the in-memory layout.
 //!
 //! # Crash testing
 //!
@@ -51,7 +57,6 @@
 
 pub mod durable;
 pub mod record;
-pub mod sharded;
 pub mod snapshot;
 pub mod storage;
 pub mod telemetry;
@@ -60,7 +65,6 @@ pub mod wal;
 
 pub use durable::{DurableOptions, DurableWormhole, RecoveryReport, SyncPolicy};
 pub use record::WalRecord;
-pub use sharded::DurableSharded;
 pub use storage::{CrashMode, FailpointHandle, FailpointStorage, FileStorage, WalStorage};
 pub use telemetry::DurableMetrics;
 pub use value::DurableValue;

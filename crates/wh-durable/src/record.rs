@@ -400,6 +400,101 @@ mod tests {
         assert_eq!((valid, committed, max), (buf.len(), N - 1, N));
     }
 
+    /// Replays `buf` and checks what recovery may rely on: the trusted
+    /// prefix ends where the last accepted `Commit` frame ends (0 without
+    /// one) inside `buf`, every accepted frame is byte for byte the
+    /// encoding of the record it decodes to and has a payload of at most
+    /// [`MAX_PAYLOAD`], and replaying that prefix alone trusts all of it
+    /// and commits the same LSN.
+    fn check_replay_of_hostile(buf: &[u8]) {
+        let mut reader = FrameReader::new(buf);
+        let mut last_commit_end = 0;
+        let mut start = 0;
+        while let Some(record) = reader.next() {
+            let end = reader.valid_len();
+            assert!(end - start - FRAME_HEADER <= MAX_PAYLOAD);
+            let mut frame = Vec::new();
+            match &record {
+                WalRecord::Put { lsn, key, value } => encode_put(&mut frame, *lsn, key, value),
+                WalRecord::Delete { lsn, key } => encode_delete(&mut frame, *lsn, key),
+                WalRecord::DeleteRange { lsn, lo, hi } => {
+                    encode_delete_range(&mut frame, *lsn, lo, hi)
+                }
+                WalRecord::Commit { lsn } => {
+                    encode_commit(&mut frame, *lsn);
+                    last_commit_end = end;
+                }
+            }
+            assert_eq!(frame, buf[start..end]);
+            start = end;
+        }
+        let (valid, committed, _) = replay_committed(buf, |record| {
+            assert!(!matches!(record, WalRecord::Commit { .. }));
+        });
+        assert!(valid <= buf.len());
+        assert_eq!(valid, last_commit_end);
+        let (again, recommitted, _) = replay_committed(&buf[..valid], |_| {});
+        assert_eq!((again, recommitted), (valid, committed));
+    }
+
+    /// Seeded arbitrary bytes, and a valid log flipped, cut, or given
+    /// rewritten frame lengths (where the new length fits, again with a
+    /// CRC that matches it, so decoding rather than the checksum must
+    /// reject the frame).
+    #[test]
+    fn hostile_bytes_replay_to_the_last_accepted_commit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0010);
+        let bytes_of = |rng: &mut SmallRng, max: usize| -> Vec<u8> {
+            let len = rng.gen_range(0..max);
+            (0..len).map(|_| rng.gen::<u8>()).collect()
+        };
+        let mut log = Vec::new();
+        let mut frame_starts = Vec::new();
+        for lsn in 1..=60u64 {
+            frame_starts.push(log.len());
+            match rng.gen_range(0..4) {
+                0 => encode_put(
+                    &mut log,
+                    lsn,
+                    &bytes_of(&mut rng, 12),
+                    &bytes_of(&mut rng, 20),
+                ),
+                1 => encode_delete(&mut log, lsn, &bytes_of(&mut rng, 12)),
+                2 => encode_delete_range(&mut log, lsn, b"a", &bytes_of(&mut rng, 8)),
+                _ => encode_commit(&mut log, lsn),
+            }
+        }
+        check_replay_of_hostile(&log);
+
+        for _ in 0..2_000 {
+            check_replay_of_hostile(&bytes_of(&mut rng, 256));
+        }
+        for at in 0..log.len() {
+            let mut bad = log.clone();
+            bad[at] ^= rng.gen_range(1..=255u8);
+            check_replay_of_hostile(&bad);
+            check_replay_of_hostile(&log[..at]);
+        }
+        for &start in &frame_starts {
+            let len = read_u32(&log, start).unwrap();
+            let max = MAX_PAYLOAD as u32;
+            for new_len in [0, 1, 8, len - 1, len + 1, rng.gen(), max, max + 1, u32::MAX] {
+                let mut bad = log.clone();
+                bad[start..start + 4].copy_from_slice(&new_len.to_le_bytes());
+                check_replay_of_hostile(&bad);
+                let payload = start + FRAME_HEADER;
+                if let Some(body) = bad.get(payload..payload + new_len as usize) {
+                    let crc = crc32c(body);
+                    bad[start + 4..payload].copy_from_slice(&crc.to_le_bytes());
+                    check_replay_of_hostile(&bad);
+                }
+            }
+        }
+    }
+
     /// Known-answer frames: the exact bytes (including CRC) of fixed
     /// records. These pin the wire format — see the module docs.
     #[test]

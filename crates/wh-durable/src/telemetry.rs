@@ -1,14 +1,13 @@
 //! Telemetry for the durability layer: fsync count and latency, the
 //! group-commit batch factor, WAL byte volume, and checkpoint durations.
 //!
-//! One [`DurableMetrics`] is owned per WAL (so per [`DurableWormhole`]
-//! shard); [`DurableSharded`] registers each shard's set under a
-//! `…_shard<i>_…` prefix. The fsync counter is the same cell
+//! One [`DurableMetrics`] is owned per WAL, so per [`DurableWormhole`]
+//! whatever index it wraps: a sharded front's shards share one log and
+//! one set of series. The fsync counter is the same cell
 //! [`DurableWormhole::sync_count`] reads — one source of truth.
 //!
 //! [`DurableWormhole`]: crate::DurableWormhole
 //! [`DurableWormhole::sync_count`]: crate::DurableWormhole::sync_count
-//! [`DurableSharded`]: crate::DurableSharded
 
 use wh_telemetry::{Counter, Histogram, Registry};
 

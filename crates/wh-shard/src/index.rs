@@ -7,7 +7,9 @@
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
-use index_traits::{ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, ScanBatch};
+use index_traits::{
+    ConcurrentOrderedIndex, Cursor, CursorSource, FromSorted, IndexStats, ScanBatch,
+};
 use parking_lot::Mutex;
 use wh_epoch::Qsbr;
 use wh_telemetry::{Counter, Registry};
@@ -147,31 +149,7 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
 
     /// Creates an index from a full [`ShardedConfig`].
     pub fn with_config(config: ShardedConfig) -> Self {
-        let (boundaries, inner, rebalance) = config.into_parts();
-        let wormhole_metrics = Arc::new(WormholeMetrics::default());
-        let shards: Vec<Wormhole<V>> = (0..boundaries.len() + 1)
-            .map(|_| Wormhole::with_config_and_metrics(inner, Arc::clone(&wormhole_metrics)))
-            .collect();
-        let ops: Vec<Counter> = (0..shards.len()).map(|_| Counter::new()).collect();
-        let router = Box::into_raw(Box::new(RouterTable {
-            epoch: 0,
-            boundaries: boundaries.into_boxed_slice(),
-            freeze: None,
-        }));
-        let router_qsbr = Qsbr::new();
-        // The index is born migration-idle: fast entries allowed until
-        // the first migration's draining barrier revokes them.
-        router_qsbr.resume_bias();
-        Self {
-            shards: shards.into_boxed_slice(),
-            router: AtomicPtr::new(router),
-            router_qsbr,
-            ops: ops.into_boxed_slice(),
-            metrics: ShardMetrics::default(),
-            wormhole_metrics,
-            rebalance,
-            migration: Mutex::new(MigrationState::default()),
-        }
+        Self::from_sorted(config, std::iter::empty())
     }
 
     /// Creates an index whose boundaries are the quantiles of `sample`
@@ -507,12 +485,13 @@ impl<V> Drop for ShardedWormhole<V> {
     }
 }
 
-/// The cross-shard [`CursorSource`]: streams per-shard cursor *segments*
-/// in global key order, re-routing through the live boundaries whenever
+/// The cross-shard [`CursorSource`]: streams per-shard *segments* in
+/// global key order, re-routing through the live boundaries whenever
 /// the router epoch moves.
 ///
-/// Each segment is the owning shard's native cursor opened at the sweep
-/// bound `resume`. Every batch fill runs inside a router critical section
+/// Each segment is the owning shard's native scan source
+/// ([`Wormhole::scan_source`]), filled from the sweep bound `resume`.
+/// Every batch fill runs inside a router critical section
 /// and first re-validates that the segment's routing decision is still
 /// current (`segment.epoch == router.epoch`); a stale segment is dropped
 /// and re-routed from `resume`, which the live boundaries may now send to
@@ -524,7 +503,7 @@ impl<V> Drop for ShardedWormhole<V> {
 /// authoritative copy; see the crate docs for the full argument.
 ///
 /// In the steady state (no migration, segment mid-shard) a fill is: one
-/// epoch compare, the shard cursor's native leaf-snapshot fill straight
+/// epoch compare, the shard source's native leaf-snapshot fill straight
 /// into the outer arena, and a successor bump of the reused `resume`
 /// buffer — no allocation.
 struct RoutedSource<'a, V: Clone + Send + Sync + 'static> {
@@ -538,9 +517,9 @@ struct RoutedSource<'a, V: Clone + Send + Sync + 'static> {
     done: bool,
 }
 
-/// One per-shard cursor plus the routing decision it was opened under.
+/// One shard's scan source plus the routing decision it was opened under.
 struct Segment<'a, V> {
-    cursor: Cursor<'a, V>,
+    source: Box<dyn CursorSource<V> + 'a>,
     /// Router epoch of the table that routed this segment.
     epoch: u64,
     /// The shard the segment streams.
@@ -587,27 +566,27 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
                 let valid = matches!(segment, Some(seg) if seg.epoch == router.epoch);
                 if !valid {
                     // (Re-)route the sweep bound through the live
-                    // boundaries and open the owning shard's cursor.
+                    // boundaries and open the owning shard's source.
                     let shard = router.route(resume);
-                    let mut cursor = index.shards[shard].scan(resume);
+                    let mut source = Box::new(index.shards[shard].scan_source());
                     if let Some((items, key_bytes)) = *hint {
-                        cursor.reserve(items, key_bytes);
+                        source.reserve(items, key_bytes);
                     }
                     *segment = Some(Segment {
-                        cursor,
+                        source,
                         epoch: router.epoch,
                         shard,
                     });
                 }
                 let seg = segment.as_mut().expect("segment open");
                 let upper = router.boundaries.get(seg.shard);
-                if CursorSource::fill_next(&mut seg.cursor, resume, batch, limit) {
+                if seg.source.fill_next(resume, batch, limit) {
                     // Clamp the segment to its shard's upper boundary:
-                    // keys at/above it that the shard cursor surfaced are
+                    // keys at/above it that the shard source surfaced are
                     // a migration's in-flight copies, whose authoritative
                     // home is still the *donor* — streaming them here
                     // could let the sweep bound advance past copies that
-                    // land behind the shard cursor's internal position,
+                    // land behind the shard source's internal position,
                     // silently skipping them. The donor (or, after the
                     // boundary publishes, a re-routed segment) serves
                     // them instead.
@@ -654,7 +633,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
         self.hint = Some((items, key_bytes));
         self.resume.reserve(key_bytes);
         if let Some(seg) = self.segment.as_mut() {
-            seg.cursor.reserve(items, key_bytes);
+            seg.source.reserve(items, key_bytes);
         }
     }
 }
@@ -801,6 +780,52 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWorm
         total.structure_bytes +=
             self.with_router(|router| router.boundaries.iter().map(Vec::len).sum::<usize>());
         total
+    }
+}
+
+/// Packs each shard from its slice of the sorted stream (the pairs below
+/// its upper boundary), all recording into one shared [`WormholeMetrics`].
+/// The boundaries are the configuration's: where a migration had moved
+/// them is not part of what the index holds.
+impl<V: Clone + Send + Sync + 'static> FromSorted<V> for ShardedWormhole<V> {
+    type Config = ShardedConfig;
+
+    fn from_sorted(config: ShardedConfig, pairs: impl IntoIterator<Item = (Vec<u8>, V)>) -> Self {
+        let (boundaries, inner, rebalance) = config.into_parts();
+        let wormhole_metrics = Arc::new(WormholeMetrics::default());
+        let mut pairs = pairs.into_iter().peekable();
+        let shards: Vec<Wormhole<V>> = (0..boundaries.len() + 1)
+            .map(|i| {
+                let upper = boundaries.get(i);
+                let below_upper =
+                    std::iter::from_fn(|| pairs.next_if(|(key, _)| upper.is_none_or(|b| key < b)));
+                Wormhole::from_sorted_with_metrics(
+                    inner,
+                    Arc::clone(&wormhole_metrics),
+                    below_upper,
+                )
+            })
+            .collect();
+        let ops: Vec<Counter> = (0..shards.len()).map(|_| Counter::new()).collect();
+        let router = Box::into_raw(Box::new(RouterTable {
+            epoch: 0,
+            boundaries: boundaries.into_boxed_slice(),
+            freeze: None,
+        }));
+        let router_qsbr = Qsbr::new();
+        // The index is born migration-idle: fast entries allowed until
+        // the first migration's draining barrier revokes them.
+        router_qsbr.resume_bias();
+        Self {
+            shards: shards.into_boxed_slice(),
+            router: AtomicPtr::new(router),
+            router_qsbr,
+            ops: ops.into_boxed_slice(),
+            metrics: ShardMetrics::default(),
+            wormhole_metrics,
+            rebalance,
+            migration: Mutex::new(MigrationState::default()),
+        }
     }
 }
 

@@ -76,7 +76,9 @@ use std::borrow::Cow;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-use index_traits::{ConcurrentOrderedIndex, Cursor, CursorSource, IndexStats, ScanBatch};
+use index_traits::{
+    ConcurrentOrderedIndex, Cursor, CursorSource, FromSorted, IndexStats, ScanBatch,
+};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use wh_epoch::Qsbr;
 use wh_hash::crc32c;
@@ -457,12 +459,14 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 
     /// Bulk-loads a **strictly ascending** stream of key/value pairs into
-    /// a fresh index by packing leaves directly — the snapshot-restore
-    /// path: instead of `set`-ing every pair through the split machinery
-    /// (O(n) splits, each carving a full leaf), leaves are greedy-packed to
-    /// ~¾ of the configured capacity, and each next leaf is split off the
-    /// tail empty, through the same structural commit as a live split (and
-    /// counted with them).
+    /// a fresh index recording into `metrics` (a sharded front passes one
+    /// `Arc` to every shard, as with [`Self::with_config_and_metrics`]) by
+    /// packing leaves directly — the snapshot-restore path behind
+    /// [`FromSorted`]: instead of `set`-ing every pair through the split
+    /// machinery (O(n) splits, each carving a full leaf), leaves are
+    /// greedy-packed to ~¾ of the configured capacity, and each next leaf
+    /// is split off the tail empty, through the same structural commit as
+    /// a live split (and counted with them).
     ///
     /// The anchor at a boundary is the core engine's
     /// (`core::anchor_between`); when the target boundary admits none
@@ -475,11 +479,12 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// included) — callers stream from an ordered source (a snapshot file
     /// written by an ordered cursor), so an out-of-order pair means the
     /// source is corrupt.
-    pub fn from_sorted(
+    pub fn from_sorted_with_metrics(
         config: WormholeConfig,
+        metrics: Arc<WormholeMetrics>,
         pairs: impl IntoIterator<Item = (Vec<u8>, V)>,
     ) -> Self {
-        let mut wh = Self::with_config(config);
+        let mut wh = Self::with_config_and_metrics(config, metrics);
         // Pack to ¾ capacity so post-restore inserts do not immediately
         // split every leaf, while staying well above the merge threshold.
         let target = (config.leaf_capacity * 3 / 4).max(1);
@@ -523,6 +528,19 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         }
         tail.0.data.write().leaf.ensure_key_sorted();
         wh
+    }
+
+    /// The batch-per-leaf source under [`ConcurrentOrderedIndex::scan`],
+    /// for a consumer that drives fills itself and owns the position (the
+    /// sharded front's cross-shard scan) instead of wrapping a [`Cursor`].
+    pub fn scan_source(&self) -> impl CursorSource<V> + '_ {
+        ScanSource {
+            wh: self,
+            hop: Vec::new(),
+            anchor: Vec::new(),
+            conflicts: 0,
+            done: false,
+        }
     }
 
     /// Whether reads of this index run lock-free, decided by the value type
@@ -1532,20 +1550,19 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
     where
         V: Clone + 'a,
     {
-        Cursor::new(
-            start,
-            Box::new(ScanSource {
-                wh: self,
-                hop: Vec::new(),
-                anchor: Vec::new(),
-                conflicts: 0,
-                done: false,
-            }),
-        )
+        Cursor::new(start, Box::new(self.scan_source()))
     }
 
     fn stats(&self) -> IndexStats {
         Wormhole::stats(self)
+    }
+}
+
+impl<V: Clone + Send + Sync + 'static> FromSorted<V> for Wormhole<V> {
+    type Config = WormholeConfig;
+
+    fn from_sorted(config: WormholeConfig, pairs: impl IntoIterator<Item = (Vec<u8>, V)>) -> Self {
+        Self::from_sorted_with_metrics(config, Arc::default(), pairs)
     }
 }
 

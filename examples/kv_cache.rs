@@ -24,13 +24,14 @@
 //! live — no rebuild, no downtime — until the hot range spans shards
 //! again. Per-shard op counters are printed before and after.
 //!
-//! The third act demonstrates **crash durability**: the cache contents
-//! are persisted into a `DurableSharded` (one write-ahead log per shard),
-//! checkpointed into snapshots, and the in-memory state is dropped — the
-//! process forgetting everything it served. `open()` then rebuilds the
-//! cache from disk (newest snapshot + WAL tail per shard), the contents
-//! are verified entry for entry, and the workers resume serving against
-//! the durable index, with every acknowledged write group-committed.
+//! The third act demonstrates **crash durability**: the cache becomes a
+//! `DurableWormhole` over the same sharded front (one write-ahead log
+//! above the router), its contents are loaded and checkpointed, and the
+//! in-memory state is dropped — the process forgetting everything it
+//! served. `open()` then rebuilds the cache from disk (newest snapshot +
+//! WAL tail), the contents are verified entry for entry, and the workers
+//! resume serving with every acknowledged write group-committed, while a
+//! rebalancer keeps migrating boundaries live under the log.
 //!
 //! Run with: `cargo run --release --example kv_cache`
 
@@ -39,7 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use index_traits::{ConcurrentOrderedIndex, DurableIndex};
-use wh_durable::{DurableOptions, DurableSharded, SyncPolicy};
+use wh_durable::{DurableOptions, DurableWormhole, SyncPolicy};
 use wh_shard::{RebalanceConfig, ShardedConfig, ShardedWormhole};
 use wh_telemetry::{MetricsSnapshot, Registry};
 use workloads::{generate, uniform_indices, KeysetId};
@@ -47,6 +48,9 @@ use workloads::{generate, uniform_indices, KeysetId};
 const KEYS: usize = 200_000;
 const OPS_PER_WORKER: usize = 300_000;
 const SHARDS: usize = 4;
+
+/// The cache made durable: one WAL over the sharded front.
+type DurableStore = DurableWormhole<u64, ShardedWormhole<u64>>;
 
 /// Dumps the cache-facing slice of a [`MetricsSnapshot`]: per-shard load
 /// (the same counters the rebalancer reads), the router path split, and
@@ -80,13 +84,14 @@ fn main() {
     // Boundaries drawn from a thin sample of the keyset: each shard gets
     // roughly a quarter of the traffic, whatever the key distribution.
     let sample: Vec<&[u8]> = keyset.keys.iter().step_by(64).map(Vec::as_slice).collect();
-    let config = ShardedConfig::from_sample(SHARDS, &sample).with_rebalance(RebalanceConfig {
+    let rebalance = RebalanceConfig {
         min_pair_ops: 10_000,
         imbalance_percent: 200,
         batch_keys: 1_024,
         sample_cap: 4_096,
         min_move_keys: 512,
-    });
+    };
+    let config = ShardedConfig::from_sample(SHARDS, &sample).with_rebalance(rebalance.clone());
     let cache: Arc<ShardedWormhole<u64>> = Arc::new(ShardedWormhole::with_config(config));
     // Every layer below records into this registry; the example's stats
     // printing is snapshot dumps of it.
@@ -313,60 +318,62 @@ fn main() {
     println!("invariants hold after live migration — no rebuild, no downtime");
 
     // ---- Act 3: the cache survives its process. ----
-    // Persist the served state into a durable sharded index (one WAL per
-    // shard, boundaries inherited from wherever the rebalancer left
-    // them), checkpoint, and throw the in-memory cache away — then prove
-    // a fresh `open()` serves the exact same contents.
+    // The durable front becomes the cache itself: one write-ahead log above
+    // the same sharded front, boundaries starting where the rebalancer left
+    // them. Load the served state, checkpoint, throw the process state away
+    // — then prove a fresh `open()` serves the exact same contents.
     let store_dir = std::env::temp_dir().join(format!("kv_cache_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     println!("\npersisting the cache to {}…", store_dir.display());
-    let durable_options = DurableOptions {
-        // Bulk load without a barrier per entry; one sync at the end
-        // makes the whole image durable at once.
-        sync: SyncPolicy::Manual,
-        ..DurableOptions::default()
+    // The resumed phase is short and bound by fsyncs, so the store's
+    // rebalancer acts on a smaller sample of traffic than the cache's.
+    let store_config =
+        ShardedConfig::with_boundaries(cache.boundaries()).with_rebalance(RebalanceConfig {
+            min_pair_ops: 1_000,
+            ..rebalance
+        });
+    let options = |sync| DurableOptions {
+        config: store_config.clone(),
+        sync,
+        checkpoint_wal_bytes: 8 << 20,
     };
-    let boundaries = cache.boundaries();
     let expected: Vec<(Vec<u8>, u64)> = cache.range_from(b"", usize::MAX);
+    drop(cache);
     let start = Instant::now();
     {
-        let store: DurableSharded<u64> =
-            DurableSharded::open_with(&store_dir, &boundaries, durable_options)
-                .expect("create durable store");
+        // Bulk load without a barrier per entry; one sync at the end makes
+        // the whole image durable at once.
+        let store = DurableStore::open_with(&store_dir, options(SyncPolicy::Manual))
+            .expect("create durable store");
         for (key, value) in &expected {
             store.set(key, *value);
         }
         store.wal_sync().expect("durability barrier");
-        let covered = store.checkpoint().expect("checkpoint");
+        store.checkpoint().expect("checkpoint");
         println!(
-            "persisted {} entries in {:.2}s (checkpoint covers LSN {covered} per shard)",
+            "persisted {} entries in {:.2}s",
             expected.len(),
             start.elapsed().as_secs_f64()
         );
-        // `store` (and `cache` conceptually) drop here: process state gone.
+        // `store` drops here: process state gone.
     }
-    drop(cache);
 
     let start = Instant::now();
-    let store: Arc<DurableSharded<u64>> = Arc::new(
-        DurableSharded::open_with(&store_dir, &[], DurableOptions::default())
-            .expect("recover durable store"),
-    );
-    // The recovered store's WAL metrics join the dashboard registry.
-    let durable_registry = Arc::new(Registry::new());
+    let store = DurableStore::open_with(&store_dir, options(SyncPolicy::Always))
+        .expect("recover durable store");
+    // The recovered store's WAL metrics go to a registry of their own.
+    let durable_registry = Registry::new();
     store.register_metrics(&durable_registry, "store");
+    let report = store.recovery();
     println!(
-        "recovered {} entries in {:.2}s from snapshots + WAL tails",
+        "recovered {} entries in {:.2}s: {} snapshot records, {} WAL ops replayed, \
+         committed LSN {}",
         store.len(),
-        start.elapsed().as_secs_f64()
+        start.elapsed().as_secs_f64(),
+        report.snapshot_records,
+        report.replayed_operations,
+        report.committed_lsn
     );
-    for s in 0..store.shard_count() {
-        let report = store.shard(s).recovery();
-        println!(
-            "  shard {s}: {} snapshot records, {} WAL ops replayed, committed LSN {}",
-            report.snapshot_records, report.replayed_operations, report.committed_lsn
-        );
-    }
     let recovered: Vec<(Vec<u8>, u64)> = store.range_from(b"", usize::MAX);
     assert_eq!(recovered, expected, "recovered contents diverge");
     println!(
@@ -374,14 +381,36 @@ fn main() {
         recovered.len()
     );
 
-    // Resume serving — same mixed workload shape, now with every
-    // acknowledged SET durable (group commit batches the fsyncs).
+    // Resume serving the uniform mix — every acknowledged SET durable, group
+    // commit batching the fsyncs — while a rebalancer walks the boundaries
+    // the hot shift left behind back toward the uniform load. The migration
+    // logs nothing: it moves keys between shards without changing one.
     let resume_ops = 4_000usize;
+    let live_workers = AtomicUsize::new(workers);
     let start = Instant::now();
     std::thread::scope(|scope| {
+        // Decides once per 3 000 ops rather than per tick of the clock, so
+        // each decision sees the same amount of traffic however slow the
+        // host's fsync is.
+        scope.spawn(|| {
+            let (mut moved, mut next_decision) = (0usize, 0u64);
+            while live_workers.load(Ordering::Relaxed) > 0 {
+                std::thread::sleep(Duration::from_millis(5));
+                let ops: u64 = store.index().op_counts().iter().sum();
+                if ops < next_decision {
+                    continue;
+                }
+                next_decision = ops + 3_000;
+                if let wh_shard::RebalanceOutcome::Migrated(report) =
+                    store.index().maybe_rebalance()
+                {
+                    moved += report.moved_keys;
+                }
+            }
+            println!("rebalancer: {moved} keys moved live under the log");
+        });
         for w in 0..workers {
-            let store = Arc::clone(&store);
-            let keys = &keyset.keys;
+            let (store, keys, live_workers) = (&store, &keyset.keys, &live_workers);
             scope.spawn(move || {
                 let probes = uniform_indices(resume_ops, keys.len(), w as u64 + 4242);
                 for (i, &p) in probes.iter().enumerate() {
@@ -391,41 +420,28 @@ fn main() {
                         std::hint::black_box(store.get(&keys[p]));
                     }
                 }
+                live_workers.fetch_sub(1, Ordering::Relaxed);
             });
         }
     });
     let secs = start.elapsed().as_secs_f64();
-    // The WAL picture, straight off the telemetry snapshot: fsync count
-    // and latency, group-commit batch factor, and bytes appended.
+    store.index().check_invariants();
+    // The WAL picture, straight off the telemetry snapshot: one log for
+    // every shard.
     let snap = durable_registry.snapshot();
-    let mut fsyncs = 0u64;
-    let mut wal_bytes = 0u64;
     let sets = workers * resume_ops / 10;
+    let fsyncs = snap.counter("store_fsyncs_total");
     println!(
         "resumed serving: {} ops in {secs:.2}s",
         workers * resume_ops
     );
-    for s in 0..store.shard_count() {
-        fsyncs += snap.counter(&format!("store_shard{s}_fsyncs_total"));
-        wal_bytes += snap.counter(&format!("store_shard{s}_wal_bytes_total"));
-        if let (Some(latency), Some(batch)) = (
-            snap.histogram(&format!("store_shard{s}_fsync_ns")),
-            snap.histogram(&format!("store_shard{s}_commit_batch_ops")),
-        ) {
-            println!(
-                "  shard {s} WAL: {} fsyncs (p50 {} ns, p99 {} ns), \
-                 batch factor mean {:.1} ops/commit",
-                snap.counter(&format!("store_shard{s}_fsyncs_total")),
-                latency.p50(),
-                latency.p99(),
-                batch.mean(),
-            );
-        }
-    }
+    let batch = snap
+        .histogram("store_commit_batch_ops")
+        .map_or(String::from("n/a"), |batch| format!("{:.1}", batch.mean()));
     println!(
-        "  {sets} durable SETs cost {fsyncs} fsyncs and {wal_bytes} WAL bytes \
-         ({:.1} sets per fsync)",
-        sets as f64 / fsyncs.max(1) as f64
+        "  WAL: {sets} durable SETs cost {fsyncs} fsyncs and {} bytes \
+         (batch factor mean {batch} ops/commit)",
+        snap.counter("store_wal_bytes_total"),
     );
     let _ = std::fs::remove_dir_all(&store_dir);
     println!("the cache now outlives its process — crash recovery is a reopen");

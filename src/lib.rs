@@ -62,8 +62,9 @@ pub use baseline_skiplist as skiplist;
 pub use index_traits as traits;
 pub use netsim;
 /// Crash durability for the index (`wh-durable`): write-ahead log,
-/// crash-consistent snapshots, and the recovering `DurableWormhole` /
-/// `DurableSharded` fronts.
+/// crash-consistent snapshots, and the recovering `DurableWormhole`, one
+/// log over whichever index it wraps (the bare `Wormhole`, or the sharded
+/// front as `DurableWormhole<V, ShardedWormhole<V>>`).
 pub use wh_durable as durable;
 pub use wh_epoch as epoch;
 pub use wh_hash as hash;
