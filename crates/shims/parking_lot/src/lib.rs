@@ -11,6 +11,43 @@ use std::ops::{Deref, DerefMut};
 use std::sync::TryLockError;
 use std::time::Duration;
 
+/// ThreadSanitizer sees only instrumented code, and without `-Zbuild-std`
+/// std's futex mutex is not: built with `--cfg wh_tsan`, [`Mutex`] and
+/// [`Condvar`] tell it by hand that taking the lock acquires, and letting it
+/// go releases, the protected data's address. Other builds compile these to
+/// nothing.
+mod tsan {
+    #[cfg(wh_tsan)]
+    extern "C" {
+        fn __tsan_acquire(addr: *mut std::ffi::c_void);
+        fn __tsan_release(addr: *mut std::ffi::c_void);
+    }
+
+    /// The lock protecting `data` was just taken.
+    #[inline(always)]
+    pub fn acquire<T: ?Sized>(data: &T) {
+        // SAFETY: the call only records a happens-before edge on the address.
+        #[cfg(wh_tsan)]
+        unsafe {
+            __tsan_acquire((data as *const T).cast_mut().cast())
+        }
+        #[cfg(not(wh_tsan))]
+        let _ = data;
+    }
+
+    /// The lock protecting `data` is about to be let go.
+    #[inline(always)]
+    pub fn release<T: ?Sized>(data: &T) {
+        // SAFETY: as in `acquire`.
+        #[cfg(wh_tsan)]
+        unsafe {
+            __tsan_release((data as *const T).cast_mut().cast())
+        }
+        #[cfg(not(wh_tsan))]
+        let _ = data;
+    }
+}
+
 /// A mutual-exclusion lock with parking_lot's non-poisoning API.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -33,16 +70,20 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+        let guard = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        tsan::acquire(&*guard);
+        MutexGuard(Some(guard))
     }
 
     /// Attempts to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.0.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        tsan::acquire(&*guard);
+        Some(MutexGuard(Some(guard)))
     }
 
     /// Returns a mutable reference to the protected value.
@@ -70,6 +111,16 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.0.as_mut().expect("guard present")
+    }
+}
+
+#[cfg(wh_tsan)]
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        // `None` only inside a condvar wait, which annotates for itself.
+        if let Some(guard) = &self.0 {
+            tsan::release(&**guard);
+        }
     }
 }
 
@@ -237,7 +288,9 @@ impl Condvar {
     /// Blocks until notified, releasing the guard's lock while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.0.take().expect("guard present");
+        tsan::release(&*inner);
         let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
+        tsan::acquire(&*inner);
         guard.0 = Some(inner);
     }
 
@@ -248,6 +301,7 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.0.take().expect("guard present");
+        tsan::release(&*inner);
         let (inner, result) = match self.0.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
             Err(e) => {
@@ -255,6 +309,7 @@ impl Condvar {
                 (g, r)
             }
         };
+        tsan::acquire(&*inner);
         guard.0 = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }

@@ -5,18 +5,21 @@
 //! # Model
 //!
 //! * Reader threads register with a [`Qsbr`] domain and obtain a
-//!   [`QsbrHandle`]. A reader wraps each index operation in a
-//!   [`QsbrHandle::critical`] section (or a [`Guard`]); between operations the
-//!   thread is *quiescent*.
+//!   [`QsbrHandle`]. A reader wraps each index operation in a critical
+//!   section, the [`Guard`] that [`QsbrHandle::enter`] returns; between
+//!   operations the thread is *quiescent*.
 //! * A writer that unpublishes an object (e.g. the previous version of the
 //!   MetaTrieHT) calls [`Qsbr::synchronize`] — which blocks until every
 //!   registered reader has passed through a quiescent state since the call —
 //!   or [`Qsbr::defer`] to queue the reclamation and let a later
-//!   `synchronize`/`try_flush` free it.
+//!   `synchronize` (or [`Qsbr::wait_grace`], or the owner's drop of the
+//!   domain) free it.
 //!
-//! The implementation uses a global epoch counter and per-thread local epoch
-//! counters, the classic QSBR construction described by McKenney (user-space
-//! RCU) and used by the paper's C implementation.
+//! The implementation uses a global epoch counter and, per reader, one word
+//! holding its last announced epoch and an in-section bit: the classic QSBR
+//! construction described by McKenney (user-space RCU) and used by the
+//! paper's C implementation. A grace-period wait yields to a reader it
+//! finds inside a section a few times, then sleeps in short steps.
 //!
 //! # Biased fast entries
 //!
@@ -24,13 +27,11 @@
 //! (e.g. the shard router table, which changes only during a migration) can
 //! opt into a *biased* mode: while [`Qsbr::resume_bias`] is in effect,
 //! [`QsbrHandle::try_fast`] grants a [`FastGuard`] read section that costs
-//! one relaxed store, one fence, and one flag load — no epoch bookkeeping
-//! and no condvar traffic. Before retiring anything the writer calls
-//! [`Qsbr::drain_barrier`], which revokes the bias, waits out in-flight fast
-//! sections, and forces a grace period for classic sections; fast entries
-//! then decline (readers fall back to [`QsbrHandle::enter`]) until the
-//! writer resumes the bias. Grace-period waiters are additionally counted,
-//! so uncontended critical-section exits skip the condvar notify entirely.
+//! one relaxed store, one fence, and one flag load — no epoch bookkeeping.
+//! Before retiring anything the writer calls [`Qsbr::drain_barrier`], which
+//! revokes the bias, waits out in-flight fast sections, and forces a grace
+//! period for classic sections; fast entries then decline (readers fall
+//! back to [`QsbrHandle::enter`]) until the writer resumes the bias.
 //!
 //! # Why not `crossbeam_epoch`?
 //!

@@ -2,8 +2,9 @@
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use wh_telemetry::{Counter, Gauge, Histogram, Registry};
 
 /// A queued reclamation callback and the epoch it was queued at.
@@ -50,44 +51,44 @@ impl EpochMetrics {
     }
 }
 
-/// Per-reader-thread state tracked by the domain.
+/// Per-reader-thread state tracked by the domain. Only the owning thread
+/// writes either word.
 #[derive(Debug)]
 struct ThreadState {
-    /// `true` while the thread is inside a read-side critical section.
-    active: AtomicBool,
-    /// Epoch of the most recent quiescent state announced by the thread.
-    local_epoch: AtomicU64,
+    /// `epoch << 1 | in_section`: the epoch of the most recent quiescent
+    /// state the thread announced, and whether it is inside a read-side
+    /// critical section now.
+    word: AtomicU64,
     /// Biased fast-section generation: odd while the thread is inside a
-    /// [`FastGuard`] section, even otherwise. Only the owning thread writes
-    /// it; [`Qsbr::drain_barrier`] spins on it becoming even.
+    /// [`FastGuard`] section, even otherwise. [`Qsbr::drain_barrier`]
+    /// waits for it to become even.
     fast_gen: AtomicU64,
 }
 
+impl ThreadState {
+    /// Whether the thread has passed the grace period whose
+    /// [`Qsbr::start_grace`] returned `target`: it is outside any critical
+    /// section right now (it will see the new pointer when it re-enters),
+    /// or it has announced a quiescent state at or beyond `target`.
+    fn passed(&self, target: u64) -> bool {
+        let word = self.word.load(Ordering::SeqCst);
+        word & 1 == 0 || word >> 1 >= target
+    }
+}
+
 /// Shared state of a QSBR domain.
-#[derive(Default)]
 struct Shared {
     /// Unique id of this domain (used by the thread-local handle cache).
     domain_id: u64,
+    /// Set when the owning [`Qsbr`] drops; thread caches then let go of
+    /// their handles to the domain.
+    closed: AtomicBool,
     /// Monotonically increasing grace-period counter.
     global_epoch: AtomicU64,
     /// All registered reader threads.
     threads: Mutex<Vec<Arc<ThreadState>>>,
     /// Deferred destructors: (epoch at which they were queued, callback).
     deferred: Mutex<Vec<DeferredCallback>>,
-    /// Notified whenever a reader announces a quiescent state, so writers
-    /// waiting in `synchronize` do not have to spin.
-    quiesce_cv: Condvar,
-    /// Mutex paired with `quiesce_cv` (holds nothing, used only for waiting).
-    quiesce_lock: Mutex<()>,
-    /// Number of threads currently blocked on `quiesce_cv`. Readers leaving a
-    /// critical section only `notify_all` when this is non-zero, so
-    /// uncontended exits are store-only. Waiters increment it *before*
-    /// re-checking their condition under `quiesce_lock`; combined with the
-    /// SeqCst store/load pairing this forms the classic flag/flag handshake:
-    /// either the exiting reader sees the waiter (and notifies) or the waiter
-    /// sees the reader's updated state (and never sleeps). The 1ms timed wait
-    /// bounds the damage of any platform surprise to a single tick.
-    waiters: AtomicU64,
     /// `true` while the domain is *biased*: no retirement is in progress, so
     /// [`QsbrHandle::try_fast`] entries may elide the critical-section
     /// bookkeeping entirely. Revoked by [`Qsbr::drain_barrier`] before any
@@ -98,27 +99,12 @@ struct Shared {
     metrics: EpochMetrics,
 }
 
-impl Drop for Shared {
-    fn drop(&mut self) {
-        // The domain is going away: no handle (and therefore no reader)
-        // exists any more, so every pending grace period has trivially
-        // elapsed. Run — don't leak — the callbacks that were deferred after
-        // the last `synchronize`, e.g. ones queued after the final reader
-        // unregistered.
-        let callbacks: Vec<DeferredCallback> = self.deferred.get_mut().drain(..).collect();
-        self.metrics.deferred_depth.set(0);
-        for (_, f) in callbacks {
-            f();
-        }
-    }
-}
-
 /// A quiescent-state-based reclamation domain.
 ///
-/// Cloning a `Qsbr` produces another handle to the same domain (the state is
-/// reference-counted), so an index can embed one and hand clones to helper
-/// structures.
-#[derive(Clone, Default)]
+/// A domain has one owner, the structure whose retirements it orders;
+/// threads that need the domain itself share that owner. Dropping the
+/// owner waits out readers inside a section, then runs every callback
+/// still deferred, even while a [`QsbrHandle`] to the domain lives on.
 pub struct Qsbr {
     shared: Arc<Shared>,
 }
@@ -151,9 +137,9 @@ struct LocalHandles {
     /// (router, then the key's shard) falls through to the scan.
     /// Domain ids start at 1; id 0 marks the empty state.
     last: std::cell::Cell<(u64, *const QsbrHandle)>,
-    /// Every handle this thread has registered. Boxed so the addresses
-    /// stay stable when the vector grows; never removed while the thread
-    /// lives.
+    /// The handles this thread has registered. Boxed so the addresses
+    /// stay stable when the vector grows; registering another first drops
+    /// those whose domain is closed.
     all: std::cell::RefCell<Vec<(u64, Box<QsbrHandle>)>>,
 }
 
@@ -166,31 +152,43 @@ thread_local! {
     };
 }
 
+/// Waits until `done` holds. Read sections never block, so one that lasts
+/// means its reader was *preempted* inside it (common on oversubscribed
+/// hosts): hand it the CPU a few times, then back off to short sleeps.
+fn backoff_until(mut done: impl FnMut() -> bool) {
+    let mut yields = 0u32;
+    while !done() {
+        if yields < 64 {
+            yields += 1;
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+}
+
 impl Qsbr {
     /// Creates a new, empty domain.
+    #[allow(clippy::new_without_default, reason = "a domain is its owner's")]
     pub fn new() -> Self {
-        let shared = Shared {
-            domain_id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
-            global_epoch: AtomicU64::new(0),
-            threads: Mutex::new(Vec::new()),
-            deferred: Mutex::new(Vec::new()),
-            quiesce_cv: Condvar::new(),
-            quiesce_lock: Mutex::new(()),
-            waiters: AtomicU64::new(0),
-            bias: AtomicBool::new(false),
-            metrics: EpochMetrics::default(),
-        };
         Self {
-            shared: Arc::new(shared),
+            shared: Arc::new(Shared {
+                domain_id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
+                closed: AtomicBool::new(false),
+                global_epoch: AtomicU64::new(0),
+                threads: Mutex::new(Vec::new()),
+                deferred: Mutex::new(Vec::new()),
+                bias: AtomicBool::new(false),
+                metrics: EpochMetrics::default(),
+            }),
         }
     }
 
     /// Runs `f` with this thread's cached reader handle for the domain,
     /// registering one on first use.
     ///
-    /// The cached handle stays registered for the lifetime of the thread (or
-    /// until the domain is dropped by its last owner), which mirrors how
-    /// long-lived worker threads use QSBR in practice.
+    /// The cached handle stays registered until the thread exits or, once
+    /// the domain's owner has dropped, until the thread next registers.
     pub fn with_local_handle<R>(&self, f: impl FnOnce(&QsbrHandle) -> R) -> R {
         let id = self.shared.domain_id;
         LOCAL_HANDLES.with(|local| {
@@ -204,6 +202,7 @@ impl Qsbr {
                 let ptr: *const QsbrHandle = match handles.iter().find(|(hid, _)| *hid == id) {
                     Some((_, handle)) => handle.as_ref(),
                     None => {
+                        handles.retain(|(_, h)| !h.shared.closed.load(Ordering::Relaxed));
                         handles.push((id, Box::new(self.register())));
                         handles.last().expect("just pushed").1.as_ref()
                     }
@@ -211,20 +210,20 @@ impl Qsbr {
                 local.last.set((id, ptr));
                 ptr
             };
-            // SAFETY: the handle is heap-allocated (boxed), entries are never
-            // removed while the thread lives, and the cache — including the
-            // `last` pointer into it, which lives and dies with it in the
-            // same thread-local — is thread-local, so the pointee is valid
-            // and not aliased mutably for the duration of `f`.
+            // SAFETY: the handle is boxed and the cache, `last` included,
+            // is thread-local. Registering removes only entries of closed
+            // domains: not this one (`&self` keeps its owner alive), nor an
+            // enclosing call's, whose owner is borrowed as long. So the
+            // pointee is valid and not aliased mutably while `f` runs.
             f(unsafe { &*handle_ptr })
         })
     }
 
     /// Registers the calling thread as a reader and returns its handle.
     pub fn register(&self) -> QsbrHandle {
+        let epoch = self.shared.global_epoch.load(Ordering::SeqCst);
         let state = Arc::new(ThreadState {
-            active: AtomicBool::new(false),
-            local_epoch: AtomicU64::new(self.shared.global_epoch.load(Ordering::SeqCst)),
+            word: AtomicU64::new(epoch << 1),
             fast_gen: AtomicU64::new(0),
         });
         self.shared.threads.lock().push(Arc::clone(&state));
@@ -247,7 +246,8 @@ impl Qsbr {
     }
 
     /// Waits until every registered reader has passed through a quiescent
-    /// state (or is currently quiescent) after this call began.
+    /// state (or is currently quiescent) after this call began, and runs
+    /// every callback deferred before it.
     ///
     /// The calling thread must not be inside one of its own read-side
     /// critical sections, otherwise the wait would deadlock.
@@ -276,46 +276,7 @@ impl Qsbr {
         let timing = wh_telemetry::start_timing();
         let threads: Vec<Arc<ThreadState>> = self.shared.threads.lock().clone();
         for t in threads {
-            let mut spins = 0u32;
-            loop {
-                // A reader counts as having passed the grace period when it is
-                // either outside any critical section *right now* (it will see
-                // the new pointer when it re-enters), or it has announced a
-                // quiescent state with an epoch at or beyond the target.
-                if !t.active.load(Ordering::SeqCst)
-                    || t.local_epoch.load(Ordering::SeqCst) >= target
-                {
-                    break;
-                }
-                // Read-side critical sections never block, so an active flag
-                // almost always means the reader was *preempted* mid-section
-                // (common on oversubscribed hosts, where this wait is on the
-                // scheduling latency, not the section length). Hand it the
-                // CPU a few times before falling back to timed sleeps.
-                if spins < 64 {
-                    spins += 1;
-                    std::thread::yield_now();
-                    continue;
-                }
-                // Announce the waiter *before* the locked re-check: an exiting
-                // reader stores its state and then loads `waiters` (both
-                // SeqCst), so either it observes our increment and notifies,
-                // or its state update is visible to the re-check below.
-                self.shared.waiters.fetch_add(1, Ordering::SeqCst);
-                let mut g = self.shared.quiesce_lock.lock();
-                // Re-check under the lock to avoid missing a wakeup.
-                if !t.active.load(Ordering::SeqCst)
-                    || t.local_epoch.load(Ordering::SeqCst) >= target
-                {
-                    self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
-                    break;
-                }
-                self.shared
-                    .quiesce_cv
-                    .wait_for(&mut g, std::time::Duration::from_millis(1));
-                drop(g);
-                self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
-            }
+            backoff_until(|| t.passed(target));
         }
         self.run_deferred_up_to(target);
         self.shared.metrics.grace_wait_ns.record_elapsed(timing);
@@ -331,9 +292,7 @@ impl Qsbr {
     /// the start-early/wait-late pattern made the wait free (e.g. the shard
     /// migration engine reports elapsed-for-free vs blocking grace waits).
     pub fn grace_elapsed(&self, target: u64) -> bool {
-        self.shared.threads.lock().iter().all(|t| {
-            !t.active.load(Ordering::SeqCst) || t.local_epoch.load(Ordering::SeqCst) >= target
-        })
+        self.shared.threads.lock().iter().all(|t| t.passed(target))
     }
 
     /// Whether the domain is currently biased (fast entries allowed).
@@ -385,19 +344,7 @@ impl Qsbr {
         fence(Ordering::SeqCst);
         let threads: Vec<Arc<ThreadState>> = self.shared.threads.lock().clone();
         for t in threads {
-            let mut spins = 0u32;
-            while t.fast_gen.load(Ordering::Acquire) & 1 == 1 {
-                // Fast sections are a few loads long; an odd generation that
-                // persists means the reader was preempted mid-section. Yield
-                // first, then back off to timed sleeps (no condvar here —
-                // fast exits are store-only by design and never notify).
-                if spins < 64 {
-                    spins += 1;
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-            }
+            backoff_until(|| t.fast_gen.load(Ordering::Acquire) & 1 == 0);
         }
         // Fast sections are drained; now order against classic critical
         // sections that were already inside `enter` when the flag flipped.
@@ -416,11 +363,6 @@ impl Qsbr {
         // against a concurrent drain's own update.
         self.shared.metrics.deferred_depth.set(q.len() as u64);
         q.len()
-    }
-
-    /// Runs all deferred callbacks after forcing a grace period.
-    pub fn flush(&self) {
-        self.synchronize();
     }
 
     /// Number of callbacks still waiting for a grace period.
@@ -449,6 +391,16 @@ impl Qsbr {
     }
 }
 
+impl Drop for Qsbr {
+    fn drop(&mut self) {
+        // Nothing can defer into the domain any more, so one grace period
+        // runs every callback still queued — here, not whenever the last
+        // cached or registered handle lets go of the shared state.
+        self.shared.closed.store(true, Ordering::Relaxed);
+        self.synchronize();
+    }
+}
+
 /// A registered reader thread's handle to a [`Qsbr`] domain.
 ///
 /// The handle is `Send` (it can be created on one thread and moved to the
@@ -457,16 +409,17 @@ impl Qsbr {
 pub struct QsbrHandle {
     shared: Arc<Shared>,
     state: Arc<ThreadState>,
-    /// Keeps the handle `!Sync` (one reader thread per handle — the
-    /// `fast_gen` protocol relies on single-writer generations) now that
-    /// the section-entry count lives in the domain-wide [`EpochMetrics`].
+    /// Keeps the handle `!Sync`: both words of its state have one writer.
     _not_sync: std::marker::PhantomData<std::cell::Cell<()>>,
 }
 
 impl std::fmt::Debug for QsbrHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QsbrHandle")
-            .field("active", &self.state.active.load(Ordering::Relaxed))
+            .field(
+                "active",
+                &(self.state.word.load(Ordering::Relaxed) & 1 == 1),
+            )
             .finish()
     }
 }
@@ -478,23 +431,17 @@ impl QsbrHandle {
     /// pointers remain valid. Dropping the guard announces a quiescent state.
     #[inline]
     pub fn enter(&self) -> Guard<'_> {
-        self.state.active.store(true, Ordering::SeqCst);
+        let word = self.state.word.load(Ordering::Relaxed);
+        self.state.word.store(word | 1, Ordering::SeqCst);
         self.shared.metrics.section_entries.inc();
         Guard { handle: self }
-    }
-
-    /// Runs `f` inside a read-side critical section.
-    #[inline]
-    pub fn critical<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.enter();
-        f()
     }
 
     /// Attempts a *biased* fast entry: succeeds only while the domain is
     /// biased (no retirement in progress, see [`Qsbr::resume_bias`]), in
     /// which case the returned guard protects RCU-dereferenced pointers with
     /// one relaxed store, one fence, and one flag load — no critical-section
-    /// bookkeeping, no grace-period participation, no notify on exit.
+    /// bookkeeping and no grace-period participation.
     /// Returns `None` when the domain is unbiased; the caller must fall back
     /// to [`QsbrHandle::enter`].
     ///
@@ -522,28 +469,16 @@ impl QsbrHandle {
             None
         }
     }
-
-    /// Number of classic critical-section entries made in this handle's
-    /// *domain* (the telemetry counter is the single source of truth; the
-    /// per-handle count this used to return is gone).
-    ///
-    /// Diagnostic for tests asserting that a biased hot path stays out of
-    /// critical sections; fast entries are not counted.
-    pub fn section_entries(&self) -> u64 {
-        self.shared.metrics.section_entries.get()
-    }
 }
 
 impl Drop for QsbrHandle {
     fn drop(&mut self) {
         // Unregister: remove this thread's state from the domain so writers
         // stop waiting on it.
-        let mut threads = self.shared.threads.lock();
-        threads.retain(|t| !Arc::ptr_eq(t, &self.state));
-        drop(threads);
-        if self.shared.waiters.load(Ordering::SeqCst) != 0 {
-            self.shared.quiesce_cv.notify_all();
-        }
+        self.shared
+            .threads
+            .lock()
+            .retain(|t| !Arc::ptr_eq(t, &self.state));
     }
 }
 
@@ -555,19 +490,10 @@ pub struct Guard<'a> {
 
 impl Drop for Guard<'_> {
     fn drop(&mut self) {
-        let state = &self.handle.state;
-        let shared = &self.handle.shared;
-        // Leaving the critical section is itself a quiescent state.
-        let epoch = shared.global_epoch.load(Ordering::SeqCst);
-        state.local_epoch.store(epoch, Ordering::SeqCst);
-        state.active.store(false, Ordering::SeqCst);
-        // Only wake grace-period waiters that actually exist: the SeqCst
-        // store above + SeqCst load here pair with the waiter's SeqCst
-        // increment-then-recheck, so a missed notify implies the waiter saw
-        // our exit. Uncontended drops stay store-only.
-        if shared.waiters.load(Ordering::SeqCst) != 0 {
-            shared.quiesce_cv.notify_all();
-        }
+        // Leaving the critical section is itself a quiescent state: one
+        // store announces the epoch seen and clears the in-section bit.
+        let epoch = self.handle.shared.global_epoch.load(Ordering::SeqCst);
+        self.handle.state.word.store(epoch << 1, Ordering::SeqCst);
     }
 }
 
@@ -649,13 +575,13 @@ mod tests {
 
     #[test]
     fn synchronize_waits_for_active_reader() {
-        let q = Qsbr::new();
+        let q = StdArc::new(Qsbr::new());
         let h = q.register();
         let entered = StdArc::new(AtomicBool::new(false));
         let released = StdArc::new(AtomicBool::new(false));
         let done = StdArc::new(AtomicBool::new(false));
 
-        let q2 = q.clone();
+        let q2 = StdArc::clone(&q);
         let entered2 = StdArc::clone(&entered);
         let released2 = StdArc::clone(&released);
         let reader = thread::spawn(move || {
@@ -698,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn deferred_callbacks_run_after_flush() {
+    fn deferred_callbacks_run_after_synchronize() {
         let q = Qsbr::new();
         let counter = StdArc::new(AtomicUsize::new(0));
         for _ in 0..5 {
@@ -709,7 +635,7 @@ mod tests {
         }
         assert_eq!(q.pending(), 5);
         assert_eq!(counter.load(Ordering::SeqCst), 0);
-        q.flush();
+        q.synchronize();
         assert_eq!(counter.load(Ordering::SeqCst), 5);
         assert_eq!(q.pending(), 0);
     }
@@ -740,22 +666,43 @@ mod tests {
     }
 
     #[test]
-    fn deferred_callbacks_run_when_last_handle_outlives_domain() {
-        // A reader handle keeps the shared domain state alive; the flush
-        // must happen when the *last* owner (here, the handle) goes away.
+    fn deferred_callbacks_run_at_owner_drop_while_a_handle_lives() {
+        // A reader handle keeps the shared domain state alive, but not the
+        // queue: the callbacks run when the owner drops, not when the last
+        // handle does.
         let ran = StdArc::new(AtomicUsize::new(0));
-        let h = {
+        let q = Qsbr::new();
+        let h = q.register();
+        let c = StdArc::clone(&ran);
+        q.defer(Box::new(move || {
+            c.fetch_add(1, Ordering::SeqCst);
+        }));
+        drop(q);
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        drop(h);
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_thread_lets_go_of_dropped_domains() {
+        // A thread that uses many short-lived domains through its handle
+        // cache: each owner's drop runs what was deferred on it, and the
+        // cache lets go of the domain when it next registers a handle.
+        let live = Qsbr::new();
+        let ran = StdArc::new(AtomicUsize::new(0));
+        for _ in 0..100 {
             let q = Qsbr::new();
-            let h = q.register();
+            q.with_local_handle(|h| drop(h.enter()));
             let c = StdArc::clone(&ran);
             q.defer(Box::new(move || {
                 c.fetch_add(1, Ordering::SeqCst);
             }));
-            h
-        };
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-        drop(h);
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
+            drop(q);
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 100, "every drop ran its queue");
+        live.with_local_handle(|h| drop(h.enter()));
+        let cached = LOCAL_HANDLES.with(|local| local.all.borrow().len());
+        assert!(cached <= 2, "{cached} handles cached");
     }
 
     #[test]
@@ -765,14 +712,14 @@ mod tests {
         // A miniature RCU usage mirroring the MetaTrieHT double-table scheme:
         // readers dereference an atomic pointer inside a critical section,
         // a writer swaps it and waits for a grace period before freeing.
-        let q = Qsbr::new();
+        let q = StdArc::new(Qsbr::new());
         let initial = Box::into_raw(Box::new(vec![1u64; 64]));
         let ptr = StdArc::new(AtomicPtr::new(initial));
         let stop = StdArc::new(AtomicBool::new(false));
 
         let mut readers = Vec::new();
         for _ in 0..4 {
-            let q = q.clone();
+            let q = StdArc::clone(&q);
             let ptr = StdArc::clone(&ptr);
             let stop = StdArc::clone(&stop);
             readers.push(thread::spawn(move || {
@@ -863,7 +810,7 @@ mod tests {
         q.wait_grace(target);
         assert_eq!(ran.load(Ordering::SeqCst), 1);
         assert_eq!(q.pending(), 1);
-        q.flush();
+        q.synchronize();
         assert_eq!(ran.load(Ordering::SeqCst), 101);
     }
 
@@ -892,31 +839,28 @@ mod tests {
         let q = Qsbr::new();
         q.resume_bias();
         let h = q.register();
-        assert_eq!(h.section_entries(), 0);
+        let entries = || q.metrics().section_entries.get();
+        assert_eq!(entries(), 0);
         for _ in 0..10 {
             let fast = h.try_fast().expect("biased domain");
             drop(fast);
         }
-        assert_eq!(h.section_entries(), 0, "fast entries are not sections");
-        h.critical(|| ());
+        assert_eq!(entries(), 0, "fast entries are not sections");
+        drop(h.enter());
         {
             // Unbiased attempt falls back to a classic section at the caller.
             // A separate domain: its counter is independent of `q`'s.
             let q2 = Qsbr::new();
             let h2 = q2.register();
             assert!(h2.try_fast().is_none());
-            h2.critical(|| ());
-            assert_eq!(h2.section_entries(), 1);
+            drop(h2.enter());
+            assert_eq!(q2.metrics().section_entries.get(), 1);
         }
-        assert_eq!(h.section_entries(), 1);
-        // The count is domain-wide telemetry, not per-handle: a second
-        // handle on the same domain reads the same counter, which is also
-        // reachable without any handle through `Qsbr::metrics`.
+        assert_eq!(entries(), 1);
+        // The count is domain-wide: a second handle adds to the same cell.
         let h3 = q.register();
-        h3.critical(|| ());
-        assert_eq!(h.section_entries(), 2);
-        assert_eq!(h3.section_entries(), 2);
-        assert_eq!(q.metrics().section_entries.get(), 2);
+        drop(h3.enter());
+        assert_eq!(entries(), 2);
     }
 
     #[test]
@@ -936,8 +880,8 @@ mod tests {
             assert_eq!(gauge.get(), i);
         }
         assert_eq!(gauge.high_water(), 4);
-        q.flush();
-        assert_eq!(gauge.get(), 0, "flush must drain the gauge");
+        q.synchronize();
+        assert_eq!(gauge.get(), 0, "a grace period must drain the gauge");
         let c = StdArc::clone(&ran);
         q.defer(Box::new(move || {
             c.fetch_add(1, Ordering::SeqCst);
@@ -951,7 +895,7 @@ mod tests {
 
     #[test]
     fn drain_barrier_waits_for_inflight_fast_section() {
-        let q = Qsbr::new();
+        let q = StdArc::new(Qsbr::new());
         q.resume_bias();
         let h = q.register();
         let entered = StdArc::new(AtomicBool::new(false));
@@ -972,7 +916,7 @@ mod tests {
         while !entered.load(Ordering::SeqCst) {
             thread::sleep(Duration::from_millis(1));
         }
-        let q2 = q.clone();
+        let q2 = StdArc::clone(&q);
         let drained2 = StdArc::clone(&drained);
         let barrier = thread::spawn(move || {
             q2.drain_barrier();
@@ -996,7 +940,7 @@ mod tests {
         // The full biased protocol under load: readers prefer fast sections
         // and fall back to classic ones while the writer is mid-swap; the
         // writer brackets every retire cycle with drain_barrier/resume_bias.
-        let q = Qsbr::new();
+        let q = StdArc::new(Qsbr::new());
         q.resume_bias();
         let initial = Box::into_raw(Box::new(vec![1u64; 64]));
         let ptr = StdArc::new(AtomicPtr::new(initial));
@@ -1005,7 +949,7 @@ mod tests {
 
         let mut readers = Vec::new();
         for _ in 0..4 {
-            let q = q.clone();
+            let q = StdArc::clone(&q);
             let ptr = StdArc::clone(&ptr);
             let stop = StdArc::clone(&stop);
             let fast_seen = StdArc::clone(&fast_seen);

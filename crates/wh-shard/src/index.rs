@@ -172,7 +172,6 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     /// Either way the table cannot be retired while `f` runs.
     pub(crate) fn with_router<R>(&self, f: impl FnOnce(&RouterTable) -> R) -> R {
         self.router_qsbr.with_local_handle(|handle| {
-            let mut f = Some(f);
             if let Some(_fast) = handle.try_fast() {
                 self.metrics.router_fast_entries.inc();
                 // SAFETY: the fast guard was granted while the domain is
@@ -182,16 +181,15 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
                 // ordering argument), so the table stays live for the whole
                 // section.
                 let router = unsafe { &*self.router.load(Ordering::Acquire) };
-                return (f.take().expect("called once"))(router);
+                return f(router);
             }
             self.metrics.router_classic_entries.inc();
-            handle.critical(|| {
-                // SAFETY: `router` always points to a live table; the
-                // migration engine retires a swapped-out table only after a
-                // grace period, and we are inside a critical section.
-                let router = unsafe { &*self.router.load(Ordering::Acquire) };
-                (f.take().expect("called once"))(router)
-            })
+            let _guard = handle.enter();
+            // SAFETY: `router` always points to a live table; the migration
+            // engine retires a swapped-out table only after a grace period,
+            // and we are inside a critical section.
+            let router = unsafe { &*self.router.load(Ordering::Acquire) };
+            f(router)
         })
     }
 
@@ -477,9 +475,8 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
 
 impl<V> Drop for ShardedWormhole<V> {
     fn drop(&mut self) {
-        // `&mut self` guarantees no reader holds a router critical section
-        // on *this* index; flush any table retirements still aging.
-        self.router_qsbr.flush();
+        // Table retirements still aging run when `router_qsbr` drops, after
+        // this body; each owns its table, never the live one freed here.
         // SAFETY: exclusively owned now.
         unsafe { drop(Box::from_raw(self.router.load(Ordering::Acquire))) };
     }

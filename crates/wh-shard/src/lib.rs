@@ -54,9 +54,9 @@
 //!   the critical section entirely. It enters a *biased fast section*
 //!   ([`wh_epoch::QsbrHandle::try_fast`]) — one relaxed generation store,
 //!   one fence, one load of the domain's bias flag — routes off the
-//!   published table, and executes the shard op. No epoch bookkeeping, no
-//!   condvar traffic, no freeze check (a frozen range implies a migration,
-//!   which implies the bias was already revoked). A single-shard index
+//!   published table, and executes the shard op. No epoch bookkeeping and
+//!   no freeze check (a frozen range implies a migration, which implies
+//!   the bias was already revoked). A single-shard index
 //!   has nothing to route or migrate at all and bypasses the router
 //!   unconditionally.
 //! * **Point ops, migration in flight**: `try_fast` declines (the bias is

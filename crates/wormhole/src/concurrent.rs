@@ -1317,38 +1317,34 @@ impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
         anchor: &mut Vec<u8>,
     ) -> Result<AfterLeaf, ReadConflict> {
         wh.qsbr.with_local_handle(|handle| {
-            handle.critical(|| {
-                // SAFETY: inside the critical section opened just above;
-                // nothing borrowed from the table leaves it.
-                let meta = unsafe { wh.published() };
-                let outcome = meta.table.search_target(lower, &wh.config);
-                let leaf = Wormhole::resolve(outcome, lower)?;
-                // `None`: the key view lags behind the leaf's items.
-                let read = leaf.0.read(Some(meta.version), |data| {
-                    if data.leaf.key_view_lags() {
-                        return Ok(None);
-                    }
-                    Self::reserve_for(wh, &data.leaf, batch, limit);
-                    let appended = data.leaf.collect_leaf_checked(
-                        lower,
-                        limit,
-                        batch,
-                        MAX_OPTIMISTIC_KEY_LEN,
-                    )?;
-                    Ok(Some(match &data.next {
-                        _ if appended == limit => AfterLeaf::Truncated,
-                        None => AfterLeaf::End,
-                        Some(next) => AfterLeaf::Sibling(Self::read_anchor(next, anchor)),
-                    }))
-                })?;
-                if let Some(after) = read {
-                    return Ok(after);
+            let _guard = handle.enter();
+            // SAFETY: inside the critical section opened just above;
+            // nothing borrowed from the table leaves it.
+            let meta = unsafe { wh.published() };
+            let outcome = meta.table.search_target(lower, &wh.config);
+            let leaf = Wormhole::resolve(outcome, lower)?;
+            // `None`: the key view lags behind the leaf's items.
+            let read = leaf.0.read(Some(meta.version), |data| {
+                if data.leaf.key_view_lags() {
+                    return Ok(None);
                 }
-                // Leaf locks are never held across a grace-period wait, so
-                // blocking on one in here cannot deadlock.
-                let data = wh.write_sorted(&leaf, meta.version).ok_or(ReadConflict)?;
-                Ok(Self::read_locked(wh, &data, lower, batch, limit, anchor))
-            })
+                Self::reserve_for(wh, &data.leaf, batch, limit);
+                let appended =
+                    data.leaf
+                        .collect_leaf_checked(lower, limit, batch, MAX_OPTIMISTIC_KEY_LEN)?;
+                Ok(Some(match &data.next {
+                    _ if appended == limit => AfterLeaf::Truncated,
+                    None => AfterLeaf::End,
+                    Some(next) => AfterLeaf::Sibling(Self::read_anchor(next, anchor)),
+                }))
+            })?;
+            if let Some(after) = read {
+                return Ok(after);
+            }
+            // Leaf locks are never held across a grace-period wait, so
+            // blocking on one in here cannot deadlock.
+            let data = wh.write_sorted(&leaf, meta.version).ok_or(ReadConflict)?;
+            Ok(Self::read_locked(wh, &data, lower, batch, limit, anchor))
         })
     }
 
@@ -1568,12 +1564,9 @@ impl<V: Clone + Send + Sync + 'static> FromSorted<V> for Wormhole<V> {
 
 impl<V> Drop for Wormhole<V> {
     fn drop(&mut self) {
-        // Run any reclamation still queued behind a grace period (threads'
-        // cached QSBR handles can outlive the index, so waiting for the
-        // domain itself to drop could leak the garbage for a long time).
-        // `&mut self` guarantees no reader of *this* index is active, so
-        // the flush returns promptly.
-        self.qsbr.flush();
+        // Reclamation still queued behind a grace period runs when the
+        // `qsbr` field drops, after this body: every deferred callback owns
+        // the blocks it frees, so it needs nothing this body tears down.
         let writer = self.writer.get_mut();
         // The cells may outlive this index in a sibling's hands.
         self.metrics
@@ -1669,10 +1662,9 @@ mod tests {
                 let wh = &wh;
                 let reader = scope.spawn(move || {
                     wh.qsbr.with_local_handle(|handle| {
-                        handle.critical(|| {
-                            entered_tx.send(()).unwrap();
-                            let _ = leave_rx.recv();
-                        })
+                        let _guard = handle.enter();
+                        entered_tx.send(()).unwrap();
+                        let _ = leave_rx.recv();
                     })
                 });
                 entered_rx.recv().unwrap();
