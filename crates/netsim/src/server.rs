@@ -101,32 +101,18 @@ struct Assignment {
     worker_of_slot: Vec<usize>,
 }
 
-/// Serving-layer metrics beyond the per-op [`ServiceMetrics`].
-#[derive(Clone, Debug, Default)]
-pub struct ShardServerMetrics {
-    /// Time the dispatcher spent routing one message's keys (one
-    /// `route_batch` call — a single router protection span).
-    pub dispatch_route_ns: Histogram,
-    /// Pipeline flushes forced by a router-epoch change: the dispatcher
-    /// saw new boundaries while messages were still in flight and waited
-    /// them out before dispatching under the new shard→worker map.
-    pub epoch_flushes: Counter,
-    /// Items per per-worker sub-batch (the dispatch fan-out distribution).
-    pub worker_items: Histogram,
-}
-
-impl ShardServerMetrics {
-    /// Registers every metric under `<prefix>_…` names.
-    pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        registry.register_histogram(
-            &format!("{prefix}_dispatch_route_ns"),
-            &self.dispatch_route_ns,
-        );
-        registry.register_counter(
-            &format!("{prefix}_epoch_flushes_total"),
-            &self.epoch_flushes,
-        );
-        registry.register_histogram(&format!("{prefix}_worker_items"), &self.worker_items);
+wh_telemetry::metrics! {
+    /// Serving-layer metrics beyond the per-op [`ServiceMetrics`].
+    pub struct ShardServerMetrics {
+        /// Time the dispatcher spent routing one message's keys (one
+        /// `route_batch` call — a single router protection span).
+        pub dispatch_route_ns: Histogram,
+        /// Pipeline flushes forced by a router-epoch change: the dispatcher
+        /// saw new boundaries while messages were still in flight and waited
+        /// them out before dispatching under the new shard→worker map.
+        pub epoch_flushes: Counter,
+        /// Items per per-worker sub-batch (the dispatch fan-out distribution).
+        pub worker_items: Histogram,
     }
 }
 

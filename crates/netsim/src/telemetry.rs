@@ -5,77 +5,50 @@
 //! in place, keys per batch), the distribution of decoded batch sizes, and
 //! request counters.
 //!
-//! The service owns a [`Registry`] these register into; callers can add
-//! their index's metrics to the same registry before serving, and the
-//! [`WireRequest::Stats`](crate::WireRequest::Stats) command renders the
-//! whole thing over the wire.
+//! The service owns a [`Registry`](wh_telemetry::Registry) these register
+//! into; callers can add their index's metrics to the same registry before
+//! serving, and the [`WireRequest::Stats`](crate::WireRequest::Stats)
+//! command renders the whole thing over the wire.
 
-use wh_telemetry::{Counter, Histogram, Registry};
+use wh_telemetry::{Counter, Histogram};
 
-/// Server-side metrics for one [`KvService`](crate::KvService) or
-/// [`ShardServer`](crate::ShardServer).
-#[derive(Clone, Debug, Default)]
-pub struct ServiceMetrics {
-    /// Requests decoded and executed (all op types).
-    pub requests: Counter,
-    /// `Stats` probes answered.
-    pub stats_requests: Counter,
-    /// Request frames whose tail did not parse (truncated, corrupted,
-    /// unknown tag). The requests in front of the tail were still served.
-    pub malformed_frames: Counter,
-    /// Gets a server thread moved to the front of its share of a message
-    /// and answered through one `get_batch_into`.
-    pub gets_hoisted: Counter,
-    /// Gets answered where they stood, through single-key `get`, because
-    /// a `Set` in the same share writes their key (or a key with the same
-    /// hash).
-    pub gets_in_place: Counter,
-    /// Keys per hoisted batch: one observation per share that had any.
-    pub get_batch_len: Histogram,
-    /// Service time per point lookup: a batch of `n` hoisted Gets records
-    /// `n` observations of the batch's duration divided by `n`, a Get left
-    /// in place its own, so the sum is the time spent on lookups.
-    pub get_ns: Histogram,
-    /// Service time per write.
-    pub set_ns: Histogram,
-    /// Service time per range scan.
-    pub range_ns: Histogram,
-    /// Service time per streaming-scan page
-    /// ([`WireRequest::Scan`](crate::WireRequest::Scan)).
-    pub scan_ns: Histogram,
-    /// Requests per decoded message (the wire batch-size distribution).
-    pub batch_requests: Histogram,
-    /// Client-observed latency per request: each request/response batch's
-    /// full round trip (encode, queue, server execution, decode) recorded
-    /// once per request it carried. The tail of this distribution — not
-    /// the server-side service time — is what a real client experiences.
-    pub client_rtt_ns: Histogram,
-}
-
-impl ServiceMetrics {
-    /// Registers every metric under `<prefix>_…` names (prefix must match
-    /// `[a-z0-9_]+`, e.g. `netsim`).
-    pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}_requests_total"), &self.requests);
-        registry.register_counter(
-            &format!("{prefix}_stats_requests_total"),
-            &self.stats_requests,
-        );
-        registry.register_counter(
-            &format!("{prefix}_malformed_frames_total"),
-            &self.malformed_frames,
-        );
-        registry.register_counter(&format!("{prefix}_gets_hoisted_total"), &self.gets_hoisted);
-        registry.register_counter(
-            &format!("{prefix}_gets_in_place_total"),
-            &self.gets_in_place,
-        );
-        registry.register_histogram(&format!("{prefix}_get_batch_len"), &self.get_batch_len);
-        registry.register_histogram(&format!("{prefix}_get_ns"), &self.get_ns);
-        registry.register_histogram(&format!("{prefix}_set_ns"), &self.set_ns);
-        registry.register_histogram(&format!("{prefix}_range_ns"), &self.range_ns);
-        registry.register_histogram(&format!("{prefix}_scan_ns"), &self.scan_ns);
-        registry.register_histogram(&format!("{prefix}_batch_requests"), &self.batch_requests);
-        registry.register_histogram(&format!("{prefix}_client_rtt_ns"), &self.client_rtt_ns);
+wh_telemetry::metrics! {
+    /// Server-side metrics for one [`KvService`](crate::KvService) or
+    /// [`ShardServer`](crate::ShardServer).
+    pub struct ServiceMetrics {
+        /// Requests decoded and executed (all op types).
+        pub requests: Counter,
+        /// `Stats` probes answered.
+        pub stats_requests: Counter,
+        /// Request frames whose tail did not parse (truncated, corrupted,
+        /// unknown tag). The requests in front of the tail were still served.
+        pub malformed_frames: Counter,
+        /// Gets a server thread moved to the front of its share of a message
+        /// and answered through one `get_batch_into`.
+        pub gets_hoisted: Counter,
+        /// Gets answered where they stood, through single-key `get`, because
+        /// a `Set` in the same share writes their key (or a key with the same
+        /// hash).
+        pub gets_in_place: Counter,
+        /// Keys per hoisted batch: one observation per share that had any.
+        pub get_batch_len: Histogram,
+        /// Service time per point lookup: a batch of `n` hoisted Gets records
+        /// `n` observations of the batch's duration divided by `n`, a Get left
+        /// in place its own, so the sum is the time spent on lookups.
+        pub get_ns: Histogram,
+        /// Service time per write.
+        pub set_ns: Histogram,
+        /// Service time per range scan.
+        pub range_ns: Histogram,
+        /// Service time per streaming-scan page
+        /// ([`WireRequest::Scan`](crate::WireRequest::Scan)).
+        pub scan_ns: Histogram,
+        /// Requests per decoded message (the wire batch-size distribution).
+        pub batch_requests: Histogram,
+        /// Client-observed latency per request: each request/response batch's
+        /// full round trip (encode, queue, server execution, decode) recorded
+        /// once per request it carried. The tail of this distribution — not
+        /// the server-side service time — is what a real client experiences.
+        pub client_rtt_ns: Histogram,
     }
 }

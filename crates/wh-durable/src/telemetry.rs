@@ -9,36 +9,22 @@
 //! [`DurableWormhole`]: crate::DurableWormhole
 //! [`DurableWormhole::sync_count`]: crate::DurableWormhole::sync_count
 
-use wh_telemetry::{Counter, Histogram, Registry};
+use wh_telemetry::{Counter, Histogram};
 
-/// Durability-path metrics for one WAL stream.
-#[derive(Clone, Debug, Default)]
-pub struct DurableMetrics {
-    /// Storage sync barriers performed (group commit keeps this far below
-    /// the committed-operation count under concurrency).
-    pub fsyncs: Counter,
-    /// Wall time of each commit's append+sync, in nanoseconds.
-    pub fsync_ns: Histogram,
-    /// Operations made durable per sync — the group-commit batch factor.
-    pub commit_batch_ops: Histogram,
-    /// Bytes appended to WAL storage (frames plus commit seals).
-    pub wal_bytes: Counter,
-    /// Wall time of each full checkpoint (rotate, fuzzy scan, publish,
-    /// GC), in nanoseconds.
-    pub checkpoint_ns: Histogram,
-}
-
-impl DurableMetrics {
-    /// Registers every metric under `<prefix>_…` names (prefix must match
-    /// `[a-z0-9_]+`, e.g. `wh_durable`).
-    pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(&format!("{prefix}_fsyncs_total"), &self.fsyncs);
-        registry.register_histogram(&format!("{prefix}_fsync_ns"), &self.fsync_ns);
-        registry.register_histogram(
-            &format!("{prefix}_commit_batch_ops"),
-            &self.commit_batch_ops,
-        );
-        registry.register_counter(&format!("{prefix}_wal_bytes_total"), &self.wal_bytes);
-        registry.register_histogram(&format!("{prefix}_checkpoint_ns"), &self.checkpoint_ns);
+wh_telemetry::metrics! {
+    /// Durability-path metrics for one WAL stream.
+    pub struct DurableMetrics {
+        /// Storage sync barriers performed (group commit keeps this far below
+        /// the committed-operation count under concurrency).
+        pub fsyncs: Counter,
+        /// Wall time of each commit's append+sync, in nanoseconds.
+        pub fsync_ns: Histogram,
+        /// Operations made durable per sync — the group-commit batch factor.
+        pub commit_batch_ops: Histogram,
+        /// Bytes appended to WAL storage (frames plus commit seals).
+        pub wal_bytes: Counter,
+        /// Wall time of each full checkpoint (rotate, fuzzy scan, publish,
+        /// GC), in nanoseconds.
+        pub checkpoint_ns: Histogram,
     }
 }

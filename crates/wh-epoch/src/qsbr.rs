@@ -5,49 +5,29 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use wh_telemetry::{Counter, Gauge, Histogram, Registry};
+use wh_telemetry::{Gauge, Histogram};
 
 /// A queued reclamation callback and the epoch it was queued at.
 type DeferredCallback = (u64, Box<dyn FnOnce() + Send>);
 
-/// Telemetry for one QSBR domain. Handles are `Arc`-shared with whatever
-/// [`Registry`] they are registered into, so the domain records into the
-/// same cells an exposition reads.
-///
-/// The section-entry counter is **load-bearing** (regression tests pin hot
-/// paths to "zero new entries" through it) and therefore live even under
-/// `telemetry-off`; only the histograms are subject to the kill switch.
-#[derive(Clone, Debug, Default)]
-pub struct EpochMetrics {
-    /// Classic critical-section entries, domain-wide (fast entries do not
-    /// count — that is the point of the biased fast path).
-    pub section_entries: Counter,
-    /// Nanoseconds spent waiting for grace periods to complete
-    /// (`synchronize` / `wait_grace`), including the deferred-callback
-    /// drain that rides on them.
-    pub grace_wait_ns: Histogram,
-    /// Nanoseconds spent in [`Qsbr::drain_barrier`]: bias revocation,
-    /// waiting out in-flight fast sections, and the trailing grace period.
-    pub drain_barrier_ns: Histogram,
-    /// Instantaneous deferred-callback queue depth; its high-water mark
-    /// records the worst backlog between flushes.
-    pub deferred_depth: Gauge,
-}
-
-impl EpochMetrics {
-    /// Registers every metric under `<prefix>_…` names (prefix must match
-    /// `[a-z0-9_]+`, e.g. `wh_epoch_router`).
-    pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(
-            &format!("{prefix}_section_entries_total"),
-            &self.section_entries,
-        );
-        registry.register_histogram(&format!("{prefix}_grace_wait_ns"), &self.grace_wait_ns);
-        registry.register_histogram(
-            &format!("{prefix}_drain_barrier_ns"),
-            &self.drain_barrier_ns,
-        );
-        registry.register_gauge(&format!("{prefix}_deferred_depth"), &self.deferred_depth);
+wh_telemetry::metrics! {
+    /// Telemetry for one QSBR domain. Handles are `Arc`-shared with whatever
+    /// [`Registry`](wh_telemetry::Registry) they are registered into, so the
+    /// domain records into the same cells an exposition reads.
+    ///
+    /// Entering or leaving a critical section records nothing here; only
+    /// the histograms are subject to the `telemetry-off` kill switch.
+    pub struct EpochMetrics {
+        /// Nanoseconds spent waiting for grace periods to complete
+        /// (`synchronize` / `wait_grace`), including the deferred-callback
+        /// drain that rides on them.
+        pub grace_wait_ns: Histogram,
+        /// Nanoseconds spent in [`Qsbr::drain_barrier`]: bias revocation,
+        /// waiting out in-flight fast sections, and the trailing grace period.
+        pub drain_barrier_ns: Histogram,
+        /// Instantaneous deferred-callback queue depth; its high-water mark
+        /// records the worst backlog between flushes.
+        pub deferred_depth: Gauge,
     }
 }
 
@@ -235,7 +215,8 @@ impl Qsbr {
     }
 
     /// This domain's telemetry handles (register them into a
-    /// [`Registry`] via [`EpochMetrics::register_into`]).
+    /// [`Registry`](wh_telemetry::Registry) via
+    /// [`EpochMetrics::register_into`]).
     pub fn metrics(&self) -> &EpochMetrics {
         &self.shared.metrics
     }
@@ -433,7 +414,6 @@ impl QsbrHandle {
     pub fn enter(&self) -> Guard<'_> {
         let word = self.state.word.load(Ordering::Relaxed);
         self.state.word.store(word | 1, Ordering::SeqCst);
-        self.shared.metrics.section_entries.inc();
         Guard { handle: self }
     }
 
@@ -836,31 +816,19 @@ mod tests {
 
     #[test]
     fn fast_entries_skip_section_bookkeeping() {
+        // A fast section leaves the section word alone: a grace period does
+        // not wait for it, and does wait for a classic section.
         let q = Qsbr::new();
         q.resume_bias();
         let h = q.register();
-        let entries = || q.metrics().section_entries.get();
-        assert_eq!(entries(), 0);
-        for _ in 0..10 {
-            let fast = h.try_fast().expect("biased domain");
-            drop(fast);
-        }
-        assert_eq!(entries(), 0, "fast entries are not sections");
-        drop(h.enter());
-        {
-            // Unbiased attempt falls back to a classic section at the caller.
-            // A separate domain: its counter is independent of `q`'s.
-            let q2 = Qsbr::new();
-            let h2 = q2.register();
-            assert!(h2.try_fast().is_none());
-            drop(h2.enter());
-            assert_eq!(q2.metrics().section_entries.get(), 1);
-        }
-        assert_eq!(entries(), 1);
-        // The count is domain-wide: a second handle adds to the same cell.
-        let h3 = q.register();
-        drop(h3.enter());
-        assert_eq!(entries(), 2);
+        let fast = h.try_fast().expect("biased domain");
+        assert!(q.grace_elapsed(q.start_grace()));
+        drop(fast);
+        let guard = h.enter();
+        let target = q.start_grace();
+        assert!(!q.grace_elapsed(target));
+        drop(guard);
+        assert!(q.grace_elapsed(target));
     }
 
     #[test]

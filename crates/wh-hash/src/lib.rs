@@ -24,7 +24,7 @@ pub mod mix;
 pub mod tag;
 
 pub use crc32c::{crc32c, crc32c_append};
-pub use mix::{mix64, mix_to_bucket, xorshift_mix};
+pub use mix::{mix64, xorshift_mix};
 pub use tag::{tag16, tag8_match_mask, tag_position_hint};
 
 #[cfg(test)]

@@ -27,16 +27,6 @@ pub fn xorshift_mix(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
-/// Maps a hash value to a bucket index in `[0, nbuckets)`.
-///
-/// Uses the multiply-shift trick (Lemire's fast range reduction) instead of a
-/// modulo, so `nbuckets` does not need to be a power of two.
-#[inline]
-pub fn mix_to_bucket(hash: u64, nbuckets: usize) -> usize {
-    debug_assert!(nbuckets > 0);
-    (((hash as u128) * (nbuckets as u128)) >> 64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,22 +51,15 @@ mod tests {
     }
 
     #[test]
-    fn bucket_mapping_stays_in_range() {
-        for nbuckets in [1usize, 2, 3, 7, 100, 1 << 20] {
-            for x in 0u64..1000 {
-                let b = mix_to_bucket(mix64(x), nbuckets);
-                assert!(b < nbuckets);
-            }
-        }
-    }
-
-    #[test]
     fn bucket_mapping_is_roughly_uniform() {
+        // The tables' mapping: the low bits of the mixed CRC of nearby,
+        // structured keys, whose raw CRCs differ in few bits.
         let nbuckets = 16;
         let mut counts = vec![0usize; nbuckets];
         let samples = 160_000u64;
         for x in 0..samples {
-            counts[mix_to_bucket(mix64(x), nbuckets)] += 1;
+            let key = format!("user-{x:08}");
+            counts[mix64(crate::crc32c(key.as_bytes()) as u64) as usize & (nbuckets - 1)] += 1;
         }
         let expected = samples as usize / nbuckets;
         for (i, &c) in counts.iter().enumerate() {

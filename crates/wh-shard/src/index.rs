@@ -348,7 +348,7 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
         self.metrics.register_into(registry, prefix);
         for (i, ops) in self.ops.iter().enumerate() {
-            registry.register_counter(&format!("{prefix}_shard{i}_ops_total"), ops);
+            registry.register_field(prefix, &format!("shard{i}_ops"), ops);
         }
         self.wormhole_metrics
             .register_into(registry, &format!("{prefix}_wormhole"));
@@ -427,14 +427,13 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
         }
     }
 
-    /// Number of classic router critical-section entries made on this
-    /// index's router domain so far (domain-wide, backed by the telemetry
-    /// counter `register_metrics` exposes as
-    /// `…_router_epoch_section_entries_total`). Diagnostic: regression
+    /// Number of classic router critical-section entries point ops have
+    /// made so far: the [`ShardMetrics::router_classic_entries`] counter,
+    /// exposed as `…_router_classic_entries_total`. Diagnostic: regression
     /// tests pin the migration-idle fast path to "zero new entries per op"
-    /// through this counter (biased fast entries are not counted).
+    /// through it (biased fast entries are not counted).
     pub fn router_section_entries(&self) -> u64 {
-        self.router_qsbr.metrics().section_entries.get()
+        self.metrics.router_classic_entries.get()
     }
 
     /// Total leaf nodes across every shard.
@@ -1116,7 +1115,7 @@ mod tests {
         let text = snap.render();
         assert!(text.contains("wh_shard_router_fast_entries_total"));
         assert!(text.contains("wh_shard_wormhole_splits_total"));
-        assert!(text.contains("wh_shard_router_epoch_section_entries_total"));
+        assert!(text.contains("wh_shard_router_epoch_grace_wait_ns"));
     }
 
     #[test]

@@ -9,55 +9,25 @@
 //! under `…_shard<i>_ops_total` names — one source of truth for the
 //! rebalancer, `op_counts()`, and the exposition.
 
-use wh_telemetry::{Counter, Histogram, Registry};
+use wh_telemetry::{Counter, Histogram};
 
-/// Front-level event counters for one [`ShardedWormhole`](crate::ShardedWormhole).
-#[derive(Clone, Debug, Default)]
-pub struct ShardMetrics {
-    /// Ops served through the migration-idle biased fast entry (no router
-    /// critical section).
-    pub router_fast_entries: Counter,
-    /// Ops that took a classic router critical section (fast path
-    /// disabled, or a migration in flight).
-    pub router_classic_entries: Counter,
-    /// Migration batches executed (freeze/copy/publish/drain rounds).
-    pub migration_batches: Counter,
-    /// Keys copied donor → recipient by migrations.
-    pub migration_moved_keys: Counter,
-    /// Writes that found their key range write-frozen by an in-flight
-    /// migration batch and had to wait it out.
-    pub frozen_write_waits: Counter,
-    /// Time a frozen write spent waiting for its range to unfreeze.
-    pub frozen_write_wait_ns: Histogram,
-}
-
-impl ShardMetrics {
-    /// Registers every metric under `<prefix>_…` names (prefix must match
-    /// `[a-z0-9_]+`, e.g. `wh_shard`).
-    pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(
-            &format!("{prefix}_router_fast_entries_total"),
-            &self.router_fast_entries,
-        );
-        registry.register_counter(
-            &format!("{prefix}_router_classic_entries_total"),
-            &self.router_classic_entries,
-        );
-        registry.register_counter(
-            &format!("{prefix}_migration_batches_total"),
-            &self.migration_batches,
-        );
-        registry.register_counter(
-            &format!("{prefix}_migration_moved_keys_total"),
-            &self.migration_moved_keys,
-        );
-        registry.register_counter(
-            &format!("{prefix}_frozen_write_waits_total"),
-            &self.frozen_write_waits,
-        );
-        registry.register_histogram(
-            &format!("{prefix}_frozen_write_wait_ns"),
-            &self.frozen_write_wait_ns,
-        );
+wh_telemetry::metrics! {
+    /// Front-level event counters for one [`ShardedWormhole`](crate::ShardedWormhole).
+    pub struct ShardMetrics {
+        /// Ops served through the migration-idle biased fast entry (no router
+        /// critical section).
+        pub router_fast_entries: Counter,
+        /// Ops that took a classic router critical section (fast path
+        /// disabled, or a migration in flight).
+        pub router_classic_entries: Counter,
+        /// Migration batches executed (freeze/copy/publish/drain rounds).
+        pub migration_batches: Counter,
+        /// Keys copied donor → recipient by migrations.
+        pub migration_moved_keys: Counter,
+        /// Writes that found their key range write-frozen by an in-flight
+        /// migration batch and had to wait it out.
+        pub frozen_write_waits: Counter,
+        /// Time a frozen write spent waiting for its range to unfreeze.
+        pub frozen_write_wait_ns: Histogram,
     }
 }

@@ -2,10 +2,10 @@
 //! read path must stay **allocation-free** and — while no migration is in
 //! flight — must make **zero** classic router critical-section entries
 //! (one relaxed store + one fence + one flag load instead), observed
-//! through [`ShardedWormhole::router_section_entries`]. The single-shard
-//! bypass is pinned alongside so a routing change that silently
-//! re-introduces a per-op router tax fails here rather than only in the
-//! benchmark. (The classic path — what ops take while a migration holds
+//! through [`ShardedWormhole::router_section_entries`], the front's
+//! `router_classic_entries` counter. The single-shard bypass is pinned
+//! alongside so a routing change that silently re-introduces a per-op
+//! router tax fails here rather than only in the benchmark. (The classic path — what ops take while a migration holds
 //! the bias revoked — is pinned by an in-crate test of `wh-shard`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -12,6 +12,7 @@
 //! (`record` compiles to nothing and the handle is a unit), so a fully
 //! static build pays neither the memory nor the instruction.
 
+#[cfg(not(feature = "telemetry-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(feature = "telemetry-off"))]
 use std::sync::Arc;
@@ -52,6 +53,7 @@ impl Default for HistogramCell {
 /// Bucket index of a recorded value: `floor(log2(v))`, with 0 mapping to
 /// bucket 0. The top bucket (index 63) doubles as the saturating overflow
 /// bucket — every `v >= 2^63` lands there.
+#[cfg_attr(feature = "telemetry-off", allow(dead_code))]
 #[inline]
 pub(crate) fn bucket_index(v: u64) -> usize {
     63 - (v | 1).leading_zeros() as usize

@@ -26,9 +26,9 @@
 //!   telemetry is compiled out (the `telemetry-off` feature).
 //! * **Counters and gauges stay live under `telemetry-off`.** They are
 //!   load-bearing program state (the shard rebalancer reads the per-shard
-//!   op counters; test gates read the QSBR section-entry counter), so the
-//!   feature only disables the *timed* half: histogram recording and the
-//!   timing helpers.
+//!   op counters; test gates read the router's classic-entry counter), so
+//!   the feature only disables the *timed* half: histogram recording and
+//!   the timing helpers.
 //!
 //! The practical consequence: a point-read path that increments one
 //! counter costs one relaxed `fetch_add` — an already-hot cache line in
@@ -47,11 +47,12 @@
 //!
 //! ## Naming
 //!
-//! Registered names must match the exposition grammar `[a-z0-9_]+`
-//! (checked by a `debug_assert!` at registration and by
-//! [`Registry::lint`], which tests run in release builds too). Suffix
-//! conventions follow Prometheus: `_total` for counters, `_ns` for
-//! nanosecond histograms.
+//! A layer declares its metrics once, as the fields of a [`metrics!`]
+//! struct, named through [`Registry::register_field`]: `<prefix>_<field>`,
+//! plus `_total` for a counter (a nanosecond field's name ends in `_ns`).
+//! Names must match the exposition grammar `[a-z0-9_]+` (checked by a
+//! `debug_assert!` at registration and by [`Registry::lint`], which tests
+//! run in release builds too).
 
 mod histogram;
 mod metrics;

@@ -80,8 +80,8 @@ impl Gauge {
         self.high_water.0.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Subtracts `n` (saturating at zero under racing subtractions via
-    /// wrapping semantics: callers pair every `sub` with a prior `add`).
+    /// Subtracts `n`. The value wraps below zero rather than saturating:
+    /// callers pair every `sub` with a prior `add`.
     #[inline]
     pub fn sub(&self, n: u64) {
         self.value.0.fetch_sub(n, Ordering::Relaxed);
@@ -98,6 +98,47 @@ impl Gauge {
     pub fn high_water(&self) -> u64 {
         self.high_water.0.load(Ordering::Relaxed)
     }
+}
+
+/// Declares a struct of metric fields and its registration in one place.
+///
+/// Every field is a `pub` [`Counter`], [`Gauge`] or
+/// [`Histogram`](crate::Histogram) and keeps its doc comment. The struct
+/// derives `Clone, Debug, Default`, and gains
+/// `register_into(&self, registry, prefix)`, which registers each field in
+/// declaration order through
+/// [`Registry::register_field`](crate::Registry::register_field): a field
+/// named `hits` is exposed as `<prefix>_hits_total` if it is a counter and
+/// as `<prefix>_hits` otherwise.
+#[macro_export]
+macro_rules! metrics {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_attr:meta])*
+                pub $field:ident: $ty:ty
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Clone, Debug, Default)]
+        $vis struct $name {
+            $(
+                $(#[$field_attr])*
+                pub $field: $ty,
+            )*
+        }
+
+        impl $name {
+            /// Registers every field into `registry` in declaration order,
+            /// as `<prefix>_<field>`, plus `_total` for a counter (`prefix`
+            /// must match `[a-z0-9_]+`).
+            pub fn register_into(&self, registry: &$crate::Registry, prefix: &str) {
+                $(registry.register_field(prefix, stringify!($field), &self.$field);)*
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -22,6 +22,18 @@ pub enum Metric {
     Histogram(Histogram),
 }
 
+/// `From<&Handle>` for each handle type: the variant shares its cells.
+macro_rules! metric_from_handle {
+    ($($kind:ident),*) => {$(
+        impl From<&$kind> for Metric {
+            fn from(handle: &$kind) -> Self {
+                Metric::$kind(handle.clone())
+            }
+        }
+    )*};
+}
+metric_from_handle!(Counter, Gauge, Histogram);
+
 /// A named collection of metrics. Cheap to lock: registration happens at
 /// construction time, snapshots on demand, and recording bypasses the
 /// registry entirely.
@@ -63,41 +75,16 @@ impl Registry {
         entries.push((name.to_string(), metric));
     }
 
-    /// Creates, registers, and returns a new [`Counter`].
-    pub fn counter(&self, name: &str) -> Counter {
-        let c = Counter::new();
-        self.register(name, Metric::Counter(c.clone()));
-        c
-    }
-
-    /// Creates, registers, and returns a new [`Gauge`].
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let g = Gauge::new();
-        self.register(name, Metric::Gauge(g.clone()));
-        g
-    }
-
-    /// Creates, registers, and returns a new [`Histogram`].
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let h = Histogram::new();
-        self.register(name, Metric::Histogram(h.clone()));
-        h
-    }
-
-    /// Registers a counter handle under `name` (convenience for the
-    /// per-crate metrics structs that pre-create their handles).
-    pub fn register_counter(&self, name: &str, c: &Counter) {
-        self.register(name, Metric::Counter(c.clone()));
-    }
-
-    /// Registers a gauge handle under `name`.
-    pub fn register_gauge(&self, name: &str, g: &Gauge) {
-        self.register(name, Metric::Gauge(g.clone()));
-    }
-
-    /// Registers a histogram handle under `name`.
-    pub fn register_histogram(&self, name: &str, h: &Histogram) {
-        self.register(name, Metric::Histogram(h.clone()));
+    /// Registers `metric` under `<prefix>_<field>`, with `_total` appended
+    /// for a counter: the one naming rule of the exposition, which every
+    /// [`metrics!`](crate::metrics) struct registers through.
+    pub fn register_field(&self, prefix: &str, field: &str, metric: impl Into<Metric>) {
+        let metric = metric.into();
+        let suffix = match metric {
+            Metric::Counter(_) => "_total",
+            Metric::Gauge(_) | Metric::Histogram(_) => "",
+        };
+        self.register(&format!("{prefix}_{field}{suffix}"), metric);
     }
 
     /// Release-mode re-check of the registration `debug_assert`s: every
@@ -257,15 +244,22 @@ mod tests {
 
     #[test]
     fn registers_snapshots_and_renders() {
+        crate::metrics! {
+            /// Declared and registered as every layer's metrics are.
+            pub struct Demo {
+                pub ops: Counter,
+                pub depth: Gauge,
+                pub latency_ns: Histogram,
+            }
+        }
         let reg = Registry::new();
-        let c = reg.counter("demo_ops_total");
-        let g = reg.gauge("demo_depth");
-        let h = reg.histogram("demo_latency_ns");
-        c.add(7);
-        g.add(3);
-        g.sub(1);
-        h.record(100);
-        h.record(100_000);
+        let demo = Demo::default();
+        demo.register_into(&reg, "demo");
+        demo.ops.add(7);
+        demo.depth.add(3);
+        demo.depth.sub(1);
+        demo.latency_ns.record(100);
+        demo.latency_ns.record(100_000);
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter("demo_ops_total"), 7);
@@ -299,24 +293,24 @@ mod tests {
         let reg = Registry::new();
         if cfg!(debug_assertions) {
             assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                reg.counter("Bad-Name");
+                reg.register_field("Bad", "Name", &Counter::new());
             }))
             .is_err());
         } else {
-            reg.counter("Bad-Name");
+            reg.register_field("Bad", "Name", &Counter::new());
             assert!(reg.lint().is_err());
         }
 
         let dup = Registry::new();
         if cfg!(debug_assertions) {
-            dup.counter("twice");
+            dup.register_field("twice", "x", &Counter::new());
             assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dup.counter("twice");
+                dup.register_field("twice", "x", &Counter::new());
             }))
             .is_err());
         } else {
-            dup.counter("twice");
-            dup.counter("twice");
+            dup.register_field("twice", "x", &Counter::new());
+            dup.register_field("twice", "x", &Counter::new());
             assert!(dup.lint().is_err());
         }
     }

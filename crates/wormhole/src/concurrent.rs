@@ -452,7 +452,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         &self.metrics
     }
 
-    /// The QSBR domain's metrics (section entries, grace waits, deferred
+    /// The QSBR domain's metrics (grace waits, drain barriers, deferred
     /// queue depth).
     pub fn epoch_metrics(&self) -> &wh_epoch::EpochMetrics {
         self.qsbr.metrics()

@@ -11,79 +11,52 @@
 
 use std::cmp::Ordering;
 
-use wh_telemetry::{Counter, Gauge, Registry};
+use wh_telemetry::{Counter, Gauge};
 
 use crate::meta::MetaShape;
 
-/// Event counters for one (or several — the handles are shared clones)
-/// [`Wormhole`](crate::Wormhole) instances.
-#[derive(Clone, Debug, Default)]
-pub struct WormholeMetrics {
-    /// Seqlock validation conflicts on the optimistic read path (each one
-    /// costs one retry of the lock-free attempt).
-    pub seqlock_retries: Counter,
-    /// Reads that exhausted their bounded optimistic retries and fell
-    /// back to the per-leaf reader lock.
-    pub locked_fallbacks: Counter,
-    /// Leaf splits published (each is a full RCU table publication).
-    pub splits: Counter,
-    /// Leaf merges published.
-    pub merges: Counter,
-    /// Times a removal took the writer mutex to run the merge test; a
-    /// removal whose leaf cannot pair with a neighbour does not get there.
-    pub merge_attempts: Counter,
-    /// MetaTrieHT lookup restarts: the LPM search resolved to a leaf that
-    /// a racing merge retired before the neighbour step completed.
-    pub lpm_restarts: Counter,
-    /// Scans that found a leaf's key-sorted view lagging and ran `incSort`
-    /// under its write lock. A second scan of an unchanged leaf adds none.
-    pub scan_sorts: Counter,
-    /// Items (anchors and their prefixes) of the published MetaTrieHT —
-    /// like the three gauges below, summed over the instances sharing
-    /// these cells and moved under the writer mutex when a table is
-    /// published.
-    pub meta_items: Gauge,
-    /// Interior nodes with two or more children, each holding a slot of
-    /// the table's bitmap side array.
-    pub meta_bitmaps: Gauge,
-    /// Overflow buckets chained behind full buckets of the table.
-    pub meta_overflow_buckets: Gauge,
-    /// Heap bytes of the table ([`MetaTable::structure_bytes`]), spare
-    /// capacity included.
-    ///
-    /// [`MetaTable::structure_bytes`]: crate::meta::MetaTable::structure_bytes
-    pub meta_bytes: Gauge,
+wh_telemetry::metrics! {
+    /// Event counters for one (or several — the handles are shared clones)
+    /// [`Wormhole`](crate::Wormhole) instances.
+    pub struct WormholeMetrics {
+        /// Seqlock validation conflicts on the optimistic read path (each one
+        /// costs one retry of the lock-free attempt).
+        pub seqlock_retries: Counter,
+        /// Reads that exhausted their bounded optimistic retries and fell
+        /// back to the per-leaf reader lock.
+        pub locked_fallbacks: Counter,
+        /// Leaf splits published (each is a full RCU table publication).
+        pub splits: Counter,
+        /// Leaf merges published.
+        pub merges: Counter,
+        /// Times a removal took the writer mutex to run the merge test; a
+        /// removal whose leaf cannot pair with a neighbour does not get there.
+        pub merge_attempts: Counter,
+        /// MetaTrieHT lookup restarts: the LPM search resolved to a leaf that
+        /// a racing merge retired before the neighbour step completed.
+        pub lpm_restarts: Counter,
+        /// Scans that found a leaf's key-sorted view lagging and ran `incSort`
+        /// under its write lock. A second scan of an unchanged leaf adds none.
+        pub scan_sorts: Counter,
+        /// Items (anchors and their prefixes) of the published MetaTrieHT —
+        /// like the three gauges below, summed over the instances sharing
+        /// these cells and moved under the writer mutex when a table is
+        /// published.
+        pub meta_items: Gauge,
+        /// Interior nodes with two or more children, each holding a slot of
+        /// the table's bitmap side array.
+        pub meta_bitmaps: Gauge,
+        /// Overflow buckets chained behind full buckets of the table.
+        pub meta_overflow_buckets: Gauge,
+        /// Heap bytes of the table ([`MetaTable::structure_bytes`]), spare
+        /// capacity included.
+        ///
+        /// [`MetaTable::structure_bytes`]: crate::meta::MetaTable::structure_bytes
+        pub meta_bytes: Gauge,
+    }
 }
 
 impl WormholeMetrics {
-    /// Registers every counter under `<prefix>_…_total` names (prefix
-    /// must match `[a-z0-9_]+`, e.g. `wormhole`).
-    pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        registry.register_counter(
-            &format!("{prefix}_seqlock_retries_total"),
-            &self.seqlock_retries,
-        );
-        registry.register_counter(
-            &format!("{prefix}_locked_fallbacks_total"),
-            &self.locked_fallbacks,
-        );
-        registry.register_counter(&format!("{prefix}_splits_total"), &self.splits);
-        registry.register_counter(&format!("{prefix}_merges_total"), &self.merges);
-        registry.register_counter(
-            &format!("{prefix}_merge_attempts_total"),
-            &self.merge_attempts,
-        );
-        registry.register_counter(&format!("{prefix}_lpm_restarts_total"), &self.lpm_restarts);
-        registry.register_counter(&format!("{prefix}_scan_sorts_total"), &self.scan_sorts);
-        registry.register_gauge(&format!("{prefix}_meta_items"), &self.meta_items);
-        registry.register_gauge(&format!("{prefix}_meta_bitmaps"), &self.meta_bitmaps);
-        registry.register_gauge(
-            &format!("{prefix}_meta_overflow_buckets"),
-            &self.meta_overflow_buckets,
-        );
-        registry.register_gauge(&format!("{prefix}_meta_bytes"), &self.meta_bytes);
-    }
-
     /// Moves the table gauges by one instance's step from the table it had
     /// published (`was`) to the one it publishes (`now`): the cells may be
     /// shared, so an instance moves its own part and sets nothing.

@@ -137,5 +137,5 @@ fn metrics_register_and_render() {
     for gauge in ["items", "bitmaps", "overflow_buckets", "bytes"] {
         assert!(text.contains(&format!("wormhole_meta_{gauge}")), "{gauge}");
     }
-    assert!(text.contains("wormhole_epoch_section_entries_total"));
+    assert!(text.contains("wormhole_epoch_deferred_depth"));
 }

@@ -38,8 +38,8 @@
 //!
 //! * `wormhole` — seqlock read retries, locked fallbacks, leaf
 //!   splits/merges, LPM restarts ([`wormhole::WormholeMetrics`]).
-//! * `epoch` — QSBR section entries, grace-period waits, drain-barrier
-//!   waits, deferred-queue depth (`EpochMetrics`).
+//! * `epoch` — grace-period waits, drain-barrier waits, deferred-queue
+//!   depth (`EpochMetrics`).
 //! * `sharded` — router fast/classic entries, migration batches and
 //!   moved keys, frozen-write waits, per-shard op counters
 //!   (`ShardMetrics` plus `ShardedWormhole::register_metrics`).
