@@ -32,8 +32,6 @@
 //! `index.scan(&resume_key)`; pagination services persist the resume key
 //! between requests the same way.
 
-use crate::traits::{ConcurrentOrderedIndex, OrderedIndex};
-
 /// Number of pairs the default `range_from`-adapted cursor source fetches
 /// per batch.
 pub const DEFAULT_SCAN_BATCH: usize = 128;
@@ -168,27 +166,6 @@ pub struct ScanPage<V> {
     /// `Some` resume after a full page may still point past the last key —
     /// the next page then comes back empty with `resume: None`.
     pub resume: Option<Vec<u8>>,
-}
-
-/// A destination for range-collection primitives: both the materialising
-/// `Vec<(Vec<u8>, V)>` output of `range_from` and the arena-backed
-/// [`ScanBatch`] of a cursor, so an index implements its collection loop
-/// once and serves both APIs.
-pub trait RangeSink<V> {
-    /// Accepts the next pair of the scan, in ascending key order.
-    fn accept(&mut self, key: &[u8], value: &V);
-}
-
-impl<V: Clone> RangeSink<V> for ScanBatch<V> {
-    fn accept(&mut self, key: &[u8], value: &V) {
-        self.push(key, value.clone());
-    }
-}
-
-impl<V: Clone> RangeSink<V> for Vec<(Vec<u8>, V)> {
-    fn accept(&mut self, key: &[u8], value: &V) {
-        self.push((key.to_vec(), value.clone()));
-    }
 }
 
 /// The index-side driver of a [`Cursor`]: produces the scan's batches.
@@ -439,24 +416,6 @@ impl<'a, V> Cursor<'a, V> {
     pub fn is_done(&self) -> bool {
         self.done && self.pos == self.batch.len()
     }
-}
-
-/// Blanket `scan` entry points, kept in free functions so the trait default
-/// methods stay one-liners.
-pub(crate) fn scan_ordered<'a, V, I>(index: &'a I, start: &[u8]) -> Cursor<'a, V>
-where
-    I: OrderedIndex<V> + ?Sized,
-    V: Clone + 'a,
-{
-    Cursor::adapt_range_from(start, move |resume, count| index.range_from(resume, count))
-}
-
-pub(crate) fn scan_concurrent<'a, V, I>(index: &'a I, start: &[u8]) -> Cursor<'a, V>
-where
-    I: ConcurrentOrderedIndex<V> + ?Sized,
-    V: Clone + 'a,
-{
-    Cursor::adapt_range_from(start, move |resume, count| index.range_from(resume, count))
 }
 
 #[cfg(test)]

@@ -147,7 +147,7 @@ pub trait OrderedIndex<V> {
         Self: Sized,
         V: Clone + 'a,
     {
-        crate::scan::scan_ordered(self, start)
+        Cursor::adapt_range_from(start, move |resume, count| self.range_from(resume, count))
     }
 
     /// Memory accounting for Figure 16.
@@ -389,7 +389,7 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
         Self: Sized,
         V: Clone + 'a,
     {
-        crate::scan::scan_concurrent(self, start)
+        Cursor::adapt_range_from(start, move |resume, count| self.range_from(resume, count))
     }
 
     /// Memory accounting for Figure 16.

@@ -26,10 +26,10 @@
 //!   a [`server::ShardServer`] dispatches each parsed message across N
 //!   shard-affine worker threads (routing the whole message against one
 //!   router-table snapshot via `ShardedWormhole::route_batch`; workers
-//!   share the frame, no key is copied), overlaps the
-//!   parse/execute/encode stages of successive messages, serves
-//!   streaming scans as stateless [`wire::WireRequest::Scan`] pages, and
-//!   reassembles responses in request order. See
+//!   share the frame, no key is copied), keeps up to eight messages
+//!   with the workers, serves streaming scans as stateless
+//!   [`wire::WireRequest::Scan`] pages, and reassembles responses in
+//!   request order on the same thread that dispatched them. See
 //!   `docs/src/adr-003-serving-threading.md` for the threading model and
 //!   `docs/src/wire-protocol.md` for the normative framing spec.
 //!

@@ -4,18 +4,17 @@
 //!
 //! # Threading model
 //!
-//! Three stages run as threads connected by bounded channels, so the
-//! parse, execute, and reassemble work of *successive* messages overlaps
-//! (while workers execute message `n`, the dispatcher is already parsing
-//! and routing `n + 1`, and the collector is shipping `n - 1`):
+//! One front thread and N workers, connected by bounded channels. The
+//! front parses, routes and splits each message, and it also reassembles
+//! and ships the responses; the workers execute:
 //!
 //! ```text
-//! client ──► dispatcher ──► worker 0..N ──► collector ──► client
-//!             (parse,         (plan, execute, (reassemble
-//!              route_batch)    encode)         in slot order)
+//! client ──► front ──► worker 0..N ──► front ──► client
+//!            (parse,    (plan, execute, (reassemble
+//!             route)     encode)         in slot order)
 //! ```
 //!
-//! * The **dispatcher** parses each incoming frame in place into request
+//! * The **front** parses each incoming frame in place into request
 //!   records and routes *every* request in it against a single
 //!   router-table snapshot ([`ShardedWormhole::route_batch`] — one router
 //!   protection span for the whole message, the same discipline as the
@@ -30,16 +29,18 @@
 //!   `get_batch_into`, then answers the slots in order (see the
 //!   [`service`](crate::service) module docs), encoding responses into
 //!   one buffer with per-item end offsets.
-//! * The **collector** receives the dispatcher's slot→worker assignment
-//!   and each participating worker's buffer, and reassembles the response
-//!   message by walking the slots in order — each worker's slots ascend,
-//!   so reassembly is a sequential cursor per worker, no sorting.
+//! * The front keeps the slot→worker map of every message still with the
+//!   workers, oldest first. It dispatches while fewer than eight (the
+//!   client's pipeline depth) are out and another message is waiting;
+//!   otherwise it **reassembles** the oldest by walking its slots in
+//!   order — each worker's slots ascend, so reassembly is a sequential
+//!   cursor per worker, no sorting.
 //!
 //! # Ordering and correctness under migration
 //!
-//! The dispatcher's routing is **advisory** — pure affinity. Workers
-//! execute through the public `ShardedWormhole` API, which re-routes
-//! every operation inside its own router protection span, so a boundary
+//! The front's routing is **advisory** — pure affinity. Workers execute
+//! through the public `ShardedWormhole` API, which re-routes every
+//! operation inside its own router protection span, so a boundary
 //! migration between dispatch and execution can never send an operation
 //! to the wrong shard.
 //!
@@ -52,17 +53,17 @@
 //! executes at its slot. Across messages it holds because a worker takes
 //! messages in order, the shard→worker map is a pure function of the
 //! routing epoch, and when [`ShardedWormhole::route_batch`] reports a
-//! *new* epoch the dispatcher **flushes the pipeline** (waits for every
-//! in-flight message to complete) before dispatching under the new map —
-//! counted by [`ShardServerMetrics::epoch_flushes`]. Operations on
-//! *different* keys in one stream may execute out of order, across
-//! workers and within one; multi-key reads (`Range`, `Scan`) are
-//! concurrent snapshots, ordered only against the Sets and multi-key
-//! reads of same-worker neighbours. See
-//! `docs/src/adr-003-serving-threading.md` for the full argument.
+//! *new* epoch the front **flushes**: it reassembles every message still
+//! with the workers before dispatching under the new map — counted by
+//! [`ShardServerMetrics::epoch_flushes`]. Operations on *different* keys
+//! in one stream may execute out of order, across workers and within
+//! one; multi-key reads (`Range`, `Scan`) are concurrent snapshots,
+//! ordered only against the Sets and multi-key reads of same-worker
+//! neighbours. See `docs/src/adr-003-serving-threading.md` for the full
+//! argument.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -75,12 +76,16 @@ use crate::service::{
 use crate::telemetry::ServiceMetrics;
 use crate::wire::{RequestRecord, WireRequest, WireResponse, WireResponseRef};
 
-/// One worker's share of a parsed message, in slot order (the collector
-/// knows which slots they are from the [`Assignment`]): its records and
-/// a handle on the frame they point into. Every worker of a message
-/// shares the one frame; no key is copied out of it.
+/// The most messages the front keeps with the workers at once: the
+/// client's pipeline depth. Each puts at most one item in each of a
+/// worker's two channels, so no channel of capacity 16 can fill.
+const MAX_IN_FLIGHT: usize = 8;
+
+/// One worker's share of a parsed message, in slot order (the front
+/// knows which slots they are): its records and a handle on the frame
+/// they point into. Every worker of a message shares the one frame; no
+/// key is copied out of it.
 struct WorkBatch {
-    seq: u64,
     frame: Bytes,
     records: Vec<RequestRecord>,
 }
@@ -89,27 +94,20 @@ struct WorkBatch {
 /// offset of item `j`'s response in `payload` (item `j` of the worker's
 /// [`WorkBatch`], not of the whole message).
 struct WorkOutput {
-    seq: u64,
     payload: Bytes,
     ends: Vec<usize>,
-}
-
-/// The dispatcher's reassembly directions for one message: which worker
-/// owns each slot.
-struct Assignment {
-    seq: u64,
-    worker_of_slot: Vec<usize>,
 }
 
 wh_telemetry::metrics! {
     /// Serving-layer metrics beyond the per-op [`ServiceMetrics`].
     pub struct ShardServerMetrics {
-        /// Time the dispatcher spent routing one message's keys (one
+        /// Time the front spent routing one message's keys (one
         /// `route_batch` call — a single router protection span).
         pub dispatch_route_ns: Histogram,
-        /// Pipeline flushes forced by a router-epoch change: the dispatcher
-        /// saw new boundaries while messages were still in flight and waited
-        /// them out before dispatching under the new shard→worker map.
+        /// Flushes forced by a router-epoch change: the front saw new
+        /// boundaries while messages were still with the workers and
+        /// reassembled them all before dispatching under the new
+        /// shard→worker map.
         pub epoch_flushes: Counter,
         /// Items per per-worker sub-batch (the dispatch fan-out distribution).
         pub worker_items: Histogram,
@@ -117,9 +115,9 @@ wh_telemetry::metrics! {
 }
 
 /// A batched serving layer over a [`ShardedWormhole`]: N shard-affine
-/// worker threads behind a routing dispatcher and a reassembling
-/// collector. See the [module docs](self) for the threading model and the
-/// ordering contract.
+/// worker threads behind one front thread that routes each message and
+/// reassembles its responses. See the [module docs](self) for the
+/// threading model and the ordering contract.
 pub struct ShardServer {
     index: Arc<ShardedWormhole<u64>>,
     workers: usize,
@@ -185,67 +183,6 @@ impl ShardServer {
         &self.server_metrics
     }
 
-    /// Spawns the dispatcher, the workers, and the collector; returns the
-    /// request sender, the response receiver, and every join handle.
-    fn spawn(
-        &self,
-    ) -> (
-        Sender<RequestBatch>,
-        Receiver<ResponseBatch>,
-        Vec<JoinHandle<()>>,
-    ) {
-        let workers = self.workers;
-        let shard_count = self.index.shard_count();
-        let (req_tx, req_rx) = bounded::<RequestBatch>(16);
-        let (resp_tx, resp_rx) = bounded::<ResponseBatch>(16);
-        let (assign_tx, assign_rx) = bounded::<Assignment>(64);
-        // Completion tokens collector → dispatcher, read eagerly each
-        // dispatch and drained fully on an epoch flush. Sized above the
-        // maximum number of in-flight messages (client pipeline depth +
-        // request-channel capacity) so the collector never blocks on it.
-        let (completed_tx, completed_rx) = bounded::<u64>(256);
-        let mut work_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers + 2);
-        let mut out_rxs = Vec::with_capacity(workers);
-
-        for _ in 0..workers {
-            let (work_tx, work_rx) = bounded::<WorkBatch>(16);
-            let (out_tx, out_rx) = bounded::<WorkOutput>(16);
-            work_txs.push(work_tx);
-            out_rxs.push(out_rx);
-            let index = Arc::clone(&self.index);
-            let registry = Arc::clone(&self.registry);
-            let metrics = self.metrics.clone();
-            handles.push(std::thread::spawn(move || {
-                worker_loop(&work_rx, &out_tx, &index, &registry, &metrics);
-            }));
-        }
-
-        {
-            let index = Arc::clone(&self.index);
-            let metrics = self.metrics.clone();
-            let server_metrics = self.server_metrics.clone();
-            handles.push(std::thread::spawn(move || {
-                dispatcher_loop(
-                    &req_rx,
-                    &work_txs,
-                    &assign_tx,
-                    &completed_rx,
-                    &index,
-                    shard_count,
-                    &metrics,
-                    &server_metrics,
-                );
-            }));
-        }
-
-        handles.push(std::thread::spawn(move || {
-            collector_loop(&assign_rx, &out_rxs, &resp_tx, &completed_tx);
-        }));
-
-        (req_tx, resp_rx, handles)
-    }
-
     /// Runs a stream of requests through the serving layer and reports
     /// client-side statistics. Client-observed round-trip latency lands in
     /// [`ServiceMetrics::client_rtt_ns`], once per request.
@@ -261,12 +198,45 @@ impl ShardServer {
         (stats, responses)
     }
 
+    /// Starts the workers and the front, drives the client on this thread,
+    /// and joins them all once the client hangs up.
     fn run_with(
         &self,
         requests: &[WireRequest],
         on_resp: impl FnMut(WireResponseRef<'_>),
     ) -> ServiceStats {
-        let (req_tx, resp_rx, handles) = self.spawn();
+        let (req_tx, req_rx) = bounded::<RequestBatch>(16);
+        let (resp_tx, resp_rx) = bounded::<ResponseBatch>(16);
+        let mut work_txs = Vec::with_capacity(self.workers);
+        let mut out_rxs = Vec::with_capacity(self.workers);
+        let mut handles = Vec::with_capacity(self.workers + 1);
+        for _ in 0..self.workers {
+            let (work_tx, work_rx) = bounded::<WorkBatch>(16);
+            let (out_tx, out_rx) = bounded::<WorkOutput>(16);
+            work_txs.push(work_tx);
+            out_rxs.push(out_rx);
+            let index = Arc::clone(&self.index);
+            let registry = Arc::clone(&self.registry);
+            let metrics = self.metrics.clone();
+            handles.push(std::thread::spawn(move || {
+                worker_loop(&work_rx, &out_tx, &index, &registry, &metrics);
+            }));
+        }
+        let index = Arc::clone(&self.index);
+        let metrics = self.metrics.clone();
+        let server_metrics = self.server_metrics.clone();
+        handles.push(std::thread::spawn(move || {
+            front_loop(
+                &req_rx,
+                &resp_tx,
+                &work_txs,
+                &out_rxs,
+                &index,
+                &metrics,
+                &server_metrics,
+            );
+        }));
+
         let stats = drive_client(
             req_tx,
             &resp_rx,
@@ -323,27 +293,44 @@ impl ShardServer {
     }
 }
 
-/// Parse + route + split. One message per iteration; one
-/// `route_batch` router span per message.
-#[allow(clippy::too_many_arguments)]
-fn dispatcher_loop(
+/// Parse + route + split, and reassemble. Each turn either dispatches one
+/// message (one `route_batch` router span) or ships the oldest one still
+/// with the workers; `in_flight` holds the slot→worker map of each of
+/// those, oldest first. Returns when the client hangs up.
+fn front_loop(
     req_rx: &Receiver<RequestBatch>,
+    resp_tx: &Sender<ResponseBatch>,
     work_txs: &[Sender<WorkBatch>],
-    assign_tx: &Sender<Assignment>,
-    completed_rx: &Receiver<u64>,
+    out_rxs: &[Receiver<WorkOutput>],
     index: &ShardedWormhole<u64>,
-    shard_count: usize,
     metrics: &ServiceMetrics,
     server_metrics: &ShardServerMetrics,
 ) {
     let workers = work_txs.len();
-    let mut seq = 0u64;
-    let mut issued = 0u64;
-    let mut completed = 0u64;
+    let shard_count = index.shard_count();
+    let mut in_flight: VecDeque<Vec<usize>> = VecDeque::new();
     let mut last_epoch = index.router_epoch();
     let mut records: Vec<RequestRecord> = Vec::new();
     let mut routes: Vec<usize> = Vec::new();
-    while let Ok(batch) = req_rx.recv() {
+    loop {
+        // Take a new message while there is room for it and it is there
+        // (waiting for one only when nothing else is left to do); else
+        // ship the oldest.
+        let next = match in_flight.len() {
+            0 => req_rx.recv().ok(),
+            n if n < MAX_IN_FLIGHT => req_rx.try_recv().ok(),
+            _ => None,
+        };
+        let Some(batch) = next else {
+            // Nothing in flight here means the client has hung up.
+            let Some(oldest) = in_flight.pop_front() else {
+                return;
+            };
+            if !reassemble(&oldest, out_rxs, resp_tx) {
+                return;
+            }
+            continue;
+        };
         let frame = decode_message(batch, &mut records, metrics);
 
         // Route the whole message against one router-table snapshot.
@@ -358,22 +345,19 @@ fn dispatcher_loop(
         };
         server_metrics.dispatch_route_ns.record_elapsed(timing);
 
-        // Keep the completion count fresh without blocking.
-        while completed_rx.try_recv().is_ok() {
-            completed += 1;
-        }
         // Boundaries moved: the shard→worker map for these slots may
         // differ from the in-flight messages' map, so a key could hop
-        // workers and execute out of program order. Flush the pipeline
-        // before dispatching under the new epoch. Migrations are rare;
-        // the steady state never takes this branch.
+        // workers and execute out of program order. Ship every in-flight
+        // message before dispatching under the new epoch. Migrations are
+        // rare; the steady state never takes this branch.
         if epoch != last_epoch {
             last_epoch = epoch;
-            if completed < issued {
+            if !in_flight.is_empty() {
                 server_metrics.epoch_flushes.inc();
-                while completed < issued {
-                    completed_rx.recv().expect("collector alive");
-                    completed += 1;
+                while let Some(oldest) = in_flight.pop_front() {
+                    if !reassemble(&oldest, out_rxs, resp_tx) {
+                        return;
+                    }
                 }
             }
         }
@@ -395,7 +379,6 @@ fn dispatcher_loop(
             }
             server_metrics.worker_items.record(records.len() as u64);
             let work = WorkBatch {
-                seq,
                 frame: frame.clone(),
                 records,
             };
@@ -403,17 +386,7 @@ fn dispatcher_loop(
                 return;
             }
         }
-        if assign_tx
-            .send(Assignment {
-                seq,
-                worker_of_slot,
-            })
-            .is_err()
-        {
-            return;
-        }
-        seq += 1;
-        issued += 1;
+        in_flight.push_back(worker_of_slot);
     }
 }
 
@@ -438,7 +411,6 @@ fn worker_loop(
             metrics,
         );
         let output = WorkOutput {
-            seq: batch.seq,
             payload,
             ends: executor.ends().to_vec(),
         };
@@ -448,57 +420,45 @@ fn worker_loop(
     }
 }
 
-/// Reassemble. For each message: one output per participating worker,
-/// then a single in-order walk over the slots, pulling sequentially from
-/// each worker's buffer (a worker's slots ascend, so a per-worker cursor
-/// suffices — no sorting, no per-slot allocation).
-fn collector_loop(
-    assign_rx: &Receiver<Assignment>,
+/// Reassembles one message and ships it: one output from each worker the
+/// message went to (a worker answers its messages in order, so that is
+/// the next output on its channel), then a single in-order walk over the
+/// slots, pulling sequentially from each worker's buffer (a worker's
+/// slots ascend, so a per-worker cursor suffices — no sorting, no
+/// per-slot allocation). Returns `false` once the client has hung up.
+fn reassemble(
+    worker_of_slot: &[usize],
     out_rxs: &[Receiver<WorkOutput>],
     resp_tx: &Sender<ResponseBatch>,
-    completed_tx: &Sender<u64>,
-) {
+) -> bool {
     let workers = out_rxs.len();
-    while let Ok(assign) = assign_rx.recv() {
-        let mut outputs: Vec<Option<WorkOutput>> = Vec::new();
-        outputs.resize_with(workers, || None);
-        for w in 0..workers {
-            if assign.worker_of_slot.contains(&w) {
-                let output = out_rxs[w].recv().expect("worker alive");
-                debug_assert_eq!(
-                    output.seq, assign.seq,
-                    "per-worker FIFO preserves seq order"
-                );
-                outputs[w] = Some(output);
-            }
-        }
-        let total: usize = outputs
-            .iter()
-            .flatten()
-            .map(|o| o.payload.len())
-            .sum::<usize>();
-        let mut out = BytesMut::with_capacity(total);
-        // (next item index, start offset of that item) per worker.
-        let mut cursor = vec![(0usize, 0usize); workers];
-        for &w in &assign.worker_of_slot {
-            let output = outputs[w].as_ref().expect("assigned worker sent output");
-            let (item, start) = cursor[w];
-            let end = output.ends[item];
-            out.put_slice(&output.payload.as_ref()[start..end]);
-            cursor[w] = (item + 1, end);
-        }
-        if resp_tx
-            .send(ResponseBatch {
-                payload: out.freeze(),
-            })
-            .is_err()
-        {
-            return;
-        }
-        if completed_tx.send(assign.seq).is_err() {
-            return;
+    let mut outputs: Vec<Option<WorkOutput>> = Vec::new();
+    outputs.resize_with(workers, || None);
+    for w in 0..workers {
+        if worker_of_slot.contains(&w) {
+            outputs[w] = Some(out_rxs[w].recv().expect("worker alive"));
         }
     }
+    let total: usize = outputs
+        .iter()
+        .flatten()
+        .map(|o| o.payload.len())
+        .sum::<usize>();
+    let mut out = BytesMut::with_capacity(total);
+    // (next item index, start offset of that item) per worker.
+    let mut cursor = vec![(0usize, 0usize); workers];
+    for &w in worker_of_slot {
+        let output = outputs[w].as_ref().expect("assigned worker sent output");
+        let (item, start) = cursor[w];
+        let end = output.ends[item];
+        out.put_slice(&output.payload.as_ref()[start..end]);
+        cursor[w] = (item + 1, end);
+    }
+    resp_tx
+        .send(ResponseBatch {
+            payload: out.freeze(),
+        })
+        .is_ok()
 }
 
 #[cfg(test)]
@@ -537,24 +497,28 @@ mod tests {
     #[test]
     fn responses_come_back_in_request_order() {
         // Values encode the request slot, so any reassembly error shows up
-        // as a permuted value, not just a count mismatch.
+        // as a permuted value, not just a count mismatch. At batch size 1
+        // the 1 024 one-request messages keep the front's in-flight cap
+        // full for the whole run.
         let index = loaded_sharded(4, 4096);
-        let server = ShardServer::with_batch_size(index, 4, 64);
         let requests: Vec<WireRequest> = (0..1024u64)
             .map(|i| WireRequest::Get {
                 // Stride widely so consecutive slots hit different shards.
                 key: format!("key-{:08}", i * 97 % 4096).into_bytes(),
             })
             .collect();
-        let (stats, responses) = server.run_collect(&requests);
-        assert_eq!(stats.operations, 1024);
-        for (i, resp) in responses.iter().enumerate() {
-            let expected = (i as u64) * 97 % 4096;
-            assert_eq!(
-                *resp,
-                WireResponse::Value(expected),
-                "slot {i} out of order"
-            );
+        for batch_size in [1, 7, 64] {
+            let server = ShardServer::with_batch_size(Arc::clone(&index), 4, batch_size);
+            let (stats, responses) = server.run_collect(&requests);
+            assert_eq!(stats.operations, 1024);
+            for (i, resp) in responses.iter().enumerate() {
+                let expected = (i as u64) * 97 % 4096;
+                assert_eq!(
+                    *resp,
+                    WireResponse::Value(expected),
+                    "slot {i} out of order at batch size {batch_size}"
+                );
+            }
         }
     }
 
@@ -699,8 +663,8 @@ mod tests {
     fn serving_survives_migration_churn() {
         // A boundary migration storms along while the serving layer
         // answers lookups: every response must stay correct, and the
-        // dispatcher's epoch-flush accounting must be consistent with the
-        // churn (it can only flush if an epoch change raced a pipeline).
+        // front must have flushed (an epoch change found messages still
+        // with the workers) at least once over the run.
         let index = loaded_sharded(4, 4000);
         let server = ShardServer::with_batch_size(Arc::clone(&index), 4, 64);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -733,6 +697,7 @@ mod tests {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         churn.join().expect("churn thread");
+        assert!(server.server_metrics().epoch_flushes.get() > 0);
         index.check_invariants();
     }
 }

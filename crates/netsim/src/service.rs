@@ -326,7 +326,7 @@ impl Executor {
 
 /// The client half of a run: encodes `requests` in messages of
 /// `batch_size`, keeps a small pipeline of them in flight (as HERD does,
-/// and so a multi-stage server's stages overlap), reads the responses in
+/// and so a server's front and workers overlap), reads the responses in
 /// place and hands each to `on_resp` in request order. Takes the sender so
 /// that returning hangs up, which is what stops the server.
 ///

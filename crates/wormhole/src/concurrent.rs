@@ -381,7 +381,6 @@ pub struct Wormhole<V> {
     /// Leftmost leaf of the LeafList (never merged away).
     head: LeafHandle<V>,
     len: AtomicUsize,
-    key_bytes: AtomicUsize,
     /// Event counters; shared (`Arc`) so a sharded front can aggregate all
     /// its shards into one set of cells.
     metrics: Arc<WormholeMetrics>,
@@ -437,7 +436,6 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             garbage: Mutex::default(),
             head,
             len: AtomicUsize::new(0),
-            key_bytes: AtomicUsize::new(0),
             metrics,
         }
     }
@@ -516,7 +514,6 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 }
             }
             *wh.len.get_mut() += 1;
-            *wh.key_bytes.get_mut() += key.len();
             in_leaf += 1;
             // Strictly ascending input: the key is in no leaf yet.
             tail.0
@@ -941,7 +938,6 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 return Some(std::mem::replace(slot, value));
             }
             self.len.fetch_add(1, Ordering::Relaxed);
-            self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
             // Split point, anchor, table key and the carved right half come
             // from the core engine. A leaf with room takes the key as it is,
             // and so does a fat one (§3.3), which has no valid split point.
@@ -1118,19 +1114,17 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let mut pos = lo.to_vec();
         loop {
             let mut bin = self.new_bin();
-            let (removed, key_bytes, could_merge, next_anchor) =
-                self.with_leaf_write(&pos, |data| {
-                    let (n, kb) = data.leaf.remove_range(&pos, hi, &mut bin);
-                    // Right sibling's anchor = the next sweep position (lock
-                    // order left → right, same as the merge engine).
-                    let next_anchor = data
-                        .next
-                        .as_ref()
-                        .map(|next| next.0.data.read().leaf.anchor().to_vec());
-                    (n, kb, n > 0 && self.could_merge(data), next_anchor)
-                });
+            let (removed, could_merge, next_anchor) = self.with_leaf_write(&pos, |data| {
+                let n = data.leaf.remove_range(&pos, hi, &mut bin);
+                // Right sibling's anchor = the next sweep position (lock
+                // order left → right, same as the merge engine).
+                let next_anchor = data
+                    .next
+                    .as_ref()
+                    .map(|next| next.0.data.read().leaf.anchor().to_vec());
+                (n, n > 0 && self.could_merge(data), next_anchor)
+            });
             self.len.fetch_sub(removed, Ordering::Relaxed);
-            self.key_bytes.fetch_sub(key_bytes, Ordering::Relaxed);
             removed_total += removed;
             self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
             if could_merge {
@@ -1151,7 +1145,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     pub fn stats(&self) -> IndexStats {
         let mut stats = IndexStats {
             keys: self.len.load(Ordering::Relaxed),
-            key_bytes: self.key_bytes.load(Ordering::Relaxed),
+            key_bytes: 0,
             value_bytes: self.len.load(Ordering::Relaxed) * std::mem::size_of::<V>(),
             structure_bytes: 0,
         };
@@ -1173,6 +1167,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let mut cur = Some(self.head.clone());
         while let Some(leaf) = cur {
             let data = leaf.0.data.read();
+            stats.key_bytes += data.leaf.key_bytes();
             stats.structure_bytes +=
                 data.leaf.structure_bytes() + std::mem::size_of::<LeafShared<V>>();
             cur = data.next.clone();
@@ -1492,7 +1487,6 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
             FastPath::Replaced(old) => Some(old),
             FastPath::Inserted => {
                 self.len.fetch_add(1, Ordering::Relaxed);
-                self.key_bytes.fetch_add(key.len(), Ordering::Relaxed);
                 None
             }
             FastPath::NeedsSplit => {
@@ -1512,7 +1506,6 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
         self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
         let removed = removed?;
         self.len.fetch_sub(1, Ordering::Relaxed);
-        self.key_bytes.fetch_sub(key.len(), Ordering::Relaxed);
         // A shrunken leaf may be mergeable; the full Algorithm-2 test runs
         // under the writer mutex with both neighbours locked.
         if could_merge {

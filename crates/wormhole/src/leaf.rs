@@ -47,7 +47,7 @@
 //! MetaTrieHT, which may carry appended `⊥`/zero tokens to satisfy the prefix
 //! condition).
 
-use index_traits::RangeSink;
+use index_traits::ScanBatch;
 use wh_hash::{crc32c, tag16, tag_position_hint};
 
 use crate::config::WormholeConfig;
@@ -555,30 +555,27 @@ impl<V> LeafNode<V> {
     }
 
     /// Removes every item with `lo <= key < hi`, retiring the unlinked key
-    /// blocks through `bin`.
-    /// Returns `(items removed, key payload bytes removed)`.
+    /// blocks through `bin`. Returns how many items it removed.
     ///
     /// This is the leaf-level primitive of the concurrent index's batched
     /// range removal (shard migration drains a donor's migrated range with
     /// it); the whole doomed run is resolved against the key-sorted view
     /// once and unlinked slot by slot in descending storage order, so the
     /// shift-down fixups of earlier removals never invalidate later ones.
-    pub fn remove_range(&mut self, lo: &[u8], hi: &[u8], bin: &mut Bin<'_, V>) -> (usize, usize) {
+    pub fn remove_range(&mut self, lo: &[u8], hi: &[u8], bin: &mut Bin<'_, V>) -> usize {
         self.ensure_key_sorted();
         let start = self.lower_bound(&self.key_order, lo);
         let end = self.lower_bound(&self.key_order, hi);
         if start == end {
-            return (0, 0);
+            return 0;
         }
         let mut doomed: Vec<u16> = self.key_order[start..end].to_vec();
         doomed.sort_unstable_by(|a, b| b.cmp(a));
-        let mut key_bytes = 0usize;
         for &slot in &doomed {
             let kv = self.remove_slot(usize::from(slot));
-            key_bytes += kv.key.len();
             bin.retire(Retired::Key(kv.key));
         }
-        (doomed.len(), key_bytes)
+        doomed.len()
     }
 
     /// Whether the key-sorted view lags behind the items: some were
@@ -652,16 +649,19 @@ impl<V> LeafNode<V> {
     /// key-sorted view lags behind. The sorted prefix and the unsorted tail
     /// are merged on the fly, ordering the tail through `scratch` (a
     /// reusable index buffer) instead of cloning the leaf.
-    pub fn collect_leaf_unsorted<S: RangeSink<V>>(
+    pub fn collect_leaf_unsorted(
         &self,
         start: &[u8],
         count: usize,
-        sink: &mut S,
+        batch: &mut ScanBatch<V>,
         scratch: &mut Vec<u16>,
-    ) -> usize {
+    ) -> usize
+    where
+        V: Clone,
+    {
         if !self.key_view_lags() {
             return self
-                .collect_leaf_checked(start, count, sink, usize::MAX)
+                .collect_leaf_checked(start, count, batch, usize::MAX)
                 .expect("a sorted leaf nobody writes cannot conflict");
         }
         let key = |i: u16| self.key(usize::from(i));
@@ -688,7 +688,7 @@ impl<V> LeafNode<V> {
                 }
                 (None, None) => break,
             };
-            sink.accept(key(next), &self.kvs[usize::from(next)].value);
+            batch.push(key(next), self.kvs[usize::from(next)].value.clone());
             appended += 1;
         }
         appended
@@ -763,23 +763,26 @@ impl<V> LeafNode<V> {
         }
     }
 
-    /// Collects up to `count` items with key `>= start` into `sink`, in key
-    /// order, and returns how many it accepted: the batch-per-leaf
+    /// Appends up to `count` items with key `>= start` to `batch`, in key
+    /// order, and returns how many it appended: the batch-per-leaf
     /// primitive of both scan cursors. A bounds-checked walk of the
     /// key-sorted view, safe on a leaf a concurrent writer may be mutating
     /// (see [`LeafNode::get_checked`]). Any key whose recorded length
     /// exceeds `max_key_len` is treated as torn state rather than copied,
     /// and so is a view that lags: the cursor sorts it under the leaf's
-    /// write lock and reads it there. Everything accepted by `sink` must be
+    /// write lock and reads it there. Everything appended must be
     /// discarded unless the caller's seqlock validation succeeds. On a
     /// sorted leaf that nobody writes it cannot conflict.
-    pub fn collect_leaf_checked<S: RangeSink<V>>(
+    pub fn collect_leaf_checked(
         &self,
         start: &[u8],
         count: usize,
-        sink: &mut S,
+        batch: &mut ScanBatch<V>,
         max_key_len: usize,
-    ) -> Result<usize, ReadConflict> {
+    ) -> Result<usize, ReadConflict>
+    where
+        V: Clone,
+    {
         if self.key_view_lags() {
             return Err(ReadConflict);
         }
@@ -792,7 +795,7 @@ impl<V> LeafNode<V> {
             if kv.key.len() > max_key_len {
                 return Err(ReadConflict);
             }
-            sink.accept(&kv.key, &kv.value);
+            batch.push(&kv.key, kv.value.clone());
         }
         Ok(run.len())
     }
@@ -1122,16 +1125,21 @@ mod tests {
             insert(&mut leaf, format!("k{i:02}").as_bytes(), i, &config);
         }
         leaf.ensure_key_sorted();
-        let mut out = Vec::new();
+        let mut out = ScanBatch::new();
         let n = leaf
             .collect_leaf_checked(b"k03", 4, &mut out, usize::MAX)
             .unwrap();
         assert_eq!(n, 4);
-        let keys: Vec<String> = out
-            .iter()
-            .map(|(k, _)| String::from_utf8(k.clone()).unwrap())
-            .collect();
-        assert_eq!(keys, vec!["k03", "k04", "k05", "k06"]);
+        let pairs: Vec<(&[u8], &u64)> = out.iter().collect();
+        assert_eq!(
+            pairs,
+            [
+                (b"k03".as_ref(), &3),
+                (b"k04", &4),
+                (b"k05", &5),
+                (b"k06", &6)
+            ]
+        );
     }
 
     #[test]
@@ -1185,13 +1193,11 @@ mod tests {
     fn checked_reads_match_unchecked_on_quiescent_leaf() {
         for config in leaf_configs() {
             let mut leaf = LeafNode::new(Vec::new(), Vec::new());
+            let mut model = BTreeMap::new();
             for i in 0..40u64 {
-                insert(
-                    &mut leaf,
-                    format!("ck{:03}", i * 7 % 40).as_bytes(),
-                    i,
-                    &config,
-                );
+                let key = format!("ck{:03}", i * 7 % 40).into_bytes();
+                insert(&mut leaf, &key, i, &config);
+                model.insert(key, i);
             }
             for i in 0..40u64 {
                 let key = format!("ck{i:03}");
@@ -1203,12 +1209,18 @@ mod tests {
             }
             assert_eq!(leaf.get_checked(b"zz", crc32c(b"zz"), &config), Ok(None));
             // Range: the checked collector refuses a lagging key view (the
-            // cursor sorts it under the write lock) and agrees with the
-            // unchecked collectors once it is current.
-            let mut expect = Vec::new();
+            // cursor sorts it under the write lock); both collectors agree
+            // with the model once it is current.
+            let expect: Vec<(&[u8], &u64)> = model
+                .range(b"ck010".to_vec()..)
+                .take(12)
+                .map(|(k, v)| (k.as_slice(), v))
+                .collect();
+            let mut got = ScanBatch::new();
             let mut scratch = Vec::new();
-            leaf.collect_leaf_unsorted(b"ck010", 12, &mut expect, &mut scratch);
-            let mut got: Vec<(Vec<u8>, u64)> = Vec::new();
+            leaf.collect_leaf_unsorted(b"ck010", 12, &mut got, &mut scratch);
+            assert_eq!(got.iter().collect::<Vec<_>>(), expect);
+            got.clear();
             if leaf.key_view_lags() {
                 assert_eq!(
                     leaf.collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20),
@@ -1220,13 +1232,13 @@ mod tests {
                 .collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20)
                 .expect("quiescent leaf never conflicts");
             assert_eq!(n, expect.len());
-            assert_eq!(got, expect);
+            assert_eq!(got.iter().collect::<Vec<_>>(), expect);
             got.clear();
             assert_eq!(
                 leaf.collect_leaf_checked(b"ck010", 12, &mut got, usize::MAX),
                 Ok(n)
             );
-            assert_eq!(got, expect);
+            assert_eq!(got.iter().collect::<Vec<_>>(), expect);
         }
     }
 
@@ -1253,9 +1265,9 @@ mod tests {
                 );
             }
             let mut bin = Bin::immediate();
-            let (n, bytes) = leaf.remove_range(b"rr05", b"rr15", &mut bin);
-            assert_eq!(n, 10);
-            assert_eq!(bytes, 10 * 4);
+            let before = leaf.key_bytes();
+            assert_eq!(leaf.remove_range(b"rr05", b"rr15", &mut bin), 10);
+            assert_eq!(before - leaf.key_bytes(), 10 * 4);
             assert_eq!(leaf.len(), 14);
             for i in 0..24u64 {
                 let key = format!("rr{i:02}");
@@ -1267,8 +1279,8 @@ mod tests {
                 );
             }
             // Empty window and disjoint window are no-ops.
-            assert_eq!(leaf.remove_range(b"rr05", b"rr05", &mut bin), (0, 0));
-            assert_eq!(leaf.remove_range(b"zz", b"zzz", &mut bin), (0, 0));
+            assert_eq!(leaf.remove_range(b"rr05", b"rr05", &mut bin), 0);
+            assert_eq!(leaf.remove_range(b"zz", b"zzz", &mut bin), 0);
             // Lookups and further mutation still work after the bulk fixups.
             assert_eq!(insert(&mut leaf, b"rr07", 100, &config), None);
             assert_eq!(get(&leaf, b"rr07", &config), Some(100));
@@ -1424,7 +1436,7 @@ mod tests {
                         let mut removed = 0;
                         for leaf in [Some(&mut left), right.as_mut()].into_iter().flatten() {
                             prop_assert_eq!(insert(leaf, LAG_KEY, 0, &config), None);
-                            removed += leaf.remove_range(&lo, &hi, &mut bin).0;
+                            removed += leaf.remove_range(&lo, &hi, &mut bin);
                             leaf.check_invariants();
                             prop_assert_eq!(remove(leaf, LAG_KEY, &config), Some(0));
                         }
@@ -1472,15 +1484,16 @@ mod tests {
                 prop_assert_eq!(leaf.get(key, hash, &config), Some(value));
                 prop_assert_eq!(leaf.get_checked(key, hash, &config), Ok(Some(value)));
             }
-            let mut contents = Vec::new();
+            let mut contents = ScanBatch::new();
             left.ensure_key_sorted();
             left.collect_leaf_checked(b"", usize::MAX, &mut contents, usize::MAX).unwrap();
             if let Some(r) = &mut right {
                 r.ensure_key_sorted();
                 r.collect_leaf_checked(b"", usize::MAX, &mut contents, usize::MAX).unwrap();
             }
-            let expect: Vec<(Vec<u8>, u64)> =
-                model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            let contents: Vec<(&[u8], &u64)> = contents.iter().collect();
+            let expect: Vec<(&[u8], &u64)> =
+                model.iter().map(|(k, v)| (k.as_slice(), v)).collect();
             prop_assert_eq!(contents, expect);
         }
     }

@@ -46,7 +46,6 @@ pub struct WormholeUnsafe<V> {
     /// Leftmost leaf of the LeafList.
     head: u32,
     len: usize,
-    key_bytes: usize,
 }
 
 impl<V: Clone> Default for WormholeUnsafe<V> {
@@ -80,7 +79,6 @@ impl<V: Clone> WormholeUnsafe<V> {
             free: Vec::new(),
             head: 0,
             len: 0,
-            key_bytes: 0,
         }
     }
 
@@ -321,7 +319,6 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
             .leaf
             .insert_absent(key, hash, value, &config, bin);
         self.len += 1;
-        self.key_bytes += key.len();
         None
     }
 
@@ -332,7 +329,6 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
         let leaf = &mut self.slot_mut(leaf_idx).leaf;
         let removed = leaf.remove(key, hash, &config, &mut Bin::immediate())?;
         self.len -= 1;
-        self.key_bytes -= key.len();
         // Merge with a neighbour when the combined size has dropped below
         // MergeSize (Algorithm 2, DEL).
         let size = self.slot(leaf_idx).leaf.len();
@@ -379,11 +375,12 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
     fn stats(&self) -> IndexStats {
         let mut stats = IndexStats {
             keys: self.len,
-            key_bytes: self.key_bytes,
+            key_bytes: 0,
             value_bytes: self.len * std::mem::size_of::<V>(),
             structure_bytes: self.meta.structure_bytes(),
         };
         for slot in self.leaves.iter().flatten() {
+            stats.key_bytes += slot.leaf.key_bytes();
             stats.structure_bytes += slot.leaf.structure_bytes() + 2 * std::mem::size_of::<u32>();
         }
         stats

@@ -10,9 +10,10 @@
 //!
 //! [`netsim`] is both the paper's analytic link model and a real
 //! batched serving layer: [`netsim::ShardServer`] runs N shard-affine
-//! execution workers behind a routing dispatcher and a reassembling
-//! collector over a [`sharded::ShardedWormhole`] — one router-table
-//! snapshot per incoming message ([`sharded::ShardedWormhole::route_batch`]),
+//! execution workers behind one front thread that routes each message
+//! and reassembles its responses, over a [`sharded::ShardedWormhole`] —
+//! one router-table snapshot per incoming message
+//! ([`sharded::ShardedWormhole::route_batch`]),
 //! pipelined request/response framing read in place, each worker's
 //! point lookups hoisted into one `get_batch_into` per message share,
 //! and streaming scans continued by stateless
