@@ -12,7 +12,7 @@
 //!
 //! A cursor yields each key **at most once**, in **strictly ascending key
 //! order**. Each batch is an atomic snapshot of one region of the index
-//! (for the Wormhole indexes: exactly one leaf node, captured under seqlock
+//! (for the Wormhole indexes: a run of one leaf node, captured under seqlock
 //! validation, or under the leaf's lock when the scan first had to sort its
 //! key view), but there is **no global snapshot across batches**: a key
 //! inserted behind the cursor's position is never seen, a key inserted
@@ -177,10 +177,11 @@ pub trait CursorSource<V> {
     ///
     /// `from` is the scan's position, which the caller owns: the start key
     /// on the first call, afterwards the successor of the last pair the
-    /// previous call filled. No pair below it may be filled. A source
-    /// therefore keeps no copy of the start key, and keeps a bound of its
-    /// own only where it knows a tighter one (the next leaf's anchor, the
-    /// next shard's boundary).
+    /// previous call filled. A source therefore keeps no copy of the start
+    /// key. It may keep a position of its own — where its last fill stopped
+    /// inside the structure, the next shard's boundary — and continue from
+    /// there, but it never fills a pair below `from`: a caller that moved
+    /// the position ahead is obeyed.
     ///
     /// `limit` caps how many pairs this batch needs to hold (the consumer
     /// will not take more before asking again): implementations may stop

@@ -11,10 +11,14 @@
 //!   inside the write lock they already hold, so a racing read always
 //!   fails validation and retries. After a bounded number of conflicts a
 //!   reader falls back to the leaf's reader lock, which bounds worst-case
-//!   latency under heavy write contention. Ordered scans stream one
-//!   validated leaf snapshot per batch (`ScanSource`) — per-leaf
-//!   atomicity, no global snapshot across batches. The one time a scan
-//!   locks on its way is when the leaf it reached has items appended
+//!   latency under heavy write contention. Ordered scans stream validated
+//!   snapshots of one leaf, or part of one, per batch (`ScanSource`) —
+//!   per-batch atomicity, no global snapshot across batches. As in the
+//!   paper, a scan is one lookup and then a walk of the LeafList: it keeps
+//!   the leaf it stopped in and the snapshot it read there, continues in
+//!   that leaf while the snapshot holds and over its `next` link from its
+//!   end, and searches again only when the leaf changed. The one time a
+//!   scan locks on its way is when the leaf it reached has items appended
 //!   behind its key-sorted view: it sorts the view under that leaf's write
 //!   lock, reads it there, and leaves it sorted for the scans that follow;
 //! * a **writer lock per leaf node** — in-place inserts, deletes, and the
@@ -47,12 +51,13 @@
 //!
 //! # Safety model of the optimistic read
 //!
-//! Every lock-free read of a leaf — the point read, the scan batch, the
-//! neighbour step of a search, a sibling's anchor, the staging peek of a
-//! batched read — goes through one primitive, `LeafShared::read`: seqlock
-//! enter, the expected-version gate, an unlocked view of the leaf, the
-//! caller's closure, validation. Its doc comment carries the argument,
-//! which rests on three layers:
+//! Every lock-free read of a leaf — the point read, the scan batch and its
+//! step over a `next` link, the neighbour step of a search, the staging
+//! peek of a batched read — goes through one primitive, `LeafShared::read`:
+//! seqlock enter (only at the snapshot a scan stopped at, when it resumes),
+//! the expected-version gate, an unlocked view of the leaf, the caller's
+//! closure, validation. Its doc comment carries the argument, which rests
+//! on three layers:
 //!
 //! * **every heap block a reader can reach stays allocated for its whole
 //!   critical section**: writers retire not only tables and leaf nodes but
@@ -92,9 +97,8 @@ use crate::prefetch::prefetch_span;
 use crate::telemetry::WormholeMetrics;
 
 /// Seqlock conflicts a lock-free read tolerates. Then a point read falls
-/// back to its leaf's reader lock, a scan cursor (and so `range_from`,
-/// which streams through one) reads the rest of its scan under leaf locks,
-/// and a sibling's anchor goes unread.
+/// back to its leaf's reader lock, and a scan cursor (and so `range_from`,
+/// which streams through one) reads the rest of its scan under leaf locks.
 pub const OPTIMISTIC_READ_RETRIES: usize = 8;
 
 /// Keys longer than this are treated as torn state by the optimistic range
@@ -143,11 +147,15 @@ impl<V> LeafShared<V> {
         self.seq.load(Ordering::Relaxed) == snapshot
     }
 
-    /// The one optimistic read of a leaf: enters the seqlock, restarts when
+    /// The one optimistic read of a leaf: enters the seqlock (given
+    /// `expect`, only while the counter still equals it), restarts when
     /// `gate` — the version of the table the leaf was found in — is older
     /// than the leaf's expected version (§2.5), runs `f` on the leaf's data
     /// without its lock, and keeps `f`'s answer only if no write began in
-    /// the meantime. Any [`ReadConflict`] means: search again.
+    /// the meantime. It returns the answer with the snapshot it validated:
+    /// a scan keeps that snapshot and resumes by expecting it, which
+    /// admits the leaf exactly as `f` saw it. Any [`ReadConflict`] means:
+    /// search again.
     ///
     /// `f` sees data a writer may be changing under it, so it may only:
     ///
@@ -155,7 +163,8 @@ impl<V> LeafShared<V> {
     ///   [`LeafNode`]) and turn what they cannot make sense of into a
     ///   [`ReadConflict`];
     /// * clone a value without drop glue, a `Weak` or an `Arc`, or follow a
-    ///   link to a neighbour leaf and read that one through this primitive;
+    ///   link to a neighbour leaf and read that one through this primitive
+    ///   or under its lock;
     /// * follow an item's `KeyBox`.
     ///
     /// Its answer may borrow the data only to feed prefetch hints.
@@ -182,17 +191,20 @@ impl<V> LeafShared<V> {
     fn read<'s, R>(
         &'s self,
         gate: Option<u64>,
+        expect: Option<u64>,
         f: impl FnOnce(&'s LeafData<V>) -> Result<R, ReadConflict>,
-    ) -> Result<R, ReadConflict> {
+    ) -> Result<(R, u64), ReadConflict> {
         let snapshot = self.seq_enter().ok_or(ReadConflict)?;
-        if gate.is_some_and(|version| self.expected_version.load(Ordering::Acquire) > version) {
+        if expect.is_some_and(|expect| expect != snapshot)
+            || gate.is_some_and(|version| self.expected_version.load(Ordering::Acquire) > version)
+        {
             return Err(ReadConflict);
         }
         // SAFETY: the argument above; the pointer itself is valid for as
         // long as `self` is borrowed.
         let answer = f(unsafe { &*self.data.data_ptr() })?;
         if self.seq_validate(snapshot) {
-            Ok(answer)
+            Ok((answer, snapshot))
         } else {
             Err(ReadConflict)
         }
@@ -533,8 +545,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     pub fn scan_source(&self) -> impl CursorSource<V> + '_ {
         ScanSource {
             wh: self,
-            hop: Vec::new(),
-            anchor: Vec::new(),
+            at: None,
             conflicts: 0,
             done: false,
         }
@@ -722,7 +733,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             TargetOutcome::LeftOf(leaf) => (leaf, false),
             TargetOutcome::CompareAnchor(leaf) => (leaf, true),
         };
-        let prev = leaf.0.read(None, |data| {
+        let (prev, _) = leaf.0.read(None, None, |data| {
             let left = !compare || key < data.leaf.anchor();
             Ok(left.then(|| data.prev.upgrade()))
         })?;
@@ -797,16 +808,18 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                     }
                     let leaves = located.each_ref().map(|leaf| {
                         let leaf = leaf.as_ref()?;
-                        leaf.0.read(None, |data| Ok(&data.leaf)).ok()
+                        let read = leaf.0.read(None, None, |data| Ok(&data.leaf));
+                        read.ok().map(|(leaf, _)| leaf)
                     });
                     LeafNode::stage_probes(&leaves, &hashes, &self.config);
                 }
                 for (i, key) in keys.iter().enumerate() {
                     let probe = |leaf: &LeafHandle<V>, version| {
-                        leaf.0.read(Some(version), |data| {
+                        let read = leaf.0.read(Some(version), None, |data| {
                             let value = data.leaf.get_checked(key, hashes[i], &self.config)?;
                             Ok(value.cloned())
-                        })
+                        });
+                        read.map(|(value, _)| value)
                     };
                     // The first attempt reads the leaf the window's search
                     // found; a retry searches the table published by then.
@@ -1204,238 +1217,249 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 }
 
-/// What one read of a leaf tells the scan about where to go next.
-enum AfterLeaf {
-    /// The window budget may have cut the batch short mid-leaf: the next
-    /// fill continues inside the same leaf, past the last pair.
-    Truncated,
-    /// The leaf was the last of the list.
-    End,
-    /// The leaf was read to its end and has a right sibling. `true`: the
-    /// sibling's anchor now sits in the source's `anchor` scratch.
-    Sibling(bool),
+/// Pairs one scan fill copies at most. Continuing where the last fill
+/// stopped costs one seqlock compare, so a fill need not take the rest of
+/// a leaf to be worth its cost: a consumer that stops early leaves the
+/// rest uncopied.
+const SCAN_CHUNK: usize = 16;
+
+/// Where a scan's last fill stopped.
+struct ScanAt<V> {
+    /// The leaf it read last.
+    leaf: LeafHandle<V>,
+    /// The seqlock snapshot that read validated, or the counter under the
+    /// lock it held: never a later load.
+    seq: u64,
+    /// Key-order position after the last pair copied.
+    pos: usize,
 }
 
 /// Batch-per-leaf [`CursorSource`] over the concurrent index — the engine
 /// under both `scan` and `range_from`.
 ///
-/// Every batch reads exactly one leaf, located through the published
-/// MetaTrieHT inside a QSBR critical section. A leaf whose key-sorted view
-/// is current is read through the same primitive as a `get`
-/// ([`LeafShared::read`]): a walk of the view through the bounds-checked
-/// [`LeafNode::collect_leaf_checked`], kept only if the seqlock validates
-/// (validate-then-yield). A leaf
-/// whose view lags is the one case in which a scan writes: it takes that
-/// leaf's write lock, runs the paper's `incSort` there
-/// ([`Wormhole::write_sorted`]) and fills the batch under the same lock, so
-/// the sort is paid once and the next scan of the leaf reads it lock-free.
-/// A conflicted batch is discarded and retried; after
-/// [`OPTIMISTIC_READ_RETRIES`] conflicts the remainder of the scan reads
-/// leaves under their locks.
+/// The first fill searches the published MetaTrieHT for the cursor's
+/// position inside a QSBR critical section and reads the leaf it finds
+/// through the same primitive as a `get` ([`LeafShared::read`]): a
+/// bounds-checked binary search and walk of the key view
+/// ([`LeafNode::collect_leaf_checked`]), kept only if the seqlock
+/// validates (validate-then-yield). A leaf whose view lags is the one case
+/// in which a scan writes: it takes that leaf's write lock, runs the
+/// paper's `incSort` there ([`Wormhole::write_sorted`]) and fills the batch
+/// under the same lock, so the sort is paid once and the next scan of the
+/// leaf reads it lock-free.
 ///
-/// Between batches the cursor holds **no position inside the structure**:
-/// the [`Cursor`] owns the scan's position (the successor of the last
-/// streamed key) and hands it to every fill, and this source adds only the
-/// anchor of the right sibling of the leaf it read last, which is where
-/// the next descent of the MetaTrieHT lands when it is the greater of the
-/// two. Leaves split, merged, or retired between batches are simply
-/// re-resolved by that descent. This is what makes the stream safe to run
-/// for minutes under structural churn: correctness never depends on a
-/// cached leaf link staying current.
+/// Between batches the source keeps its place in the structure, a
+/// [`ScanAt`]. The next fill, in a fresh critical section, enters that
+/// leaf's seqlock only at the stored snapshot and copies on from the stored
+/// position. A leaf read to its end hands over to its `next` link: inside
+/// one read of the leaf at its snapshot, the successor is read from its
+/// start, so the two were neighbours throughout and the successor needs no
+/// expected-version gate. Only a leaf that changed since (a write, a split,
+/// a merge, a sort) sends the fill back to the MetaTrieHT, from the
+/// cursor's position, and so does a position the consumer moved past the
+/// stored one. A fill reads one leaf and copies at most [`SCAN_CHUNK`]
+/// pairs; a conflicted one is discarded and retried. After
+/// [`OPTIMISTIC_READ_RETRIES`] conflicts the rest of the scan reads under
+/// leaf locks, from the same position, holding a leaf's reader lock while
+/// it reads its successor.
 struct ScanSource<'a, V: Clone + Send + Sync> {
     wh: &'a Wormhole<V>,
-    /// Anchor of the right sibling of the last leaf read to its end; empty
-    /// before the first. Taking the greater of this and the cursor's
-    /// position keeps a stale anchor (a sibling merged away between batches
-    /// reports an outdated — possibly empty — one) from ever moving the
-    /// scan backwards.
-    hop: Vec<u8>,
-    /// Scratch a sibling's anchor is read into before it replaces `hop`.
-    anchor: Vec<u8>,
+    /// Where the last fill stopped; `None` before the first fill and after
+    /// a conflicted one.
+    at: Option<ScanAt<V>>,
     /// Seqlock conflicts so far across the whole scan.
     conflicts: usize,
     done: bool,
 }
 
-impl<V: Clone + Send + Sync + 'static> ScanSource<'_, V> {
-    /// Sizes an empty `batch` once for what reading `leaf` is about to put
-    /// in it, instead of letting three vectors grow by doubling. A consumer
-    /// that set no window budget goes on to the leaves that follow, so the
-    /// batch is sized for a full leaf of this one's key length. (The leaf
-    /// may be racing a writer: both counts are then some value a writer
-    /// stored, and a real leaf's worth at most.)
-    fn reserve_for(wh: &Wormhole<V>, leaf: &LeafNode<V>, batch: &mut ScanBatch<V>, limit: usize) {
-        let items = leaf.len().max(wh.config.leaf_capacity).min(limit);
-        let key_len = leaf.key_bytes().div_ceil(leaf.len().max(1));
-        batch.reserve(items, items.saturating_mul(key_len));
-    }
+/// One fill of a scan: the cursor's position, the batch and its cap, and
+/// whether the fill reads lock-free or under leaf locks.
+struct Fill<'f, V> {
+    wh: &'f Wormhole<V>,
+    from: &'f [u8],
+    batch: &'f mut ScanBatch<V>,
+    limit: usize,
+    optimistic: bool,
+}
 
-    /// Reads up to `limit` pairs of a locked leaf whose key view is current
-    /// from `lower` on, and its right sibling's anchor, which is exact
-    /// here — holding this leaf's lock pins the link, since any split or
-    /// merge involving either leaf needs this leaf's write lock.
-    fn read_locked(
-        wh: &Wormhole<V>,
-        data: &LeafData<V>,
-        lower: &[u8],
-        batch: &mut ScanBatch<V>,
-        limit: usize,
-        anchor: &mut Vec<u8>,
-    ) -> AfterLeaf {
-        batch.clear();
-        Self::reserve_for(wh, &data.leaf, batch, limit);
-        let appended = data
-            .leaf
-            .collect_leaf_checked(lower, limit, batch, usize::MAX)
-            .expect("a locked, sorted leaf cannot conflict");
-        if appended == limit {
-            return AfterLeaf::Truncated;
+impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
+    /// One attempt: continues from `at` if its leaf is unchanged, else
+    /// descends. `Ok(None)` at the end of the leaf list.
+    fn step(&mut self, at: Option<&ScanAt<V>>) -> Result<Option<ScanAt<V>>, ReadConflict> {
+        if let Some(Ok(next)) = at.map(|at| self.resume(at)) {
+            return Ok(next);
         }
-        let Some(next) = &data.next else {
-            return AfterLeaf::End;
-        };
-        anchor.clear();
-        anchor.extend_from_slice(next.0.data.read().leaf.anchor());
-        AfterLeaf::Sibling(true)
+        self.batch.clear();
+        self.descend().map(Some)
     }
 
-    /// One optimistic batch attempt: the leaf covering `lower` — up to
-    /// `limit` pairs of it — and its right sibling's anchor, in one
-    /// [`LeafShared::read`], or under the leaf's write lock when its key
-    /// view had to be sorted first. Runs inside one QSBR critical section
-    /// so the published table and the leaf stay live.
-    fn try_read_optimistic(
-        wh: &Wormhole<V>,
-        lower: &[u8],
-        batch: &mut ScanBatch<V>,
-        limit: usize,
-        anchor: &mut Vec<u8>,
-    ) -> Result<AfterLeaf, ReadConflict> {
-        wh.qsbr.with_local_handle(|handle| {
-            let _guard = handle.enter();
-            // SAFETY: inside the critical section opened just above;
-            // nothing borrowed from the table leaves it.
-            let meta = unsafe { wh.published() };
-            let outcome = meta.table.search_target(lower, &wh.config);
-            let leaf = Wormhole::resolve(outcome, lower)?;
-            // `None`: the key view lags behind the leaf's items.
-            let read = leaf.0.read(Some(meta.version), |data| {
-                if data.leaf.key_view_lags() {
-                    return Ok(None);
-                }
-                Self::reserve_for(wh, &data.leaf, batch, limit);
-                let appended =
-                    data.leaf
-                        .collect_leaf_checked(lower, limit, batch, MAX_OPTIMISTIC_KEY_LEN)?;
-                Ok(Some(match &data.next {
-                    _ if appended == limit => AfterLeaf::Truncated,
-                    None => AfterLeaf::End,
-                    Some(next) => AfterLeaf::Sibling(Self::read_anchor(next, anchor)),
-                }))
+    /// Continues where `at` stopped if its leaf still holds the snapshot it
+    /// was read at: copies on from its position, or, at the leaf's end,
+    /// reads its successor from the start while the leaf stays unchanged.
+    fn resume(&mut self, at: &ScanAt<V>) -> Result<Option<ScanAt<V>>, ReadConflict> {
+        let leaf = &at.leaf.0;
+        if self.optimistic {
+            let read = leaf.read(None, Some(at.seq), |data| self.resume_in(at, data));
+            return read.map(|(next, _)| next);
+        }
+        // Under the reader lock the counter names the state read (see
+        // `Fill::read_held`).
+        let data = leaf.data.read();
+        if leaf.seq.load(Ordering::Relaxed) != at.seq {
+            return Err(ReadConflict);
+        }
+        self.resume_in(at, &data)
+    }
+
+    /// [`Fill::resume`] on the data of `at`'s leaf, at `at`'s snapshot.
+    fn resume_in(
+        &mut self,
+        at: &ScanAt<V>,
+        data: &LeafData<V>,
+    ) -> Result<Option<ScanAt<V>>, ReadConflict> {
+        let pos = self.copy(data, Some(at.pos))?;
+        if pos > at.pos {
+            let (leaf, seq) = (at.leaf.clone(), at.seq);
+            return Ok(Some(ScanAt { leaf, seq, pos }));
+        }
+        // Read to its end: the link step.
+        let next = data.next.as_ref();
+        next.map(|next| self.read_leaf(next, None, Some(0)))
+            .transpose()
+    }
+
+    /// Searches the published MetaTrieHT for the cursor's position and
+    /// reads the leaf it finds from there.
+    fn descend(&mut self) -> Result<ScanAt<V>, ReadConflict> {
+        let (wh, from) = (self.wh, self.from);
+        if !self.optimistic {
+            return Ok(wh.with_leaf(from, |leaf, version| {
+                wh.metrics.scan_descents.inc();
+                self.read_leaf(leaf, Some(version), None).ok()
+            }));
+        }
+        wh.metrics.scan_descents.inc();
+        // SAFETY: the caller's critical section covers the search and the
+        // read; only owned handles leave it.
+        let meta = unsafe { wh.published() };
+        let leaf = Wormhole::resolve(meta.table.search_target(from, &wh.config), from)?;
+        self.read_leaf(&leaf, Some(meta.version), None)
+    }
+
+    /// Reads `leaf` from position `start`, or from the cursor's position:
+    /// lock-free, or under its reader lock in locked mode, and under its
+    /// writer lock either way when its key view has to be sorted first.
+    /// `gate` is the version of the table `leaf` was found in.
+    fn read_leaf(
+        &mut self,
+        leaf: &LeafHandle<V>,
+        gate: Option<u64>,
+        start: Option<usize>,
+    ) -> Result<ScanAt<V>, ReadConflict> {
+        let version = gate.unwrap_or(u64::MAX);
+        if self.optimistic {
+            let (pos, seq) = leaf.0.read(gate, None, |data| {
+                // `None`: the key view lags behind the leaf's items.
+                let current = !data.leaf.key_view_lags();
+                current.then(|| self.copy(data, start)).transpose()
             })?;
-            if let Some(after) = read {
-                return Ok(after);
+            if let Some(pos) = pos {
+                let leaf = leaf.clone();
+                return Ok(ScanAt { leaf, seq, pos });
             }
-            // Leaf locks are never held across a grace-period wait, so
-            // blocking on one in here cannot deadlock.
-            let data = wh.write_sorted(&leaf, meta.version).ok_or(ReadConflict)?;
-            Ok(Self::read_locked(wh, &data, lower, batch, limit, anchor))
-        })
-    }
-
-    /// Reads `leaf`'s anchor into `buf` without taking any lock. `false`
-    /// means no clean read was obtained; the scan then goes on from the
-    /// cursor's position alone.
-    fn read_anchor(leaf: &LeafHandle<V>, buf: &mut Vec<u8>) -> bool {
-        (0..OPTIMISTIC_READ_RETRIES).any(|_| {
-            let read = leaf.0.read(None, |data| {
-                let anchor = data.leaf.anchor();
-                if anchor.len() > MAX_OPTIMISTIC_KEY_LEN {
-                    return Err(ReadConflict);
-                }
-                buf.clear();
-                buf.extend_from_slice(anchor);
-                Ok(())
-            });
-            read.is_ok()
-        })
-    }
-
-    /// Reader-lock fallback: reads the leaf covering `lower` under its read
-    /// lock, or its write lock when its key view has to be sorted first.
-    fn read_leaf_locked(
-        wh: &Wormhole<V>,
-        lower: &[u8],
-        batch: &mut ScanBatch<V>,
-        limit: usize,
-        anchor: &mut Vec<u8>,
-    ) -> AfterLeaf {
-        wh.with_leaf(lower, |leaf, version| {
-            let data = leaf.read_at(version)?;
+        } else {
+            let data = leaf.read_at(version).ok_or(ReadConflict)?;
             if !data.leaf.key_view_lags() {
-                return Some(Self::read_locked(wh, &data, lower, batch, limit, anchor));
+                return self.read_held(leaf, &data, start);
             }
-            drop(data);
-            let data = wh.write_sorted(leaf, version)?;
-            Some(Self::read_locked(wh, &data, lower, batch, limit, anchor))
-        })
+        }
+        // Leaf locks are never held across a grace-period wait, so blocking
+        // on one inside a critical section cannot deadlock.
+        let data = self.wh.write_sorted(leaf, version).ok_or(ReadConflict)?;
+        self.read_held(leaf, &data, start)
+    }
+
+    /// [`Fill::read_leaf`] under a lock the caller holds, which keeps the
+    /// seqlock counter at the state read: writers move it only under the
+    /// leaf's writer lock.
+    fn read_held(
+        &mut self,
+        leaf: &LeafHandle<V>,
+        data: &LeafData<V>,
+        start: Option<usize>,
+    ) -> Result<ScanAt<V>, ReadConflict> {
+        let pos = self.copy(data, start)?;
+        let (leaf, seq) = (leaf.clone(), leaf.0.seq.load(Ordering::Relaxed));
+        Ok(ScanAt { leaf, seq, pos })
+    }
+
+    /// Copies up to `limit` pairs of the key view behind `data` into the
+    /// batch, from position `start` or the cursor's position, and returns
+    /// the position after the last. A first pair below the cursor's
+    /// position is a conflict: the consumer moved the scan past where the
+    /// source stopped, and the caller searches again.
+    fn copy(&mut self, data: &LeafData<V>, start: Option<usize>) -> Result<usize, ReadConflict> {
+        let leaf = &data.leaf;
+        // The batch's vectors are sized once, for a chunk of keys of this
+        // leaf's mean length. (Under a racing writer both counts are some
+        // value it stored, and a real leaf's worth at most.)
+        let items = leaf.len().max(self.wh.config.leaf_capacity).min(self.limit);
+        let key_len = leaf.key_bytes().div_ceil(leaf.len().max(1));
+        self.batch.reserve(items, items.saturating_mul(key_len));
+        let begin = match start {
+            Some(pos) => pos,
+            None => leaf.lower_bound_checked(self.from)?,
+        };
+        let max_key_len = if self.optimistic {
+            MAX_OPTIMISTIC_KEY_LEN
+        } else {
+            usize::MAX
+        };
+        let copied = leaf.collect_leaf_checked(begin, self.limit, self.batch, max_key_len)?;
+        if copied > 0 && self.batch.key(0) < self.from {
+            return Err(ReadConflict);
+        }
+        Ok(begin + copied)
     }
 }
 
 impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
     fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
-        let limit = limit.max(1);
         batch.clear();
-        while !self.done {
-            let Self {
-                wh, hop, anchor, ..
-            } = self;
-            let lower = from.max(hop.as_slice());
-            let optimistic =
+        let wh = self.wh;
+        let limit = limit.clamp(1, SCAN_CHUNK);
+        let mut fill = Fill {
+            wh,
+            from,
+            batch,
+            limit,
+            optimistic: true,
+        };
+        while !self.done && fill.batch.is_empty() {
+            fill.optimistic =
                 Wormhole::<V>::optimistic_reads_safe() && self.conflicts < OPTIMISTIC_READ_RETRIES;
-            let after = if optimistic {
-                batch.clear();
-                match Self::try_read_optimistic(wh, lower, batch, limit, anchor) {
-                    Ok(after) => after,
-                    Err(ReadConflict) => {
-                        self.conflicts += 1;
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                }
+            let at = self.at.take();
+            let step = if fill.optimistic {
+                wh.qsbr.with_local_handle(|handle| {
+                    let _guard = handle.enter();
+                    fill.step(at.as_ref())
+                })
             } else {
-                Self::read_leaf_locked(wh, lower, batch, limit, anchor)
+                fill.step(at.as_ref())
             };
-            match after {
-                // The next fill's `from` lies past the last streamed pair:
-                // it re-descends into the remainder of the same leaf.
-                AfterLeaf::Truncated => return true,
-                AfterLeaf::End => self.done = true,
-                AfterLeaf::Sibling(anchor_read) => {
-                    let advanced = anchor_read && anchor.as_slice() > lower;
-                    if advanced {
-                        std::mem::swap(hop, anchor);
-                    }
-                    if !batch.is_empty() {
-                        return true;
-                    }
-                    if !advanced {
-                        // An empty leaf and a stale (or unreadable) sibling
-                        // anchor: count it as a conflict so the locked mode
-                        // — whose anchors are exact — eventually guarantees
-                        // progress.
-                        debug_assert!(optimistic, "locked scan failed to advance");
-                        self.conflicts += 1;
-                    }
+            match step {
+                Ok(at) => {
+                    self.done = at.is_none();
+                    self.at = at;
+                }
+                Err(ReadConflict) => {
+                    self.conflicts += 1;
+                    fill.batch.clear();
+                    std::hint::spin_loop();
                 }
             }
         }
-        !batch.is_empty()
-    }
-
-    fn reserve(&mut self, _items: usize, key_bytes: usize) {
-        self.hop.reserve(key_bytes);
-        self.anchor.reserve(key_bytes);
+        !fill.batch.is_empty()
     }
 }
 
@@ -1587,6 +1611,7 @@ impl<V> Drop for Wormhole<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc as StdArc;
     use std::thread;
 
@@ -1798,7 +1823,6 @@ mod tests {
         // The same history through both read paths — `u64` reads lock-free,
         // `String` under the leaf lock, each selected by its value type —
         // checked against one model.
-        use std::collections::BTreeMap;
         assert!(Wormhole::<u64>::optimistic_reads_safe());
         assert!(!Wormhole::<String>::optimistic_reads_safe());
         let optimistic: Wormhole<u64> = Wormhole::with_config(small_config());
@@ -2169,6 +2193,151 @@ mod tests {
             h.join().unwrap();
         }
         wh.check_invariants();
+    }
+
+    /// Writes to run on a live cursor's index: a key and its new value, or
+    /// `None` to delete it.
+    type Writes = Vec<(Vec<u8>, Option<u64>)>;
+
+    /// The keys of every leaf, leaf by leaf.
+    fn leaf_keys<V>(wh: &Wormhole<V>) -> Vec<Vec<Vec<u8>>> {
+        let mut leaves = Vec::new();
+        let mut cur = Some(wh.head.clone());
+        while let Some(leaf) = cur {
+            let data = leaf.0.data.read();
+            let mut keys: Vec<_> = data
+                .leaf
+                .iter_key_order()
+                .map(|(k, _)| k.to_vec())
+                .collect();
+            keys.sort();
+            leaves.push(keys);
+            cur = data.next.clone();
+        }
+        leaves
+    }
+
+    /// A live cursor over an index its own thread mutates between fills,
+    /// read lock-free (`u64` values) and under leaf locks (`String`).
+    /// Forty keys go in ascending, into leaves of four (capacity 8); a
+    /// cursor opens at the first key of the second leaf and takes `take`
+    /// pairs in one fill, so its source stops after them, inside that leaf
+    /// or at its end. Then the writes `writes` plans on that layout (`None`
+    /// deletes) run through the same reference, and must change the number
+    /// of leaves by `leaves_step`. The drained cursor must yield the pairs
+    /// it took, then exactly the model's pairs from its position on: every
+    /// surviving key ahead of it once, in order, and nothing written
+    /// behind it.
+    fn live_cursor_across(
+        take: usize,
+        leaves_step: isize,
+        writes: impl Fn(&[Vec<Vec<u8>>]) -> Writes,
+    ) {
+        fn run<V: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static>(
+            take: usize,
+            leaves_step: isize,
+            writes: &impl Fn(&[Vec<Vec<u8>>]) -> Writes,
+            value: fn(u64) -> V,
+        ) {
+            let wh = Wormhole::with_config(small_config());
+            let mut model = BTreeMap::new();
+            for i in 0..40u64 {
+                let key = format!("k{:04}", i * 10).into_bytes();
+                wh.set(&key, value(i));
+                model.insert(key, value(i));
+            }
+            let leaves = leaf_keys(&wh);
+            assert!(
+                leaves.iter().rev().skip(1).all(|keys| keys.len() == 4),
+                "{leaves:?}"
+            );
+            let start = leaves[1][0].clone();
+            let pairs = |model: &BTreeMap<Vec<u8>, V>, from: &[u8]| -> Vec<(Vec<u8>, V)> {
+                let from = from.to_vec();
+                model
+                    .range(from..)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect()
+            };
+            let mut expect = pairs(&model, &start);
+            expect.truncate(take);
+            let mut cursor = wh.scan(&start);
+            let mut got = Vec::new();
+            assert_eq!(cursor.collect_next(take, &mut got), take);
+            let position = cursor.resume_key();
+            for (key, write) in writes(&leaves) {
+                match write {
+                    Some(v) => assert_eq!(wh.set(&key, value(v)), model.insert(key, value(v))),
+                    None => assert_eq!(wh.del(&key), model.remove(&key)),
+                }
+            }
+            let step = leaf_keys(&wh).len() as isize - leaves.len() as isize;
+            assert_eq!(step, leaves_step, "leaves added by the writes");
+            cursor.collect_next(usize::MAX, &mut got);
+            expect.extend(pairs(&model, &position));
+            assert_eq!(got, expect);
+            wh.check_invariants();
+        }
+        run::<u64>(take, leaves_step, &writes, |v| v);
+        run::<String>(take, leaves_step, &writes, |v| v.to_string());
+    }
+
+    /// Keys after `key` and before its successor, inserted with value 99.
+    fn inserts_after(key: &[u8], n: u8) -> Writes {
+        (b'1'..b'1' + n)
+            .map(|suffix| ([key, &[suffix]].concat(), Some(99)))
+            .collect()
+    }
+
+    #[test]
+    fn a_live_cursor_sees_a_key_inserted_ahead_in_its_leaf() {
+        live_cursor_across(2, 0, |leaves| inserts_after(&leaves[1][1], 1));
+    }
+
+    #[test]
+    fn a_live_cursor_sees_past_a_key_deleted_behind_it_in_its_leaf() {
+        // The leaf's items shift under the stored position: only the
+        // snapshot tells the fill that it names another key now.
+        live_cursor_across(2, 0, |leaves| vec![(leaves[1][0].clone(), None)]);
+    }
+
+    #[test]
+    fn a_live_cursor_follows_a_neighbour_merged_into_its_finished_leaf() {
+        // Two keys out of the finished leaf, behind the cursor, and three
+        // out of its right neighbour: two and one are less than the merge
+        // size, four.
+        live_cursor_across(4, -1, |leaves| {
+            let doomed = leaves[1][..2].iter().chain(&leaves[2][..3]);
+            doomed.map(|key| (key.clone(), None)).collect()
+        });
+    }
+
+    #[test]
+    fn a_live_cursor_follows_a_neighbour_split_between_fills() {
+        live_cursor_across(4, 1, |leaves| inserts_after(&leaves[2][0], 5));
+    }
+
+    #[test]
+    fn a_live_cursor_survives_its_leaf_splitting_behind_it() {
+        live_cursor_across(2, 1, |leaves| inserts_after(&leaves[1][0], 5));
+    }
+
+    #[test]
+    fn a_scan_source_never_fills_below_the_position_it_is_handed() {
+        // A consumer that drives the fills may move the position past where
+        // the source stopped, inside its leaf or beyond: the source searches
+        // again rather than copy on.
+        let wh = Wormhole::with_config(small_config());
+        let key = |i: u64| format!("k{i:04}").into_bytes();
+        for i in 0..40 {
+            wh.set(&key(i), i);
+        }
+        let mut source = wh.scan_source();
+        let mut batch = ScanBatch::new();
+        for at in [0, 2, 30] {
+            assert!(source.fill_next(&key(at), &mut batch, 1));
+            assert_eq!(batch.get(0), (key(at).as_slice(), &at));
+        }
     }
 
     #[test]

@@ -389,9 +389,9 @@ impl<V> LeafNode<V> {
         order.partition_point(|&i| self.key(usize::from(i)) < key)
     }
 
-    /// [`LeafNode::lower_bound`] over the whole key view of a leaf a
-    /// concurrent writer may be mutating.
-    fn lower_bound_checked(&self, key: &[u8]) -> Result<usize, ReadConflict> {
+    /// The first position of the key view whose key is `>= key`, found by a
+    /// bounds-checked binary search that a concurrent writer may race.
+    pub(crate) fn lower_bound_checked(&self, key: &[u8]) -> Result<usize, ReadConflict> {
         let order = self.key_order.as_slice();
         let (mut lo, mut hi) = (0usize, order.len());
         while lo < hi {
@@ -661,7 +661,8 @@ impl<V> LeafNode<V> {
     {
         if !self.key_view_lags() {
             return self
-                .collect_leaf_checked(start, count, batch, usize::MAX)
+                .lower_bound_checked(start)
+                .and_then(|begin| self.collect_leaf_checked(begin, count, batch, usize::MAX))
                 .expect("a sorted leaf nobody writes cannot conflict");
         }
         let key = |i: u16| self.key(usize::from(i));
@@ -763,19 +764,20 @@ impl<V> LeafNode<V> {
         }
     }
 
-    /// Appends up to `count` items with key `>= start` to `batch`, in key
-    /// order, and returns how many it appended: the batch-per-leaf
-    /// primitive of both scan cursors. A bounds-checked walk of the
-    /// key-sorted view, safe on a leaf a concurrent writer may be mutating
-    /// (see [`LeafNode::get_checked`]). Any key whose recorded length
-    /// exceeds `max_key_len` is treated as torn state rather than copied,
-    /// and so is a view that lags: the cursor sorts it under the leaf's
-    /// write lock and reads it there. Everything appended must be
-    /// discarded unless the caller's seqlock validation succeeds. On a
-    /// sorted leaf that nobody writes it cannot conflict.
+    /// Appends up to `count` items of the key-sorted view to `batch`, from
+    /// position `begin` on (`lower_bound_checked` finds a key's), and
+    /// returns how many it appended: the batch-per-leaf primitive of both
+    /// scan cursors. A bounds-checked walk of the view, safe on a leaf a
+    /// concurrent writer may be mutating (see [`LeafNode::get_checked`]).
+    /// Any key whose recorded length exceeds `max_key_len` is treated as
+    /// torn state rather than copied, and so is a view that lags: the
+    /// cursor sorts it under the leaf's write lock and reads it there.
+    /// Everything appended must be discarded unless the caller's seqlock
+    /// validation succeeds. On a sorted leaf that nobody writes it cannot
+    /// conflict.
     pub fn collect_leaf_checked(
         &self,
-        start: &[u8],
+        begin: usize,
         count: usize,
         batch: &mut ScanBatch<V>,
         max_key_len: usize,
@@ -786,7 +788,6 @@ impl<V> LeafNode<V> {
         if self.key_view_lags() {
             return Err(ReadConflict);
         }
-        let begin = self.lower_bound_checked(start)?;
         let run = self.key_order.get(begin..).ok_or(ReadConflict)?;
         let run = &run[..run.len().min(count)];
         for (at, &i) in run.iter().enumerate() {
@@ -1126,8 +1127,9 @@ mod tests {
         }
         leaf.ensure_key_sorted();
         let mut out = ScanBatch::new();
+        let begin = leaf.lower_bound_checked(b"k03").unwrap();
         let n = leaf
-            .collect_leaf_checked(b"k03", 4, &mut out, usize::MAX)
+            .collect_leaf_checked(begin, 4, &mut out, usize::MAX)
             .unwrap();
         assert_eq!(n, 4);
         let pairs: Vec<(&[u8], &u64)> = out.iter().collect();
@@ -1223,19 +1225,22 @@ mod tests {
             got.clear();
             if leaf.key_view_lags() {
                 assert_eq!(
-                    leaf.collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20),
+                    leaf.collect_leaf_checked(0, 12, &mut got, 1 << 20),
                     Err(ReadConflict)
                 );
                 leaf.ensure_key_sorted();
             }
+            let begin = leaf
+                .lower_bound_checked(b"ck010")
+                .expect("quiescent leaf never conflicts");
             let n = leaf
-                .collect_leaf_checked(b"ck010", 12, &mut got, 1 << 20)
+                .collect_leaf_checked(begin, 12, &mut got, 1 << 20)
                 .expect("quiescent leaf never conflicts");
             assert_eq!(n, expect.len());
             assert_eq!(got.iter().collect::<Vec<_>>(), expect);
             got.clear();
             assert_eq!(
-                leaf.collect_leaf_checked(b"ck010", 12, &mut got, usize::MAX),
+                leaf.collect_leaf_checked(begin, 12, &mut got, usize::MAX),
                 Ok(n)
             );
             assert_eq!(got.iter().collect::<Vec<_>>(), expect);
@@ -1486,10 +1491,10 @@ mod tests {
             }
             let mut contents = ScanBatch::new();
             left.ensure_key_sorted();
-            left.collect_leaf_checked(b"", usize::MAX, &mut contents, usize::MAX).unwrap();
+            left.collect_leaf_checked(0, usize::MAX, &mut contents, usize::MAX).unwrap();
             if let Some(r) = &mut right {
                 r.ensure_key_sorted();
-                r.collect_leaf_checked(b"", usize::MAX, &mut contents, usize::MAX).unwrap();
+                r.collect_leaf_checked(0, usize::MAX, &mut contents, usize::MAX).unwrap();
             }
             let contents: Vec<(&[u8], &u64)> = contents.iter().collect();
             let expect: Vec<(&[u8], &u64)> =

@@ -1,9 +1,9 @@
 //! Telemetry for the concurrent index: counters for the events the bench
 //! story cares about (seqlock retries, locked fallbacks, structural
-//! splits/merges and merge attempts, LPM restarts, scan-time sorts) and
-//! gauges for the size of the published MetaTrieHT, shareable across
-//! instances so a sharded front aggregates all its shards into one set of
-//! cells.
+//! splits/merges and merge attempts, LPM restarts, scan-time sorts and
+//! descents) and gauges for the size of the published MetaTrieHT,
+//! shareable across instances so a sharded front aggregates all its shards
+//! into one set of cells.
 //!
 //! All recording sites are *off* the clean hot path: a conflict-free
 //! optimistic `get` touches no counter at all, so the zero-alloc and
@@ -38,6 +38,9 @@ wh_telemetry::metrics! {
         /// Scans that found a leaf's key-sorted view lagging and ran `incSort`
         /// under its write lock. A second scan of an unchanged leaf adds none.
         pub scan_sorts: Counter,
+        /// MetaTrieHT searches made by scan fills: the first fill of a scan,
+        /// and every fill that found the leaf the last one stopped in changed.
+        pub scan_descents: Counter,
         /// Items (anchors and their prefixes) of the published MetaTrieHT —
         /// like the three gauges below, summed over the instances sharing
         /// these cells and moved under the writer mutex when a table is

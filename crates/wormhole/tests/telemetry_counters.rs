@@ -1,8 +1,9 @@
-//! Structural-event counters: splits, merges and scan-time sorts observed
-//! through [`WormholeMetrics`], plus the registry round-trip for the
-//! exposition names. Retry/fallback/restart counters are race-dependent and only
-//! sanity-checked for registration here; their recording sites are
-//! exercised (not asserted non-zero) by the concurrent stress tests.
+//! Structural-event counters: splits, merges, scan-time sorts and scan
+//! descents observed through [`WormholeMetrics`], plus the registry
+//! round-trip for the exposition names. Retry/fallback/restart counters are
+//! race-dependent and only sanity-checked for registration here; their
+//! recording sites are exercised (not asserted non-zero) by the concurrent
+//! stress tests.
 
 use index_traits::ConcurrentOrderedIndex;
 use wh_telemetry::Registry;
@@ -98,6 +99,34 @@ fn a_scan_sorts_a_lagging_leaf_once() {
     assert_eq!(index.range_from(b"", usize::MAX), expect(n));
     assert_eq!(sorts(), 2);
     index.check_invariants();
+}
+
+#[test]
+fn a_scan_descends_once_and_again_only_when_its_leaf_changed() {
+    let index: Wormhole<u64> =
+        Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
+    let key = |i: u64| format!("key{i:04}").into_bytes();
+    let pairs = |from: u64| (from..400).step_by(2).map(move |i| (key(i), i));
+    for (k, v) in pairs(0) {
+        index.set(&k, v);
+    }
+    let descents = || index.metrics().scan_descents.get();
+    let before = descents();
+    // 64 pairs cross many leaves of at most eight: one search, then the
+    // leaf list.
+    let mut cursor = index.scan(&key(20));
+    let mut got = Vec::new();
+    cursor.collect_next(64, &mut got);
+    assert_eq!(got, pairs(20).take(64).collect::<Vec<_>>());
+    assert_eq!(descents() - before, 1, "a 64-pair scan descends once");
+    // The source stopped right after the last pair it handed out, in that
+    // pair's leaf: a write there costs the next fill one more search.
+    let last = 20 + 2 * 63;
+    assert_eq!(index.set(&key(last), 0), Some(last));
+    got.clear();
+    cursor.collect_next(usize::MAX, &mut got);
+    assert_eq!(got, pairs(last + 2).collect::<Vec<_>>());
+    assert_eq!(descents() - before, 2, "the changed leaf is searched again");
 }
 
 #[test]

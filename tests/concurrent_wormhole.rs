@@ -375,6 +375,93 @@ fn torn_scan_cursors_stream_consistent_state_under_churn() {
 }
 
 #[test]
+fn live_cursors_resume_across_churn() {
+    // Readers hold cursors open across the writers' churn: every 16 pairs a
+    // reader yields its CPU, so its next fill starts where the last one
+    // stopped after the writers have split, merged and appended to the
+    // leaves around that place. The fill copies on in place, follows the
+    // finished leaf's `next` link, or searches again because its leaf
+    // changed. Each writer puts four keys after every other stable key and
+    // takes them out again, round after round: leaves of eight split on
+    // the way up and, left with a stable key or two, merge on the way
+    // down. Keys must be strictly ascending across the whole stream and
+    // every stable key must appear exactly once, with its value. Iteration
+    // counts are kept high only under `--release` (scaled by
+    // WH_STRESS_MULT for nightly soaks); debug builds run a smoke pass.
+    let scans: u64 = if cfg!(debug_assertions) {
+        4
+    } else {
+        100 * stress_mult()
+    };
+    let n_stable = 1_000u64;
+    let stable = |i: u64| format!("s{i:06}").into_bytes();
+    let wh = Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
+    for i in 0..n_stable {
+        wh.set(&stable(i), i);
+    }
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let (wh, stop) = (&wh, &stop);
+            scope.spawn(move || {
+                let churn = |i: u64, j: u64| format!("s{i:06}/{t}{j}").into_bytes();
+                let mut round = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for i in (t..n_stable).step_by(2) {
+                        for j in 0..4 {
+                            wh.set(&churn(i, j), round);
+                        }
+                    }
+                    for i in (t..n_stable).step_by(2) {
+                        for j in 0..4 {
+                            assert_eq!(wh.del(&churn(i, j)), Some(round));
+                        }
+                    }
+                    round += 1;
+                }
+            });
+        }
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    for _ in 0..scans {
+                        let mut cursor = wh.scan(b"");
+                        let (mut prev, mut next_stable, mut pulled) = (Vec::new(), 0u64, 0u64);
+                        while let Some((key, value)) = cursor.next() {
+                            assert!(prev.as_slice() < key, "stream not strictly ascending");
+                            assert!(key.len() == 7 || key.len() == 10 && key[7] == b'/');
+                            if key.len() == 7 {
+                                assert_eq!(key, stable(next_stable), "stable key missing");
+                                assert_eq!(*value, next_stable, "torn stable value");
+                                next_stable += 1;
+                            }
+                            prev.clear();
+                            prev.extend_from_slice(key);
+                            pulled += 1;
+                            if pulled % 16 == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                        assert_eq!(next_stable, n_stable, "scan lost stable keys");
+                    }
+                })
+            })
+            .collect();
+        for reader in readers {
+            reader.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    wh.check_invariants();
+    let metrics = wh.metrics();
+    assert!(metrics.splits.get() > 0 && metrics.merges.get() > 0);
+    assert!(
+        metrics.scan_descents.get() > 2 * scans,
+        "no fill ever found its leaf changed"
+    );
+}
+
+#[test]
 fn sharded_multi_writer_scan_stress() {
     // Release-gated stress for the sharded front: writers churn splits and
     // merges on EVERY shard at once while readers drain full cross-shard

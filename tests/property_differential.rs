@@ -3,7 +3,7 @@
 //! state as the `BTreeMap` model, and the cuckoo hash table in the same state
 //! as a `HashMap` model.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use baseline_art::Art;
 use baseline_btree::BPlusTree;
@@ -304,7 +304,7 @@ fn pull(cursor: Cursor<'_, u64>, count: usize) -> (Vec<(Vec<u8>, u64)>, Vec<u8>)
 
 /// [`pull`], asking the cursor for at most `budget` pairs at a time: its
 /// source is then told to fetch no more than that per batch, so a leaf is
-/// read in several truncated batches, each a descent of its own.
+/// read in several truncated batches, each resumed where the last stopped.
 fn pull_by(
     mut cursor: Cursor<'_, u64>,
     count: usize,
@@ -434,5 +434,91 @@ proptest! {
         prop_assert_eq!(wh_unsafe.range_from(&start, usize::MAX), expect_all.clone());
         prop_assert_eq!(wh.range_from(&start, usize::MAX), expect_all.clone());
         prop_assert_eq!(sharded.range_from(&start, usize::MAX), expect_all);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Live cursors: one cursor on `Wormhole` and one on `ShardedWormhole`
+    /// stay open while batches of mutations run on the same indexes, and
+    /// are pulled 1, 7 or 16 pairs at a time in between, then drained.
+    /// Each stream must be strictly ascending and start at or after the
+    /// start key, so no key appears twice; every key present for the whole
+    /// scan must appear; and every value yielded for a key must have been
+    /// the model's value for it at some point during the scan.
+    #[test]
+    fn live_cursors_stream_across_mutation_batches(
+        initial in proptest::collection::vec((key_strategy(), any::<u64>()), 0..120),
+        phases in proptest::collection::vec(
+            (
+                proptest::collection::vec((key_strategy(), any::<u64>(), 0u8..4), 0..30),
+                prop_oneof![Just(1usize), Just(7usize), Just(16usize)],
+            ),
+            1..12),
+        start in key_strategy(),
+    ) {
+        let wh = Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
+        let sharded = sharded_under_test();
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        for (k, v) in &initial {
+            model.insert(k.clone(), *v);
+            wh.set(k, *v);
+            sharded.set(k, *v);
+        }
+        // Every value each key held since the cursors opened, and the keys
+        // ahead of the start present all the while.
+        let mut held: HashMap<Vec<u8>, Vec<u64>> =
+            model.iter().map(|(k, v)| (k.clone(), vec![*v])).collect();
+        let mut stable: BTreeSet<Vec<u8>> =
+            model.range(start.clone()..).map(|(k, _)| k.clone()).collect();
+        let mut cursors = [wh.scan(&start), sharded.scan(&start)];
+        let mut streams = [Vec::new(), Vec::new()];
+        for (ops, pull) in &phases {
+            for (k, v, kind) in ops {
+                // Kind 0 deletes the last key the `Wormhole` cursor yielded,
+                // which shifts the leaf its source stopped in under it, or
+                // else a held key; kind 1 overwrites a held key; 2 and 3 set
+                // the generated key.
+                let last = streams[0].last().map(|(k, _)| k).filter(|k| model.contains_key(*k));
+                let any = (!model.is_empty()).then(|| model.keys().nth(*v as usize % model.len()));
+                let k = match kind {
+                    0 => last.or(any.flatten()).unwrap_or(k),
+                    1 => any.flatten().unwrap_or(k),
+                    _ => k,
+                }
+                .clone();
+                let k = &k;
+                if *kind == 0 {
+                    stable.remove(k);
+                    let expect = model.remove(k);
+                    prop_assert_eq!(wh.del(k), expect);
+                    prop_assert_eq!(sharded.del(k), expect);
+                } else {
+                    let expect = model.insert(k.clone(), *v);
+                    held.entry(k.clone()).or_default().push(*v);
+                    prop_assert_eq!(wh.set(k, *v), expect);
+                    prop_assert_eq!(sharded.set(k, *v), expect);
+                }
+            }
+            let _ = sharded.maybe_rebalance();
+            for (cursor, stream) in cursors.iter_mut().zip(&mut streams) {
+                cursor.collect_next(*pull, stream);
+            }
+        }
+        for (cursor, stream) in cursors.iter_mut().zip(&mut streams) {
+            cursor.collect_next(usize::MAX, stream);
+        }
+        for stream in &streams {
+            prop_assert!(stream.first().is_none_or(|(k, _)| *k >= start));
+            prop_assert!(stream.windows(2).all(|w| w[0].0 < w[1].0), "not ascending");
+            for (k, v) in stream {
+                prop_assert!(held.get(k).is_some_and(|values| values.contains(v)), "{:?}", k);
+            }
+            let streamed: BTreeSet<&Vec<u8>> = stream.iter().map(|(k, _)| k).collect();
+            for k in &stable {
+                prop_assert!(streamed.contains(k), "stable key {:?} missing", k);
+            }
+        }
     }
 }

@@ -86,7 +86,7 @@ fn stats_exposition_covers_every_instrumented_crate() {
 /// The `# TYPE` lines of the [`serving_stack`] registry and of a
 /// [`ShardServer`] registry over the same front, sorted. The examples,
 /// scrapes and any dashboard read these names.
-const EXPOSED: [&str; 90] = [
+const EXPOSED: [&str; 92] = [
     "netsim_batch_requests histogram",
     "netsim_batch_requests histogram",
     "netsim_client_rtt_ns histogram",
@@ -140,6 +140,7 @@ const EXPOSED: [&str; 90] = [
     "shard_wormhole_meta_items_high_water gauge",
     "shard_wormhole_meta_overflow_buckets gauge",
     "shard_wormhole_meta_overflow_buckets_high_water gauge",
+    "shard_wormhole_scan_descents_total counter",
     "shard_wormhole_scan_sorts_total counter",
     "shard_wormhole_seqlock_retries_total counter",
     "shard_wormhole_splits_total counter",
@@ -174,6 +175,7 @@ const EXPOSED: [&str; 90] = [
     "wh_shard_wormhole_meta_items_high_water gauge",
     "wh_shard_wormhole_meta_overflow_buckets gauge",
     "wh_shard_wormhole_meta_overflow_buckets_high_water gauge",
+    "wh_shard_wormhole_scan_descents_total counter",
     "wh_shard_wormhole_scan_sorts_total counter",
     "wh_shard_wormhole_seqlock_retries_total counter",
     "wh_shard_wormhole_splits_total counter",
