@@ -5,7 +5,7 @@ use baseline_btree::BPlusTree;
 use baseline_cuckoo::CuckooHashTable;
 use baseline_masstree::Masstree;
 use baseline_skiplist::SkipList;
-use index_traits::{ConcurrentOrderedIndex, IndexStats, OrderedIndex, UnorderedIndex};
+use index_traits::{ConcurrentOrderedIndex, Cursor, IndexStats, OrderedIndex, UnorderedIndex};
 use parking_lot::RwLock;
 use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
 
@@ -250,6 +250,13 @@ impl ConcurrentOrderedIndex<u64> for LockedMasstree {
         self.inner.read().len()
     }
 
+    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, u64> {
+        Cursor::adapt_range_from(start, |from, count| {
+            self.inner.read().range_from(from, count)
+        })
+    }
+
+    /// The tree's own window read, under one read lock.
     fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         self.inner.read().range_from(start, count)
     }

@@ -169,6 +169,10 @@ pub struct ScanPage<V> {
 }
 
 /// The index-side driver of a [`Cursor`]: produces the scan's batches.
+///
+/// A source sizes its own buffers, and the cursor passes it no size hint:
+/// the batch arena and any scratch a source keeps reach their working size
+/// within the first fills and are reused after that.
 pub trait CursorSource<V> {
     /// Clears `batch` and fills it with the next run of pairs, in ascending
     /// key order and strictly above everything filled by earlier calls.
@@ -189,18 +193,13 @@ pub trait CursorSource<V> {
     /// truncated batch still resumes exactly after its last pair. Pass
     /// `usize::MAX` when streaming without a known bound.
     fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool;
-
-    /// Pre-sizes any internal buffers for batches of `items` pairs and
-    /// `key_bytes` of key payload. Optional; the default does nothing.
-    fn reserve(&mut self, items: usize, key_bytes: usize) {
-        let _ = (items, key_bytes);
-    }
 }
 
 /// Adapts `range_from` into a [`CursorSource`]: each batch is one
 /// `range_from(from, DEFAULT_SCAN_BATCH)` call at the position the cursor
-/// hands in. This is the default `scan` of every index that does not
-/// provide a native streaming path; it removes the `O(window)` copy of a
+/// hands in. This is the default `OrderedIndex::scan`, and the `scan` a
+/// `ConcurrentOrderedIndex` without a native streaming path returns; it
+/// removes the `O(window)` copy of a
 /// single huge `range_from` but still pays one key-`Vec` allocation per
 /// pair inside the adapted call.
 struct RangeFnSource<V, F> {
@@ -270,8 +269,8 @@ impl<'a, V> Cursor<'a, V> {
         }
     }
 
-    /// Builds a cursor over a `range_from`-style fetch function — the
-    /// default adapter used by indexes without a native streaming path.
+    /// Builds a cursor over a `range_from`-style fetch function: how an
+    /// index without a native streaming path implements `scan`.
     pub fn adapt_range_from<F>(start: &[u8], fetch: F) -> Self
     where
         F: FnMut(&[u8], usize) -> Vec<(Vec<u8>, V)> + 'a,
@@ -285,15 +284,6 @@ impl<'a, V> Cursor<'a, V> {
                 _values: std::marker::PhantomData,
             }),
         )
-    }
-
-    /// Pre-sizes the batch arena (and the source's internal buffers) for
-    /// batches of `items` pairs and `key_bytes` of key payload, so even the
-    /// first batches allocate nothing.
-    pub fn reserve(&mut self, items: usize, key_bytes: usize) {
-        self.batch.reserve(items, key_bytes);
-        self.source.reserve(items, key_bytes);
-        self.resume.reserve(key_bytes);
     }
 
     /// Fetches the next batch, recording the resume point of the one being

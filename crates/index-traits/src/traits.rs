@@ -168,7 +168,12 @@ pub trait OrderedIndex<V> {
 /// must be *linearisable per key*: a `get` concurrent with structural
 /// reorganisation (splits, merges, rehashing) observes the value either
 /// before or after a racing write — never a torn mixture.
-pub trait ConcurrentOrderedIndex<V>: Send + Sync {
+///
+/// An implementor provides the point ops and one ordered read,
+/// [`scan`](ConcurrentOrderedIndex::scan); `range_from`, `scan_page` and
+/// `delete_range` derive from it. Values are `Clone` because every read
+/// hands out copies.
+pub trait ConcurrentOrderedIndex<V: Clone>: Send + Sync {
     /// Human-readable name used by the benchmark harness.
     fn name(&self) -> &'static str;
 
@@ -199,7 +204,7 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// duplicates included:
     ///
     /// ```
-    /// # use index_traits::{ConcurrentOrderedIndex, IndexStats};
+    /// # use index_traits::{ConcurrentOrderedIndex, Cursor, IndexStats};
     /// # use std::{collections::BTreeMap, sync::Mutex};
     /// # #[derive(Default)]
     /// # struct Index(Mutex<BTreeMap<Vec<u8>, u64>>);
@@ -211,9 +216,11 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// #     }
     /// #     fn del(&self, key: &[u8]) -> Option<u64> { self.0.lock().unwrap().remove(key) }
     /// #     fn len(&self) -> usize { self.0.lock().unwrap().len() }
-    /// #     fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-    /// #         self.0.lock().unwrap().range(start.to_vec()..).take(count)
-    /// #             .map(|(k, v)| (k.clone(), *v)).collect()
+    /// #     fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, u64> {
+    /// #         Cursor::adapt_range_from(start, move |from, count| {
+    /// #             self.0.lock().unwrap().range(from.to_vec()..).take(count)
+    /// #                 .map(|(k, v)| (k.clone(), *v)).collect()
+    /// #         })
     /// #     }
     /// #     fn stats(&self) -> IndexStats { IndexStats::default() }
     /// # }
@@ -263,9 +270,29 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
         self.len() == 0
     }
 
+    /// Opens a resumable streaming cursor at the smallest key `>= start`:
+    /// the index's one ordered read, which every other ordered method
+    /// derives from.
+    ///
+    /// Safe to advance while other threads write: each batch is an atomic
+    /// snapshot of one region, with no global snapshot across batches (see
+    /// [`crate::scan`]). The concurrent Wormhole streams seqlock-validated
+    /// runs of its leaf list; an index without a native streaming path
+    /// adapts a windowed read through [`Cursor::adapt_range_from`]. The
+    /// method is object-safe, so a service holding the index as
+    /// `dyn ConcurrentOrderedIndex` scans through it too.
+    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V>;
+
     /// Returns up to `count` key/value pairs in ascending key order, starting
-    /// at the smallest key `>= start`.
-    fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, V)>;
+    /// at the smallest key `>= start`: the first `count` pairs of
+    /// [`scan`](ConcurrentOrderedIndex::scan). An index with a cheaper
+    /// native window may override it.
+    fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, V)> {
+        // `count` may be `usize::MAX`: a bounded first guess.
+        let mut out = Vec::with_capacity(count.min(1024));
+        self.scan(start).collect_next(count, &mut out);
+        out
+    }
 
     /// Removes every key with `lo <= key < hi`, returning how many were
     /// removed. An empty or inverted window removes nothing.
@@ -311,12 +338,9 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// Returns up to `limit` pairs starting at the smallest key `>= start`
     /// (a `limit` of 0 is served as 1), plus the stateless resume key that
     /// fetches the next page, or `None` once the scan is known exhausted.
-    /// Unlike [`ConcurrentOrderedIndex::scan`] this is **object-safe**, so
-    /// a service holding the index as `dyn ConcurrentOrderedIndex` can
-    /// answer scan requests page by page; and unlike a held cursor the
-    /// continuation survives anything the index does between pages
-    /// (splits, merges, shard-boundary migrations) because it is just a
-    /// key routed afresh by the next call.
+    /// Unlike a held cursor the continuation survives anything the index
+    /// does between pages (splits, merges, shard-boundary migrations)
+    /// because it is just a key routed afresh by the next call.
     ///
     /// Pages have cursor consistency, not snapshot consistency: each page
     /// is served from the index state at its own call, so a racing writer
@@ -328,7 +352,7 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// Draining an index page by page, the way a scan RPC client would:
     ///
     /// ```
-    /// # use index_traits::{ConcurrentOrderedIndex, IndexStats};
+    /// # use index_traits::{ConcurrentOrderedIndex, Cursor, IndexStats};
     /// # use std::{collections::BTreeMap, sync::Mutex};
     /// # #[derive(Default)]
     /// # struct Index(Mutex<BTreeMap<Vec<u8>, u64>>);
@@ -340,9 +364,11 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
     /// #     }
     /// #     fn del(&self, key: &[u8]) -> Option<u64> { self.0.lock().unwrap().remove(key) }
     /// #     fn len(&self) -> usize { self.0.lock().unwrap().len() }
-    /// #     fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-    /// #         self.0.lock().unwrap().range(start.to_vec()..).take(count)
-    /// #             .map(|(k, v)| (k.clone(), *v)).collect()
+    /// #     fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, u64> {
+    /// #         Cursor::adapt_range_from(start, move |from, count| {
+    /// #             self.0.lock().unwrap().range(from.to_vec()..).take(count)
+    /// #                 .map(|(k, v)| (k.clone(), *v)).collect()
+    /// #         })
     /// #     }
     /// #     fn stats(&self) -> IndexStats { IndexStats::default() }
     /// # }
@@ -377,21 +403,6 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
         crate::scan::ScanPage { items, resume }
     }
 
-    /// Opens a resumable streaming cursor at the smallest key `>= start`.
-    ///
-    /// Safe to advance while other threads write: each batch is an atomic
-    /// snapshot of one region, with no global snapshot across batches (see
-    /// [`crate::scan`]). The default adapts
-    /// [`ConcurrentOrderedIndex::range_from`]; the concurrent Wormhole
-    /// overrides it with a seqlock-validated leaf-by-leaf stream.
-    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V>
-    where
-        Self: Sized,
-        V: Clone + 'a,
-    {
-        Cursor::adapt_range_from(start, move |resume, count| self.range_from(resume, count))
-    }
-
     /// Memory accounting for Figure 16.
     fn stats(&self) -> IndexStats;
 }
@@ -415,7 +426,7 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
 /// snapshots):
 ///
 /// ```
-/// # use index_traits::{ConcurrentOrderedIndex, DurableIndex, IndexStats};
+/// # use index_traits::{ConcurrentOrderedIndex, Cursor, DurableIndex, IndexStats};
 /// # use std::collections::BTreeMap;
 /// # use std::sync::atomic::{AtomicU64, Ordering};
 /// # use std::sync::Mutex;
@@ -441,9 +452,11 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
 /// #         map.remove(key)
 /// #     }
 /// #     fn len(&self) -> usize { self.map.lock().unwrap().len() }
-/// #     fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-/// #         self.map.lock().unwrap().range(start.to_vec()..).take(count)
-/// #             .map(|(k, v)| (k.clone(), *v)).collect()
+/// #     fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, u64> {
+/// #         Cursor::adapt_range_from(start, move |from, count| {
+/// #             self.map.lock().unwrap().range(from.to_vec()..).take(count)
+/// #                 .map(|(k, v)| (k.clone(), *v)).collect()
+/// #         })
 /// #     }
 /// #     fn stats(&self) -> IndexStats { IndexStats::default() }
 /// # }
@@ -473,7 +486,7 @@ pub trait ConcurrentOrderedIndex<V>: Send + Sync {
 /// assert!(matches!(index.maybe_checkpoint()?, None | Some(_)));
 /// # Ok::<(), std::io::Error>(())
 /// ```
-pub trait DurableIndex<V>: ConcurrentOrderedIndex<V> {
+pub trait DurableIndex<V: Clone>: ConcurrentOrderedIndex<V> {
     /// Forces every operation applied so far to stable storage and
     /// returns the durable watermark (an implementation-defined sequence
     /// number; operations at or below it survive a crash).
@@ -637,7 +650,7 @@ mod tests {
     }
 
     /// A minimal thread-safe model exercising the `ConcurrentOrderedIndex`
-    /// default methods (notably `delete_range`).
+    /// provided methods: it implements only `scan` of the ordered reads.
     #[derive(Default)]
     struct LockedOrdered {
         map: std::sync::Mutex<BTreeMap<Vec<u8>, u64>>,
@@ -659,14 +672,16 @@ mod tests {
         fn len(&self) -> usize {
             self.map.lock().unwrap().len()
         }
-        fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
-            self.map
-                .lock()
-                .unwrap()
-                .range(start.to_vec()..)
-                .take(count)
-                .map(|(k, v)| (k.clone(), *v))
-                .collect()
+        fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, u64> {
+            Cursor::adapt_range_from(start, move |from, count| {
+                self.map
+                    .lock()
+                    .unwrap()
+                    .range(from.to_vec()..)
+                    .take(count)
+                    .map(|(k, v)| (k.clone(), *v))
+                    .collect()
+            })
         }
         fn stats(&self) -> IndexStats {
             IndexStats::default()
@@ -675,10 +690,20 @@ mod tests {
 
     #[test]
     fn default_delete_range_drains_half_open_window() {
-        let idx = LockedOrdered::default();
+        let model = LockedOrdered::default();
+        // Every provided method works through a trait object.
+        let idx: &dyn ConcurrentOrderedIndex<u64> = &model;
         for i in 0..400u64 {
             idx.set(format!("dr-{i:04}").as_bytes(), i);
         }
+        let window = idx.range_from(b"dr-0398", 5);
+        assert_eq!(
+            window,
+            [(b"dr-0398".to_vec(), 398), (b"dr-0399".to_vec(), 399)]
+        );
+        let page = idx.scan_page(b"dr-0010", 2);
+        assert_eq!(page.items[1], (b"dr-0011".to_vec(), 11));
+        assert_eq!(page.resume.as_deref(), Some(&b"dr-0011\0"[..]));
         // Window larger than one default sweep batch, bounds exclusive on
         // the right, inclusive on the left.
         assert_eq!(idx.delete_range(b"dr-0050", b"dr-0350"), 300);

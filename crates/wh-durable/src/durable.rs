@@ -525,14 +525,7 @@ where
             .unwrap_or_else(|e| panic!("wh-durable: delete_range could not be made durable: {e}"))
     }
 
-    fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, V)> {
-        self.index.range_from(start, count)
-    }
-
-    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V>
-    where
-        V: Clone + 'a,
-    {
+    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V> {
         self.index.scan(start)
     }
 

@@ -46,13 +46,8 @@ pub(crate) struct RouterTable {
 
 impl RouterTable {
     /// Index of the shard owning `key`: the number of boundaries `<= key`.
-    /// Short-circuits the single-shard configuration (empty boundary array)
-    /// so the degenerate front pays no binary-search setup.
     #[inline]
     pub(crate) fn route(&self, key: &[u8]) -> usize {
-        if self.boundaries.is_empty() {
-            return 0;
-        }
         self.boundaries.partition_point(|b| b.as_slice() <= key)
     }
 
@@ -362,17 +357,8 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     /// *and* the shard operation, so a migration's draining barrier and
     /// grace periods order donor draining after every in-flight read that
     /// routed to it.
-    ///
-    /// The single-shard front bypasses the router entirely: with no
-    /// boundaries there is nothing to migrate, the table can never be
-    /// swapped, and the degenerate index behaves like the bare concurrent
-    /// Wormhole plus one relaxed counter bump.
     #[inline]
     fn routed_read<R>(&self, key: &[u8], f: impl FnOnce(&Wormhole<V>) -> R) -> R {
-        if self.shards.len() == 1 {
-            self.ops[0].inc();
-            return f(&self.shards[0]);
-        }
         self.with_router(|router| {
             let shard = router.route(key);
             self.ops[shard].inc();
@@ -388,15 +374,8 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     /// a fast section can only exist while the domain is biased, and the
     /// draining barrier that precedes every freeze publication waits for
     /// all of them — so a frozen table is never observed from a fast entry.
-    ///
-    /// Like reads, the single-shard front (which can never freeze — there
-    /// is no boundary to migrate) skips the router.
     #[inline]
     fn routed_write<R>(&self, key: &[u8], mut f: impl FnMut(&Wormhole<V>) -> R) -> R {
-        if self.shards.len() == 1 {
-            self.ops[0].inc();
-            return f(&self.shards[0]);
-        }
         // `Some` once the key was found frozen: the wait is counted (and
         // timed) exactly once per write, however many spins it takes.
         let mut frozen_wait: Option<Option<std::time::Instant>> = None;
@@ -508,8 +487,6 @@ struct RoutedSource<'a, V: Clone + Send + Sync + 'static> {
     /// already streamed (reused buffer).
     resume: Vec<u8>,
     segment: Option<Segment<'a, V>>,
-    /// Reserve hint replayed onto each newly opened segment.
-    hint: Option<(usize, usize)>,
     done: bool,
 }
 
@@ -549,7 +526,6 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
                 index,
                 resume,
                 segment,
-                hint,
                 ..
             } = self;
             let index = *index;
@@ -564,12 +540,8 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
                     // (Re-)route the sweep bound through the live
                     // boundaries and open the owning shard's source.
                     let shard = router.route(resume);
-                    let mut source = Box::new(index.shards[shard].scan_source());
-                    if let Some((items, key_bytes)) = *hint {
-                        source.reserve(items, key_bytes);
-                    }
                     *segment = Some(Segment {
-                        source,
+                        source: Box::new(index.shards[shard].scan_source()),
                         epoch: router.epoch,
                         shard,
                     });
@@ -624,14 +596,6 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
         }
         false
     }
-
-    fn reserve(&mut self, items: usize, key_bytes: usize) {
-        self.hint = Some((items, key_bytes));
-        self.resume.reserve(key_bytes);
-        if let Some(seg) = self.segment.as_mut() {
-            seg.source.reserve(items, key_bytes);
-        }
-    }
 }
 
 impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWormhole<V> {
@@ -660,13 +624,6 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWorm
     /// only, and a frozen range keeps routing reads to the donor shard,
     /// whose copy stays authoritative until the boundary moves.
     fn get_batch_into(&self, keys: &[&[u8]], out: &mut Vec<Option<V>>) {
-        if self.shards.len() == 1 {
-            // Single-shard bypass: no boundaries, no migrations, no router
-            // protection needed — hand the whole batch to the one shard's
-            // pipelined engine (see `routed_read`).
-            self.ops[0].add(keys.len() as u64);
-            return self.shards[0].get_batch_into(keys, out);
-        }
         let base = out.len();
         out.reserve(keys.len() + GATHER_KEYS.min(keys.len()));
         out.resize_with(base + keys.len(), || None);
@@ -729,15 +686,6 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWorm
         self.shards.iter().map(|s| s.len()).sum()
     }
 
-    fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, V)> {
-        let mut out: Vec<(Vec<u8>, V)> = Vec::with_capacity(count.min(1024));
-        if count == 0 {
-            return out;
-        }
-        self.scan(start).collect_next(count, &mut out);
-        out
-    }
-
     /// Opens a cross-shard streaming cursor: per-shard cursor segments
     /// chained in live boundary order (see the crate docs for the routed
     /// source protocol).
@@ -747,17 +695,13 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWorm
     /// fresh `scan(resume_key)` routes it through the boundaries *current
     /// at that time* — a scan therefore resumes correctly even across a
     /// migration that re-homed the resume position between the two scans.
-    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V>
-    where
-        V: Clone + 'a,
-    {
+    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V> {
         Cursor::new(
             start,
             Box::new(RoutedSource {
                 index: self,
                 resume: start.to_vec(),
                 segment: None,
-                hint: None,
                 done: false,
             }),
         )
@@ -1191,6 +1135,18 @@ mod tests {
         }
         assert_eq!(idx.len(), 500);
         assert_eq!(idx.range_from(b"", usize::MAX).len(), 500);
+        // One shard routes like any other front: every point op enters the
+        // router and counts against the shard.
+        let entered = |op: &dyn Fn()| {
+            let (fast, ops) = (idx.metrics().router_fast_entries.get(), idx.op_counts()[0]);
+            op();
+            assert_eq!(idx.metrics().router_fast_entries.get(), fast + 1);
+            assert!(idx.op_counts()[0] > ops);
+        };
+        entered(&|| assert_eq!(idx.get(b"k0007"), Some(7)));
+        entered(&|| assert_eq!(idx.set(b"k0007", 70), Some(7)));
+        entered(&|| assert_eq!(idx.del(b"k0007"), Some(70)));
+        entered(&|| assert_eq!(idx.get_batch(&[b"k0008", b"k0007"]), [Some(8), None]));
         idx.check_invariants();
     }
 

@@ -56,9 +56,9 @@
 //!   one fence, one load of the domain's bias flag — routes off the
 //!   published table, and executes the shard op. No epoch bookkeeping and
 //!   no freeze check (a frozen range implies a migration, which implies
-//!   the bias was already revoked). A single-shard index
-//!   has nothing to route or migrate at all and bypasses the router
-//!   unconditionally.
+//!   the bias was already revoked). A single-shard index routes the same
+//!   way: its fast sections find an empty boundary array, and no
+//!   migration ever revokes its bias.
 //! * **Point ops, migration in flight**: `try_fast` declines (the bias is
 //!   revoked) and the op falls back to a classic read-side critical
 //!   section, exactly the pre-fast-path protocol. Reads still never block

@@ -3,10 +3,10 @@
 //! flight — must make **zero** classic router critical-section entries
 //! (one relaxed store + one fence + one flag load instead), observed
 //! through [`ShardedWormhole::router_section_entries`], the front's
-//! `router_classic_entries` counter. The single-shard bypass is pinned
-//! alongside so a routing change that silently re-introduces a per-op
-//! router tax fails here rather than only in the benchmark. (The classic path — what ops take while a migration holds
-//! the bias revoked — is pinned by an in-crate test of `wh-shard`.)
+//! `router_classic_entries` counter. A one-shard front routes like any
+//! other and is pinned to the same fast path. (The classic path — what ops
+//! take while a migration holds the bias revoked — is pinned by an in-crate
+//! test of `wh-shard`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -108,7 +108,7 @@ fn idle_fast_path_ops_enter_zero_router_sections() {
 }
 
 #[test]
-fn single_shard_bypass_skips_the_router() {
+fn single_shard_front_takes_the_fast_path() {
     let keys = keyset();
     let idx = build(&[], &keys);
     let before = idx.router_section_entries();
@@ -121,12 +121,12 @@ fn single_shard_bypass_skips_the_router() {
     assert_eq!(
         idx.router_section_entries() - before,
         0,
-        "a 1-shard index can never migrate, so routing must bypass the router"
+        "a 1-shard index never migrates, so no op may take a classic section"
     );
     assert_eq!(
         idx.metrics().router_fast_entries.get() - fast_before,
-        0,
-        "the bypass takes no router entry at all, fast ones included"
+        keys.len() as u64 + 1,
+        "one fast entry per get and one per batch"
     );
 }
 

@@ -77,7 +77,7 @@ impl Registry {
 
     /// Registers `metric` under `<prefix>_<field>`, with `_total` appended
     /// for a counter: the one naming rule of the exposition, which every
-    /// [`metrics!`](crate::metrics) struct registers through.
+    /// [`metrics!`](crate::metrics!) struct registers through.
     pub fn register_field(&self, prefix: &str, field: &str, metric: impl Into<Metric>) {
         let metric = metric.into();
         let suffix = match metric {

@@ -1400,12 +1400,7 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
     /// source stopped, and the caller searches again.
     fn copy(&mut self, data: &LeafData<V>, start: Option<usize>) -> Result<usize, ReadConflict> {
         let leaf = &data.leaf;
-        // The batch's vectors are sized once, for a chunk of keys of this
-        // leaf's mean length. (Under a racing writer both counts are some
-        // value it stored, and a real leaf's worth at most.)
-        let items = leaf.len().max(self.wh.config.leaf_capacity).min(self.limit);
-        let key_len = leaf.key_bytes().div_ceil(leaf.len().max(1));
-        self.batch.reserve(items, items.saturating_mul(key_len));
+        leaf.reserve_run(self.batch, self.wh.config.leaf_capacity, self.limit);
         let begin = match start {
             Some(pos) => pos,
             None => leaf.lower_bound_checked(self.from)?,
@@ -1546,23 +1541,7 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
         Wormhole::remove_range(self, lo, hi)
     }
 
-    fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, V)> {
-        // A thin materialising wrapper over the streaming cursor: the
-        // cursor owns the whole snapshot/validate/resume discipline (and
-        // every reusable buffer); this method only copies the requested
-        // window out of its batches.
-        let mut out: Vec<(Vec<u8>, V)> = Vec::with_capacity(count.min(1024));
-        if count == 0 {
-            return out;
-        }
-        self.scan(start).collect_next(count, &mut out);
-        out
-    }
-
-    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V>
-    where
-        V: Clone + 'a,
-    {
+    fn scan<'a>(&'a self, start: &[u8]) -> Cursor<'a, V> {
         Cursor::new(start, Box::new(self.scan_source()))
     }
 

@@ -764,6 +764,17 @@ impl<V> LeafNode<V> {
         }
     }
 
+    /// Sizes `batch` for a run of this leaf: `capacity` items (a full
+    /// leaf) or more, at most `limit`, of this leaf's mean key length. A
+    /// scan's batch arena thus reaches its working size on its first fills.
+    /// (Under a racing writer both counts are some value it stored, and a
+    /// real leaf's worth at most.)
+    pub fn reserve_run(&self, batch: &mut ScanBatch<V>, capacity: usize, limit: usize) {
+        let items = self.len().max(capacity).min(limit);
+        let key_len = self.key_bytes().div_ceil(self.len().max(1));
+        batch.reserve(items, items.saturating_mul(key_len));
+    }
+
     /// Appends up to `count` items of the key-sorted view to `batch`, from
     /// position `begin` on (`lower_bound_checked` finds a key's), and
     /// returns how many it appended: the batch-per-leaf primitive of both

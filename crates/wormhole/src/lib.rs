@@ -29,7 +29,9 @@
 //! sibling step — performs **zero heap allocations per call**, and ordered
 //! scans stream through a resumable cursor (`scan(start)` on both index
 //! traits) whose batch-per-leaf arena makes steady-state batch advancement
-//! allocation-free; `range_from` is a thin materialising wrapper over it.
+//! allocation-free. `scan` is the concurrent trait's one ordered read:
+//! `range_from` there is derived from it, the first `count` pairs of the
+//! cursor.
 //!
 //! The implementation optimisations of §3 — 16-bit tag matching, incremental
 //! CRC hashing, hash-ordered leaf tag arrays, and speculative leaf

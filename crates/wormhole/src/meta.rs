@@ -70,7 +70,6 @@
 
 use std::mem::ManuallyDrop;
 
-use index_traits::IndexStats;
 use wh_hash::{crc32c, crc32c_append, mix64, tag16, tag8_match_mask};
 
 use crate::config::WormholeConfig;
@@ -794,16 +793,6 @@ impl<L: LeafRef> MetaTable<L> {
             bitmaps: self.bitmaps(),
             overflow_buckets: self.overflow_buckets(),
             bytes: self.structure_bytes(),
-        }
-    }
-
-    /// Memory statistics contribution of the meta structure.
-    pub fn stats(&self) -> IndexStats {
-        IndexStats {
-            keys: 0,
-            structure_bytes: self.structure_bytes(),
-            key_bytes: 0,
-            value_bytes: 0,
         }
     }
 

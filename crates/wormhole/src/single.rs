@@ -257,7 +257,8 @@ struct UnsafeScanSource<'a, V> {
     wh: &'a WormholeUnsafe<V>,
     /// Next leaf to stream, [`NIL`] when exhausted.
     next: u32,
-    /// Reusable index buffer for the lazy-tail merge.
+    /// Reusable index buffer for the lazy-tail merge, sized for a full
+    /// leaf up front.
     scratch: Vec<u16>,
 }
 
@@ -267,6 +268,8 @@ impl<V: Clone> CursorSource<V> for UnsafeScanSource<'_, V> {
         batch.clear();
         while self.next != NIL && batch.is_empty() {
             let slot = self.wh.slot(self.next);
+            slot.leaf
+                .reserve_run(batch, self.wh.config.leaf_capacity, limit);
             let appended = slot
                 .leaf
                 .collect_leaf_unsorted(from, limit, batch, &mut self.scratch);
@@ -277,10 +280,6 @@ impl<V: Clone> CursorSource<V> for UnsafeScanSource<'_, V> {
             }
         }
         !batch.is_empty()
-    }
-
-    fn reserve(&mut self, items: usize, _key_bytes: usize) {
-        self.scratch.reserve(items);
     }
 }
 
@@ -367,7 +366,7 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
             Box::new(UnsafeScanSource {
                 wh: self,
                 next: self.locate_leaf(start),
-                scratch: Vec::new(),
+                scratch: Vec::with_capacity(self.config.leaf_capacity),
             }),
         )
     }

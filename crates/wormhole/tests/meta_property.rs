@@ -231,9 +231,7 @@ fn concurrent_cursor_batch_advancement_is_allocation_free() {
     assert!(wh.get(&keys[0]).is_some());
 
     let mut cursor = wh.scan(b"");
-    // Pre-size the arenas for a full leaf (16 keys x 13 bytes), then let two
-    // batches bring every remaining scratch buffer to its working size.
-    cursor.reserve(64, 4096);
+    // Two batches bring every buffer to its working size.
     let mut streamed = 0usize;
     for _ in 0..2 {
         streamed += cursor.next_batch().expect("population not exhausted").len();
@@ -262,7 +260,6 @@ fn single_threaded_cursor_batch_advancement_is_allocation_free() {
         wh.set(k, i as u64);
     }
     let mut cursor = wh.scan(b"");
-    cursor.reserve(64, 4096);
     let mut streamed = 0usize;
     for _ in 0..2 {
         streamed += cursor.next_batch().expect("population not exhausted").len();
