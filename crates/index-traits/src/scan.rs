@@ -332,6 +332,27 @@ impl<'a, V> Cursor<'a, V> {
         Some(&self.batch)
     }
 
+    /// Hands up to `count` pairs to `visit`, in order, and returns how many
+    /// it visited: a bounded window read without copying a key. Each fill
+    /// is told how much of the window is still wanted.
+    pub fn visit_next(&mut self, count: usize, mut visit: impl FnMut(&[u8], &V)) -> usize {
+        let mut visited = 0;
+        while visited < count {
+            // Tell the source how much of the window is left, so a short
+            // window never snapshots (and clones) a whole leaf of values.
+            self.fetch_budget = count - visited;
+            match self.next() {
+                Some((key, value)) => {
+                    visit(key, value);
+                    visited += 1;
+                }
+                None => break,
+            }
+        }
+        self.fetch_budget = usize::MAX;
+        visited
+    }
+
     /// Copies up to `count` pairs into `out` (the materialising bridge that
     /// lets `range_from` be a thin wrapper over the cursor). Returns how
     /// many pairs were appended.
@@ -339,21 +360,7 @@ impl<'a, V> Cursor<'a, V> {
     where
         V: Clone,
     {
-        let mut appended = 0;
-        while appended < count {
-            // Tell the source how much of the window is left, so a short
-            // window never snapshots (and clones) a whole leaf of values.
-            self.fetch_budget = count - appended;
-            match self.next() {
-                Some((key, value)) => {
-                    out.push((key.to_vec(), value.clone()));
-                    appended += 1;
-                }
-                None => break,
-            }
-        }
-        self.fetch_budget = usize::MAX;
-        appended
+        self.visit_next(count, |key, value| out.push((key.to_vec(), value.clone())))
     }
 
     /// The start key that continues this scan after everything consumed so

@@ -22,7 +22,9 @@
 //! single-key `get` — in place. Only Gets on unwritten keys move, and
 //! moving one past operations on *other* keys cannot change its answer, so
 //! per key the response stream is the one serial execution gives. No key
-//! is copied on the way: requests are read in place from the frame.
+//! is copied on the way: requests are read in place from the frame, and a
+//! `Range` or `Scan` streams its pairs from the index's cursor straight
+//! into the response frame.
 
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, RandomState};
@@ -37,7 +39,8 @@ use wh_telemetry::Registry;
 
 use crate::telemetry::ServiceMetrics;
 use crate::wire::{
-    parse_frame, RequestRecord, WireRequest, WireRequestRef, WireResponse, WireResponseRef,
+    parse_frame, stream_range, stream_scan_page, RequestRecord, WireRequest, WireRequestRef,
+    WireResponse, WireResponseRef,
 };
 
 /// One batch of encoded requests travelling client → server.
@@ -290,19 +293,13 @@ impl Executor {
                 }
                 WireRequestRef::Range { start, count } => {
                     let timing = wh_telemetry::start_timing();
-                    let resp = WireResponse::Range(index.range_from(start, count as usize));
+                    stream_range(out, &mut index.scan(start), count);
                     metrics.range_ns.record_elapsed(timing);
-                    resp.encode(out);
                 }
                 WireRequestRef::Scan { start, limit } => {
                     let timing = wh_telemetry::start_timing();
-                    let page = index.scan_page(start, limit as usize);
+                    stream_scan_page(out, &mut index.scan(start), limit);
                     metrics.scan_ns.record_elapsed(timing);
-                    WireResponse::ScanPage {
-                        items: page.items,
-                        resume: page.resume,
-                    }
-                    .encode(out);
                 }
                 WireRequestRef::Stats => {
                     metrics.stats_requests.inc();

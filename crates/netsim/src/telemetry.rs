@@ -38,10 +38,12 @@ wh_telemetry::metrics! {
         pub get_ns: Histogram,
         /// Service time per write.
         pub set_ns: Histogram,
-        /// Service time per range scan.
+        /// Service time per range scan: the cursor drain and the
+        /// response's encoding, which stream together.
         pub range_ns: Histogram,
         /// Service time per streaming-scan page
-        /// ([`WireRequest::Scan`](crate::WireRequest::Scan)).
+        /// ([`WireRequest::Scan`](crate::WireRequest::Scan)): the cursor
+        /// drain and the page's encoding, which stream together.
         pub scan_ns: Histogram,
         /// Requests per decoded message (the wire batch-size distribution).
         pub batch_requests: Histogram,

@@ -9,6 +9,7 @@
 //! announces.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use index_traits::Cursor;
 
 /// A single request on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,13 +245,10 @@ impl WireResponse {
             }
             WireResponse::Miss => buf.put_u8(TAG_MISS),
             WireResponse::Range(items) => {
-                buf.put_u8(TAG_RANGE_RESP);
-                buf.put_u32(items.len() as u32);
-                for (k, v) in items {
-                    buf.put_u32(k.len() as u32);
-                    buf.put_slice(k);
-                    buf.put_u64(*v);
-                }
+                put_pairs(buf, TAG_RANGE_RESP, |buf| {
+                    items.iter().for_each(|(k, v)| put_pair(buf, k, *v));
+                    items.len()
+                });
             }
             WireResponse::Stats(text) => {
                 buf.put_u8(TAG_STATS_RESP);
@@ -258,20 +256,13 @@ impl WireResponse {
                 buf.put_slice(text.as_bytes());
             }
             WireResponse::ScanPage { items, resume } => {
-                buf.put_u8(TAG_SCAN_PAGE);
-                buf.put_u32(items.len() as u32);
-                for (k, v) in items {
-                    buf.put_u32(k.len() as u32);
-                    buf.put_slice(k);
-                    buf.put_u64(*v);
-                }
-                match resume {
-                    Some(key) => {
-                        buf.put_u8(1);
-                        buf.put_u32(key.len() as u32);
-                        buf.put_slice(key);
-                    }
-                    None => buf.put_u8(0),
+                put_pairs(buf, TAG_SCAN_PAGE, |buf| {
+                    items.iter().for_each(|(k, v)| put_pair(buf, k, *v));
+                    items.len()
+                });
+                let at = put_resume(buf, resume.as_ref().map(Vec::len));
+                if let Some(key) = resume {
+                    buf.as_mut()[at..].copy_from_slice(key);
                 }
             }
         }
@@ -304,6 +295,61 @@ impl WireResponse {
                 6 + items_bytes + resume_bytes
             }
         }
+    }
+}
+
+/// Writes the layout `RANGE` and `SCAN_PAGE` share: `tag`, a count, and
+/// the pairs `fill` writes with [`put_pair`] and counts. Streamed pages
+/// and [`WireResponse::encode`] both write through it.
+fn put_pairs(buf: &mut BytesMut, tag: u8, fill: impl FnOnce(&mut BytesMut) -> usize) -> usize {
+    buf.put_u8(tag);
+    buf.put_u32(0);
+    let at = buf.len() - 4;
+    let count = fill(buf);
+    buf.as_mut()[at..at + 4].copy_from_slice(&(count as u32).to_be_bytes());
+    count
+}
+
+fn put_pair(buf: &mut BytesMut, key: &[u8], value: u64) {
+    buf.put_u32(key.len() as u32);
+    buf.put_slice(key);
+    buf.put_u64(value);
+}
+
+/// Ends a `SCAN_PAGE`: `00` once the scan is exhausted, else `01` and a
+/// resume key of `len` bytes, zeroed. Returns where the key starts.
+fn put_resume(buf: &mut BytesMut, len: Option<usize>) -> usize {
+    buf.put_u8(len.is_some().into());
+    if let Some(len) = len {
+        buf.put_u32(len as u32);
+        buf.put_bytes(0, len);
+    }
+    buf.len() - len.unwrap_or(0)
+}
+
+/// Streams up to `count` pairs of `cursor` into `buf` as a `RANGE`.
+pub(crate) fn stream_range(buf: &mut BytesMut, cursor: &mut Cursor<'_, u64>, count: u32) {
+    put_pairs(buf, TAG_RANGE_RESP, |buf| {
+        cursor.visit_next(count as usize, |key, &value| put_pair(buf, key, value))
+    });
+}
+
+/// Streams up to `limit` pairs of `cursor` into `buf` as a `SCAN_PAGE`. A
+/// `limit` of 0 is answered as 1; a full page resumes at the successor of
+/// its last key, `last ++ 00`: the key copied from the frame into the
+/// zeroed resume key, one byte longer.
+pub(crate) fn stream_scan_page(buf: &mut BytesMut, cursor: &mut Cursor<'_, u64>, limit: u32) {
+    let (limit, mut last) = (limit.max(1) as usize, 0..0);
+    let count = put_pairs(buf, TAG_SCAN_PAGE, |buf| {
+        cursor.visit_next(limit, |key, &value| {
+            put_pair(buf, key, value);
+            last = buf.len() - 8 - key.len()..buf.len() - 8;
+        })
+    });
+    let full = count == limit;
+    let at = put_resume(buf, full.then_some(last.len() + 1));
+    if full {
+        buf.as_mut().copy_within(last, at);
     }
 }
 
@@ -737,6 +783,58 @@ mod tests {
         for (resp, hex) in cases {
             let hex: String = hex.split_whitespace().collect::<Vec<_>>().join(" ");
             assert_eq!(encode_hex(|buf| resp.encode(buf)), hex, "{resp:?}");
+        }
+    }
+
+    /// A streamed `RANGE` or `SCAN_PAGE` is byte for byte the owned
+    /// response of the same pairs, and decodes back to them: pages of 0,
+    /// 1, `limit - 1` and `limit` pairs, a `limit` of 0, a `count` of 0,
+    /// over keys of 0, 1 and 300 bytes.
+    #[test]
+    fn streamed_pairs_encode_like_the_owned_responses() {
+        // Ascending keys: the empty key, then 1 and 300 bytes by turns.
+        let store: Vec<(Vec<u8>, u64)> = (0..8u8)
+            .map(|i| {
+                let len = [300, 1][usize::from(i % 2)] * usize::from(i > 0);
+                (vec![i; len], u64::from(i) << 40 | 7)
+            })
+            .collect();
+        let lens: Vec<usize> = store[..3].iter().map(|(key, _)| key.len()).collect();
+        assert_eq!(lens, [0, 1, 300]);
+        // A cursor over the first `n` pairs of the store.
+        let cursor = |n: usize| {
+            let pairs = &store[..n];
+            Cursor::adapt_range_from(b"", move |from: &[u8], count| {
+                let at = pairs.partition_point(|(key, _)| key.as_slice() < from);
+                pairs[at..].iter().take(count).cloned().collect()
+            })
+        };
+        let check = |streamed: BytesMut, owned: WireResponse| {
+            let mut encoded = BytesMut::new();
+            owned.encode(&mut encoded);
+            assert_eq!(streamed, encoded, "{owned:?}");
+            let mut rest = streamed.as_ref();
+            let decoded = WireResponseRef::decode(&mut rest).map(|r| r.to_owned());
+            assert_eq!(decoded, Some(owned));
+            assert!(rest.is_empty());
+        };
+        // (pairs stored, limit): pages of 0, 1, limit - 1 and limit pairs
+        // (the last of a longer scan), and a limit of 0, answered as 1.
+        for (stored, limit) in [(0, 4), (1, 4), (3, 4), (4, 4), (8, 4), (3, 0)] {
+            let mut streamed = BytesMut::new();
+            stream_scan_page(&mut streamed, &mut cursor(stored), limit);
+            let page = limit.max(1) as usize;
+            let items = store[..stored.min(page)].to_vec();
+            let resume = (items.len() == page).then(|| [&items[page - 1].0[..], &[0]].concat());
+            check(streamed, WireResponse::ScanPage { items, resume });
+        }
+        for (stored, count) in [(3, 0), (3, 2), (3, 3), (8, 5)] {
+            let mut streamed = BytesMut::new();
+            stream_range(&mut streamed, &mut cursor(stored), count);
+            check(
+                streamed,
+                WireResponse::Range(store[..stored.min(count as usize)].to_vec()),
+            );
         }
     }
 

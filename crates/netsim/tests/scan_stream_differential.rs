@@ -4,7 +4,7 @@
 //! in-process drain of the index's resumable cursor.
 //!
 //! This pins the two halves of the stateless-continuation design at once:
-//! the server-side `scan_page` (full page ⇒ resume = successor of the
+//! the server's streamed page (full page ⇒ resume = successor of the
 //! last key, short page ⇒ exhausted) and the claim that a resume key is a
 //! plain global key, so the stream survives the index reorganising
 //! between pages.
