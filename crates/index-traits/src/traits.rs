@@ -2,22 +2,19 @@
 
 use crate::scan::Cursor;
 
-/// Approximate memory accounting reported by an index.
-///
-/// The paper's Figure 16 compares resident memory of the five indexes against
-/// a baseline of `Σ (key length + pointer size)`. Since a reproduction cannot
-/// rely on `getrusage` giving stable numbers inside test harnesses, every
-/// index in this workspace tracks its own allocations and reports them here.
+/// Memory reported by an index (the paper's Figure 16): the heap bytes it
+/// holds, each counted once. Resident memory is not stable inside a test
+/// harness, so every index in this workspace tracks its own allocations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Number of keys currently stored.
     pub keys: usize,
-    /// Bytes used by index structure (nodes, tables, pointers), excluding the
-    /// key/value payload bytes themselves.
+    /// Bytes of all but the payloads: nodes, tables, pointers, block
+    /// headers such as a key's length word, and unused item slots.
     pub structure_bytes: usize,
-    /// Bytes used by stored key payloads.
+    /// Bytes of the stored keys.
     pub key_bytes: usize,
-    /// Bytes used by stored value payloads.
+    /// Bytes of the stored values, each live value counted once.
     pub value_bytes: usize,
 }
 
@@ -25,12 +22,6 @@ impl IndexStats {
     /// Total tracked bytes.
     pub fn total_bytes(&self) -> usize {
         self.structure_bytes + self.key_bytes + self.value_bytes
-    }
-
-    /// The paper's baseline for a keyset: key payload plus one 8-byte pointer
-    /// per key, representing the minimum space any index must spend.
-    pub fn paper_baseline_bytes(&self) -> usize {
-        self.key_bytes + self.keys * 8
     }
 }
 
@@ -728,6 +719,5 @@ mod tests {
             value_bytes: 80,
         };
         assert_eq!(stats.total_bytes(), 380);
-        assert_eq!(stats.paper_baseline_bytes(), 280);
     }
 }

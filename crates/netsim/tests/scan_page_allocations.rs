@@ -5,34 +5,15 @@
 //! A binary of its own, because the counting allocator is global: it sees
 //! every thread of the process, and this file runs one test.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use index_traits::ConcurrentOrderedIndex;
 use netsim::{KvService, WireRequest};
+use wh_telemetry::alloc::{self, CountingAlloc};
 use wormhole::Wormhole;
 
-/// Counts `alloc` calls; the default `realloc` allocates through it too.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
 fn a_scan_page_allocates_no_block_per_pair() {
@@ -55,10 +36,10 @@ fn a_scan_page_allocates_no_block_per_pair() {
     service.run(&wide);
     service.run(&narrow);
     let allocs = |requests: &[WireRequest]| {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = alloc::process();
         let stats = service.run(requests);
         assert_eq!(stats.operations, 64);
-        ALLOCS.load(Ordering::Relaxed) - before
+        alloc::process().since(before).allocs_and_reallocs()
     };
     let (wide, narrow) = (allocs(&wide), allocs(&narrow));
     // Owned pages would cost at least 19 key copies more per scan.

@@ -5,47 +5,12 @@
 //! Its own test binary, because it installs a counting
 //! `#[global_allocator]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use index_traits::{ConcurrentOrderedIndex, DurableIndex};
 use wh_durable::{DurableOptions, DurableWormhole, SyncPolicy};
-
-thread_local! {
-    /// Fresh blocks (`alloc`) the current thread has asked for.
-    static BLOCKS: Cell<usize> = const { Cell::new(0) };
-    /// Resizes (`realloc`) of a block the current thread already owned.
-    static RESIZES: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Wraps the system allocator and counts, per thread, so the test harness'
-/// own threads do not leak into the count.
-struct CountingAllocator;
-
-// SAFETY: defers entirely to `System`; the thread-local counters are plain
-// `Cell<usize>`s with const init, so touching them never allocates or drops.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BLOCKS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        RESIZES.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use wh_telemetry::alloc::{self, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn counts() -> (usize, usize) {
-    (BLOCKS.with(Cell::get), RESIZES.with(Cell::get))
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn key(i: u64) -> [u8; 12] {
     let mut key = *b"key-00000000";
@@ -81,7 +46,7 @@ fn durable_set_and_del_of_an_existing_key_allocate_nothing() {
     for key in keys.iter().step_by(8) {
         assert_eq!(idx.del(key), Some(1));
     }
-    let before = counts();
+    let before = alloc::thread();
     // Measured: overwrite every resident key, remove another one in eight
     // of the first half (away from the last leaf, which a split at the
     // tail leaves small: every leaf stays above its merge size).
@@ -91,11 +56,11 @@ fn durable_set_and_del_of_an_existing_key_allocate_nothing() {
     for key in keys[..keys.len() / 2].iter().skip(4).step_by(8) {
         assert_eq!(idx.del(key), Some(2));
     }
-    let (blocks, resizes) = counts();
-    assert_eq!(blocks - before.0, 0, "a set or del allocated a block");
+    let spent = alloc::thread().since(before);
+    assert_eq!(spent.allocs, 0, "a set or del allocated a block");
     // The pending buffer grows by doubling: at most once in a round no
     // longer than the one before it.
-    assert!(resizes - before.1 <= 1, "{} resizes", resizes - before.1);
+    assert!(spent.reallocs <= 1, "{} resizes", spent.reallocs);
     drop(idx);
     std::fs::remove_dir_all(&dir).unwrap();
 }

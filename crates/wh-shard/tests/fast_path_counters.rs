@@ -8,52 +8,13 @@
 //! take while a migration holds the bias revoked — is pinned by an in-crate
 //! test of `wh-shard`.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use index_traits::ConcurrentOrderedIndex;
 use wh_shard::{ShardedConfig, ShardedWormhole};
+use wh_telemetry::alloc::{self, CountingAlloc};
 use wormhole::WormholeConfig;
 
-// ---------------------------------------------------------------------
-// Counting allocator (same idiom as wormhole's meta_property tests)
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// Allocations made by the current thread (counts `alloc` and
-    /// `realloc`; `dealloc` is free).
-    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Wraps the system allocator, counting per-thread allocation events so a
-/// test can assert a code path allocates nothing — regardless of what other
-/// test threads do concurrently.
-struct CountingAllocator;
-
-// SAFETY: defers entirely to `System`; the thread-local counter is a plain
-// `Cell<usize>` with const init, so touching it never allocates or drops.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn thread_allocs() -> usize {
-    THREAD_ALLOCS.with(|c| c.get())
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 // ---------------------------------------------------------------------
 // Fixtures
@@ -168,12 +129,12 @@ fn idle_fast_path_get_is_allocation_free() {
     for key in keys.iter().take(64) {
         idx.get(key);
     }
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     for (i, key) in keys.iter().enumerate() {
         assert_eq!(idx.get(key), Some(i as u64));
     }
     assert_eq!(
-        thread_allocs() - before,
+        alloc::thread().allocs_and_reallocs() - before,
         0,
         "idle fast-path get allocated on the hot path"
     );

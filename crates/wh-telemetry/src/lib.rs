@@ -53,7 +53,15 @@
 //! Names must match the exposition grammar `[a-z0-9_]+` (checked by a
 //! `debug_assert!` at registration and by [`Registry::lint`], which tests
 //! run in release builds too).
+//!
+//! ## Counting allocations
+//!
+//! [`alloc::CountingAlloc`], the global allocator of the tests that pin an
+//! allocation count or a footprint, forwards to the system's and counts
+//! `alloc`, `realloc`, `dealloc` and live requested bytes, per thread and
+//! process-wide: one thread-local add and two relaxed atomic adds an event.
 
+pub mod alloc;
 mod histogram;
 mod metrics;
 mod registry;

@@ -700,6 +700,13 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         self.qsbr.pending()
     }
 
+    /// Frees every block the index has retired, waiting out a grace period.
+    /// The caller must not be inside a read-side critical section.
+    pub fn reclaim(&self) {
+        self.retire_garbage(self.new_bin(), 0);
+        self.qsbr.synchronize();
+    }
+
     /// Number of leaf nodes currently on the LeafList.
     pub fn leaf_count(&self) -> usize {
         let mut n = 0;
@@ -1181,8 +1188,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         while let Some(leaf) = cur {
             let data = leaf.0.data.read();
             stats.key_bytes += data.leaf.key_bytes();
+            // The leaf's `Arc` block holds two counts and the leaf.
             stats.structure_bytes +=
-                data.leaf.structure_bytes() + std::mem::size_of::<LeafShared<V>>();
+                data.leaf.structure_bytes() + std::mem::size_of::<(usize, usize, LeafShared<V>)>();
             cur = data.next.clone();
         }
         stats
@@ -1593,39 +1601,20 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::Arc as StdArc;
     use std::thread;
+    use wh_telemetry::alloc;
 
     fn small_config() -> WormholeConfig {
         WormholeConfig::optimized().with_leaf_capacity(8)
     }
 
-    /// Length of the keys of the parked-reader test, and the layout of
-    /// their blocks (`keybox.rs`: a `u32` length, then the bytes). No other
-    /// test of this crate frees a block of that shape.
+    /// Length of the keys of the parked-reader test, whose key blocks the
+    /// allocator watches. No other test of this crate frees one that long.
     const PROBE_KEY_LEN: usize = 83;
-    const PROBE_BLOCK: (usize, usize) = (4 + PROBE_KEY_LEN, 4);
-
-    /// Blocks of [`PROBE_BLOCK`]'s shape freed so far, by any thread.
-    static PROBE_FREES: AtomicUsize = AtomicUsize::new(0);
-
-    /// The system allocator, counting frees of probe-shaped blocks.
-    struct ProbeAllocator;
-
-    // SAFETY: defers entirely to `System`; the counter is a static atomic.
-    unsafe impl std::alloc::GlobalAlloc for ProbeAllocator {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            unsafe { std::alloc::System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            if (layout.size(), layout.align()) == PROBE_BLOCK {
-                PROBE_FREES.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { std::alloc::System.dealloc(ptr, layout) }
-        }
-    }
 
     #[global_allocator]
-    static ALLOCATOR: ProbeAllocator = ProbeAllocator;
+    static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc::watching(|layout| {
+        (layout.size(), layout.align()) == (crate::keybox::HEADER + PROBE_KEY_LEN, 4)
+    });
 
     #[test]
     fn a_parked_reader_holds_back_every_retired_key_block() {
@@ -1645,7 +1634,7 @@ mod tests {
         let key = |i: usize| format!("parked-{i:0w$}", w = PROBE_KEY_LEN - 7).into_bytes();
         for _ in 0..rounds {
             let wh: Wormhole<u64> = Wormhole::new();
-            let before = PROBE_FREES.load(Ordering::Relaxed);
+            let before = alloc::process().watched_frees;
             for i in 0..n {
                 wh.set(&key(i), i as u64);
             }
@@ -1672,7 +1661,7 @@ mod tests {
                 });
                 deleter.join().unwrap();
                 assert_eq!(
-                    PROBE_FREES.load(Ordering::Relaxed),
+                    alloc::process().watched_frees,
                     before,
                     "a key block was freed under a reader"
                 );
@@ -1685,7 +1674,7 @@ mod tests {
             assert_eq!(wh.len(), n - n / 4);
             wh.check_invariants();
             drop(wh);
-            assert_eq!(PROBE_FREES.load(Ordering::Relaxed) - before, n);
+            assert_eq!(alloc::process().watched_frees - before, n);
         }
     }
 
@@ -1896,7 +1885,7 @@ mod tests {
         // full bin is one deferred callback, and the queue of those stays
         // in single digits however many deletes go by (a handful of full
         // bins force a grace period, and splits and merges drain it on
-        // their way); drop frees the rest.
+        // their way); `reclaim` frees the rest.
         let wh: Wormhole<u64> = Wormhole::new();
         let key = |i: u64| format!("gc-{i:06}").into_bytes();
         for i in 0..20_000u64 {
@@ -1915,6 +1904,8 @@ mod tests {
         // structural operations that emptied it.
         assert!(wh.metrics().merges.get() - merges < 10);
         assert!(wh.epoch_metrics().deferred_depth.high_water() >= GARBAGE_FLUSH_BINS as u64);
+        wh.reclaim();
+        assert_eq!(wh.pending_reclamation(), 0);
         wh.check_invariants();
     }
 

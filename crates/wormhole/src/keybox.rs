@@ -16,7 +16,7 @@ use crate::prefetch::prefetch_read;
 
 /// The length word in front of the key bytes.
 type Len = u32;
-const HEADER: usize = std::mem::size_of::<Len>();
+pub(crate) const HEADER: usize = std::mem::size_of::<Len>();
 
 /// An owned, immutable byte string behind a thin pointer.
 pub(crate) struct KeyBox(NonNull<u8>);

@@ -51,7 +51,7 @@ use index_traits::ScanBatch;
 use wh_hash::{crc32c, tag16, tag_position_hint};
 
 use crate::config::WormholeConfig;
-use crate::keybox::KeyBox;
+use crate::keybox::{self, KeyBox};
 use crate::prefetch::prefetch_read;
 use parking_lot::Mutex;
 
@@ -343,14 +343,15 @@ impl<V> LeafNode<V> {
         self.key_bytes
     }
 
-    /// Approximate bytes used by the leaf structure itself (excluding key
-    /// payloads and values).
+    /// Heap bytes of the leaf but its keys and live values: unused item
+    /// slots count whole, and each key block's length header counts.
     pub fn structure_bytes(&self) -> usize {
-        self.anchor.len()
-            + self.table_key.len()
-            + self.kvs.capacity() * std::mem::size_of::<Kv<V>>()
-            + self.hash_order.capacity() * std::mem::size_of::<TagSlot>()
-            + self.key_order.capacity() * std::mem::size_of::<u16>()
+        self.anchor.capacity()
+            + self.table_key.capacity()
+            + (self.kvs.capacity() * size_of::<Kv<V>>() - self.kvs.len() * size_of::<V>())
+            + self.kvs.len() * keybox::HEADER
+            + self.hash_order.capacity() * size_of::<TagSlot>()
+            + self.key_order.capacity() * size_of::<u16>()
     }
 
     /// The key of the item in storage slot `slot`.

@@ -376,11 +376,13 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
             keys: self.len,
             key_bytes: 0,
             value_bytes: self.len * std::mem::size_of::<V>(),
-            structure_bytes: self.meta.structure_bytes(),
+            structure_bytes: self.meta.structure_bytes()
+                + self.leaves.capacity() * std::mem::size_of::<Option<SlotLeaf<V>>>()
+                + self.free.capacity() * std::mem::size_of::<u32>(),
         };
         for slot in self.leaves.iter().flatten() {
             stats.key_bytes += slot.leaf.key_bytes();
-            stats.structure_bytes += slot.leaf.structure_bytes() + 2 * std::mem::size_of::<u32>();
+            stats.structure_bytes += slot.leaf.structure_bytes();
         }
         stats
     }
@@ -599,16 +601,18 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_structure_and_keys() {
+    fn stats_are_what_the_allocator_counts() {
+        // The tests of `concurrent` install the counting allocator.
+        let before = wh_telemetry::alloc::thread();
         let mut wh = WormholeUnsafe::new();
-        for i in 0..1000u64 {
+        for i in 0..20_000u64 {
             wh.set(format!("key-number-{i:06}").as_bytes(), i);
         }
+        let live = wh_telemetry::alloc::thread().since(before).live_bytes as usize;
         let stats = wh.stats();
-        assert_eq!(stats.keys, 1000);
-        assert_eq!(stats.key_bytes, 1000 * 17);
-        assert!(stats.structure_bytes > 0);
-        assert!(stats.total_bytes() > stats.paper_baseline_bytes() / 2);
+        assert_eq!((stats.keys, stats.key_bytes), (20_000, 20_000 * 17));
+        let total = stats.total_bytes();
+        assert!(total.abs_diff(live) * 100 <= live, "{total} B, {live} held");
     }
 
     proptest! {

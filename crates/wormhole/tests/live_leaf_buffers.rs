@@ -4,53 +4,17 @@
 //! buffer pointer keeps reading allocated memory. A binary of its own,
 //! because the counting allocator is global.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use parking_lot::Mutex;
 use wh_hash::crc32c;
+use wh_telemetry::alloc::{self, CountingAlloc};
 use wormhole::leaf::{Bin, LeafGarbage, LeafNode};
 use wormhole::WormholeConfig;
 
-thread_local! {
-    /// Whether this thread's frees are being counted.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    /// Blocks of an item vector's layout this thread freed while counting.
-    static ITEM_FREES: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting the frees of blocks laid out like a
-/// `u64` leaf's item vector: sixteen-byte records (a key pointer and the
-/// value) aligned to eight.
-struct CountingAllocator;
-
-// SAFETY: defers entirely to `System`; the counters are thread-local cells
-// without destructors, so touching them allocates nothing.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if layout.align() == 8 && layout.size().is_multiple_of(16) && COUNTING.get() {
-            ITEM_FREES.set(ITEM_FREES.get() + 1);
-        }
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Watches blocks laid out like a `u64` leaf's item vector: sixteen-byte
+/// records (a key pointer and the value) aligned to eight.
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f`, returning its answer and how many item-vector-shaped blocks
-/// it freed. The answer is dropped after counting stops.
-fn item_frees<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    ITEM_FREES.set(0);
-    COUNTING.set(true);
-    let answer = f();
-    COUNTING.set(false);
-    (answer, ITEM_FREES.get())
-}
+static ALLOC: CountingAlloc =
+    CountingAlloc::watching(|layout| layout.align() == 8 && layout.size().is_multiple_of(16));
 
 fn config() -> WormholeConfig {
     WormholeConfig::optimized().with_leaf_capacity(64)
@@ -93,8 +57,9 @@ fn a_split_frees_no_item_vector() {
         let whole = leaf(0, n);
         for at in 1..n {
             let mut left = whole.clone();
-            let (right, freed) =
-                item_frees(|| left.split_off(at, key(at), key(at), &mut Bin::deferred(&store)));
+            let before = alloc::thread();
+            let right = left.split_off(at, key(at), key(at), &mut Bin::deferred(&store));
+            let freed = alloc::thread().since(before).watched_frees;
             assert_eq!(
                 freed, 0,
                 "a split of {n} items at {at} freed an item vector"
@@ -113,7 +78,9 @@ fn a_merge_frees_no_item_vector() {
     for (n, m) in [(1, 1), (3, 5), (8, 8), (4, 13), (20, 21)] {
         let mut left = leaf(0, n);
         let victim = leaf(n, n + m);
-        let ((), freed) = item_frees(|| left.absorb(victim, &mut Bin::deferred(&store)));
+        let before = alloc::thread();
+        left.absorb(victim, &mut Bin::deferred(&store));
+        let freed = alloc::thread().since(before).watched_frees;
         assert_eq!(
             freed, 0,
             "a merge of {n} and {m} items freed an item vector"

@@ -8,73 +8,20 @@
 //!   outcomes in optimistic (TagMatching) and exact probe modes;
 //! * `Wormhole::get` / `WormholeUnsafe::get` — and therefore the LPM binary
 //!   search and trie sibling step under them — must perform **zero** heap
-//!   allocations per call, enforced by a counting `#[global_allocator]`;
-//! * the same allocator holds the table to its item layout: a record whose
-//!   prefix fits inline owns no heap block, and `structure_bytes` is what
-//!   the table has allocated.
+//!   allocations per call;
+//! * a table record whose prefix fits inline owns no heap block, and
+//!   `structure_bytes` is what the table has allocated.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 use index_traits::{ConcurrentOrderedIndex, OrderedIndex};
 use proptest::prelude::*;
+use wh_telemetry::alloc::{self, CountingAlloc};
 use wormhole::meta::{MetaKind, MetaTable, TargetOutcome};
 use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
 
-// ---------------------------------------------------------------------
-// Counting allocator
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// Allocations made by the current thread (counts `alloc` and
-    /// `realloc`; `dealloc` is free).
-    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
-    /// Bytes the current thread has allocated and not freed (as requested,
-    /// without the allocator's own overhead).
-    static THREAD_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
-}
-
-fn count_bytes(delta: isize) {
-    THREAD_LIVE_BYTES.with(|c| c.set(c.get() + delta));
-}
-
-/// Wraps the system allocator, counting per-thread allocation events so a
-/// test can assert a code path allocates nothing — regardless of what other
-/// test threads do concurrently.
-struct CountingAllocator;
-
-// SAFETY: defers entirely to `System`; the thread-local counter is a plain
-// `Cell<usize>` with const init, so touching it never allocates or drops.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
-        count_bytes(layout.size() as isize);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_bytes(-(layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
-        count_bytes(new_size as isize - layout.size() as isize);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn thread_allocs() -> usize {
-    THREAD_ALLOCS.with(|c| c.get())
-}
-
-fn thread_live_bytes() -> isize {
-    THREAD_LIVE_BYTES.with(|c| c.get())
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 // ---------------------------------------------------------------------
 // Allocation guards: the lookup hot path
@@ -115,7 +62,7 @@ fn concurrent_get_is_allocation_free() {
     }
     assert_eq!(wh.get(&misses[0]), None);
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     let mut hits = 0usize;
     for k in &keys {
         hits += usize::from(wh.get(k).is_some());
@@ -123,7 +70,7 @@ fn concurrent_get_is_allocation_free() {
     for k in &misses {
         hits += usize::from(wh.get(k).is_some());
     }
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(hits, keys.len());
     assert_eq!(
         after - before,
@@ -182,14 +129,14 @@ fn concurrent_get_retry_path_is_allocation_free() {
         assert!(wh.get(k).is_some());
     }
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     let mut hits = 0usize;
     for _ in 0..3 {
         for k in &keys {
             hits += usize::from(wh.get(k).is_some());
         }
     }
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     stop.store(true, Ordering::Relaxed);
     churn.join().unwrap();
     assert_eq!(hits, 3 * keys.len(), "resident keys must never be missed");
@@ -237,11 +184,11 @@ fn concurrent_cursor_batch_advancement_is_allocation_free() {
         streamed += cursor.next_batch().expect("population not exhausted").len();
     }
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     while let Some(batch) = cursor.next_batch() {
         streamed += batch.len();
     }
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(streamed, keys.len(), "cursor lost pairs");
     assert_eq!(
         after - before,
@@ -265,11 +212,11 @@ fn single_threaded_cursor_batch_advancement_is_allocation_free() {
         streamed += cursor.next_batch().expect("population not exhausted").len();
     }
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     while let Some(batch) = cursor.next_batch() {
         streamed += batch.len();
     }
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(streamed, keys.len(), "cursor lost pairs");
     assert_eq!(
         after - before,
@@ -296,9 +243,9 @@ fn concurrent_full_range_from_allocates_only_per_pair_output() {
     }
     assert!(wh.get(&keys[0]).is_some()); // QSBR/TLS warm-up
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     let scan = wh.range_from(b"", usize::MAX);
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(scan.len(), keys.len());
     assert!(
         after - before <= keys.len() + 64,
@@ -324,9 +271,9 @@ fn short_window_range_from_does_not_copy_whole_leaves() {
     }
     assert!(wh.get(b"short-000000").is_some()); // warm-up
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     let out = wh.range_from(b"short-001000", 1);
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].0, b"short-001000".to_vec());
     assert!(
@@ -359,13 +306,13 @@ fn warm_scan_and_in_capacity_mutations_allocate_a_fixed_handful() {
         wh.set(&keys[i], i as u64);
     }
     let scan_64 = |from: &[u8]| {
-        let before = thread_allocs();
+        let before = alloc::thread().allocs_and_reallocs();
         let mut cursor = wh.scan(from);
         for _ in 0..64 {
             cursor.next().expect("64 pairs at or after the start");
         }
         drop(cursor);
-        thread_allocs() - before
+        alloc::thread().allocs_and_reallocs() - before
     };
     let sorts = wh.metrics().scan_sorts.get();
     let first = scan_64(&keys[1000]);
@@ -381,15 +328,15 @@ fn warm_scan_and_in_capacity_mutations_allocate_a_fixed_handful() {
     let (key, value) = (&keys[1001], 1001u64);
     assert_eq!(wh.set(key, value), None);
     assert_eq!(wh.del(key), Some(value));
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     assert_eq!(wh.set(key, value), None);
-    let insert = thread_allocs() - before;
-    let before = thread_allocs();
+    let insert = alloc::thread().allocs_and_reallocs() - before;
+    let before = alloc::thread().allocs_and_reallocs();
     assert_eq!(wh.set(key, value + 1), Some(value));
-    let overwrite = thread_allocs() - before;
-    let before = thread_allocs();
+    let overwrite = alloc::thread().allocs_and_reallocs() - before;
+    let before = alloc::thread().allocs_and_reallocs();
     assert_eq!(wh.del(key), Some(value + 1));
-    let remove = thread_allocs() - before;
+    let remove = alloc::thread().allocs_and_reallocs() - before;
     assert_eq!(insert, 1, "an in-capacity insert allocates its key block");
     assert_eq!(overwrite, 0, "an overwrite allocates nothing");
     assert_eq!(remove, 0, "a removal allocates nothing");
@@ -409,7 +356,7 @@ fn single_threaded_get_is_allocation_free() {
         assert!(wh.get(k).is_some());
     }
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     let mut hits = 0usize;
     for k in &keys {
         hits += usize::from(wh.get(k).is_some());
@@ -417,7 +364,7 @@ fn single_threaded_get_is_allocation_free() {
     for k in &misses {
         hits += usize::from(wh.get(k).is_some());
     }
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(hits, keys.len());
     assert_eq!(
         after - before,
@@ -449,7 +396,7 @@ fn concurrent_get_batch_allocates_only_the_result_vector() {
     assert_eq!(wh.get(&misses[0]), None);
 
     let mut calls = 0usize;
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     let mut hits = 0usize;
     for batch in [1usize, 7, 16, 128] {
         for chunk in probes.chunks(batch) {
@@ -457,7 +404,7 @@ fn concurrent_get_batch_allocates_only_the_result_vector() {
             calls += 1;
         }
     }
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(hits, 4 * keys.len());
     assert_eq!(
         after - before,
@@ -483,13 +430,13 @@ fn meta_search_target_is_allocation_free() {
     let meta = wh.meta_table();
     let probes: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
 
-    let before = thread_allocs();
+    let before = alloc::thread().allocs_and_reallocs();
     for key in &probes {
         let a = meta.search_target(key, &optimistic);
         let b = meta.search_target(key, &exact);
         assert!(a == b);
     }
-    let after = thread_allocs();
+    let after = alloc::thread().allocs_and_reallocs();
     assert_eq!(
         after - before,
         0,
@@ -523,9 +470,9 @@ fn structure_bytes_is_what_the_table_holds() {
     anchors.retain(|a| a.last().is_some_and(|&b| b != 0));
     anchors.sort();
     anchors.dedup();
-    let before = thread_live_bytes();
+    let before = alloc::thread().live_bytes;
     let table = table_over(&anchors);
-    let held = (thread_live_bytes() - before) as f64;
+    let held = (alloc::thread().live_bytes - before) as f64;
     assert!(table.len() > 100_000, "every prefix of every anchor");
     let reported = table.structure_bytes() as f64;
     assert!(
@@ -555,9 +502,10 @@ fn a_record_with_an_inline_prefix_owns_no_heap_block() {
         let plan = table.plan_split(&anchor, 4, &2, Some(&3));
         table.apply_plan(&plan);
         table.apply_merge(&anchor, &4, &2, Some(&3));
-        let before = thread_allocs();
+        let before = alloc::thread().allocs_and_reallocs();
         table.apply_plan(&plan);
-        assert_eq!(thread_allocs() - before, blocks, "{} bytes", anchor.len());
+        let made = alloc::thread().allocs_and_reallocs() - before;
+        assert_eq!(made, blocks, "{} bytes", anchor.len());
         assert_eq!(table.len(), 6 + anchor.len());
     }
 }
