@@ -410,11 +410,17 @@ impl QsbrHandle {
     ///
     /// While the guard is alive, objects observed through RCU-protected
     /// pointers remain valid. Dropping the guard announces a quiescent state.
+    /// Entered inside an open section of the same domain, the section is
+    /// already entered: the guard then leaves it open on drop, for the
+    /// outer guard to close.
     #[inline]
     pub fn enter(&self) -> Guard<'_> {
         let word = self.state.word.load(Ordering::Relaxed);
+        if word & 1 == 1 {
+            return Guard { handle: None };
+        }
         self.state.word.store(word | 1, Ordering::SeqCst);
-        Guard { handle: self }
+        Guard { handle: Some(self) }
     }
 
     /// Attempts a *biased* fast entry: succeeds only while the domain is
@@ -465,15 +471,19 @@ impl Drop for QsbrHandle {
 /// RAII guard for a read-side critical section.
 #[derive(Debug)]
 pub struct Guard<'a> {
-    handle: &'a QsbrHandle,
+    /// The handle whose section this guard closes; `None` for a guard
+    /// nested inside another of the same domain.
+    handle: Option<&'a QsbrHandle>,
 }
 
 impl Drop for Guard<'_> {
     fn drop(&mut self) {
         // Leaving the critical section is itself a quiescent state: one
         // store announces the epoch seen and clears the in-section bit.
-        let epoch = self.handle.shared.global_epoch.load(Ordering::SeqCst);
-        self.handle.state.word.store(epoch << 1, Ordering::SeqCst);
+        if let Some(handle) = self.handle {
+            let epoch = handle.shared.global_epoch.load(Ordering::SeqCst);
+            handle.state.word.store(epoch << 1, Ordering::SeqCst);
+        }
     }
 }
 
@@ -544,6 +554,23 @@ mod tests {
         // The entry served last belongs to domain 3 now; domain 0 must still
         // resolve to its own handle.
         assert_eq!(address(&domains[0]), first[0]);
+    }
+
+    #[test]
+    fn a_nested_section_leaves_the_outer_one_open() {
+        // A reader that re-enters its domain, directly or through the
+        // thread's cached handle, stays inside the outer section until the
+        // outer guard drops: no grace period passes it in between.
+        let q = Qsbr::new();
+        q.with_local_handle(|handle| {
+            let outer = handle.enter();
+            drop(handle.enter());
+            q.with_local_handle(|again| drop(again.enter()));
+            let grace = q.start_grace();
+            assert!(!q.grace_elapsed(grace), "a nested guard closed the section");
+            drop(outer);
+            assert!(q.grace_elapsed(grace));
+        });
     }
 
     #[test]

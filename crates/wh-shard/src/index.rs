@@ -492,7 +492,7 @@ struct RoutedSource<'a, V: Clone + Send + Sync + 'static> {
 
 /// One shard's scan source plus the routing decision it was opened under.
 struct Segment<'a, V> {
-    source: Box<dyn CursorSource<V> + 'a>,
+    source: wormhole::concurrent::ScanSource<'a, V>,
     /// Router epoch of the table that routed this segment.
     epoch: u64,
     /// The shard the segment streams.
@@ -541,7 +541,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
                     // boundaries and open the owning shard's source.
                     let shard = router.route(resume);
                     *segment = Some(Segment {
-                        source: Box::new(index.shards[shard].scan_source()),
+                        source: index.shards[shard].scan_source(),
                         epoch: router.epoch,
                         shard,
                     });

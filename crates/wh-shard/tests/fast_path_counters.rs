@@ -139,3 +139,27 @@ fn idle_fast_path_get_is_allocation_free() {
         "idle fast-path get allocated on the hot path"
     );
 }
+
+// ---------------------------------------------------------------------
+// Allocation count: a warm cross-shard scan
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_warm_scan_and_its_first_fill_allocate_seven_blocks() {
+    // The cursor's box and resume key, the routed source's resume key and
+    // its growth to the successor of the first batch, and the batch's
+    // three buffers. The shard's scan source lives inside the routed one.
+    let keys = keyset();
+    let idx = build(&FOUR_SHARDS, &keys);
+    let scan = |start: &[u8]| {
+        let mut cursor = idx.scan(start);
+        let (key, value) = cursor.next().expect("a pair at the start key");
+        assert_eq!((key, *value), (start, 1500));
+    };
+    // Warm up: registers this thread with the router's and the shard's
+    // QSBR domains.
+    scan(b"user-001500");
+    let before = alloc::thread();
+    scan(b"user-001500");
+    assert_eq!(alloc::thread().since(before).allocs_and_reallocs(), 7);
+}

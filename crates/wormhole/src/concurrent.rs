@@ -10,7 +10,8 @@
 //!   still even. Writers bump the counter (odd on entry, even on exit)
 //!   inside the write lock they already hold, so a racing read always
 //!   fails validation and retries. After a bounded number of conflicts a
-//!   reader falls back to the leaf's reader lock, which bounds worst-case
+//!   reader takes the leaf's reader lock instead — the paper's read, and
+//!   a mode of the same one read of a leaf — which bounds worst-case
 //!   latency under heavy write contention. Ordered scans stream validated
 //!   snapshots of one leaf, or part of one, per batch (`ScanSource`) —
 //!   per-batch atomicity, no global snapshot across batches. As in the
@@ -45,19 +46,22 @@
 //! Readers never take the writer mutex and never wait for grace periods.
 //! On the hot path they take no lock at all; the only blocking they can
 //! ever experience is on an individual leaf lock: after
-//! [`OPTIMISTIC_READ_RETRIES`] consecutive seqlock conflicts, or for a
-//! scan's sort. No thread waits for a grace period while it holds a leaf
-//! lock, so a reader may block on one inside its QSBR critical section.
+//! [`OPTIMISTIC_READ_RETRIES`] consecutive seqlock conflicts, for every
+//! read of a value type with drop glue, or for a scan's sort. No thread
+//! waits for a grace period while it holds a leaf lock, so a reader may
+//! block on one inside its QSBR critical section, and every read runs in
+//! one.
 //!
 //! # Safety model of the optimistic read
 //!
-//! Every lock-free read of a leaf — the point read, the scan batch and its
-//! step over a `next` link, the neighbour step of a search, the staging
-//! peek of a batched read — goes through one primitive, `LeafShared::read`:
-//! seqlock enter (only at the snapshot a scan stopped at, when it resumes),
-//! the expected-version gate, an unlocked view of the leaf, the caller's
-//! closure, validation. Its doc comment carries the argument, which rests
-//! on three layers:
+//! Every read of a leaf — the point read, the scan batch and its step over
+//! a `next` link, the neighbour step of a search, the staging peek of a
+//! batched read — goes through one primitive, `LeafShared::read`: the
+//! reader lock in locked mode, seqlock enter (only at the snapshot a scan
+//! stopped at, when it resumes), the expected-version gate, a view of the
+//! leaf, the caller's closure, validation unless locked. Its doc comment
+//! carries the argument for the lock-free mode, which rests on three
+//! layers:
 //!
 //! * **every heap block a reader can reach stays allocated for its whole
 //!   critical section**: writers retire not only tables and leaf nodes but
@@ -75,7 +79,8 @@
 //! Like every seqlock (the kernel's included), the transient read of
 //! in-flux data is a deliberate race, over live memory only. Values are
 //! cloned speculatively only when they have no drop glue
-//! (`optimistic_reads_safe`); other value types read under the leaf lock.
+//! (`optimistic_reads_safe`); other value types read through the same
+//! primitive under the leaf's reader lock.
 
 use std::borrow::Cow;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -84,7 +89,7 @@ use std::sync::{Arc, Weak};
 use index_traits::{
     ConcurrentOrderedIndex, Cursor, CursorSource, FromSorted, IndexStats, ScanBatch,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use wh_epoch::Qsbr;
 use wh_hash::crc32c;
 use wh_telemetry::Counter;
@@ -96,15 +101,15 @@ use crate::meta::{LeafRef, MetaItem, MetaPlan, MetaShape, MetaTable, TargetOutco
 use crate::prefetch::prefetch_span;
 use crate::telemetry::WormholeMetrics;
 
-/// Seqlock conflicts a lock-free read tolerates. Then a point read falls
-/// back to its leaf's reader lock, and a scan cursor (and so `range_from`,
+/// Seqlock conflicts a lock-free read tolerates. Then a point read goes on
+/// under its leaf's reader lock, and a scan cursor (and so `range_from`,
 /// which streams through one) reads the rest of its scan under leaf locks.
 pub const OPTIMISTIC_READ_RETRIES: usize = 8;
 
 /// Keys longer than this are treated as torn state by the optimistic range
 /// reader rather than copied (a racing read of a key's length field could
 /// otherwise provoke an enormous allocation). Legitimate keys of this size
-/// are still served — through the locked fallback.
+/// are still served — by a locked read once the conflicts run out.
 const MAX_OPTIMISTIC_KEY_LEN: usize = 1 << 20;
 
 /// Retired blocks the index's garbage bin collects from point mutations
@@ -147,63 +152,72 @@ impl<V> LeafShared<V> {
         self.seq.load(Ordering::Relaxed) == snapshot
     }
 
-    /// The one optimistic read of a leaf: enters the seqlock (given
-    /// `expect`, only while the counter still equals it), restarts when
-    /// `gate` — the version of the table the leaf was found in — is older
-    /// than the leaf's expected version (§2.5), runs `f` on the leaf's data
-    /// without its lock, and keeps `f`'s answer only if no write began in
-    /// the meantime. It returns the answer with the snapshot it validated:
-    /// a scan keeps that snapshot and resumes by expecting it, which
-    /// admits the leaf exactly as `f` saw it. Any [`ReadConflict`] means:
-    /// search again.
+    /// The one read of a leaf, lock-free or, when `locked`, under the
+    /// leaf's reader lock (the paper's §2.5 read). It enters the seqlock
+    /// (given `expect`, only while the counter still equals it), restarts
+    /// when `gate` — the version of the table the leaf was found in — is
+    /// older than the leaf's expected version (§2.5), runs `f` on the
+    /// leaf's data, and keeps `f`'s answer only if no write began in the
+    /// meantime. It returns the answer with the snapshot it validated: a
+    /// scan keeps that snapshot and resumes by expecting it, which admits
+    /// the leaf exactly as `f` saw it. Any [`ReadConflict`] means: search
+    /// again. Under the reader lock the counter is even and stays so —
+    /// writers move it only under the writer lock — so the snapshot names
+    /// the state read, and validation has nothing to discard.
     ///
-    /// `f` sees data a writer may be changing under it, so it may only:
+    /// Lock-free, `f` sees data a writer may be changing under it, so it
+    /// may only:
     ///
     /// * read through bounds-checked accessors (the `*_checked` methods of
     ///   [`LeafNode`]) and turn what they cannot make sense of into a
     ///   [`ReadConflict`];
     /// * clone a value without drop glue, a `Weak` or an `Arc`, or follow a
-    ///   link to a neighbour leaf and read that one through this primitive
-    ///   or under its lock;
+    ///   link to a neighbour leaf and read that one through this primitive;
     /// * follow an item's `KeyBox`.
     ///
-    /// Its answer may borrow the data only to feed prefetch hints.
+    /// Locked, `f` may also clone any value. Either way its answer may
+    /// borrow the data only to feed prefetch hints: the lock, if any, is
+    /// released on return.
     ///
-    /// Why that is sound. The caller is inside a QSBR critical section, or
-    /// holds the writer mutex and reads only what no point mutation changes
-    /// (anchors and `prev` links). Every block `f` can reach then stays
-    /// allocated until the caller is done: the leaf and its neighbours are
-    /// held by the published or a retired table, which is freed only after
-    /// a grace period, and every leaf-interior block a writer unlinks — a
-    /// grown vector's old buffer, a removed key's block, a merged-away
-    /// sibling's storage and anchor — goes through the index's bin, which
-    /// frees it only after a grace period too, for every value type. That
-    /// is the only reason a `KeyBox` may be followed. A live vector is never
-    /// reallocated in place (the rule in the [`crate::leaf`] docs), so a
-    /// buffer pointer `f` loads names records that were written, and the
-    /// bounds checks keep `f` inside the length it loaded beside it. A
-    /// value is only ever cloned by callers that checked
-    /// `Wormhole::optimistic_reads_safe`: a clone of a torn value with no
-    /// drop glue owns nothing, so discarding it is harmless. Validation
-    /// then discards everything read during a write. The read itself is a
-    /// data race in Rust's memory model, as every seqlock's is.
+    /// Why the lock-free read is sound. The caller is inside a QSBR
+    /// critical section, or holds the writer mutex and reads only what no
+    /// point mutation changes (anchors and `prev` links). Every block `f`
+    /// can reach then stays allocated until the caller is done: the leaf
+    /// and its neighbours are held by the published or a retired table,
+    /// which is freed only after a grace period, and every leaf-interior
+    /// block a writer unlinks — a grown vector's old buffer, a removed
+    /// key's block, a merged-away sibling's storage and anchor — goes
+    /// through the index's bin, which frees it only after a grace period
+    /// too, for every value type. That is the only reason a `KeyBox` may be
+    /// followed. A live vector is never reallocated in place (the rule in
+    /// the [`crate::leaf`] docs), so a buffer pointer `f` loads names
+    /// records that were written, and the bounds checks keep `f` inside the
+    /// length it loaded beside it. A value is only ever cloned lock-free by
+    /// callers that checked `Wormhole::optimistic_reads_safe`: a clone of a
+    /// torn value with no drop glue owns nothing, so discarding it is
+    /// harmless. Validation then discards everything read during a write.
+    /// The read itself is a data race in Rust's memory model, as every
+    /// seqlock's is. A locked read inside a critical section may block: no
+    /// thread waits for a grace period while it holds a leaf lock.
     #[inline]
     fn read<'s, R>(
         &'s self,
+        locked: bool,
         gate: Option<u64>,
         expect: Option<u64>,
         f: impl FnOnce(&'s LeafData<V>) -> Result<R, ReadConflict>,
     ) -> Result<(R, u64), ReadConflict> {
+        let lock = locked.then(|| self.data.read());
         let snapshot = self.seq_enter().ok_or(ReadConflict)?;
         if expect.is_some_and(|expect| expect != snapshot)
             || gate.is_some_and(|version| self.expected_version.load(Ordering::Acquire) > version)
         {
             return Err(ReadConflict);
         }
-        // SAFETY: the argument above; the pointer itself is valid for as
-        // long as `self` is borrowed.
+        // SAFETY: the argument above, or the reader lock; the pointer
+        // itself is valid for as long as `self` is borrowed.
         let answer = f(unsafe { &*self.data.data_ptr() })?;
-        if self.seq_validate(snapshot) {
+        if lock.is_some() || self.seq_validate(snapshot) {
             Ok((answer, snapshot))
         } else {
             Err(ReadConflict)
@@ -286,15 +300,9 @@ impl<V> LeafHandle<V> {
         Arc::downgrade(&self.0)
     }
 
-    /// The leaf's reader lock, or `None` when a split or merge has moved
+    /// The leaf's writer lock, or `None` when a split or merge has moved
     /// keys across it since a table of `version` was searched (§2.5): the
     /// caller searches again.
-    fn read_at(&self, version: u64) -> Option<RwLockReadGuard<'_, LeafData<V>>> {
-        let data = self.0.data.read();
-        (self.expected_version() <= version).then_some(data)
-    }
-
-    /// [`LeafHandle::read_at`] with the writer lock.
     fn write_at(&self, version: u64) -> Option<RwLockWriteGuard<'_, LeafData<V>>> {
         let data = self.0.data.write();
         (self.expected_version() <= version).then_some(data)
@@ -542,7 +550,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// The batch-per-leaf source under [`ConcurrentOrderedIndex::scan`],
     /// for a consumer that drives fills itself and owns the position (the
     /// sharded front's cross-shard scan) instead of wrapping a [`Cursor`].
-    pub fn scan_source(&self) -> impl CursorSource<V> + '_ {
+    pub fn scan_source(&self) -> ScanSource<'_, V> {
         ScanSource {
             wh: self,
             at: None,
@@ -559,8 +567,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// path is reserved for values **without drop glue** (`u64`, small
     /// PODs — exactly what the paper stores): a garbage speculative clone
     /// of such a value owns nothing, so reading and discarding it is
-    /// harmless. Heap-owning value types transparently fall back to the
-    /// per-leaf reader lock. The check is const-folded.
+    /// harmless. Heap-owning value types read through the same primitive
+    /// (`LeafShared::read`) in its locked mode, under the per-leaf reader
+    /// lock, from their first attempt. The check is const-folded.
     ///
     /// The QSBR-deferred reclamation of leaf-interior blocks
     /// ([`LeafGarbage`]) is *not* enough to relax this gate to pointer
@@ -590,8 +599,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 
     /// A garbage bin into the index's shared store. Every value type defers
-    /// its frees: the neighbour step of every search, the locked paths'
-    /// included, reads anchors and `prev` links without a lock
+    /// its frees: the neighbour step of every search, the locked reads' and
+    /// the writers' included, reads anchors and `prev` links without a lock
     /// ([`Wormhole::resolve`]), and a merge retires the victim's anchor.
     /// A retired block never holds a live `V` — `insert_growing` moves the
     /// items out of the buffer it retires, and a removed value goes back
@@ -740,7 +749,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             TargetOutcome::LeftOf(leaf) => (leaf, false),
             TargetOutcome::CompareAnchor(leaf) => (leaf, true),
         };
-        let (prev, _) = leaf.0.read(None, None, |data| {
+        let (prev, _) = leaf.0.read(false, None, None, |data| {
             let left = !compare || key < data.leaf.anchor();
             Ok(left.then(|| data.prev.upgrade()))
         })?;
@@ -774,122 +783,90 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// One QSBR critical section covers the window: the table search
     /// ([`MetaTable::search_target`] for one key, the round-robined
     /// [`MetaTable::search_targets_window`] for more), the neighbour
-    /// resolutions, and the seqlock-validated leaf reads. A window of more
-    /// than one key first stages every leaf's probe lines in hint-only
-    /// rounds, so that their misses overlap; a window of one has nothing to
-    /// overlap them with. A key whose read conflicts searches the table
-    /// published by then, up to [`OPTIMISTIC_READ_RETRIES`] attempts in
-    /// all. The keys still unanswered, and every key of a value type with
-    /// drop glue, are read under their leaf's lock once the section closed.
+    /// resolutions, and the leaf reads. A window of more than one key first
+    /// stages every leaf's probe lines in hint-only rounds, so that their
+    /// misses overlap; a window of one has nothing to overlap them with. A
+    /// key whose read conflicts searches the table published by then. A
+    /// value type with drop glue reads under the leaf's reader lock from its
+    /// first attempt; any other reads lock-free, and under the lock after
+    /// [`OPTIMISTIC_READ_RETRIES`] conflicts.
     fn get_window<const N: usize>(&self, keys: &[&[u8]], out: &mut [Option<V>]) {
         debug_assert!(keys.len() <= N && out.len() == keys.len());
         let mut hashes = [0u32; N];
         for (hash, key) in hashes.iter_mut().zip(keys) {
             *hash = crc32c(key);
         }
-        let mut answered = [false; N];
-        if Self::optimistic_reads_safe() {
-            self.qsbr.with_local_handle(|handle| {
-                let _guard = handle.enter();
-                // SAFETY: inside a read-side critical section; every borrow
-                // of a table below ends with this closure.
-                let meta = unsafe { self.published() };
-                let mut outcomes = [None; N];
-                if N == 1 {
-                    outcomes[0] = Some(meta.table.search_target(keys[0], &self.config));
-                } else {
-                    meta.table
-                        .search_targets_window(keys, &self.config, &mut outcomes);
+        self.qsbr.with_local_handle(|handle| {
+            let _guard = handle.enter();
+            // SAFETY: inside a read-side critical section; every borrow of a
+            // table below ends with this closure.
+            let meta = unsafe { self.published() };
+            let mut outcomes = [None; N];
+            if N == 1 {
+                outcomes[0] = Some(meta.table.search_target(keys[0], &self.config));
+            } else {
+                meta.table
+                    .search_targets_window(keys, &self.config, &mut outcomes);
+            }
+            let mut located: [Option<Cow<'_, LeafHandle<V>>>; N] = [const { None }; N];
+            for (i, key) in keys.iter().enumerate() {
+                let outcome = outcomes[i].expect("window filled");
+                located[i] = Self::resolve(outcome, key).ok();
+            }
+            if N > 1 {
+                // Every leaf header first, then the probe lines. The peek
+                // feeds only prefetches: `stage_probes` tolerates a leaf that
+                // is mid-mutation by construction.
+                for leaf in located.iter().flatten() {
+                    prefetch_span(Arc::as_ptr(&leaf.0));
                 }
-                let mut located: [Option<Cow<'_, LeafHandle<V>>>; N] = [const { None }; N];
-                for (i, key) in keys.iter().enumerate() {
-                    let outcome = outcomes[i].expect("window filled");
-                    located[i] = Self::resolve(outcome, key).ok();
-                }
-                if N > 1 {
-                    // Every leaf header first, then the probe lines. The
-                    // peek feeds only prefetches: `stage_probes` tolerates a
-                    // leaf that is mid-mutation by construction.
-                    for leaf in located.iter().flatten() {
-                        prefetch_span(Arc::as_ptr(&leaf.0));
+                let leaves = located.each_ref().map(|leaf| {
+                    let leaf = leaf.as_ref()?;
+                    let read = leaf.0.read(false, None, None, |data| Ok(&data.leaf));
+                    read.ok().map(|(leaf, _)| leaf)
+                });
+                LeafNode::stage_probes(&leaves, &hashes, &self.config);
+            }
+            for (i, key) in keys.iter().enumerate() {
+                // The first attempt reads the leaf the window's search
+                // found; a retry searches the table published by then.
+                let (mut leaf, mut version) = (located[i].take().ok_or(ReadConflict), meta.version);
+                for attempt in 0.. {
+                    let locked =
+                        !Self::optimistic_reads_safe() || attempt >= OPTIMISTIC_READ_RETRIES;
+                    if Self::optimistic_reads_safe() && attempt == OPTIMISTIC_READ_RETRIES {
+                        self.metrics.locked_fallbacks.inc();
                     }
-                    let leaves = located.each_ref().map(|leaf| {
-                        let leaf = leaf.as_ref()?;
-                        let read = leaf.0.read(None, None, |data| Ok(&data.leaf));
-                        read.ok().map(|(leaf, _)| leaf)
-                    });
-                    LeafNode::stage_probes(&leaves, &hashes, &self.config);
-                }
-                for (i, key) in keys.iter().enumerate() {
-                    let probe = |leaf: &LeafHandle<V>, version| {
-                        let read = leaf.0.read(Some(version), None, |data| {
+                    let read = leaf.and_then(|leaf| {
+                        leaf.0.read(locked, Some(version), None, |data| {
                             let value = data.leaf.get_checked(key, hashes[i], &self.config)?;
                             Ok(value.cloned())
-                        });
-                        read.map(|(value, _)| value)
-                    };
-                    // The first attempt reads the leaf the window's search
-                    // found; a retry searches the table published by then.
-                    let mut found = located[i]
-                        .take()
-                        .ok_or(ReadConflict)
-                        .and_then(|leaf| probe(&leaf, meta.version));
-                    for _ in 1..OPTIMISTIC_READ_RETRIES {
-                        if found.is_ok() {
-                            break;
-                        }
+                        })
+                    });
+                    if let Ok((value, _)) = read {
+                        out[i] = value;
+                        break;
+                    }
+                    if locked {
+                        self.metrics.lpm_restarts.inc();
+                    } else {
                         self.metrics.seqlock_retries.inc();
-                        std::hint::spin_loop();
-                        // SAFETY: as above.
-                        let meta = unsafe { self.published() };
-                        let outcome = meta.table.search_target(key, &self.config);
-                        found =
-                            Self::resolve(outcome, key).and_then(|leaf| probe(&leaf, meta.version));
                     }
-                    match found {
-                        Ok(value) => {
-                            out[i] = value;
-                            answered[i] = true;
-                        }
-                        Err(ReadConflict) => self.metrics.seqlock_retries.inc(),
-                    }
+                    std::hint::spin_loop();
+                    // SAFETY: as above.
+                    let meta = unsafe { self.published() };
+                    let outcome = meta.table.search_target(key, &self.config);
+                    (leaf, version) = (Self::resolve(outcome, key), meta.version);
                 }
-            });
-        }
-        for (i, key) in keys.iter().enumerate() {
-            if answered[i] {
-                continue;
             }
-            if Self::optimistic_reads_safe() {
-                self.metrics.locked_fallbacks.inc();
-            }
-            // The paper's per-leaf reader lock, which always makes progress.
-            out[i] = self.with_leaf(key, |leaf, version| {
-                let data = leaf.read_at(version)?;
-                Some(data.leaf.get(key, hashes[i], &self.config).cloned())
-            });
-        }
-    }
-
-    /// The locked paths' one loop: finds `key`'s leaf ([`Wormhole::locate`])
-    /// and runs `f` on it with the version of the table searched, until `f`
-    /// answers. `f` takes the
-    /// leaf's lock through [`LeafHandle::read_at`] or
-    /// [`LeafHandle::write_at`], which give up — and so does `f` — when a
-    /// split or merge moved keys across the leaf since that search.
-    fn with_leaf<R>(&self, key: &[u8], mut f: impl FnMut(&LeafHandle<V>, u64) -> Option<R>) -> R {
-        loop {
-            let (leaf, version) = self.locate(key);
-            if let Some(answer) = f(&leaf, version) {
-                return answer;
-            }
-        }
+        });
     }
 
     /// Searches the published MetaTrieHT for `key`'s leaf inside a QSBR
     /// critical section: the leaf and the version of the table searched.
-    /// Kept out of [`Wormhole::with_leaf`]: with the search written into it,
-    /// and so into every locked caller, `index-churn` ran about 1 % slower.
+    /// Kept out of [`Wormhole::with_leaf_write`]: with the search written
+    /// into it, and so into every writer, `index-churn` ran about 1 %
+    /// slower.
     fn locate(&self, key: &[u8]) -> (LeafHandle<V>, u64) {
         loop {
             let located = self.qsbr.with_local_handle(|handle| {
@@ -910,12 +887,17 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 
     /// Runs `f` under the write lock of `key`'s leaf (for in-place updates
     /// that do not change the set of leaves), with the leaf's seqlock odd.
-    fn with_leaf_write<R>(&self, key: &[u8], mut f: impl FnMut(&mut LeafData<V>) -> R) -> R {
-        self.with_leaf(key, |leaf, version| {
-            let mut data = leaf.write_at(version)?;
+    /// A split or merge that moved keys across the leaf since the search
+    /// sends it back to [`Wormhole::locate`].
+    fn with_leaf_write<R>(&self, key: &[u8], f: impl FnOnce(&mut LeafData<V>) -> R) -> R {
+        loop {
+            let (leaf, version) = self.locate(key);
+            let Some(mut data) = leaf.write_at(version) else {
+                continue;
+            };
             let _section = SeqWriteSection::new(&leaf.0.seq);
-            Some(f(&mut data))
-        })
+            return f(&mut data);
+        }
     }
 
     /// Write-locks `leaf` with its key-sorted view brought up to date: the
@@ -1235,59 +1217,62 @@ const SCAN_CHUNK: usize = 16;
 struct ScanAt<V> {
     /// The leaf it read last.
     leaf: LeafHandle<V>,
-    /// The seqlock snapshot that read validated, or the counter under the
-    /// lock it held: never a later load.
+    /// The snapshot that read returned ([`LeafShared::read`]), or the
+    /// counter under the writer lock a sort held: never a later load.
     seq: u64,
     /// Key-order position after the last pair copied.
     pos: usize,
 }
 
-/// Batch-per-leaf [`CursorSource`] over the concurrent index — the engine
-/// under both `scan` and `range_from`.
+/// The batch-per-leaf [`CursorSource`] over the concurrent index: the
+/// engine under [`ConcurrentOrderedIndex::scan`], and what
+/// [`Wormhole::scan_source`] hands a consumer that drives fills itself.
 ///
-/// The first fill searches the published MetaTrieHT for the cursor's
-/// position inside a QSBR critical section and reads the leaf it finds
-/// through the same primitive as a `get` ([`LeafShared::read`]): a
-/// bounds-checked binary search and walk of the key view
-/// ([`LeafNode::collect_leaf_checked`]), kept only if the seqlock
-/// validates (validate-then-yield). A leaf whose view lags is the one case
-/// in which a scan writes: it takes that leaf's write lock, runs the
-/// paper's `incSort` there ([`Wormhole::write_sorted`]) and fills the batch
-/// under the same lock, so the sort is paid once and the next scan of the
-/// leaf reads it lock-free.
-///
-/// Between batches the source keeps its place in the structure, a
-/// [`ScanAt`]. The next fill, in a fresh critical section, enters that
-/// leaf's seqlock only at the stored snapshot and copies on from the stored
-/// position. A leaf read to its end hands over to its `next` link: inside
-/// one read of the leaf at its snapshot, the successor is read from its
-/// start, so the two were neighbours throughout and the successor needs no
-/// expected-version gate. Only a leaf that changed since (a write, a split,
-/// a merge, a sort) sends the fill back to the MetaTrieHT, from the
-/// cursor's position, and so does a position the consumer moved past the
-/// stored one. A fill reads one leaf and copies at most [`SCAN_CHUNK`]
-/// pairs; a conflicted one is discarded and retried. After
-/// [`OPTIMISTIC_READ_RETRIES`] conflicts the rest of the scan reads under
-/// leaf locks, from the same position, holding a leaf's reader lock while
-/// it reads its successor.
-struct ScanSource<'a, V: Clone + Send + Sync> {
+/// A fill copies a bounded run of one leaf, a validated snapshot of it:
+/// each batch is atomic, the scan as a whole is not a snapshot. The first
+/// fill searches the MetaTrieHT for the cursor's position. A later fill
+/// continues in the leaf the last one stopped in, and over its `next` link
+/// from its end, while that leaf is unchanged; it searches again when the
+/// leaf changed or the consumer moved the position past where the source
+/// stopped.
+pub struct ScanSource<'a, V> {
     wh: &'a Wormhole<V>,
     /// Where the last fill stopped; `None` before the first fill and after
     /// a conflicted one.
     at: Option<ScanAt<V>>,
-    /// Seqlock conflicts so far across the whole scan.
+    /// Conflicts so far across the whole scan.
     conflicts: usize,
     done: bool,
 }
 
 /// One fill of a scan: the cursor's position, the batch and its cap, and
-/// whether the fill reads lock-free or under leaf locks.
+/// the mode of its leaf reads.
+///
+/// Every fill runs inside one QSBR critical section and reads leaves only
+/// through [`LeafShared::read`], like a `get`: a bounds-checked binary
+/// search and walk of the key view ([`LeafNode::collect_leaf_checked`]),
+/// kept only if the seqlock validates (validate-then-yield). A fill first
+/// tries to resume at the [`ScanAt`] the last one left: a read of that leaf
+/// that admits it only at the stored snapshot copies on from the stored
+/// position, and at the leaf's end reads the successor from its start
+/// inside the same read, so the two were neighbours throughout and the
+/// successor needs no expected-version gate. Otherwise it descends: it
+/// searches the published table from the cursor's position. A leaf whose
+/// view lags is the one case in which a scan writes: it takes that leaf's
+/// write lock, runs the paper's `incSort` there ([`Wormhole::write_sorted`])
+/// and fills the batch under the same lock, so the sort is paid once and
+/// the next scan of the leaf reads it lock-free. A conflicted fill is
+/// discarded and retried. A value type with drop glue reads under leaf
+/// locks from the first fill; any other does after
+/// [`OPTIMISTIC_READ_RETRIES`] conflicts, for the rest of the scan, and
+/// then holds a leaf's reader lock while it reads its successor.
 struct Fill<'f, V> {
     wh: &'f Wormhole<V>,
     from: &'f [u8],
     batch: &'f mut ScanBatch<V>,
     limit: usize,
-    optimistic: bool,
+    /// The mode every [`LeafShared::read`] of the fill passes.
+    locked: bool,
 }
 
 impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
@@ -1305,47 +1290,24 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
     /// was read at: copies on from its position, or, at the leaf's end,
     /// reads its successor from the start while the leaf stays unchanged.
     fn resume(&mut self, at: &ScanAt<V>) -> Result<Option<ScanAt<V>>, ReadConflict> {
-        let leaf = &at.leaf.0;
-        if self.optimistic {
-            let read = leaf.read(None, Some(at.seq), |data| self.resume_in(at, data));
-            return read.map(|(next, _)| next);
-        }
-        // Under the reader lock the counter names the state read (see
-        // `Fill::read_held`).
-        let data = leaf.data.read();
-        if leaf.seq.load(Ordering::Relaxed) != at.seq {
-            return Err(ReadConflict);
-        }
-        self.resume_in(at, &data)
-    }
-
-    /// [`Fill::resume`] on the data of `at`'s leaf, at `at`'s snapshot.
-    fn resume_in(
-        &mut self,
-        at: &ScanAt<V>,
-        data: &LeafData<V>,
-    ) -> Result<Option<ScanAt<V>>, ReadConflict> {
-        let pos = self.copy(data, Some(at.pos))?;
-        if pos > at.pos {
-            let (leaf, seq) = (at.leaf.clone(), at.seq);
-            return Ok(Some(ScanAt { leaf, seq, pos }));
-        }
-        // Read to its end: the link step.
-        let next = data.next.as_ref();
-        next.map(|next| self.read_leaf(next, None, Some(0)))
-            .transpose()
+        let read = at.leaf.0.read(self.locked, None, Some(at.seq), |data| {
+            let pos = self.copy(data, Some(at.pos))?;
+            if pos > at.pos {
+                let (leaf, seq) = (at.leaf.clone(), at.seq);
+                return Ok(Some(ScanAt { leaf, seq, pos }));
+            }
+            // Read to its end: the link step.
+            let next = data.next.as_ref();
+            next.map(|next| self.read_leaf(next, None, Some(0)))
+                .transpose()
+        });
+        read.map(|(next, _)| next)
     }
 
     /// Searches the published MetaTrieHT for the cursor's position and
     /// reads the leaf it finds from there.
     fn descend(&mut self) -> Result<ScanAt<V>, ReadConflict> {
         let (wh, from) = (self.wh, self.from);
-        if !self.optimistic {
-            return Ok(wh.with_leaf(from, |leaf, version| {
-                wh.metrics.scan_descents.inc();
-                self.read_leaf(leaf, Some(version), None).ok()
-            }));
-        }
         wh.metrics.scan_descents.inc();
         // SAFETY: the caller's critical section covers the search and the
         // read; only owned handles leave it.
@@ -1354,49 +1316,31 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
         self.read_leaf(&leaf, Some(meta.version), None)
     }
 
-    /// Reads `leaf` from position `start`, or from the cursor's position:
-    /// lock-free, or under its reader lock in locked mode, and under its
-    /// writer lock either way when its key view has to be sorted first.
-    /// `gate` is the version of the table `leaf` was found in.
+    /// Reads `leaf` from position `start`, or from the cursor's position,
+    /// in the fill's mode, and under its writer lock when its key view has
+    /// to be sorted first. `gate` is the version of the table `leaf` was
+    /// found in.
     fn read_leaf(
         &mut self,
         leaf: &LeafHandle<V>,
         gate: Option<u64>,
         start: Option<usize>,
     ) -> Result<ScanAt<V>, ReadConflict> {
-        let version = gate.unwrap_or(u64::MAX);
-        if self.optimistic {
-            let (pos, seq) = leaf.0.read(gate, None, |data| {
-                // `None`: the key view lags behind the leaf's items.
-                let current = !data.leaf.key_view_lags();
-                current.then(|| self.copy(data, start)).transpose()
-            })?;
-            if let Some(pos) = pos {
-                let leaf = leaf.clone();
-                return Ok(ScanAt { leaf, seq, pos });
-            }
-        } else {
-            let data = leaf.read_at(version).ok_or(ReadConflict)?;
-            if !data.leaf.key_view_lags() {
-                return self.read_held(leaf, &data, start);
-            }
+        let (pos, seq) = leaf.0.read(self.locked, gate, None, |data| {
+            // `None`: the key view lags behind the leaf's items.
+            let current = !data.leaf.key_view_lags();
+            current.then(|| self.copy(data, start)).transpose()
+        })?;
+        if let Some(pos) = pos {
+            let leaf = leaf.clone();
+            return Ok(ScanAt { leaf, seq, pos });
         }
         // Leaf locks are never held across a grace-period wait, so blocking
         // on one inside a critical section cannot deadlock.
+        let version = gate.unwrap_or(u64::MAX);
         let data = self.wh.write_sorted(leaf, version).ok_or(ReadConflict)?;
-        self.read_held(leaf, &data, start)
-    }
-
-    /// [`Fill::read_leaf`] under a lock the caller holds, which keeps the
-    /// seqlock counter at the state read: writers move it only under the
-    /// leaf's writer lock.
-    fn read_held(
-        &mut self,
-        leaf: &LeafHandle<V>,
-        data: &LeafData<V>,
-        start: Option<usize>,
-    ) -> Result<ScanAt<V>, ReadConflict> {
-        let pos = self.copy(data, start)?;
+        let pos = self.copy(&data, start)?;
+        // The writer lock keeps the counter at the state read.
         let (leaf, seq) = (leaf.clone(), leaf.0.seq.load(Ordering::Relaxed));
         Ok(ScanAt { leaf, seq, pos })
     }
@@ -1413,10 +1357,10 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
             Some(pos) => pos,
             None => leaf.lower_bound_checked(self.from)?,
         };
-        let max_key_len = if self.optimistic {
-            MAX_OPTIMISTIC_KEY_LEN
-        } else {
+        let max_key_len = if self.locked {
             usize::MAX
+        } else {
+            MAX_OPTIMISTIC_KEY_LEN
         };
         let copied = leaf.collect_leaf_checked(begin, self.limit, self.batch, max_key_len)?;
         if copied > 0 && self.batch.key(0) < self.from {
@@ -1436,20 +1380,16 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
             from,
             batch,
             limit,
-            optimistic: true,
+            locked: false,
         };
         while !self.done && fill.batch.is_empty() {
-            fill.optimistic =
-                Wormhole::<V>::optimistic_reads_safe() && self.conflicts < OPTIMISTIC_READ_RETRIES;
+            fill.locked = !Wormhole::<V>::optimistic_reads_safe()
+                || self.conflicts >= OPTIMISTIC_READ_RETRIES;
             let at = self.at.take();
-            let step = if fill.optimistic {
-                wh.qsbr.with_local_handle(|handle| {
-                    let _guard = handle.enter();
-                    fill.step(at.as_ref())
-                })
-            } else {
+            let step = wh.qsbr.with_local_handle(|handle| {
+                let _guard = handle.enter();
                 fill.step(at.as_ref())
-            };
+            });
             match step {
                 Ok(at) => {
                     self.done = at.is_none();
@@ -1457,6 +1397,9 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
                 }
                 Err(ReadConflict) => {
                     self.conflicts += 1;
+                    if !fill.locked && self.conflicts == OPTIMISTIC_READ_RETRIES {
+                        wh.metrics.locked_fallbacks.inc();
+                    }
                     fill.batch.clear();
                     std::hint::spin_loop();
                 }
@@ -1489,25 +1432,22 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
 
     fn set(&self, key: &[u8], value: V) -> Option<V> {
         let hash = crc32c(key);
-        let mut pending = Some(value);
         let mut bin = self.new_bin();
         enum FastPath<V> {
             Replaced(V),
             Inserted,
-            NeedsSplit,
+            NeedsSplit(V),
         }
         let outcome = self.with_leaf_write(key, |data| {
             if let Some(slot) = data.leaf.get_mut(key, hash, &self.config) {
-                let value = pending.take().expect("value present");
                 return FastPath::Replaced(std::mem::replace(slot, value));
             }
             if data.leaf.len() < self.config.leaf_capacity {
-                let value = pending.take().expect("value present");
                 data.leaf
                     .insert_absent(key, hash, value, &self.config, &mut bin);
                 return FastPath::Inserted;
             }
-            FastPath::NeedsSplit
+            FastPath::NeedsSplit(value)
         });
         self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
         match outcome {
@@ -1516,9 +1456,7 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for Wormhole<V>
                 self.len.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            FastPath::NeedsSplit => {
-                self.insert_with_split(key, hash, pending.take().expect("value present"))
-            }
+            FastPath::NeedsSplit(value) => self.insert_with_split(key, hash, value),
         }
     }
 
@@ -1930,6 +1868,74 @@ mod tests {
         let scan = wh.range_from(b"hv-0100", 10);
         assert_eq!(scan.len(), 10);
         assert_eq!(scan[0].1, "value-100");
+    }
+
+    /// Runs a `get`, a 16-key `get_batch_into` and a `range_from` on the
+    /// leaf of `key(20)`, one after the other, each on a thread of its own
+    /// while this thread holds the leaf's writer lock with its seqlock odd.
+    /// The writer lets go once `blocked(wh, n)` says that the `n`th reader
+    /// waits for the lock. Every answer must match the model.
+    fn reads_across_a_held_leaf<V: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static>(
+        value: fn(u64) -> V,
+        blocked: impl Fn(&Wormhole<V>, u64) -> bool,
+    ) -> Wormhole<V> {
+        let wh = Wormhole::with_config(small_config());
+        let key = |i: u64| format!("held-{i:04}").into_bytes();
+        for i in 0..64 {
+            wh.set(&key(i), value(i));
+        }
+        let (leaf, _) = wh.locate(&key(20));
+        let held = |n: u64, read: &(dyn Fn() + Sync)| {
+            thread::scope(|scope| {
+                let data = leaf.0.data.write();
+                let section = SeqWriteSection::new(&leaf.0.seq);
+                let reader = scope.spawn(read);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                while !blocked(&wh, n) {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "reader {n} never blocked"
+                    );
+                    std::hint::spin_loop();
+                }
+                drop(section);
+                drop(data);
+                reader.join().unwrap();
+            });
+        };
+        held(1, &|| assert_eq!(wh.get(&key(20)), Some(value(20))));
+        held(2, &|| {
+            let keys: Vec<Vec<u8>> = (12..28).map(key).collect();
+            let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            let mut out = Vec::new();
+            wh.get_batch_into(&keys, &mut out);
+            let want: Vec<Option<V>> = (12..28).map(|i| Some(value(i))).collect();
+            assert_eq!(out, want);
+        });
+        held(3, &|| {
+            let want: Vec<(Vec<u8>, V)> = (20..30).map(|i| (key(i), value(i))).collect();
+            assert_eq!(wh.range_from(&key(20), 10), want);
+        });
+        wh
+    }
+
+    #[test]
+    fn reads_of_a_held_leaf_escalate_to_its_reader_lock() {
+        // A `u64` read escalates once per operation: a point read and a
+        // batch at their first key of the held leaf, after as many seqlock
+        // retries, and a scan at its fill.
+        let wh = reads_across_a_held_leaf(|v| v, |wh, n| wh.metrics().locked_fallbacks.get() == n);
+        assert_eq!(wh.metrics().locked_fallbacks.get(), 3);
+        let retries = 2 * OPTIMISTIC_READ_RETRIES as u64;
+        assert_eq!(wh.metrics().seqlock_retries.get(), retries);
+        // A `String` read takes the lock from its first attempt, inside its
+        // critical section, where a grace period sees it wait.
+        let wh = reads_across_a_held_leaf(
+            |v| v.to_string(),
+            |wh, _| !wh.qsbr.grace_elapsed(wh.qsbr.start_grace()),
+        );
+        assert_eq!(wh.metrics().locked_fallbacks.get(), 0);
+        assert_eq!(wh.metrics().seqlock_retries.get(), 0);
     }
 
     #[test]

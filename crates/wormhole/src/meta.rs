@@ -445,7 +445,10 @@ enum BucketLoc {
 }
 
 /// Grow when the table is more than ~3/4 full (6 of 8 slots per bucket on
-/// average), the same load factor the seed layout used.
+/// average). The two slots left free on average keep most buckets out of
+/// the overflow pool, whose chained bucket costs a probe a second cache
+/// line; fuller buckets would chain more often, emptier ones spend more
+/// lines per item.
 const GROW_NUM: usize = BUCKET_SLOTS - 2;
 
 /// Number of lookups kept in flight by the batched search pipeline

@@ -22,8 +22,10 @@ wh_telemetry::metrics! {
         /// Seqlock validation conflicts on the optimistic read path (each one
         /// costs one retry of the lock-free attempt).
         pub seqlock_retries: Counter,
-        /// Reads that exhausted their bounded optimistic retries and fell
-        /// back to the per-leaf reader lock.
+        /// Point reads (one per key) and scans (one per scan) that
+        /// exhausted their bounded optimistic retries and went on under
+        /// leaf reader locks. Value types with drop glue, which read
+        /// locked from the start, never count here.
         pub locked_fallbacks: Counter,
         /// Leaf splits published (each is a full RCU table publication).
         pub splits: Counter,
@@ -32,8 +34,10 @@ wh_telemetry::metrics! {
         /// Times a removal took the writer mutex to run the merge test; a
         /// removal whose leaf cannot pair with a neighbour does not get there.
         pub merge_attempts: Counter,
-        /// MetaTrieHT lookup restarts: the LPM search resolved to a leaf that
-        /// a racing merge retired before the neighbour step completed.
+        /// Restarts of a writer's or a locked read's lookup: the LPM search
+        /// resolved to a leaf that a racing merge retired before the
+        /// neighbour step completed, or (a locked read) a split or merge
+        /// moved keys across the leaf since the search.
         pub lpm_restarts: Counter,
         /// Scans that found a leaf's key-sorted view lagging and ran `incSort`
         /// under its write lock. A second scan of an unchanged leaf adds none.
