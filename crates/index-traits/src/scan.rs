@@ -38,17 +38,17 @@ pub const DEFAULT_SCAN_BATCH: usize = 128;
 
 /// One batch of scan output.
 ///
-/// Keys are stored concatenated in a single byte arena (`bytes` + end
-/// offsets) rather than as one `Vec<u8>` per key, so refilling a batch in
-/// steady state reuses three flat buffers and allocates nothing.
+/// Keys are stored concatenated in a single byte arena (`bytes`, with each
+/// pair's end offset beside its value) rather than as one `Vec<u8>` per
+/// key, so refilling a batch in steady state reuses two flat buffers and
+/// allocates nothing.
 #[derive(Debug)]
 pub struct ScanBatch<V> {
     /// Concatenated key bytes.
     bytes: Vec<u8>,
-    /// End offset of key `i` in `bytes` (its start is `ends[i - 1]` or 0).
-    ends: Vec<usize>,
-    /// Value of key `i`.
-    values: Vec<V>,
+    /// Pair `i`: the end offset of its key in `bytes` (its start is the
+    /// end of pair `i - 1`, or 0) and its value.
+    pairs: Vec<(usize, V)>,
 }
 
 impl<V> Default for ScanBatch<V> {
@@ -62,8 +62,7 @@ impl<V> ScanBatch<V> {
     pub fn new() -> Self {
         Self {
             bytes: Vec::new(),
-            ends: Vec::new(),
-            values: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
@@ -71,43 +70,44 @@ impl<V> ScanBatch<V> {
     /// payload, so the first fills are as allocation-free as steady state.
     pub fn reserve(&mut self, items: usize, key_bytes: usize) {
         self.bytes.reserve(key_bytes);
-        self.ends.reserve(items);
-        self.values.reserve(items);
+        self.pairs.reserve(items);
     }
 
     /// Removes every pair, keeping the buffers for reuse.
     pub fn clear(&mut self) {
         self.bytes.clear();
-        self.ends.clear();
-        self.values.clear();
+        self.pairs.clear();
     }
 
     /// Number of pairs in the batch.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.pairs.len()
     }
 
     /// Returns `true` when the batch holds no pairs.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Appends a pair (callers must keep keys ascending).
     pub fn push(&mut self, key: &[u8], value: V) {
         self.bytes.extend_from_slice(key);
-        self.ends.push(self.bytes.len());
-        self.values.push(value);
+        self.pairs.push((self.bytes.len(), value));
+    }
+
+    /// Where the key of pair `i` starts in the arena.
+    fn key_start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.pairs[prev].0)
     }
 
     /// Key of pair `i`.
     pub fn key(&self, i: usize) -> &[u8] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bytes[start..self.ends[i]]
+        &self.bytes[self.key_start(i)..self.pairs[i].0]
     }
 
     /// Value of pair `i`.
     pub fn value(&self, i: usize) -> &V {
-        &self.values[i]
+        &self.pairs[i].1
     }
 
     /// Pair `i` as `(key, value)`.
@@ -126,13 +126,10 @@ impl<V> ScanBatch<V> {
     /// clamping a segment to its shard's boundary — drop a batch's tail
     /// without copying or reallocating.
     pub fn truncate(&mut self, len: usize) {
-        if len >= self.ends.len() {
-            return;
+        if len < self.pairs.len() {
+            self.bytes.truncate(self.key_start(len));
+            self.pairs.truncate(len);
         }
-        let bytes_end = if len == 0 { 0 } else { self.ends[len - 1] };
-        self.bytes.truncate(bytes_end);
-        self.ends.truncate(len);
-        self.values.truncate(len);
     }
 
     /// Iterates the pairs in order.
@@ -177,15 +174,16 @@ pub trait CursorSource<V> {
     /// Clears `batch` and fills it with the next run of pairs, in ascending
     /// key order and strictly above everything filled by earlier calls.
     /// Returns `false` when the scan is exhausted (leaving `batch` empty);
-    /// a `true` return guarantees at least one pair.
+    /// a `true` return guarantees at least one pair. The caller does not
+    /// call the source again after a `false`, so a source need not
+    /// remember that it returned one.
     ///
     /// `from` is the scan's position, which the caller owns: the start key
     /// on the first call, afterwards the successor of the last pair the
-    /// previous call filled. A source therefore keeps no copy of the start
-    /// key. It may keep a position of its own — where its last fill stopped
-    /// inside the structure, the next shard's boundary — and continue from
-    /// there, but it never fills a pair below `from`: a caller that moved
-    /// the position ahead is obeyed.
+    /// previous call filled. A source therefore keeps no copy of the
+    /// position. It may remember where its last fill stopped inside the
+    /// structure and continue from there, but it never fills a pair below
+    /// `from`: a caller that moved the position ahead is obeyed.
     ///
     /// `limit` caps how many pairs this batch needs to hold (the consumer
     /// will not take more before asking again): implementations may stop
@@ -591,6 +589,53 @@ mod tests {
             let mut got = Vec::new();
             model.scan(start).collect_next(count, &mut got);
             assert_eq!(got, model.range_from(start, count));
+        }
+    }
+
+    /// Streams `total` pairs, one a batch, and panics if it is called
+    /// again after it returned `false`.
+    struct StrictSource {
+        next: u64,
+        total: u64,
+        ended: bool,
+    }
+
+    impl CursorSource<u64> for StrictSource {
+        fn fill_next(&mut self, _from: &[u8], batch: &mut ScanBatch<u64>, _limit: usize) -> bool {
+            assert!(!self.ended, "source called again after returning false");
+            batch.clear();
+            if self.next == self.total {
+                self.ended = true;
+                return false;
+            }
+            batch.push(&self.next.to_be_bytes(), self.next);
+            self.next += 1;
+            true
+        }
+    }
+
+    #[test]
+    fn an_exhausted_source_is_not_called_again() {
+        type Drain = fn(&mut Cursor<'_, u64>) -> usize;
+        let drains: [Drain; 4] = [
+            |cursor| std::iter::from_fn(|| cursor.next().map(|_| ())).count(),
+            |cursor| std::iter::from_fn(|| cursor.next_batch().map(ScanBatch::len)).sum(),
+            |cursor| cursor.visit_next(usize::MAX, |_, _| {}),
+            |cursor| cursor.collect_next(usize::MAX, &mut Vec::new()),
+        ];
+        for drain in drains {
+            let source = StrictSource {
+                next: 0,
+                total: 3,
+                ended: false,
+            };
+            let mut cursor = Cursor::new(b"", Box::new(source));
+            assert_eq!(drain(&mut cursor), 3);
+            assert!(cursor.is_done());
+            // Past the end, every way of reading asks the source nothing.
+            for again in drains {
+                assert_eq!(again(&mut cursor), 0);
+            }
         }
     }
 

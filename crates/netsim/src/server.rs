@@ -30,8 +30,8 @@
 //!   [`service`](crate::service) module docs), encoding responses into
 //!   one buffer with per-item end offsets.
 //! * The front keeps the slot→worker map of every message still with the
-//!   workers, oldest first. It dispatches while fewer than eight (the
-//!   client's pipeline depth) are out and another message is waiting;
+//!   workers, oldest first. It dispatches while fewer than the client's
+//!   pipeline depth (eight) are out and another message is waiting;
 //!   otherwise it **reassembles** the oldest by walking its slots in
 //!   order — each worker's slots ascend, so reassembly is a sequential
 //!   cursor per worker, no sorting.
@@ -66,20 +66,16 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use wh_shard::ShardedWormhole;
 use wh_telemetry::{Counter, Histogram, Registry};
 
 use crate::service::{
-    decode_message, drive_client, Executor, RequestBatch, ResponseBatch, ServiceStats,
+    channel, decode_message, drive_client, Executor, RequestBatch, ResponseBatch, ServiceStats,
+    PIPELINE_DEPTH,
 };
 use crate::telemetry::ServiceMetrics;
 use crate::wire::{RequestRecord, WireRequest, WireResponse, WireResponseRef};
-
-/// The most messages the front keeps with the workers at once: the
-/// client's pipeline depth. Each puts at most one item in each of a
-/// worker's two channels, so no channel of capacity 16 can fill.
-const MAX_IN_FLIGHT: usize = 8;
 
 /// One worker's share of a parsed message, in slot order (the front
 /// knows which slots they are): its records and a handle on the frame
@@ -205,14 +201,14 @@ impl ShardServer {
         requests: &[WireRequest],
         on_resp: impl FnMut(WireResponseRef<'_>),
     ) -> ServiceStats {
-        let (req_tx, req_rx) = bounded::<RequestBatch>(16);
-        let (resp_tx, resp_rx) = bounded::<ResponseBatch>(16);
+        let (req_tx, req_rx) = channel::<RequestBatch>();
+        let (resp_tx, resp_rx) = channel::<ResponseBatch>();
         let mut work_txs = Vec::with_capacity(self.workers);
         let mut out_rxs = Vec::with_capacity(self.workers);
         let mut handles = Vec::with_capacity(self.workers + 1);
         for _ in 0..self.workers {
-            let (work_tx, work_rx) = bounded::<WorkBatch>(16);
-            let (out_tx, out_rx) = bounded::<WorkOutput>(16);
+            let (work_tx, work_rx) = channel::<WorkBatch>();
+            let (out_tx, out_rx) = channel::<WorkOutput>();
             work_txs.push(work_tx);
             out_rxs.push(out_rx);
             let index = Arc::clone(&self.index);
@@ -318,7 +314,7 @@ fn front_loop(
         // ship the oldest.
         let next = match in_flight.len() {
             0 => req_rx.recv().ok(),
-            n if n < MAX_IN_FLIGHT => req_rx.try_recv().ok(),
+            n if n < PIPELINE_DEPTH => req_rx.try_recv().ok(),
             _ => None,
         };
         let Some(batch) = next else {

@@ -43,6 +43,17 @@ use crate::wire::{
     WireResponse, WireResponseRef,
 };
 
+/// The most messages a client keeps in flight, and the most the
+/// `ShardServer` front keeps with its workers.
+pub(crate) const PIPELINE_DEPTH: usize = 8;
+
+/// A channel of either serve loop. At most [`PIPELINE_DEPTH`] messages are
+/// in flight and each puts at most one item in each channel, so a channel
+/// of twice that depth never fills.
+pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
+    bounded(2 * PIPELINE_DEPTH)
+}
+
 /// One batch of encoded requests travelling client → server.
 pub(crate) struct RequestBatch {
     pub(crate) payload: Bytes,
@@ -322,10 +333,10 @@ impl Executor {
 }
 
 /// The client half of a run: encodes `requests` in messages of
-/// `batch_size`, keeps a small pipeline of them in flight (as HERD does,
-/// and so a server's front and workers overlap), reads the responses in
-/// place and hands each to `on_resp` in request order. Takes the sender so
-/// that returning hangs up, which is what stops the server.
+/// `batch_size`, keeps up to [`PIPELINE_DEPTH`] of them in flight (as
+/// HERD does, and so a server's front and workers overlap), reads the
+/// responses in place and hands each to `on_resp` in request order. Takes
+/// the sender so that returning hangs up, which is what stops the server.
 ///
 /// The server answers messages in arrival order, so the front of the
 /// in-flight queue is always the one the next response completes. Each
@@ -382,7 +393,7 @@ pub(crate) fn drive_client(
                 payload: buf.freeze(),
             })
             .expect("server alive");
-        if in_flight.len() >= 8 {
+        if in_flight.len() >= PIPELINE_DEPTH {
             drain(&mut stats, &mut in_flight);
         }
     }
@@ -449,8 +460,8 @@ impl KvService {
         Receiver<ResponseBatch>,
         JoinHandle<()>,
     ) {
-        let (req_tx, req_rx) = bounded::<RequestBatch>(16);
-        let (resp_tx, resp_rx) = bounded::<ResponseBatch>(16);
+        let (req_tx, req_rx) = channel::<RequestBatch>();
+        let (resp_tx, resp_rx) = channel::<ResponseBatch>();
         let index = Arc::clone(&self.index);
         let registry = Arc::clone(&self.registry);
         let metrics = self.metrics.clone();

@@ -465,29 +465,26 @@ impl<V> Drop for ShardedWormhole<V> {
 /// the router epoch moves.
 ///
 /// Each segment is the owning shard's native scan source
-/// ([`Wormhole::scan_source`]), filled from the sweep bound `resume`.
-/// Every batch fill runs inside a router critical section
-/// and first re-validates that the segment's routing decision is still
-/// current (`segment.epoch == router.epoch`); a stale segment is dropped
-/// and re-routed from `resume`, which the live boundaries may now send to
+/// ([`Wormhole::scan_source`]); the position it fills from is the
+/// cursor's. Every batch fill is one router section. It first
+/// re-validates that the segment's routing decision is still current
+/// (`segment.epoch == router.epoch`); a stale segment is dropped and the
+/// cursor's position re-routed, which the live boundaries may now send to
 /// a *different* shard — exactly what keeps the stream exhaustive when a
 /// migration moves part of the unswept range to a neighbouring shard.
-/// Because the migration engine drains a donor only after the grace
-/// period that follows the boundary publication, a fill that validated
-/// against the old epoch always completes against the donor's still-
-/// authoritative copy; see the crate docs for the full argument.
+/// A shard with nothing left below its upper boundary hands the fill on:
+/// its bound moves forward to that boundary and routes again, in the same
+/// section. Because the migration engine drains a donor only after the
+/// grace period that follows the boundary publication, a fill that
+/// validated against the old epoch always completes against the donor's
+/// still-authoritative copy; see the crate docs for the full argument.
 ///
 /// In the steady state (no migration, segment mid-shard) a fill is: one
-/// epoch compare, the shard source's native leaf-snapshot fill straight
-/// into the outer arena, and a successor bump of the reused `resume`
-/// buffer — no allocation.
+/// epoch compare and the shard source's native leaf-snapshot fill straight
+/// into the outer arena — no allocation.
 struct RoutedSource<'a, V: Clone + Send + Sync + 'static> {
     index: &'a ShardedWormhole<V>,
-    /// Inclusive lower bound of the next batch; strictly above every key
-    /// already streamed (reused buffer).
-    resume: Vec<u8>,
     segment: Option<Segment<'a, V>>,
-    done: bool,
 }
 
 /// One shard's scan source plus the routing decision it was opened under.
@@ -499,102 +496,58 @@ struct Segment<'a, V> {
     shard: usize,
 }
 
-/// Outcome of one routed fill attempt.
-enum FillStep {
-    /// The batch holds pairs; the sweep bound advanced past them.
-    Filled,
-    /// The segment's shard held nothing at/above the sweep bound; the
-    /// bound jumped to the shard's upper boundary and the next attempt
-    /// re-routes.
-    NextShard,
-    /// The last shard is exhausted: the scan is complete.
-    Done,
-}
-
 impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
     fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
-        // The sweep bound is this source's own, because it also jumps
-        // across shard boundaries; the cursor's position is ahead of it
-        // only when the cursor was opened behind where its consumer is.
-        if from > self.resume.as_slice() {
-            self.resume.clear();
-            self.resume.extend_from_slice(from);
-        }
-        batch.clear();
-        while !self.done {
-            let Self {
-                index,
-                resume,
-                segment,
-                ..
-            } = self;
-            let index = *index;
-            // `with_router` gives fills the same biased fast entry as point
-            // ops while no migration is in flight; the epoch re-validation
-            // below is then a compare of two equal numbers. When a
-            // migration is mid-flight the fill runs in a classic critical
-            // section, exactly as before.
-            let step = index.with_router(|router| {
-                let valid = matches!(segment, Some(seg) if seg.epoch == router.epoch);
-                if !valid {
-                    // (Re-)route the sweep bound through the live
-                    // boundaries and open the owning shard's source.
-                    let shard = router.route(resume);
-                    *segment = Some(Segment {
-                        source: index.shards[shard].scan_source(),
-                        epoch: router.epoch,
-                        shard,
-                    });
-                }
-                let seg = segment.as_mut().expect("segment open");
+        let Self { index, segment } = self;
+        // `with_router` gives fills the same biased fast entry as point ops
+        // while no migration is in flight; the epoch re-validation below is
+        // then a compare of two equal numbers.
+        index.with_router(|router| {
+            let mut bound = from;
+            loop {
+                let seg = match segment {
+                    Some(seg) if seg.epoch == router.epoch => seg,
+                    _ => {
+                        let shard = router.route(bound);
+                        segment.insert(Segment {
+                            source: index.shards[shard].scan_source(),
+                            epoch: router.epoch,
+                            shard,
+                        })
+                    }
+                };
                 let upper = router.boundaries.get(seg.shard);
-                if seg.source.fill_next(resume, batch, limit) {
+                if seg.source.fill_next(bound, batch, limit) {
                     // Clamp the segment to its shard's upper boundary:
                     // keys at/above it that the shard source surfaced are
                     // a migration's in-flight copies, whose authoritative
                     // home is still the *donor* — streaming them here
-                    // could let the sweep bound advance past copies that
+                    // could let the position advance past copies that
                     // land behind the shard source's internal position,
                     // silently skipping them. The donor (or, after the
                     // boundary publishes, a re-routed segment) serves
                     // them instead.
                     if let Some(upper) = upper {
-                        let mut keep = batch.len();
-                        while keep > 0 && batch.key(keep - 1) >= upper.as_slice() {
-                            keep -= 1;
-                        }
+                        let keep = (0..batch.len())
+                            .rfind(|&i| batch.key(i) < upper.as_slice())
+                            .map_or(0, |i| i + 1);
                         batch.truncate(keep);
                     }
-                    if let Some(last) = batch.last_key() {
-                        // Advance the sweep bound past everything
-                        // streamed, so a re-route (or a later segment)
-                        // resumes exactly after this batch.
-                        index_traits::immediate_successor_into(last, resume);
-                        return FillStep::Filled;
+                    if !batch.is_empty() {
+                        return true;
                     }
                 }
-                // The shard is exhausted, or all it yielded was at/above its
-                // boundary. Jump the sweep bound to that boundary (forward
-                // only — the bound may already sit exactly on it when a
-                // boundary equals a streamed key's successor). Either way
-                // the next attempt routes to a later shard, so the sweep
-                // progresses.
+                // Nothing below the shard's upper boundary: the last shard
+                // ends the scan, any other hands on to the shard the
+                // boundary (or a bound already past it) routes to, a later
+                // one in this table.
                 let Some(upper) = upper else {
-                    return FillStep::Done;
+                    return false;
                 };
-                if upper.as_slice() > resume.as_slice() {
-                    resume.clear();
-                    resume.extend_from_slice(upper);
-                }
-                FillStep::NextShard
-            });
-            match step {
-                FillStep::Filled => return true,
-                FillStep::NextShard => self.segment = None,
-                FillStep::Done => self.done = true,
+                bound = bound.max(upper.as_slice());
+                *segment = None;
             }
-        }
-        false
+        })
     }
 }
 
@@ -700,9 +653,7 @@ impl<V: Clone + Send + Sync + 'static> ConcurrentOrderedIndex<V> for ShardedWorm
             start,
             Box::new(RoutedSource {
                 index: self,
-                resume: start.to_vec(),
                 segment: None,
-                done: false,
             }),
         )
     }

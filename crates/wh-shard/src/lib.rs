@@ -93,10 +93,11 @@
 //!   have loaded the final table, whose retirement would again be behind
 //!   a future barrier.
 //! * **Scans** record the router epoch each cursor segment was routed
-//!   under and re-validate it on every batch fill (a fast section while
-//!   idle, a router critical section during migrations); a stale segment
-//!   is dropped and its sweep bound re-routed through the live
-//!   boundaries. A long-running cross-shard
+//!   under and re-validate it on every batch fill, each fill one router
+//!   section (a fast section while idle, a critical section during
+//!   migrations) that also steps over shards with nothing left; a stale
+//!   segment is dropped and the cursor's position re-routed through the
+//!   live boundaries. A long-running cross-shard
 //!   cursor therefore stays globally ordered, never yields a key twice,
 //!   and never loses a key to a concurrent boundary move — and a
 //!   [`index_traits::Cursor::resume_key`] is a plain global key that a

@@ -310,7 +310,8 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
         }
         // New boundary = the donor key at the rank that sheds `want_moved`
         // keys: a left donor sheds its top, a right donor its bottom.
-        let (sample, seen) = self.stride_sample(donor, config.sample_cap);
+        let stride = donor_keys / config.sample_cap.max(1);
+        let (sample, seen) = self.stride_sample(donor, b"", None, stride);
         if seen == 0 {
             return RebalanceOutcome::NoMove { pair };
         }
@@ -410,10 +411,12 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             (cur.clone(), target.to_vec())
         };
         // Plan intermediate boundaries from one cursor pass over the
-        // donor's migrating range (every `batch_keys`-th key). Concurrent
+        // donor's migrating range (every `batch_keys`-th key strictly
+        // inside it: the first is the range's own start). Concurrent
         // inserts make the batch sizes approximate, which is fine — the
         // copy step re-reads the live frozen range exactly.
-        let mut schedule = self.plan_steps(donor, &range_lo, &range_hi, config.batch_keys);
+        let (steps, _) = self.stride_sample(donor, &range_lo, Some(&range_hi), config.batch_keys);
+        let mut schedule: Vec<Vec<u8>> = steps.into_iter().skip(1).collect();
         if moving_down {
             schedule.reverse();
         }
@@ -500,40 +503,31 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
         self.router_qsbr().wait_grace(grace);
     }
 
-    /// Every `len/cap`-th key of shard `shard` (ascending, via the cursor
-    /// API), plus the number of keys seen — the rebalancer's boundary-pick
-    /// sample.
-    fn stride_sample(&self, shard: usize, cap: usize) -> (Vec<Vec<u8>>, usize) {
-        let stride = (self.shard(shard).len() / cap.max(1)).max(1);
-        let mut sample = Vec::new();
+    /// One cursor pass over shard `shard` from `lo` up to `hi` (or its
+    /// end): every `n`-th key (every key for `n == 0`), starting with the
+    /// first, and the number of keys seen. It picks the rebalancer's
+    /// boundary sample and a migration's batch boundaries.
+    fn stride_sample(
+        &self,
+        shard: usize,
+        lo: &[u8],
+        hi: Option<&[u8]>,
+        n: usize,
+    ) -> (Vec<Vec<u8>>, usize) {
+        let n = n.max(1);
+        let mut keys = Vec::new();
         let mut seen = 0usize;
-        let mut cursor = self.shard(shard).scan(b"");
+        let mut cursor = self.shard(shard).scan(lo);
         while let Some((key, _)) = cursor.next() {
-            if seen.is_multiple_of(stride) {
-                sample.push(key.to_vec());
+            if hi.is_some_and(|hi| key >= hi) {
+                break;
+            }
+            if seen.is_multiple_of(n) {
+                keys.push(key.to_vec());
             }
             seen += 1;
         }
-        (sample, seen)
-    }
-
-    /// Intermediate batch boundaries: every `batch`-th key of the donor's
-    /// `[lo, hi)` range, strictly inside it.
-    fn plan_steps(&self, donor: usize, lo: &[u8], hi: &[u8], batch: usize) -> Vec<Vec<u8>> {
-        let batch = batch.max(1);
-        let mut steps = Vec::new();
-        let mut count = 0usize;
-        let mut cursor = self.shard(donor).scan(lo);
-        while let Some((key, _)) = cursor.next() {
-            if key >= hi {
-                break;
-            }
-            if count > 0 && count.is_multiple_of(batch) {
-                steps.push(key.to_vec());
-            }
-            count += 1;
-        }
-        steps
+        (keys, seen)
     }
 }
 

@@ -116,6 +116,25 @@ fn migration_revokes_then_restores_the_fast_path() {
     );
 }
 
+#[test]
+fn a_fill_across_empty_shards_enters_the_router_once() {
+    // Shards 1 and 2 stay empty: only keys below the first boundary and
+    // from the last one on go in.
+    let keys: Vec<Vec<u8>> = keyset()
+        .into_iter()
+        .filter(|k| k.as_slice() < FOUR_SHARDS[0] || k.as_slice() >= FOUR_SHARDS[2])
+        .collect();
+    let idx = build(&FOUR_SHARDS, &keys);
+    let fast = || idx.metrics().router_fast_entries.get();
+    let mut cursor = idx.scan(b"user-000999");
+    assert_eq!(cursor.next().map(|(k, _)| k), Some(&b"user-000999"[..]));
+    // The next fill finds shard 0 exhausted and steps over both empty
+    // shards to shard 3, all in one router section.
+    let before = fast();
+    assert_eq!(cursor.next().map(|(k, _)| k), Some(FOUR_SHARDS[2]));
+    assert_eq!(fast() - before, 1);
+}
+
 // ---------------------------------------------------------------------
 // Allocation guard: the idle fast-path get
 // ---------------------------------------------------------------------
@@ -145,10 +164,9 @@ fn idle_fast_path_get_is_allocation_free() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn a_warm_scan_and_its_first_fill_allocate_seven_blocks() {
-    // The cursor's box and resume key, the routed source's resume key and
-    // its growth to the successor of the first batch, and the batch's
-    // three buffers. The shard's scan source lives inside the routed one.
+fn a_warm_scan_and_its_first_fill_allocate_four_blocks() {
+    // The cursor's box and resume key, and the batch's two buffers. The
+    // shard's scan source lives inside the routed one, which keeps no key.
     let keys = keyset();
     let idx = build(&FOUR_SHARDS, &keys);
     let scan = |start: &[u8]| {
@@ -161,5 +179,5 @@ fn a_warm_scan_and_its_first_fill_allocate_seven_blocks() {
     scan(b"user-001500");
     let before = alloc::thread();
     scan(b"user-001500");
-    assert_eq!(alloc::thread().since(before).allocs_and_reallocs(), 7);
+    assert_eq!(alloc::thread().since(before).allocs_and_reallocs(), 4);
 }

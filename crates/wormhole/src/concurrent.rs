@@ -555,7 +555,6 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             wh: self,
             at: None,
             conflicts: 0,
-            done: false,
         }
     }
 
@@ -1242,7 +1241,6 @@ pub struct ScanSource<'a, V> {
     at: Option<ScanAt<V>>,
     /// Conflicts so far across the whole scan.
     conflicts: usize,
-    done: bool,
 }
 
 /// One fill of a scan: the cursor's position, the batch and its cap, and
@@ -1382,7 +1380,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
             limit,
             locked: false,
         };
-        while !self.done && fill.batch.is_empty() {
+        while fill.batch.is_empty() {
             fill.locked = !Wormhole::<V>::optimistic_reads_safe()
                 || self.conflicts >= OPTIMISTIC_READ_RETRIES;
             let at = self.at.take();
@@ -1391,10 +1389,8 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
                 fill.step(at.as_ref())
             });
             match step {
-                Ok(at) => {
-                    self.done = at.is_none();
-                    self.at = at;
-                }
+                Ok(None) => return false,
+                Ok(at) => self.at = at,
                 Err(ReadConflict) => {
                     self.conflicts += 1;
                     if !fill.locked && self.conflicts == OPTIMISTIC_READ_RETRIES {
@@ -1405,7 +1401,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
                 }
             }
         }
-        !fill.batch.is_empty()
+        true
     }
 }
 

@@ -286,7 +286,7 @@ fn short_window_range_from_does_not_copy_whole_leaves() {
 #[test]
 fn warm_scan_and_in_capacity_mutations_allocate_a_fixed_handful() {
     // What a call costs the allocator once the buffers it touches have
-    // room. A scan: its source, its position and the three vectors of its
+    // room. A scan: its source, its position and the two vectors of its
     // batch (each sized once for the chunk about to be read, never grown
     // by doubling) — whether or not it first has to sort the leaves it
     // reads, which happens in place, and however many leaves it walks. An
@@ -320,8 +320,8 @@ fn warm_scan_and_in_capacity_mutations_allocate_a_fixed_handful() {
     let sorts = wh.metrics().scan_sorts.get();
     let warm = scan_64(&keys[1000]);
     assert_eq!(wh.metrics().scan_sorts.get(), sorts, "the order was kept");
-    assert!(first <= 5, "a sorting 64-key scan allocated {first} times");
-    assert!(warm <= 5, "a warm 64-key scan allocated {warm} times");
+    assert!(first <= 4, "a sorting 64-key scan allocated {first} times");
+    assert!(warm <= 4, "a warm 64-key scan allocated {warm} times");
 
     // An odd key goes in, out and in again: the second time every buffer
     // of its leaf has room for it.
