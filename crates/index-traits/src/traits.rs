@@ -291,36 +291,23 @@ pub trait ConcurrentOrderedIndex<V: Clone>: Send + Sync {
     /// This is the bulk-drain hook behind online shard migration: after a
     /// migrated range has been copied to its new owner and republished, the
     /// donor's stale copy of the range is drained with one call. The
-    /// default walks the range via `range_from` windows and deletes key by
-    /// key — correct against concurrent writers (each delete is an ordinary
-    /// linearisable `del`; keys inserted into the range behind the sweep
-    /// position may survive, as with any non-snapshot range operation). The
-    /// concurrent Wormhole overrides it with a leaf-at-a-time batched
-    /// removal that reuses the merge engine to shrink the structure as it
-    /// drains.
+    /// default drains one [`scan`](ConcurrentOrderedIndex::scan) cursor
+    /// from `lo` and deletes key by key — correct against concurrent
+    /// writers (each delete is an ordinary linearisable `del`; keys inserted
+    /// into the range behind the sweep position may survive, as with any
+    /// non-snapshot range operation). The concurrent Wormhole overrides it
+    /// with a leaf-at-a-time batched removal that reuses the merge engine
+    /// to shrink the structure as it drains.
     fn delete_range(&self, lo: &[u8], hi: &[u8]) -> usize {
         if lo >= hi {
             return 0;
         }
-        let mut removed = 0usize;
-        let mut resume = lo.to_vec();
-        loop {
-            let window = self.range_from(&resume, crate::scan::DEFAULT_SCAN_BATCH);
-            let mut exhausted = window.len() < crate::scan::DEFAULT_SCAN_BATCH;
-            for (key, _) in window {
-                if key.as_slice() >= hi {
-                    exhausted = true;
-                    break;
-                }
-                if self.del(&key).is_some() {
-                    removed += 1;
-                }
-                crate::key::immediate_successor_into(&key, &mut resume);
-            }
-            if exhausted {
-                return removed;
-            }
+        let mut removed = 0;
+        let mut cursor = self.scan(lo);
+        while let Some((key, _)) = cursor.next().filter(|(key, _)| *key < hi) {
+            removed += usize::from(self.del(key).is_some());
         }
+        removed
     }
 
     /// Serves one bounded page of an ordered scan — the building block of

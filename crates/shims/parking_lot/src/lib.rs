@@ -12,10 +12,10 @@ use std::sync::TryLockError;
 use std::time::Duration;
 
 /// ThreadSanitizer sees only instrumented code, and without `-Zbuild-std`
-/// std's futex mutex is not: built with `--cfg wh_tsan`, [`Mutex`] and
-/// [`Condvar`] tell it by hand that taking the lock acquires, and letting it
-/// go releases, the protected data's address. Other builds compile these to
-/// nothing.
+/// std's futex locks are not: built with `--cfg wh_tsan`, [`Mutex`],
+/// [`Condvar`] and [`RwLock`] tell it by hand that taking the lock, shared
+/// or exclusive, acquires, and letting it go releases, the protected data's
+/// address. Other builds compile these to nothing.
 mod tsan {
     #[cfg(wh_tsan)]
     extern "C" {
@@ -173,22 +173,12 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access, blocking until available.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let guard = self.lock.read().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: the shared lock is held for the guard's lifetime.
-        RwLockReadGuard {
-            _guard: guard,
-            data: unsafe { &*self.data.get() },
-        }
+        self.shared(self.lock.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Acquires exclusive write access, blocking until available.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let guard = self.lock.write().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: the exclusive lock is held for the guard's lifetime.
-        RwLockWriteGuard {
-            _guard: guard,
-            data: unsafe { &mut *self.data.get() },
-        }
+        self.exclusive(self.lock.write().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Attempts to acquire shared read access without blocking.
@@ -198,11 +188,7 @@ impl<T: ?Sized> RwLock<T> {
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
             Err(TryLockError::WouldBlock) => return None,
         };
-        // SAFETY: the shared lock is held for the guard's lifetime.
-        Some(RwLockReadGuard {
-            _guard: guard,
-            data: unsafe { &*self.data.get() },
-        })
+        Some(self.shared(guard))
     }
 
     /// Attempts to acquire exclusive write access without blocking.
@@ -212,11 +198,32 @@ impl<T: ?Sized> RwLock<T> {
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
             Err(TryLockError::WouldBlock) => return None,
         };
-        // SAFETY: the exclusive lock is held for the guard's lifetime.
-        Some(RwLockWriteGuard {
+        Some(self.exclusive(guard))
+    }
+
+    /// The read guard over `guard`, the shared lock just taken.
+    fn shared<'a>(&'a self, guard: std::sync::RwLockReadGuard<'a, ()>) -> RwLockReadGuard<'a, T> {
+        // SAFETY: the shared lock is held for the guard's lifetime.
+        let data = unsafe { &*self.data.get() };
+        tsan::acquire(data);
+        RwLockReadGuard {
             _guard: guard,
-            data: unsafe { &mut *self.data.get() },
-        })
+            data,
+        }
+    }
+
+    /// The write guard over `guard`, the exclusive lock just taken.
+    fn exclusive<'a>(
+        &'a self,
+        guard: std::sync::RwLockWriteGuard<'a, ()>,
+    ) -> RwLockWriteGuard<'a, T> {
+        // SAFETY: the exclusive lock is held for the guard's lifetime.
+        let data = unsafe { &mut *self.data.get() };
+        tsan::acquire(data);
+        RwLockWriteGuard {
+            _guard: guard,
+            data,
+        }
     }
 
     /// Returns a mutable reference to the protected value.
@@ -260,6 +267,22 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.data
+    }
+}
+
+// The guards' own drops run before their fields', so the release is
+// recorded while the lock is still held.
+#[cfg(wh_tsan)]
+impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
+    fn drop(&mut self) {
+        tsan::release(self.data);
+    }
+}
+
+#[cfg(wh_tsan)]
+impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+    fn drop(&mut self) {
+        tsan::release(self.data);
     }
 }
 

@@ -30,11 +30,12 @@
 //!   of `docs/src/architecture.md`). A commit applies a declarative
 //!   [`crate::meta::MetaPlan`] to a second hash table (T2), publishes it,
 //!   and *starts* an RCU grace period (QSBR) that retires the old table
-//!   (T1) with the plan still pending. The **next** commit completes the
-//!   grace period — by then it has almost always elapsed for free — and
-//!   replays the plan onto T1, its spare, so no structural operation blocks
-//!   on reader quiescence in steady state. Split points, anchors and
-//!   meta-item bookkeeping come from the core engine ([`crate::core`]);
+//!   (T1). The writer's one slot then holds T1 and the plan it misses with
+//!   the grace token. The **next** commit completes the grace period — by
+//!   then it has almost always elapsed for free — and replays the plan
+//!   onto T1, so no structural operation blocks on reader quiescence in
+//!   steady state. Split points, anchors and meta-item bookkeeping come
+//!   from the core engine ([`crate::core`]);
 //! * **version numbers** — every published MetaTrieHT carries a version,
 //!   and a leaf about to be split or merged records `version + 1` as its
 //!   *expected version*. A lookup that reaches a leaf whose expected
@@ -135,6 +136,26 @@ struct LeafShared<V> {
 }
 
 impl<V> LeafShared<V> {
+    fn new(leaf: LeafNode<V>, prev: Weak<Self>, next: Option<Arc<Self>>) -> Arc<Self> {
+        Arc::new(Self {
+            expected_version: AtomicU64::new(0),
+            seq: AtomicU64::new(0),
+            data: RwLock::new(LeafData { leaf, prev, next }),
+        })
+    }
+
+    fn expected_version(&self) -> u64 {
+        self.expected_version.load(Ordering::Acquire)
+    }
+
+    /// The leaf's writer lock, or `None` when a split or merge has moved
+    /// keys across it since a table of `version` was searched (§2.5): the
+    /// caller searches again.
+    fn write_at(&self, version: u64) -> Option<RwLockWriteGuard<'_, LeafData<V>>> {
+        let data = self.data.write();
+        (self.expected_version() <= version).then_some(data)
+    }
+
     /// Begins an optimistic read: returns the current (even) counter, or
     /// `None` when a write is in progress.
     #[inline]
@@ -210,7 +231,7 @@ impl<V> LeafShared<V> {
         let lock = locked.then(|| self.data.read());
         let snapshot = self.seq_enter().ok_or(ReadConflict)?;
         if expect.is_some_and(|expect| expect != snapshot)
-            || gate.is_some_and(|version| self.expected_version.load(Ordering::Acquire) > version)
+            || gate.is_some_and(|version| self.expected_version() > version)
         {
             return Err(ReadConflict);
         }
@@ -254,97 +275,48 @@ struct LeafData<V> {
     /// Previous leaf on the LeafList (weak to avoid a reference cycle).
     prev: Weak<LeafShared<V>>,
     /// Next leaf on the LeafList.
-    next: Option<LeafHandle<V>>,
+    next: Option<Arc<LeafShared<V>>>,
 }
 
-/// A reference-counted handle to a leaf, used both by the LeafList links and
-/// by the MetaTrieHT items.
-pub struct LeafHandle<V>(Arc<LeafShared<V>>);
-
-impl<V> Clone for LeafHandle<V> {
-    fn clone(&self) -> Self {
-        Self(Arc::clone(&self.0))
-    }
-}
-
-impl<V> LeafRef for LeafHandle<V> {
+impl<V> LeafRef for Arc<LeafShared<V>> {
     fn same(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Arc::ptr_eq(self, other)
     }
 }
 
-impl<V> std::fmt::Debug for LeafHandle<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LeafHandle({:p})", Arc::as_ptr(&self.0))
-    }
-}
-
-// A handle is one pointer, so an item record is one cache line (the layout
+// A leaf is one pointer, so an item record is one cache line (the layout
 // is in the `meta` module docs).
-const _: () = assert!(std::mem::size_of::<MetaItem<LeafHandle<u64>>>() <= 64);
+const _: () = assert!(std::mem::size_of::<MetaItem<Arc<LeafShared<u64>>>>() <= 64);
 
-impl<V> LeafHandle<V> {
-    fn new(leaf: LeafNode<V>, prev: Weak<LeafShared<V>>, next: Option<LeafHandle<V>>) -> Self {
-        Self(Arc::new(LeafShared {
-            expected_version: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            data: RwLock::new(LeafData { leaf, prev, next }),
-        }))
-    }
+/// A leaf a search found, as [`Wormhole::resolve`] hands it, and the
+/// version of the table searched.
+type Found<'m, V> = (Cow<'m, Arc<LeafShared<V>>>, u64);
 
-    fn expected_version(&self) -> u64 {
-        self.0.expected_version.load(Ordering::Acquire)
-    }
-
-    fn downgrade(&self) -> Weak<LeafShared<V>> {
-        Arc::downgrade(&self.0)
-    }
-
-    /// The leaf's writer lock, or `None` when a split or merge has moved
-    /// keys across it since a table of `version` was searched (§2.5): the
-    /// caller searches again.
-    fn write_at(&self, version: u64) -> Option<RwLockWriteGuard<'_, LeafData<V>>> {
-        let data = self.0.data.write();
-        (self.expected_version() <= version).then_some(data)
-    }
-}
-
-/// A published MetaTrieHT together with its version number.
+/// A MetaTrieHT together with its version number.
 struct VersionedMeta<V> {
     version: u64,
-    table: MetaTable<LeafHandle<V>>,
+    table: MetaTable<Arc<LeafShared<V>>>,
 }
 
-/// A table retired by a publication whose grace period is still aging.
+/// Writer-side state protected by the MetaTrieHT mutex: the table that is
+/// not published (the paper's second hash table) and the plan it misses.
 ///
-/// The T2-then-T1 protocol does not need the retired table until the
-/// *next* structural operation, so instead of blocking on a grace period
-/// inside every split and merge, the publication merely starts one
-/// ([`Qsbr::start_grace`]) and parks the table here with the plan still to
-/// be replayed. The next structural operation completes the wait
-/// ([`Qsbr::wait_grace`]) — by then every reader has usually announced
-/// quiescence and the wait costs one atomic load per registered thread.
-struct RetiringTable<V> {
-    /// The just-unpublished table; exclusively owned once `grace` elapses.
-    table: *mut VersionedMeta<V>,
-    /// The plan already applied to the published table, pending replay.
-    plan: MetaPlan<LeafHandle<V>>,
-    /// Grace-period token from publication time.
-    grace: u64,
-}
-
-/// Writer-side state protected by the MetaTrieHT mutex.
+/// The T2-then-T1 protocol does not need the table a publication retired
+/// until the *next* structural operation, so instead of blocking on a grace
+/// period inside every split and merge, a publication merely starts one
+/// ([`Qsbr::start_grace`]) and leaves its plan here. The next structural
+/// operation completes the wait ([`Qsbr::wait_grace`]) — by then every
+/// reader has usually announced quiescence and the wait costs one atomic
+/// load per registered thread — and replays the plan onto `other`
+/// ([`Wormhole::reclaim_spare`]).
 struct WriterState<V> {
-    /// The spare table (the paper's "second hash table"). While the mutex
-    /// is not held, either this is an exact logical copy of the published
-    /// table, or it is `None` and `retiring` holds the previous table plus
-    /// the plan whose replay makes it one.
-    spare: Option<Box<VersionedMeta<V>>>,
-    /// The previously published table, aging through its grace period.
-    retiring: Option<RetiringTable<V>>,
-    /// The size of the published table as this index last added it to the
-    /// `meta_*` gauges of its metrics.
-    published: MetaShape,
+    /// The unpublished table; readers may still be inside it until the
+    /// grace period in `replay` elapses, and then it is the mutex holder's.
+    other: *mut VersionedMeta<V>,
+    /// The plan the published table has and `other` misses, with the grace
+    /// token of the publication that retired `other`. `None` when `other`
+    /// is a logical copy of the published table.
+    replay: Option<(MetaPlan<Arc<LeafShared<V>>>, u64)>,
 }
 
 /// What [`Wormhole::commit`] hands a structural operation's leaf surgery:
@@ -354,36 +326,39 @@ struct Commit<'w, V> {
     wh: &'w Wormhole<V>,
     writer: MutexGuard<'w, WriterState<V>>,
     /// The published table, pinned by the writer mutex.
-    table: &'w MetaTable<LeafHandle<V>>,
+    table: &'w MetaTable<Arc<LeafShared<V>>>,
     version: u64,
     bin: Bin<'w, V>,
-    /// The table a publication replaced, with the plan still to replay.
-    replaced: Option<(*mut VersionedMeta<V>, MetaPlan<LeafHandle<V>>)>,
+    /// The plan a publication applied, still to replay onto the table it
+    /// replaced.
+    plan: Option<MetaPlan<Arc<LeafShared<V>>>>,
 }
 
 impl<V> Commit<'_, V> {
     /// Marks `leaf` as one whose keys this commit moves: a lookup that
     /// searched an older table and reaches it restarts (§2.5).
-    fn claim(&self, leaf: &LeafHandle<V>) {
-        leaf.0
-            .expected_version
+    fn claim(&self, leaf: &Arc<LeafShared<V>>) {
+        leaf.expected_version
             .store(self.version + 1, Ordering::Release);
     }
 
-    /// Applies `plan` to the spare table and publishes it as the next
-    /// version. At most once per commit, with the surgery's leaf locks
-    /// held; the commit parks the replaced table once they are released.
-    fn publish(&mut self, plan: MetaPlan<LeafHandle<V>>) {
-        debug_assert!(self.replaced.is_none(), "one publication per commit");
+    /// Applies `plan` to the unpublished table and publishes it as the next
+    /// version, which makes the replaced table the writer's `other`. At most
+    /// once per commit, with the surgery's leaf locks held; the commit
+    /// leaves the plan for replay once they are released.
+    fn publish(&mut self, plan: MetaPlan<Arc<LeafShared<V>>>) {
+        debug_assert!(self.plan.is_none(), "one publication per commit");
         let writer = &mut *self.writer;
-        let mut spare = writer.spare.take().expect("spare table present");
-        spare.table.apply_plan(&plan);
-        spare.version = self.version + 1;
-        let shape = spare.table.shape();
-        self.wh.metrics.meta_published(writer.published, shape);
-        writer.published = shape;
-        let replaced = self.wh.current.swap(Box::into_raw(spare), Ordering::AcqRel);
-        self.replaced = Some((replaced, plan));
+        // SAFETY: `Wormhole::commit` replayed the table under the mutex the
+        // commit holds, after its grace period: no reader is left in it.
+        let other = unsafe { &mut *writer.other };
+        other.table.apply_plan(&plan);
+        other.version = self.version + 1;
+        // A table does not change while it is published.
+        let metrics = &self.wh.metrics;
+        metrics.meta_published(self.table.shape(), other.table.shape());
+        writer.other = self.wh.current.swap(writer.other, Ordering::AcqRel);
+        self.plan = Some(plan);
     }
 }
 
@@ -399,7 +374,7 @@ pub struct Wormhole<V> {
     /// swapped: one store for all writers, locked for a push at a time.
     garbage: Mutex<LeafGarbage<V>>,
     /// Leftmost leaf of the LeafList (never merged away).
-    head: LeafHandle<V>,
+    head: Arc<LeafShared<V>>,
     len: AtomicUsize,
     /// Event counters; shared (`Arc`) so a sharded front can aggregate all
     /// its shards into one set of cells.
@@ -434,23 +409,21 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// caller-supplied metrics cells — a sharded front passes the same
     /// `Arc` to every shard so their events aggregate.
     pub fn with_config_and_metrics(config: WormholeConfig, metrics: Arc<WormholeMetrics>) -> Self {
-        let head = LeafHandle::new(LeafNode::new(Vec::new(), Vec::new()), Weak::new(), None);
-        // The published table and the spare, logical copies of each other.
+        let head = LeafShared::new(LeafNode::new(Vec::new(), Vec::new()), Weak::new(), None);
+        // The published table and the other, logical copies of each other.
         let root_table = || {
             let mut table = MetaTable::new();
             table.install_root_leaf(head.clone());
             Box::new(VersionedMeta { version: 0, table })
         };
         let published = root_table();
-        let shape = published.table.shape();
-        metrics.meta_published(MetaShape::default(), shape);
+        metrics.meta_published(MetaShape::default(), published.table.shape());
         Self {
             config,
             current: AtomicPtr::new(Box::into_raw(published)),
             writer: Mutex::new(WriterState {
-                spare: Some(root_table()),
-                retiring: None,
-                published: shape,
+                other: Box::into_raw(root_table()),
+                replay: None,
             }),
             qsbr: Qsbr::new(),
             garbage: Mutex::default(),
@@ -522,8 +495,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                     tail = wh.commit(&key, &wh.metrics.splits, |leaf, commit| {
                         debug_assert!(leaf.same(&tail), "the last key lies in the tail");
                         let table_key = commit.table.reserve_anchor_key(&anchor);
-                        let mut left = leaf.0.data.write();
-                        let _section = SeqWriteSection::new(&leaf.0.seq);
+                        let mut left = leaf.data.write();
+                        let _section = SeqWriteSection::new(&leaf.seq);
                         // The finished leaf took its keys in ascending
                         // order: its first scan need not sort it.
                         left.leaf.ensure_key_sorted();
@@ -536,14 +509,13 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             *wh.len.get_mut() += 1;
             in_leaf += 1;
             // Strictly ascending input: the key is in no leaf yet.
-            tail.0
-                .data
+            tail.data
                 .write()
                 .leaf
                 .insert_absent(&key, crc32c(&key), value, &config, &mut bin);
             last_key = Some(key);
         }
-        tail.0.data.write().leaf.ensure_key_sorted();
+        tail.data.write().leaf.ensure_key_sorted();
         wh
     }
 
@@ -634,22 +606,19 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         }
     }
 
-    /// Ensures `writer.spare` is available: completes the previous
-    /// publication's (usually long-elapsed) grace period and replays its
-    /// plan onto the retired table. Must be called while holding the
-    /// writer mutex and no QSBR critical section.
+    /// Makes `writer.other` a logical copy of the published table again:
+    /// completes the previous publication's (usually long-elapsed) grace
+    /// period and replays its plan onto the table it retired. Must be
+    /// called while holding the writer mutex and no QSBR critical section.
     fn reclaim_spare(&self, writer: &mut WriterState<V>) {
-        // No table is retiring exactly when the spare is ready.
-        let Some(retiring) = writer.retiring.take() else {
+        let Some((plan, grace)) = writer.replay.take() else {
             return;
         };
-        self.qsbr.wait_grace(retiring.grace);
+        self.qsbr.wait_grace(grace);
         // SAFETY: the grace period has elapsed, so no reader that could
         // have observed the pre-swap published pointer is still inside its
         // critical section; the mutex makes the table exclusively ours.
-        let mut table = unsafe { Box::from_raw(retiring.table) };
-        table.table.apply_plan(&retiring.plan);
-        writer.spare = Some(table);
+        unsafe { &mut *writer.other }.table.apply_plan(&plan);
     }
 
     /// The one structural commit (§2.5) behind every split, merge and
@@ -660,13 +629,13 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// leaf, found again; then `surgery` on it with a [`Commit`], which
     /// publishes through [`Commit::publish`] while it holds its leaf locks;
     /// once they are released, the bin's garbage queued; and last the
-    /// replaced table parked with a grace period started, and the
+    /// published plan left for replay with a grace period started, and the
     /// publication counted in `counter`.
     fn commit<R>(
         &self,
         key: &[u8],
         counter: &Counter,
-        surgery: impl FnOnce(&LeafHandle<V>, &mut Commit<'_, V>) -> R,
+        surgery: impl FnOnce(&Arc<LeafShared<V>>, &mut Commit<'_, V>) -> R,
     ) -> R {
         let mut writer = self.writer.lock();
         self.reclaim_spare(&mut writer);
@@ -681,23 +650,22 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             table: unsafe { &self.published().table },
             version,
             bin: self.new_bin(),
-            replaced: None,
+            plan: None,
         };
         let answer = surgery(&leaf, &mut commit);
         let Commit {
             mut writer,
             bin,
-            replaced,
+            plan,
             ..
         } = commit;
-        let Some((table, plan)) = replaced else {
+        let Some(plan) = plan else {
             drop(writer);
             self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
             return answer;
         };
         self.retire_garbage(bin, 1);
-        let grace = self.qsbr.start_grace();
-        writer.retiring = Some(RetiringTable { table, plan, grace });
+        writer.replay = Some((plan, self.qsbr.start_grace()));
         counter.inc();
         answer
     }
@@ -718,12 +686,19 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// Number of leaf nodes currently on the LeafList.
     pub fn leaf_count(&self) -> usize {
         let mut n = 0;
+        self.for_each_leaf(|_, _| n += 1);
+        n
+    }
+
+    /// Runs `f` on each leaf of the LeafList, left to right, under the
+    /// leaf's reader lock.
+    fn for_each_leaf(&self, mut f: impl FnMut(&LeafShared<V>, &LeafData<V>)) {
         let mut cur = Some(self.head.clone());
         while let Some(leaf) = cur {
-            n += 1;
-            cur = leaf.0.data.read().next.clone();
+            let data = leaf.data.read();
+            f(&leaf, &data);
+            cur = data.next.clone();
         }
-        n
     }
 
     /// The one neighbour resolution: turns a MetaTrieHT search outcome into
@@ -731,32 +706,45 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// steps to the left neighbour through one [`LeafShared::read`] of the
     /// leaf's anchor and `prev` link; a neighbour a racing merge retired is
     /// a [`ReadConflict`], and the caller searches again. The common case —
-    /// the search landed on the target itself — hands the table's own
-    /// handle through as a borrow, so a lookup leaves the leaf's reference
-    /// count alone; only a neighbour step owns its handle.
+    /// the search landed on the target itself — hands the table's own `Arc`
+    /// through as a borrow, so a lookup leaves the leaf's reference count
+    /// alone; only a neighbour step owns its `Arc`.
     ///
     /// The caller is inside a QSBR critical section and keeps the borrow in
     /// it, or holds the writer mutex: anchors and `prev` links change only
     /// under it, so its holder reads them race-free.
     #[inline]
     fn resolve<'m>(
-        outcome: TargetOutcome<&'m LeafHandle<V>>,
+        outcome: TargetOutcome<&'m Arc<LeafShared<V>>>,
         key: &[u8],
-    ) -> Result<Cow<'m, LeafHandle<V>>, ReadConflict> {
+    ) -> Result<Cow<'m, Arc<LeafShared<V>>>, ReadConflict> {
         let (leaf, compare) = match outcome {
             TargetOutcome::Target(leaf) => return Ok(Cow::Borrowed(leaf)),
             TargetOutcome::LeftOf(leaf) => (leaf, false),
             TargetOutcome::CompareAnchor(leaf) => (leaf, true),
         };
-        let (prev, _) = leaf.0.read(false, None, None, |data| {
+        let (prev, _) = leaf.read(false, None, None, |data| {
             let left = !compare || key < data.leaf.anchor();
             Ok(left.then(|| data.prev.upgrade()))
         })?;
         match prev {
             None => Ok(Cow::Borrowed(leaf)),
-            Some(Some(prev)) => Ok(Cow::Owned(LeafHandle(prev))),
+            Some(Some(prev)) => Ok(Cow::Owned(prev)),
             Some(None) => Err(ReadConflict),
         }
+    }
+
+    /// Searches the published MetaTrieHT for `key`'s leaf.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Wormhole::published`], which covers the leaf's borrow too.
+    #[inline]
+    unsafe fn search(&self, key: &[u8]) -> Result<Found<'_, V>, ReadConflict> {
+        // SAFETY: the caller's.
+        let meta = unsafe { self.published() };
+        let leaf = Self::resolve(meta.table.search_target(key, &self.config), key)?;
+        Ok((leaf, meta.version))
     }
 
     /// The published MetaTrieHT as a reader inside a QSBR critical section
@@ -807,7 +795,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 meta.table
                     .search_targets_window(keys, &self.config, &mut outcomes);
             }
-            let mut located: [Option<Cow<'_, LeafHandle<V>>>; N] = [const { None }; N];
+            let mut located: [Option<Cow<'_, Arc<LeafShared<V>>>>; N] = [const { None }; N];
             for (i, key) in keys.iter().enumerate() {
                 let outcome = outcomes[i].expect("window filled");
                 located[i] = Self::resolve(outcome, key).ok();
@@ -817,11 +805,11 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 // feeds only prefetches: `stage_probes` tolerates a leaf that
                 // is mid-mutation by construction.
                 for leaf in located.iter().flatten() {
-                    prefetch_span(Arc::as_ptr(&leaf.0));
+                    prefetch_span(Arc::as_ptr(leaf));
                 }
                 let leaves = located.each_ref().map(|leaf| {
                     let leaf = leaf.as_ref()?;
-                    let read = leaf.0.read(false, None, None, |data| Ok(&data.leaf));
+                    let read = leaf.read(false, None, None, |data| Ok(&data.leaf));
                     read.ok().map(|(leaf, _)| leaf)
                 });
                 LeafNode::stage_probes(&leaves, &hashes, &self.config);
@@ -829,15 +817,18 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             for (i, key) in keys.iter().enumerate() {
                 // The first attempt reads the leaf the window's search
                 // found; a retry searches the table published by then.
-                let (mut leaf, mut version) = (located[i].take().ok_or(ReadConflict), meta.version);
+                let mut found = located[i]
+                    .take()
+                    .ok_or(ReadConflict)
+                    .map(|leaf| (leaf, meta.version));
                 for attempt in 0.. {
                     let locked =
                         !Self::optimistic_reads_safe() || attempt >= OPTIMISTIC_READ_RETRIES;
                     if Self::optimistic_reads_safe() && attempt == OPTIMISTIC_READ_RETRIES {
                         self.metrics.locked_fallbacks.inc();
                     }
-                    let read = leaf.and_then(|leaf| {
-                        leaf.0.read(locked, Some(version), None, |data| {
+                    let read = found.and_then(|(leaf, version)| {
+                        leaf.read(locked, Some(version), None, |data| {
                             let value = data.leaf.get_checked(key, hashes[i], &self.config)?;
                             Ok(value.cloned())
                         })
@@ -853,28 +844,24 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                     }
                     std::hint::spin_loop();
                     // SAFETY: as above.
-                    let meta = unsafe { self.published() };
-                    let outcome = meta.table.search_target(key, &self.config);
-                    (leaf, version) = (Self::resolve(outcome, key), meta.version);
+                    found = unsafe { self.search(key) };
                 }
             }
         });
     }
 
-    /// Searches the published MetaTrieHT for `key`'s leaf inside a QSBR
-    /// critical section: the leaf and the version of the table searched.
-    /// Kept out of [`Wormhole::with_leaf_write`]: with the search written
-    /// into it, and so into every writer, `index-churn` ran about 1 %
-    /// slower.
-    fn locate(&self, key: &[u8]) -> (LeafHandle<V>, u64) {
+    /// [`Wormhole::search`] inside a QSBR critical section of its own,
+    /// repeated until it finds the leaf. Kept out of
+    /// [`Wormhole::with_leaf_write`]: with the search written into it, and
+    /// so into every writer, `index-churn` ran about 1 % slower.
+    fn locate(&self, key: &[u8]) -> (Arc<LeafShared<V>>, u64) {
         loop {
             let located = self.qsbr.with_local_handle(|handle| {
                 let _guard = handle.enter();
                 // SAFETY: inside a read-side critical section; only owned
-                // handles leave it.
-                let meta = unsafe { self.published() };
-                let outcome = meta.table.search_target(key, &self.config);
-                Self::resolve(outcome, key).map(|leaf| (leaf.into_owned(), meta.version))
+                // leaves leave it.
+                let (leaf, version) = unsafe { self.search(key) }?;
+                Ok((leaf.into_owned(), version))
             });
             match located {
                 Ok(found) => return found,
@@ -894,7 +881,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             let Some(mut data) = leaf.write_at(version) else {
                 continue;
             };
-            let _section = SeqWriteSection::new(&leaf.0.seq);
+            let _section = SeqWriteSection::new(&leaf.seq);
             return f(&mut data);
         }
     }
@@ -907,12 +894,12 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// caller searches again.
     fn write_sorted<'l>(
         &self,
-        leaf: &'l LeafHandle<V>,
+        leaf: &'l Arc<LeafShared<V>>,
         version: u64,
     ) -> Option<RwLockWriteGuard<'l, LeafData<V>>> {
         let mut data = leaf.write_at(version)?;
         if data.leaf.key_view_lags() {
-            let _section = SeqWriteSection::new(&leaf.0.seq);
+            let _section = SeqWriteSection::new(&leaf.seq);
             data.leaf.ensure_key_sorted();
             self.metrics.scan_sorts.inc();
         }
@@ -931,8 +918,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// has a valid split point.
     fn insert_with_split(&self, key: &[u8], hash: u32, value: V) -> Option<V> {
         self.commit(key, &self.metrics.splits, |leaf, commit| {
-            let mut left = leaf.0.data.write();
-            let _section = SeqWriteSection::new(&leaf.0.seq);
+            let mut left = leaf.data.write();
+            let _section = SeqWriteSection::new(&leaf.seq);
             // The key may have arrived between the fast path giving up and
             // the mutex being taken.
             if let Some(slot) = left.leaf.get_mut(key, hash, &self.config) {
@@ -969,26 +956,26 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// leaf is still locked too. Returns the new leaf.
     fn link_split(
         commit: &mut Commit<'_, V>,
-        leaf: &LeafHandle<V>,
+        leaf: &Arc<LeafShared<V>>,
         left: &mut LeafData<V>,
         right: LeafNode<V>,
-    ) -> LeafHandle<V> {
+    ) -> Arc<LeafShared<V>> {
         let old_right = left.next.clone();
-        let new = LeafHandle::new(right, leaf.downgrade(), old_right.clone());
-        let new_guard = new.0.data.write();
-        let new_section = SeqWriteSection::new(&new.0.seq);
+        let new = LeafShared::new(right, Arc::downgrade(leaf), old_right.clone());
+        let new_guard = new.data.write();
+        let new_section = SeqWriteSection::new(&new.seq);
         left.next = Some(new.clone());
         commit.claim(leaf);
         commit.claim(&new);
         // Fix the right neighbour's back link (lock ordering: left to right).
         if let Some(right) = &old_right {
-            let mut neighbour = right.0.data.write();
-            let _section = SeqWriteSection::new(&right.0.seq);
-            neighbour.prev = new.downgrade();
+            let mut neighbour = right.data.write();
+            let _section = SeqWriteSection::new(&right.seq);
+            neighbour.prev = Arc::downgrade(&new);
         }
         // One plan, two applications: computed against the published table,
-        // applied to its logical copy (the spare) and published, and — after
-        // the grace period — replayed onto the retired original.
+        // applied to its logical copy (the other table) and published, and
+        // — after the grace period — replayed onto the retired original.
         let table_key = new_guard.leaf.table_key();
         let plan = commit
             .table
@@ -1020,7 +1007,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         };
         len < self.config.merge_size()
             && (data.prev.upgrade().is_some_and(|prev| eligible(&prev))
-                || data.next.as_ref().is_some_and(|next| eligible(&next.0)))
+                || data.next.as_ref().is_some_and(|next| eligible(next)))
     }
 
     /// Attempts to merge the leaf owning `key` with one of its neighbours
@@ -1030,8 +1017,8 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         self.metrics.merge_attempts.inc();
         self.commit(key, &self.metrics.merges, |leaf, commit| {
             let (prev, next) = {
-                let data = leaf.0.data.read();
-                (data.prev.upgrade().map(LeafHandle), data.next.clone())
+                let data = leaf.data.read();
+                (data.prev.upgrade(), data.next.clone())
             };
             if !prev.is_some_and(|prev| self.merge_into_left(commit, &prev, leaf)) {
                 if let Some(next) = next {
@@ -1048,10 +1035,10 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     fn merge_into_left(
         &self,
         commit: &mut Commit<'_, V>,
-        left: &LeafHandle<V>,
-        victim: &LeafHandle<V>,
+        left: &Arc<LeafShared<V>>,
+        victim: &Arc<LeafShared<V>>,
     ) -> bool {
-        let mut left_guard = left.0.data.write();
+        let mut left_guard = left.data.write();
         if !left_guard
             .next
             .as_ref()
@@ -1059,14 +1046,14 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         {
             return false;
         }
-        let mut victim_guard = victim.0.data.write();
+        let mut victim_guard = victim.data.write();
         if !core::merge_eligible(left_guard.leaf.len(), victim_guard.leaf.len(), &self.config) {
             return false;
         }
         commit.claim(left);
         commit.claim(victim);
-        let _left_section = SeqWriteSection::new(&left.0.seq);
-        let _victim_section = SeqWriteSection::new(&victim.0.seq);
+        let _left_section = SeqWriteSection::new(&left.seq);
+        let _victim_section = SeqWriteSection::new(&victim.seq);
         // One plan, two applications (see `link_split`).
         let right = victim_guard.next.clone();
         let plan =
@@ -1082,9 +1069,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         left_guard.next = right.clone();
         if let Some(right) = &right {
             // Lock ordering: left < victim < right.
-            let mut neighbour = right.0.data.write();
-            let _section = SeqWriteSection::new(&right.0.seq);
-            neighbour.prev = left.downgrade();
+            let mut neighbour = right.data.write();
+            let _section = SeqWriteSection::new(&right.seq);
+            neighbour.prev = Arc::downgrade(left);
         }
         commit.publish(plan);
         true
@@ -1122,7 +1109,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 let next_anchor = data
                     .next
                     .as_ref()
-                    .map(|next| next.0.data.read().leaf.anchor().to_vec());
+                    .map(|next| next.data.read().leaf.anchor().to_vec());
                 (n, n > 0 && self.could_merge(data), next_anchor)
             });
             self.len.fetch_sub(removed, Ordering::Relaxed);
@@ -1153,39 +1140,29 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         // Meta structure: both tables.
         {
             let writer = self.writer.lock();
-            // SAFETY: holding the writer mutex pins the published table.
-            let current = unsafe { &*self.current.load(Ordering::Acquire) };
-            stats.structure_bytes += current.table.structure_bytes();
-            if let Some(spare) = &writer.spare {
-                stats.structure_bytes += spare.table.structure_bytes();
-            } else if let Some(retiring) = &writer.retiring {
-                // SAFETY: the mutex is held, so the retiring table cannot be
-                // reclaimed or mutated (its plan is replayed only under this
-                // mutex); shared reads of it are fine.
-                stats.structure_bytes += unsafe { &*retiring.table }.table.structure_bytes();
+            // SAFETY: holding the writer mutex pins the published table and
+            // keeps the other one from being changed or freed.
+            let tables = unsafe { [&*self.current.load(Ordering::Acquire), &*writer.other] };
+            for meta in tables {
+                stats.structure_bytes += meta.table.structure_bytes();
             }
         }
-        let mut cur = Some(self.head.clone());
-        while let Some(leaf) = cur {
-            let data = leaf.0.data.read();
+        self.for_each_leaf(|_, data| {
             stats.key_bytes += data.leaf.key_bytes();
             // The leaf's `Arc` block holds two counts and the leaf.
             stats.structure_bytes +=
                 data.leaf.structure_bytes() + std::mem::size_of::<(usize, usize, LeafShared<V>)>();
-            cur = data.next.clone();
-        }
+        });
         stats
     }
 
     /// Walks the LeafList and validates structural invariants (tests only).
     pub fn check_invariants(&self) {
-        let mut cur = Some(self.head.clone());
         let mut prev_anchor: Option<Vec<u8>> = None;
         let mut total = 0usize;
-        while let Some(leaf) = cur {
-            let data = leaf.0.data.read();
+        self.for_each_leaf(|leaf, data| {
             assert_eq!(
-                leaf.0.seq.load(Ordering::Acquire) & 1,
+                leaf.seq.load(Ordering::Acquire) & 1,
                 0,
                 "leaf seqlock left odd outside a write"
             );
@@ -1196,8 +1173,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             }
             total += data.leaf.len();
             prev_anchor = Some(anchor);
-            cur = data.next.clone();
-        }
+        });
         assert_eq!(
             total,
             self.len.load(Ordering::Relaxed),
@@ -1215,7 +1191,7 @@ const SCAN_CHUNK: usize = 16;
 /// Where a scan's last fill stopped.
 struct ScanAt<V> {
     /// The leaf it read last.
-    leaf: LeafHandle<V>,
+    leaf: Arc<LeafShared<V>>,
     /// The snapshot that read returned ([`LeafShared::read`]), or the
     /// counter under the writer lock a sort held: never a later load.
     seq: u64,
@@ -1288,7 +1264,7 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
     /// was read at: copies on from its position, or, at the leaf's end,
     /// reads its successor from the start while the leaf stays unchanged.
     fn resume(&mut self, at: &ScanAt<V>) -> Result<Option<ScanAt<V>>, ReadConflict> {
-        let read = at.leaf.0.read(self.locked, None, Some(at.seq), |data| {
+        let read = at.leaf.read(self.locked, None, Some(at.seq), |data| {
             let pos = self.copy(data, Some(at.pos))?;
             if pos > at.pos {
                 let (leaf, seq) = (at.leaf.clone(), at.seq);
@@ -1308,10 +1284,9 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
         let (wh, from) = (self.wh, self.from);
         wh.metrics.scan_descents.inc();
         // SAFETY: the caller's critical section covers the search and the
-        // read; only owned handles leave it.
-        let meta = unsafe { wh.published() };
-        let leaf = Wormhole::resolve(meta.table.search_target(from, &wh.config), from)?;
-        self.read_leaf(&leaf, Some(meta.version), None)
+        // read; only owned leaves leave it.
+        let (leaf, version) = unsafe { wh.search(from) }?;
+        self.read_leaf(&leaf, Some(version), None)
     }
 
     /// Reads `leaf` from position `start`, or from the cursor's position,
@@ -1320,11 +1295,11 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
     /// found in.
     fn read_leaf(
         &mut self,
-        leaf: &LeafHandle<V>,
+        leaf: &Arc<LeafShared<V>>,
         gate: Option<u64>,
         start: Option<usize>,
     ) -> Result<ScanAt<V>, ReadConflict> {
-        let (pos, seq) = leaf.0.read(self.locked, gate, None, |data| {
+        let (pos, seq) = leaf.read(self.locked, gate, None, |data| {
             // `None`: the key view lags behind the leaf's items.
             let current = !data.leaf.key_view_lags();
             current.then(|| self.copy(data, start)).transpose()
@@ -1339,7 +1314,7 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
         let data = self.wh.write_sorted(leaf, version).ok_or(ReadConflict)?;
         let pos = self.copy(&data, start)?;
         // The writer lock keeps the counter at the state read.
-        let (leaf, seq) = (leaf.clone(), leaf.0.seq.load(Ordering::Relaxed));
+        let (leaf, seq) = (leaf.clone(), leaf.seq.load(Ordering::Relaxed));
         Ok(ScanAt { leaf, seq, pos })
     }
 
@@ -1505,26 +1480,19 @@ impl<V> Drop for Wormhole<V> {
         // Reclamation still queued behind a grace period runs when the
         // `qsbr` field drops, after this body: every deferred callback owns
         // the blocks it frees, so it needs nothing this body tears down.
-        let writer = self.writer.get_mut();
+        // SAFETY: `&mut self` guarantees no readers or writers remain, so
+        // both tables are exclusively owned here; a plan still owed to the
+        // other one is dropped unreplayed.
+        let [published, _other] = [*self.current.get_mut(), self.writer.get_mut().other]
+            .map(|table| unsafe { Box::from_raw(table) });
         // The cells may outlive this index in a sibling's hands.
         self.metrics
-            .meta_published(writer.published, MetaShape::default());
-        // A table still aging through its grace period is exclusively ours
-        // now for the same reason; free it without replaying its plan.
-        if let Some(retiring) = writer.retiring.take() {
-            // SAFETY: no readers remain (`&mut self`).
-            unsafe { drop(Box::from_raw(retiring.table)) };
-        }
-        // SAFETY: `&mut self` guarantees no readers or writers remain; the
-        // published table pointer is exclusively owned here.
-        unsafe {
-            drop(Box::from_raw(self.current.load(Ordering::Acquire)));
-        }
+            .meta_published(published.table.shape(), MetaShape::default());
         // Break the forward Arc chain iteratively to avoid deep recursive
         // drops on long leaf lists.
-        let mut cur = self.head.0.data.write().next.take();
+        let mut cur = self.head.data.write().next.take();
         while let Some(leaf) = cur {
-            cur = leaf.0.data.write().next.take();
+            cur = leaf.data.write().next.take();
         }
     }
 }
@@ -1883,8 +1851,8 @@ mod tests {
         let (leaf, _) = wh.locate(&key(20));
         let held = |n: u64, read: &(dyn Fn() + Sync)| {
             thread::scope(|scope| {
-                let data = leaf.0.data.write();
-                let section = SeqWriteSection::new(&leaf.0.seq);
+                let data = leaf.data.write();
+                let section = SeqWriteSection::new(&leaf.seq);
                 let reader = scope.spawn(read);
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
                 while !blocked(&wh, n) {
@@ -2172,11 +2140,9 @@ mod tests {
     type Writes = Vec<(Vec<u8>, Option<u64>)>;
 
     /// The keys of every leaf, leaf by leaf.
-    fn leaf_keys<V>(wh: &Wormhole<V>) -> Vec<Vec<Vec<u8>>> {
+    fn leaf_keys<V: Clone + Send + Sync + 'static>(wh: &Wormhole<V>) -> Vec<Vec<Vec<u8>>> {
         let mut leaves = Vec::new();
-        let mut cur = Some(wh.head.clone());
-        while let Some(leaf) = cur {
-            let data = leaf.0.data.read();
+        wh.for_each_leaf(|_, data| {
             let mut keys: Vec<_> = data
                 .leaf
                 .iter_key_order()
@@ -2184,8 +2150,7 @@ mod tests {
                 .collect();
             keys.sort();
             leaves.push(keys);
-            cur = data.next.clone();
-        }
+        });
         leaves
     }
 
@@ -2355,10 +2320,9 @@ mod tests {
         let check = |shards: &[Wormhole<u64>]| {
             let mut sum = MetaShape::default();
             for shard in shards {
-                let writer = shard.writer.lock();
+                let _writer = shard.writer.lock();
                 // SAFETY: holding the writer mutex pins the published table.
                 let table = &unsafe { &*shard.current.load(Ordering::Acquire) }.table;
-                assert_eq!(table.shape(), writer.published);
                 sum.items += table.len();
                 sum.bitmaps += table.bitmaps();
                 sum.overflow_buckets += table.overflow_buckets();

@@ -34,6 +34,32 @@ fn splits_and_merges_are_counted() {
 }
 
 #[test]
+fn each_structural_commit_waits_out_the_previous_publications_grace_period() {
+    // A publication only starts the grace period of the table it retires;
+    // the next structural commit completes it, once, before it replays the
+    // plan onto that table. The last publication still owes its wait.
+    if !wh_telemetry::enabled() {
+        return;
+    }
+    let index: Wormhole<u64> =
+        Wormhole::with_config(WormholeConfig::optimized().with_leaf_capacity(8));
+    let key = |i: u64| format!("key{i:04}").into_bytes();
+    for i in 0..500 {
+        index.set(&key(i), i);
+    }
+    for i in 0..450 {
+        assert_eq!(index.del(&key(i)), Some(i));
+    }
+    let (splits, merges) = (index.metrics().splits.get(), index.metrics().merges.get());
+    assert!(
+        splits > 100 && merges > 100,
+        "{splits} splits, {merges} merges"
+    );
+    let waits = index.epoch_metrics().grace_wait_ns.snapshot().count();
+    assert_eq!(waits, splits + merges - 1);
+}
+
+#[test]
 fn a_delete_asks_before_it_takes_the_writer_mutex() {
     let index: Wormhole<u64> = Wormhole::new();
     let (capacity, merge_size) = (index.config().leaf_capacity, index.config().merge_size());
