@@ -407,11 +407,6 @@ impl<'a, V> Cursor<'a, V> {
             self.resume.clone()
         }
     }
-
-    /// Returns `true` once the scan is exhausted and fully consumed.
-    pub fn is_done(&self) -> bool {
-        self.done && self.pos == self.batch.len()
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +506,7 @@ mod tests {
         while let Some((k, v)) = cursor.next() {
             seen.push((k.to_vec(), *v));
         }
-        assert!(cursor.is_done());
+        assert!(cursor.next().is_none());
         assert_eq!(seen.len(), 500);
         assert!(seen.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(seen, model.range_from(b"", usize::MAX));
@@ -631,7 +626,7 @@ mod tests {
             };
             let mut cursor = Cursor::new(b"", Box::new(source));
             assert_eq!(drain(&mut cursor), 3);
-            assert!(cursor.is_done());
+            assert!(cursor.next().is_none());
             // Past the end, every way of reading asks the source nothing.
             for again in drains {
                 assert_eq!(again(&mut cursor), 0);
@@ -645,6 +640,5 @@ mod tests {
         let mut cursor = model.scan(b"");
         assert!(cursor.next().is_none());
         assert!(cursor.next().is_none(), "exhaustion is sticky");
-        assert!(cursor.is_done());
     }
 }

@@ -295,9 +295,9 @@ pub trait ConcurrentOrderedIndex<V: Clone>: Send + Sync {
     /// from `lo` and deletes key by key — correct against concurrent
     /// writers (each delete is an ordinary linearisable `del`; keys inserted
     /// into the range behind the sweep position may survive, as with any
-    /// non-snapshot range operation). The concurrent Wormhole overrides it
-    /// with a leaf-at-a-time batched removal that reuses the merge engine
-    /// to shrink the structure as it drains.
+    /// non-snapshot range operation). It is the one range removal of every
+    /// front: each `del` runs the index's own shrink path (the Wormhole's
+    /// merges), so the structure shrinks as the range drains.
     fn delete_range(&self, lo: &[u8], hi: &[u8]) -> usize {
         if lo >= hi {
             return 0;

@@ -500,6 +500,10 @@ where
         self.index.get(key)
     }
 
+    fn get_batch_into(&self, keys: &[&[u8]], out: &mut Vec<Option<V>>) {
+        self.index.get_batch_into(keys, out)
+    }
+
     /// Panics if the operation cannot be made durable — see the module
     /// docs' failure policy.
     fn set(&self, key: &[u8], value: V) -> Option<V> {

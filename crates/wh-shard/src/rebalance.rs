@@ -46,9 +46,11 @@
 //!    on, every op routes the range to the recipient; the grace period
 //!    guarantees no in-flight read or scan batch is still resolving it
 //!    against the donor.
-//! 4. **Drain.** Bulk-remove the range from the donor
-//!    ([`wormhole::Wormhole::remove_range`], which reuses the merge
-//!    engine to shrink the donor's structure as it empties).
+//! 4. **Drain.** Remove the range from the donor with
+//!    [`ConcurrentOrderedIndex::delete_range`]: one cursor feeding
+//!    ordinary deletes, whose merges shrink the donor's structure as it
+//!    empties. It runs after the publish, outside the freeze, so no write
+//!    waits on it.
 //!
 //! A racing writer therefore lands in **exactly one shard**: before the
 //! freeze it lands in the donor (and is copied in step 2); during the
@@ -478,9 +480,9 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             let grace = self.publish_router(boundaries.clone().into_boxed_slice(), None);
             self.account_grace(&mut report, grace);
 
-            // 4. Drain the donor's stale copy of the range, shrinking its
-            // structure through the ordinary merge engine.
-            self.shard(donor).remove_range(&freeze_lo, &freeze_hi);
+            // 4. Drain the donor's stale copy of the range; its deletes
+            // shrink the structure through the ordinary merge engine.
+            self.shard(donor).delete_range(&freeze_lo, &freeze_hi);
 
             cur_now = next_boundary;
             report.batches += 1;
@@ -594,6 +596,23 @@ mod tests {
         let all = idx.range_from(b"", usize::MAX);
         assert_eq!(all.len(), 700);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
+    fn a_migration_shrinks_its_donor() {
+        let idx: ShardedWormhole<u64> = ShardedWormhole::with_config(config());
+        populate(&idx, "a", 2_000); // shard 0
+        let leaves_before = idx.shard(0).leaf_count();
+        let report = idx.migrate_boundary(0, b"a00400").expect("viable target");
+        assert!(report.moved_keys * 4 >= 2_000 * 3, "{}", report.moved_keys);
+        assert_eq!(idx.shard(0).len(), 400);
+        // The drain merges the emptied leaves away, not just their keys.
+        assert!(
+            idx.shard(0).leaf_count() < leaves_before / 2,
+            "donor leaves {leaves_before} -> {}",
+            idx.shard(0).leaf_count()
+        );
+        idx.check_invariants();
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! `swap_remove`, the in-place sort) or dropped from its end (`drain`). So
 //! a buffer pointer a racing reader loaded always names an allocation that
 //! held those records, and a length it loaded beside it names records that
-//! were written. `remove_slot`, `remove_range` and `ensure_key_sorted` work
-//! in place; `insert_absent` and `absorb` grow through `insert_growing`.
+//! were written. `remove_slot` and `ensure_key_sorted` work in place;
+//! `insert_absent` and `absorb` grow through `insert_growing`.
 //! What the rule cannot cover is a reader whose loads of one vector's
 //! pointer and length straddle a whole replacement: closing that takes
 //! word-wise copies of the leaf header.
@@ -553,30 +553,6 @@ impl<V> LeafNode<V> {
             *i = slot as u16;
         }
         removed
-    }
-
-    /// Removes every item with `lo <= key < hi`, retiring the unlinked key
-    /// blocks through `bin`. Returns how many items it removed.
-    ///
-    /// This is the leaf-level primitive of the concurrent index's batched
-    /// range removal (shard migration drains a donor's migrated range with
-    /// it); the whole doomed run is resolved against the key-sorted view
-    /// once and unlinked slot by slot in descending storage order, so the
-    /// shift-down fixups of earlier removals never invalidate later ones.
-    pub fn remove_range(&mut self, lo: &[u8], hi: &[u8], bin: &mut Bin<'_, V>) -> usize {
-        self.ensure_key_sorted();
-        let start = self.lower_bound(&self.key_order, lo);
-        let end = self.lower_bound(&self.key_order, hi);
-        if start == end {
-            return 0;
-        }
-        let mut doomed: Vec<u16> = self.key_order[start..end].to_vec();
-        doomed.sort_unstable_by(|a, b| b.cmp(a));
-        for &slot in &doomed {
-            let kv = self.remove_slot(usize::from(slot));
-            bin.retire(Retired::Key(kv.key));
-        }
-        doomed.len()
     }
 
     /// Whether the key-sorted view lags behind the items: some were
@@ -1268,44 +1244,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_range_drains_exactly_the_half_open_window() {
-        for config in leaf_configs() {
-            let mut leaf = LeafNode::new(Vec::new(), Vec::new());
-            for i in 0..24u64 {
-                // Insert out of key order so the sorted view lags (incSort
-                // must run inside remove_range).
-                insert(
-                    &mut leaf,
-                    format!("rr{:02}", i * 7 % 24).as_bytes(),
-                    i,
-                    &config,
-                );
-            }
-            let mut bin = Bin::immediate();
-            let before = leaf.key_bytes();
-            assert_eq!(leaf.remove_range(b"rr05", b"rr15", &mut bin), 10);
-            assert_eq!(before - leaf.key_bytes(), 10 * 4);
-            assert_eq!(leaf.len(), 14);
-            for i in 0..24u64 {
-                let key = format!("rr{i:02}");
-                let expect = !(5..15).contains(&i);
-                assert_eq!(
-                    get(&leaf, key.as_bytes(), &config).is_some(),
-                    expect,
-                    "{key}"
-                );
-            }
-            // Empty window and disjoint window are no-ops.
-            assert_eq!(leaf.remove_range(b"rr05", b"rr05", &mut bin), 0);
-            assert_eq!(leaf.remove_range(b"zz", b"zzz", &mut bin), 0);
-            // Lookups and further mutation still work after the bulk fixups.
-            assert_eq!(insert(&mut leaf, b"rr07", 100, &config), None);
-            assert_eq!(get(&leaf, b"rr07", &config), Some(100));
-            leaf.check_invariants();
-        }
-    }
-
-    #[test]
     fn a_removal_renames_one_item() {
         // Removing an item hands its slot to the item in the last slot:
         // besides the entries that named the removed item, exactly one
@@ -1382,7 +1320,6 @@ mod tests {
     enum LeafOp {
         Insert(Vec<u8>, u64),
         Remove(Vec<u8>),
-        RemoveRange(Vec<u8>, Vec<u8>),
         Split,
         Absorb,
     }
@@ -1394,14 +1331,13 @@ mod tests {
     const LAG_KEY: &[u8] = &[9];
 
     fn leaf_op() -> impl Strategy<Value = LeafOp> {
-        // A four-letter alphabet and short keys: overwrites, removals of
-        // present keys and non-empty ranges all happen often.
-        let key = || proptest::collection::vec(0u8..4, 0..5);
-        (0u8..10, key(), key(), any::<u64>()).prop_map(|(op, a, b, value)| match op {
-            0..=4 => LeafOp::Insert(a, value),
-            5 | 6 => LeafOp::Remove(a),
-            7 => LeafOp::RemoveRange(a.clone().min(b.clone()), a.max(b)),
-            8 => LeafOp::Split,
+        // A four-letter alphabet and short keys: overwrites and removals
+        // of present keys both happen often.
+        let key = proptest::collection::vec(0u8..4, 0..5);
+        (0u8..9, key, any::<u64>()).prop_map(|(op, key, value)| match op {
+            0..=4 => LeafOp::Insert(key, value),
+            5 | 6 => LeafOp::Remove(key),
+            7 => LeafOp::Split,
             _ => LeafOp::Absorb,
         })
     }
@@ -1409,13 +1345,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random insert / overwrite / remove / `remove_range` / split /
-        /// absorb histories over a leaf and its (optional) right sibling,
-        /// against a `BTreeMap`: after every step both orderings of both
-        /// leaves satisfy `check_invariants` (tag array sorted by (tag, key),
-        /// every slot named once, every tag its key's own, the key-byte
-        /// count exact), and at the end every lookup — plain and checked —
-        /// the key bytes and the ordered contents agree with the model.
+        /// Random insert / overwrite / remove / split / absorb histories
+        /// over a leaf and its (optional) right sibling, against a
+        /// `BTreeMap`: after every step both orderings of both leaves
+        /// satisfy `check_invariants` (tag array sorted by (tag, key), every
+        /// slot named once, every tag its key's own, the key-byte count
+        /// exact), and at the end every lookup — plain and checked — the
+        /// key bytes and the ordered contents agree with the model.
         #[test]
         fn orderings_survive_random_histories(
             ops in proptest::collection::vec(leaf_op(), 1..400),
@@ -1447,24 +1383,6 @@ mod tests {
                         prop_assert_eq!(remove(leaf, &key, &config), model.remove(&key));
                         leaf.check_invariants();
                         prop_assert_eq!(remove(leaf, LAG_KEY, &config), Some(0));
-                    }
-                    LeafOp::RemoveRange(lo, hi) => {
-                        let mut bin = Bin::immediate();
-                        let mut removed = 0;
-                        for leaf in [Some(&mut left), right.as_mut()].into_iter().flatten() {
-                            prop_assert_eq!(insert(leaf, LAG_KEY, 0, &config), None);
-                            removed += leaf.remove_range(&lo, &hi, &mut bin);
-                            leaf.check_invariants();
-                            prop_assert_eq!(remove(leaf, LAG_KEY, &config), Some(0));
-                        }
-                        let doomed: Vec<Vec<u8>> = model
-                            .range(lo..hi)
-                            .map(|(k, _)| k.clone())
-                            .collect();
-                        prop_assert_eq!(removed, doomed.len());
-                        for key in doomed {
-                            model.remove(&key);
-                        }
                     }
                     LeafOp::Split => {
                         if right.is_none() && left.len() >= 2 {

@@ -1,12 +1,13 @@
 //! The durable front over the sharded index: one write-ahead log above
 //! the router, so boundary migrations log nothing and a range removal
-//! across shards is one record.
+//! across shards is one record. Batched reads pass through the log to the
+//! index underneath, on both the plain and the sharded front.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use index_traits::{ConcurrentOrderedIndex, DurableIndex};
+use index_traits::{ConcurrentOrderedIndex, DurableIndex, FromSorted};
 use wh_durable::{DurableOptions, DurableWormhole, SyncPolicy};
 use wh_shard::{ShardedConfig, ShardedWormhole};
 use wormhole::WormholeConfig;
@@ -123,5 +124,78 @@ fn a_range_removal_across_three_shards_replays_as_one_operation() {
     assert_eq!(store.get(b"r9"), None);
     assert_eq!(store.get(b"s0"), Some(0));
     store.index().check_invariants();
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `get_batch` answers like per-key `get` on a durable front: present
+/// keys, deleted keys, keys never stored and duplicates, in batches that
+/// cross every shard boundary, and appended behind what the output
+/// already holds.
+fn batched_reads_match_gets<I>(store: &DurableWormhole<u64, I>)
+where
+    I: ConcurrentOrderedIndex<u64> + FromSorted<u64>,
+{
+    let key = |c: u8, i: u64| format!("{}{i:02}", c as char).into_bytes();
+    for c in b'a'..=b'z' {
+        for i in 0..40u64 {
+            store.set(&key(c, i), u64::from(c) * 100 + i);
+        }
+        for i in (0..40u64).step_by(7) {
+            store.del(&key(c, i));
+        }
+    }
+    let mut keys: Vec<Vec<u8>> = Vec::new();
+    for c in b'a'..=b'z' {
+        for i in (0..45u64).rev() {
+            keys.push(key(c, i));
+        }
+        keys.push(vec![c]);
+        keys.push(key(c, 3));
+    }
+    keys.extend([Vec::new(), b"h0".to_vec(), b"p0".to_vec(), b"\xff".to_vec()]);
+    let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    let looped: Vec<Option<u64>> = keys.iter().map(|k| store.get(k)).collect();
+    assert!(looped.iter().any(Option::is_none) && looped.iter().any(Option::is_some));
+    assert_eq!(store.get_batch(&keys), looped);
+    for width in [1, 3, 16, 100] {
+        for chunk in keys.chunks(width) {
+            let mut out = vec![Some(7)];
+            store.get_batch_into(chunk, &mut out);
+            assert_eq!(out[0], Some(7));
+            assert_eq!(
+                &out[1..],
+                chunk.iter().map(|k| store.get(k)).collect::<Vec<_>>()
+            );
+        }
+    }
+}
+
+#[test]
+fn durable_batched_reads_match_per_key_gets() {
+    let dir = test_dir("batch-plain");
+    let plain: DurableWormhole<u64> = DurableWormhole::open_with(
+        &dir,
+        DurableOptions {
+            config: WormholeConfig::optimized().with_leaf_capacity(8),
+            sync: SyncPolicy::Manual,
+            checkpoint_wal_bytes: 8 << 20,
+        },
+    )
+    .unwrap();
+    batched_reads_match_gets(&plain);
+    drop(plain);
+    fs::remove_dir_all(&dir).unwrap();
+
+    let dir = test_dir("batch-sharded");
+    let sharded = Store::open_with(
+        &dir,
+        DurableOptions {
+            sync: SyncPolicy::Manual,
+            ..options()
+        },
+    )
+    .unwrap();
+    batched_reads_match_gets(&sharded);
+    drop(sharded);
     fs::remove_dir_all(&dir).unwrap();
 }
