@@ -266,40 +266,6 @@ impl ConcurrentOrderedIndex<u64> for LockedMasstree {
     }
 }
 
-/// A thread-safe driver for the read/write experiments (Figure 17).
-pub enum ConcurrentDriver {
-    /// The thread-safe Wormhole.
-    Wormhole(Wormhole<u64>),
-    /// Masstree behind a reader/writer lock (see [`LockedMasstree`]).
-    Masstree(LockedMasstree),
-}
-
-impl ConcurrentDriver {
-    /// Display name used in figure output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ConcurrentDriver::Wormhole(_) => "WH",
-            ConcurrentDriver::Masstree(_) => "MT",
-        }
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Option<u64> {
-        match self {
-            ConcurrentDriver::Wormhole(i) => i.get(key),
-            ConcurrentDriver::Masstree(i) => i.get(key),
-        }
-    }
-
-    /// Insert or overwrite.
-    pub fn set(&self, key: &[u8], value: u64) -> Option<u64> {
-        match self {
-            ConcurrentDriver::Wormhole(i) => i.set(key, value),
-            ConcurrentDriver::Masstree(i) => i.set(key, value),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,7 @@ use workloads::{
     generate, mixed_ops, paper_keysets, prefix_keyset, uniform_indices, Keyset, KeysetId, Op, OpMix,
 };
 
-use crate::drivers::{AnyIndex, ConcurrentDriver, IndexKind, LockedMasstree};
+use crate::drivers::{AnyIndex, IndexKind, LockedMasstree};
 use crate::measure::{insert_mops, mops, parallel_lookup_mops, parallel_range_mops, Timer};
 
 /// Scale parameters shared by all figure functions.
@@ -390,21 +390,17 @@ pub fn fig17(scale: &FigureScale) -> Vec<Row> {
             let mut row = Row::new(id.name());
             for mix in OpMix::figure17() {
                 let ops = mixed_ops(scale.probes, mix, keyset.keys.len(), scale.seed ^ 0x17);
-                let builders: [fn() -> ConcurrentDriver; 2] = [
-                    || ConcurrentDriver::Masstree(LockedMasstree::new()),
-                    || ConcurrentDriver::Wormhole(Wormhole::new()),
-                ];
-                for build in builders {
-                    let driver = build();
+                for label in ["MT", "WH"] {
+                    let index: Box<dyn ConcurrentOrderedIndex<u64>> = match label {
+                        "MT" => Box::new(LockedMasstree::new()),
+                        _ => Box::new(Wormhole::new()),
+                    };
                     // Preload the first half of the keyset (lookups target it).
                     for (i, key) in keyset.keys.iter().take(keyset.keys.len() / 2).enumerate() {
-                        driver.set(key, i as u64);
+                        index.set(key, i as u64);
                     }
-                    let tput = run_mixed(&driver, &keyset.keys, &ops, scale.threads);
-                    row.push(
-                        format!("{} ({}% insert)", driver.name(), mix.insert_pct),
-                        tput,
-                    );
+                    let tput = run_mixed(&*index, &keyset.keys, &ops, scale.threads);
+                    row.push(format!("{label} ({}% insert)", mix.insert_pct), tput);
                 }
             }
             row
@@ -413,7 +409,12 @@ pub fn fig17(scale: &FigureScale) -> Vec<Row> {
 }
 
 /// Runs a mixed operation stream across `threads` threads and returns MOPS.
-fn run_mixed(driver: &ConcurrentDriver, keys: &[Vec<u8>], ops: &[Op], threads: usize) -> f64 {
+fn run_mixed(
+    index: &dyn ConcurrentOrderedIndex<u64>,
+    keys: &[Vec<u8>],
+    ops: &[Op],
+    threads: usize,
+) -> f64 {
     let timer = Timer::new();
     let chunk = ops.len().div_ceil(threads);
     std::thread::scope(|scope| {
@@ -422,10 +423,10 @@ fn run_mixed(driver: &ConcurrentDriver, keys: &[Vec<u8>], ops: &[Op], threads: u
                 for op in part {
                     match op {
                         Op::Get(i) => {
-                            let _ = driver.get(&keys[*i]);
+                            let _ = index.get(&keys[*i]);
                         }
                         Op::Set(i) => {
-                            driver.set(&keys[*i], *i as u64);
+                            index.set(&keys[*i], *i as u64);
                         }
                     }
                 }

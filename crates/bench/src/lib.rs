@@ -16,5 +16,5 @@ pub mod drivers;
 pub mod figures;
 pub mod measure;
 
-pub use drivers::{AnyIndex, ConcurrentDriver, IndexKind, LockedMasstree};
+pub use drivers::{AnyIndex, IndexKind, LockedMasstree};
 pub use measure::{mops, parallel_lookup_mops, Timer};

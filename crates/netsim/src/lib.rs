@@ -33,6 +33,10 @@
 //!   `docs/src/adr-003-serving-threading.md` for the threading model and
 //!   `docs/src/wire-protocol.md` for the normative framing spec.
 //!
+//! The two serve loops share one client lifecycle (the service's
+//! endpoint), the message decoder and the executor; they differ only in
+//! the threads they start.
+//!
 //! The `figures` harness combines both: it measures real batched-service
 //! throughput and applies the link model, so the reported series keeps the
 //! paper's shape (small drop for most keysets, wire-limited for `K10`).

@@ -5,8 +5,10 @@
 //! # Threading model
 //!
 //! One front thread and N workers, connected by bounded channels. The
-//! front parses, routes and splits each message, and it also reassembles
-//! and ships the responses; the workers execute:
+//! client, its channels and the run's lifecycle are the endpoint shared
+//! with [`KvService`](crate::KvService); the threads are this server's own.
+//! The front parses, routes and splits each message, and it also
+//! reassembles and ships the responses; the workers execute:
 //!
 //! ```text
 //! client ──► front ──► worker 0..N ──► front ──► client
@@ -64,18 +66,16 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{Receiver, Sender};
 use wh_shard::ShardedWormhole;
 use wh_telemetry::{Counter, Histogram, Registry};
 
-use crate::service::{
-    channel, decode_message, drive_client, Executor, RequestBatch, ResponseBatch, ServiceStats,
-    PIPELINE_DEPTH,
-};
+use crate::service::{channel, decode_message, Endpoint, Executor, ServiceStats, PIPELINE_DEPTH};
 use crate::telemetry::ServiceMetrics;
-use crate::wire::{RequestRecord, WireRequest, WireResponse, WireResponseRef};
+use crate::wire::{RequestRecord, WireRequest, WireResponse};
 
 /// One worker's share of a parsed message, in slot order (the front
 /// knows which slots they are): its records and a handle on the frame
@@ -117,9 +117,7 @@ wh_telemetry::metrics! {
 pub struct ShardServer {
     index: Arc<ShardedWormhole<u64>>,
     workers: usize,
-    batch_size: usize,
-    registry: Arc<Registry>,
-    metrics: ServiceMetrics,
+    endpoint: Endpoint,
     server_metrics: ShardServerMetrics,
 }
 
@@ -142,19 +140,14 @@ impl ShardServer {
         batch_size: usize,
     ) -> Self {
         assert!(workers > 0);
-        assert!(batch_size > 0);
-        let registry = Arc::new(Registry::new());
-        let metrics = ServiceMetrics::default();
-        metrics.register_into(&registry, "netsim");
+        let endpoint = Endpoint::new(batch_size);
         let server_metrics = ShardServerMetrics::default();
-        server_metrics.register_into(&registry, "netsim_server");
-        index.register_metrics(&registry, "shard");
+        server_metrics.register_into(&endpoint.registry, "netsim_server");
+        index.register_metrics(&endpoint.registry, "shard");
         Self {
             index,
             workers,
-            batch_size,
-            registry,
-            metrics,
+            endpoint,
             server_metrics,
         }
     }
@@ -166,12 +159,12 @@ impl ShardServer {
 
     /// The metrics registry the [`WireRequest::Stats`] command renders.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        &self.endpoint.registry
     }
 
     /// Per-op service metrics (shared cells with the worker threads).
     pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
+        &self.endpoint.metrics
     }
 
     /// Serving-layer metrics (dispatch routing time, epoch flushes).
@@ -179,30 +172,9 @@ impl ShardServer {
         &self.server_metrics
     }
 
-    /// Runs a stream of requests through the serving layer and reports
-    /// client-side statistics. Client-observed round-trip latency lands in
-    /// [`ServiceMetrics::client_rtt_ns`], once per request.
-    pub fn run(&self, requests: &[WireRequest]) -> ServiceStats {
-        self.run_with(requests, |_| {})
-    }
-
-    /// Like [`ShardServer::run`], but also returns every decoded response
-    /// in request order.
-    pub fn run_collect(&self, requests: &[WireRequest]) -> (ServiceStats, Vec<WireResponse>) {
-        let mut responses = Vec::with_capacity(requests.len());
-        let stats = self.run_with(requests, |resp| responses.push(resp.to_owned()));
-        (stats, responses)
-    }
-
-    /// Starts the workers and the front, drives the client on this thread,
-    /// and joins them all once the client hangs up.
-    fn run_with(
-        &self,
-        requests: &[WireRequest],
-        on_resp: impl FnMut(WireResponseRef<'_>),
-    ) -> ServiceStats {
-        let (req_tx, req_rx) = channel::<RequestBatch>();
-        let (resp_tx, resp_rx) = channel::<ResponseBatch>();
+    /// Starts the workers and the front, which serves until the client
+    /// hangs up.
+    fn serve(&self, req_rx: Receiver<Bytes>, resp_tx: Sender<Bytes>) -> Vec<JoinHandle<()>> {
         let mut work_txs = Vec::with_capacity(self.workers);
         let mut out_rxs = Vec::with_capacity(self.workers);
         let mut handles = Vec::with_capacity(self.workers + 1);
@@ -212,14 +184,14 @@ impl ShardServer {
             work_txs.push(work_tx);
             out_rxs.push(out_rx);
             let index = Arc::clone(&self.index);
-            let registry = Arc::clone(&self.registry);
-            let metrics = self.metrics.clone();
+            let registry = Arc::clone(&self.endpoint.registry);
+            let metrics = self.endpoint.metrics.clone();
             handles.push(std::thread::spawn(move || {
                 worker_loop(&work_rx, &out_tx, &index, &registry, &metrics);
             }));
         }
         let index = Arc::clone(&self.index);
-        let metrics = self.metrics.clone();
+        let metrics = self.endpoint.metrics.clone();
         let server_metrics = self.server_metrics.clone();
         handles.push(std::thread::spawn(move || {
             front_loop(
@@ -232,60 +204,28 @@ impl ShardServer {
                 &server_metrics,
             );
         }));
-
-        let stats = drive_client(
-            req_tx,
-            &resp_rx,
-            requests,
-            self.batch_size,
-            &self.metrics,
-            on_resp,
-        );
-        for handle in handles {
-            handle.join().expect("serving thread");
-        }
-        stats
+        handles
     }
 
-    /// Convenience wrapper: runs point lookups for the given keys.
-    pub fn run_lookups(&self, keys: &[Vec<u8>]) -> ServiceStats {
-        let requests: Vec<WireRequest> = keys
-            .iter()
-            .map(|k| WireRequest::Get { key: k.clone() })
-            .collect();
-        self.run(&requests)
+    /// Runs a stream of requests through the serving layer and reports
+    /// client-side statistics. Client-observed round-trip latency lands in
+    /// [`ServiceMetrics::client_rtt_ns`], once per request.
+    pub fn run(&self, requests: &[WireRequest]) -> ServiceStats {
+        self.endpoint
+            .run(requests, |rx, tx| self.serve(rx, tx), |_| {})
+    }
+
+    /// Like [`ShardServer::run`], but also returns every decoded response
+    /// in request order.
+    pub fn run_collect(&self, requests: &[WireRequest]) -> (ServiceStats, Vec<WireResponse>) {
+        self.endpoint
+            .run_collect(requests, |rx, tx| self.serve(rx, tx))
     }
 
     /// Scrapes the serving stack over the wire: one [`WireRequest::Stats`]
     /// round trip, returning the decoded text exposition.
     pub fn fetch_stats(&self) -> String {
-        let (_, responses) = self.run_collect(&[WireRequest::Stats]);
-        match responses.into_iter().next() {
-            Some(WireResponse::Stats(text)) => text,
-            other => panic!("expected a Stats response, got {other:?}"),
-        }
-    }
-
-    /// Drains a whole streaming scan over the wire: issues
-    /// [`WireRequest::Scan`] pages of `page_limit` pairs, following each
-    /// response's resume key, until the server reports exhaustion.
-    pub fn scan_all(&self, start: &[u8], page_limit: u32) -> Vec<(Vec<u8>, u64)> {
-        let mut all = Vec::new();
-        let mut next = Some(start.to_vec());
-        while let Some(cursor) = next {
-            let (_, responses) = self.run_collect(&[WireRequest::Scan {
-                start: cursor,
-                limit: page_limit,
-            }]);
-            match responses.into_iter().next() {
-                Some(WireResponse::ScanPage { items, resume }) => {
-                    all.extend(items);
-                    next = resume;
-                }
-                other => panic!("expected a ScanPage response, got {other:?}"),
-            }
-        }
-        all
+        self.endpoint.fetch_stats(|rx, tx| self.serve(rx, tx))
     }
 }
 
@@ -294,8 +234,8 @@ impl ShardServer {
 /// with the workers; `in_flight` holds the slot→worker map of each of
 /// those, oldest first. Returns when the client hangs up.
 fn front_loop(
-    req_rx: &Receiver<RequestBatch>,
-    resp_tx: &Sender<ResponseBatch>,
+    req_rx: &Receiver<Bytes>,
+    resp_tx: &Sender<Bytes>,
     work_txs: &[Sender<WorkBatch>],
     out_rxs: &[Receiver<WorkOutput>],
     index: &ShardedWormhole<u64>,
@@ -317,7 +257,7 @@ fn front_loop(
             n if n < PIPELINE_DEPTH => req_rx.try_recv().ok(),
             _ => None,
         };
-        let Some(batch) = next else {
+        let Some(frame) = next else {
             // Nothing in flight here means the client has hung up.
             let Some(oldest) = in_flight.pop_front() else {
                 return;
@@ -327,7 +267,7 @@ fn front_loop(
             }
             continue;
         };
-        let frame = decode_message(batch, &mut records, metrics);
+        decode_message(frame.as_ref(), &mut records, metrics);
 
         // Route the whole message against one router-table snapshot.
         routes.clear();
@@ -425,7 +365,7 @@ fn worker_loop(
 fn reassemble(
     worker_of_slot: &[usize],
     out_rxs: &[Receiver<WorkOutput>],
-    resp_tx: &Sender<ResponseBatch>,
+    resp_tx: &Sender<Bytes>,
 ) -> bool {
     let workers = out_rxs.len();
     let mut outputs: Vec<Option<WorkOutput>> = Vec::new();
@@ -450,11 +390,7 @@ fn reassemble(
         out.put_slice(&output.payload.as_ref()[start..end]);
         cursor[w] = (item + 1, end);
     }
-    resp_tx
-        .send(ResponseBatch {
-            payload: out.freeze(),
-        })
-        .is_ok()
+    resp_tx.send(out.freeze()).is_ok()
 }
 
 #[cfg(test)]
@@ -463,6 +399,14 @@ mod tests {
     use crate::service::KvService;
     use index_traits::ConcurrentOrderedIndex;
     use wh_shard::ShardedConfig;
+
+    /// A Get for `key-{i:08}` for each `i`.
+    fn gets(ids: impl Iterator<Item = u64>) -> Vec<WireRequest> {
+        ids.map(|i| WireRequest::Get {
+            key: format!("key-{i:08}").into_bytes(),
+        })
+        .collect()
+    }
 
     fn loaded_sharded(shards: usize, n: usize) -> Arc<ShardedWormhole<u64>> {
         let sample: Vec<Vec<u8>> = (0..n as u64)
@@ -480,10 +424,7 @@ mod tests {
         let index = loaded_sharded(4, 5000);
         for workers in [1, 3, 4] {
             let server = ShardServer::with_batch_size(Arc::clone(&index), workers, 100);
-            let keys: Vec<Vec<u8>> = (0..2000u64)
-                .map(|i| format!("key-{:08}", i * 3 % 5000).into_bytes())
-                .collect();
-            let stats = server.run_lookups(&keys);
+            let stats = server.run(&gets((0..2000u64).map(|i| i * 3 % 5000)));
             assert_eq!(stats.operations, 2000);
             assert_eq!(stats.hits, 2000);
             assert!(stats.mops() > 0.0);
@@ -555,10 +496,7 @@ mod tests {
         // No Set anywhere: every Get is hoisted, one batch per worker share.
         let index = loaded_sharded(4, 2000);
         let server = ShardServer::with_batch_size(Arc::clone(&index), 2, 100);
-        let keys: Vec<Vec<u8>> = (0..1000u64)
-            .map(|i| format!("key-{:08}", i * 7 % 2500).into_bytes())
-            .collect();
-        server.run_lookups(&keys);
+        server.run(&gets((0..1000u64).map(|i| i * 7 % 2500)));
         let m = server.metrics();
         assert_eq!(m.gets_hoisted.get(), 1000);
         assert_eq!(m.gets_in_place.get(), 0);
@@ -645,14 +583,30 @@ mod tests {
     }
 
     #[test]
-    fn scan_all_drains_the_whole_keyspace_in_order() {
-        let index = loaded_sharded(4, 1000);
-        let server = ShardServer::with_batch_size(Arc::clone(&index), 4, 32);
-        let streamed = server.scan_all(b"", 37);
-        assert_eq!(streamed.len(), 1000);
-        assert!(streamed.windows(2).all(|w| w[0].0 < w[1].0));
-        let direct = index.range_from(b"", usize::MAX);
-        assert_eq!(streamed, direct);
+    fn an_empty_run_starts_and_joins_every_thread() {
+        // The benchmark's startup probe times exactly `run(&[])`: the
+        // threads start, the client hangs up at once, and the call returns
+        // only once every thread is joined.
+        let index = loaded_sharded(4, 100);
+        let service = KvService::new(Arc::new(wormhole::Wormhole::new()));
+        let one = ShardServer::new(Arc::clone(&index), 1);
+        let four = ShardServer::new(index, 4);
+        for (run, (collected, responses), metrics) in [
+            (
+                service.run(&[]),
+                service.run_collect(&[]),
+                service.metrics(),
+            ),
+            (one.run(&[]), one.run_collect(&[]), one.metrics()),
+            (four.run(&[]), four.run_collect(&[]), four.metrics()),
+        ] {
+            for stats in [run, collected] {
+                let counts = (stats.operations, stats.request_bytes, stats.response_bytes);
+                assert_eq!((counts, stats.hits), ((0, 0, 0), 0));
+            }
+            assert!(responses.is_empty());
+            assert_eq!(metrics.requests.get(), 0);
+        }
     }
 
     #[test]
@@ -684,10 +638,7 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .unwrap_or(1);
         for _ in 0..10 * mult {
-            let keys: Vec<Vec<u8>> = (0..2000u64)
-                .map(|i| format!("key-{:08}", i * 7 % 4000).into_bytes())
-                .collect();
-            let stats = server.run_lookups(&keys);
+            let stats = server.run(&gets((0..2000u64).map(|i| i * 7 % 4000)));
             assert_eq!(stats.operations, 2000);
             assert_eq!(stats.hits, 2000);
         }

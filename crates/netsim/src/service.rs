@@ -1,13 +1,16 @@
 //! An in-process batched key-value service: client and server threads
-//! exchanging encoded request/response batches over channels, mimicking
+//! exchanging encoded request/response messages over channels, mimicking
 //! HERD's request loop.
 //!
-//! Three pieces here are shared with the multi-worker
-//! [`ShardServer`](crate::ShardServer), so each exists once:
-//! `decode_message` (wire bytes → request records over the frame),
-//! `Executor::execute` (records → encoded responses) and `drive_client`
-//! (the pipelined client). What is [`KvService`]'s own is one server
-//! thread over *any* index.
+//! Both serve loops, [`KvService`] and the multi-worker
+//! [`ShardServer`](crate::ShardServer), are built from the pieces here, so
+//! each exists once: the `Endpoint` (the batch size, the registry with the
+//! `netsim_*` metrics, and the one lifecycle of a run: open the channels,
+//! start the server's threads, drive the pipelined client, hang up, join),
+//! `decode_message` (wire bytes → request records over the frame) and
+//! `Executor::execute` (records → encoded responses). The two loops differ
+//! only in the threads they start; [`KvService`]'s is one server thread
+//! over *any* index.
 //!
 //! # The execution plan
 //!
@@ -54,18 +57,8 @@ pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
     bounded(2 * PIPELINE_DEPTH)
 }
 
-/// One batch of encoded requests travelling client → server.
-pub(crate) struct RequestBatch {
-    pub(crate) payload: Bytes,
-}
-
-/// One batch of encoded responses travelling server → client.
-pub(crate) struct ResponseBatch {
-    pub(crate) payload: Bytes,
-}
-
-/// Throughput accounting returned by [`KvService::run_lookups`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Throughput accounting of one run, as the client sees it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
     /// Requests completed.
     pub operations: usize,
@@ -96,21 +89,19 @@ impl ServiceStats {
     }
 }
 
-/// Parses one message into `records` and counts it: the first step of
-/// every server. Returns the frame the records point into. A frame with a
-/// malformed tail is counted in `malformed_frames` and answered as far as
-/// it parsed.
+/// Parses one message into `records` over `frame` and counts it: the
+/// first step of every server. A frame with a malformed tail is counted in
+/// `malformed_frames` and answered as far as it parsed.
 pub(crate) fn decode_message(
-    batch: RequestBatch,
+    frame: &[u8],
     records: &mut Vec<RequestRecord>,
     metrics: &ServiceMetrics,
-) -> Bytes {
-    if !parse_frame(batch.payload.as_ref(), records) {
+) {
+    if !parse_frame(frame, records) {
         metrics.malformed_frames.inc();
     }
     metrics.requests.add(records.len() as u64);
     metrics.batch_requests.record(records.len() as u64);
-    batch.payload
 }
 
 /// The response to a point op: the value found (for a `Set`, replaced).
@@ -332,76 +323,134 @@ impl Executor {
     }
 }
 
-/// The client half of a run: encodes `requests` in messages of
-/// `batch_size`, keeps up to [`PIPELINE_DEPTH`] of them in flight (as
-/// HERD does, and so a server's front and workers overlap), reads the
-/// responses in place and hands each to `on_resp` in request order. Takes
-/// the sender so that returning hangs up, which is what stops the server.
-///
-/// The server answers messages in arrival order, so the front of the
-/// in-flight queue is always the one the next response completes. Each
-/// response batch records its full round trip (encode, queue, execute,
-/// decode) into `client_rtt_ns`, once per request it carried — the
-/// client-observed latency distribution. A response frame is read up to
-/// its first malformed byte; what follows it is not counted.
-pub(crate) fn drive_client(
-    req_tx: Sender<RequestBatch>,
-    resp_rx: &Receiver<ResponseBatch>,
-    requests: &[WireRequest],
+/// What both serve loops share: the batch size, the registry the
+/// [`WireRequest::Stats`] command renders with the `netsim_*` metrics in
+/// it, and the one lifecycle of a run.
+pub(crate) struct Endpoint {
     batch_size: usize,
-    metrics: &ServiceMetrics,
-    mut on_resp: impl FnMut(WireResponseRef<'_>),
-) -> ServiceStats {
-    let start = Instant::now();
-    let mut stats = ServiceStats {
-        operations: 0,
-        seconds: 0.0,
-        request_bytes: 0,
-        response_bytes: 0,
-        hits: 0,
-    };
-    let mut in_flight: VecDeque<Option<Instant>> = VecDeque::new();
-    let mut drain = |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<Instant>>| {
-        let batch = resp_rx.recv().expect("server alive");
-        stats.response_bytes += batch.payload.len();
-        let mut payload = batch.payload.as_ref();
-        let mut count = 0u64;
-        while let Some(resp) = WireResponseRef::decode(&mut payload) {
-            if !matches!(resp, WireResponseRef::Miss) {
-                stats.hits += 1;
+    pub(crate) registry: Arc<Registry>,
+    pub(crate) metrics: ServiceMetrics,
+}
+
+impl Endpoint {
+    pub(crate) fn new(batch_size: usize) -> Self {
+        assert!(batch_size > 0);
+        let registry = Arc::new(Registry::new());
+        let metrics = ServiceMetrics::default();
+        metrics.register_into(&registry, "netsim");
+        Self {
+            batch_size,
+            registry,
+            metrics,
+        }
+    }
+
+    /// Runs a stream of requests: opens the request and response channels,
+    /// starts the server's threads through `serve` (handed the request
+    /// receiver and the response sender, it returns the threads' handles),
+    /// drives the client on this thread, and joins every thread once the
+    /// client has hung up. Each decoded response goes to `on_resp`, in
+    /// request order.
+    pub(crate) fn run(
+        &self,
+        requests: &[WireRequest],
+        serve: impl FnOnce(Receiver<Bytes>, Sender<Bytes>) -> Vec<JoinHandle<()>>,
+        on_resp: impl FnMut(WireResponseRef<'_>),
+    ) -> ServiceStats {
+        let (req_tx, req_rx) = channel();
+        let (resp_tx, resp_rx) = channel();
+        let handles = serve(req_rx, resp_tx);
+        let stats = self.drive_client(req_tx, &resp_rx, requests, on_resp);
+        for handle in handles {
+            handle.join().expect("serving thread");
+        }
+        stats
+    }
+
+    /// The client half of a run: encodes `requests` in messages of the
+    /// batch size, keeps up to [`PIPELINE_DEPTH`] of them in flight (as
+    /// HERD does, and so a server's front and workers overlap), reads the
+    /// responses in place and hands each to `on_resp` in request order. Takes
+    /// the sender so that returning hangs up, which is what stops the server.
+    ///
+    /// The server answers messages in arrival order, so the front of the
+    /// in-flight queue is always the one the next response completes. Each
+    /// response batch records its full round trip (encode, queue, execute,
+    /// decode) into `client_rtt_ns`, once per request it carried — the
+    /// client-observed latency distribution. A response frame is read up to
+    /// its first malformed byte; what follows it is not counted.
+    fn drive_client(
+        &self,
+        req_tx: Sender<Bytes>,
+        resp_rx: &Receiver<Bytes>,
+        requests: &[WireRequest],
+        mut on_resp: impl FnMut(WireResponseRef<'_>),
+    ) -> ServiceStats {
+        let start = Instant::now();
+        let mut stats = ServiceStats::default();
+        let mut in_flight: VecDeque<Option<Instant>> = VecDeque::new();
+        let mut drain = |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<Instant>>| {
+            let frame = resp_rx.recv().expect("server alive");
+            stats.response_bytes += frame.len();
+            let mut payload = frame.as_ref();
+            let mut count = 0u64;
+            while let Some(resp) = WireResponseRef::decode(&mut payload) {
+                if !matches!(resp, WireResponseRef::Miss) {
+                    stats.hits += 1;
+                }
+                stats.operations += 1;
+                count += 1;
+                on_resp(resp);
             }
-            stats.operations += 1;
-            count += 1;
-            on_resp(resp);
+            let sent = in_flight.pop_front().expect("a response implies a send");
+            if let Some(sent) = sent {
+                self.metrics
+                    .client_rtt_ns
+                    .record_n(sent.elapsed().as_nanos() as u64, count);
+            }
+        };
+        for chunk in requests.chunks(self.batch_size) {
+            let mut buf = BytesMut::with_capacity(chunk.iter().map(WireRequest::wire_size).sum());
+            for req in chunk {
+                req.encode(&mut buf);
+            }
+            stats.request_bytes += buf.len();
+            in_flight.push_back(wh_telemetry::start_timing());
+            req_tx.send(buf.freeze()).expect("server alive");
+            if in_flight.len() >= PIPELINE_DEPTH {
+                drain(&mut stats, &mut in_flight);
+            }
         }
-        let sent = in_flight.pop_front().expect("a response implies a send");
-        if let Some(sent) = sent {
-            metrics
-                .client_rtt_ns
-                .record_n(sent.elapsed().as_nanos() as u64, count);
-        }
-    };
-    for chunk in requests.chunks(batch_size) {
-        let mut buf = BytesMut::with_capacity(chunk.iter().map(WireRequest::wire_size).sum());
-        for req in chunk {
-            req.encode(&mut buf);
-        }
-        stats.request_bytes += buf.len();
-        in_flight.push_back(wh_telemetry::start_timing());
-        req_tx
-            .send(RequestBatch {
-                payload: buf.freeze(),
-            })
-            .expect("server alive");
-        if in_flight.len() >= PIPELINE_DEPTH {
+        while !in_flight.is_empty() {
             drain(&mut stats, &mut in_flight);
         }
+        stats.seconds = start.elapsed().as_secs_f64().max(1e-9);
+        stats
     }
-    while !in_flight.is_empty() {
-        drain(&mut stats, &mut in_flight);
+
+    /// [`Endpoint::run`], returning every decoded response in request order.
+    pub(crate) fn run_collect(
+        &self,
+        requests: &[WireRequest],
+        serve: impl FnOnce(Receiver<Bytes>, Sender<Bytes>) -> Vec<JoinHandle<()>>,
+    ) -> (ServiceStats, Vec<WireResponse>) {
+        let mut responses = Vec::with_capacity(requests.len());
+        let stats = self.run(requests, serve, |resp| responses.push(resp.to_owned()));
+        (stats, responses)
     }
-    stats.seconds = start.elapsed().as_secs_f64().max(1e-9);
-    stats
+
+    /// One [`WireRequest::Stats`] round trip, returning the decoded text
+    /// exposition.
+    pub(crate) fn fetch_stats(
+        &self,
+        serve: impl FnOnce(Receiver<Bytes>, Sender<Bytes>) -> Vec<JoinHandle<()>>,
+    ) -> String {
+        let (_, responses) = self.run_collect(&[WireRequest::Stats], serve);
+        match responses.into_iter().next() {
+            Some(WireResponse::Stats(text)) => text,
+            other => panic!("expected a Stats response, got {other:?}"),
+        }
+    }
 }
 
 /// A batched key-value service over an index.
@@ -412,9 +461,7 @@ pub(crate) fn drive_client(
 /// HERD port used in the paper.
 pub struct KvService {
     index: Arc<dyn ConcurrentOrderedIndex<u64>>,
-    batch_size: usize,
-    registry: Arc<Registry>,
-    metrics: ServiceMetrics,
+    endpoint: Endpoint,
 }
 
 impl KvService {
@@ -426,15 +473,9 @@ impl KvService {
 
     /// Creates a service with an explicit batch size.
     pub fn with_batch_size(index: Arc<dyn ConcurrentOrderedIndex<u64>>, batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        let registry = Arc::new(Registry::new());
-        let metrics = ServiceMetrics::default();
-        metrics.register_into(&registry, "netsim");
         Self {
             index,
-            batch_size,
-            registry,
-            metrics,
+            endpoint: Endpoint::new(batch_size),
         }
     }
 
@@ -442,85 +483,54 @@ impl KvService {
     /// Register index-side metrics here before serving to make them
     /// scrapeable over the wire.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        &self.endpoint.registry
     }
 
     /// The service's own metrics cells (also registered in
     /// [`registry`](KvService::registry) under `netsim_…` names).
     pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
+        &self.endpoint.metrics
     }
 
-    /// Spawns the server loop, returning the request sender, the response
-    /// receiver, and the join handle.
-    fn spawn_server(
-        &self,
-    ) -> (
-        Sender<RequestBatch>,
-        Receiver<ResponseBatch>,
-        JoinHandle<()>,
-    ) {
-        let (req_tx, req_rx) = channel::<RequestBatch>();
-        let (resp_tx, resp_rx) = channel::<ResponseBatch>();
+    /// Starts the one server thread: it decodes, executes and answers each
+    /// message in turn until the client hangs up.
+    fn serve(&self, req_rx: Receiver<Bytes>, resp_tx: Sender<Bytes>) -> Vec<JoinHandle<()>> {
         let index = Arc::clone(&self.index);
-        let registry = Arc::clone(&self.registry);
-        let metrics = self.metrics.clone();
-        let handle = std::thread::spawn(move || {
+        let registry = Arc::clone(&self.endpoint.registry);
+        let metrics = self.endpoint.metrics.clone();
+        vec![std::thread::spawn(move || {
             let mut records = Vec::new();
             let mut executor = Executor::new();
-            while let Ok(batch) = req_rx.recv() {
-                let frame = decode_message(batch, &mut records, &metrics);
+            while let Ok(frame) = req_rx.recv() {
+                decode_message(frame.as_ref(), &mut records, &metrics);
                 let payload =
                     executor.execute(&*index, frame.as_ref(), &records, &registry, &metrics);
-                if resp_tx.send(ResponseBatch { payload }).is_err() {
+                if resp_tx.send(payload).is_err() {
                     break;
                 }
             }
-        });
-        (req_tx, resp_rx, handle)
+        })]
     }
 
     /// Runs a stream of requests through the service and reports client-side
     /// statistics.
     pub fn run(&self, requests: &[WireRequest]) -> ServiceStats {
-        self.run_with(requests, |_| {})
+        self.endpoint
+            .run(requests, |rx, tx| self.serve(rx, tx), |_| {})
     }
 
     /// Like [`KvService::run`], but also returns every decoded response in
     /// request order — the hook differential tests use to compare the
     /// served stream against in-process execution.
     pub fn run_collect(&self, requests: &[WireRequest]) -> (ServiceStats, Vec<WireResponse>) {
-        let mut responses = Vec::with_capacity(requests.len());
-        let stats = self.run_with(requests, |resp| responses.push(resp.to_owned()));
-        (stats, responses)
-    }
-
-    fn run_with(
-        &self,
-        requests: &[WireRequest],
-        on_resp: impl FnMut(WireResponseRef<'_>),
-    ) -> ServiceStats {
-        let (req_tx, resp_rx, handle) = self.spawn_server();
-        let stats = drive_client(
-            req_tx,
-            &resp_rx,
-            requests,
-            self.batch_size,
-            &self.metrics,
-            on_resp,
-        );
-        handle.join().expect("server thread");
-        stats
+        self.endpoint
+            .run_collect(requests, |rx, tx| self.serve(rx, tx))
     }
 
     /// Scrapes the server over the wire: sends one [`WireRequest::Stats`]
     /// and returns the decoded text exposition.
     pub fn fetch_stats(&self) -> String {
-        let (_, responses) = self.run_collect(&[WireRequest::Stats]);
-        match responses.into_iter().next() {
-            Some(WireResponse::Stats(text)) => text,
-            other => panic!("expected a Stats response, got {other:?}"),
-        }
+        self.endpoint.fetch_stats(|rx, tx| self.serve(rx, tx))
     }
 
     /// Convenience wrapper: runs point lookups for the given keys.
@@ -653,13 +663,10 @@ mod tests {
         unknown[whole] = 0x7F;
         let cut = frame.as_ref()[..frame.len() - 3].to_vec();
         for (n, tail) in [cut, unknown].into_iter().enumerate() {
-            let batch = RequestBatch {
-                payload: Bytes::from(tail),
-            };
-            let frame = decode_message(batch, &mut records, &metrics);
+            decode_message(&tail, &mut records, &metrics);
             assert_eq!(records.len(), 3);
             assert_eq!(metrics.malformed_frames.get(), n as u64 + 1);
-            let payload = executor.execute(&*index, frame.as_ref(), &records, &registry, &metrics);
+            let payload = executor.execute(&*index, &tail, &records, &registry, &metrics);
             let mut rest = payload.as_ref();
             let answered: Vec<WireResponse> =
                 std::iter::from_fn(|| Some(WireResponseRef::decode(&mut rest)?.to_owned()))
@@ -676,7 +683,7 @@ mod tests {
         }
         // The Set was never applied, and a well-formed frame counts nothing.
         assert_eq!(index.get(b"key-00000003"), Some(3));
-        decode_message(RequestBatch { payload: frame }, &mut records, &metrics);
+        decode_message(frame.as_ref(), &mut records, &metrics);
         assert_eq!(records.len(), 4);
         assert_eq!(metrics.malformed_frames.get(), 2);
         assert_eq!(metrics.requests.get(), 10);

@@ -8,6 +8,8 @@
 //! last key, short page ⇒ exhausted) and the claim that a resume key is a
 //! plain global key, so the stream survives the index reorganising
 //! between pages.
+//!
+//! The key count (2 000) scales with `WH_STRESS_MULT` for the nightly soak.
 
 use std::sync::Arc;
 
@@ -16,11 +18,17 @@ use index_traits::ConcurrentOrderedIndex;
 use netsim::{ShardServer, WireRequest, WireResponse};
 use wh_shard::{ShardedConfig, ShardedWormhole};
 
+fn stress_mult() -> u64 {
+    std::env::var("WH_STRESS_MULT")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
 #[test]
 fn streamed_scan_matches_cursor_drain_under_migration() {
-    let keys: Vec<Vec<u8>> = (0..2_000u64)
-        .map(|i| format!("key-{i:08}").into_bytes())
-        .collect();
+    let n = 2_000 * stress_mult();
+    let keys: Vec<Vec<u8>> = (0..n).map(|i| format!("key-{i:08}").into_bytes()).collect();
     let index = Arc::new(ShardedWormhole::with_config(ShardedConfig::from_sample(
         4, &keys,
     )));
@@ -34,7 +42,8 @@ fn streamed_scan_matches_cursor_drain_under_migration() {
     assert_eq!(direct.len(), keys.len());
 
     // Streamed: small pages over the wire, a boundary migration forced
-    // every third page. Migrations move keys between shards but never
+    // every third page, flipping the middle boundary 5 % of the keys
+    // either side of where the sample put it. Migrations move keys between shards but never
     // change the logical contents, and the resume key is a global key —
     // so the stream must neither skip nor duplicate a pair.
     let server = ShardServer::with_batch_size(Arc::clone(&index), 4, 8);
@@ -54,9 +63,9 @@ fn streamed_scan_matches_cursor_drain_under_migration() {
         pages += 1;
         if pages.is_multiple_of(3) {
             let target = if flip {
-                format!("key-{:08}", 900).into_bytes()
+                format!("key-{:08}", n * 9 / 20).into_bytes()
             } else {
-                format!("key-{:08}", 1_100).into_bytes()
+                format!("key-{:08}", n * 11 / 20).into_bytes()
             };
             index.migrate_boundary(1, &target).expect("valid target");
             flip = !flip;

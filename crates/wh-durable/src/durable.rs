@@ -384,7 +384,7 @@ where
     /// insert/overwrite. The fallible form of
     /// [`ConcurrentOrderedIndex::set`].
     pub fn try_set(&self, key: &[u8], value: V) -> io::Result<Option<V>> {
-        let (lsn, old) = self.wal.log_then(|buf, lsn| {
+        let (lsn, old) = self.wal.log(|buf, lsn| {
             record::encode_put_with(buf, lsn, key, |out| value.encode_into(out));
             || self.index.set(key, value)
         });
@@ -394,10 +394,10 @@ where
 
     /// Fallible [`ConcurrentOrderedIndex::del`].
     pub fn try_del(&self, key: &[u8]) -> io::Result<Option<V>> {
-        let (lsn, old) = self.wal.log(
-            |buf, lsn| record::encode_delete(buf, lsn, key),
-            || self.index.del(key),
-        );
+        let (lsn, old) = self.wal.log(|buf, lsn| {
+            record::encode_delete(buf, lsn, key);
+            || self.index.del(key)
+        });
         self.commit_policy(lsn)?;
         Ok(old)
     }
@@ -405,10 +405,10 @@ where
     /// Fallible [`ConcurrentOrderedIndex::delete_range`]. The whole range
     /// removal is one WAL record, so replay re-executes it as a unit.
     pub fn try_delete_range(&self, lo: &[u8], hi: &[u8]) -> io::Result<usize> {
-        let (lsn, removed) = self.wal.log(
-            |buf, lsn| record::encode_delete_range(buf, lsn, lo, hi),
-            || self.index.delete_range(lo, hi),
-        );
+        let (lsn, removed) = self.wal.log(|buf, lsn| {
+            record::encode_delete_range(buf, lsn, lo, hi);
+            || self.index.delete_range(lo, hi)
+        });
         self.commit_policy(lsn)?;
         Ok(removed)
     }

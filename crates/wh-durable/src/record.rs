@@ -218,12 +218,15 @@ impl<'a> FrameReader<'a> {
     pub fn valid_len(&self) -> usize {
         self.pos
     }
+}
+
+impl Iterator for FrameReader<'_> {
+    type Item = WalRecord;
 
     /// Decodes the next frame, or `None` at the end of the valid prefix
     /// (clean end of stream or torn tail — indistinguishable by design:
     /// recovery trusts exactly the frames this yields).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<WalRecord> {
+    fn next(&mut self) -> Option<WalRecord> {
         let len = read_u32(self.buf, self.pos)? as usize;
         if len > MAX_PAYLOAD {
             return None;

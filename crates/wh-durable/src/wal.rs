@@ -43,14 +43,10 @@ struct WalSeq {
     next_lsn: u64,
 }
 
-struct WalFile {
-    storage: Box<dyn WalStorage>,
-}
-
 /// A group-commit write-ahead log over one [`WalStorage`] stream.
 pub struct Wal {
     seq: Mutex<WalSeq>,
-    file: Mutex<WalFile>,
+    file: Mutex<Box<dyn WalStorage>>,
     /// Highest LSN sealed by a synced `Commit` frame.
     durable_lsn: AtomicU64,
     /// Set by the first failed append or sync (see the module docs).
@@ -68,7 +64,7 @@ impl Wal {
                 pending: Vec::new(),
                 next_lsn,
             }),
-            file: Mutex::new(WalFile { storage }),
+            file: Mutex::new(storage),
             durable_lsn: AtomicU64::new(next_lsn.saturating_sub(1)),
             poisoned: AtomicBool::new(false),
             metrics: DurableMetrics::default(),
@@ -82,28 +78,13 @@ impl Wal {
     }
 
     /// Logs one operation and applies it to the in-memory index, both
-    /// under the sequencer lock: `encode` writes the operation's frame
-    /// for the LSN it is handed, `apply` mutates the index. Returns the
-    /// assigned LSN and `apply`'s result. The operation is *not* durable
-    /// until a later [`commit`](Wal::commit) covers the LSN.
-    pub fn log<R>(
-        &self,
-        encode: impl FnOnce(&mut Vec<u8>, u64),
-        apply: impl FnOnce() -> R,
-    ) -> (u64, R) {
-        self.log_then(|pending, lsn| {
-            encode(pending, lsn);
-            apply
-        })
-    }
-
-    /// [`Wal::log`] for an apply step that consumes what the frame borrowed
-    /// (a value encoded in place, then moved into the index): `op` writes
-    /// the frame and returns the apply step, run under the same lock.
-    pub fn log_then<R, A: FnOnce() -> R>(
-        &self,
-        op: impl FnOnce(&mut Vec<u8>, u64) -> A,
-    ) -> (u64, R) {
+    /// under the sequencer lock: `op` writes the operation's frame for the
+    /// LSN it is handed and returns the apply step, which mutates the index
+    /// (and may consume what the frame borrowed: a value encoded in place,
+    /// then moved into the index). Returns the assigned LSN and the apply
+    /// step's result. The operation is *not* durable until a later
+    /// [`commit`](Wal::commit) covers the LSN.
+    pub fn log<R, A: FnOnce() -> R>(&self, op: impl FnOnce(&mut Vec<u8>, u64) -> A) -> (u64, R) {
         let mut seq = self.seq.lock();
         let lsn = seq.next_lsn;
         seq.next_lsn += 1;
@@ -126,7 +107,7 @@ impl Wal {
         if durable >= lsn {
             return Ok(durable);
         }
-        self.seal(&mut file)
+        self.seal(&mut **file)
     }
 
     /// Makes everything logged so far durable (a full barrier).
@@ -147,15 +128,15 @@ impl Wal {
         make: impl FnOnce(u64) -> io::Result<Box<dyn WalStorage>>,
     ) -> io::Result<u64> {
         let mut file = self.file.lock();
-        let upto = self.seal(&mut file)?;
-        file.storage = make(upto)?;
+        let upto = self.seal(&mut **file)?;
+        *file = make(upto)?;
         Ok(upto)
     }
 
     /// The batch leader's step, under the file lock: steal the whole
     /// pending buffer, seal it with one `Commit`, and append + fsync it.
     /// A storage error poisons the log for good (see the module docs).
-    fn seal(&self, file: &mut WalFile) -> io::Result<u64> {
+    fn seal(&self, storage: &mut dyn WalStorage) -> io::Result<u64> {
         self.check_poisoned()?;
         let (mut batch, upto) = {
             let mut seq = self.seq.lock();
@@ -163,7 +144,6 @@ impl Wal {
         };
         record::encode_commit(&mut batch, upto);
         let timing = wh_telemetry::start_timing();
-        let storage = &mut file.storage;
         if let Err(e) = storage.append(&batch).and_then(|()| storage.sync()) {
             self.poisoned.store(true, Ordering::Release);
             return Err(e);
@@ -187,7 +167,7 @@ impl Wal {
     /// Bytes in the current (post-rotation) storage stream — the
     /// checkpoint policy's log-growth signal.
     pub fn current_segment_len(&self) -> u64 {
-        self.file.lock().storage.len()
+        self.file.lock().len()
     }
 
     /// Highest LSN sealed durable so far.
@@ -216,7 +196,10 @@ mod tests {
     use std::sync::Arc;
 
     fn put(wal: &Wal, key: &[u8], value: &[u8]) -> u64 {
-        let (lsn, ()) = wal.log(|buf, lsn| record::encode_put(buf, lsn, key, value), || ());
+        let (lsn, ()) = wal.log(|buf, lsn| {
+            record::encode_put(buf, lsn, key, value);
+            || ()
+        });
         lsn
     }
 

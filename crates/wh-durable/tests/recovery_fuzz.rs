@@ -190,15 +190,24 @@ fn run_script(script: &[Op], kill_at: u64, mode: CrashMode) -> (wh_durable::Fail
     for op in script {
         let outcome = match op {
             Op::Put(key, value) => {
-                wal.log(|buf, lsn| encode_put(buf, lsn, key, value), || ());
+                wal.log(|buf, lsn| {
+                    encode_put(buf, lsn, key, value);
+                    || ()
+                });
                 Ok(0)
             }
             Op::Delete(key) => {
-                wal.log(|buf, lsn| encode_delete(buf, lsn, key), || ());
+                wal.log(|buf, lsn| {
+                    encode_delete(buf, lsn, key);
+                    || ()
+                });
                 Ok(0)
             }
             Op::DeleteRange(lo, hi) => {
-                wal.log(|buf, lsn| encode_delete_range(buf, lsn, lo, hi), || ());
+                wal.log(|buf, lsn| {
+                    encode_delete_range(buf, lsn, lo, hi);
+                    || ()
+                });
                 Ok(0)
             }
             Op::Commit => wal.sync_all().map(|watermark| {
