@@ -125,6 +125,16 @@ pub(crate) fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Splits `len:u32le | bytes`, as [`push_bytes`] and [`push_sized`] write
+/// it, off the front of `rest`: the one reader of that layout, in WAL
+/// payloads and snapshot records alike. `None` when `rest` is too short.
+pub(crate) fn take_sized<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let (len, tail) = rest.split_first_chunk::<4>()?;
+    let (bytes, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+    *rest = tail;
+    Some(bytes)
+}
+
 /// Appends a framed `Put` record to `out`.
 pub fn encode_put(out: &mut Vec<u8>, lsn: u64, key: &[u8], value: &[u8]) {
     encode_put_with(out, lsn, key, |out| out.extend_from_slice(value));
@@ -161,44 +171,30 @@ fn read_u32(buf: &[u8], pos: usize) -> Option<u32> {
     Some(u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().ok()?))
 }
 
-fn read_u64(buf: &[u8], pos: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?))
-}
-
-fn read_chunk<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let len = read_u32(buf, *pos)? as usize;
-    let start = *pos + 4;
-    let chunk = buf.get(start..start.checked_add(len)?)?;
-    *pos = start + len;
-    Some(chunk)
-}
-
 /// Decodes one payload (past its validated frame header). `None` means the
 /// payload is malformed — recovery treats this like a CRC failure.
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    let tag = *payload.first()?;
-    let lsn = read_u64(payload, 1)?;
-    let mut pos = 9;
+    let (&tag, rest) = payload.split_first()?;
+    let (lsn, mut rest) = rest.split_first_chunk::<8>()?;
+    let lsn = u64::from_le_bytes(*lsn);
+    let mut chunk = || take_sized(&mut rest).map(<[u8]>::to_vec);
     let record = match tag {
-        TAG_PUT => {
-            let key = read_chunk(payload, &mut pos)?.to_vec();
-            let value = read_chunk(payload, &mut pos)?.to_vec();
-            WalRecord::Put { lsn, key, value }
-        }
-        TAG_DELETE => {
-            let key = read_chunk(payload, &mut pos)?.to_vec();
-            WalRecord::Delete { lsn, key }
-        }
-        TAG_DELETE_RANGE => {
-            let lo = read_chunk(payload, &mut pos)?.to_vec();
-            let hi = read_chunk(payload, &mut pos)?.to_vec();
-            WalRecord::DeleteRange { lsn, lo, hi }
-        }
+        TAG_PUT => WalRecord::Put {
+            lsn,
+            key: chunk()?,
+            value: chunk()?,
+        },
+        TAG_DELETE => WalRecord::Delete { lsn, key: chunk()? },
+        TAG_DELETE_RANGE => WalRecord::DeleteRange {
+            lsn,
+            lo: chunk()?,
+            hi: chunk()?,
+        },
         TAG_COMMIT => WalRecord::Commit { lsn },
         _ => return None,
     };
     // Trailing garbage inside a CRC-valid payload is still corruption.
-    (pos == payload.len()).then_some(record)
+    rest.is_empty().then_some(record)
 }
 
 /// Walks a byte stream frame by frame, stopping at the torn tail.

@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 
 use wh_hash::crc32c_append;
 
-use crate::record::{push_bytes, push_sized};
+use crate::record::{push_bytes, push_sized, take_sized};
 
 /// Snapshot file magic (8 bytes, includes a format version).
 pub const SNAP_MAGIC: &[u8; 8] = b"WHSNAP01";
@@ -150,13 +150,7 @@ impl SnapshotData {
 
 /// Splits `klen | key | vlen | value` off the front of `rest`.
 fn split_record<'a>(rest: &mut &'a [u8]) -> Option<(&'a [u8], &'a [u8])> {
-    fn sized<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
-        let (len, tail) = rest.split_first_chunk::<4>()?;
-        let (bytes, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
-        *rest = tail;
-        Some(bytes)
-    }
-    Some((sized(rest)?, sized(rest)?))
+    Some((take_sized(rest)?, take_sized(rest)?))
 }
 
 fn bad(msg: &str) -> io::Error {

@@ -27,13 +27,13 @@
 //! * a single **writer mutex over the MetaTrieHT** — splits, merges and
 //!   the bulk load's splits take it, through one structural commit step
 //!   (`Wormhole::commit`; its order is the *Structural updates* paragraph
-//!   of `docs/src/architecture.md`). A commit applies a declarative
-//!   [`crate::meta::MetaPlan`] to a second hash table (T2), publishes it,
-//!   and *starts* an RCU grace period (QSBR) that retires the old table
-//!   (T1). The writer's one slot then holds T1 and the plan it misses with
-//!   the grace token. The **next** commit completes the grace period — by
-//!   then it has almost always elapsed for free — and replays the plan
-//!   onto T1, so no structural operation blocks on reader quiescence in
+//!   of `docs/src/architecture.md`). A commit runs the operation's
+//!   [`MetaUpdate`] on a second hash table (T2), publishes it, and *starts*
+//!   an RCU grace period (QSBR) that retires the old table (T1). The
+//!   writer's one slot then holds T1 and the update it misses with the
+//!   grace token. The **next** commit completes the grace period — by then
+//!   it has almost always elapsed for free — and runs the same update on
+//!   T1 (§2.5), so no structural operation blocks on reader quiescence in
 //!   steady state. Split points, anchors and meta-item bookkeeping come
 //!   from the core engine ([`crate::core`]);
 //! * **version numbers** — every published MetaTrieHT carries a version,
@@ -98,7 +98,9 @@ use wh_telemetry::Counter;
 use crate::config::WormholeConfig;
 use crate::core;
 use crate::leaf::{Bin, LeafGarbage, LeafNode, ReadConflict};
-use crate::meta::{LeafRef, MetaItem, MetaPlan, MetaShape, MetaTable, TargetOutcome, BATCH_WINDOW};
+use crate::meta::{
+    LeafRef, MetaItem, MetaShape, MetaTable, MetaUpdate, TargetOutcome, BATCH_WINDOW,
+};
 use crate::prefetch::prefetch_span;
 use crate::telemetry::WormholeMetrics;
 
@@ -292,6 +294,9 @@ const _: () = assert!(std::mem::size_of::<MetaItem<Arc<LeafShared<u64>>>>() <= 6
 /// version of the table searched.
 type Found<'m, V> = (Cow<'m, Arc<LeafShared<V>>>, u64);
 
+/// A split's or merge's change to the MetaTrieHT of this index.
+type Update<V> = MetaUpdate<Arc<LeafShared<V>>>;
+
 /// A MetaTrieHT together with its version number.
 struct VersionedMeta<V> {
     version: u64,
@@ -299,24 +304,24 @@ struct VersionedMeta<V> {
 }
 
 /// Writer-side state protected by the MetaTrieHT mutex: the table that is
-/// not published (the paper's second hash table) and the plan it misses.
+/// not published (the paper's second hash table) and the update it misses.
 ///
 /// The T2-then-T1 protocol does not need the table a publication retired
 /// until the *next* structural operation, so instead of blocking on a grace
 /// period inside every split and merge, a publication merely starts one
-/// ([`Qsbr::start_grace`]) and leaves its plan here. The next structural
+/// ([`Qsbr::start_grace`]) and leaves its update here. The next structural
 /// operation completes the wait ([`Qsbr::wait_grace`]) — by then every
 /// reader has usually announced quiescence and the wait costs one atomic
-/// load per registered thread — and replays the plan onto `other`
+/// load per registered thread — and runs the update again on `other`
 /// ([`Wormhole::reclaim_spare`]).
 struct WriterState<V> {
     /// The unpublished table; readers may still be inside it until the
     /// grace period in `replay` elapses, and then it is the mutex holder's.
     other: *mut VersionedMeta<V>,
-    /// The plan the published table has and `other` misses, with the grace
-    /// token of the publication that retired `other`. `None` when `other`
-    /// is a logical copy of the published table.
-    replay: Option<(MetaPlan<Arc<LeafShared<V>>>, u64)>,
+    /// The update the published table has and `other` misses, with the
+    /// grace token of the publication that retired `other`. `None` when
+    /// `other` is a logical copy of the published table.
+    replay: Option<(Update<V>, u64)>,
 }
 
 /// What [`Wormhole::commit`] hands a structural operation's leaf surgery:
@@ -329,9 +334,9 @@ struct Commit<'w, V> {
     table: &'w MetaTable<Arc<LeafShared<V>>>,
     version: u64,
     bin: Bin<'w, V>,
-    /// The plan a publication applied, still to replay onto the table it
+    /// The update a publication ran, still to run on the table it
     /// replaced.
-    plan: Option<MetaPlan<Arc<LeafShared<V>>>>,
+    update: Option<Update<V>>,
 }
 
 impl<V> Commit<'_, V> {
@@ -342,23 +347,25 @@ impl<V> Commit<'_, V> {
             .store(self.version + 1, Ordering::Release);
     }
 
-    /// Applies `plan` to the unpublished table and publishes it as the next
-    /// version, which makes the replaced table the writer's `other`. At most
-    /// once per commit, with the surgery's leaf locks held; the commit
-    /// leaves the plan for replay once they are released.
-    fn publish(&mut self, plan: MetaPlan<Arc<LeafShared<V>>>) {
-        debug_assert!(self.plan.is_none(), "one publication per commit");
+    /// Runs `update` on the unpublished table and publishes it as the next
+    /// version, which makes the replaced table the writer's `other`; returns
+    /// the update's anchor relocations. At most once per commit, with the
+    /// surgery's leaf locks held; the commit leaves the update for replay
+    /// once they are released.
+    fn publish(&mut self, update: Update<V>) -> Vec<(Arc<LeafShared<V>>, Vec<u8>)> {
+        debug_assert!(self.update.is_none(), "one publication per commit");
         let writer = &mut *self.writer;
         // SAFETY: `Wormhole::commit` replayed the table under the mutex the
         // commit holds, after its grace period: no reader is left in it.
         let other = unsafe { &mut *writer.other };
-        other.table.apply_plan(&plan);
+        let relocations = other.table.apply(&update);
         other.version = self.version + 1;
         // A table does not change while it is published.
         let metrics = &self.wh.metrics;
         metrics.meta_published(self.table.shape(), other.table.shape());
         writer.other = self.wh.current.swap(writer.other, Ordering::AcqRel);
-        self.plan = Some(plan);
+        self.update = Some(update);
+        relocations
     }
 }
 
@@ -608,17 +615,19 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 
     /// Makes `writer.other` a logical copy of the published table again:
     /// completes the previous publication's (usually long-elapsed) grace
-    /// period and replays its plan onto the table it retired. Must be
-    /// called while holding the writer mutex and no QSBR critical section.
+    /// period and runs its update again on the table it retired, a logical
+    /// copy of the published table before the update; the relocations were
+    /// taken from the first run. Must be called while holding the writer
+    /// mutex and no QSBR critical section.
     fn reclaim_spare(&self, writer: &mut WriterState<V>) {
-        let Some((plan, grace)) = writer.replay.take() else {
+        let Some((update, grace)) = writer.replay.take() else {
             return;
         };
         self.qsbr.wait_grace(grace);
         // SAFETY: the grace period has elapsed, so no reader that could
         // have observed the pre-swap published pointer is still inside its
         // critical section; the mutex makes the table exclusively ours.
-        unsafe { &mut *writer.other }.table.apply_plan(&plan);
+        unsafe { &mut *writer.other }.table.apply(&update);
     }
 
     /// The one structural commit (§2.5) behind every split, merge and
@@ -629,7 +638,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// leaf, found again; then `surgery` on it with a [`Commit`], which
     /// publishes through [`Commit::publish`] while it holds its leaf locks;
     /// once they are released, the bin's garbage queued; and last the
-    /// published plan left for replay with a grace period started, and the
+    /// published update left for replay with a grace period started, and the
     /// publication counted in `counter`.
     fn commit<R>(
         &self,
@@ -650,22 +659,22 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             table: unsafe { &self.published().table },
             version,
             bin: self.new_bin(),
-            plan: None,
+            update: None,
         };
         let answer = surgery(&leaf, &mut commit);
         let Commit {
             mut writer,
             bin,
-            plan,
+            update,
             ..
         } = commit;
-        let Some(plan) = plan else {
+        let Some(update) = update else {
             drop(writer);
             self.retire_garbage(bin, GARBAGE_FLUSH_PENDING);
             return answer;
         };
         self.retire_garbage(bin, 1);
-        writer.replay = Some((plan, self.qsbr.start_grace()));
+        writer.replay = Some((update, self.qsbr.start_grace()));
         counter.inc();
         answer
     }
@@ -952,7 +961,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 
     /// Links `right`, a split's right half, into the leaf list after `leaf`,
     /// whose write lock the caller holds as `left` inside a seqlock write
-    /// section, and publishes the plan that registers it while the new
+    /// section, and publishes the update that registers it while the new
     /// leaf is still locked too. Returns the new leaf.
     fn link_split(
         commit: &mut Commit<'_, V>,
@@ -973,20 +982,20 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             let _section = SeqWriteSection::new(&right.seq);
             neighbour.prev = Arc::downgrade(&new);
         }
-        // One plan, two applications: computed against the published table,
-        // applied to its logical copy (the other table) and published, and
-        // — after the grace period — replayed onto the retired original.
-        let table_key = new_guard.leaf.table_key();
-        let plan = commit
-            .table
-            .plan_split(table_key, new.clone(), leaf, old_right.as_ref());
-        for (relocated, new_key) in &plan.relocations {
+        // One update, two runs: on the other table, which is published, and
+        // — after the grace period — on the retired original.
+        let update = MetaUpdate::Split {
+            table_key: new_guard.leaf.table_key().to_vec(),
+            new_leaf: new.clone(),
+            split_leaf: leaf.clone(),
+            old_right,
+        };
+        for (relocated, new_key) in commit.publish(update) {
             // The only anchor that can be a proper prefix of the new anchor
             // is the split leaf's own anchor, whose lock is held.
             assert!(relocated.same(leaf), "unexpected anchor relocation");
-            left.leaf.set_table_key(new_key.clone(), &mut commit.bin);
+            left.leaf.set_table_key(new_key, &mut commit.bin);
         }
-        commit.publish(plan);
         drop(new_section);
         drop(new_guard);
         new
@@ -1030,7 +1039,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
 
     /// Merges `victim` into `left` if the two are still neighbours and pass
     /// Algorithm 2's test under their locks (taken left to right), and
-    /// publishes the plan that unregisters it with both still locked.
+    /// publishes the update that unregisters it with both still locked.
     /// Returns whether it did.
     fn merge_into_left(
         &self,
@@ -1054,12 +1063,15 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         commit.claim(victim);
         let _left_section = SeqWriteSection::new(&left.seq);
         let _victim_section = SeqWriteSection::new(&victim.seq);
-        // One plan, two applications (see `link_split`).
+        // One update, two runs (see `link_split`). It copies the victim's
+        // table key before the victim's leaf is swapped out and absorbed.
         let right = victim_guard.next.clone();
-        let plan =
-            commit
-                .table
-                .plan_merge(victim_guard.leaf.table_key(), victim, left, right.as_ref());
+        let update = MetaUpdate::Merge {
+            table_key: victim_guard.leaf.table_key().to_vec(),
+            victim: victim.clone(),
+            left: left.clone(),
+            right: right.clone(),
+        };
         // Move the items and unlink the victim.
         let victim_leaf = std::mem::replace(
             &mut victim_guard.leaf,
@@ -1073,7 +1085,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
             let _section = SeqWriteSection::new(&right.seq);
             neighbour.prev = Arc::downgrade(left);
         }
-        commit.publish(plan);
+        commit.publish(update);
         true
     }
 
@@ -1425,8 +1437,8 @@ impl<V> Drop for Wormhole<V> {
         // `qsbr` field drops, after this body: every deferred callback owns
         // the blocks it frees, so it needs nothing this body tears down.
         // SAFETY: `&mut self` guarantees no readers or writers remain, so
-        // both tables are exclusively owned here; a plan still owed to the
-        // other one is dropped unreplayed.
+        // both tables are exclusively owned here; an update still owed to
+        // the other one is dropped unreplayed.
         let [published, _other] = [*self.current.get_mut(), self.writer.get_mut().other]
             .map(|table| unsafe { Box::from_raw(table) });
         // The cells may outlive this index in a sibling's hands.
@@ -1444,6 +1456,7 @@ impl<V> Drop for Wormhole<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::MetaKind;
     use std::collections::BTreeMap;
     use std::sync::Arc as StdArc;
     use std::thread;
@@ -2255,6 +2268,69 @@ mod tests {
             stats.key_bytes,
             resident.iter().map(|(key, _)| key.len()).sum::<usize>()
         );
+    }
+
+    /// Runs the update the unpublished table owes, as the next structural
+    /// commit would, and checks that the two tables then hold the same
+    /// items, with the same leaf, children and subtree bounds in each.
+    fn assert_replay_matches(wh: &Wormhole<u64>, at: &str) {
+        let mut writer = wh.writer.lock();
+        assert!(
+            writer.replay.is_some(),
+            "{at}: the last publication owes its update"
+        );
+        wh.reclaim_spare(&mut writer);
+        // SAFETY: holding the writer mutex pins the published table, and
+        // with no update owed the other one is the holder's.
+        let (published, other) = unsafe { (&wh.published().table, &(*writer.other).table) };
+        let (published, other) = (published.items(), other.items());
+        assert_eq!(published.len(), other.len(), "{at}");
+        for ((key, kind), (other_key, other_kind)) in published.iter().zip(&other) {
+            assert_eq!(key, other_key, "{at}");
+            match (kind, other_kind) {
+                (MetaKind::Leaf(leaf), MetaKind::Leaf(other)) => {
+                    assert!(leaf.same(other), "{at}, {key:?}: another leaf");
+                }
+                (MetaKind::Internal(node), MetaKind::Internal(other)) => {
+                    assert_eq!(node.bitmap, other.bitmap, "{at}, {key:?}: children");
+                    assert!(
+                        node.leftmost.same(&other.leftmost),
+                        "{at}, {key:?}: leftmost"
+                    );
+                    assert!(
+                        node.rightmost.same(&other.rightmost),
+                        "{at}, {key:?}: rightmost"
+                    );
+                }
+                _ => panic!("{at}, {key:?}: a leaf in one table, a node in the other"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_replayed_table_matches_the_published_one() {
+        // Split-and-merge churn, the tables compared once the last update
+        // was a split and once it was a merge. Four rounds, times
+        // `WH_STRESS_MULT` for the nightly soak.
+        let mult = std::env::var("WH_STRESS_MULT")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1u64);
+        let wh = Wormhole::with_config(small_config());
+        let key = |i: u64| format!("{:05}", i * 7919 % 20_000).into_bytes();
+        for round in 0..4 * mult {
+            let base = round % 5 * 4_000;
+            for i in base..base + 4_000 {
+                wh.set(&key(i), i);
+            }
+            assert_replay_matches(&wh, &format!("round {round}, after a split"));
+            for i in (base..base + 4_000).filter(|i| i % 8 != round % 8) {
+                assert_eq!(wh.del(&key(i)), Some(i));
+            }
+            assert_replay_matches(&wh, &format!("round {round}, after a merge"));
+        }
+        assert!(wh.metrics().splits.get() > 500 && wh.metrics().merges.get() > 500);
+        wh.check_invariants();
     }
 
     #[test]

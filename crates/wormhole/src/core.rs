@@ -20,10 +20,10 @@
 //!   carve ([`LeafNode::split_off`]);
 //! * [`merge_eligible`] — Algorithm 2's `MergeSize` test.
 //!
-//! The MetaTrieHT item writes of either operation are a declarative
-//! [`crate::meta::MetaPlan`] that the table itself computes
-//! ([`MetaTable::plan_split`], [`MetaTable::plan_merge`]) and executes
-//! ([`MetaTable::apply_plan`]), once per table.
+//! The MetaTrieHT side of either operation is one
+//! [`MetaUpdate`](crate::meta::MetaUpdate) that the table runs on itself in
+//! place ([`MetaTable::apply`]): once in the single-threaded index, once per
+//! table in the concurrent one.
 
 use crate::config::WormholeConfig;
 use crate::leaf::{Bin, LeafNode};
@@ -75,7 +75,7 @@ pub struct PreparedSplit<V> {
     /// tokens to satisfy the prefix condition).
     pub table_key: Vec<u8>,
     /// The carved-off right half; the caller links it into its leaf list and
-    /// registers it through [`MetaTable::plan_split`].
+    /// registers it through [`MetaTable::apply`].
     pub right: LeafNode<V>,
 }
 
@@ -176,7 +176,12 @@ mod tests {
         let mut table: MetaTable<u32> = MetaTable::new();
         table.install_root_leaf(1);
         let key = table.reserve_anchor_key(b"Jo");
-        table.apply_split(&key, 2, &1, None);
+        table.apply(&crate::meta::MetaUpdate::Split {
+            table_key: key,
+            new_leaf: 2,
+            split_leaf: 1,
+            old_right: None,
+        });
 
         let config = cfg();
         let mut leaf = LeafNode::new(Vec::new(), Vec::new());

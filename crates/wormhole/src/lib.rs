@@ -86,10 +86,10 @@
 //!
 //! Both variants share one split/merge engine: [`core`] owns
 //! split-point selection, anchor formation, and merge eligibility, and the
-//! MetaTrieHT changes of a split or merge are computed once as a
-//! declarative [`meta::MetaPlan`] that the single-threaded index applies to
-//! its one table and the concurrent index applies to T2-then-T1 under the
-//! writer mutex.
+//! MetaTrieHT change of a split or merge is one [`meta::MetaUpdate`] that
+//! a table runs on itself in place: the single-threaded index on its one
+//! table, the concurrent index on T2 and, after the grace period, again on
+//! T1, under the writer mutex.
 //!
 //! ## Quick start
 //!

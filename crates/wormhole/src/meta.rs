@@ -61,12 +61,12 @@
 //!
 //! # Structural updates
 //!
-//! Splits and merges do not mutate the table directly: [`MetaTable::plan_split`]
-//! and [`MetaTable::plan_merge`] compute a declarative [`MetaPlan`] (the
-//! absolute item inserts/deletes of Algorithm 4) that
-//! [`MetaTable::apply_plan`] executes — once for the single-threaded index,
-//! and once per table (T2, then T1 after the grace period) for the
-//! concurrent one. See [`meta_plan`].
+//! A split or a merge is one [`MetaUpdate`], which [`MetaTable::apply`]
+//! runs on the table in place: the item inserts and removals of
+//! Algorithm 4. The single-threaded index runs it once. The concurrent one
+//! runs it on its unpublished table (T2), publishes that, and after the
+//! grace period runs the same update again on the table it retired (T1),
+//! a logical copy of T2 before the update (§2.5).
 
 use std::mem::ManuallyDrop;
 
@@ -173,9 +173,9 @@ impl TokenBitmap {
     }
 }
 
-/// What an interior trie node carries, as the plans and the readers of
-/// [`MetaTable::kind`] see it; the table keeps it packed in the item record
-/// (see the module docs).
+/// What an interior trie node carries, as [`MetaTable::apply`] and the
+/// readers of [`MetaTable::kind`] see it; the table keeps it packed in the
+/// item record (see the module docs).
 #[derive(Debug, Clone)]
 pub struct InternalNode<L> {
     /// Which child tokens exist.
@@ -187,7 +187,7 @@ pub struct InternalNode<L> {
 }
 
 /// Payload of a MetaTrieHT item, in transit: what [`MetaTable::insert`]
-/// takes, a [`MetaOp`] carries and [`MetaTable::kind`] returns.
+/// takes and [`MetaTable::kind`] returns.
 #[derive(Debug, Clone)]
 pub enum MetaKind<L> {
     /// The prefix is an anchor; the item points at its leaf node.
@@ -568,111 +568,34 @@ pub enum TargetOutcome<L> {
     CompareAnchor(L),
 }
 
-pub mod meta_plan {
-    //! Declarative meta-update plans (Algorithm 4, factored out).
-    //!
-    //! A split or merge changes the MetaTrieHT by inserting, replacing, and
-    //! deleting whole items. Instead of mutating a table in place, the plan
-    //! builders ([`MetaTable::plan_split`] / [`MetaTable::plan_merge`]) read
-    //! the *current* table and emit the absolute item writes as a
-    //! [`MetaPlan`]. Because the concurrent index keeps its two tables (T1
-    //! and T2) as exact logical copies of each other, the same plan can be
-    //! applied verbatim to both — first to the spare table, then (after the
-    //! RCU grace period) to the retired one — while the single-threaded
-    //! index applies it once. This is what lets the split/merge bookkeeping
-    //! live in exactly one place.
-    //!
-    //! [`MetaTable::plan_split`]: super::MetaTable::plan_split
-    //! [`MetaTable::plan_merge`]: super::MetaTable::plan_merge
-
-    use super::{LeafRef, MetaKind, MetaTable};
-
-    /// One absolute write against a MetaTrieHT.
-    #[derive(Debug, Clone)]
-    pub enum MetaOp<L> {
-        /// Insert `key` with `kind`, replacing any existing item.
-        Put {
-            /// The item key (a prefix or anchor table key).
-            key: Vec<u8>,
-            /// The payload the item must end up with.
-            kind: MetaKind<L>,
-        },
-        /// Remove the item stored under `key`.
-        Del {
-            /// The item key to remove.
-            key: Vec<u8>,
-        },
-    }
-
-    /// The complete set of MetaTrieHT writes for one split or merge, plus
-    /// the anchor relocations the leaf layer must mirror.
-    #[derive(Debug, Clone, Default)]
-    pub struct MetaPlan<L> {
-        /// Item writes, to be applied in order.
-        pub ops: Vec<MetaOp<L>>,
-        /// Existing anchors that moved to a new table key (`prefix ⧺ ⊥`);
-        /// the caller updates each leaf's own `table_key` record.
-        pub relocations: Vec<(L, Vec<u8>)>,
-    }
-
-    /// Builds a plan against a read-only table: pending writes are kept in a
-    /// local overlay consulted before the underlying table, so the builder
-    /// observes its own earlier writes exactly like in-place mutation would.
-    pub(super) struct PlanBuilder<'t, L> {
-        table: &'t MetaTable<L>,
-        overlay: Vec<(Vec<u8>, Option<MetaKind<L>>)>,
-        plan: MetaPlan<L>,
-    }
-
-    impl<'t, L: LeafRef> PlanBuilder<'t, L> {
-        pub(super) fn new(table: &'t MetaTable<L>) -> Self {
-            Self {
-                table,
-                overlay: Vec::new(),
-                plan: MetaPlan {
-                    ops: Vec::new(),
-                    relocations: Vec::new(),
-                },
-            }
-        }
-
-        /// The kind currently stored under `key`, as the plan-so-far would
-        /// leave it (overlay first, then the underlying table).
-        pub(super) fn current(&self, key: &[u8]) -> Option<MetaKind<L>> {
-            if let Some((_, kind)) = self.overlay.iter().find(|(k, _)| k.as_slice() == key) {
-                return kind.clone();
-            }
-            self.table.kind(key)
-        }
-
-        pub(super) fn put(&mut self, key: Vec<u8>, kind: MetaKind<L>) {
-            self.set_overlay(&key, Some(kind.clone()));
-            self.plan.ops.push(MetaOp::Put { key, kind });
-        }
-
-        pub(super) fn del(&mut self, key: Vec<u8>) {
-            self.set_overlay(&key, None);
-            self.plan.ops.push(MetaOp::Del { key });
-        }
-
-        pub(super) fn relocate(&mut self, leaf: L, new_key: Vec<u8>) {
-            self.plan.relocations.push((leaf, new_key));
-        }
-
-        pub(super) fn finish(self) -> MetaPlan<L> {
-            self.plan
-        }
-
-        fn set_overlay(&mut self, key: &[u8], kind: Option<MetaKind<L>>) {
-            match self.overlay.iter_mut().find(|(k, _)| k.as_slice() == key) {
-                Some((_, slot)) => *slot = kind,
-                None => self.overlay.push((key.to_vec(), kind)),
-            }
-        }
-    }
+/// One structural change to a MetaTrieHT (Algorithm 4), as
+/// [`MetaTable::apply`] runs it. Its table keys are owned, so the
+/// concurrent index can keep the update and run it again on its other table.
+#[derive(Debug, Clone)]
+pub enum MetaUpdate<L> {
+    /// A split registers `new_leaf` under `table_key`.
+    Split {
+        /// The new anchor's table key, from [`MetaTable::reserve_anchor_key`].
+        table_key: Vec<u8>,
+        /// The new right sibling created by the split.
+        new_leaf: L,
+        /// The leaf that was split (the left half, which keeps its anchor).
+        split_leaf: L,
+        /// The leaf to the right of `split_leaf` before the split, if any.
+        old_right: Option<L>,
+    },
+    /// A merge unregisters `victim`, absorbed by its left neighbour.
+    Merge {
+        /// The victim's table key.
+        table_key: Vec<u8>,
+        /// The merged-away leaf.
+        victim: L,
+        /// Its left neighbour, the leaf that absorbed it.
+        left: L,
+        /// Its right neighbour, if any.
+        right: Option<L>,
+    },
 }
-
-pub use meta_plan::{MetaOp, MetaPlan};
 
 /// The size of a table in the four numbers the `wormhole_meta_*` gauges
 /// report ([`MetaTable::shape`]; each an O(1) read).
@@ -963,8 +886,12 @@ impl<L: LeafRef> MetaTable<L> {
     /// The payload stored under `key`, if any (handles cloned, the
     /// children as a bitmap whichever way the record holds them).
     pub fn kind(&self, key: &[u8]) -> Option<MetaKind<L>> {
-        let idx = self.find(key, crc32c(key))?;
-        Some(match &self.items[idx].node {
+        Some(self.kind_at(self.find(key, crc32c(key))?))
+    }
+
+    /// The payload of the live record `idx`, as [`MetaTable::kind`] gives it.
+    fn kind_at(&self, idx: u32) -> MetaKind<L> {
+        match &self.items[idx].node {
             Node::Leaf(leaf) => MetaKind::Leaf(leaf.clone()),
             Node::Internal {
                 leftmost,
@@ -982,7 +909,18 @@ impl<L: LeafRef> MetaTable<L> {
                 MetaKind::internal(bitmap, leftmost.clone(), rightmost.clone())
             }
             Node::Vacant => unreachable!("a bucket slot names a vacant record"),
-        })
+        }
+    }
+
+    /// Every item, key and payload, in key order (tests only).
+    #[cfg(test)]
+    pub(crate) fn items(&self) -> Vec<(&[u8], MetaKind<L>)> {
+        let mut items: Vec<_> = (0..self.items.len as u32)
+            .filter(|&idx| !matches!(self.items[idx].node, Node::Vacant))
+            .map(|idx| (self.items[idx].prefix.as_slice(), self.kind_at(idx)))
+            .collect();
+        items.sort_by_key(|&(key, _)| key);
+        items
     }
 
     /// Returns `true` when `key` is present.
@@ -1324,102 +1262,96 @@ impl<L: LeafRef> MetaTable<L> {
         key
     }
 
-    /// Computes the meta-update plan registering a freshly split-off leaf
-    /// under `table_key` (split half of Algorithm 4). The table is not
-    /// modified; apply the returned plan with [`MetaTable::apply_plan`].
-    ///
-    /// * `new_leaf` — the new right sibling created by the split;
-    /// * `split_leaf` — the leaf that was split (left half, keeps its anchor);
-    /// * `old_right` — the leaf that was to the right of `split_leaf` before
-    ///   the split (now to the right of `new_leaf`), if any.
-    ///
-    /// The plan's `relocations` list the existing anchors that moved to a new
-    /// table key so the caller can update the leaves' own records.
-    pub fn plan_split(
-        &self,
+    /// Runs `update` on this table and returns the anchors it relocated:
+    /// each existing anchor that had to move to `prefix ⧺ ⊥`, with its new
+    /// table key, so the caller can update the leaf's own record. Two
+    /// logically identical tables stay so when each runs the same update
+    /// (the concurrent index's T2-then-T1 protocol relies on this).
+    pub fn apply(&mut self, update: &MetaUpdate<L>) -> Vec<(L, Vec<u8>)> {
+        match update {
+            MetaUpdate::Split {
+                table_key,
+                new_leaf,
+                split_leaf,
+                old_right,
+            } => self.link(table_key, new_leaf, split_leaf, old_right.as_ref()),
+            MetaUpdate::Merge {
+                table_key,
+                victim,
+                left,
+                right,
+            } => {
+                self.unlink(table_key, victim, left, right.as_ref());
+                Vec::new()
+            }
+        }
+    }
+
+    /// The split half of Algorithm 4: registers `new_leaf` under
+    /// `table_key` and adds it below every prefix of that key.
+    fn link(
+        &mut self,
         table_key: &[u8],
-        new_leaf: L,
+        new_leaf: &L,
         split_leaf: &L,
         old_right: Option<&L>,
-    ) -> MetaPlan<L> {
-        let mut plan = meta_plan::PlanBuilder::new(self);
-        debug_assert!(
-            plan.current(table_key).is_none(),
-            "anchor table key must be unused"
-        );
-        plan.put(table_key.to_vec(), MetaKind::Leaf(new_leaf.clone()));
+    ) -> Vec<(L, Vec<u8>)> {
+        debug_assert!(!self.contains(table_key), "anchor table key must be unused");
+        self.insert(table_key, MetaKind::Leaf(new_leaf.clone()));
+        let mut relocations = Vec::new();
         for plen in 0..table_key.len() {
             let prefix = &table_key[..plen];
             let token = table_key[plen];
-            match plan.current(prefix) {
+            match self.kind(prefix) {
                 None => {
                     let mut bitmap = TokenBitmap::new();
                     bitmap.set(token);
-                    plan.put(
-                        prefix.to_vec(),
-                        MetaKind::internal(bitmap, new_leaf.clone(), new_leaf.clone()),
-                    );
+                    let node = MetaKind::internal(bitmap, new_leaf.clone(), new_leaf.clone());
+                    self.insert(prefix, node);
                 }
                 Some(MetaKind::Internal(mut node)) => {
                     node.bitmap.set(token);
                     if node.rightmost.same(split_leaf) {
                         node.rightmost = new_leaf.clone();
                     }
-                    if let Some(right) = old_right {
-                        if node.leftmost.same(right) {
-                            node.leftmost = new_leaf.clone();
-                        }
+                    if old_right.is_some_and(|right| node.leftmost.same(right)) {
+                        node.leftmost = new_leaf.clone();
                     }
-                    plan.put(prefix.to_vec(), MetaKind::Internal(node));
+                    self.insert(prefix, MetaKind::Internal(node));
                 }
                 Some(MetaKind::Leaf(existing)) => {
                     // An existing anchor equals this prefix: relocate it to
                     // `prefix ⧺ ⊥` and put an internal node in its place
                     // (Algorithm 4, lines 15–18).
-                    let mut relocated_key = prefix.to_vec();
-                    relocated_key.push(0);
-                    debug_assert!(plan.current(&relocated_key).is_none());
-                    plan.put(relocated_key.clone(), MetaKind::Leaf(existing.clone()));
+                    let relocated_key = [prefix, &[0]].concat();
+                    debug_assert!(!self.contains(&relocated_key));
+                    self.insert(&relocated_key, MetaKind::Leaf(existing.clone()));
                     let mut bitmap = TokenBitmap::new();
                     bitmap.set(0);
                     bitmap.set(token);
-                    plan.put(
-                        prefix.to_vec(),
-                        MetaKind::internal(bitmap, existing.clone(), new_leaf.clone()),
-                    );
-                    plan.relocate(existing, relocated_key);
+                    let node = MetaKind::internal(bitmap, existing.clone(), new_leaf.clone());
+                    self.insert(prefix, node);
+                    relocations.push((existing, relocated_key));
                 }
             }
         }
-        plan.finish()
+        relocations
     }
 
-    /// Computes the meta-update plan unregistering a merged-away leaf (merge
-    /// half of Algorithm 4). The table is not modified; apply the returned
-    /// plan with [`MetaTable::apply_plan`].
-    ///
-    /// * `victim_table_key` — the removed leaf's registration key;
-    /// * `victim` — the removed leaf;
-    /// * `victim_left` — its left neighbour (the leaf that absorbed it);
-    /// * `victim_right` — its right neighbour, if any.
-    pub fn plan_merge(
-        &self,
-        victim_table_key: &[u8],
-        victim: &L,
-        victim_left: &L,
-        victim_right: Option<&L>,
-    ) -> MetaPlan<L> {
-        let mut plan = meta_plan::PlanBuilder::new(self);
+    /// The merge half of Algorithm 4: removes `victim`'s anchor under
+    /// `table_key` and every prefix only it had below it, and moves the
+    /// subtree bounds it held to its neighbours.
+    fn unlink(&mut self, table_key: &[u8], victim: &L, left: &L, right: Option<&L>) {
         debug_assert!(
-            matches!(plan.current(victim_table_key), Some(MetaKind::Leaf(_))),
+            matches!(self.kind(table_key), Some(MetaKind::Leaf(_))),
             "victim anchor must be registered as a leaf item"
         );
-        plan.del(victim_table_key.to_vec());
+        self.remove(table_key);
         let mut child_removed = true;
-        for plen in (0..victim_table_key.len()).rev() {
-            let prefix = &victim_table_key[..plen];
-            let token = victim_table_key[plen];
-            let Some(MetaKind::Internal(mut node)) = plan.current(prefix) else {
+        for plen in (0..table_key.len()).rev() {
+            let prefix = &table_key[..plen];
+            let token = table_key[plen];
+            let Some(MetaKind::Internal(mut node)) = self.kind(prefix) else {
                 debug_assert!(false, "prefix of an anchor must be an internal item");
                 continue;
             };
@@ -1427,67 +1359,21 @@ impl<L: LeafRef> MetaTable<L> {
                 node.bitmap.clear(token);
             }
             if node.bitmap.is_empty() {
-                plan.del(prefix.to_vec());
+                self.remove(prefix);
                 child_removed = true;
             } else {
                 child_removed = false;
                 if node.leftmost.same(victim) {
                     // The subtree's leaves form a contiguous run of the
                     // leaf list, so the victim's right neighbour takes over.
-                    node.leftmost = victim_right.cloned().unwrap_or_else(|| victim_left.clone());
+                    node.leftmost = right.unwrap_or(left).clone();
                 }
                 if node.rightmost.same(victim) {
-                    node.rightmost = victim_left.clone();
+                    node.rightmost = left.clone();
                 }
-                plan.put(prefix.to_vec(), MetaKind::Internal(node));
+                self.insert(prefix, MetaKind::Internal(node));
             }
         }
-        plan.finish()
-    }
-
-    /// Applies a plan computed by [`MetaTable::plan_split`] or
-    /// [`MetaTable::plan_merge`]. Because plans are absolute item writes, the
-    /// same plan applied to two logically identical tables leaves them
-    /// logically identical again (the concurrent index's T2-then-T1
-    /// protocol relies on this).
-    pub fn apply_plan(&mut self, plan: &MetaPlan<L>) {
-        for op in &plan.ops {
-            match op {
-                MetaOp::Put { key, kind } => {
-                    self.insert(key, kind.clone());
-                }
-                MetaOp::Del { key } => {
-                    self.remove(key);
-                }
-            }
-        }
-    }
-
-    /// Plans and immediately applies a split (convenience for the
-    /// single-table callers and tests). Returns the anchor relocations.
-    pub fn apply_split(
-        &mut self,
-        table_key: &[u8],
-        new_leaf: L,
-        split_leaf: &L,
-        old_right: Option<&L>,
-    ) -> Vec<(L, Vec<u8>)> {
-        let plan = self.plan_split(table_key, new_leaf, split_leaf, old_right);
-        self.apply_plan(&plan);
-        plan.relocations
-    }
-
-    /// Plans and immediately applies a merge (convenience for the
-    /// single-table callers and tests).
-    pub fn apply_merge(
-        &mut self,
-        victim_table_key: &[u8],
-        victim: &L,
-        victim_left: &L,
-        victim_right: Option<&L>,
-    ) {
-        let plan = self.plan_merge(victim_table_key, victim, victim_left, victim_right);
-        self.apply_plan(&plan);
     }
 
     /// Registers the very first leaf (empty anchor) of a new index.
@@ -1505,6 +1391,32 @@ mod tests {
 
     fn cfg() -> WormholeConfig {
         WormholeConfig::optimized()
+    }
+
+    /// Registers leaf `new_leaf`, split off `split_leaf`, under `table_key`.
+    fn split(
+        t: &mut MetaTable<u32>,
+        table_key: &[u8],
+        new_leaf: u32,
+        split_leaf: u32,
+        old_right: Option<u32>,
+    ) -> Vec<(u32, Vec<u8>)> {
+        t.apply(&MetaUpdate::Split {
+            table_key: table_key.to_vec(),
+            new_leaf,
+            split_leaf,
+            old_right,
+        })
+    }
+
+    /// Unregisters leaf `victim`, merged into `left`.
+    fn merge(t: &mut MetaTable<u32>, table_key: &[u8], victim: u32, left: u32, right: Option<u32>) {
+        t.apply(&MetaUpdate::Merge {
+            table_key: table_key.to_vec(),
+            victim,
+            left,
+            right,
+        });
     }
 
     #[test]
@@ -1670,13 +1582,13 @@ mod tests {
         // Split leaf 1 -> new leaf 2 with anchor "Au".
         let key = t.reserve_anchor_key(b"Au");
         assert_eq!(key, b"Au".to_vec());
-        t.apply_split(&key, 2, &1, None);
+        split(&mut t, &key, 2, 1, None);
         // Split leaf 2 -> new leaf 3 with anchor "Jam" (right of 2).
         let key = t.reserve_anchor_key(b"Jam");
-        t.apply_split(&key, 3, &2, None);
+        split(&mut t, &key, 3, 2, None);
         // Split leaf 3 -> new leaf 4 with anchor "Jos".
         let key = t.reserve_anchor_key(b"Jos");
-        t.apply_split(&key, 4, &3, None);
+        split(&mut t, &key, 4, 3, None);
         t
     }
 
@@ -1778,7 +1690,7 @@ mod tests {
         for (next_leaf, i) in (5u32..).zip(0..300u32) {
             let anchor = format!("Ja{:03}x{}", i % 40, i);
             let key = grown.reserve_anchor_key(anchor.as_bytes());
-            grown.apply_split(&key, next_leaf, &4, None);
+            split(&mut grown, &key, next_leaf, 4, None);
         }
         let probes: Vec<Vec<u8>> = [
             &b"Aaron"[..],
@@ -2022,7 +1934,7 @@ mod tests {
     fn merge_undoes_split() {
         let mut t = figure5_table();
         // Merge leaf 4 ("Jos") into leaf 3.
-        t.apply_merge(b"Jos", &4, &3, None);
+        merge(&mut t, b"Jos", 4, 3, None);
         assert!(!t.contains(b"Jos"));
         assert!(!t.contains(b"Jo"), "exclusively-owned prefix removed");
         // "J" still exists for "Jam", and its rightmost pointer fell back to 3.
@@ -2039,8 +1951,8 @@ mod tests {
         );
 
         // Merge leaf 3 ("Jam") into 2, then leaf 2 ("Au") into 1.
-        t.apply_merge(b"Jam", &3, &2, None);
-        t.apply_merge(b"Au", &2, &1, None);
+        merge(&mut t, b"Jam", 3, 2, None);
+        merge(&mut t, b"Au", 2, 1, None);
         // Only the relocated root anchor remains.
         assert!(matches!(t.kind(b"\0").unwrap(), MetaKind::Leaf(1)));
         assert_eq!(
@@ -2064,12 +1976,12 @@ mod tests {
         let mut t: MetaTable<u32> = MetaTable::new();
         t.install_root_leaf(1);
         let key = t.reserve_anchor_key(b"Jo");
-        t.apply_split(&key, 2, &1, None);
+        split(&mut t, &key, 2, 1, None);
         // Splitting leaf 2 with anchor "Jos" forces the "Jo" anchor item to
         // relocate to "Jo\0".
         let key = t.reserve_anchor_key(b"Jos");
         assert_eq!(key, b"Jos".to_vec());
-        let relocations = t.apply_split(&key, 3, &2, None);
+        let relocations = split(&mut t, &key, 3, 2, None);
         assert_eq!(relocations.len(), 1);
         assert_eq!(relocations[0].0, 2);
         assert_eq!(relocations[0].1, b"Jo\0".to_vec());
@@ -2089,7 +2001,7 @@ mod tests {
         t.install_root_leaf(1);
         let anchor: Vec<u8> = (0u8..100).collect();
         let key = t.reserve_anchor_key(&anchor);
-        t.apply_split(&key, 2, &1, None);
+        split(&mut t, &key, 2, 1, None);
         assert_eq!(t.max_anchor_len(), 100);
         let mut probe = anchor.clone();
         probe.push(77);
@@ -2136,7 +2048,7 @@ mod tests {
             self.next_leaf += 1;
             let left = self.leaves[pos - 1].1;
             let right = self.leaves.get(pos).map(|(_, l)| *l);
-            for (moved, new_key) in self.t.apply_split(&table_key, leaf, &left, right.as_ref()) {
+            for (moved, new_key) in split(&mut self.t, &table_key, leaf, left, right) {
                 let entry = self.leaves.iter_mut().find(|(_, l)| *l == moved);
                 entry.expect("relocated leaf is registered").0 = new_key;
             }
@@ -2150,7 +2062,7 @@ mod tests {
             let (key, victim) = self.leaves.remove(pos);
             let left = self.leaves[pos - 1].1;
             let right = self.leaves.get(pos).map(|(_, l)| *l);
-            self.t.apply_merge(&key, &victim, &left, right.as_ref());
+            merge(&mut self.t, &key, victim, left, right);
         }
 
         /// The trie the leaf list implies, by brute force: every proper

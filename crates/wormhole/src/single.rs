@@ -6,18 +6,16 @@
 //! the reference implementation that the concurrent variant's behaviour is
 //! tested against.
 //!
-//! # Plan-based structural updates
+//! # Structural updates
 //!
 //! This module holds none of the split/merge logic itself. When a leaf
 //! overflows, [`crate::core::prepare_split`] selects the split point, forms
-//! the anchor, and carves the leaf; [`MetaTable::plan_split`] then
-//! computes the MetaTrieHT item writes as a declarative
-//! [`MetaPlan`](crate::meta::MetaPlan), which is applied to the single
-//! table with [`MetaTable::apply_plan`]. Merges mirror this with
-//! [`crate::core::merge_eligible`] and [`MetaTable::plan_merge`]. The
-//! only work left here is representation-specific: the `u32` arena slots
-//! and their prev/next links. The concurrent variant consumes the exact
-//! same core API, applying each plan to its two tables in turn.
+//! the anchor, and carves the leaf; the split's [`MetaUpdate`] then runs on
+//! the one table through [`MetaTable::apply`]. Merges mirror this with
+//! [`crate::core::merge_eligible`] and a merge update. The only work left
+//! here is representation-specific: the `u32` arena slots and their
+//! prev/next links. The concurrent variant runs the same updates on its
+//! two tables in turn.
 
 use index_traits::{Cursor, CursorSource, IndexStats, OrderedIndex, ScanBatch};
 use wh_hash::crc32c;
@@ -25,7 +23,7 @@ use wh_hash::crc32c;
 use crate::config::WormholeConfig;
 use crate::core;
 use crate::leaf::{Bin, LeafNode};
-use crate::meta::{MetaTable, TargetOutcome};
+use crate::meta::{MetaTable, MetaUpdate, TargetOutcome};
 
 /// Null leaf-list link.
 const NIL: u32 = u32::MAX;
@@ -146,7 +144,7 @@ impl<V: Clone> WormholeUnsafe<V> {
 
     /// Splits the leaf `idx` if a valid split point exists. Returns `true`
     /// when a split happened. All split logic lives in [`crate::core`]; this
-    /// method only wires the new leaf into the arena and applies the plan.
+    /// method only wires the new leaf into the arena and applies the update.
     fn split_leaf(&mut self, idx: u32) -> bool {
         let slot = self.leaves[idx as usize].as_mut().expect("live leaf");
         // No concurrent readers exist: retired blocks drop immediately.
@@ -166,20 +164,21 @@ impl<V: Clone> WormholeUnsafe<V> {
         if old_next != NIL {
             self.slot_mut(old_next).prev = new_idx;
         }
-        let old_right = (old_next != NIL).then_some(old_next);
-        let plan = self
-            .meta
-            .plan_split(&prepared.table_key, new_idx, &idx, old_right.as_ref());
-        self.meta.apply_plan(&plan);
-        for (leaf, new_table_key) in plan.relocations {
+        let relocations = self.meta.apply(&MetaUpdate::Split {
+            table_key: prepared.table_key,
+            new_leaf: new_idx,
+            split_leaf: idx,
+            old_right: (old_next != NIL).then_some(old_next),
+        });
+        for (leaf, new_table_key) in relocations {
             let leaf = &mut self.slot_mut(leaf).leaf;
             leaf.set_table_key(new_table_key, &mut Bin::immediate());
         }
         true
     }
 
-    /// Merges the leaf `victim` into its left neighbour `left`, applying the
-    /// core engine's merge plan to the single table.
+    /// Merges the leaf `victim` into its left neighbour `left` and applies
+    /// the merge's update to the single table.
     fn merge_leaves(&mut self, left: u32, victim: u32) {
         debug_assert_eq!(self.slot(left).next, victim);
         let victim_slot = self.leaves[victim as usize].take().expect("live leaf");
@@ -189,14 +188,12 @@ impl<V: Clone> WormholeUnsafe<V> {
         if right != NIL {
             self.slot_mut(right).prev = left;
         }
-        let right_opt = (right != NIL).then_some(right);
-        let plan = self.meta.plan_merge(
-            victim_slot.leaf.table_key(),
-            &victim,
-            &left,
-            right_opt.as_ref(),
-        );
-        self.meta.apply_plan(&plan);
+        self.meta.apply(&MetaUpdate::Merge {
+            table_key: victim_slot.leaf.table_key().to_vec(),
+            victim,
+            left,
+            right: (right != NIL).then_some(right),
+        });
         let left = &mut self.slot_mut(left).leaf;
         left.absorb(victim_slot.leaf, &mut Bin::immediate());
     }

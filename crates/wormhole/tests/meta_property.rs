@@ -3,21 +3,23 @@
 //!
 //! * randomized insert/remove sequences must keep the hash-table layer in
 //!   agreement with a `HashMap` model across `grow()` boundaries;
-//! * randomized anchor sets driven through the structural API
-//!   (`apply_split`/`apply_merge`) must produce identical `search_target`
-//!   outcomes in optimistic (TagMatching) and exact probe modes;
+//! * randomized anchor sets driven through the one structural operation
+//!   (`MetaTable::apply` of a split's or merge's `MetaUpdate`) must produce
+//!   identical `search_target` outcomes in optimistic (TagMatching) and
+//!   exact probe modes;
 //! * `Wormhole::get` / `WormholeUnsafe::get` — and therefore the LPM binary
 //!   search and trie sibling step under them — must perform **zero** heap
 //!   allocations per call;
-//! * a table record whose prefix fits inline owns no heap block, and
-//!   `structure_bytes` is what the table has allocated.
+//! * a table record whose prefix fits inline owns no heap block, a split or
+//!   merge allocates nothing else in the table, and `structure_bytes` is
+//!   what the table has allocated.
 
 use std::collections::HashMap;
 
 use index_traits::{ConcurrentOrderedIndex, OrderedIndex};
 use proptest::prelude::*;
 use wh_telemetry::alloc::{self, CountingAlloc};
-use wormhole::meta::{MetaKind, MetaTable, TargetOutcome};
+use wormhole::meta::{MetaKind, MetaTable, MetaUpdate, TargetOutcome};
 use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
 
 #[global_allocator]
@@ -456,8 +458,12 @@ fn table_over(anchors: &[Vec<u8>]) -> MetaTable<u32> {
     let mut table = MetaTable::new();
     table.install_root_leaf(0);
     for (prev, anchor) in (0u32..).zip(anchors) {
-        let key = table.reserve_anchor_key(anchor);
-        table.apply_split(&key, prev + 1, &prev, None);
+        table.apply(&MetaUpdate::Split {
+            table_key: table.reserve_anchor_key(anchor),
+            new_leaf: prev + 1,
+            split_leaf: prev,
+            old_right: None,
+        });
     }
     table
 }
@@ -491,23 +497,81 @@ fn structure_bytes_is_what_the_table_holds() {
 fn a_record_with_an_inline_prefix_owns_no_heap_block() {
     // The same split twice, a merge between: the second time the records
     // and the bitmap slot come off the free lists and no `Vec` grows, so
-    // whatever the table allocates, an item owns. That is nothing while
-    // the prefixes fit their records, and one block per longer prefix.
+    // whatever the whole second split allocates, an item owns. That is
+    // nothing while the prefixes fit their records, and one block per
+    // longer prefix.
     let inline = vec![b'q'; wormhole::meta::INLINE_PREFIX];
     let long = [&inline[..], b"-and-on"].concat();
     for (anchor, blocks) in [(inline.clone(), 0), (long, 7)] {
         let mut table = table_over(&[b"pa".to_vec(), b"pb".to_vec(), b"r".to_vec()]);
         // Between "pb" (leaf 2) and "r" (leaf 3): "q" becomes the root's
         // fourth child, the rest a chain of one-child nodes.
-        let plan = table.plan_split(&anchor, 4, &2, Some(&3));
-        table.apply_plan(&plan);
-        table.apply_merge(&anchor, &4, &2, Some(&3));
+        let split = MetaUpdate::Split {
+            table_key: anchor.clone(),
+            new_leaf: 4,
+            split_leaf: 2,
+            old_right: Some(3),
+        };
+        let merge = MetaUpdate::Merge {
+            table_key: anchor.clone(),
+            victim: 4,
+            left: 2,
+            right: Some(3),
+        };
+        table.apply(&split);
+        table.apply(&merge);
         let before = alloc::thread().allocs_and_reallocs();
-        table.apply_plan(&plan);
+        table.apply(&split);
         let made = alloc::thread().allocs_and_reallocs() - before;
         assert_eq!(made, blocks, "{} bytes", anchor.len());
         assert_eq!(table.len(), 6 + anchor.len());
     }
+}
+
+#[test]
+fn an_az1_split_and_merge_allocate_nothing_in_the_table() {
+    // The benchmark's key shape: a table over the anchors a load of 64 k
+    // `Az1` keys makes (the common prefix of two adjacent keys plus one
+    // byte, every 48 keys), and the anchor of a middle leaf merged away
+    // and split back off again.
+    let mut keys = workloads::generate(workloads::KeysetId::Az1, 64_000, 5).keys;
+    keys.sort();
+    keys.dedup();
+    let mut anchors: Vec<Vec<u8>> = keys
+        .windows(2)
+        .step_by(48)
+        .map(|pair| pair[1][..=index_traits::common_prefix_len(&pair[0], &pair[1])].to_vec())
+        .filter(|anchor| anchor.last() != Some(&0))
+        .collect();
+    anchors.dedup();
+    let mut table = table_over(&anchors);
+    let (mid, len) = (anchors.len() as u32 / 2, table.len());
+    let anchor = anchors[mid as usize - 1].clone();
+    assert!(anchor.len() <= wormhole::meta::INLINE_PREFIX);
+    assert!(matches!(table.kind(&anchor), Some(MetaKind::Leaf(leaf)) if leaf == mid));
+    let merge = MetaUpdate::Merge {
+        table_key: anchor.clone(),
+        victim: mid,
+        left: mid - 1,
+        right: Some(mid + 1),
+    };
+    let split = MetaUpdate::Split {
+        table_key: anchor,
+        new_leaf: mid,
+        split_leaf: mid - 1,
+        old_right: Some(mid + 1),
+    };
+    // The first round fills the free lists; the second takes from them.
+    table.apply(&merge);
+    assert!(table.apply(&split).is_empty(), "no anchor relocates");
+    let blocks = |table: &mut MetaTable<u32>, update: &MetaUpdate<u32>| {
+        let before = alloc::thread().allocs_and_reallocs();
+        table.apply(update);
+        alloc::thread().allocs_and_reallocs() - before
+    };
+    assert_eq!(blocks(&mut table, &merge), 0, "the merge");
+    assert_eq!(blocks(&mut table, &split), 0, "the split");
+    assert_eq!(table.len(), len);
 }
 
 // ---------------------------------------------------------------------
@@ -588,9 +652,12 @@ impl LeafListModel {
         let old_right = self.leaves.get(pos).map(|(_, l)| *l);
         let leaf = self.next_leaf;
         self.next_leaf += 1;
-        let relocations = self
-            .table
-            .apply_split(&table_key, leaf, &split_leaf, old_right.as_ref());
+        let relocations = self.table.apply(&MetaUpdate::Split {
+            table_key: table_key.clone(),
+            new_leaf: leaf,
+            split_leaf,
+            old_right,
+        });
         for (moved, new_key) in relocations {
             let entry = self
                 .leaves
@@ -615,8 +682,12 @@ impl LeafListModel {
         let (victim_key, victim) = self.leaves.remove(victim_pos);
         let left = self.leaves[victim_pos - 1].1;
         let right = self.leaves.get(victim_pos).map(|(_, l)| *l);
-        self.table
-            .apply_merge(&victim_key, &victim, &left, right.as_ref());
+        self.table.apply(&MetaUpdate::Merge {
+            table_key: victim_key,
+            victim,
+            left,
+            right,
+        });
     }
 }
 

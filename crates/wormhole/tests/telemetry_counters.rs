@@ -36,8 +36,8 @@ fn splits_and_merges_are_counted() {
 #[test]
 fn each_structural_commit_waits_out_the_previous_publications_grace_period() {
     // A publication only starts the grace period of the table it retires;
-    // the next structural commit completes it, once, before it replays the
-    // plan onto that table. The last publication still owes its wait.
+    // the next structural commit completes it, once, before it runs the
+    // update again on that table. The last publication still owes its wait.
     if !wh_telemetry::enabled() {
         return;
     }
