@@ -17,7 +17,7 @@ pub mod scan;
 pub mod traits;
 
 pub use key::{common_prefix_len, immediate_successor_into, is_prefix_of, successor_key, KeyRange};
-pub use scan::{Cursor, CursorSource, ScanBatch, ScanPage};
+pub use scan::{Cursor, CursorSource, ScanBatch, ScanPage, Take};
 pub use traits::{
     ConcurrentOrderedIndex, DurableIndex, FromSorted, IndexStats, OrderedIndex, UnorderedIndex,
 };

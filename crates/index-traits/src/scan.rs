@@ -165,6 +165,21 @@ pub struct ScanPage<V> {
     pub resume: Option<Vec<u8>>,
 }
 
+/// How much of one fill its consumer takes before it asks again: what a
+/// [`CursorSource`] may size the batch to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Take {
+    /// At most this many pairs (at least one): the rest of a bounded
+    /// window. A source may stop collecting, and cloning values, there.
+    Upto(usize),
+    /// Pairs one at a time with no bound known: the consumer may stop after
+    /// any pair, so a source fills a run it can cheaply resume after.
+    Stream,
+    /// The whole batch, however long: a source fills as much as one
+    /// atomic read of its structure gives.
+    Whole,
+}
+
 /// The index-side driver of a [`Cursor`]: produces the scan's batches.
 ///
 /// A source sizes its own buffers, and the cursor passes it no size hint:
@@ -185,21 +200,24 @@ pub trait CursorSource<V> {
     /// structure and continue from there, but it never fills a pair below
     /// `from`: a caller that moved the position ahead is obeyed.
     ///
-    /// `limit` caps how many pairs this batch needs to hold (the consumer
-    /// will not take more before asking again): implementations may stop
-    /// collecting — and cloning values — once they reach it, as long as a
-    /// truncated batch still resumes exactly after its last pair. Pass
-    /// `usize::MAX` when streaming without a known bound.
-    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool;
+    /// `take` says how much of the batch the consumer takes before it asks
+    /// again ([`Take`]). Under [`Take::Upto`] a source stops at the bound;
+    /// under [`Take::Stream`] it picks a run short enough that a consumer
+    /// stopping early wastes little; under [`Take::Whole`] (only
+    /// [`Cursor::next_batch`] passes it) it may fill to the end of the
+    /// region one read covers, a whole leaf for the Wormhole indexes. A
+    /// batch cut short of its region still resumes exactly after its last
+    /// pair.
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, take: Take) -> bool;
 }
 
 /// Adapts `range_from` into a [`CursorSource`]: each batch is one
 /// `range_from(from, DEFAULT_SCAN_BATCH)` call at the position the cursor
-/// hands in. This is the default `OrderedIndex::scan`, and the `scan` a
+/// hands in, or a shorter one for the rest of a bounded window. This is
+/// the default `OrderedIndex::scan`, and the `scan` a
 /// `ConcurrentOrderedIndex` without a native streaming path returns; it
-/// removes the `O(window)` copy of a
-/// single huge `range_from` but still pays one key-`Vec` allocation per
-/// pair inside the adapted call.
+/// removes the `O(window)` copy of a single huge `range_from` but still
+/// pays one key-`Vec` allocation per pair inside the adapted call.
 struct RangeFnSource<V, F> {
     fetch: F,
     done: bool,
@@ -210,12 +228,15 @@ impl<V, F> CursorSource<V> for RangeFnSource<V, F>
 where
     F: FnMut(&[u8], usize) -> Vec<(Vec<u8>, V)>,
 {
-    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, take: Take) -> bool {
         batch.clear();
         if self.done {
             return false;
         }
-        let want = limit.min(DEFAULT_SCAN_BATCH);
+        let want = match take {
+            Take::Upto(count) => count.min(DEFAULT_SCAN_BATCH),
+            Take::Stream | Take::Whole => DEFAULT_SCAN_BATCH,
+        };
         let got = (self.fetch)(from, want);
         if got.len() < want {
             self.done = true;
@@ -241,10 +262,6 @@ pub struct Cursor<'a, V> {
     /// Start key continuing the scan after every *fully consumed* batch;
     /// `resume_key` refines it with the in-batch position.
     resume: Vec<u8>,
-    /// Advisory per-batch cap passed to the source (`usize::MAX` when
-    /// streaming without a bound); set by `collect_next` so a bounded
-    /// window never makes the index copy more than it asked for.
-    fetch_budget: usize,
     done: bool,
 }
 
@@ -262,7 +279,6 @@ impl<'a, V> Cursor<'a, V> {
             batch: ScanBatch::new(),
             pos: 0,
             resume,
-            fetch_budget: usize::MAX,
             done: false,
         }
     }
@@ -284,9 +300,10 @@ impl<'a, V> Cursor<'a, V> {
         )
     }
 
-    /// Fetches the next batch, recording the resume point of the one being
-    /// abandoned. Returns `false` at the end of the scan.
-    fn refill(&mut self) -> bool {
+    /// Fetches the next batch, of which the consumer takes `take`,
+    /// recording the resume point of the one being abandoned. Returns
+    /// `false` at the end of the scan.
+    fn refill(&mut self, take: Take) -> bool {
         if let Some(last) = self.batch.last_key() {
             crate::key::immediate_successor_into(last, &mut self.resume);
         }
@@ -295,10 +312,7 @@ impl<'a, V> Cursor<'a, V> {
             self.batch.clear();
             return false;
         }
-        if self
-            .source
-            .fill_next(&self.resume, &mut self.batch, self.fetch_budget.max(1))
-        {
+        if self.source.fill_next(&self.resume, &mut self.batch, take) {
             true
         } else {
             self.done = true;
@@ -311,7 +325,7 @@ impl<'a, V> Cursor<'a, V> {
     /// which is what lets every yielded key live in the reused arena.
     #[allow(clippy::should_implement_trait)] // lending: item borrows &mut self
     pub fn next(&mut self) -> Option<(&[u8], &V)> {
-        if self.pos == self.batch.len() && !self.refill() {
+        if self.pos == self.batch.len() && !self.refill(Take::Stream) {
             return None;
         }
         let i = self.pos;
@@ -321,9 +335,11 @@ impl<'a, V> Cursor<'a, V> {
 
     /// Advances to the next non-empty batch and yields it whole. Any pairs
     /// of the current batch not yet taken with [`Cursor::next`] are
-    /// skipped — batch iteration concedes the batch as a unit.
+    /// skipped — batch iteration concedes the batch as a unit. The source
+    /// is told the batch is taken whole ([`Take::Whole`]), so it may fill
+    /// to the end of the region it reads.
     pub fn next_batch(&mut self) -> Option<&ScanBatch<V>> {
-        if !self.refill() {
+        if !self.refill(Take::Whole) {
             return None;
         }
         self.pos = self.batch.len();
@@ -332,22 +348,19 @@ impl<'a, V> Cursor<'a, V> {
 
     /// Hands up to `count` pairs to `visit`, in order, and returns how many
     /// it visited: a bounded window read without copying a key. Each fill
-    /// is told how much of the window is still wanted.
+    /// is told how much of the window is still wanted ([`Take::Upto`]), so
+    /// a short window never snapshots (and clones) a whole leaf of values.
     pub fn visit_next(&mut self, count: usize, mut visit: impl FnMut(&[u8], &V)) -> usize {
         let mut visited = 0;
         while visited < count {
-            // Tell the source how much of the window is left, so a short
-            // window never snapshots (and clones) a whole leaf of values.
-            self.fetch_budget = count - visited;
-            match self.next() {
-                Some((key, value)) => {
-                    visit(key, value);
-                    visited += 1;
-                }
-                None => break,
+            if self.pos == self.batch.len() && !self.refill(Take::Upto(count - visited)) {
+                break;
             }
+            let (key, value) = self.batch.get(self.pos);
+            self.pos += 1;
+            visit(key, value);
+            visited += 1;
         }
-        self.fetch_budget = usize::MAX;
         visited
     }
 
@@ -587,6 +600,25 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_adapter_fetches_a_default_batch_unless_a_window_is_shorter() {
+        let model = populated(300);
+        let asked = std::cell::RefCell::new(Vec::new());
+        let cursor = || {
+            Cursor::adapt_range_from(b"", |start: &[u8], count| {
+                asked.borrow_mut().push(count);
+                model.range_from(start, count)
+            })
+        };
+        let mut streamed = cursor();
+        while streamed.next().is_some() {}
+        let mut batched = cursor();
+        while batched.next_batch().is_some() {}
+        assert_eq!(asked.take(), [DEFAULT_SCAN_BATCH; 6]);
+        cursor().collect_next(200, &mut Vec::new());
+        assert_eq!(asked.take(), [DEFAULT_SCAN_BATCH, 200 - DEFAULT_SCAN_BATCH]);
+    }
+
     /// Streams `total` pairs, one a batch, and panics if it is called
     /// again after it returned `false`.
     struct StrictSource {
@@ -596,7 +628,7 @@ mod tests {
     }
 
     impl CursorSource<u64> for StrictSource {
-        fn fill_next(&mut self, _from: &[u8], batch: &mut ScanBatch<u64>, _limit: usize) -> bool {
+        fn fill_next(&mut self, _from: &[u8], batch: &mut ScanBatch<u64>, _take: Take) -> bool {
             assert!(!self.ended, "source called again after returning false");
             batch.clear();
             if self.next == self.total {

@@ -40,6 +40,14 @@
 //! gives a full chunk one CRC update and one `write_all`: no block per
 //! record. [`load_snapshot`] validates a whole file, then
 //! [`SnapshotData::records`] reads the pairs in place.
+//!
+//! Each further MiB written (`WRITEBACK`), the writer asks the kernel to
+//! start writing it back (`sync_file_range(SYNC_FILE_RANGE_WRITE)` on
+//! Linux, nothing elsewhere), so the medium works while the scan goes on
+//! and step 2's fsync waits only for the last stretch. The hint makes
+//! nothing durable: [`SealedSnapshot::sync_all`] stays the barrier. An
+//! error from it fails the write as a failed `write_all` does: the
+//! checkpoint returns it and publishes nothing.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, Write};
@@ -59,6 +67,10 @@ pub const SPARE: &str = "snapshot.spare";
 /// is written out once past 60 KiB, so a record up to 4 KiB never grows it.
 const CHUNK: usize = 64 << 10;
 
+/// Bytes the writer lets accumulate before it asks the kernel to start
+/// their writeback.
+pub(crate) const WRITEBACK: u64 = 1 << 20;
+
 /// Streams a snapshot into a temp file next to its final name. The
 /// records may come from a live cursor: the snapshot is *fuzzy*, and
 /// replaying the WAL from `covered_lsn + 1` converges ([`crate::durable`]).
@@ -68,6 +80,10 @@ pub struct SnapshotWriter {
     /// CRC-32c of every byte already written to `file`.
     crc: u32,
     count: u64,
+    /// Bytes already written to `file`.
+    written: u64,
+    /// Where the bytes not yet handed to writeback start.
+    unhinted: u64,
 }
 
 impl SnapshotWriter {
@@ -88,6 +104,8 @@ impl SnapshotWriter {
             chunk,
             crc: 0,
             count: 0,
+            written: 0,
+            unhinted: 0,
         })
     }
 
@@ -99,16 +117,19 @@ impl SnapshotWriter {
         if self.chunk.len() > CHUNK - (4 << 10) {
             self.crc = crc32c_append(self.crc, &self.chunk);
             self.file.write_all(&self.chunk)?;
+            self.written += self.chunk.len() as u64;
             self.chunk.clear();
+            if self.written - self.unhinted >= WRITEBACK {
+                start_writeback(&self.file, self.unhinted, self.written - self.unhinted)?;
+                self.unhinted = self.written;
+            }
         }
         Ok(())
     }
 
-    /// Ends the image with its count and CRC and fsyncs it, but does
-    /// **not** publish: checkpointing uses the gap to commit the WAL
-    /// through everything the fuzzy scan may have observed *before* the
-    /// snapshot becomes load-bearing ([`publish_snapshot`]).
-    pub fn finish(mut self) -> io::Result<()> {
+    /// Ends the image with its count and CRC and cuts a longer spare's
+    /// tail. The image is written, not yet durable, and not published.
+    pub fn finish(mut self) -> io::Result<SealedSnapshot> {
         self.chunk.extend_from_slice(&self.count.to_le_bytes());
         let crc = crc32c_append(self.crc, &self.chunk);
         self.chunk.extend_from_slice(&crc.to_le_bytes());
@@ -116,14 +137,57 @@ impl SnapshotWriter {
         // A reused spare may be longer than the image: cut its tail.
         let len = self.file.stream_position()?;
         self.file.set_len(len)?;
-        // Every data byte is durable before the final name can exist.
-        self.file.sync_all()
+        Ok(SealedSnapshot(self.file))
     }
+}
+
+/// A snapshot image written whole into its temp file, not yet synced.
+#[must_use = "an image is durable only once synced"]
+pub struct SealedSnapshot(File);
+
+impl SealedSnapshot {
+    /// Fsyncs the image, but does **not** publish: checkpointing uses the
+    /// gap to commit the WAL through everything the fuzzy scan may have
+    /// observed *before* the snapshot becomes load-bearing
+    /// ([`publish_snapshot`]).
+    pub fn sync_all(self) -> io::Result<()> {
+        // Every data byte is durable before the final name can exist.
+        self.0.sync_all()
+    }
+}
+
+/// Asks the kernel to start writing back `len` bytes of `file` from
+/// `offset`, without waiting for them: `sync_file_range` with
+/// `SYNC_FILE_RANGE_WRITE`. It makes nothing durable.
+#[cfg(target_os = "linux")]
+fn start_writeback(file: &File, offset: u64, len: u64) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    const SYNC_FILE_RANGE_WRITE: u32 = 2;
+    extern "C" {
+        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+    }
+    let off_t = |n: u64| i64::try_from(n).map_err(|_| io::Error::from(io::ErrorKind::InvalidInput));
+    let (offset, len) = (off_t(offset)?, off_t(len)?);
+    // SAFETY: `sync_file_range` takes plain integers and touches no memory
+    // of ours; the descriptor is open for the borrow of `file`.
+    let rc = unsafe { sync_file_range(file.as_raw_fd(), offset, len, SYNC_FILE_RANGE_WRITE) };
+    if rc == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
+    }
+}
+
+/// Writeback hints exist only on Linux; elsewhere the final fsync does it
+/// all.
+#[cfg(not(target_os = "linux"))]
+fn start_writeback(_file: &File, _offset: u64, _len: u64) -> io::Result<()> {
+    Ok(())
 }
 
 /// The publish half of a snapshot: atomic rename of the temp file to
 /// `final_path`, then a directory fsync so the rename itself survives. The
-/// temp file must already be fully synced ([`SnapshotWriter::finish`]).
+/// temp file must already be fully synced ([`SealedSnapshot::sync_all`]).
 pub fn publish_snapshot(final_path: &Path) -> io::Result<()> {
     fs::rename(final_path.with_extension("tmp"), final_path)?;
     sync_dir(final_path.parent().unwrap_or(Path::new(".")))
@@ -264,7 +328,7 @@ mod tests {
         for (key, value) in records {
             writer.push(key.as_ref(), |out| out.extend_from_slice(value.as_ref()))?;
         }
-        writer.finish()?;
+        writer.finish()?.sync_all()?;
         publish_snapshot(final_path)
     }
 
@@ -420,6 +484,19 @@ mod tests {
         }
         // Both outcomes occur: the cases reach past the CRC check.
         assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The hint's error reaches the caller: a character device has no
+    /// writeback to start.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_writeback_hint_is_an_error() {
+        let dev = File::open("/dev/null").unwrap();
+        assert!(start_writeback(&dev, 0, WRITEBACK).is_err());
+        let dir = tmp_dir("hint");
+        let file = File::create(dir.join("f")).unwrap();
+        start_writeback(&file, 0, WRITEBACK).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

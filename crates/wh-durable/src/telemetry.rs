@@ -1,5 +1,6 @@
 //! Telemetry for the durability layer: fsync count and latency, the
-//! group-commit batch factor, WAL byte volume, and checkpoint durations.
+//! group-commit batch factor, WAL byte volume, and checkpoint durations,
+//! whole and of their scan and image-sync phases.
 //!
 //! One [`DurableMetrics`] is owned per WAL, so per [`DurableWormhole`]
 //! whatever index it wraps: a sharded front's shards share one log and
@@ -26,5 +27,11 @@ wh_telemetry::metrics! {
         /// Wall time of each full checkpoint (rotate, fuzzy scan, publish,
         /// GC), in nanoseconds.
         pub checkpoint_ns: Histogram,
+        /// Wall time of each checkpoint's fuzzy scan, from the end of the
+        /// rotation to the image being written whole (before its fsync),
+        /// in nanoseconds.
+        pub checkpoint_scan_ns: Histogram,
+        /// Wall time of each checkpoint image's fsync, in nanoseconds.
+        pub checkpoint_sync_ns: Histogram,
     }
 }

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use index_traits::{
-    ConcurrentOrderedIndex, Cursor, CursorSource, FromSorted, IndexStats, ScanBatch,
+    ConcurrentOrderedIndex, Cursor, CursorSource, FromSorted, IndexStats, ScanBatch, Take,
 };
 use parking_lot::Mutex;
 use wh_epoch::Qsbr;
@@ -497,7 +497,7 @@ struct Segment<'a, V> {
 }
 
 impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
-    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, take: Take) -> bool {
         let Self { index, segment } = self;
         // `with_router` gives fills the same biased fast entry as point ops
         // while no migration is in flight; the epoch re-validation below is
@@ -517,7 +517,7 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for RoutedSource<'_, V> {
                     }
                 };
                 let upper = router.boundaries.get(seg.shard);
-                if seg.source.fill_next(bound, batch, limit) {
+                if seg.source.fill_next(bound, batch, take) {
                     // Clamp the segment to its shard's upper boundary:
                     // keys at/above it that the shard source surfaced are
                     // a migration's in-flight copies, whose authoritative

@@ -88,7 +88,7 @@ use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use index_traits::{
-    ConcurrentOrderedIndex, Cursor, CursorSource, FromSorted, IndexStats, ScanBatch,
+    ConcurrentOrderedIndex, Cursor, CursorSource, FromSorted, IndexStats, ScanBatch, Take,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use wh_epoch::Qsbr;
@@ -1142,10 +1142,12 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 }
 
-/// Pairs one scan fill copies at most. Continuing where the last fill
-/// stopped costs one seqlock compare, so a fill need not take the rest of
-/// a leaf to be worth its cost: a consumer that stops early leaves the
-/// rest uncopied.
+/// Pairs a fill copies at most for a consumer that takes them one at a
+/// time ([`Take::Stream`]). Continuing where the last fill stopped costs
+/// one seqlock compare, so such a fill need not take the rest of a leaf to
+/// be worth its cost: a consumer that stops early leaves the rest
+/// uncopied. A consumer that takes the batch whole ([`Take::Whole`]) gets
+/// the rest of the leaf in one fill.
 const SCAN_CHUNK: usize = 16;
 
 /// Where a scan's last fill stopped.
@@ -1163,13 +1165,15 @@ struct ScanAt<V> {
 /// engine under [`ConcurrentOrderedIndex::scan`], and what
 /// [`Wormhole::scan_source`] hands a consumer that drives fills itself.
 ///
-/// A fill copies a bounded run of one leaf, a validated snapshot of it:
-/// each batch is atomic, the scan as a whole is not a snapshot. The first
-/// fill searches the MetaTrieHT for the cursor's position. A later fill
-/// continues in the leaf the last one stopped in, and over its `next` link
-/// from its end, while that leaf is unchanged; it searches again when the
-/// leaf changed or the consumer moved the position past where the source
-/// stopped.
+/// A fill copies a run of one leaf, a validated snapshot of it: at most
+/// 16 pairs (`SCAN_CHUNK`) for a consumer that takes pairs one by one or
+/// through a window, and the rest of the leaf for one that takes the
+/// batch whole. Each batch is atomic, the scan as a whole is not a
+/// snapshot. The first fill searches the MetaTrieHT for the cursor's
+/// position. A later fill continues in the leaf the last one stopped in,
+/// and over its `next` link from its end, while that leaf is unchanged; it
+/// searches again when the leaf changed or the consumer moved the position
+/// past where the source stopped.
 pub struct ScanSource<'a, V> {
     wh: &'a Wormhole<V>,
     /// Where the last fill stopped; `None` before the first fill and after
@@ -1304,10 +1308,14 @@ impl<V: Clone + Send + Sync + 'static> Fill<'_, V> {
 }
 
 impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
-    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, take: Take) -> bool {
         batch.clear();
         let wh = self.wh;
-        let limit = limit.clamp(1, SCAN_CHUNK);
+        let limit = match take {
+            Take::Upto(count) => count.clamp(1, SCAN_CHUNK),
+            Take::Stream => SCAN_CHUNK,
+            Take::Whole => usize::MAX,
+        };
         let mut fill = Fill {
             wh,
             from,
@@ -2234,8 +2242,69 @@ mod tests {
         let mut source = wh.scan_source();
         let mut batch = ScanBatch::new();
         for at in [0, 2, 30] {
-            assert!(source.fill_next(&key(at), &mut batch, 1));
+            assert!(source.fill_next(&key(at), &mut batch, Take::Upto(1)));
             assert_eq!(batch.get(0), (key(at).as_slice(), &at));
+        }
+    }
+
+    /// The concurrent source, recording the length of every batch it fills.
+    struct CountingSource<'a> {
+        source: ScanSource<'a, u64>,
+        fills: StdArc<Mutex<Vec<usize>>>,
+    }
+
+    impl CursorSource<u64> for CountingSource<'_> {
+        fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<u64>, take: Take) -> bool {
+            let filled = self.source.fill_next(from, batch, take);
+            self.fills.lock().push(batch.len());
+            filled
+        }
+    }
+
+    #[test]
+    fn whole_batches_are_whole_leaves_and_pair_reads_stay_chunked() {
+        let n = 3_000u64;
+        let pairs = (0..n).map(|i| (format!("fill-{i:05}").into_bytes(), i));
+        let wh = Wormhole::from_sorted(WormholeConfig::optimized(), pairs);
+        assert!(wh.leaf_count() > 20, "{} leaves", wh.leaf_count());
+        let counted = |wh| {
+            let fills = StdArc::new(Mutex::new(Vec::new()));
+            let source = CountingSource {
+                source: Wormhole::scan_source(wh),
+                fills: fills.clone(),
+            };
+            (Cursor::new(b"", Box::new(source)), fills)
+        };
+
+        // A consumer that takes batches whole gets one fill a leaf.
+        let (mut cursor, fills) = counted(&wh);
+        let mut batches = Vec::new();
+        while let Some(batch) = cursor.next_batch() {
+            batches.push(batch.len());
+        }
+        drop(cursor);
+        assert_eq!(batches.len(), wh.leaf_count());
+        assert_eq!(batches.iter().sum::<usize>(), wh.len());
+        assert_eq!(*fills.lock(), [batches, vec![0]].concat());
+
+        // Pairs taken one at a time, or through a 64-pair window, refill
+        // at least every `SCAN_CHUNK` pairs.
+        type Read = fn(&mut Cursor<'_, u64>) -> usize;
+        let reads: [Read; 2] = [
+            |cursor| std::iter::from_fn(|| cursor.next().map(|_| ())).count(),
+            |cursor| {
+                std::iter::from_fn(|| Some(cursor.visit_next(64, |_, _| {})))
+                    .take_while(|&visited| visited > 0)
+                    .sum()
+            },
+        ];
+        for read in reads {
+            let (mut cursor, fills) = counted(&wh);
+            assert_eq!(read(&mut cursor), wh.len());
+            drop(cursor);
+            let fills = fills.lock().clone();
+            assert!(fills.iter().all(|&len| len <= SCAN_CHUNK), "{fills:?}");
+            assert_eq!(fills.iter().sum::<usize>(), wh.len());
         }
     }
 

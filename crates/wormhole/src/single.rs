@@ -17,7 +17,7 @@
 //! prev/next links. The concurrent variant runs the same updates on its
 //! two tables in turn.
 
-use index_traits::{Cursor, CursorSource, IndexStats, OrderedIndex, ScanBatch};
+use index_traits::{Cursor, CursorSource, IndexStats, OrderedIndex, ScanBatch, Take};
 use wh_hash::crc32c;
 
 use crate::config::WormholeConfig;
@@ -260,8 +260,11 @@ struct UnsafeScanSource<'a, V> {
 }
 
 impl<V: Clone> CursorSource<V> for UnsafeScanSource<'_, V> {
-    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, limit: usize) -> bool {
-        let limit = limit.max(1);
+    fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, take: Take) -> bool {
+        let limit = match take {
+            Take::Upto(count) => count.max(1),
+            Take::Stream | Take::Whole => usize::MAX,
+        };
         batch.clear();
         while self.next != NIL && batch.is_empty() {
             let slot = self.wh.slot(self.next);
