@@ -1,6 +1,6 @@
 //! Telemetry for the durability layer: fsync count and latency, the
 //! group-commit batch factor, WAL byte volume, and checkpoint durations,
-//! whole and of their scan and image-sync phases.
+//! whole and of their four phases: rotate, scan, image sync and publish.
 //!
 //! One [`DurableMetrics`] is owned per WAL, so per [`DurableWormhole`]
 //! whatever index it wraps: a sharded front's shards share one log and
@@ -33,5 +33,14 @@ wh_telemetry::metrics! {
         pub checkpoint_scan_ns: Histogram,
         /// Wall time of each checkpoint image's fsync, in nanoseconds.
         pub checkpoint_sync_ns: Histogram,
+        /// Wall time of each checkpoint's rotation: the live segment
+        /// sealed, its successor created and the directory fsynced, in
+        /// nanoseconds.
+        pub checkpoint_rotate_ns: Histogram,
+        /// Wall time of each checkpoint's publication: the WAL committed
+        /// through the scan's end, the image renamed into place with its
+        /// directory fsync, and what it superseded collected, in
+        /// nanoseconds.
+        pub checkpoint_publish_ns: Histogram,
     }
 }

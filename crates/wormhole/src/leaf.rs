@@ -21,6 +21,13 @@
 //!   The order it paid for is kept: the next scan of the leaf finds the
 //!   view current.
 //!
+//! A point write asks before it waits: under the write lock every line it
+//! will touch is known, so their misses can overlap the tag search's. A
+//! `remove` hints the whole tag array and key order (it walks both) and the
+//! last item record (the swap-remove moves it); a `set` hints the tag array
+//! and the records past the ends of the items and the key order, where an
+//! insert appends ([`LeafNode::prefetch_set`]).
+//!
 //! A mutation frees nothing a racing reader might still be reading: every
 //! block it unlinks goes through a [`Bin`], which either drops it on the
 //! spot or moves it into the index's [`LeafGarbage`].
@@ -36,7 +43,7 @@
 //! `swap_remove`, the in-place sort) or dropped from its end (`drain`). So
 //! a buffer pointer a racing reader loaded always names an allocation that
 //! held those records, and a length it loaded beside it names records that
-//! were written. `remove_slot` and `ensure_key_sorted` work in place;
+//! were written. `remove` and `ensure_key_sorted` work in place;
 //! `insert_absent` and `absorb` grow through `insert_growing`.
 //! What the rule cannot cover is a reader whose loads of one vector's
 //! pointer and length straddle a whole replacement: closing that takes
@@ -52,7 +59,7 @@ use wh_hash::{crc32c, tag16, tag_position_hint};
 
 use crate::config::WormholeConfig;
 use crate::keybox::{self, KeyBox};
-use crate::prefetch::prefetch_read;
+use crate::prefetch::{prefetch_read, prefetch_slice};
 use parking_lot::Mutex;
 
 /// Marker returned by the `*_checked` read methods when an optimistic
@@ -278,6 +285,9 @@ fn tag_run_start(tags: &[TagSlot], tag: u16, direct_pos: bool) -> usize {
     i
 }
 
+/// A key's storage slot, and its tag-array position if the search has it.
+type Hit = (usize, Option<usize>);
+
 /// A Wormhole leaf node.
 #[derive(Debug, Clone)]
 pub struct LeafNode<V> {
@@ -422,14 +432,15 @@ impl<V> LeafNode<V> {
         key: &[u8],
         hash: u32,
         config: &WormholeConfig,
-    ) -> Result<Option<usize>, ReadConflict> {
+    ) -> Result<Option<Hit>, ReadConflict> {
         if config.sort_by_tag() {
             let tag = tag16(hash);
             let tags = self.hash_order.as_slice();
             let run = tag_run_start(tags, tag, config.direct_pos());
-            for entry in tags[run..].iter().take_while(|e| e.tag() == tag) {
+            let entries = tags[run..].iter().enumerate();
+            for (at, entry) in entries.take_while(|(_, e)| e.tag() == tag) {
                 if self.key_checked(entry.slot())? == key {
-                    return Ok(Some(entry.slot()));
+                    return Ok(Some((entry.slot(), Some(run + at))));
                 }
             }
             Ok(None)
@@ -438,7 +449,7 @@ impl<V> LeafNode<V> {
             // view (which is kept fully sorted when SortByTag is off).
             let at = self.lower_bound_checked(key)?;
             match self.key_order.get(at) {
-                Some(&i) if self.key_checked(usize::from(i))? == key => Ok(Some(usize::from(i))),
+                Some(&i) if self.key_checked(usize::from(i))? == key => Ok(Some((i.into(), None))),
                 _ => Ok(None),
             }
         }
@@ -446,7 +457,7 @@ impl<V> LeafNode<V> {
 
     /// [`LeafNode::find_slot_checked`] on a leaf nobody is mutating.
     #[inline]
-    fn find_slot(&self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<usize> {
+    fn find_slot(&self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<Hit> {
         debug_assert!(config.sort_by_tag() || !self.key_view_lags());
         self.find_slot_checked(key, hash, config)
             .expect("quiescent leaf is consistent")
@@ -455,13 +466,22 @@ impl<V> LeafNode<V> {
     /// Returns a reference to the value stored under `key`.
     pub fn get(&self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<&V> {
         self.find_slot(key, hash, config)
-            .map(|i| &self.kvs[i].value)
+            .map(|(i, _)| &self.kvs[i].value)
     }
 
     /// Returns a mutable reference to the value stored under `key`.
     pub fn get_mut(&mut self, key: &[u8], hash: u32, config: &WormholeConfig) -> Option<&mut V> {
         self.find_slot(key, hash, config)
-            .map(|i| &mut self.kvs[i].value)
+            .map(|(i, _)| &mut self.kvs[i].value)
+    }
+
+    /// Hints what a `set` under the leaf's write lock touches: the tag array
+    /// (searched, and shifted by an insert) and the records an insert appends.
+    #[inline]
+    pub fn prefetch_set(&self) {
+        prefetch_slice(&self.hash_order);
+        prefetch_read(self.kvs.as_ptr().wrapping_add(self.kvs.len()));
+        prefetch_read(self.key_order.as_ptr().wrapping_add(self.key_order.len()));
     }
 
     /// Inserts `key`, which the caller has just searched this leaf for and
@@ -497,6 +517,8 @@ impl<V> LeafNode<V> {
             value,
         };
         insert_growing(&mut self.kvs, slot, kv, bin, Retired::Items);
+        #[cfg(test)]
+        tests::panic_if_armed();
         self.key_bytes += key.len();
         let entry = TagSlot::new(tag, slot);
         insert_growing(&mut self.hash_order, pos, entry, bin, Retired::Tags);
@@ -513,7 +535,11 @@ impl<V> LeafNode<V> {
     }
 
     /// Removes `key`, returning its value when present and retiring its key
-    /// block through `bin`.
+    /// block through `bin`. The last item takes over the vacated slot, so
+    /// in each ordering the entry naming that slot is dropped and the one
+    /// entry naming the last slot is renamed — in place: both orderings are
+    /// by tag or key, not by slot, so a renamed item stays where it is and
+    /// the sorted prefix stays sorted. What that touches is hinted first.
     pub fn remove(
         &mut self,
         key: &[u8],
@@ -521,23 +547,14 @@ impl<V> LeafNode<V> {
         config: &WormholeConfig,
         bin: &mut Bin<'_, V>,
     ) -> Option<V> {
-        let slot = self.find_slot(key, hash, config)?;
-        let removed = self.remove_slot(slot);
-        bin.retire(Retired::Key(removed.key));
-        Some(removed.value)
-    }
-
-    /// Unlinks the item at storage slot `slot`. The last item takes over the
-    /// vacated slot, so in each ordering the entry naming `slot` is dropped
-    /// and the one entry naming the last slot is renamed — in place: both
-    /// orderings are by tag or key, not by slot, so a renamed item stays
-    /// where it is and the sorted prefix stays sorted. The caller retires
-    /// the returned item's key.
-    fn remove_slot(&mut self, slot: usize) -> Kv<V> {
+        prefetch_slice(&self.hash_order);
+        prefetch_slice(&self.key_order);
+        prefetch_slice(&self.kvs[self.kvs.len().saturating_sub(1)..]);
+        let (slot, tag_at) = self.find_slot(key, hash, config)?;
         let removed = self.kvs.swap_remove(slot);
         let last = self.kvs.len();
         self.key_bytes -= removed.key.len();
-        let at = self.hash_order.iter().position(|e| e.slot() == slot);
+        let at = tag_at.or_else(|| self.hash_order.iter().position(|e| e.slot() == slot));
         self.hash_order
             .remove(at.expect("tag array names every slot"));
         if let Some(e) = self.hash_order.iter_mut().find(|e| e.slot() == last) {
@@ -552,7 +569,8 @@ impl<V> LeafNode<V> {
         if let Some(i) = self.key_order.iter_mut().find(|i| usize::from(**i) == last) {
             *i = slot as u16;
         }
-        removed
+        bin.retire(Retired::Key(removed.key));
+        Some(removed.value)
     }
 
     /// Whether the key-sorted view lags behind the items: some were
@@ -688,7 +706,7 @@ impl<V> LeafNode<V> {
         config: &WormholeConfig,
     ) -> Result<Option<&V>, ReadConflict> {
         match self.find_slot_checked(key, hash, config)? {
-            Some(slot) => Ok(Some(&self.kvs.get(slot).ok_or(ReadConflict)?.value)),
+            Some((slot, _)) => Ok(Some(&self.kvs.get(slot).ok_or(ReadConflict)?.value)),
             None => Ok(None),
         }
     }
@@ -979,11 +997,24 @@ impl<V> LeafNode<V> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::Rung;
     use proptest::prelude::*;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// Makes the next `insert_absent` on this thread panic half-way:
+        /// its item is stored, and neither ordering names it yet.
+        pub(crate) static PANIC_MID_INSERT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn panic_if_armed() {
+        if PANIC_MID_INSERT.with(|armed| armed.replace(false)) {
+            panic!("a test's panic inside a leaf mutation");
+        }
+    }
 
     fn cfg() -> WormholeConfig {
         WormholeConfig::optimized().with_leaf_capacity(16)

@@ -43,13 +43,13 @@ pub fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// [`prefetch_read`] for every cache line of the `T` at `p`: one hint per
-/// 64 bytes plus one for the last byte, which covers an object that does
-/// not start on a line boundary.
+/// [`prefetch_read`] for every cache line of `s`: one hint per 64 bytes
+/// plus one for the last byte, which covers a slice that does not start on
+/// a line boundary. An empty slice asks for the line its pointer names.
 #[inline(always)]
-pub fn prefetch_span<T>(p: *const T) {
-    let base = p as *const u8;
-    let size = std::mem::size_of::<T>();
+pub fn prefetch_slice<T>(s: &[T]) {
+    let base = s.as_ptr().cast::<u8>();
+    let size = std::mem::size_of_val(s);
     for offset in (0..size).step_by(64) {
         prefetch_read(base.wrapping_add(offset));
     }

@@ -298,6 +298,7 @@ impl<V: Clone> OrderedIndex<V> for WormholeUnsafe<V> {
         let hash = crc32c(key);
         let mut leaf_idx = self.locate_leaf(key);
         let config = self.config;
+        self.slot(leaf_idx).leaf.prefetch_set();
         // Fast path: overwrite an existing key in place.
         if let Some(slot) = self.slot_mut(leaf_idx).leaf.get_mut(key, hash, &config) {
             return Some(std::mem::replace(slot, value));

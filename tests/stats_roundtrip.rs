@@ -86,7 +86,7 @@ fn stats_exposition_covers_every_instrumented_crate() {
 /// The `# TYPE` lines of the [`serving_stack`] registry and of a
 /// [`ShardServer`] registry over the same front, sorted. The examples,
 /// scrapes and any dashboard read these names.
-const EXPOSED: [&str; 94] = [
+const EXPOSED: [&str; 96] = [
     "netsim_batch_requests histogram",
     "netsim_batch_requests histogram",
     "netsim_client_rtt_ns histogram",
@@ -145,6 +145,8 @@ const EXPOSED: [&str; 94] = [
     "shard_wormhole_seqlock_retries_total counter",
     "shard_wormhole_splits_total counter",
     "wh_durable_checkpoint_ns histogram",
+    "wh_durable_checkpoint_publish_ns histogram",
+    "wh_durable_checkpoint_rotate_ns histogram",
     "wh_durable_checkpoint_scan_ns histogram",
     "wh_durable_checkpoint_sync_ns histogram",
     "wh_durable_commit_batch_ops histogram",
