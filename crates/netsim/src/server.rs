@@ -16,27 +16,31 @@
 //!             route)     encode)         in slot order)
 //! ```
 //!
-//! * The **front** parses each incoming frame in place into request
-//!   records and routes *every* request in it against a single
-//!   router-table snapshot ([`ShardedWormhole::route_batch`] — one router
-//!   protection span for the whole message, the same discipline as the
-//!   index's own `get_batch`), then splits the records into per-worker
-//!   shares; each goes out with a handle on the one shared frame, so no
-//!   key is copied between the wire and the index. Shards map to workers
-//!   contiguously (`worker = shard * workers / shards`), so each worker's
-//!   working set stays range-local.
-//! * Each **worker** executes its share through the executor it shares
-//!   with [`KvService`](crate::KvService): a two-pass plan that hoists
-//!   every Get whose key the share does not write into one
-//!   `get_batch_into`, then answers the slots in order (see the
-//!   [`service`](crate::service) module docs), encoding responses into
-//!   one buffer with per-item end offsets.
+//! * The **front** parses each incoming frame in place and routes *every*
+//!   request in it against a single router-table snapshot
+//!   ([`ShardedWormhole::route_batch`] — one router protection span for
+//!   the whole message, the same discipline as the index's own
+//!   `get_batch`), which gives the message's slot→worker map. Each worker
+//!   that owns a slot is sent a handle on the one shared frame and on that
+//!   map, so no key is copied between the wire and the index. Shards map
+//!   to workers contiguously (`worker = shard * workers / shards`), so
+//!   each worker's working set stays range-local.
+//! * Each **worker** parses the frame with the same request parser,
+//!   keeping the slots the map gives it, and executes that share through
+//!   the executor it shares with [`KvService`](crate::KvService): a
+//!   two-pass plan that hoists every Get whose key the share does not
+//!   write into one `get_batch_into`, then answers the slots in order
+//!   (see the [`service`](crate::service) module docs), encoding
+//!   responses into one buffer with per-item end offsets.
 //! * The front keeps the slot→worker map of every message still with the
 //!   workers, oldest first. It dispatches while fewer than the client's
 //!   pipeline depth (eight) are out and another message is waiting;
 //!   otherwise it **reassembles** the oldest by walking its slots in
 //!   order — each worker's slots ascend, so reassembly is a sequential
 //!   cursor per worker, no sorting.
+//!
+//! A closed channel ends the run on every thread, so a worker's panic
+//! stops the front and the client, and [`ShardServer::run`] raises it.
 //!
 //! # Ordering and correctness under migration
 //!
@@ -73,22 +77,23 @@ use crossbeam::channel::{Receiver, Sender};
 use wh_shard::ShardedWormhole;
 use wh_telemetry::{Counter, Histogram, Registry};
 
-use crate::service::{channel, decode_message, Endpoint, Executor, ServiceStats, PIPELINE_DEPTH};
+use crate::service::{
+    channel, decode_message, recycled, Endpoint, Executor, ServiceStats, PIPELINE_DEPTH,
+};
 use crate::telemetry::ServiceMetrics;
-use crate::wire::{RequestRecord, WireRequest, WireResponse};
+use crate::wire::{parse_frame, WireRequest, WireRequestRef, WireResponse};
 
-/// One worker's share of a parsed message, in slot order (the front
-/// knows which slots they are): its records and a handle on the frame
-/// they point into. Every worker of a message shares the one frame; no
-/// key is copied out of it.
+/// One message as the workers get it: the frame, shared by every worker
+/// of the message, and its slot→worker map. A worker's share is the slots
+/// the map gives it, in slot order; no key is copied out of the frame.
 struct WorkBatch {
     frame: Bytes,
-    records: Vec<RequestRecord>,
+    worker_of_slot: Arc<[usize]>,
 }
 
 /// One worker's encoded output for one message: `ends[j]` is the end
-/// offset of item `j`'s response in `payload` (item `j` of the worker's
-/// [`WorkBatch`], not of the whole message).
+/// offset of item `j`'s response in `payload` (the worker's `j`-th slot,
+/// not the message's).
 struct WorkOutput {
     payload: Bytes,
     ends: Vec<usize>,
@@ -178,7 +183,7 @@ impl ShardServer {
         let mut work_txs = Vec::with_capacity(self.workers);
         let mut out_rxs = Vec::with_capacity(self.workers);
         let mut handles = Vec::with_capacity(self.workers + 1);
-        for _ in 0..self.workers {
+        for w in 0..self.workers {
             let (work_tx, work_rx) = channel::<WorkBatch>();
             let (out_tx, out_rx) = channel::<WorkOutput>();
             work_txs.push(work_tx);
@@ -187,7 +192,7 @@ impl ShardServer {
             let registry = Arc::clone(&self.endpoint.registry);
             let metrics = self.endpoint.metrics.clone();
             handles.push(std::thread::spawn(move || {
-                worker_loop(&work_rx, &out_tx, &index, &registry, &metrics);
+                worker_loop(w, &work_rx, &out_tx, &index, &registry, &metrics);
             }));
         }
         let index = Arc::clone(&self.index);
@@ -229,10 +234,10 @@ impl ShardServer {
     }
 }
 
-/// Parse + route + split, and reassemble. Each turn either dispatches one
-/// message (one `route_batch` router span) or ships the oldest one still
-/// with the workers; `in_flight` holds the slot→worker map of each of
-/// those, oldest first. Returns when the client hangs up.
+/// Parse + route + dispatch, and reassemble. Each turn either dispatches
+/// one message (one `route_batch` router span) or ships the oldest one
+/// still with the workers; `in_flight` holds the slot→worker map of each
+/// of those, oldest first. Returns when the client or a worker hangs up.
 fn front_loop(
     req_rx: &Receiver<Bytes>,
     resp_tx: &Sender<Bytes>,
@@ -244,10 +249,11 @@ fn front_loop(
 ) {
     let workers = work_txs.len();
     let shard_count = index.shard_count();
-    let mut in_flight: VecDeque<Vec<usize>> = VecDeque::new();
+    let mut in_flight: VecDeque<Arc<[usize]>> = VecDeque::new();
     let mut last_epoch = index.router_epoch();
-    let mut records: Vec<RequestRecord> = Vec::new();
+    let mut spare: Vec<WireRequestRef> = Vec::new();
     let mut routes: Vec<usize> = Vec::new();
+    let mut items = vec![0usize; workers];
     loop {
         // Take a new message while there is room for it and it is there
         // (waiting for one only when nothing else is left to do); else
@@ -267,19 +273,16 @@ fn front_loop(
             }
             continue;
         };
-        decode_message(frame.as_ref(), &mut records, metrics);
+        let mut requests = recycled(spare);
+        decode_message(frame.as_ref(), &mut requests, metrics);
 
         // Route the whole message against one router-table snapshot.
         routes.clear();
         let timing = wh_telemetry::start_timing();
-        let epoch = {
-            let keys: Vec<&[u8]> = records
-                .iter()
-                .map(|record| record.request(frame.as_ref()).routing_key())
-                .collect();
-            index.route_batch(&keys, &mut routes)
-        };
+        let keys: Vec<&[u8]> = requests.iter().map(WireRequestRef::routing_key).collect();
+        let epoch = index.route_batch(&keys, &mut routes);
         server_metrics.dispatch_route_ns.record_elapsed(timing);
+        spare = recycled(requests);
 
         // Boundaries moved: the shard→worker map for these slots may
         // differ from the in-flight messages' map, so a key could hop
@@ -298,25 +301,18 @@ fn front_loop(
             }
         }
 
-        // Split into per-worker shares; slots stay ascending within each
-        // worker because the scan over slots is in order.
-        let worker_of_slot: Vec<usize> = routes
+        // Every worker that owns a slot gets the frame and the map.
+        let worker_of_slot: Arc<[usize]> = routes
             .iter()
             .map(|&shard| shard * workers / shard_count)
             .collect();
-        let mut per_worker: Vec<Vec<RequestRecord>> = Vec::new();
-        per_worker.resize_with(workers, Vec::new);
-        for (record, &w) in records.iter().zip(&worker_of_slot) {
-            per_worker[w].push(*record);
-        }
-        for (w, records) in per_worker.into_iter().enumerate() {
-            if records.is_empty() {
-                continue;
-            }
-            server_metrics.worker_items.record(records.len() as u64);
+        items.fill(0);
+        worker_of_slot.iter().for_each(|&w| items[w] += 1);
+        for (w, &n) in items.iter().enumerate().filter(|&(_, &n)| n > 0) {
+            server_metrics.worker_items.record(n as u64);
             let work = WorkBatch {
                 frame: frame.clone(),
-                records,
+                worker_of_slot: Arc::clone(&worker_of_slot),
             };
             if work_txs[w].send(work).is_err() {
                 return;
@@ -326,26 +322,28 @@ fn front_loop(
     }
 }
 
-/// Execute + encode: the two-pass plan of the executor shared with the
+/// Parse + execute + encode for worker `w`: its slots of each message,
+/// through the two-pass plan of the executor shared with the
 /// single-threaded [`KvService`](crate::KvService), monomorphised over the
 /// sharded front (whose `get_batch_into` routes and gathers per shard).
-/// The executor's buffers live as long as the worker.
+/// The request list and the executor's buffers live as long as the worker.
 fn worker_loop(
+    w: usize,
     work_rx: &Receiver<WorkBatch>,
     out_tx: &Sender<WorkOutput>,
     index: &ShardedWormhole<u64>,
     registry: &Registry,
     metrics: &ServiceMetrics,
 ) {
+    let mut spare: Vec<WireRequestRef> = Vec::new();
     let mut executor = Executor::new();
     while let Ok(batch) = work_rx.recv() {
-        let payload = executor.execute(
-            index,
-            batch.frame.as_ref(),
-            &batch.records,
-            registry,
-            metrics,
-        );
+        let mut requests = recycled(spare);
+        parse_frame(batch.frame.as_ref(), &mut requests, |slot| {
+            batch.worker_of_slot[slot] == w
+        });
+        let payload = executor.execute(index, &requests, registry, metrics);
+        spare = recycled(requests);
         let output = WorkOutput {
             payload,
             ends: executor.ends().to_vec(),
@@ -361,19 +359,21 @@ fn worker_loop(
 /// the next output on its channel), then a single in-order walk over the
 /// slots, pulling sequentially from each worker's buffer (a worker's
 /// slots ascend, so a per-worker cursor suffices — no sorting, no
-/// per-slot allocation). Returns `false` once the client has hung up.
+/// per-slot allocation). Returns `false` once the client or one of the
+/// message's workers has hung up.
 fn reassemble(
     worker_of_slot: &[usize],
     out_rxs: &[Receiver<WorkOutput>],
     resp_tx: &Sender<Bytes>,
 ) -> bool {
     let workers = out_rxs.len();
-    let mut outputs: Vec<Option<WorkOutput>> = Vec::new();
-    outputs.resize_with(workers, || None);
-    for w in 0..workers {
-        if worker_of_slot.contains(&w) {
-            outputs[w] = Some(out_rxs[w].recv().expect("worker alive"));
-        }
+    let mut outputs = Vec::with_capacity(workers);
+    for (w, out_rx) in out_rxs.iter().enumerate() {
+        let sent = worker_of_slot.contains(&w);
+        let Ok(output) = sent.then(|| out_rx.recv()).transpose() else {
+            return false;
+        };
+        outputs.push(output);
     }
     let total: usize = outputs
         .iter()

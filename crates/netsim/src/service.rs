@@ -7,10 +7,10 @@
 //! each exists once: the `Endpoint` (the batch size, the registry with the
 //! `netsim_*` metrics, and the one lifecycle of a run: open the channels,
 //! start the server's threads, drive the pipelined client, hang up, join),
-//! `decode_message` (wire bytes → request records over the frame) and
-//! `Executor::execute` (records → encoded responses). The two loops differ
-//! only in the threads they start; [`KvService`]'s is one server thread
-//! over *any* index.
+//! `decode_message` (wire bytes → requests read in place by the one request
+//! parser) and `Executor::execute` (requests → encoded responses). The two
+//! loops differ only in the threads they start; [`KvService`]'s is one
+//! server thread over *any* index.
 //!
 //! # The execution plan
 //!
@@ -42,8 +42,8 @@ use wh_telemetry::Registry;
 
 use crate::telemetry::ServiceMetrics;
 use crate::wire::{
-    parse_frame, stream_range, stream_scan_page, RequestRecord, WireRequest, WireRequestRef,
-    WireResponse, WireResponseRef,
+    parse_frame, stream_range, stream_scan_page, WireRequest, WireRequestRef, WireResponse,
+    WireResponseRef,
 };
 
 /// The most messages a client keeps in flight, and the most the
@@ -89,19 +89,19 @@ impl ServiceStats {
     }
 }
 
-/// Parses one message into `records` over `frame` and counts it: the
-/// first step of every server. A frame with a malformed tail is counted in
+/// Parses one message into `requests` and counts it: the first step of
+/// every server. A frame with a malformed tail is counted in
 /// `malformed_frames` and answered as far as it parsed.
-pub(crate) fn decode_message(
-    frame: &[u8],
-    records: &mut Vec<RequestRecord>,
+pub(crate) fn decode_message<'a>(
+    frame: &'a [u8],
+    requests: &mut Vec<WireRequestRef<'a>>,
     metrics: &ServiceMetrics,
 ) {
-    if !parse_frame(frame, records) {
+    if !parse_frame(frame, requests, |_| true) {
         metrics.malformed_frames.inc();
     }
-    metrics.requests.add(records.len() as u64);
-    metrics.batch_requests.record(records.len() as u64);
+    metrics.requests.add(requests.len() as u64);
+    metrics.batch_requests.record(requests.len() as u64);
 }
 
 /// The response to a point op: the value found (for a `Set`, replaced).
@@ -172,12 +172,13 @@ impl WrittenKeys {
     }
 }
 
-/// Empties `keys` and hands its storage to a list of another lifetime:
-/// the executor's key list borrows from one frame at a time. Collecting
-/// an emptied `Vec` through its own iterator reuses the allocation.
-fn recycled<'a, 'b>(mut keys: Vec<&'a [u8]>) -> Vec<&'b [u8]> {
-    keys.clear();
-    keys.into_iter().map(|_| -> &'b [u8] { &[] }).collect()
+/// Empties `list` and hands its storage to a list of another lifetime (`T`
+/// and `U` differ only in it): the request and key lists borrow from one
+/// frame at a time. Collecting an emptied `Vec` through its own iterator
+/// reuses the allocation.
+pub(crate) fn recycled<T, U>(mut list: Vec<T>) -> Vec<U> {
+    list.clear();
+    list.into_iter().map(|_| unreachable!("emptied")).collect()
 }
 
 /// One server thread's executor: [`execute`](Executor::execute) plus the
@@ -206,9 +207,9 @@ impl Executor {
         }
     }
 
-    /// Executes one share of a message — `records` over `frame`, in slot
-    /// order — against `index` by the two-pass plan of the
-    /// [module docs](self), and returns the encoded responses. `ends()`
+    /// Executes one share of a message — `requests`, read in place from
+    /// its frame, in slot order — against `index` by the two-pass plan of
+    /// the [module docs](self), and returns the encoded responses. `ends()`
     /// then holds the end offset of each response in them.
     ///
     /// Generic rather than `dyn` so the [`ShardServer`](crate::ShardServer)
@@ -217,8 +218,7 @@ impl Executor {
     pub(crate) fn execute<I>(
         &mut self,
         index: &I,
-        frame: &[u8],
-        records: &[RequestRecord],
+        requests: &[WireRequestRef<'_>],
         registry: &Registry,
         metrics: &ServiceMetrics,
     ) -> Bytes
@@ -227,22 +227,22 @@ impl Executor {
     {
         // Pass one: the keys this share writes, then the Gets they leave
         // free to move.
-        let requests = || records.iter().map(|record| record.request(frame));
-        let writes = requests()
-            .filter(|request| matches!(request, WireRequestRef::Set { .. }))
+        let writes = requests
+            .iter()
+            .filter(|r| matches!(r, WireRequestRef::Set { .. }))
             .count();
         self.written.reset(writes);
         if writes > 0 {
-            for request in requests() {
-                if let WireRequestRef::Set { key, .. } = request {
+            for request in requests {
+                if let WireRequestRef::Set { key, .. } = *request {
                     self.written.insert(key);
                 }
             }
         }
         let mut keys = recycled(std::mem::take(&mut self.keys));
         self.in_place.clear();
-        for (slot, request) in requests().enumerate() {
-            if let WireRequestRef::Get { key } = request {
+        for (slot, request) in requests.iter().enumerate() {
+            if let WireRequestRef::Get { key } = *request {
                 if self.written.may_contain(key) {
                     self.in_place.push(slot as u32);
                 } else {
@@ -274,8 +274,8 @@ impl Executor {
         self.ends.clear();
         let mut hoisted = self.values.iter();
         let mut in_place = self.in_place.iter().peekable();
-        for (slot, request) in requests().enumerate() {
-            match request {
+        for (slot, request) in requests.iter().enumerate() {
+            match *request {
                 WireRequestRef::Get { key } => {
                     let value = if in_place.next_if_eq(&&(slot as u32)).is_some() {
                         let timing = wh_telemetry::start_timing();
@@ -350,7 +350,8 @@ impl Endpoint {
     /// receiver and the response sender, it returns the threads' handles),
     /// drives the client on this thread, and joins every thread once the
     /// client has hung up. Each decoded response goes to `on_resp`, in
-    /// request order.
+    /// request order. A closed channel ends the run on every side, and a
+    /// serving thread's panic is raised again here once all are joined.
     pub(crate) fn run(
         &self,
         requests: &[WireRequest],
@@ -361,8 +362,9 @@ impl Endpoint {
         let (resp_tx, resp_rx) = channel();
         let handles = serve(req_rx, resp_tx);
         let stats = self.drive_client(req_tx, &resp_rx, requests, on_resp);
-        for handle in handles {
-            handle.join().expect("serving thread");
+        let joined: Vec<_> = handles.into_iter().map(JoinHandle::join).collect();
+        if let Some(Err(payload)) = joined.into_iter().find(Result::is_err) {
+            std::panic::resume_unwind(payload);
         }
         stats
     }
@@ -390,7 +392,7 @@ impl Endpoint {
         let mut stats = ServiceStats::default();
         let mut in_flight: VecDeque<Option<Instant>> = VecDeque::new();
         let mut drain = |stats: &mut ServiceStats, in_flight: &mut VecDeque<Option<Instant>>| {
-            let frame = resp_rx.recv().expect("server alive");
+            let frame = resp_rx.recv().ok()?;
             stats.response_bytes += frame.len();
             let mut payload = frame.as_ref();
             let mut count = 0u64;
@@ -408,6 +410,7 @@ impl Endpoint {
                     .client_rtt_ns
                     .record_n(sent.elapsed().as_nanos() as u64, count);
             }
+            Some(())
         };
         for chunk in requests.chunks(self.batch_size) {
             let mut buf = BytesMut::with_capacity(chunk.iter().map(WireRequest::wire_size).sum());
@@ -416,14 +419,13 @@ impl Endpoint {
             }
             stats.request_bytes += buf.len();
             in_flight.push_back(wh_telemetry::start_timing());
-            req_tx.send(buf.freeze()).expect("server alive");
-            if in_flight.len() >= PIPELINE_DEPTH {
-                drain(&mut stats, &mut in_flight);
+            if req_tx.send(buf.freeze()).is_err()
+                || in_flight.len() >= PIPELINE_DEPTH && drain(&mut stats, &mut in_flight).is_none()
+            {
+                break;
             }
         }
-        while !in_flight.is_empty() {
-            drain(&mut stats, &mut in_flight);
-        }
+        while !in_flight.is_empty() && drain(&mut stats, &mut in_flight).is_some() {}
         stats.seconds = start.elapsed().as_secs_f64().max(1e-9);
         stats
     }
@@ -499,12 +501,13 @@ impl KvService {
         let registry = Arc::clone(&self.endpoint.registry);
         let metrics = self.endpoint.metrics.clone();
         vec![std::thread::spawn(move || {
-            let mut records = Vec::new();
+            let mut spare: Vec<WireRequestRef> = Vec::new();
             let mut executor = Executor::new();
             while let Ok(frame) = req_rx.recv() {
-                decode_message(frame.as_ref(), &mut records, &metrics);
-                let payload =
-                    executor.execute(&*index, frame.as_ref(), &records, &registry, &metrics);
+                let mut requests = recycled(spare);
+                decode_message(frame.as_ref(), &mut requests, &metrics);
+                let payload = executor.execute(&*index, &requests, &registry, &metrics);
+                spare = recycled(requests);
                 if resp_tx.send(payload).is_err() {
                     break;
                 }
@@ -655,7 +658,6 @@ mod tests {
         let frame = buf.freeze();
         let metrics = ServiceMetrics::default();
         let registry = Registry::new();
-        let mut records = Vec::new();
         let mut executor = Executor::new();
         // Cut inside the Set's value, then replace its tag: both tails are
         // refused, the three Gets in front are served.
@@ -663,10 +665,11 @@ mod tests {
         unknown[whole] = 0x7F;
         let cut = frame.as_ref()[..frame.len() - 3].to_vec();
         for (n, tail) in [cut, unknown].into_iter().enumerate() {
-            decode_message(&tail, &mut records, &metrics);
-            assert_eq!(records.len(), 3);
+            let mut requests = Vec::new();
+            decode_message(&tail, &mut requests, &metrics);
+            assert_eq!(requests.len(), 3);
             assert_eq!(metrics.malformed_frames.get(), n as u64 + 1);
-            let payload = executor.execute(&*index, &tail, &records, &registry, &metrics);
+            let payload = executor.execute(&*index, &requests, &registry, &metrics);
             let mut rest = payload.as_ref();
             let answered: Vec<WireResponse> =
                 std::iter::from_fn(|| Some(WireResponseRef::decode(&mut rest)?.to_owned()))
@@ -683,26 +686,31 @@ mod tests {
         }
         // The Set was never applied, and a well-formed frame counts nothing.
         assert_eq!(index.get(b"key-00000003"), Some(3));
-        decode_message(frame.as_ref(), &mut records, &metrics);
-        assert_eq!(records.len(), 4);
+        let mut requests = Vec::new();
+        decode_message(frame.as_ref(), &mut requests, &metrics);
+        assert_eq!(requests.len(), 4);
         assert_eq!(metrics.malformed_frames.get(), 2);
         assert_eq!(metrics.requests.get(), 10);
     }
 
     #[test]
-    fn the_key_list_keeps_its_storage_between_frames() {
+    fn the_request_and_key_lists_keep_their_storage_between_frames() {
         // `recycled` leans on the standard library collecting a `Vec`'s own
-        // iterator in place. Nothing breaks if that ever stops (the list
-        // is then allocated per message), but the allocation comes back.
+        // iterator in place. Nothing breaks if that ever stops (the lists
+        // are then allocated per message), but the allocations come back.
         let frame = vec![0u8; 64];
         let mut keys: Vec<&[u8]> = Vec::with_capacity(400);
         keys.push(&frame[..8]);
-        let storage = keys.as_ptr() as usize;
+        let mut requests: Vec<WireRequestRef> = Vec::with_capacity(800);
+        requests.push(WireRequestRef::Get { key: &frame[8..] });
+        let storage = (keys.as_ptr() as usize, requests.as_ptr() as usize);
         let keys: Vec<&'static [u8]> = recycled(keys);
+        let requests: Vec<WireRequestRef<'static>> = recycled(requests);
         drop(frame);
-        assert!(keys.is_empty());
-        assert_eq!(keys.capacity(), 400);
-        assert_eq!(keys.as_ptr() as usize, storage);
+        assert!(keys.is_empty() && requests.is_empty());
+        assert_eq!((keys.capacity(), requests.capacity()), (400, 800));
+        let kept = (keys.as_ptr() as usize, requests.as_ptr() as usize);
+        assert_eq!(kept, storage);
     }
 
     #[test]
@@ -795,6 +803,57 @@ mod tests {
             get_ns.sum <= wall_ns,
             "64 gets charged {} ns inside a run that took {wall_ns} ns",
             get_ns.sum
+        );
+    }
+
+    /// A `Wormhole` whose `get` panics.
+    struct PanickingGets(Wormhole<u64>);
+
+    impl ConcurrentOrderedIndex<u64> for PanickingGets {
+        fn name(&self) -> &'static str {
+            "panicking-gets"
+        }
+        fn get(&self, _: &[u8]) -> Option<u64> {
+            panic!("a get that panics");
+        }
+        fn set(&self, key: &[u8], value: u64) -> Option<u64> {
+            self.0.set(key, value)
+        }
+        fn del(&self, key: &[u8]) -> Option<u64> {
+            self.0.del(key)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn scan<'a>(&'a self, start: &[u8]) -> index_traits::Cursor<'a, u64> {
+            self.0.scan(start)
+        }
+        fn stats(&self) -> index_traits::IndexStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn a_serving_thread_panic_ends_the_run_and_reaches_the_caller() {
+        // The server thread panics in its first message; the client sees
+        // the response channel close, every thread is joined, and `run`
+        // raises the server's panic with its own message.
+        let index = Arc::new(PanickingGets(Wormhole::new()));
+        let requests: Vec<WireRequest> = (0..100u64)
+            .map(|i| WireRequest::Get {
+                key: format!("key-{i:08}").into_bytes(),
+            })
+            .collect();
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let index: Arc<dyn ConcurrentOrderedIndex<u64>> = index.clone();
+            KvService::with_batch_size(index, 10).run(&requests)
+        }));
+        let payload = served.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a get that panics"));
+        assert_eq!(
+            Arc::strong_count(&index),
+            1,
+            "a serving thread outlived run"
         );
     }
 

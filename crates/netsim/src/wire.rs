@@ -161,8 +161,6 @@ impl<'a> PairsRef<'a> {
     }
 }
 
-/// Tag byte and key-length prefix: what every request starts with.
-const REQUEST_HEADER_BYTES: usize = 5;
 /// Key-length prefix and value: a pair with an empty key.
 const PAIR_MIN_BYTES: usize = 12;
 const TAG_GET: u8 = 1;
@@ -439,71 +437,19 @@ impl<'a> WireResponseRef<'a> {
     }
 }
 
-/// One request of a parsed frame, its key as a range of the frame: what
-/// the servers pass between threads instead of an owned request. Only
-/// [`parse_frame`] makes them, so [`RequestRecord::request`] on the same
-/// frame is always in bounds.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RequestRecord {
-    tag: u8,
-    key_at: u32,
-    key_len: u32,
-    /// `value`, `count` or `limit`, by tag.
-    arg: u64,
-}
-
-impl RequestRecord {
-    /// The request this record was parsed from, borrowing `frame`.
-    pub(crate) fn request<'a>(&self, frame: &'a [u8]) -> WireRequestRef<'a> {
-        let key = &frame[self.key_at as usize..][..self.key_len as usize];
-        match self.tag {
-            TAG_GET => WireRequestRef::Get { key },
-            TAG_SET => WireRequestRef::Set {
-                key,
-                value: self.arg,
-            },
-            TAG_RANGE => WireRequestRef::Range {
-                start: key,
-                count: self.arg as u32,
-            },
-            TAG_SCAN => WireRequestRef::Scan {
-                start: key,
-                limit: self.arg as u32,
-            },
-            _ => WireRequestRef::Stats,
-        }
-    }
-}
-
-/// Parses `frame` into `records` (cleared first), one per request, up to
-/// the end of the frame or the first byte that is not a request. Returns
-/// whether the whole frame parsed; what precedes a malformed tail is kept.
-/// Offsets are 32-bit: a frame of 4 GiB or more counts as malformed whole.
-pub(crate) fn parse_frame(frame: &[u8], records: &mut Vec<RequestRecord>) -> bool {
-    records.clear();
-    if u32::try_from(frame.len()).is_err() {
-        return false;
-    }
-    let mut rest = frame;
-    loop {
-        let at = frame.len() - rest.len();
-        let Some(request) = WireRequestRef::decode(&mut rest) else {
-            return rest.is_empty();
-        };
-        let (tag, key, arg) = match request {
-            WireRequestRef::Get { key } => (TAG_GET, key, 0),
-            WireRequestRef::Set { key, value } => (TAG_SET, key, value),
-            WireRequestRef::Range { start, count } => (TAG_RANGE, start, u64::from(count)),
-            WireRequestRef::Stats => (TAG_STATS, &b""[..], 0),
-            WireRequestRef::Scan { start, limit } => (TAG_SCAN, start, u64::from(limit)),
-        };
-        records.push(RequestRecord {
-            tag,
-            key_at: (at + REQUEST_HEADER_BYTES) as u32,
-            key_len: key.len() as u32,
-            arg,
-        });
-    }
+/// Parses `frame` into `requests` (cleared first): each request whose
+/// slot, its position in the frame, `keep` accepts, up to the end of the
+/// frame or the first byte that is not a request. Returns whether the whole
+/// frame parsed; what precedes a malformed tail is kept.
+pub(crate) fn parse_frame<'a>(
+    mut frame: &'a [u8],
+    requests: &mut Vec<WireRequestRef<'a>>,
+    mut keep: impl FnMut(usize) -> bool,
+) -> bool {
+    requests.clear();
+    let parsed = std::iter::from_fn(|| WireRequestRef::decode(&mut frame)).enumerate();
+    requests.extend(parsed.filter_map(|(slot, request)| keep(slot).then_some(request)));
+    frame.is_empty()
 }
 
 /// An analytic model of the client/server link.
@@ -887,18 +833,24 @@ mod tests {
         assert_eq!(WireResponse::decode(&mut owned), None);
         assert_eq!(owned.as_ref(), rest, "a refused response consumes nothing");
 
-        let mut records = Vec::new();
-        let whole = parse_frame(frame, &mut records);
-        assert!(records.capacity() <= frame.len().max(4));
-        let parsed: Vec<WireRequest> = records
-            .iter()
-            .map(|record| record.request(frame).to_owned())
-            .collect();
-        assert_eq!(parsed, requests, "records name the requests decode saw");
+        let mut parsed = Vec::new();
+        let whole = parse_frame(frame, &mut parsed, |_| true);
+        assert!(parsed.capacity() <= frame.len().max(4));
+        let parsed: Vec<WireRequest> = parsed.iter().map(WireRequestRef::to_owned).collect();
+        assert_eq!(
+            parsed, requests,
+            "the frame parses to the requests decode saw"
+        );
         assert_eq!(
             whole,
             requests.iter().map(WireRequest::wire_size).sum::<usize>() == frame.len()
         );
+        let mut odd = Vec::new();
+        parse_frame(frame, &mut odd, |slot| slot % 2 == 1);
+        assert!(odd
+            .iter()
+            .map(WireRequestRef::to_owned)
+            .eq(parsed.into_iter().skip(1).step_by(2)));
         (requests, responses)
     }
 

@@ -2081,6 +2081,39 @@ mod tests {
         );
     }
 
+    /// A seqlock conflict that does not wait on the scheduler: an
+    /// optimistic `get` parks after its leaf search found the key's slot
+    /// and before it reads the value, and the key is deleted meanwhile, so
+    /// the leaf's last item moves into that slot. The read must validate
+    /// away and answer `None`, never the moved item's value. Under
+    /// `wh_tsan` every read holds the leaf's reader lock, and the delete
+    /// would wait for the parked reader.
+    #[cfg(not(wh_tsan))]
+    #[test]
+    fn a_get_parked_inside_its_leaf_read_answers_a_concurrent_delete() {
+        let wh = StdArc::new(Wormhole::with_config(
+            WormholeConfig::optimized().with_leaf_capacity(16),
+        ));
+        // Twelve keys: one leaf, which has no neighbour to merge with.
+        for i in 0..12u64 {
+            wh.set(format!("key-{i:02}").as_bytes(), 100 + i);
+        }
+        let park = StdArc::new(std::sync::Barrier::new(2));
+        let reader = {
+            let (wh, park) = (StdArc::clone(&wh), StdArc::clone(&park));
+            thread::spawn(move || {
+                crate::leaf::tests::PARK_AFTER_SLOT.set(Some(park));
+                wh.get(b"key-00")
+            })
+        };
+        park.wait(); // The reader holds the slot of `key-00`, its first item.
+        assert_eq!(wh.del(b"key-00"), Some(100)); // `key-11` moves into it.
+        park.wait();
+        assert_eq!(reader.join().unwrap(), None);
+        assert_eq!(wh.metrics().seqlock_retries.get(), 1);
+        assert_eq!(wh.get(b"key-11"), Some(111));
+    }
+
     #[test]
     fn concurrent_readers_and_writers() {
         let wh = StdArc::new(Wormhole::with_config(

@@ -706,7 +706,11 @@ impl<V> LeafNode<V> {
         config: &WormholeConfig,
     ) -> Result<Option<&V>, ReadConflict> {
         match self.find_slot_checked(key, hash, config)? {
-            Some((slot, _)) => Ok(Some(&self.kvs.get(slot).ok_or(ReadConflict)?.value)),
+            Some((slot, _)) => {
+                #[cfg(test)]
+                tests::park_if_armed();
+                Ok(Some(&self.kvs.get(slot).ok_or(ReadConflict)?.value))
+            }
             None => Ok(None),
         }
     }
@@ -1003,6 +1007,7 @@ pub(crate) mod tests {
     use proptest::prelude::*;
     use std::cell::Cell;
     use std::collections::BTreeMap;
+    use std::sync::{Arc, Barrier};
 
     thread_local! {
         /// Makes the next `insert_absent` on this thread panic half-way:
@@ -1013,6 +1018,20 @@ pub(crate) mod tests {
     pub(super) fn panic_if_armed() {
         if PANIC_MID_INSERT.with(|armed| armed.replace(false)) {
             panic!("a test's panic inside a leaf mutation");
+        }
+    }
+
+    thread_local! {
+        /// Parks the next `get_checked` on this thread that finds its key
+        /// between the slot and the value: it waits at the barrier once on
+        /// arriving and once more before it reads on.
+        pub(crate) static PARK_AFTER_SLOT: Cell<Option<Arc<Barrier>>> = const { Cell::new(None) };
+    }
+
+    pub(super) fn park_if_armed() {
+        if let Some(barrier) = PARK_AFTER_SLOT.take() {
+            barrier.wait();
+            barrier.wait();
         }
     }
 
