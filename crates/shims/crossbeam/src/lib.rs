@@ -69,10 +69,11 @@ pub mod channel {
     }
 
     /// ThreadSanitizer sees only instrumented code, and without
-    /// `-Zbuild-std` std's channel is not: built with `--cfg wh_tsan`, a
-    /// send releases and a receive acquires one address per channel, so a
-    /// message orders what its sender did before it with what its receiver
-    /// does after. Other builds carry nothing here.
+    /// `-Zbuild-std` std's non-generic channel code is not: built with
+    /// `--cfg wh_tsan`, a send releases and a receive acquires one address
+    /// per channel, so a message orders what its sender did before it with
+    /// what its receiver does after, whatever part of std hands it over.
+    /// Other builds carry nothing here.
     #[derive(Clone, Default)]
     struct Tsan(#[cfg(wh_tsan)] std::sync::Arc<u8>);
 
