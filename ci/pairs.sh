@@ -20,8 +20,10 @@
 #
 # It prints, per workload and end-to-end metric, each side's per-pair
 # medians, both medians over the pairs, the IQR of the parent's, the pairs
-# the change won and an exact two-sided sign-test p; then any run that was
-# not `correct` or failed operations. The raw result lines stay in
+# the change won and an exact two-sided sign-test p; the same for each
+# slice kind's median `wall_ms` (`<kind>.wall_ms`, from the detail line
+# before the result); then any run that was not `correct` or failed
+# operations. The raw lines, result and detail split by a tab, stay in
 # runs.txt beside the checkouts.
 #
 # Cost: four release builds of the benchmark (a few minutes), then
@@ -74,9 +76,10 @@ for workload in ${workloads//,/ }; do
                 order=$(echo "$sides" | awk '{print $2, $1}')
             fi
             for bin in $order; do
-                line=$(setarch -R "$work/bin/$bin" --workload "$workload" --seed 1 \
-                    --seconds 12 --trace 0 2>/dev/null | tail -n 1)
-                echo "$workload $pair ${bin%-*} $line" >>"$runs"
+                out=$(setarch -R "$work/bin/$bin" --workload "$workload" --seed 1 \
+                    --seconds 12 --trace 0 2>/dev/null | tail -n 2)
+                printf '%s %s %s %s\t%s\n' "$workload" "$pair" "${bin%-*}" \
+                    "$(echo "$out" | tail -n 1)" "$(echo "$out" | head -n 1)" >>"$runs"
             done
         done
         echo "$workload: pair $pair of $pairs done" >&2
@@ -88,14 +91,20 @@ import json, statistics, sys
 from math import comb
 
 runs_path, bench_path, k = sys.argv[1], sys.argv[2], int(sys.argv[3])
-metrics = json.load(open(bench_path))["end_to_end"]
-runs, bad = {}, []
+end_to_end = [(m["name"], m["better"] == "lower") for m in json.load(open(bench_path))["end_to_end"]]
+runs, kinds, bad = {}, {}, []
 for line in open(runs_path):
+    line, _, detail = line.rstrip("\n").partition("\t")
     workload, pair, side, result = line.split(" ", 3)
     result = json.loads(result)
     if not result["correct"] or result["failed"]:
         bad.append(line.strip())
-    runs.setdefault(workload, {}).setdefault(int(pair), {}).setdefault(side, []).append(result)
+    values = {name: result["metrics"][name]["value"] for name, _ in end_to_end}
+    for kind in json.loads(detail).get("kinds", []) if detail else []:
+        name = f"{kind['kind']}.wall_ms"
+        values[name] = kind["wall_ms"]["median"]
+        kinds.setdefault(workload, {})[name] = True
+    runs.setdefault(workload, {}).setdefault(int(pair), {}).setdefault(side, []).append(values)
 
 def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
@@ -103,9 +112,8 @@ def quartiles(xs):
 
 for workload, by_pair in runs.items():
     print(f"{workload}: {len(by_pair)} pairs, K = {k}")
-    for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
-        med = {side: [statistics.median(r["metrics"][name]["value"] for r in by_pair[p][side])
+    for name, lower in end_to_end + [(kind, True) for kind in kinds.get(workload, {})]:
+        med = {side: [statistics.median(r[name] for r in by_pair[p][side])
                       for p in sorted(by_pair)] for side in ("parent", "change")}
         won = sum((c < p) if lower else (c > p) for p, c in zip(med["parent"], med["change"]))
         lost = sum((c > p) if lower else (c < p) for p, c in zip(med["parent"], med["change"]))

@@ -16,18 +16,19 @@
 //!             route)     encode)         in slot order)
 //! ```
 //!
-//! * The **front** parses each incoming frame in place and routes *every*
-//!   request in it against a single router-table snapshot
-//!   ([`ShardedWormhole::route_batch`] — one router protection span for
-//!   the whole message, the same discipline as the index's own
-//!   `get_batch`), which gives the message's slot→worker map. Each worker
-//!   that owns a slot is sent a handle on the one shared frame and on that
-//!   map, so no key is copied between the wire and the index. Shards map
-//!   to workers contiguously (`worker = shard * workers / shards`), so
-//!   each worker's working set stays range-local.
-//! * Each **worker** parses the frame with the same request parser,
-//!   keeping the slots the map gives it, and executes that share through
-//!   the executor it shares with [`KvService`](crate::KvService): a
+//! * The **front** parses each incoming frame in place, recording where
+//!   each request starts, and routes *every* request in it against a
+//!   single router-table snapshot ([`ShardedWormhole::route_batch`] — one
+//!   router protection span for the whole message, the same discipline as
+//!   the index's own `get_batch`), which gives the message's slot→worker
+//!   map. Each worker that owns a slot is sent a handle on the one shared
+//!   frame, on that map and on the slots' start offsets, so no key is
+//!   copied between the wire and the index. Shards map to workers
+//!   contiguously (`worker = shard * workers / shards`), so each worker's
+//!   working set stays range-local.
+//! * Each **worker** decodes only the slots the map gives it, at their
+//!   offsets, with the same request parser, and executes that share
+//!   through the executor it shares with [`KvService`](crate::KvService): a
 //!   two-pass plan that hoists every Get whose key the share does not
 //!   write into one `get_batch_into`, then answers the slots in order
 //!   (see the [`service`](crate::service) module docs), encoding
@@ -81,14 +82,16 @@ use crate::service::{
     channel, decode_message, recycled, Endpoint, Executor, ServiceStats, PIPELINE_DEPTH,
 };
 use crate::telemetry::ServiceMetrics;
-use crate::wire::{parse_frame, WireRequest, WireRequestRef, WireResponse};
+use crate::wire::{parse_at, WireRequest, WireRequestRef, WireResponse};
 
 /// One message as the workers get it: the frame, shared by every worker
-/// of the message, and its slot→worker map. A worker's share is the slots
-/// the map gives it, in slot order; no key is copied out of the frame.
+/// of the message, its slot→worker map and where each slot's request
+/// starts in the frame. A worker's share is the slots the map gives it, in
+/// slot order; no key is copied out of the frame.
 struct WorkBatch {
     frame: Bytes,
     worker_of_slot: Arc<[usize]>,
+    starts: Arc<[usize]>,
 }
 
 /// One worker's encoded output for one message: `ends[j]` is the end
@@ -252,6 +255,7 @@ fn front_loop(
     let mut in_flight: VecDeque<Arc<[usize]>> = VecDeque::new();
     let mut last_epoch = index.router_epoch();
     let mut spare: Vec<WireRequestRef> = Vec::new();
+    let mut starts = Vec::new();
     let mut routes: Vec<usize> = Vec::new();
     let mut items = vec![0usize; workers];
     loop {
@@ -274,7 +278,7 @@ fn front_loop(
             continue;
         };
         let mut requests = recycled(spare);
-        decode_message(frame.as_ref(), &mut requests, metrics);
+        decode_message(frame.as_ref(), &mut requests, &mut starts, metrics);
 
         // Route the whole message against one router-table snapshot.
         routes.clear();
@@ -301,11 +305,13 @@ fn front_loop(
             }
         }
 
-        // Every worker that owns a slot gets the frame and the map.
+        // Every worker that owns a slot gets the frame, the map and the
+        // offsets.
         let worker_of_slot: Arc<[usize]> = routes
             .iter()
             .map(|&shard| shard * workers / shard_count)
             .collect();
+        let slot_starts: Arc<[usize]> = Arc::from(starts.as_slice());
         items.fill(0);
         worker_of_slot.iter().for_each(|&w| items[w] += 1);
         for (w, &n) in items.iter().enumerate().filter(|&(_, &n)| n > 0) {
@@ -313,6 +319,7 @@ fn front_loop(
             let work = WorkBatch {
                 frame: frame.clone(),
                 worker_of_slot: Arc::clone(&worker_of_slot),
+                starts: Arc::clone(&slot_starts),
             };
             if work_txs[w].send(work).is_err() {
                 return;
@@ -322,10 +329,11 @@ fn front_loop(
     }
 }
 
-/// Parse + execute + encode for worker `w`: its slots of each message,
-/// through the two-pass plan of the executor shared with the
-/// single-threaded [`KvService`](crate::KvService), monomorphised over the
-/// sharded front (whose `get_batch_into` routes and gathers per shard).
+/// Decode + execute + encode for worker `w`: its slots of each message,
+/// decoded at their offsets alone, through the two-pass plan of the
+/// executor shared with the single-threaded
+/// [`KvService`](crate::KvService), monomorphised over the sharded front
+/// (whose `get_batch_into` routes and gathers per shard).
 /// The request list and the executor's buffers live as long as the worker.
 fn worker_loop(
     w: usize,
@@ -339,9 +347,10 @@ fn worker_loop(
     let mut executor = Executor::new();
     while let Ok(batch) = work_rx.recv() {
         let mut requests = recycled(spare);
-        parse_frame(batch.frame.as_ref(), &mut requests, |slot| {
-            batch.worker_of_slot[slot] == w
-        });
+        let own = (batch.worker_of_slot.iter().zip(batch.starts.iter()))
+            .filter(|&(&owner, _)| owner == w)
+            .map(|(_, &start)| start);
+        parse_at(batch.frame.as_ref(), own, &mut requests);
         let payload = executor.execute(index, &requests, registry, metrics);
         spare = recycled(requests);
         let output = WorkOutput {

@@ -89,15 +89,17 @@ impl ServiceStats {
     }
 }
 
-/// Parses one message into `requests` and counts it: the first step of
-/// every server. A frame with a malformed tail is counted in
-/// `malformed_frames` and answered as far as it parsed.
+/// Parses one message into `requests`, with their start offsets in
+/// `starts` ([`parse_frame`]), and counts it: the first step of every
+/// server. A frame with a malformed tail is counted in `malformed_frames`
+/// and answered as far as it parsed.
 pub(crate) fn decode_message<'a>(
     frame: &'a [u8],
     requests: &mut Vec<WireRequestRef<'a>>,
+    starts: &mut Vec<usize>,
     metrics: &ServiceMetrics,
 ) {
-    if !parse_frame(frame, requests, |_| true) {
+    if !parse_frame(frame, requests, starts) {
         metrics.malformed_frames.inc();
     }
     metrics.requests.add(requests.len() as u64);
@@ -502,10 +504,11 @@ impl KvService {
         let metrics = self.endpoint.metrics.clone();
         vec![std::thread::spawn(move || {
             let mut spare: Vec<WireRequestRef> = Vec::new();
+            let mut starts = Vec::new();
             let mut executor = Executor::new();
             while let Ok(frame) = req_rx.recv() {
                 let mut requests = recycled(spare);
-                decode_message(frame.as_ref(), &mut requests, &metrics);
+                decode_message(frame.as_ref(), &mut requests, &mut starts, &metrics);
                 let payload = executor.execute(&*index, &requests, &registry, &metrics);
                 spare = recycled(requests);
                 if resp_tx.send(payload).is_err() {
@@ -666,7 +669,7 @@ mod tests {
         let cut = frame.as_ref()[..frame.len() - 3].to_vec();
         for (n, tail) in [cut, unknown].into_iter().enumerate() {
             let mut requests = Vec::new();
-            decode_message(&tail, &mut requests, &metrics);
+            decode_message(&tail, &mut requests, &mut Vec::new(), &metrics);
             assert_eq!(requests.len(), 3);
             assert_eq!(metrics.malformed_frames.get(), n as u64 + 1);
             let payload = executor.execute(&*index, &requests, &registry, &metrics);
@@ -687,7 +690,7 @@ mod tests {
         // The Set was never applied, and a well-formed frame counts nothing.
         assert_eq!(index.get(b"key-00000003"), Some(3));
         let mut requests = Vec::new();
-        decode_message(frame.as_ref(), &mut requests, &metrics);
+        decode_message(frame.as_ref(), &mut requests, &mut Vec::new(), &metrics);
         assert_eq!(requests.len(), 4);
         assert_eq!(metrics.malformed_frames.get(), 2);
         assert_eq!(metrics.requests.get(), 10);

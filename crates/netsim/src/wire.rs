@@ -437,19 +437,41 @@ impl<'a> WireResponseRef<'a> {
     }
 }
 
-/// Parses `frame` into `requests` (cleared first): each request whose
-/// slot, its position in the frame, `keep` accepts, up to the end of the
-/// frame or the first byte that is not a request. Returns whether the whole
-/// frame parsed; what precedes a malformed tail is kept.
+/// Parses `frame` into `requests`, and each request's start offset in the
+/// frame into `starts` (both cleared first), up to the end of the frame or
+/// the first byte that is not a request. Returns whether the whole frame
+/// parsed; what precedes a malformed tail is kept.
 pub(crate) fn parse_frame<'a>(
-    mut frame: &'a [u8],
+    frame: &'a [u8],
     requests: &mut Vec<WireRequestRef<'a>>,
-    mut keep: impl FnMut(usize) -> bool,
+    starts: &mut Vec<usize>,
 ) -> bool {
     requests.clear();
-    let parsed = std::iter::from_fn(|| WireRequestRef::decode(&mut frame)).enumerate();
-    requests.extend(parsed.filter_map(|(slot, request)| keep(slot).then_some(request)));
-    frame.is_empty()
+    starts.clear();
+    let mut rest = frame;
+    loop {
+        let start = frame.len() - rest.len();
+        let Some(request) = WireRequestRef::decode(&mut rest) else {
+            return rest.is_empty();
+        };
+        requests.push(request);
+        starts.push(start);
+    }
+}
+
+/// Decodes the requests of `frame` that start at `starts`, offsets a
+/// [`parse_frame`] of the same frame recorded, into `requests` (cleared
+/// first): a share of the frame, without decoding the rest of it.
+pub(crate) fn parse_at<'a>(
+    frame: &'a [u8],
+    starts: impl IntoIterator<Item = usize>,
+    requests: &mut Vec<WireRequestRef<'a>>,
+) {
+    requests.clear();
+    requests.extend(starts.into_iter().map(|start| {
+        let mut rest = &frame[start..];
+        WireRequestRef::decode(&mut rest).expect("a parsed request starts at each offset")
+    }));
 }
 
 /// An analytic model of the client/server link.
@@ -833,9 +855,16 @@ mod tests {
         assert_eq!(WireResponse::decode(&mut owned), None);
         assert_eq!(owned.as_ref(), rest, "a refused response consumes nothing");
 
-        let mut parsed = Vec::new();
-        let whole = parse_frame(frame, &mut parsed, |_| true);
+        let (mut parsed, mut starts) = (Vec::new(), Vec::new());
+        let whole = parse_frame(frame, &mut parsed, &mut starts);
         assert!(parsed.capacity() <= frame.len().max(4));
+        // Decoding at the recorded offsets, all of them or a share, gives
+        // what the full parse gave at those slots.
+        let mut at = Vec::new();
+        parse_at(frame, starts.iter().copied(), &mut at);
+        assert_eq!(at, parsed, "offset parsing equals the full parse");
+        parse_at(frame, starts.iter().copied().skip(1).step_by(2), &mut at);
+        assert!(at.iter().eq(parsed.iter().skip(1).step_by(2)));
         let parsed: Vec<WireRequest> = parsed.iter().map(WireRequestRef::to_owned).collect();
         assert_eq!(
             parsed, requests,
@@ -845,12 +874,6 @@ mod tests {
             whole,
             requests.iter().map(WireRequest::wire_size).sum::<usize>() == frame.len()
         );
-        let mut odd = Vec::new();
-        parse_frame(frame, &mut odd, |slot| slot % 2 == 1);
-        assert!(odd
-            .iter()
-            .map(WireRequestRef::to_owned)
-            .eq(parsed.into_iter().skip(1).step_by(2)));
         (requests, responses)
     }
 

@@ -15,13 +15,15 @@
 //!
 //! ```text
 //! <dir>/wal-<first_lsn>.log    append-only record segments
+//! <dir>/wal.spare              superseded segment the next rotation overwrites
 //! <dir>/snap-<covered>.snap    full-index snapshots
 //! <dir>/*.tmp                  in-flight snapshot (never load-bearing)
 //! <dir>/snapshot.spare         superseded snapshot the next one overwrites
 //! ```
 //!
 //! File names zero-pad their LSN to twenty digits so lexical order is
-//! numeric order.
+//! numeric order. Neither spare's name is listed as a segment or a
+//! snapshot, so recovery never reads one.
 //!
 //! # Write path
 //!
@@ -42,27 +44,37 @@
 //! # Checkpoint protocol
 //!
 //! 1. **Rotate** the WAL: seal the current segment with a `Commit(S)` and
-//!    start a new segment named `wal-<S+1>`. `S` becomes the snapshot's
-//!    `covered_lsn`.
+//!    start a new segment named `wal-<S+1>`: the `wal.spare`, renamed and
+//!    overwritten from its start, if there is one. `S` becomes the
+//!    snapshot's `covered_lsn`.
 //! 2. **Fuzzy scan**: stream the whole index through a [`Cursor`] into a
-//!    temp file (the spare, renamed, if there is one) while writers keep
-//!    running. The scan may capture any subset of the operations racing
-//!    it. It takes the cursor's batches whole
+//!    temp file (the snapshot spare, renamed, if there is one) while
+//!    writers keep running. The scan may capture any subset of the
+//!    operations racing it. It takes the cursor's batches whole
 //!    ([`Cursor::next_batch`]), so the Wormhole indexes fill one a leaf.
-//!    Each batch is encoded into the [`snapshot::SnapshotWriter`]'s one
-//!    64 KiB chunk, CRC'd and written whole, and each further MiB written
-//!    is handed to the kernel's writeback at once, so the image's fsync at
-//!    the end of the step waits only for the last stretch. That hint is
-//!    not a barrier; an error from it fails the checkpoint like a failed
-//!    write, before anything is published.
+//!    Each batch is encoded into the [`snapshot::SnapshotWriter`]'s
+//!    64 KiB chunk on the checkpoint's thread, and each full chunk goes to
+//!    the writer's own thread, which CRCs it, writes it and hands each
+//!    further MiB written to the kernel's writeback at once, so the
+//!    image's fsync at the end of the step waits only for the last
+//!    stretch. The scan then **drains** the writer: it waits for the
+//!    thread to write what is queued, and writes the image's tail. The
+//!    hint is not a barrier; an error from it or from a write fails the
+//!    checkpoint, after the thread is joined and before anything is
+//!    published.
 //! 3. **Commit through `S_end`** (the highest LSN assigned when the scan
 //!    finished): every operation the scan *could* have captured is now
 //!    durable in the WAL, so the snapshot never embeds a write that a
 //!    crash could un-happen (prefix consistency).
 //! 4. **Publish** by atomic rename + directory fsync, then collect what
 //!    it supersedes: the oldest snapshot becomes the spare that step 2 of
-//!    the next checkpoint overwrites (or is deleted if a spare exists), and
-//!    every segment the retained snapshots cover is deleted.
+//!    the next checkpoint overwrites, and a segment the retained snapshots
+//!    cover becomes the spare that step 1 of the next checkpoint
+//!    overwrites (each deleted instead if its spare exists).
+//!
+//! A reused segment holds, past what it has written, the frames of the
+//! segment it was: every one of them at or below `S`, below its first
+//! LSN, so replay stops at the first of them ([`record`]'s frame walk).
 //!
 //! Replaying the WAL tail (all records with `lsn > covered_lsn`, in LSN
 //! order) over the fuzzy image converges to the exact committed state:
@@ -157,8 +169,27 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
 }
 
+/// The WAL spare's file name: not `wal-*.log`, so never listed as a segment.
+pub const WAL_SPARE: &str = "wal.spare";
+
 fn segment_path(dir: &Path, first_lsn: u64) -> PathBuf {
     dir.join(format!("wal-{first_lsn:020}.log"))
+}
+
+/// Opens segment `first_lsn` to write at byte `len`. A segment that does
+/// not exist yet is the directory's [`WAL_SPARE`] renamed, if there is
+/// one, or a new file; either way it is durable once the directory is
+/// fsynced.
+fn open_segment(dir: &Path, first_lsn: u64, len: u64) -> io::Result<FileStorage> {
+    let path = segment_path(dir, first_lsn);
+    if !path.try_exists()? {
+        match fs::rename(dir.join(WAL_SPARE), &path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+    }
+    FileStorage::open(&path, len)
 }
 
 /// WAL segments in `dir`, ascending by first LSN (parsed from the name).
@@ -232,7 +263,7 @@ where
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
-                snapshot::retire(&path)?;
+                snapshot::retire(&path, snapshot::SPARE)?;
             }
         }
 
@@ -286,9 +317,9 @@ where
         report.segments_scanned = segments.len();
         let mut committed_max = covered;
         let mut decode_failure = false;
-        for (i, (_, path)) in segments.iter().enumerate() {
+        for (i, &(first_lsn, ref path)) in segments.iter().enumerate() {
             let bytes = fs::read(path)?;
-            let (valid_end, seg_committed, _) = replay_committed(&bytes, |rec| {
+            let (valid_end, seg_committed, _) = replay_committed(&bytes, first_lsn, |rec| {
                 if rec.lsn() <= covered {
                     return;
                 }
@@ -311,8 +342,11 @@ where
             });
             committed_max = committed_max.max(seg_committed);
             // Only the newest segment can carry a torn or uncommitted
-            // tail (rotation seals every older one): cut it off so the
-            // log ends at the last committed frame before appending.
+            // tail (rotation seals every older one; an older one may end
+            // in a reused file's older frames, which replay stops at). Cut
+            // the newest at its last committed frame, so that no frame
+            // above the committed LSN, which the next operations take
+            // again, outlives the open.
             if i == segments.len() - 1 && (valid_end as u64) < bytes.len() as u64 {
                 report.truncated_bytes = bytes.len() as u64 - valid_end as u64;
                 let file = OpenOptions::new().write(true).open(path)?;
@@ -326,17 +360,20 @@ where
         report.committed_lsn = committed_max;
 
         let next_lsn = committed_max + 1;
-        let storage: Box<dyn WalStorage> = match segments.last() {
-            Some((_, path)) => Box::new(FileStorage::open(path)?),
+        let storage = match segments.last() {
+            Some(&(first_lsn, ref path)) => {
+                let len = fs::metadata(path)?.len();
+                open_segment(&dir, first_lsn, len)?
+            }
             None => {
-                let storage = FileStorage::open(&segment_path(&dir, next_lsn))?;
+                let storage = open_segment(&dir, next_lsn, 0)?;
                 snapshot::sync_dir(&dir)?;
-                Box::new(storage)
+                storage
             }
         };
         Ok(Self {
             index,
-            wal: Wal::new(storage, next_lsn),
+            wal: Wal::new(Box::new(storage), next_lsn),
             dir,
             sync,
             checkpoint_wal_bytes,
@@ -432,7 +469,7 @@ where
         //    exactly the sealed prefix, and every racing operation lands
         //    in the new segment (named after its first LSN).
         let covered = self.wal.rotate_with(|sealed| {
-            let storage = FileStorage::open(&segment_path(&self.dir, sealed + 1))?;
+            let storage = open_segment(&self.dir, sealed + 1, 0)?;
             snapshot::sync_dir(&self.dir)?;
             Ok(Box::new(storage) as Box<dyn WalStorage>)
         })?;
@@ -449,8 +486,10 @@ where
             }
         }
         drop(cursor);
-        let image = writer.finish()?;
         self.metrics().checkpoint_scan_ns.record_elapsed(scan);
+        let drain = wh_telemetry::start_timing();
+        let image = writer.finish()?;
+        self.metrics().checkpoint_drain_ns.record_elapsed(drain);
         let sync = wh_telemetry::start_timing();
         image.sync_all()?;
         self.metrics().checkpoint_sync_ns.record_elapsed(sync);
@@ -473,16 +512,17 @@ where
 
     /// Prunes what the new snapshot supersedes, keeping one generation of
     /// redundancy: the two newest snapshots survive (an older one becomes
-    /// the spare, [`snapshot::retire`]), and a WAL segment is
-    /// deleted only when the *older* retained snapshot covers it (its
-    /// successor segment starts at or below that snapshot's
-    /// `covered + 1`). If the newest snapshot is later found corrupt,
-    /// recovery still has the older image plus every segment since it.
+    /// the snapshot spare, [`snapshot::retire`]), and a WAL segment is
+    /// retired (to the [`WAL_SPARE`]) only when the *older* retained
+    /// snapshot covers it (its successor segment starts at or below that
+    /// snapshot's `covered + 1`). If the newest snapshot is later found
+    /// corrupt, recovery still has the older image plus every segment
+    /// since it.
     fn collect_garbage(&self) -> io::Result<()> {
         const RETAIN_SNAPSHOTS: usize = 2;
         let snaps = snapshot::list_snapshots(&self.dir)?;
         for snap in snaps.iter().skip(RETAIN_SNAPSHOTS) {
-            snapshot::retire(snap)?;
+            snapshot::retire(snap, snapshot::SPARE)?;
         }
         let retained = &snaps[..snaps.len().min(RETAIN_SNAPSHOTS)];
         let Some(floor) = retained
@@ -494,7 +534,7 @@ where
         let segments = list_segments(&self.dir)?;
         for pair in segments.windows(2) {
             if pair[1].0 <= floor + 1 {
-                fs::remove_file(&pair[0].1)?;
+                snapshot::retire(&pair[0].1, WAL_SPARE)?;
             }
         }
         snapshot::sync_dir(&self.dir)
@@ -625,11 +665,13 @@ mod tests {
         idx.checkpoint().unwrap();
         let expected_checkpoints = if wh_telemetry::enabled() { 1 } else { 0 };
         assert_eq!(m.checkpoint_ns.snapshot().count(), expected_checkpoints);
-        // One sample of each phase per checkpoint, and the phases do not
-        // overlap: together they fit inside the whole.
+        // One sample of each phase per checkpoint, and the phases tile the
+        // whole: they do not overlap, so together they fit inside it, and
+        // only the clock reads between them are left out.
         let phases = [
             &m.checkpoint_rotate_ns,
             &m.checkpoint_scan_ns,
+            &m.checkpoint_drain_ns,
             &m.checkpoint_sync_ns,
             &m.checkpoint_publish_ns,
         ]
@@ -638,7 +680,11 @@ mod tests {
             assert_eq!(phase.count(), expected_checkpoints);
         }
         let phase_sum: u64 = phases.iter().map(|phase| phase.sum).sum();
-        assert!(phase_sum <= m.checkpoint_ns.snapshot().sum);
+        let whole = m.checkpoint_ns.snapshot().sum;
+        assert!(
+            phase_sum <= whole && phase_sum >= whole / 2,
+            "{phase_sum} of {whole}"
+        );
 
         let registry = wh_telemetry::Registry::new();
         idx.register_metrics(&registry, "wh_durable");
@@ -873,7 +919,7 @@ mod tests {
         let mut kept: Vec<String> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| !name.starts_with("wal-"))
+            .filter(|name| !name.starts_with("wal"))
             .collect();
         kept.sort();
         assert_eq!(kept.len(), 3, "{kept:?}");
@@ -882,6 +928,100 @@ mod tests {
         assert_eq!(idx.recovery().skipped_snapshots, 0);
         assert_eq!(idx.len(), 300);
         assert_eq!(idx.get(b"r-100"), Some(9));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rotation writes into the segment an earlier checkpoint retired,
+    /// and a reopen replays the reused segment's own frames, not the older
+    /// ones behind them. The first checkpoint retires the first segment;
+    /// the second none, its older snapshot covering only what precedes the
+    /// second segment; each later one retires one.
+    #[cfg(unix)]
+    #[test]
+    fn rotations_write_into_the_superseded_segment_file() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = test_dir("wal-reuse");
+        let spare = dir.join(WAL_SPARE);
+        let value = |round: u64, i: u64| vec![round as u8; 40 + (i % 7) as usize];
+        {
+            let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+            for round in 0..6u64 {
+                let spare_ino = spare.exists().then(|| fs::metadata(&spare).unwrap().ino());
+                assert_eq!(
+                    spare_ino.is_some(),
+                    round != 0 && round != 2,
+                    "round {round}"
+                );
+                // Fewer writes each round: the reused file is longer than
+                // what the new segment writes into it.
+                for i in 0..(300 - 40 * round) {
+                    idx.set(format!("w-{i:03}").as_bytes(), value(round, i));
+                }
+                let covered = idx.checkpoint().unwrap();
+                let live = segment_path(&dir, covered + 1);
+                if let Some(spare_ino) = spare_ino {
+                    assert_eq!(
+                        fs::metadata(&live).unwrap().ino(),
+                        spare_ino,
+                        "round {round}"
+                    );
+                }
+            }
+            // A tail after the last checkpoint, in the reused segment.
+            for i in 0..10u64 {
+                idx.set(format!("w-{i:03}").as_bytes(), value(9, i));
+            }
+            assert_eq!(list_segments(&dir).unwrap().len(), 2);
+        }
+        let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+        assert_eq!(idx.recovery().replayed_operations, 10);
+        assert_eq!(idx.len(), 300);
+        for i in 0..300u64 {
+            let round = match i {
+                0..10 => 9,
+                _ => (0..6).rev().find(|&r| i < 300 - 40 * r).unwrap(),
+            };
+            assert_eq!(
+                idx.get(format!("w-{i:03}").as_bytes()),
+                Some(value(round, i)),
+                "{i}"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Direction 9's snapshot fault: an image whose write fails halfway
+    /// fails the checkpoint after its writer thread is joined, publishes
+    /// nothing, and leaves the previous snapshot plus the log to recover.
+    #[test]
+    fn a_checkpoint_whose_image_fails_halfway_publishes_nothing() {
+        use std::sync::atomic::Ordering;
+        let dir = test_dir("image-fault");
+        let key = |i: u64| format!("f-{i:05}");
+        let (first, expected) = {
+            let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+            for i in 0..2_000u64 {
+                idx.set(key(i).as_bytes(), vec![1; 300]);
+            }
+            let first = idx.checkpoint().unwrap();
+            for i in (0..2_000u64).step_by(3) {
+                idx.set(key(i).as_bytes(), vec![2; 300]);
+            }
+            let dropped = snapshot::tests::fail_next_image_after(300 << 10);
+            let error = idx.checkpoint().unwrap_err();
+            assert!(error.to_string().contains("injected"), "{error}");
+            assert!(dropped.load(Ordering::Acquire), "writer thread not joined");
+            let snaps = snapshot::list_snapshots(&dir).unwrap();
+            assert_eq!(snaps, [snapshot::snapshot_path(&dir, first)]);
+            // The store still takes writes after the failed checkpoint.
+            idx.del(key(1).as_bytes());
+            (first, idx.range_from(b"", usize::MAX))
+        };
+        let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
+        assert_eq!(idx.recovery().skipped_snapshots, 0);
+        assert_eq!(idx.recovery().snapshot_covered_lsn, first);
+        assert_eq!(idx.recovery().replayed_operations, 668);
+        assert_eq!(idx.range_from(b"", usize::MAX), expected);
         fs::remove_dir_all(&dir).unwrap();
     }
 

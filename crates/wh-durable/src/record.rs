@@ -26,8 +26,15 @@
 //!
 //! A frame walk ([`FrameReader`]) decodes a byte stream frame by frame and
 //! stops at the first frame that is incomplete or fails its CRC — the
-//! *torn tail*. Everything before that point is trusted; everything at and
-//! after it is discarded by recovery (see [`crate::wal`]).
+//! *torn tail* — or whose LSN is out of order: the walk keeps a floor, one
+//! below the segment's first LSN to begin with and then the LSN of each
+//! frame it accepts, and an operation must carry an LSN above the floor, a
+//! `Commit` one at or above it. A segment file may be a reused one whose
+//! bytes past what this segment wrote are an older segment's frames, every
+//! one of them at or below the floor the walk starts from, so the walk
+//! stops at the first of them. Everything before the stop is trusted;
+//! everything at and after it is discarded by recovery (see
+//! [`crate::wal`]).
 
 use wh_hash::crc32c;
 
@@ -197,16 +204,24 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     rest.is_empty().then_some(record)
 }
 
-/// Walks a byte stream frame by frame, stopping at the torn tail.
+/// Walks a byte stream frame by frame, stopping at the torn tail or at
+/// the first frame whose LSN is out of order (see the module docs).
 pub struct FrameReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// An operation's LSN must be above it, a `Commit`'s at or above it.
+    floor: u64,
 }
 
 impl<'a> FrameReader<'a> {
-    /// Starts a frame walk at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+    /// Starts a frame walk at the beginning of `buf`, a segment whose
+    /// first LSN is `first_lsn`.
+    pub fn new(buf: &'a [u8], first_lsn: u64) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            floor: first_lsn.saturating_sub(1),
+        }
     }
 
     /// Byte offset of the next undecoded frame — after the walk ends, the
@@ -220,8 +235,9 @@ impl Iterator for FrameReader<'_> {
     type Item = WalRecord;
 
     /// Decodes the next frame, or `None` at the end of the valid prefix
-    /// (clean end of stream or torn tail — indistinguishable by design:
-    /// recovery trusts exactly the frames this yields).
+    /// (clean end of stream, torn tail or a reused file's older frames —
+    /// indistinguishable by design: recovery trusts exactly the frames this
+    /// yields).
     fn next(&mut self) -> Option<WalRecord> {
         let len = read_u32(self.buf, self.pos)? as usize;
         if len > MAX_PAYLOAD {
@@ -234,24 +250,41 @@ impl Iterator for FrameReader<'_> {
             return None;
         }
         let record = decode_payload(payload)?;
+        let lsn = record.lsn();
+        let in_order = match record {
+            // A `Commit` carries the LSN it seals through, so it may repeat
+            // the floor: an earlier build sealed an empty batch as
+            // `Commit(first_lsn - 1)` at a segment's head.
+            WalRecord::Commit { .. } => lsn >= self.floor,
+            _ => lsn > self.floor,
+        };
+        if !in_order {
+            return None;
+        }
+        self.floor = lsn;
         self.pos = start + len;
         Some(record)
     }
 }
 
-/// Replays a byte stream with commit semantics: operation records are
-/// buffered and handed to `apply` only once a `Commit` frame at or above
-/// their LSN is decoded. Returns `(valid_len, committed_lsn, max_lsn)`:
-/// the torn-tail truncation point, the highest sealed LSN, and the highest
-/// LSN observed in any valid frame (committed or not).
+/// Replays a segment, whose first LSN is `first_lsn`, with commit
+/// semantics: operation records are buffered and handed to `apply` only
+/// once a `Commit` frame at or above their LSN is decoded. Returns
+/// `(valid_len, committed_lsn, max_lsn)`: the torn-tail truncation point,
+/// the highest sealed LSN, and the highest LSN observed in any valid frame
+/// (committed or not).
 ///
 /// This is *the* definition of recovery: a logged operation exists after a
 /// crash exactly when a `Commit` frame covering it survived — which is
 /// also exactly when the writer's `commit()` call could have returned, so
 /// no acknowledged operation is ever lost and no torn batch is ever
 /// half-applied.
-pub fn replay_committed(buf: &[u8], mut apply: impl FnMut(&WalRecord)) -> (usize, u64, u64) {
-    let mut reader = FrameReader::new(buf);
+pub fn replay_committed(
+    buf: &[u8],
+    first_lsn: u64,
+    mut apply: impl FnMut(&WalRecord),
+) -> (usize, u64, u64) {
+    let mut reader = FrameReader::new(buf, first_lsn);
     let mut buffered: Vec<WalRecord> = Vec::new();
     let mut committed_lsn = 0u64;
     let mut max_lsn = 0u64;
@@ -291,7 +324,7 @@ mod tests {
         encode_delete(&mut buf, 2, b"key");
         encode_delete_range(&mut buf, 3, b"a", b"z");
         encode_commit(&mut buf, 3);
-        let mut reader = FrameReader::new(&buf);
+        let mut reader = FrameReader::new(&buf, 1);
         assert_eq!(
             reader.next(),
             Some(WalRecord::Put {
@@ -328,7 +361,7 @@ mod tests {
         let first_two = buf.len();
         encode_put(&mut buf, 2, b"beta", b"2");
         for cut in first_two..buf.len() {
-            let mut reader = FrameReader::new(&buf[..cut]);
+            let mut reader = FrameReader::new(&buf[..cut], 1);
             assert!(reader.next().is_some(), "cut={cut}: first frame intact");
             assert!(reader.next().is_some(), "cut={cut}: commit intact");
             assert_eq!(reader.next(), None, "cut={cut}: torn frame yielded");
@@ -345,7 +378,7 @@ mod tests {
             let mut bad = clean.clone();
             bad[i] ^= 0x40;
             let mut map = std::collections::BTreeMap::new();
-            let (_, committed, _) = replay_committed(&bad, |record| {
+            let (_, committed, _) = replay_committed(&bad, 1, |record| {
                 if let WalRecord::Put { key, value, .. } = record {
                     map.insert(key.clone(), value.clone());
                 }
@@ -375,7 +408,7 @@ mod tests {
         encode_put(&mut buf, 3, b"c", b"3");
         // No commit for lsn 3: it must not be applied.
         let mut applied = Vec::new();
-        let (valid, committed, max) = replay_committed(&buf, |r| applied.push(r.lsn()));
+        let (valid, committed, max) = replay_committed(&buf, 1, |r| applied.push(r.lsn()));
         assert_eq!(applied, vec![1, 2]);
         assert_eq!(valid, sealed);
         assert_eq!(committed, 2);
@@ -389,14 +422,85 @@ mod tests {
     fn one_commit_over_a_hundred_thousand_records_replays_in_order() {
         const N: u64 = 100_000;
         let mut buf = Vec::new();
-        for lsn in 1..=N {
+        for lsn in 1..N {
             encode_put(&mut buf, lsn, &lsn.to_be_bytes(), b"v");
         }
         encode_commit(&mut buf, N - 1);
+        let sealed = buf.len();
+        encode_put(&mut buf, N, &N.to_be_bytes(), b"v");
         let mut applied = Vec::with_capacity(N as usize);
-        let (valid, committed, max) = replay_committed(&buf, |r| applied.push(r.lsn()));
+        let (valid, committed, max) = replay_committed(&buf, 1, |r| applied.push(r.lsn()));
         assert!(applied.iter().copied().eq(1..N), "in LSN order, once each");
-        assert_eq!((valid, committed, max), (buf.len(), N - 1, N));
+        assert_eq!((valid, committed, max), (sealed, N - 1, N));
+    }
+
+    /// A segment `wal-<first>` written over a reused file: its own frames,
+    /// then an older segment's, whose LSNs are all below `first`. The walk
+    /// ends at the first older frame, an operation or a `Commit`, even
+    /// where it starts exactly at a frame boundary.
+    #[test]
+    fn a_walk_stops_at_the_first_frame_of_an_older_segment() {
+        let first = 100;
+        let mut old = Vec::new();
+        encode_put(&mut old, first - 3, b"old", &[1; 200]);
+        encode_commit(&mut old, first - 3);
+        let op_at = old.len();
+        encode_put(&mut old, first - 2, b"old", b"2");
+        encode_put(&mut old, first - 1, b"old", b"3");
+        let commit_at = old.len();
+        encode_commit(&mut old, first - 1);
+        let mut new = Vec::new();
+        encode_put(&mut new, first, b"new", b"1");
+        encode_commit(&mut new, first);
+        for (stale, what) in [(op_at, "an operation"), (commit_at, "a commit")] {
+            // Room for the new frames, the stale frame right behind them.
+            let pad = stale.checked_sub(new.len()).expect("old image longer");
+            let mut head = new.clone();
+            encode_delete_range(&mut head, first + 1, &vec![b'x'; pad - 42], b"");
+            encode_commit(&mut head, first + 1);
+            assert_eq!(head.len(), stale, "{what}");
+            let file = [&head[..], &old[stale..]].concat();
+            let mut applied = Vec::new();
+            let (valid, committed, max) = replay_committed(&file, first, |r| applied.push(r.lsn()));
+            assert_eq!(applied, [first, first + 1], "{what}");
+            assert_eq!(
+                (valid, committed, max),
+                (stale, first + 1, first + 1),
+                "{what}"
+            );
+        }
+        // With nothing written yet, the old image ends the walk at once,
+        // but for a `Commit(first - 1)`, which seals nothing.
+        assert_eq!(replay_committed(&old, first, |_| panic!()), (0, 0, 0));
+        let head = replay_committed(&old[commit_at..], first, |_| panic!());
+        assert_eq!(head, (17, first - 1, first - 1));
+    }
+
+    #[test]
+    fn out_of_order_frames_end_the_walk() {
+        let mut buf = Vec::new();
+        encode_put(&mut buf, 5, b"a", b"1");
+        encode_commit(&mut buf, 5);
+        let sealed = buf.len();
+        for (lsn, commit) in [(5, false), (4, false), (4, true)] {
+            let mut bad = buf.clone();
+            if commit {
+                encode_commit(&mut bad, lsn);
+            } else {
+                encode_put(&mut bad, lsn, b"b", b"2");
+                encode_commit(&mut bad, 6);
+            }
+            assert_eq!(
+                replay_committed(&bad, 5, |_| {}).0,
+                sealed,
+                "{lsn} {commit}"
+            );
+        }
+        // An operation below the segment's first LSN ends it; a commit that
+        // repeats the one before it does not.
+        assert_eq!(replay_committed(&buf, 6, |_| {}), (0, 0, 0));
+        encode_commit(&mut buf, 5);
+        assert_eq!(replay_committed(&buf, 5, |_| {}).0, buf.len());
     }
 
     /// Replays `buf` and checks what recovery may rely on: the trusted
@@ -406,7 +510,7 @@ mod tests {
     /// [`MAX_PAYLOAD`], and replaying that prefix alone trusts all of it
     /// and commits the same LSN.
     fn check_replay_of_hostile(buf: &[u8]) {
-        let mut reader = FrameReader::new(buf);
+        let mut reader = FrameReader::new(buf, 1);
         let mut last_commit_end = 0;
         let mut start = 0;
         while let Some(record) = reader.next() {
@@ -427,12 +531,12 @@ mod tests {
             assert_eq!(frame, buf[start..end]);
             start = end;
         }
-        let (valid, committed, _) = replay_committed(buf, |record| {
+        let (valid, committed, _) = replay_committed(buf, 1, |record| {
             assert!(!matches!(record, WalRecord::Commit { .. }));
         });
         assert!(valid <= buf.len());
         assert_eq!(valid, last_commit_end);
-        let (again, recommitted, _) = replay_committed(&buf[..valid], |_| {});
+        let (again, recommitted, _) = replay_committed(&buf[..valid], 1, |_| {});
         assert_eq!((again, recommitted), (valid, committed));
     }
 

@@ -35,24 +35,32 @@
 //! freed (an ext4 `discard` mount charged 30–45 ms per MB freed). Its stale
 //! `covered_lsn` matches no name the spare could be published under.
 //!
-//! [`SnapshotWriter`] encodes each record straight into one reused chunk
-//! (the value by its own encoder, its length patched in after it) and
-//! gives a full chunk one CRC update and one `write_all`: no block per
-//! record. [`load_snapshot`] validates a whole file, then
+//! [`SnapshotWriter`] encodes each record straight into one 64 KiB chunk
+//! (the value by its own encoder, its length patched in after it) on the
+//! caller's thread, and hands each full chunk to one writer thread of its
+//! own, which gives it one CRC update and one write into a
+//! `SnapshotSink`: the file, or in tests a sink that fails partway. The
+//! scan never waits for the disk unless the writer falls `QUEUED` chunks
+//! behind. [`load_snapshot`] validates a whole file, then
 //! [`SnapshotData::records`] reads the pairs in place.
 //!
-//! Each further MiB written (`WRITEBACK`), the writer asks the kernel to
-//! start writing it back (`sync_file_range(SYNC_FILE_RANGE_WRITE)` on
-//! Linux, nothing elsewhere), so the medium works while the scan goes on
-//! and step 2's fsync waits only for the last stretch. The hint makes
+//! Each further MiB written (`WRITEBACK`), the writer thread asks the
+//! kernel to start writing it back (`sync_file_range(SYNC_FILE_RANGE_WRITE)`
+//! on Linux, nothing elsewhere), so the medium works while the scan goes
+//! on and step 2's fsync waits only for the last stretch. The hint makes
 //! nothing durable: [`SealedSnapshot::sync_all`] stays the barrier. An
-//! error from it fails the write as a failed `write_all` does: the
-//! checkpoint returns it and publishes nothing.
+//! error from it fails the write as a failed write does: the writer thread
+//! stops, the next [`SnapshotWriter::push`] or [`SnapshotWriter::finish`]
+//! joins it and returns the error, and the checkpoint publishes nothing.
 
+use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
+use parking_lot::{Condvar, Mutex};
 use wh_hash::crc32c_append;
 
 use crate::record::{push_bytes, push_sized, take_sized};
@@ -64,26 +72,74 @@ pub const SNAP_MAGIC: &[u8; 8] = b"WHSNAP01";
 pub const SPARE: &str = "snapshot.spare";
 
 /// The writer's chunk: 64 KiB, under glibc's 128 KiB mmap threshold. It
-/// is written out once past 60 KiB, so a record up to 4 KiB never grows it.
+/// is handed off once past 60 KiB, so a record up to 4 KiB never grows it.
 const CHUNK: usize = 64 << 10;
+
+/// Full chunks that may wait for the writer thread before a hand-off
+/// blocks the scan.
+const QUEUED: usize = 4;
 
 /// Bytes the writer lets accumulate before it asks the kernel to start
 /// their writeback.
 pub(crate) const WRITEBACK: u64 = 1 << 20;
 
+/// Where a snapshot image's bytes go: the seam the writer thread writes
+/// through, as [`crate::WalStorage`] is the log's. The file implements it;
+/// a test can put a sink that fails partway in its place.
+pub(crate) trait SnapshotSink: Send {
+    /// Writes `data` behind every byte already written.
+    fn append(&mut self, data: &[u8]) -> io::Result<()>;
+    /// Asks for the writeback of `len` bytes from `offset` to start; makes
+    /// nothing durable.
+    fn start_writeback(&mut self, offset: u64, len: u64) -> io::Result<()>;
+    /// Cuts the sink to `len` bytes: a reused spare may be longer than the
+    /// image.
+    fn cut(&mut self, len: u64) -> io::Result<()>;
+    /// Durability barrier: every byte written survives a crash once this
+    /// returns.
+    fn sync(&mut self) -> io::Result<()>;
+}
+
+impl SnapshotSink for File {
+    fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        self.write_all(data)
+    }
+
+    fn start_writeback(&mut self, offset: u64, len: u64) -> io::Result<()> {
+        start_writeback(self, offset, len)
+    }
+
+    fn cut(&mut self, len: u64) -> io::Result<()> {
+        self.set_len(len)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_all()
+    }
+}
+
+/// What the writer thread hands back once its queue is closed and drained.
+struct Written {
+    sink: Box<dyn SnapshotSink>,
+    /// CRC-32c of every byte written.
+    crc: u32,
+    /// Bytes written.
+    len: u64,
+}
+
 /// Streams a snapshot into a temp file next to its final name. The
 /// records may come from a live cursor: the snapshot is *fuzzy*, and
 /// replaying the WAL from `covered_lsn + 1` converges ([`crate::durable`]).
+///
+/// Records are encoded on the caller's thread; the CRC, the writes and
+/// the writeback hints run on the writer's own thread, which
+/// [`finish`](Self::finish), a failed [`push`](Self::push) and `Drop` join.
 pub struct SnapshotWriter {
-    file: File,
     chunk: Vec<u8>,
-    /// CRC-32c of every byte already written to `file`.
-    crc: u32,
     count: u64,
-    /// Bytes already written to `file`.
-    written: u64,
-    /// Where the bytes not yet handed to writeback start.
-    unhinted: u64,
+    queue: Arc<Queue>,
+    /// The writer thread, until it is joined.
+    thread: Option<JoinHandle<io::Result<Written>>>,
 }
 
 impl SnapshotWriter {
@@ -96,63 +152,176 @@ impl SnapshotWriter {
             Err(e) if e.kind() == io::ErrorKind::NotFound => File::create(&tmp)?,
             Err(e) => return Err(e),
         };
+        let sink: Box<dyn SnapshotSink> = Box::new(file);
+        #[cfg(test)]
+        let sink = tests::with_armed_fault(sink);
+        let queue = Arc::new(Queue::default());
+        let end = WriterEnd(Arc::clone(&queue));
+        let thread = std::thread::Builder::new()
+            .name("wh-snapshot".into())
+            .spawn(move || write_chunks(sink, &end.0))?;
         let mut chunk = Vec::with_capacity(CHUNK);
         chunk.extend_from_slice(SNAP_MAGIC);
         chunk.extend_from_slice(&covered_lsn.to_le_bytes());
         Ok(Self {
-            file,
             chunk,
-            crc: 0,
             count: 0,
-            written: 0,
-            unhinted: 0,
+            queue,
+            thread: Some(thread),
         })
     }
 
     /// Appends one record; `value` writes the value's encoding in place.
+    /// Returns the writer thread's error once it has stopped on one.
     pub fn push(&mut self, key: &[u8], value: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         push_bytes(&mut self.chunk, key);
         push_sized(&mut self.chunk, value);
         self.count += 1;
         if self.chunk.len() > CHUNK - (4 << 10) {
-            self.crc = crc32c_append(self.crc, &self.chunk);
-            self.file.write_all(&self.chunk)?;
-            self.written += self.chunk.len() as u64;
-            self.chunk.clear();
-            if self.written - self.unhinted >= WRITEBACK {
-                start_writeback(&self.file, self.unhinted, self.written - self.unhinted)?;
-                self.unhinted = self.written;
+            let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(CHUNK));
+            if !self.queue.put(full) {
+                // The writer thread stopped before the scan did: on an error.
+                return Err(match self.drain() {
+                    Ok(_) => io::Error::other("snapshot writer stopped"),
+                    Err(e) => e,
+                });
             }
         }
         Ok(())
     }
 
-    /// Ends the image with its count and CRC and cuts a longer spare's
-    /// tail. The image is written, not yet durable, and not published.
+    /// Closes the queue and joins the writer thread: what it wrote, or the
+    /// error that stopped it. A panic on the thread resumes here.
+    fn drain(&mut self) -> io::Result<Written> {
+        self.queue.close();
+        let thread = self
+            .thread
+            .take()
+            .ok_or_else(|| io::Error::other("snapshot writer stopped"))?;
+        thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Waits for the writer thread to write every queued chunk, then ends
+    /// the image with its count and CRC and cuts a longer spare's tail.
+    /// The image is written, not yet durable, and not published.
     pub fn finish(mut self) -> io::Result<SealedSnapshot> {
-        self.chunk.extend_from_slice(&self.count.to_le_bytes());
-        let crc = crc32c_append(self.crc, &self.chunk);
-        self.chunk.extend_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&self.chunk)?;
-        // A reused spare may be longer than the image: cut its tail.
-        let len = self.file.stream_position()?;
-        self.file.set_len(len)?;
-        Ok(SealedSnapshot(self.file))
+        let mut tail = std::mem::take(&mut self.chunk);
+        tail.extend_from_slice(&self.count.to_le_bytes());
+        let Written { mut sink, crc, len } = self.drain()?;
+        let crc = crc32c_append(crc, &tail);
+        tail.extend_from_slice(&crc.to_le_bytes());
+        sink.append(&tail)?;
+        sink.cut(len + tail.len() as u64)?;
+        Ok(SealedSnapshot(sink))
+    }
+}
+
+impl Drop for SnapshotWriter {
+    /// An abandoned image: no writer thread outlives its writer.
+    fn drop(&mut self) {
+        self.queue.close();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The writer thread: each chunk's CRC update, its write and, each further
+/// [`WRITEBACK`] bytes, the writeback hint, until the queue is closed and
+/// empty or a write fails.
+fn write_chunks(mut sink: Box<dyn SnapshotSink>, queue: &Queue) -> io::Result<Written> {
+    let (mut crc, mut len, mut unhinted) = (0, 0, 0);
+    while let Some(chunk) = queue.take() {
+        crc = crc32c_append(crc, &chunk);
+        sink.append(&chunk)?;
+        len += chunk.len() as u64;
+        if len - unhinted >= WRITEBACK {
+            sink.start_writeback(unhinted, len - unhinted)?;
+            unhinted = len;
+        }
+    }
+    Ok(Written { sink, crc, len })
+}
+
+/// The hand-off from the scan to the writer thread: up to [`QUEUED`] full
+/// chunks behind a lock, whose ThreadSanitizer annotations (the
+/// `parking_lot` shim's) also order each chunk's bytes with their reader.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<Handoff>,
+    /// Signalled on each change of `state`; only the other side waits.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Handoff {
+    chunks: VecDeque<Vec<u8>>,
+    /// No chunk follows: the writer thread ends once `chunks` is empty.
+    closed: bool,
+    /// The writer thread has returned or unwound: no chunk is taken.
+    stopped: bool,
+}
+
+impl Queue {
+    /// Queues a full chunk, waiting while [`QUEUED`] are; `false` once the
+    /// writer thread has stopped.
+    fn put(&self, chunk: Vec<u8>) -> bool {
+        let mut state = self.state.lock();
+        while state.chunks.len() >= QUEUED && !state.stopped {
+            self.changed.wait(&mut state);
+        }
+        let taken = !state.stopped;
+        if taken {
+            state.chunks.push_back(chunk);
+        }
+        drop(state);
+        self.changed.notify_one();
+        taken
+    }
+
+    /// The next chunk, waiting for one; `None` once closed and empty.
+    fn take(&self) -> Option<Vec<u8>> {
+        let mut state = self.state.lock();
+        while state.chunks.is_empty() && !state.closed {
+            self.changed.wait(&mut state);
+        }
+        let chunk = state.chunks.pop_front();
+        drop(state);
+        self.changed.notify_one();
+        chunk
+    }
+
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.changed.notify_one();
+    }
+}
+
+/// The writer thread's hold on the queue: dropped when the thread returns
+/// or unwinds, which tells a waiting [`Queue::put`] that it has stopped.
+struct WriterEnd(Arc<Queue>);
+
+impl Drop for WriterEnd {
+    fn drop(&mut self) {
+        self.0.state.lock().stopped = true;
+        self.0.changed.notify_one();
     }
 }
 
 /// A snapshot image written whole into its temp file, not yet synced.
 #[must_use = "an image is durable only once synced"]
-pub struct SealedSnapshot(File);
+pub struct SealedSnapshot(Box<dyn SnapshotSink>);
 
 impl SealedSnapshot {
     /// Fsyncs the image, but does **not** publish: checkpointing uses the
     /// gap to commit the WAL through everything the fuzzy scan may have
     /// observed *before* the snapshot becomes load-bearing
     /// ([`publish_snapshot`]).
-    pub fn sync_all(self) -> io::Result<()> {
+    pub fn sync_all(mut self) -> io::Result<()> {
         // Every data byte is durable before the final name can exist.
-        self.0.sync_all()
+        self.0.sync()
     }
 }
 
@@ -285,10 +454,11 @@ pub fn snapshot_path(dir: &Path, covered_lsn: u64) -> PathBuf {
     dir.join(format!("snap-{covered_lsn:020}.snap"))
 }
 
-/// Makes a superseded or unpublished snapshot file its directory's spare,
-/// or deletes it if there is one. Durable once the directory is fsynced.
-pub fn retire(path: &Path) -> io::Result<()> {
-    let spare = path.with_file_name(SPARE);
+/// Makes a superseded or unpublished file its directory's spare, the file
+/// named `spare` ([`SPARE`] for snapshots), or deletes it if there is one.
+/// Durable once the directory is fsynced.
+pub fn retire(path: &Path, spare: &str) -> io::Result<()> {
+    let spare = path.with_file_name(spare);
     if spare.try_exists()? {
         fs::remove_file(path)
     } else {
@@ -307,8 +477,105 @@ pub fn covered_lsn_of(path: &Path) -> Option<u64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    thread_local! {
+        /// The fault the next image this thread creates writes through.
+        static ARMED: RefCell<Option<(u64, Arc<AtomicBool>)>> = const { RefCell::new(None) };
+    }
+
+    /// Makes the next image this thread's [`SnapshotWriter::create`] opens
+    /// fail once `room` bytes are written, as a full disk would. The flag
+    /// turns true when the writer thread drops the sink, a moment late: a
+    /// writer that returned without joining its thread would leave it
+    /// false.
+    pub(crate) fn fail_next_image_after(room: u64) -> Arc<AtomicBool> {
+        let dropped = Arc::new(AtomicBool::new(false));
+        ARMED.set(Some((room, Arc::clone(&dropped))));
+        dropped
+    }
+
+    pub(super) fn with_armed_fault(sink: Box<dyn SnapshotSink>) -> Box<dyn SnapshotSink> {
+        match ARMED.take() {
+            Some((room, dropped)) => Box::new(Failing {
+                sink,
+                room,
+                dropped,
+            }),
+            None => sink,
+        }
+    }
+
+    /// A sink that writes `room` bytes more, then fails each write.
+    struct Failing {
+        sink: Box<dyn SnapshotSink>,
+        room: u64,
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl SnapshotSink for Failing {
+        fn append(&mut self, data: &[u8]) -> io::Result<()> {
+            let fits = data.len().min(self.room as usize);
+            self.sink.append(&data[..fits])?;
+            self.room -= fits as u64;
+            if fits < data.len() {
+                return Err(io::Error::other("injected fault: no space left"));
+            }
+            Ok(())
+        }
+
+        fn start_writeback(&mut self, offset: u64, len: u64) -> io::Result<()> {
+            self.sink.start_writeback(offset, len)
+        }
+
+        fn cut(&mut self, len: u64) -> io::Result<()> {
+            self.sink.cut(len)
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            self.sink.sync()
+        }
+    }
+
+    impl Drop for Failing {
+        fn drop(&mut self) {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            self.dropped.store(true, Ordering::Release);
+        }
+    }
+
+    /// A write that fails partway fails the image: the writer thread stops,
+    /// the next `push` or `finish` joins it and returns its error.
+    #[test]
+    fn a_write_that_fails_partway_is_returned_after_the_join() {
+        let dir = tmp_dir("fault");
+        for room in [0, 100, 3 * CHUNK as u64 + 5] {
+            let path = snapshot_path(&dir, 5);
+            let dropped = fail_next_image_after(room);
+            let mut writer = SnapshotWriter::create(&path, 5).unwrap();
+            let mut failed = None;
+            for i in 0..1_000 {
+                let key = format!("key-{i:04}");
+                if let Err(e) = writer.push(key.as_bytes(), |out| out.extend([7; 1000])) {
+                    failed = Some(e);
+                    break;
+                }
+            }
+            let error = match failed {
+                Some(e) => e,
+                None => writer.finish().err().expect("the image fails"),
+            };
+            assert!(error.to_string().contains("injected"), "{room}: {error}");
+            assert!(dropped.load(Ordering::Acquire), "{room}: thread not joined");
+            let written = fs::metadata(path.with_extension("tmp")).unwrap().len();
+            assert_eq!(written, room, "{room}");
+            fs::remove_file(path.with_extension("tmp")).unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =

@@ -9,7 +9,7 @@
 //! test-only.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -37,22 +37,25 @@ pub trait WalStorage: Send {
     }
 }
 
-/// Real-file backend: `append` = `write_all`, `sync` = `fsync`.
+/// Real-file backend: `append` = `write_all` at the stream's tracked
+/// length, `sync` = `fdatasync`.
 pub struct FileStorage {
     file: File,
     len: u64,
 }
 
 impl FileStorage {
-    /// Opens (creating if absent) `path` for appending and reads its
-    /// current length.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new()
+    /// Opens (creating if absent) `path` as a stream of its first `len`
+    /// bytes: appends write from there, over whatever the file holds past
+    /// it, which is neither cut nor read. A reused segment file is opened
+    /// at 0 and keeps its blocks.
+    pub fn open(path: &Path, len: u64) -> io::Result<Self> {
+        let mut file = OpenOptions::new()
             .create(true)
-            .append(true)
-            .read(true)
+            .truncate(false)
+            .write(true)
             .open(path)?;
-        let len = file.metadata()?.len();
+        file.seek(SeekFrom::Start(len))?;
         Ok(Self { file, len })
     }
 }
@@ -232,18 +235,25 @@ mod tests {
         let path = dir.join("probe.log");
         let _ = std::fs::remove_file(&path);
         {
-            let mut storage = FileStorage::open(&path).unwrap();
+            let mut storage = FileStorage::open(&path, 0).unwrap();
             storage.append(b"hello ").unwrap();
             storage.append(b"world").unwrap();
             storage.sync().unwrap();
             assert_eq!(storage.len(), 11);
         }
-        // Re-open sees the existing length and keeps appending.
-        let mut storage = FileStorage::open(&path).unwrap();
+        // Re-opened at its length, the stream keeps appending.
+        let mut storage = FileStorage::open(&path, 11).unwrap();
         assert_eq!(storage.len(), 11);
         storage.append(b"!").unwrap();
         drop(storage);
         assert_eq!(std::fs::read(&path).unwrap(), b"hello world!");
+        // Re-opened at 0, it writes over the file and leaves its tail.
+        let mut storage = FileStorage::open(&path, 0).unwrap();
+        assert_eq!(storage.len(), 0);
+        storage.append(b"HELLO").unwrap();
+        assert_eq!(storage.len(), 5);
+        drop(storage);
+        assert_eq!(std::fs::read(&path).unwrap(), b"HELLO world!");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

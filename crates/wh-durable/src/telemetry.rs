@@ -1,6 +1,7 @@
 //! Telemetry for the durability layer: fsync count and latency, the
 //! group-commit batch factor, WAL byte volume, and checkpoint durations,
-//! whole and of their four phases: rotate, scan, image sync and publish.
+//! whole and of their five phases: rotate, scan, drain, image sync and
+//! publish.
 //!
 //! One [`DurableMetrics`] is owned per WAL, so per [`DurableWormhole`]
 //! whatever index it wraps: a sharded front's shards share one log and
@@ -24,13 +25,18 @@ wh_telemetry::metrics! {
         pub commit_batch_ops: Histogram,
         /// Bytes appended to WAL storage (frames plus commit seals).
         pub wal_bytes: Counter,
-        /// Wall time of each full checkpoint (rotate, fuzzy scan, publish,
-        /// GC), in nanoseconds.
+        /// Wall time of each full checkpoint (rotate, fuzzy scan, drain,
+        /// image sync, publish with GC), in nanoseconds.
         pub checkpoint_ns: Histogram,
         /// Wall time of each checkpoint's fuzzy scan, from the end of the
-        /// rotation to the image being written whole (before its fsync),
-        /// in nanoseconds.
+        /// rotation to the last record handed to the snapshot writer, in
+        /// nanoseconds.
         pub checkpoint_scan_ns: Histogram,
+        /// Wall time of each checkpoint's drain: the snapshot writer's
+        /// `finish`, which waits for its thread to write the chunks still
+        /// queued after the scan, then writes the image's tail, in
+        /// nanoseconds.
+        pub checkpoint_drain_ns: Histogram,
         /// Wall time of each checkpoint image's fsync, in nanoseconds.
         pub checkpoint_sync_ns: Histogram,
         /// Wall time of each checkpoint's rotation: the live segment

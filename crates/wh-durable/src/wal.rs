@@ -135,13 +135,19 @@ impl Wal {
 
     /// The batch leader's step, under the file lock: steal the whole
     /// pending buffer, seal it with one `Commit`, and append + fsync it.
-    /// A storage error poisons the log for good (see the module docs).
+    /// With nothing pending everything is durable already, and nothing is
+    /// written: a segment holds no `Commit` below its first LSN (see
+    /// [`record`]'s frame walk). A storage error poisons the log for good
+    /// (see the module docs).
     fn seal(&self, storage: &mut dyn WalStorage) -> io::Result<u64> {
         self.check_poisoned()?;
         let (mut batch, upto) = {
             let mut seq = self.seq.lock();
             (std::mem::take(&mut seq.pending), seq.next_lsn - 1)
         };
+        if batch.is_empty() {
+            return Ok(upto);
+        }
         record::encode_commit(&mut batch, upto);
         let timing = wh_telemetry::start_timing();
         if let Err(e) = storage.append(&batch).and_then(|()| storage.sync()) {
@@ -212,7 +218,7 @@ mod tests {
         assert_eq!(wal.commit(lsn_b).unwrap(), 2);
         assert_eq!(wal.durable_lsn(), 2);
         let mut applied = Vec::new();
-        let (_, committed, _) = replay_committed(&handle.surviving_bytes(), |r| {
+        let (_, committed, _) = replay_committed(&handle.surviving_bytes(), 1, |r| {
             if let WalRecord::Put { key, .. } = r {
                 applied.push(key.clone());
             }
@@ -246,7 +252,7 @@ mod tests {
         // (each sync covers a batch; with 8 contending writers at least
         // some batching must occur).
         assert!(handle.sync_count() <= total);
-        let (_, committed, max) = replay_committed(&handle.surviving_bytes(), |_| {});
+        let (_, committed, max) = replay_committed(&handle.surviving_bytes(), 1, |_| {});
         assert_eq!(committed, total);
         assert_eq!(max, total);
     }
@@ -261,16 +267,33 @@ mod tests {
         assert_eq!(sealed, 1);
         put(&wal, b"new", b"2");
         wal.sync_all().unwrap();
-        let (_, committed_old, _) = replay_committed(&h1.surviving_bytes(), |_| {});
+        let (_, committed_old, _) = replay_committed(&h1.surviving_bytes(), 1, |_| {});
         assert_eq!(committed_old, 1);
         let mut new_keys = Vec::new();
-        let (_, committed_new, _) = replay_committed(&h2.surviving_bytes(), |r| {
+        let (_, committed_new, _) = replay_committed(&h2.surviving_bytes(), sealed + 1, |r| {
             if let WalRecord::Put { key, .. } = r {
                 new_keys.push(key.clone());
             }
         });
         assert_eq!(committed_new, 2);
         assert_eq!(new_keys, vec![b"new".to_vec()]);
+    }
+
+    /// Rotating a log whose every operation is durable writes no `Commit`
+    /// into either segment: the new one would otherwise start with a frame
+    /// below its first LSN.
+    #[test]
+    fn a_seal_with_nothing_pending_writes_nothing() {
+        let (s1, h1) = FailpointStorage::new(u64::MAX, CrashMode::DropUnsynced);
+        let (s2, h2) = FailpointStorage::new(u64::MAX, CrashMode::DropUnsynced);
+        let wal = Wal::new(Box::new(s1), 1);
+        let lsn = put(&wal, b"a", b"1");
+        wal.commit(lsn).unwrap();
+        let sealed = h1.appended_len();
+        assert_eq!(wal.rotate_with(|_| Ok(Box::new(s2))).unwrap(), lsn);
+        assert_eq!(wal.sync_all().unwrap(), lsn);
+        assert_eq!((h1.appended_len(), h2.appended_len()), (sealed, 0));
+        assert_eq!(wal.sync_count(), 1);
     }
 
     /// A storage whose `fail_at`-th append writes half of its bytes and
@@ -326,7 +349,7 @@ mod tests {
         assert!(wal.rotate_with(|_| unreachable!("no seal")).is_err());
         assert_eq!(wal.durable_lsn(), a);
         let mut keys = Vec::new();
-        let (_, committed, _) = replay_committed(&bytes.lock(), |r| {
+        let (_, committed, _) = replay_committed(&bytes.lock(), 1, |r| {
             if let WalRecord::Put { key, .. } = r {
                 keys.push(key.clone());
             }

@@ -20,6 +20,11 @@
 //!   durability contract proper: every operation acknowledged before the
 //!   crash is present after recovery.
 //!
+//! [`crash_at_every_byte_of_a_reused_segment_recovers_its_own_prefix`]
+//! repeats the first sweep in a reused segment file: behind each cut lie
+//! the older segment's frames, complete, `Commit`s among them, and where
+//! the cut falls inside a frame, that torn frame stands in front of them.
+//!
 //! [`crash_states_around_the_spare_recover_the_committed_model`] then
 //! builds the directory states a crash can leave around the spare
 //! snapshot file (see `wh_durable::snapshot`) and checks that `open`
@@ -180,12 +185,18 @@ fn model_replay(image: &[u8]) -> (BTreeMap<Vec<u8>, Vec<u8>>, u64) {
     (map, committed)
 }
 
-/// Runs the script through a production [`Wal`] on a failpoint storage.
-/// Returns the handle plus the highest LSN *acknowledged* (a `Commit`
-/// step whose `commit()` returned `Ok`) before the storage died.
-fn run_script(script: &[Op], kill_at: u64, mode: CrashMode) -> (wh_durable::FailpointHandle, u64) {
+/// Runs the script through a production [`Wal`], whose first LSN is
+/// `first_lsn`, on a failpoint storage. Returns the handle plus the
+/// highest LSN *acknowledged* (a `Commit` step whose `commit()` returned
+/// `Ok`) before the storage died.
+fn run_script(
+    script: &[Op],
+    first_lsn: u64,
+    kill_at: u64,
+    mode: CrashMode,
+) -> (wh_durable::FailpointHandle, u64) {
     let (storage, handle) = FailpointStorage::new(kill_at, mode);
-    let wal = Wal::new(Box::new(storage), 1);
+    let wal = Wal::new(Box::new(storage), first_lsn);
     let mut acked = 0u64;
     for op in script {
         let outcome = match op {
@@ -232,12 +243,13 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// Recovered pairs plus the committed LSN the open reported.
 type Recovered = (Vec<(Vec<u8>, Vec<u8>)>, u64);
 
-/// Recovers `image` as segment 1 of a fresh directory through the
-/// production open path and returns the recovered contents.
-fn recover(dir: &PathBuf, image: &[u8]) -> Recovered {
+/// Recovers `image` as the segment whose first LSN is `first_lsn` in a
+/// fresh directory through the production open path and returns the
+/// recovered contents.
+fn recover(dir: &PathBuf, first_lsn: u64, image: &[u8]) -> Recovered {
     let _ = fs::remove_dir_all(dir);
     fs::create_dir_all(dir).unwrap();
-    fs::write(dir.join(format!("wal-{:020}.log", 1)), image).unwrap();
+    fs::write(dir.join(format!("wal-{first_lsn:020}.log")), image).unwrap();
     let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open(dir).unwrap();
     let state = idx.range_from(b"", usize::MAX);
     let committed = idx.recovery().committed_lsn;
@@ -248,7 +260,7 @@ fn recover(dir: &PathBuf, image: &[u8]) -> Recovered {
 fn crash_at_every_byte_boundary_recovers_committed_prefix() {
     let ops = (60 * stress_mult()).min(600) as usize;
     let script = workload(ops);
-    let (handle, _) = run_script(&script, u64::MAX, CrashMode::KeepAll);
+    let (handle, _) = run_script(&script, 1, u64::MAX, CrashMode::KeepAll);
     let full = handle.surviving_bytes();
     assert!(full.len() > 500, "workload produced a trivially short log");
 
@@ -258,7 +270,7 @@ fn crash_at_every_byte_boundary_recovers_committed_prefix() {
     for cut in 0..=full.len() {
         let image = &full[..cut];
         let (expected, expected_committed) = model_replay(image);
-        let (state, committed) = recover(&dir, image);
+        let (state, committed) = recover(&dir, 1, image);
         assert_eq!(
             committed, expected_committed,
             "committed LSN diverges at cut {cut}"
@@ -283,7 +295,7 @@ fn crash_at_every_byte_boundary_recovers_committed_prefix() {
 fn acknowledged_operations_survive_mid_append_crashes() {
     let ops = (60 * stress_mult()).min(600) as usize;
     let script = workload(ops);
-    let (probe, _) = run_script(&script, u64::MAX, CrashMode::KeepAll);
+    let (probe, _) = run_script(&script, 1, u64::MAX, CrashMode::KeepAll);
     let total = probe.surviving_bytes().len() as u64;
 
     // Enough kill points to land inside many different frames and
@@ -295,7 +307,7 @@ fn acknowledged_operations_survive_mid_append_crashes() {
     for mode in [CrashMode::KeepAll, CrashMode::DropUnsynced] {
         let mut kill_at = 0u64;
         while kill_at < total {
-            let (handle, acked) = run_script(&script, kill_at, mode);
+            let (handle, acked) = run_script(&script, 1, kill_at, mode);
             crashed_runs += handle.is_dead() as usize;
             let image = handle.surviving_bytes();
             let (expected, expected_committed) = model_replay(&image);
@@ -304,7 +316,7 @@ fn acknowledged_operations_survive_mid_append_crashes() {
                 "acknowledged LSN {acked} not covered by surviving image \
                  (kill_at {kill_at}, {mode:?})"
             );
-            let (state, committed) = recover(&dir, &image);
+            let (state, committed) = recover(&dir, 1, &image);
             assert_eq!(
                 committed, expected_committed,
                 "committed LSN diverges (kill_at {kill_at}, {mode:?})"
@@ -318,6 +330,50 @@ fn acknowledged_operations_survive_mid_append_crashes() {
         }
     }
     assert!(crashed_runs > 0, "no run actually hit its kill point");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A segment `wal-<first>` written into a reused file: the older segment
+/// ran the same script plus a final commit, ending with `Commit(first - 1)`,
+/// the tightest a reuse allows. Its frames have the new ones' sizes, so a cut
+/// at a frame boundary has a complete older frame right behind it, and a
+/// cut inside a frame leaves that torn frame in front of one. Recovery
+/// must read the new bytes alone: the image as far as it equals the new
+/// segment, replayed by the model.
+#[test]
+fn crash_at_every_byte_of_a_reused_segment_recovers_its_own_prefix() {
+    let ops = (60 * stress_mult()).min(600) as usize;
+    let script = workload(ops);
+    let logged = script.iter().filter(|op| !matches!(op, Op::Commit)).count() as u64;
+    let first = 1 << 20;
+    let older: Vec<Op> = script.iter().cloned().chain([Op::Commit]).collect();
+    let (old, _) = run_script(&older, first - logged, u64::MAX, CrashMode::KeepAll);
+    let (new, _) = run_script(&script, first, u64::MAX, CrashMode::KeepAll);
+    let (old, new) = (old.surviving_bytes(), new.surviving_bytes());
+    // The older segment also sealed the script's unsealed tail.
+    assert!(old.len() > new.len());
+    assert_eq!(model_replay(&old).1, first - 1);
+
+    let dir = fresh_dir("reused");
+    let mut distinct_states = 0usize;
+    let mut last_committed = u64::MAX;
+    for cut in 0..=new.len() {
+        let image = [&new[..cut], &old[cut..]].concat();
+        let same = image.iter().zip(&new).take_while(|(a, b)| a == b).count();
+        let (expected, expected_committed) = model_replay(&new[..same]);
+        let (state, committed) = recover(&dir, first, &image);
+        assert_eq!(committed, expected_committed, "cut {cut}");
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = expected.into_iter().collect();
+        assert_eq!(state, expected, "recovered state diverges at cut {cut}");
+        if committed != last_committed {
+            distinct_states += 1;
+            last_committed = committed;
+        }
+    }
+    assert!(
+        distinct_states > ops / 8,
+        "only {distinct_states} commit horizons crossed"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 

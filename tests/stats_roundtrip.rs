@@ -86,7 +86,7 @@ fn stats_exposition_covers_every_instrumented_crate() {
 /// The `# TYPE` lines of the [`serving_stack`] registry and of a
 /// [`ShardServer`] registry over the same front, sorted. The examples,
 /// scrapes and any dashboard read these names.
-const EXPOSED: [&str; 96] = [
+const EXPOSED: [&str; 97] = [
     "netsim_batch_requests histogram",
     "netsim_batch_requests histogram",
     "netsim_client_rtt_ns histogram",
@@ -144,6 +144,7 @@ const EXPOSED: [&str; 96] = [
     "shard_wormhole_scan_sorts_total counter",
     "shard_wormhole_seqlock_retries_total counter",
     "shard_wormhole_splits_total counter",
+    "wh_durable_checkpoint_drain_ns histogram",
     "wh_durable_checkpoint_ns histogram",
     "wh_durable_checkpoint_publish_ns histogram",
     "wh_durable_checkpoint_rotate_ns histogram",
