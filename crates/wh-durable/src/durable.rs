@@ -165,7 +165,8 @@ pub struct RecoveryReport {
     /// Highest committed LSN — the recovered state is exactly the
     /// operations with `lsn <=` this value.
     pub committed_lsn: u64,
-    /// Bytes cut from the last segment's torn/uncommitted tail.
+    /// Bytes cut from the last segment past its last committed frame,
+    /// when frames no `Commit` covers were found there.
     pub truncated_bytes: u64,
 }
 
@@ -317,9 +318,12 @@ where
         report.segments_scanned = segments.len();
         let mut committed_max = covered;
         let mut decode_failure = false;
+        // Where the newest segment's committed frames end: appends go on
+        // from there.
+        let mut append_at = 0;
         for (i, &(first_lsn, ref path)) in segments.iter().enumerate() {
             let bytes = fs::read(path)?;
-            let (valid_end, seg_committed, _) = replay_committed(&bytes, first_lsn, |rec| {
+            let (valid_end, seg_committed, seg_max) = replay_committed(&bytes, first_lsn, |rec| {
                 if rec.lsn() <= covered {
                     return;
                 }
@@ -341,17 +345,21 @@ where
                 report.replayed_operations += 1;
             });
             committed_max = committed_max.max(seg_committed);
-            // Only the newest segment can carry a torn or uncommitted
-            // tail (rotation seals every older one; an older one may end
-            // in a reused file's older frames, which replay stops at). Cut
-            // the newest at its last committed frame, so that no frame
-            // above the committed LSN, which the next operations take
-            // again, outlives the open.
-            if i == segments.len() - 1 && (valid_end as u64) < bytes.len() as u64 {
-                report.truncated_bytes = bytes.len() as u64 - valid_end as u64;
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(valid_end as u64)?;
-                file.sync_all()?;
+            // Only the newest segment can end in frames no `Commit` covers
+            // (rotation seals every older one). Their LSNs are the next
+            // operations' again, so they are cut, durably, before anything
+            // is appended. Past the last `Commit` there is otherwise at
+            // most a torn frame's start (a crash keeps a prefix of what was
+            // being appended) or, in a reused file, an older segment's
+            // frames: both stay, and appends overwrite them.
+            if i == segments.len() - 1 {
+                append_at = valid_end as u64;
+                if seg_max > seg_committed {
+                    report.truncated_bytes = bytes.len() as u64 - append_at;
+                    let file = OpenOptions::new().write(true).open(path)?;
+                    file.set_len(append_at)?;
+                    file.sync_all()?;
+                }
             }
         }
         if decode_failure {
@@ -361,10 +369,7 @@ where
 
         let next_lsn = committed_max + 1;
         let storage = match segments.last() {
-            Some(&(first_lsn, ref path)) => {
-                let len = fs::metadata(path)?.len();
-                open_segment(&dir, first_lsn, len)?
-            }
+            Some(&(first_lsn, _)) => open_segment(&dir, first_lsn, append_at)?,
             None => {
                 let storage = open_segment(&dir, next_lsn, 0)?;
                 snapshot::sync_dir(&dir)?;

@@ -24,6 +24,8 @@
 //! repeats the first sweep in a reused segment file: behind each cut lie
 //! the older segment's frames, complete, `Commit`s among them, and where
 //! the cut falls inside a frame, that torn frame stands in front of them.
+//! [`a_second_run_over_a_crashed_tail_recovers_both_runs`] opens a cut log
+//! and writes over its uncommitted tail before a second crash.
 //!
 //! [`crash_states_around_the_spare_recover_the_committed_model`] then
 //! builds the directory states a crash can leave around the spare
@@ -374,6 +376,71 @@ fn crash_at_every_byte_of_a_reused_segment_recovers_its_own_prefix() {
         distinct_states > ops / 8,
         "only {distinct_states} commit horizons crossed"
     );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A second run over a crashed log. The log, cut as a crash leaves it,
+/// is opened, and the script runs on from the first operation the cut
+/// did not commit, each value's `v` made a `w`: its frames take the LSNs
+/// and the sizes of the first run's frames past the last `Commit` and land
+/// exactly over them. A reopen must hold the first run's committed state
+/// with the second run's synced operations on top: what the second run
+/// left of the first's tail, frames no `Commit` covers or a torn frame's
+/// start, is never replayed.
+#[test]
+fn a_second_run_over_a_crashed_tail_recovers_both_runs() {
+    let ops = (60 * stress_mult()).min(600) as usize;
+    let script = workload(ops);
+    let (handle, _) = run_script(&script, 1, u64::MAX, CrashMode::KeepAll);
+    let full = handle.surviving_bytes();
+    let options = DurableOptions {
+        sync: SyncPolicy::Manual,
+        ..DurableOptions::default()
+    };
+    let dir = fresh_dir("second-run");
+    let step = (full.len() / (150 * stress_mult()) as usize).max(1);
+    for cut in (0..=full.len()).step_by(step) {
+        let (mut model, committed) = model_replay(&full[..cut]);
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(format!("wal-{:020}.log", 1)), &full[..cut]).unwrap();
+        {
+            let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, options).unwrap();
+            let mut logged = 0;
+            let rest = script.iter().skip_while(|op| {
+                logged += u64::from(!matches!(op, Op::Commit));
+                logged <= committed
+            });
+            let mut shadow = model.clone();
+            for op in rest.take(25) {
+                match op {
+                    Op::Put(key, value) => {
+                        let value: Vec<u8> = value
+                            .iter()
+                            .map(|&b| if b == b'v' { b'w' } else { b })
+                            .collect();
+                        idx.set(key, value.clone());
+                        shadow.insert(key.clone(), value);
+                    }
+                    Op::Delete(key) => {
+                        idx.del(key);
+                        shadow.remove(key);
+                    }
+                    Op::DeleteRange(lo, hi) => {
+                        idx.delete_range(lo, hi);
+                        shadow.retain(|key, _| key < lo || key >= hi);
+                    }
+                    Op::Commit => {
+                        idx.wal_sync().unwrap();
+                        model = shadow.clone();
+                    }
+                }
+            }
+        } // the crash: what was not synced is gone
+        let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, options).unwrap();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        assert_eq!(idx.range_from(b"", usize::MAX), expected, "cut {cut}");
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 
