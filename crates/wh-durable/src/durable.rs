@@ -817,12 +817,14 @@ mod tests {
         for i in 0..2_000 * mult {
             idx.set(format!("pre-{i:07}").as_bytes(), i);
         }
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for w in 0..3u64 {
-                let idx = &idx;
-                let stop = &stop;
-                scope.spawn(move || {
+        // Joined, not scoped: ThreadSanitizer does not see `thread::scope`'s
+        // wait, which is inside the uninstrumented standard library.
+        let idx = std::sync::Arc::new(idx);
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut threads: Vec<_> = (0..3u64)
+            .map(|w| {
+                let (idx, stop) = (std::sync::Arc::clone(&idx), std::sync::Arc::clone(&stop));
+                std::thread::spawn(move || {
                     let mut i = 0u64;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         idx.set(format!("w{w}-{i:05}").as_bytes(), i);
@@ -831,17 +833,19 @@ mod tests {
                         }
                         i += 1;
                     }
-                });
+                })
+            })
+            .collect();
+        let (checkpointer, done) = (std::sync::Arc::clone(&idx), std::sync::Arc::clone(&stop));
+        threads.push(std::thread::spawn(move || {
+            for _ in 0..5 * mult {
+                checkpointer.checkpoint().unwrap();
             }
-            let idx = &idx;
-            let stop = &stop;
-            scope.spawn(move || {
-                for _ in 0..5 * mult {
-                    idx.checkpoint().unwrap();
-                }
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            });
-        });
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+        }));
+        for thread in threads {
+            thread.join().unwrap();
+        }
         let expected: Vec<(Vec<u8>, u64)> = idx.range_from(b"", usize::MAX);
         drop(idx);
         let reopened: DurableWormhole<u64> = DurableWormhole::open_with(&dir, options).unwrap();

@@ -233,19 +233,24 @@ mod tests {
         let wal = Arc::new(Wal::new(Box::new(storage), 1));
         let writers = 8;
         let per_writer = 200;
-        std::thread::scope(|scope| {
-            for w in 0..writers {
+        // Joined, not scoped: ThreadSanitizer does not see `thread::scope`'s
+        // wait, which is inside the uninstrumented standard library.
+        let threads: Vec<_> = (0..writers)
+            .map(|w| {
                 let wal = Arc::clone(&wal);
-                scope.spawn(move || {
+                std::thread::spawn(move || {
                     for i in 0..per_writer {
                         let key = format!("w{w}-{i:04}");
                         let lsn = put(&wal, key.as_bytes(), b"v");
                         let durable = wal.commit(lsn).unwrap();
                         assert!(durable >= lsn);
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
         let total = (writers * per_writer) as u64;
         assert_eq!(wal.durable_lsn(), total);
         // The whole point: far fewer syncs than committed operations
