@@ -999,7 +999,7 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Direction 9's snapshot fault: an image whose write fails halfway
+    /// A snapshot fault: an image whose write fails halfway
     /// fails the checkpoint after its writer thread is joined, publishes
     /// nothing, and leaves the previous snapshot plus the log to recover.
     #[test]
