@@ -21,9 +21,10 @@
 //! <dir>/snapshot.spare         superseded snapshot the next one overwrites
 //! ```
 //!
-//! File names zero-pad their LSN to twenty digits so lexical order is
-//! numeric order. Neither spare's name is listed as a segment or a
-//! snapshot, so recovery never reads one.
+//! File names zero-pad their LSN to twenty digits ([`lsn_path`]), and one
+//! lister ([`list_lsn_files`]) parses them back, ascending. Neither spare's
+//! name is listed as a segment or a snapshot, so recovery never reads one.
+//! Both spares are taken by the one opener, [`FileStorage::reuse`].
 //!
 //! # Write path
 //!
@@ -53,15 +54,15 @@
 //!    operations racing it. It takes the cursor's batches whole
 //!    ([`Cursor::next_batch`]), so the Wormhole indexes fill one a leaf.
 //!    Each batch is encoded into the [`snapshot::SnapshotWriter`]'s
-//!    64 KiB chunk on the checkpoint's thread, and each full chunk goes to
-//!    the writer's own thread, which CRCs it, writes it and hands each
-//!    further MiB written to the kernel's writeback at once, so the
-//!    image's fsync at the end of the step waits only for the last
-//!    stretch. The scan then **drains** the writer: it waits for the
-//!    thread to write what is queued, and writes the image's tail. The
-//!    hint is not a barrier; an error from it or from a write fails the
-//!    checkpoint, after the thread is joined and before anything is
-//!    published.
+//!    64 KiB chunk on the checkpoint's thread, and each full chunk is sent
+//!    down a bounded std channel to the writer's own thread, which CRCs
+//!    it, writes it and hands each further MiB written to the kernel's
+//!    writeback at once, so the image's `fdatasync` at the end of the step
+//!    waits only for the last stretch. The scan then **drains** the
+//!    writer: it closes the channel, waits for the thread to write what is
+//!    queued, and writes the image's tail. The hint is not a barrier; an
+//!    error from it or from a write fails the checkpoint, after the thread
+//!    is joined and before anything is published.
 //! 3. **Commit through `S_end`** (the highest LSN assigned when the scan
 //!    finished): every operation the scan *could* have captured is now
 //!    durable in the WAL, so the snapshot never embeds a write that a
@@ -96,7 +97,7 @@
 //! [`crate::wal`]): every later commit, barrier and checkpoint errors, and
 //! reopening the directory recovers exactly the acknowledged prefix.
 
-use std::fs::{self, OpenOptions};
+use std::fs;
 use std::io;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
@@ -107,7 +108,7 @@ use wormhole::{Wormhole, WormholeConfig};
 
 use crate::record::{self, replay_committed, WalRecord};
 use crate::snapshot;
-use crate::storage::{FileStorage, WalStorage};
+use crate::storage::{list_lsn_files, lsn_path, retire, sync_dir, FileStorage, Storage};
 use crate::telemetry::DurableMetrics;
 use crate::value::DurableValue;
 use crate::wal::Wal;
@@ -173,44 +174,6 @@ pub struct RecoveryReport {
 /// The WAL spare's file name: not `wal-*.log`, so never listed as a segment.
 pub const WAL_SPARE: &str = "wal.spare";
 
-fn segment_path(dir: &Path, first_lsn: u64) -> PathBuf {
-    dir.join(format!("wal-{first_lsn:020}.log"))
-}
-
-/// Opens segment `first_lsn` to write at byte `len`. A segment that does
-/// not exist yet is the directory's [`WAL_SPARE`] renamed, if there is
-/// one, or a new file; either way it is durable once the directory is
-/// fsynced.
-fn open_segment(dir: &Path, first_lsn: u64, len: u64) -> io::Result<FileStorage> {
-    let path = segment_path(dir, first_lsn);
-    if !path.try_exists()? {
-        match fs::rename(dir.join(WAL_SPARE), &path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-    }
-    FileStorage::open(&path, len)
-}
-
-/// WAL segments in `dir`, ascending by first LSN (parsed from the name).
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segments: Vec<(u64, PathBuf)> = fs::read_dir(dir)?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter_map(|path| {
-            let name = path.file_name()?.to_str()?;
-            let first_lsn = name
-                .strip_prefix("wal-")?
-                .strip_suffix(".log")?
-                .parse::<u64>()
-                .ok()?;
-            Some((first_lsn, path))
-        })
-        .collect();
-    segments.sort();
-    Ok(segments)
-}
-
 fn corrupt(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("recovery: {msg}"))
 }
@@ -264,7 +227,7 @@ where
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
-                snapshot::retire(&path, snapshot::SPARE)?;
+                retire(&path, snapshot::SPARE)?;
             }
         }
 
@@ -273,8 +236,8 @@ where
         // bit-rotted) are skipped, falling back to older images plus a
         // longer WAL replay.
         let mut base: Option<snapshot::SnapshotData> = None;
-        for snap in snapshot::list_snapshots(&dir)? {
-            match snapshot::load_snapshot(&snap) {
+        for (lsn, snap) in list_lsn_files(&dir, "snap-", ".snap")?.into_iter().rev() {
+            match snapshot::load_snapshot(&snap, lsn) {
                 Ok(data) => {
                     base = Some(data);
                     break;
@@ -314,16 +277,16 @@ where
 
         // Replay the committed prefix of every segment, oldest first,
         // skipping operations the snapshot already covers.
-        let segments = list_segments(&dir)?;
+        let segments = list_lsn_files(&dir, "wal-", ".log")?;
         report.segments_scanned = segments.len();
         let mut committed_max = covered;
         let mut decode_failure = false;
         // Where the newest segment's committed frames end: appends go on
         // from there.
         let mut append_at = 0;
-        for (i, &(first_lsn, ref path)) in segments.iter().enumerate() {
+        for (i, (first_lsn, path)) in segments.iter().enumerate() {
             let bytes = fs::read(path)?;
-            let (valid_end, seg_committed, seg_max) = replay_committed(&bytes, first_lsn, |rec| {
+            let (valid_end, seg_committed, seg_max) = replay_committed(&bytes, *first_lsn, |rec| {
                 if rec.lsn() <= covered {
                     return;
                 }
@@ -356,9 +319,6 @@ where
                 append_at = valid_end as u64;
                 if seg_max > seg_committed {
                     report.truncated_bytes = bytes.len() as u64 - append_at;
-                    let file = OpenOptions::new().write(true).open(path)?;
-                    file.set_len(append_at)?;
-                    file.sync_all()?;
                 }
             }
         }
@@ -367,15 +327,20 @@ where
         }
         report.committed_lsn = committed_max;
 
+        // Appends go on in the newest segment, or in a first one.
         let next_lsn = committed_max + 1;
-        let storage = match segments.last() {
-            Some(&(first_lsn, _)) => open_segment(&dir, first_lsn, append_at)?,
-            None => {
-                let storage = open_segment(&dir, next_lsn, 0)?;
-                snapshot::sync_dir(&dir)?;
-                storage
-            }
-        };
+        let first_lsn = segments
+            .last()
+            .map_or(next_lsn, |&(first_lsn, _)| first_lsn);
+        let path = lsn_path(&dir, "wal-", first_lsn, ".log");
+        let mut storage = FileStorage::reuse(&path, WAL_SPARE, append_at)?;
+        if report.truncated_bytes > 0 {
+            storage.cut()?;
+            storage.sync()?;
+        }
+        if segments.is_empty() {
+            sync_dir(&dir)?;
+        }
         Ok(Self {
             index,
             wal: Wal::new(Box::new(storage), next_lsn),
@@ -407,13 +372,6 @@ where
     /// The persistence directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Storage sync barriers performed since open (group commit makes
-    /// this far smaller than the operation count under concurrency).
-    /// Reads the same telemetry cell as [`DurableMetrics::fsyncs`].
-    pub fn sync_count(&self) -> u64 {
-        self.wal.sync_count()
     }
 
     /// The durability metrics (fsync count/latency, group-commit batch
@@ -474,15 +432,16 @@ where
         //    exactly the sealed prefix, and every racing operation lands
         //    in the new segment (named after its first LSN).
         let covered = self.wal.rotate_with(|sealed| {
-            let storage = open_segment(&self.dir, sealed + 1, 0)?;
-            snapshot::sync_dir(&self.dir)?;
-            Ok(Box::new(storage) as Box<dyn WalStorage>)
+            let path = lsn_path(&self.dir, "wal-", sealed + 1, ".log");
+            let storage = FileStorage::reuse(&path, WAL_SPARE, 0)?;
+            sync_dir(&self.dir)?;
+            Ok(Box::new(storage) as Box<dyn Storage>)
         })?;
         self.metrics().checkpoint_rotate_ns.record_elapsed(timing);
 
         // 2. Fuzzy scan into the temp file — writers keep running.
         let scan = wh_telemetry::start_timing();
-        let final_path = snapshot::snapshot_path(&self.dir, covered);
+        let final_path = lsn_path(&self.dir, "snap-", covered, ".snap");
         let mut writer = snapshot::SnapshotWriter::create(&final_path, covered)?;
         let mut cursor = self.index.scan(b"");
         while let Some(batch) = cursor.next_batch() {
@@ -517,32 +476,26 @@ where
 
     /// Prunes what the new snapshot supersedes, keeping one generation of
     /// redundancy: the two newest snapshots survive (an older one becomes
-    /// the snapshot spare, [`snapshot::retire`]), and a WAL segment is
-    /// retired (to the [`WAL_SPARE`]) only when the *older* retained
-    /// snapshot covers it (its successor segment starts at or below that
-    /// snapshot's `covered + 1`). If the newest snapshot is later found
-    /// corrupt, recovery still has the older image plus every segment
-    /// since it.
+    /// the snapshot spare, [`retire`]), and a WAL segment is retired (to
+    /// the [`WAL_SPARE`]) only when the *older* retained snapshot covers it
+    /// (its successor segment starts at or below that snapshot's
+    /// `covered + 1`). If the newest snapshot is later found corrupt,
+    /// recovery still has the older image plus every segment since it.
     fn collect_garbage(&self) -> io::Result<()> {
         const RETAIN_SNAPSHOTS: usize = 2;
-        let snaps = snapshot::list_snapshots(&self.dir)?;
-        for snap in snaps.iter().skip(RETAIN_SNAPSHOTS) {
-            snapshot::retire(snap, snapshot::SPARE)?;
+        let snaps = list_lsn_files(&self.dir, "snap-", ".snap")?;
+        let superseded = snaps.len().saturating_sub(RETAIN_SNAPSHOTS);
+        for (_, snap) in snaps[..superseded].iter().rev() {
+            retire(snap, snapshot::SPARE)?;
         }
-        let retained = &snaps[..snaps.len().min(RETAIN_SNAPSHOTS)];
-        let Some(floor) = retained
-            .last()
-            .and_then(|oldest| snapshot::covered_lsn_of(oldest))
-        else {
-            return snapshot::sync_dir(&self.dir);
-        };
-        let segments = list_segments(&self.dir)?;
-        for pair in segments.windows(2) {
-            if pair[1].0 <= floor + 1 {
-                snapshot::retire(&pair[0].1, WAL_SPARE)?;
+        if let Some(&(floor, _)) = snaps.get(superseded) {
+            for pair in list_lsn_files(&self.dir, "wal-", ".log")?.windows(2) {
+                if pair[1].0 <= floor + 1 {
+                    retire(&pair[0].1, WAL_SPARE)?;
+                }
             }
         }
-        snapshot::sync_dir(&self.dir)
+        sync_dir(&self.dir)
     }
 }
 
@@ -652,9 +605,7 @@ mod tests {
         }
         let m = idx.metrics();
         // Under SyncPolicy::Always each single-threaded set leads its own
-        // commit: the fsync counter is the same cell `sync_count` reads,
-        // and every batch sealed exactly one op.
-        assert_eq!(m.fsyncs.get(), idx.sync_count());
+        // commit, and every batch sealed exactly one op.
         assert_eq!(m.fsyncs.get(), 100);
         assert!(m.wal_bytes.get() > 0);
         // Histograms vanish under `telemetry-off` / runtime disable;
@@ -695,7 +646,7 @@ mod tests {
         idx.register_metrics(&registry, "wh_durable");
         registry.lint().expect("names well-formed and unique");
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("wh_durable_fsyncs_total"), idx.sync_count());
+        assert_eq!(snap.counter("wh_durable_fsyncs_total"), m.fsyncs.get());
         if wh_telemetry::enabled() {
             assert!(snap.render().contains("wh_durable_fsync_ns_bucket"));
         }
@@ -741,8 +692,8 @@ mod tests {
             }
             // The pre-checkpoint segment is gone, the covered snapshot is
             // the only one.
-            assert_eq!(list_segments(&dir).unwrap().len(), 1);
-            assert_eq!(snapshot::list_snapshots(&dir).unwrap().len(), 1);
+            assert_eq!(list_lsn_files(&dir, "wal-", ".log").unwrap().len(), 1);
+            assert_eq!(list_lsn_files(&dir, "snap-", ".snap").unwrap().len(), 1);
         }
         let idx: DurableWormhole<u64> = DurableWormhole::open_with(&dir, tiny()).unwrap();
         assert_eq!(idx.len(), 350);
@@ -917,7 +868,7 @@ mod tests {
                 let spare_ino = spare.exists().then(|| ino(&spare));
                 assert_eq!(spare_ino.is_some(), round >= 3, "round {round}");
                 let covered = idx.checkpoint().unwrap();
-                let newest = ino(&snapshot::snapshot_path(&dir, covered));
+                let newest = ino(&lsn_path(&dir, "snap-", covered, ".snap"));
                 if let Some(spare_ino) = spare_ino {
                     assert_eq!(newest, spare_ino, "round {round}");
                     assert_eq!(newest, published[round as usize - 3], "round {round}");
@@ -967,7 +918,7 @@ mod tests {
                     idx.set(format!("w-{i:03}").as_bytes(), value(round, i));
                 }
                 let covered = idx.checkpoint().unwrap();
-                let live = segment_path(&dir, covered + 1);
+                let live = lsn_path(&dir, "wal-", covered + 1, ".log");
                 if let Some(spare_ino) = spare_ino {
                     assert_eq!(
                         fs::metadata(&live).unwrap().ino(),
@@ -980,7 +931,7 @@ mod tests {
             for i in 0..10u64 {
                 idx.set(format!("w-{i:03}").as_bytes(), value(9, i));
             }
-            assert_eq!(list_segments(&dir).unwrap().len(), 2);
+            assert_eq!(list_lsn_files(&dir, "wal-", ".log").unwrap().len(), 2);
         }
         let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
         assert_eq!(idx.recovery().replayed_operations, 10);
@@ -1020,8 +971,8 @@ mod tests {
             let error = idx.checkpoint().unwrap_err();
             assert!(error.to_string().contains("injected"), "{error}");
             assert!(dropped.load(Ordering::Acquire), "writer thread not joined");
-            let snaps = snapshot::list_snapshots(&dir).unwrap();
-            assert_eq!(snaps, [snapshot::snapshot_path(&dir, first)]);
+            let snaps = list_lsn_files(&dir, "snap-", ".snap").unwrap();
+            assert_eq!(snaps, [(first, lsn_path(&dir, "snap-", first, ".snap"))]);
             // The store still takes writes after the failed checkpoint.
             idx.del(key(1).as_bytes());
             (first, idx.range_from(b"", usize::MAX))
@@ -1048,7 +999,7 @@ mod tests {
             let spare_len = fs::metadata(dir.join(snapshot::SPARE)).unwrap().len();
             idx.delete_range(b"s-001", b"s-200");
             let covered = idx.checkpoint().unwrap();
-            let len = fs::metadata(snapshot::snapshot_path(&dir, covered))
+            let len = fs::metadata(lsn_path(&dir, "snap-", covered, ".snap"))
                 .unwrap()
                 .len();
             // Header, one record ("s-000" -> 100 bytes), count and CRC.
@@ -1093,7 +1044,7 @@ mod tests {
             assert_eq!(spare_len, image_len(keys + 1_000));
             idx.delete_range(key(keys).as_bytes(), b"n");
             let covered = idx.checkpoint().unwrap();
-            let path = snapshot::snapshot_path(&dir, covered);
+            let path = lsn_path(&dir, "snap-", covered, ".snap");
             assert_eq!(fs::metadata(path).unwrap().len(), len);
         }
         let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open_with(&dir, tiny()).unwrap();
@@ -1124,9 +1075,9 @@ mod tests {
         // segment pruning is keyed to the OLDER one, so corrupting the
         // newest snapshot must leave a complete recovery path: older
         // snapshot + every segment since it.
-        let snaps = snapshot::list_snapshots(&dir).unwrap();
+        let snaps = list_lsn_files(&dir, "snap-", ".snap").unwrap();
         assert_eq!(snaps.len(), 2);
-        let newest = &snaps[0];
+        let newest = &snaps[1].1;
         let mut bytes = fs::read(newest).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;

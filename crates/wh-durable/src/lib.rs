@@ -49,11 +49,15 @@
 //!
 //! # Crash testing
 //!
-//! [`storage::FailpointStorage`] implements the same [`storage::WalStorage`]
-//! trait as the real file backend but dies at a configurable byte offset
-//! and can drop everything not yet fsynced — the recovery fuzz harness
-//! sweeps that offset across every byte and record boundary and checks the
-//! recovered state against an independent replay of the committed prefix.
+//! The log and the snapshot image are both written through one seam,
+//! [`storage::Storage`]: the real file backend ([`storage::FileStorage`])
+//! in production, something else under test.
+//! [`storage::FailpointStorage`] implements it but dies at a configurable
+//! byte offset and can drop everything not yet fsynced — the recovery fuzz
+//! harness sweeps that offset across every byte and record boundary and
+//! checks the recovered state against an independent replay of the
+//! committed prefix — and the snapshot tests put a sink that fails partway
+//! under the image's writer thread.
 
 pub mod durable;
 pub mod record;
@@ -65,7 +69,7 @@ pub mod wal;
 
 pub use durable::{DurableOptions, DurableWormhole, RecoveryReport, SyncPolicy};
 pub use record::WalRecord;
-pub use storage::{CrashMode, FailpointHandle, FailpointStorage, FileStorage, WalStorage};
+pub use storage::{CrashMode, FailpointHandle, FailpointStorage, FileStorage, Storage};
 pub use telemetry::DurableMetrics;
 pub use value::DurableValue;
 pub use wal::Wal;

@@ -6,7 +6,8 @@
 //! new one — never a half-visible file:
 //!
 //! 1. stream the records into a **temp file** (`*.tmp`),
-//! 2. `fsync` the temp file so every data byte is on the medium,
+//! 2. `fdatasync` the temp file so every data byte (and its length) is on
+//!    the medium,
 //! 3. **atomic rename** to the final `snap-<lsn>.snap` name,
 //! 4. `fsync` the directory so the rename itself survives.
 //!
@@ -27,43 +28,49 @@
 //! snapshot files are rejected as a whole and recovery falls back to the
 //! next-older one. `covered_lsn` keys WAL truncation: WAL segments whose
 //! every record has `lsn <= covered_lsn` are redundant once the snapshot
-//! is published; [`load_snapshot`] also checks it against the file name.
+//! is published; [`load_snapshot`] also checks it against the LSN that
+//! [`list_lsn_files`] parsed from the file's name.
 //!
 //! A superseded snapshot is not unlinked but [`retire`]d as the directory's
-//! one [`SPARE`]. The next writer renames the spare to its `*.tmp`,
-//! overwrites it from offset 0 and cuts it to length: blocks are reused, not
-//! freed (an ext4 `discard` mount charged 30–45 ms per MB freed). Its stale
-//! `covered_lsn` matches no name the spare could be published under.
+//! one [`SPARE`]. [`SnapshotWriter::create`] opens its `*.tmp` through
+//! [`FileStorage::reuse`], as a rotation opens a WAL segment: the spare
+//! renamed in, or a `*.tmp` a failed checkpoint left, is overwritten from
+//! offset 0 and cut to the image's length. Its stale `covered_lsn` matches
+//! no name the spare could be published under.
 //!
 //! [`SnapshotWriter`] encodes each record straight into one 64 KiB chunk
 //! (the value by its own encoder, its length patched in after it) on the
-//! caller's thread, and hands each full chunk to one writer thread of its
-//! own, which gives it one CRC update and one write into a
-//! `SnapshotSink`: the file, or in tests a sink that fails partway. The
-//! scan never waits for the disk unless the writer falls `QUEUED` chunks
-//! behind. [`load_snapshot`] validates a whole file, then
+//! caller's thread, and sends each full chunk down a
+//! [`sync_channel`](std::sync::mpsc::sync_channel) of `QUEUED` (4) to one
+//! writer thread of its own, which gives it one CRC update and one append
+//! to the image's [`Storage`]: the file, or in tests a sink that fails
+//! partway. The scan never waits for the disk unless the writer falls
+//! `QUEUED` chunks behind. [`load_snapshot`] validates a whole file, then
 //! [`SnapshotData::records`] reads the pairs in place.
 //!
 //! Each further MiB written (`WRITEBACK`), the writer thread asks the
-//! kernel to start writing it back (`sync_file_range(SYNC_FILE_RANGE_WRITE)`
-//! on Linux, nothing elsewhere), so the medium works while the scan goes
-//! on and step 2's fsync waits only for the last stretch. The hint makes
-//! nothing durable: [`SealedSnapshot::sync_all`] stays the barrier. An
-//! error from it fails the write as a failed write does: the writer thread
-//! stops, the next [`SnapshotWriter::push`] or [`SnapshotWriter::finish`]
-//! joins it and returns the error, and the checkpoint publishes nothing.
+//! kernel to start writing it back ([`Storage::start_writeback`]), so the
+//! medium works while the scan goes on and step 2's `fdatasync` waits only
+//! for the last stretch. The hint makes nothing durable:
+//! [`SealedSnapshot::sync_all`] stays the barrier. An error from it fails
+//! the write as a failed write does: the writer thread returns and drops
+//! the channel's receiver, the next [`SnapshotWriter::push`] (whose send
+//! fails) or [`SnapshotWriter::finish`] joins it and returns the error,
+//! and the checkpoint publishes nothing.
+//!
+//! [`retire`]: crate::storage::retire
+//! [`list_lsn_files`]: crate::storage::list_lsn_files
 
-use std::collections::VecDeque;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::fs;
+use std::io;
+use std::path::Path;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
 use wh_hash::crc32c_append;
 
 use crate::record::{push_bytes, push_sized, take_sized};
+use crate::storage::{sync_dir, FileStorage, Storage};
 
 /// Snapshot file magic (8 bytes, includes a format version).
 pub const SNAP_MAGIC: &[u8; 8] = b"WHSNAP01";
@@ -76,56 +83,17 @@ pub const SPARE: &str = "snapshot.spare";
 const CHUNK: usize = 64 << 10;
 
 /// Full chunks that may wait for the writer thread before a hand-off
-/// blocks the scan.
+/// blocks the scan: with the one it writes and the one the scan fills, at
+/// most six are in flight.
 const QUEUED: usize = 4;
 
 /// Bytes the writer lets accumulate before it asks the kernel to start
 /// their writeback.
 pub(crate) const WRITEBACK: u64 = 1 << 20;
 
-/// Where a snapshot image's bytes go: the seam the writer thread writes
-/// through, as [`crate::WalStorage`] is the log's. The file implements it;
-/// a test can put a sink that fails partway in its place.
-pub(crate) trait SnapshotSink: Send {
-    /// Writes `data` behind every byte already written.
-    fn append(&mut self, data: &[u8]) -> io::Result<()>;
-    /// Asks for the writeback of `len` bytes from `offset` to start; makes
-    /// nothing durable.
-    fn start_writeback(&mut self, offset: u64, len: u64) -> io::Result<()>;
-    /// Cuts the sink to `len` bytes: a reused spare may be longer than the
-    /// image.
-    fn cut(&mut self, len: u64) -> io::Result<()>;
-    /// Durability barrier: every byte written survives a crash once this
-    /// returns.
-    fn sync(&mut self) -> io::Result<()>;
-}
-
-impl SnapshotSink for File {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.write_all(data)
-    }
-
-    fn start_writeback(&mut self, offset: u64, len: u64) -> io::Result<()> {
-        start_writeback(self, offset, len)
-    }
-
-    fn cut(&mut self, len: u64) -> io::Result<()> {
-        self.set_len(len)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.sync_all()
-    }
-}
-
-/// What the writer thread hands back once its queue is closed and drained.
-struct Written {
-    sink: Box<dyn SnapshotSink>,
-    /// CRC-32c of every byte written.
-    crc: u32,
-    /// Bytes written.
-    len: u64,
-}
+/// What the writer thread hands back once its queue is closed and drained:
+/// the image's storage and the CRC-32c of every byte written.
+type Drained = io::Result<(Box<dyn Storage>, u32)>;
 
 /// Streams a snapshot into a temp file next to its final name. The
 /// records may come from a live cursor: the snapshot is *fuzzy*, and
@@ -137,36 +105,32 @@ struct Written {
 pub struct SnapshotWriter {
     chunk: Vec<u8>,
     count: u64,
-    queue: Arc<Queue>,
+    /// The sending end of the writer thread's queue; dropping it closes
+    /// the queue.
+    queue: Option<SyncSender<Vec<u8>>>,
     /// The writer thread, until it is joined.
-    thread: Option<JoinHandle<io::Result<Written>>>,
+    thread: Option<JoinHandle<Drained>>,
 }
 
 impl SnapshotWriter {
-    /// Opens `final_path`'s temp file, `*.tmp` — the directory's spare
-    /// renamed, else a fresh file — and starts the image with its header.
+    /// Opens `final_path`'s temp file, `*.tmp`, through
+    /// [`FileStorage::reuse`] and starts the image with its header.
     pub fn create(final_path: &Path, covered_lsn: u64) -> io::Result<Self> {
         let tmp = final_path.with_extension("tmp");
-        let file = match fs::rename(final_path.with_file_name(SPARE), &tmp) {
-            Ok(()) => OpenOptions::new().write(true).open(&tmp)?,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => File::create(&tmp)?,
-            Err(e) => return Err(e),
-        };
-        let sink: Box<dyn SnapshotSink> = Box::new(file);
+        let sink: Box<dyn Storage> = Box::new(FileStorage::reuse(&tmp, SPARE, 0)?);
         #[cfg(test)]
         let sink = tests::with_armed_fault(sink);
-        let queue = Arc::new(Queue::default());
-        let end = WriterEnd(Arc::clone(&queue));
+        let (queue, chunks) = mpsc::sync_channel(QUEUED);
         let thread = std::thread::Builder::new()
             .name("wh-snapshot".into())
-            .spawn(move || write_chunks(sink, &end.0))?;
+            .spawn(move || write_chunks(sink, chunks))?;
         let mut chunk = Vec::with_capacity(CHUNK);
         chunk.extend_from_slice(SNAP_MAGIC);
         chunk.extend_from_slice(&covered_lsn.to_le_bytes());
         Ok(Self {
             chunk,
             count: 0,
-            queue,
+            queue: Some(queue),
             thread: Some(thread),
         })
     }
@@ -179,7 +143,8 @@ impl SnapshotWriter {
         self.count += 1;
         if self.chunk.len() > CHUNK - (4 << 10) {
             let full = std::mem::replace(&mut self.chunk, Vec::with_capacity(CHUNK));
-            if !self.queue.put(full) {
+            let queue = self.queue.as_ref();
+            if queue.is_none_or(|queue| queue.send(full).is_err()) {
                 // The writer thread stopped before the scan did: on an error.
                 return Err(match self.drain() {
                     Ok(_) => io::Error::other("snapshot writer stopped"),
@@ -192,8 +157,8 @@ impl SnapshotWriter {
 
     /// Closes the queue and joins the writer thread: what it wrote, or the
     /// error that stopped it. A panic on the thread resumes here.
-    fn drain(&mut self) -> io::Result<Written> {
-        self.queue.close();
+    fn drain(&mut self) -> Drained {
+        self.queue = None;
         let thread = self
             .thread
             .take()
@@ -209,11 +174,11 @@ impl SnapshotWriter {
     pub fn finish(mut self) -> io::Result<SealedSnapshot> {
         let mut tail = std::mem::take(&mut self.chunk);
         tail.extend_from_slice(&self.count.to_le_bytes());
-        let Written { mut sink, crc, len } = self.drain()?;
+        let (mut sink, crc) = self.drain()?;
         let crc = crc32c_append(crc, &tail);
         tail.extend_from_slice(&crc.to_le_bytes());
         sink.append(&tail)?;
-        sink.cut(len + tail.len() as u64)?;
+        sink.cut()?;
         Ok(SealedSnapshot(sink))
     }
 }
@@ -221,137 +186,43 @@ impl SnapshotWriter {
 impl Drop for SnapshotWriter {
     /// An abandoned image: no writer thread outlives its writer.
     fn drop(&mut self) {
-        self.queue.close();
+        self.queue = None;
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
     }
 }
 
-/// The writer thread: each chunk's CRC update, its write and, each further
+/// The writer thread: each chunk's CRC update, its append and, each further
 /// [`WRITEBACK`] bytes, the writeback hint, until the queue is closed and
-/// empty or a write fails.
-fn write_chunks(mut sink: Box<dyn SnapshotSink>, queue: &Queue) -> io::Result<Written> {
-    let (mut crc, mut len, mut unhinted) = (0, 0, 0);
-    while let Some(chunk) = queue.take() {
+/// empty or a write fails. Returning or unwinding drops `chunks`, which
+/// fails the next send.
+fn write_chunks(mut sink: Box<dyn Storage>, chunks: Receiver<Vec<u8>>) -> Drained {
+    let (mut crc, mut hinted) = (0, 0);
+    for chunk in chunks {
         crc = crc32c_append(crc, &chunk);
         sink.append(&chunk)?;
-        len += chunk.len() as u64;
-        if len - unhinted >= WRITEBACK {
-            sink.start_writeback(unhinted, len - unhinted)?;
-            unhinted = len;
+        if sink.len() - hinted >= WRITEBACK {
+            sink.start_writeback(hinted)?;
+            hinted = sink.len();
         }
     }
-    Ok(Written { sink, crc, len })
-}
-
-/// The hand-off from the scan to the writer thread: up to [`QUEUED`] full
-/// chunks behind a lock, whose ThreadSanitizer annotations (the
-/// `parking_lot` shim's) also order each chunk's bytes with their reader.
-#[derive(Default)]
-struct Queue {
-    state: Mutex<Handoff>,
-    /// Signalled on each change of `state`; only the other side waits.
-    changed: Condvar,
-}
-
-#[derive(Default)]
-struct Handoff {
-    chunks: VecDeque<Vec<u8>>,
-    /// No chunk follows: the writer thread ends once `chunks` is empty.
-    closed: bool,
-    /// The writer thread has returned or unwound: no chunk is taken.
-    stopped: bool,
-}
-
-impl Queue {
-    /// Queues a full chunk, waiting while [`QUEUED`] are; `false` once the
-    /// writer thread has stopped.
-    fn put(&self, chunk: Vec<u8>) -> bool {
-        let mut state = self.state.lock();
-        while state.chunks.len() >= QUEUED && !state.stopped {
-            self.changed.wait(&mut state);
-        }
-        let taken = !state.stopped;
-        if taken {
-            state.chunks.push_back(chunk);
-        }
-        drop(state);
-        self.changed.notify_one();
-        taken
-    }
-
-    /// The next chunk, waiting for one; `None` once closed and empty.
-    fn take(&self) -> Option<Vec<u8>> {
-        let mut state = self.state.lock();
-        while state.chunks.is_empty() && !state.closed {
-            self.changed.wait(&mut state);
-        }
-        let chunk = state.chunks.pop_front();
-        drop(state);
-        self.changed.notify_one();
-        chunk
-    }
-
-    fn close(&self) {
-        self.state.lock().closed = true;
-        self.changed.notify_one();
-    }
-}
-
-/// The writer thread's hold on the queue: dropped when the thread returns
-/// or unwinds, which tells a waiting [`Queue::put`] that it has stopped.
-struct WriterEnd(Arc<Queue>);
-
-impl Drop for WriterEnd {
-    fn drop(&mut self) {
-        self.0.state.lock().stopped = true;
-        self.0.changed.notify_one();
-    }
+    Ok((sink, crc))
 }
 
 /// A snapshot image written whole into its temp file, not yet synced.
 #[must_use = "an image is durable only once synced"]
-pub struct SealedSnapshot(Box<dyn SnapshotSink>);
+pub struct SealedSnapshot(Box<dyn Storage>);
 
 impl SealedSnapshot {
-    /// Fsyncs the image, but does **not** publish: checkpointing uses the
-    /// gap to commit the WAL through everything the fuzzy scan may have
-    /// observed *before* the snapshot becomes load-bearing
-    /// ([`publish_snapshot`]).
+    /// Syncs the image (`fdatasync`, which also covers the cut's new
+    /// length), but does **not** publish: checkpointing uses the gap to
+    /// commit the WAL through everything the fuzzy scan may have observed
+    /// *before* the snapshot becomes load-bearing ([`publish_snapshot`]).
     pub fn sync_all(mut self) -> io::Result<()> {
         // Every data byte is durable before the final name can exist.
         self.0.sync()
     }
-}
-
-/// Asks the kernel to start writing back `len` bytes of `file` from
-/// `offset`, without waiting for them: `sync_file_range` with
-/// `SYNC_FILE_RANGE_WRITE`. It makes nothing durable.
-#[cfg(target_os = "linux")]
-fn start_writeback(file: &File, offset: u64, len: u64) -> io::Result<()> {
-    use std::os::fd::AsRawFd;
-    const SYNC_FILE_RANGE_WRITE: u32 = 2;
-    extern "C" {
-        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
-    }
-    let off_t = |n: u64| i64::try_from(n).map_err(|_| io::Error::from(io::ErrorKind::InvalidInput));
-    let (offset, len) = (off_t(offset)?, off_t(len)?);
-    // SAFETY: `sync_file_range` takes plain integers and touches no memory
-    // of ours; the descriptor is open for the borrow of `file`.
-    let rc = unsafe { sync_file_range(file.as_raw_fd(), offset, len, SYNC_FILE_RANGE_WRITE) };
-    if rc == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::last_os_error())
-    }
-}
-
-/// Writeback hints exist only on Linux; elsewhere the final fsync does it
-/// all.
-#[cfg(not(target_os = "linux"))]
-fn start_writeback(_file: &File, _offset: u64, _len: u64) -> io::Result<()> {
-    Ok(())
 }
 
 /// The publish half of a snapshot: atomic rename of the temp file to
@@ -390,10 +261,11 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {msg}"))
 }
 
-/// Reads and fully validates a snapshot file. Any defect — short file, bad
-/// magic, a `covered_lsn` not the name's, bad CRC, count mismatch — is an
-/// error; the caller treats the file as absent and falls back to an older one.
-pub fn load_snapshot(path: &Path) -> io::Result<SnapshotData> {
+/// Reads and fully validates the snapshot file at `path`, whose name gives
+/// `covered_lsn`. Any defect — short file, bad magic, another
+/// `covered_lsn` in the header, bad CRC, count mismatch — is an error; the
+/// caller treats the file as absent and falls back to an older one.
+pub fn load_snapshot(path: &Path, covered_lsn: u64) -> io::Result<SnapshotData> {
     let buf = fs::read(path)?;
     if buf.len() < SNAP_MAGIC.len() + 8 + 8 + 4 {
         return Err(bad("truncated header"));
@@ -401,8 +273,7 @@ pub fn load_snapshot(path: &Path) -> io::Result<SnapshotData> {
     if &buf[..8] != SNAP_MAGIC {
         return Err(bad("bad magic"));
     }
-    let covered_lsn = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    if covered_lsn_of(path) != Some(covered_lsn) {
+    if buf[8..16] != covered_lsn.to_le_bytes() {
         return Err(bad("covered_lsn differs from the file name"));
     }
     let body_len = buf.len() - 4;
@@ -427,60 +298,16 @@ pub fn load_snapshot(path: &Path) -> io::Result<SnapshotData> {
     })
 }
 
-/// Fsyncs a directory so renames/creates/unlinks inside it are durable.
-pub fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
-/// Lists snapshot files (`snap-*.snap`) in `dir`, newest (highest
-/// covered LSN) first. Zero-padded names make the lexical sort numeric.
-pub fn list_snapshots(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut snaps: Vec<PathBuf> = fs::read_dir(dir)?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.extension().is_some_and(|e| e == "snap")
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("snap-"))
-        })
-        .collect();
-    snaps.sort();
-    snaps.reverse();
-    Ok(snaps)
-}
-
-/// The canonical snapshot file name for a covered LSN.
-pub fn snapshot_path(dir: &Path, covered_lsn: u64) -> PathBuf {
-    dir.join(format!("snap-{covered_lsn:020}.snap"))
-}
-
-/// Makes a superseded or unpublished file its directory's spare, the file
-/// named `spare` ([`SPARE`] for snapshots), or deletes it if there is one.
-/// Durable once the directory is fsynced.
-pub fn retire(path: &Path, spare: &str) -> io::Result<()> {
-    let spare = path.with_file_name(spare);
-    if spare.try_exists()? {
-        fs::remove_file(path)
-    } else {
-        fs::rename(path, spare)
-    }
-}
-
-/// The covered LSN encoded in a snapshot file's name, if well-formed.
-pub fn covered_lsn_of(path: &Path) -> Option<u64> {
-    path.file_name()?
-        .to_str()?
-        .strip_prefix("snap-")?
-        .strip_suffix(".snap")?
-        .parse()
-        .ok()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::storage::{list_lsn_files, lsn_path};
     use std::cell::RefCell;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     thread_local! {
         /// The fault the next image this thread creates writes through.
@@ -498,7 +325,7 @@ pub(crate) mod tests {
         dropped
     }
 
-    pub(super) fn with_armed_fault(sink: Box<dyn SnapshotSink>) -> Box<dyn SnapshotSink> {
+    pub(super) fn with_armed_fault(sink: Box<dyn Storage>) -> Box<dyn Storage> {
         match ARMED.take() {
             Some((room, dropped)) => Box::new(Failing {
                 sink,
@@ -511,12 +338,12 @@ pub(crate) mod tests {
 
     /// A sink that writes `room` bytes more, then fails each write.
     struct Failing {
-        sink: Box<dyn SnapshotSink>,
+        sink: Box<dyn Storage>,
         room: u64,
         dropped: Arc<AtomicBool>,
     }
 
-    impl SnapshotSink for Failing {
+    impl Storage for Failing {
         fn append(&mut self, data: &[u8]) -> io::Result<()> {
             let fits = data.len().min(self.room as usize);
             self.sink.append(&data[..fits])?;
@@ -527,16 +354,20 @@ pub(crate) mod tests {
             Ok(())
         }
 
-        fn start_writeback(&mut self, offset: u64, len: u64) -> io::Result<()> {
-            self.sink.start_writeback(offset, len)
-        }
-
-        fn cut(&mut self, len: u64) -> io::Result<()> {
-            self.sink.cut(len)
-        }
-
         fn sync(&mut self) -> io::Result<()> {
             self.sink.sync()
+        }
+
+        fn len(&self) -> u64 {
+            self.sink.len()
+        }
+
+        fn start_writeback(&mut self, from: u64) -> io::Result<()> {
+            self.sink.start_writeback(from)
+        }
+
+        fn cut(&mut self) -> io::Result<()> {
+            self.sink.cut()
         }
     }
 
@@ -548,11 +379,14 @@ pub(crate) mod tests {
     }
 
     /// A write that fails partway fails the image: the writer thread stops,
-    /// the next `push` or `finish` joins it and returns its error.
+    /// the next `push` or `finish` joins it and returns its error. The last
+    /// `room` lets every record through and fails in the count, which
+    /// `finish` writes on the caller's thread after the join.
     #[test]
     fn a_write_that_fails_partway_is_returned_after_the_join() {
         let dir = tmp_dir("fault");
-        for room in [0, 100, 3 * CHUNK as u64 + 5] {
+        let records = 16 + 1_000 * (4 + 8 + 4 + 1_000);
+        for room in [0, 100, 3 * CHUNK as u64 + 5, records + 5] {
             let path = snapshot_path(&dir, 5);
             let dropped = fail_next_image_after(room);
             let mut writer = SnapshotWriter::create(&path, 5).unwrap();
@@ -575,6 +409,10 @@ pub(crate) mod tests {
             fs::remove_file(path.with_extension("tmp")).unwrap();
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn snapshot_path(dir: &Path, covered_lsn: u64) -> PathBuf {
+        lsn_path(dir, "snap-", covered_lsn, ".snap")
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -605,7 +443,7 @@ pub(crate) mod tests {
         let path = snapshot_path(&dir, 42);
         let records: [(&[u8], &[u8]); 3] = [(b"alpha", b"1"), (b"beta", b""), (b"", b"empty-key")];
         write_snapshot(&path, 42, records.into_iter()).unwrap();
-        let snap = load_snapshot(&path).unwrap();
+        let snap = load_snapshot(&path, 42).unwrap();
         assert_eq!(snap.covered_lsn, 42);
         assert_eq!(snap.count, 3);
         assert!(snap.records().eq(records));
@@ -650,13 +488,16 @@ pub(crate) mod tests {
             let mut bad = clean.clone();
             bad[i] ^= 0x01;
             fs::write(&path, &bad).unwrap();
-            assert!(load_snapshot(&path).is_err(), "flip at byte {i} accepted");
+            assert!(
+                load_snapshot(&path, 7).is_err(),
+                "flip at byte {i} accepted"
+            );
         }
         // Truncation at every point is also rejected.
         for cut in 0..clean.len() {
             fs::write(&path, &clean[..cut]).unwrap();
             assert!(
-                load_snapshot(&path).is_err(),
+                load_snapshot(&path, 7).is_err(),
                 "truncation at {cut} accepted"
             );
         }
@@ -668,16 +509,13 @@ pub(crate) mod tests {
         let dir = tmp_dir("name");
         let path = snapshot_path(&dir, 7);
         write_snapshot(&path, 7, [(b"k", b"v")].into_iter()).unwrap();
-        for other in [
-            snapshot_path(&dir, 8),
-            snapshot_path(&dir, 6),
-            dir.join(SPARE),
-        ] {
+        for lsn in [8, 6] {
+            let other = snapshot_path(&dir, lsn);
             fs::rename(&path, &other).unwrap();
-            assert!(load_snapshot(&other).is_err(), "{other:?} accepted");
+            assert!(load_snapshot(&other, lsn).is_err(), "{other:?} accepted");
             fs::rename(&other, &path).unwrap();
         }
-        assert_eq!(load_snapshot(&path).unwrap().covered_lsn, 7);
+        assert_eq!(load_snapshot(&path, 7).unwrap().covered_lsn, 7);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -739,7 +577,7 @@ pub(crate) mod tests {
             file.write_all(&bytes).unwrap();
             file.set_len(bytes.len() as u64).unwrap();
             drop(file);
-            let Ok(snap) = load_snapshot(&path) else {
+            let Ok(snap) = load_snapshot(&path, 9) else {
                 rejected += 1;
                 continue;
             };
@@ -754,21 +592,8 @@ pub(crate) mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The hint's error reaches the caller: a character device has no
-    /// writeback to start.
-    #[cfg(target_os = "linux")]
     #[test]
-    fn a_failed_writeback_hint_is_an_error() {
-        let dev = File::open("/dev/null").unwrap();
-        assert!(start_writeback(&dev, 0, WRITEBACK).is_err());
-        let dir = tmp_dir("hint");
-        let file = File::create(dir.join("f")).unwrap();
-        start_writeback(&file, 0, WRITEBACK).unwrap();
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn listing_orders_newest_first_and_ignores_tmp() {
+    fn listing_orders_by_lsn_and_ignores_tmp_and_spare() {
         let dir = tmp_dir("list");
         for lsn in [5u64, 999, 70] {
             let none = std::iter::empty::<(&[u8], &[u8])>();
@@ -776,12 +601,12 @@ pub(crate) mod tests {
         }
         fs::write(dir.join("snap-junk.tmp"), b"partial").unwrap();
         fs::copy(snapshot_path(&dir, 999), dir.join(SPARE)).unwrap();
-        let snaps = list_snapshots(&dir).unwrap();
+        let snaps = list_lsn_files(&dir, "snap-", ".snap").unwrap();
         let lsns: Vec<u64> = snaps
             .iter()
-            .map(|p| load_snapshot(p).unwrap().covered_lsn)
+            .map(|(lsn, p)| load_snapshot(p, *lsn).unwrap().covered_lsn)
             .collect();
-        assert_eq!(lsns, vec![999, 70, 5]);
+        assert_eq!(lsns, vec![5, 70, 999]);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

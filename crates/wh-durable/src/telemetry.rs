@@ -5,11 +5,10 @@
 //!
 //! One [`DurableMetrics`] is owned per WAL, so per [`DurableWormhole`]
 //! whatever index it wraps: a sharded front's shards share one log and
-//! one set of series. The fsync counter is the same cell
-//! [`DurableWormhole::sync_count`] reads — one source of truth.
+//! one set of series, which [`DurableWormhole::metrics`] returns.
 //!
 //! [`DurableWormhole`]: crate::DurableWormhole
-//! [`DurableWormhole::sync_count`]: crate::DurableWormhole::sync_count
+//! [`DurableWormhole::metrics`]: crate::DurableWormhole::metrics
 
 use wh_telemetry::{Counter, Histogram};
 

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::record;
-use crate::storage::WalStorage;
+use crate::storage::Storage;
 use crate::telemetry::DurableMetrics;
 
 struct WalSeq {
@@ -43,10 +43,10 @@ struct WalSeq {
     next_lsn: u64,
 }
 
-/// A group-commit write-ahead log over one [`WalStorage`] stream.
+/// A group-commit write-ahead log over one [`Storage`] stream.
 pub struct Wal {
     seq: Mutex<WalSeq>,
-    file: Mutex<Box<dyn WalStorage>>,
+    file: Mutex<Box<dyn Storage>>,
     /// Highest LSN sealed by a synced `Commit` frame.
     durable_lsn: AtomicU64,
     /// Set by the first failed append or sync (see the module docs).
@@ -58,7 +58,7 @@ impl Wal {
     /// Wraps `storage`, with `next_lsn` the first LSN this log will
     /// assign (1 for a fresh log; `committed + 1` after recovery). All
     /// bytes already in `storage` are assumed durable.
-    pub fn new(storage: Box<dyn WalStorage>, next_lsn: u64) -> Self {
+    pub fn new(storage: Box<dyn Storage>, next_lsn: u64) -> Self {
         Self {
             seq: Mutex::new(WalSeq {
                 pending: Vec::new(),
@@ -125,7 +125,7 @@ impl Wal {
     /// of `Commit` frames).
     pub fn rotate_with(
         &self,
-        make: impl FnOnce(u64) -> io::Result<Box<dyn WalStorage>>,
+        make: impl FnOnce(u64) -> io::Result<Box<dyn Storage>>,
     ) -> io::Result<u64> {
         let mut file = self.file.lock();
         let upto = self.seal(&mut **file)?;
@@ -139,7 +139,7 @@ impl Wal {
     /// written: a segment holds no `Commit` below its first LSN (see
     /// [`record`]'s frame walk). A storage error poisons the log for good
     /// (see the module docs).
-    fn seal(&self, storage: &mut dyn WalStorage) -> io::Result<u64> {
+    fn seal(&self, storage: &mut dyn Storage) -> io::Result<u64> {
         self.check_poisoned()?;
         let (mut batch, upto) = {
             let mut seq = self.seq.lock();
@@ -184,13 +184,6 @@ impl Wal {
     /// Highest LSN handed out by the sequencer.
     pub fn last_assigned_lsn(&self) -> u64 {
         self.seq.lock().next_lsn - 1
-    }
-
-    /// Number of storage sync barriers performed — with group commit this
-    /// is typically far below the number of committed operations. Reads
-    /// the same cell [`DurableMetrics::fsyncs`] exposes.
-    pub fn sync_count(&self) -> u64 {
-        self.metrics.fsyncs.get()
     }
 }
 
@@ -298,7 +291,7 @@ mod tests {
         assert_eq!(wal.rotate_with(|_| Ok(Box::new(s2))).unwrap(), lsn);
         assert_eq!(wal.sync_all().unwrap(), lsn);
         assert_eq!((h1.appended_len(), h2.appended_len()), (sealed, 0));
-        assert_eq!(wal.sync_count(), 1);
+        assert_eq!(wal.metrics().fsyncs.get(), 1);
     }
 
     /// A storage whose `fail_at`-th append writes half of its bytes and
@@ -310,7 +303,7 @@ mod tests {
         fail_at: usize,
     }
 
-    impl WalStorage for FailOnce {
+    impl Storage for FailOnce {
         fn append(&mut self, data: &[u8]) -> io::Result<()> {
             self.appends += 1;
             let mut bytes = self.bytes.lock();

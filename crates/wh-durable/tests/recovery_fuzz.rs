@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use index_traits::{ConcurrentOrderedIndex, DurableIndex};
 use wh_durable::record::{encode_delete, encode_delete_range, encode_put};
 use wh_durable::snapshot::{self, SnapshotWriter};
+use wh_durable::storage::{list_lsn_files, lsn_path};
 use wh_durable::{CrashMode, DurableOptions, DurableWormhole, FailpointStorage, SyncPolicy, Wal};
 use wh_hash::crc32c;
 
@@ -494,8 +495,11 @@ fn tmp_files(dir: &Path) -> Vec<PathBuf> {
 /// `spare` as the spare's bytes. Then a checkpoint must succeed and a
 /// reopen still agree.
 fn recover_around_the_spare(dir: &Path, mut model: Model, spare: &[u8], state: &str) {
-    let newest = snapshot::list_snapshots(dir).unwrap()[0].clone();
-    let newest = snapshot::covered_lsn_of(&newest).unwrap();
+    let newest = list_lsn_files(dir, "snap-", ".snap")
+        .unwrap()
+        .last()
+        .unwrap()
+        .0;
     {
         let idx: DurableWormhole<Vec<u8>> = DurableWormhole::open(dir).unwrap();
         let expected: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
@@ -513,7 +517,11 @@ fn recover_around_the_spare(dir: &Path, mut model: Model, spare: &[u8], state: &
     let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
     assert_eq!(idx.range_from(b"", usize::MAX), expected, "{state}");
     assert_eq!(idx.recovery().replayed_operations, 0, "{state}");
-    assert_eq!(snapshot::list_snapshots(dir).unwrap().len(), 2, "{state}");
+    assert_eq!(
+        list_lsn_files(dir, "snap-", ".snap").unwrap().len(),
+        2,
+        "{state}"
+    );
     assert!(dir.join(snapshot::SPARE).exists(), "{state}");
 }
 
@@ -528,8 +536,9 @@ fn crash_states_around_the_spare_recover_the_committed_model() {
     let image = fs::read(&spare).unwrap();
     let lsn = u64::from_le_bytes(image[8..16].try_into().unwrap());
     let check = fresh_dir("spare-image");
-    fs::write(snapshot::snapshot_path(&check, lsn), &image).unwrap();
-    assert!(snapshot::load_snapshot(&snapshot::snapshot_path(&check, lsn)).is_ok());
+    let path = lsn_path(&check, "snap-", lsn, ".snap");
+    fs::write(&path, &image).unwrap();
+    assert!(snapshot::load_snapshot(&path, lsn).is_ok());
     fs::remove_dir_all(&check).unwrap();
     recover_around_the_spare(&dir, model, &image, "valid spare");
 
@@ -537,7 +546,10 @@ fn crash_states_around_the_spare_recover_the_committed_model() {
     // present: the tmp goes, the spare stays.
     let model = store_with_spare(&dir);
     let image = fs::read(&spare).unwrap();
-    let newest = &snapshot::list_snapshots(&dir).unwrap()[0];
+    let (_, newest) = list_lsn_files(&dir, "snap-", ".snap")
+        .unwrap()
+        .pop()
+        .unwrap();
     fs::copy(newest, dir.join(format!("snap-{:020}.tmp", u64::MAX))).unwrap();
     recover_around_the_spare(&dir, model, &image, "spare and tmp");
 
@@ -547,7 +559,7 @@ fn crash_states_around_the_spare_recover_the_committed_model() {
     for records in [0usize, 70] {
         let model = store_with_spare(&dir);
         let old_len = fs::metadata(&spare).unwrap().len();
-        let final_path = snapshot::snapshot_path(&dir, u64::MAX - 1);
+        let final_path = lsn_path(&dir, "snap-", u64::MAX - 1, ".snap");
         let mut writer = SnapshotWriter::create(&final_path, u64::MAX - 1).unwrap();
         for i in 0..records {
             let key = format!("key-{i:03}");
