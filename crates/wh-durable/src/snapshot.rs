@@ -316,9 +316,9 @@ pub(crate) mod tests {
 
     /// Makes the next image this thread's [`SnapshotWriter::create`] opens
     /// fail once `room` bytes are written, as a full disk would. The flag
-    /// turns true when the writer thread drops the sink, a moment late: a
-    /// writer that returned without joining its thread would leave it
-    /// false.
+    /// turns true when the sink is dropped, a moment late: by the writer
+    /// thread, or by `finish` for a fault in the tail. A writer that
+    /// returned without joining its thread would leave it false.
     pub(crate) fn fail_next_image_after(room: u64) -> Arc<AtomicBool> {
         let dropped = Arc::new(AtomicBool::new(false));
         ARMED.set(Some((room, Arc::clone(&dropped))));

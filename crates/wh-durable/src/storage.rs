@@ -101,42 +101,33 @@ impl Storage for FileStorage {
         self.len
     }
 
+    /// `sync_file_range` with `SYNC_FILE_RANGE_WRITE`. Writeback hints exist
+    /// only on Linux; elsewhere the provided no-op stands and the final sync
+    /// does it all.
+    #[cfg(target_os = "linux")]
     fn start_writeback(&mut self, from: u64) -> io::Result<()> {
-        start_writeback(&self.file, from, self.len - from)
+        use std::os::fd::AsRawFd;
+        const SYNC_FILE_RANGE_WRITE: u32 = 2;
+        extern "C" {
+            fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
+        }
+        let off_t =
+            |n: u64| i64::try_from(n).map_err(|_| io::Error::from(io::ErrorKind::InvalidInput));
+        let (offset, len) = (off_t(from)?, off_t(self.len - from)?);
+        // SAFETY: `sync_file_range` takes plain integers and touches no
+        // memory of ours; the descriptor is open while `self` holds the file.
+        let rc =
+            unsafe { sync_file_range(self.file.as_raw_fd(), offset, len, SYNC_FILE_RANGE_WRITE) };
+        if rc == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
     }
 
     fn cut(&mut self) -> io::Result<()> {
         self.file.set_len(self.len)
     }
-}
-
-/// Asks the kernel to start writing back `len` bytes of `file` from
-/// `offset`, without waiting for them: `sync_file_range` with
-/// `SYNC_FILE_RANGE_WRITE`. It makes nothing durable.
-#[cfg(target_os = "linux")]
-fn start_writeback(file: &File, offset: u64, len: u64) -> io::Result<()> {
-    use std::os::fd::AsRawFd;
-    const SYNC_FILE_RANGE_WRITE: u32 = 2;
-    extern "C" {
-        fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
-    }
-    let off_t = |n: u64| i64::try_from(n).map_err(|_| io::Error::from(io::ErrorKind::InvalidInput));
-    let (offset, len) = (off_t(offset)?, off_t(len)?);
-    // SAFETY: `sync_file_range` takes plain integers and touches no memory
-    // of ours; the descriptor is open for the borrow of `file`.
-    let rc = unsafe { sync_file_range(file.as_raw_fd(), offset, len, SYNC_FILE_RANGE_WRITE) };
-    if rc == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::last_os_error())
-    }
-}
-
-/// Writeback hints exist only on Linux; elsewhere the final fsync does it
-/// all.
-#[cfg(not(target_os = "linux"))]
-fn start_writeback(_file: &File, _offset: u64, _len: u64) -> io::Result<()> {
-    Ok(())
 }
 
 /// Makes a superseded or unpublished file its directory's spare, the file
@@ -372,8 +363,9 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn a_failed_writeback_hint_is_an_error() {
-        let dev = File::open("/dev/null").unwrap();
-        assert!(start_writeback(&dev, 0, 1 << 20).is_err());
+        let mut dev = FileStorage::reuse(Path::new("/dev/null"), "null.spare", 0).unwrap();
+        dev.append(&[1; 4096]).unwrap();
+        assert!(dev.start_writeback(0).is_err());
         let dir = std::env::temp_dir().join(format!("wh-durable-hint-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut file = FileStorage::reuse(&dir.join("f"), "f.spare", 0).unwrap();
