@@ -4,12 +4,17 @@
 # files are every `.rs` under `crates/*/src` and `src/`, which leaves out
 # the API shims (`crates/shims/*/src`). Informational: it gates nothing.
 #
-# Usage: ci/loc.sh   (from any directory)
+# Usage: ci/loc.sh [BASE]   (from any directory)
+#
+# With BASE (any commit git can name), each line gives the count at BASE,
+# now (the working tree) and the difference. BASE is read through
+# `git archive` into a temporary directory; nothing is checked out.
 set -eu
 cd "$(dirname "$0")/.."
 
-# Non-test lines of every `.rs` file under directory $1.
+# Non-test lines of every `.rs` file under directory $1 (0 when absent).
 count() {
+    [ -d "$1" ] || { echo 0; return; }
     find "$1" -name '*.rs' -exec awk '
         FNR == 1 { done = 0 }
         /^#\[cfg\(test\)\]/ { done = 1 }
@@ -18,10 +23,31 @@ count() {
     ' {} +
 }
 
-total=0
-for dir in crates/*/src src; do
-    lines=$(count "$dir")
-    total=$((total + lines))
-    printf '%7d  %s\n' "$lines" "$dir"
+if [ $# -eq 0 ]; then
+    total=0
+    for dir in crates/*/src src; do
+        lines=$(count "$dir")
+        total=$((total + lines))
+        printf '%7d  %s\n' "$lines" "$dir"
+    done
+    printf '%7d  total\n' "$total"
+    exit 0
+fi
+
+base=$(mktemp -d)
+trap 'rm -rf "$base"' EXIT
+git archive "$1" -- crates src | tar -x -C "$base"
+
+# Every crate that exists at BASE or now.
+dirs=$({ (cd "$base" && ls -d crates/*/src src 2>/dev/null); ls -d crates/*/src src; } | sort -u)
+printf '%7s %7s %7s\n' base now diff
+total_base=0
+total_now=0
+for dir in $dirs; do
+    then_lines=$(count "$base/$dir")
+    now_lines=$(count "$dir")
+    total_base=$((total_base + then_lines))
+    total_now=$((total_now + now_lines))
+    printf '%7d %7d %+7d  %s\n' "$then_lines" "$now_lines" $((now_lines - then_lines)) "$dir"
 done
-printf '%7d  total\n' "$total"
+printf '%7d %7d %+7d  total\n' "$total_base" "$total_now" $((total_now - total_base))

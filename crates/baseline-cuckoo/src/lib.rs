@@ -1,6 +1,8 @@
 //! A bucketized cuckoo hash table in the style of libcuckoo / MemC3, used as
 //! the unordered-index comparison point in the Wormhole evaluation
-//! (Figures 13 and 14).
+//! (Figures 13 and 14). It serves point operations only, through its own
+//! methods ([`CuckooHashTable::get`], `set`, `del`): a hash table has no
+//! key order, so none of `index_traits`' ordered contracts fits it.
 //!
 //! * 4-way set-associative buckets;
 //! * partial-key cuckoo hashing: the alternate bucket is derived from the

@@ -1,6 +1,6 @@
 //! The bucketized cuckoo hash table.
 
-use index_traits::{IndexStats, UnorderedIndex};
+use index_traits::IndexStats;
 use wh_hash::{crc32c, mix64, tag16, xorshift_mix};
 
 use crate::{MAX_BFS_DEPTH, SLOTS_PER_BUCKET};
@@ -83,6 +83,28 @@ impl<V> CuckooHashTable<V> {
         self.len as f64 / (self.buckets.len() * SLOTS_PER_BUCKET) as f64
     }
 
+    /// Number of keys stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` when the table stores no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Memory accounting for Figure 16-style comparisons.
+    pub fn stats(&self) -> IndexStats {
+        IndexStats {
+            keys: self.len,
+            structure_bytes: self.buckets.len()
+                * SLOTS_PER_BUCKET
+                * std::mem::size_of::<Option<Entry<V>>>(),
+            key_bytes: self.key_bytes,
+            value_bytes: self.len * std::mem::size_of::<V>(),
+        }
+    }
+
     fn hash_key(key: &[u8]) -> (usize, u16) {
         let crc = crc32c(key);
         let h = mix64(crc as u64 ^ ((key.len() as u64) << 32));
@@ -102,6 +124,50 @@ impl<V> CuckooHashTable<V> {
 }
 
 impl<V: Clone> CuckooHashTable<V> {
+    /// Returns a copy of the value stored under `key`, if present.
+    pub fn get(&self, key: &[u8]) -> Option<V> {
+        self.find_slot(key)
+            .map(|(b, s)| self.buckets[b].slots[s].as_ref().unwrap().value.clone())
+    }
+
+    /// Inserts or overwrites `key`, returning the previous value if any.
+    pub fn set(&mut self, key: &[u8], value: V) -> Option<V> {
+        if let Some((b, s)) = self.find_slot(key) {
+            let entry = self.buckets[b].slots[s].as_mut().unwrap();
+            return Some(std::mem::replace(&mut entry.value, value));
+        }
+        let (h, tag) = Self::hash_key(key);
+        let mut entry = Entry {
+            tag,
+            key: key.to_vec().into_boxed_slice(),
+            value,
+        };
+        loop {
+            let b1 = self.primary_bucket(h);
+            let b2 = self.alt_bucket(b1, tag);
+            match self.place(entry, b1, b2) {
+                Ok(()) => {
+                    self.len += 1;
+                    self.key_bytes += key.len();
+                    return None;
+                }
+                Err(e) => {
+                    entry = e;
+                    self.grow();
+                }
+            }
+        }
+    }
+
+    /// Removes `key`, returning its value if it was present.
+    pub fn del(&mut self, key: &[u8]) -> Option<V> {
+        let (b, s) = self.find_slot(key)?;
+        let entry = self.buckets[b].slots[s].take().unwrap();
+        self.len -= 1;
+        self.key_bytes -= entry.key.len();
+        Some(entry.value)
+    }
+
     fn find_slot(&self, key: &[u8]) -> Option<(usize, usize)> {
         let (h, tag) = Self::hash_key(key);
         let b1 = self.primary_bucket(h);
@@ -249,68 +315,6 @@ impl<V: Clone> CuckooHashTable<V> {
                 }
             }
             return;
-        }
-    }
-}
-
-impl<V: Clone> UnorderedIndex<V> for CuckooHashTable<V> {
-    fn name(&self) -> &'static str {
-        "cuckoo"
-    }
-
-    fn get(&self, key: &[u8]) -> Option<V> {
-        self.find_slot(key)
-            .map(|(b, s)| self.buckets[b].slots[s].as_ref().unwrap().value.clone())
-    }
-
-    fn set(&mut self, key: &[u8], value: V) -> Option<V> {
-        if let Some((b, s)) = self.find_slot(key) {
-            let entry = self.buckets[b].slots[s].as_mut().unwrap();
-            return Some(std::mem::replace(&mut entry.value, value));
-        }
-        let (h, tag) = Self::hash_key(key);
-        let mut entry = Entry {
-            tag,
-            key: key.to_vec().into_boxed_slice(),
-            value,
-        };
-        loop {
-            let b1 = self.primary_bucket(h);
-            let b2 = self.alt_bucket(b1, tag);
-            match self.place(entry, b1, b2) {
-                Ok(()) => {
-                    self.len += 1;
-                    self.key_bytes += key.len();
-                    return None;
-                }
-                Err(e) => {
-                    entry = e;
-                    self.grow();
-                }
-            }
-        }
-    }
-
-    fn del(&mut self, key: &[u8]) -> Option<V> {
-        let (b, s) = self.find_slot(key)?;
-        let entry = self.buckets[b].slots[s].take().unwrap();
-        self.len -= 1;
-        self.key_bytes -= entry.key.len();
-        Some(entry.value)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            keys: self.len,
-            structure_bytes: self.buckets.len()
-                * SLOTS_PER_BUCKET
-                * std::mem::size_of::<Option<Entry<V>>>(),
-            key_bytes: self.key_bytes,
-            value_bytes: self.len * std::mem::size_of::<V>(),
         }
     }
 }

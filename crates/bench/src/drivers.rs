@@ -5,7 +5,7 @@ use baseline_btree::BPlusTree;
 use baseline_cuckoo::CuckooHashTable;
 use baseline_masstree::Masstree;
 use baseline_skiplist::SkipList;
-use index_traits::{ConcurrentOrderedIndex, Cursor, IndexStats, OrderedIndex, UnorderedIndex};
+use index_traits::{ConcurrentOrderedIndex, Cursor, IndexStats, OrderedIndex};
 use parking_lot::RwLock;
 use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
 
@@ -54,20 +54,14 @@ impl IndexKind {
     }
 }
 
-/// An instantiated index of any kind, with a uniform API for the harness.
+/// An instantiated index of any kind, with a uniform API for the harness:
+/// the single-threaded ordered indexes go through their one contract.
 pub enum AnyIndex {
-    /// LevelDB-style skip list.
-    SkipList(SkipList<u64>),
-    /// STX-style B+ tree.
-    BTree(BPlusTree<u64>),
-    /// Adaptive radix tree.
-    Art(Art<u64>),
-    /// Masstree.
-    Masstree(Masstree<u64>),
+    /// A single-threaded ordered index: the skip list, B+ tree, ART,
+    /// Masstree or thread-unsafe Wormhole, with its kind.
+    Ordered(IndexKind, Box<dyn OrderedIndex<u64> + Sync>),
     /// Thread-safe Wormhole.
     Wormhole(Wormhole<u64>),
-    /// Thread-unsafe Wormhole.
-    WormholeUnsafe(WormholeUnsafe<u64>),
     /// Cuckoo hash table.
     Cuckoo(CuckooHashTable<u64>),
 }
@@ -75,32 +69,30 @@ pub enum AnyIndex {
 impl AnyIndex {
     /// Creates an empty index of the given kind.
     pub fn new(kind: IndexKind) -> Self {
-        match kind {
-            IndexKind::SkipList => AnyIndex::SkipList(SkipList::new()),
-            IndexKind::BTree => AnyIndex::BTree(BPlusTree::new()),
-            IndexKind::Art => AnyIndex::Art(Art::new()),
-            IndexKind::Masstree => AnyIndex::Masstree(Masstree::new()),
-            IndexKind::Wormhole => AnyIndex::Wormhole(Wormhole::new()),
-            IndexKind::WormholeUnsafe => AnyIndex::WormholeUnsafe(WormholeUnsafe::new()),
-            IndexKind::Cuckoo => AnyIndex::Cuckoo(CuckooHashTable::new()),
-        }
+        let index: Box<dyn OrderedIndex<u64> + Sync> = match kind {
+            IndexKind::SkipList => Box::new(SkipList::new()),
+            IndexKind::BTree => Box::new(BPlusTree::new()),
+            IndexKind::Art => Box::new(Art::new()),
+            IndexKind::Masstree => Box::new(Masstree::new()),
+            IndexKind::WormholeUnsafe => Box::new(WormholeUnsafe::new()),
+            IndexKind::Wormhole => return AnyIndex::Wormhole(Wormhole::new()),
+            IndexKind::Cuckoo => return AnyIndex::Cuckoo(CuckooHashTable::new()),
+        };
+        AnyIndex::Ordered(kind, index)
     }
 
     /// Creates an empty Wormhole (thread-unsafe) with a specific
     /// configuration — used by the Figure 11 ablation.
     pub fn wormhole_with_config(config: WormholeConfig) -> Self {
-        AnyIndex::WormholeUnsafe(WormholeUnsafe::with_config(config))
+        let index = Box::new(WormholeUnsafe::with_config(config));
+        AnyIndex::Ordered(IndexKind::WormholeUnsafe, index)
     }
 
     /// Which kind this instance is.
     pub fn kind(&self) -> IndexKind {
         match self {
-            AnyIndex::SkipList(_) => IndexKind::SkipList,
-            AnyIndex::BTree(_) => IndexKind::BTree,
-            AnyIndex::Art(_) => IndexKind::Art,
-            AnyIndex::Masstree(_) => IndexKind::Masstree,
+            AnyIndex::Ordered(kind, _) => *kind,
             AnyIndex::Wormhole(_) => IndexKind::Wormhole,
-            AnyIndex::WormholeUnsafe(_) => IndexKind::WormholeUnsafe,
             AnyIndex::Cuckoo(_) => IndexKind::Cuckoo,
         }
     }
@@ -113,22 +105,10 @@ impl AnyIndex {
     /// Inserts a key (single-threaded build phase).
     pub fn insert(&mut self, key: &[u8], value: u64) {
         match self {
-            AnyIndex::SkipList(i) => {
-                i.set(key, value);
-            }
-            AnyIndex::BTree(i) => {
-                i.set(key, value);
-            }
-            AnyIndex::Art(i) => {
-                i.set(key, value);
-            }
-            AnyIndex::Masstree(i) => {
+            AnyIndex::Ordered(_, i) => {
                 i.set(key, value);
             }
             AnyIndex::Wormhole(i) => {
-                i.set(key, value);
-            }
-            AnyIndex::WormholeUnsafe(i) => {
                 i.set(key, value);
             }
             AnyIndex::Cuckoo(i) => {
@@ -140,12 +120,8 @@ impl AnyIndex {
     /// Point lookup (shared access).
     pub fn get(&self, key: &[u8]) -> Option<u64> {
         match self {
-            AnyIndex::SkipList(i) => i.get(key),
-            AnyIndex::BTree(i) => i.get(key),
-            AnyIndex::Art(i) => i.get(key),
-            AnyIndex::Masstree(i) => i.get(key),
+            AnyIndex::Ordered(_, i) => i.get(key),
             AnyIndex::Wormhole(i) => i.get(key),
-            AnyIndex::WormholeUnsafe(i) => i.get(key),
             AnyIndex::Cuckoo(i) => i.get(key),
         }
     }
@@ -155,12 +131,8 @@ impl AnyIndex {
     /// about.
     pub fn range_from(&self, start: &[u8], count: usize) -> Vec<(Vec<u8>, u64)> {
         match self {
-            AnyIndex::SkipList(i) => i.range_from(start, count),
-            AnyIndex::BTree(i) => i.range_from(start, count),
-            AnyIndex::Art(i) => i.range_from(start, count),
-            AnyIndex::Masstree(i) => i.range_from(start, count),
+            AnyIndex::Ordered(_, i) => i.range_from(start, count),
             AnyIndex::Wormhole(i) => i.range_from(start, count),
-            AnyIndex::WormholeUnsafe(i) => i.range_from(start, count),
             AnyIndex::Cuckoo(_) => panic!("a hash table cannot serve range queries"),
         }
     }
@@ -168,12 +140,8 @@ impl AnyIndex {
     /// Number of stored keys.
     pub fn len(&self) -> usize {
         match self {
-            AnyIndex::SkipList(i) => i.len(),
-            AnyIndex::BTree(i) => i.len(),
-            AnyIndex::Art(i) => i.len(),
-            AnyIndex::Masstree(i) => i.len(),
+            AnyIndex::Ordered(_, i) => i.len(),
             AnyIndex::Wormhole(i) => ConcurrentOrderedIndex::len(i),
-            AnyIndex::WormholeUnsafe(i) => i.len(),
             AnyIndex::Cuckoo(i) => i.len(),
         }
     }
@@ -186,12 +154,8 @@ impl AnyIndex {
     /// Memory accounting.
     pub fn stats(&self) -> IndexStats {
         match self {
-            AnyIndex::SkipList(i) => i.stats(),
-            AnyIndex::BTree(i) => i.stats(),
-            AnyIndex::Art(i) => i.stats(),
-            AnyIndex::Masstree(i) => i.stats(),
+            AnyIndex::Ordered(_, i) => i.stats(),
             AnyIndex::Wormhole(i) => ConcurrentOrderedIndex::stats(i),
-            AnyIndex::WormholeUnsafe(i) => i.stats(),
             AnyIndex::Cuckoo(i) => i.stats(),
         }
     }

@@ -56,55 +56,6 @@ pub fn successor_key(key: &[u8]) -> Option<Vec<u8>> {
     None
 }
 
-/// A half-open key range `[start, end)` with an unbounded-end option.
-///
-/// Range queries in the paper are expressed as "the next `count` keys at or
-/// after a start key"; `KeyRange` additionally supports an explicit exclusive
-/// upper bound so prefix scans can terminate early.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyRange {
-    /// Inclusive lower bound.
-    pub start: Vec<u8>,
-    /// Exclusive upper bound; `None` means unbounded.
-    pub end: Option<Vec<u8>>,
-}
-
-impl KeyRange {
-    /// Creates a range starting at `start` with no upper bound.
-    pub fn from(start: &[u8]) -> Self {
-        Self {
-            start: start.to_vec(),
-            end: None,
-        }
-    }
-
-    /// Creates a range covering exactly the keys that have `prefix` as a
-    /// prefix.
-    pub fn prefix(prefix: &[u8]) -> Self {
-        Self {
-            start: prefix.to_vec(),
-            end: successor_key(prefix),
-        }
-    }
-
-    /// Creates an explicit `[start, end)` range.
-    pub fn between(start: &[u8], end: &[u8]) -> Self {
-        Self {
-            start: start.to_vec(),
-            end: Some(end.to_vec()),
-        }
-    }
-
-    /// Returns `true` when `key` falls inside the range.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        key >= self.start.as_slice()
-            && match &self.end {
-                Some(end) => key < end.as_slice(),
-                None => true,
-            }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,26 +100,6 @@ mod tests {
         assert_eq!(successor_key(b""), None);
     }
 
-    #[test]
-    fn prefix_range_contains_exactly_prefixed_keys() {
-        let r = KeyRange::prefix(b"Jo");
-        assert!(r.contains(b"Jo"));
-        assert!(r.contains(b"John"));
-        assert!(r.contains(b"Joseph"));
-        assert!(!r.contains(b"Jim"));
-        assert!(!r.contains(b"Ju"));
-        assert!(!r.contains(b"K"));
-    }
-
-    #[test]
-    fn between_range() {
-        let r = KeyRange::between(b"Brown", b"John");
-        assert!(r.contains(b"Brown"));
-        assert!(r.contains(b"Denice"));
-        assert!(!r.contains(b"John"));
-        assert!(!r.contains(b"Aaron"));
-    }
-
     proptest! {
         #[test]
         fn prop_common_prefix_is_symmetric(a in proptest::collection::vec(any::<u8>(), 0..64),
@@ -196,8 +127,10 @@ mod tests {
         #[test]
         fn prop_prefix_range_agrees_with_is_prefix(prefix in proptest::collection::vec(any::<u8>(), 1..8),
                                                    key in proptest::collection::vec(any::<u8>(), 0..16)) {
-            let r = KeyRange::prefix(&prefix);
-            prop_assert_eq!(r.contains(&key), is_prefix_of(&prefix, &key));
+            // `[prefix, successor_key(prefix))` holds exactly the keys
+            // that start with `prefix`.
+            let below_end = successor_key(&prefix).is_none_or(|end| key < end);
+            prop_assert_eq!(key >= prefix && below_end, is_prefix_of(&prefix, &key));
         }
     }
 }

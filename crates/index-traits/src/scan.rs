@@ -170,11 +170,11 @@ pub struct ScanPage<V> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Take {
     /// At most this many pairs (at least one): the rest of a bounded
-    /// window. A source may stop collecting, and cloning values, there.
+    /// window, or `usize::MAX` for pairs taken one at a time with no bound
+    /// known ([`Cursor::next`]). A source may stop collecting, and cloning
+    /// values, at the bound, and it may stop sooner, at a run it can
+    /// cheaply resume after: the consumer may stop after any pair.
     Upto(usize),
-    /// Pairs one at a time with no bound known: the consumer may stop after
-    /// any pair, so a source fills a run it can cheaply resume after.
-    Stream,
     /// The whole batch, however long: a source fills as much as one
     /// atomic read of its structure gives.
     Whole,
@@ -201,11 +201,12 @@ pub trait CursorSource<V> {
     /// `from`: a caller that moved the position ahead is obeyed.
     ///
     /// `take` says how much of the batch the consumer takes before it asks
-    /// again ([`Take`]). Under [`Take::Upto`] a source stops at the bound;
-    /// under [`Take::Stream`] it picks a run short enough that a consumer
-    /// stopping early wastes little; under [`Take::Whole`] (only
-    /// [`Cursor::next_batch`] passes it) it may fill to the end of the
-    /// region one read covers, a whole leaf for the Wormhole indexes. A
+    /// again ([`Take`]). Under [`Take::Upto`] a source stops at the bound or
+    /// at a run short enough that a consumer stopping early wastes little,
+    /// whichever comes first: `Upto(usize::MAX)`, what [`Cursor::next`]
+    /// asks for, gets that run. Under [`Take::Whole`] (only
+    /// [`Cursor::next_batch`] passes it) a source may fill to the end of
+    /// the region one read covers, a whole leaf for the Wormhole indexes. A
     /// batch cut short of its region still resumes exactly after its last
     /// pair.
     fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, take: Take) -> bool;
@@ -235,7 +236,7 @@ where
         }
         let want = match take {
             Take::Upto(count) => count.min(DEFAULT_SCAN_BATCH),
-            Take::Stream | Take::Whole => DEFAULT_SCAN_BATCH,
+            Take::Whole => DEFAULT_SCAN_BATCH,
         };
         let got = (self.fetch)(from, want);
         if got.len() < want {
@@ -325,7 +326,7 @@ impl<'a, V> Cursor<'a, V> {
     /// which is what lets every yielded key live in the reused arena.
     #[allow(clippy::should_implement_trait)] // lending: item borrows &mut self
     pub fn next(&mut self) -> Option<(&[u8], &V)> {
-        if self.pos == self.batch.len() && !self.refill(Take::Stream) {
+        if self.pos == self.batch.len() && !self.refill(Take::Upto(usize::MAX)) {
             return None;
         }
         let i = self.pos;

@@ -33,8 +33,8 @@ impl IndexStats {
 /// # Examples
 ///
 /// Implementors provide the point ops plus `range_from`; batching
-/// ([`OrderedIndex::get_batch`]), membership ([`OrderedIndex::contains`]),
-/// and streaming scans ([`OrderedIndex::scan`]) come with correct defaults:
+/// ([`OrderedIndex::get_batch`]) and streaming scans
+/// ([`OrderedIndex::scan`]) come with correct defaults:
 ///
 /// ```
 /// use index_traits::{IndexStats, OrderedIndex};
@@ -75,7 +75,6 @@ impl IndexStats {
 /// assert_eq!(index.set(b"James", 1), None);
 /// assert_eq!(index.set(b"Jason", 2), None);
 /// assert_eq!(index.set(b"James", 10), Some(1)); // overwrite returns the old value
-/// assert!(index.contains(b"Jason"));
 /// // Ordered window starting at the smallest key >= "Jam".
 /// let window = index.range_from(b"Jam", 10);
 /// assert_eq!(window[0].0, b"James".to_vec());
@@ -91,11 +90,6 @@ pub trait OrderedIndex<V> {
 
     /// Returns a copy of the value stored under `key`, if present.
     fn get(&self, key: &[u8]) -> Option<V>;
-
-    /// Returns `true` when `key` is present without copying its value.
-    fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
 
     /// Point-looks-up every key of `keys`, returning one result per key in
     /// input order (duplicates allowed, each answered independently).
@@ -170,11 +164,6 @@ pub trait ConcurrentOrderedIndex<V: Clone>: Send + Sync {
 
     /// Returns a copy of the value stored under `key`, if present.
     fn get(&self, key: &[u8]) -> Option<V>;
-
-    /// Returns `true` when `key` is present without copying its value.
-    fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
 
     /// Point-looks-up every key of `keys`, returning one result per key in
     /// input order (duplicates allowed, each answered independently).
@@ -392,15 +381,15 @@ pub trait ConcurrentOrderedIndex<V: Clone>: Send + Sync {
 /// exactly the state covered by the last durable commit. The inherited
 /// [`ConcurrentOrderedIndex`] methods acknowledge an operation only once
 /// it is durable under the implementation's sync policy; the methods here
-/// expose the durability machinery itself — explicit barriers and
-/// checkpoint triggers — without prescribing file layout or log format.
+/// expose the durability machinery itself — an explicit barrier and a
+/// checkpoint — without prescribing file layout or log format.
 ///
 /// # Examples
 ///
-/// The contract in miniature: the watermark is monotone, `wal_sync`
-/// forces everything applied so far under it, and a checkpoint covers at
-/// least as much as the log does (the workspace's `wh-durable` crate
-/// implements this over a real group-commit WAL and rename-published
+/// The contract in miniature: `wal_sync` forces everything applied so far
+/// and returns the sequence number of the last of it, and a checkpoint
+/// covers at least as much as the log does (the workspace's `wh-durable`
+/// crate implements this over a real group-commit WAL and rename-published
 /// snapshots):
 ///
 /// ```
@@ -409,12 +398,11 @@ pub trait ConcurrentOrderedIndex<V: Clone>: Send + Sync {
 /// # use std::sync::atomic::{AtomicU64, Ordering};
 /// # use std::sync::Mutex;
 /// # /// A toy in-memory "durable" index: every applied op is assigned an
-/// # /// LSN; `wal_sync` advances the durable watermark to the last one.
+/// # /// LSN; `wal_sync` reports the last one.
 /// # #[derive(Default)]
 /// # struct Toy {
 /// #     map: Mutex<BTreeMap<Vec<u8>, u64>>,
 /// #     applied: AtomicU64,
-/// #     durable: AtomicU64,
 /// # }
 /// # impl ConcurrentOrderedIndex<u64> for Toy {
 /// #     fn name(&self) -> &'static str { "toy" }
@@ -439,29 +427,21 @@ pub trait ConcurrentOrderedIndex<V: Clone>: Send + Sync {
 /// #     fn stats(&self) -> IndexStats { IndexStats::default() }
 /// # }
 /// # impl DurableIndex<u64> for Toy {
-/// #     fn wal_sync(&self) -> std::io::Result<u64> {
-/// #         let lsn = self.applied.load(Ordering::Relaxed);
-/// #         self.durable.fetch_max(lsn, Ordering::Relaxed);
-/// #         Ok(lsn)
-/// #     }
-/// #     fn durable_watermark(&self) -> u64 { self.durable.load(Ordering::Relaxed) }
+/// #     fn wal_sync(&self) -> std::io::Result<u64> { Ok(self.applied.load(Ordering::Relaxed)) }
 /// #     fn checkpoint(&self) -> std::io::Result<u64> { self.wal_sync() }
 /// # }
 /// let index = Toy::default();
 /// index.set(b"James", 1);
 /// index.set(b"Jason", 2);
 ///
-/// // Nothing forced yet; an explicit barrier makes both writes durable.
-/// let before = index.durable_watermark();
+/// // An explicit barrier makes both writes durable and returns the
+/// // sequence number of the second.
 /// let synced = index.wal_sync()?;
-/// assert!(synced >= before);
-/// assert_eq!(index.durable_watermark(), synced);
+/// assert_eq!(synced, 2);
 ///
 /// // A checkpoint covers everything the barrier covered.
 /// let covered = index.checkpoint()?;
 /// assert!(covered >= synced);
-/// // The policy hook is allowed to do nothing at all.
-/// assert!(matches!(index.maybe_checkpoint()?, None | Some(_)));
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub trait DurableIndex<V: Clone>: ConcurrentOrderedIndex<V> {
@@ -470,20 +450,9 @@ pub trait DurableIndex<V: Clone>: ConcurrentOrderedIndex<V> {
     /// number; operations at or below it survive a crash).
     fn wal_sync(&self) -> std::io::Result<u64>;
 
-    /// The current durable watermark, without forcing anything.
-    fn durable_watermark(&self) -> u64;
-
     /// Writes a full checkpoint (snapshot) and prunes log data it makes
     /// redundant. Returns the watermark the checkpoint covers.
     fn checkpoint(&self) -> std::io::Result<u64>;
-
-    /// Checkpoint-if-warranted policy hook: like `checkpoint`, but only
-    /// when the implementation's policy (log growth, elapsed work, …)
-    /// says it is worth the cost, and never blocking behind another
-    /// in-flight checkpoint. Returns `Ok(None)` when nothing was done.
-    fn maybe_checkpoint(&self) -> std::io::Result<Option<u64>> {
-        Ok(None)
-    }
 }
 
 /// An index that can be built in one pass from a strictly ascending stream
@@ -500,40 +469,6 @@ pub trait FromSorted<V>: Sized {
     /// Panics when `pairs` is not strictly ascending: the source is an
     /// ordered scan, so an out-of-order pair means it is corrupt.
     fn from_sorted(config: Self::Config, pairs: impl IntoIterator<Item = (Vec<u8>, V)>) -> Self;
-}
-
-/// A point-only (unordered) index — the cuckoo hash table baseline.
-///
-/// Figure 13 compares Wormhole's lookup throughput against a hash table that
-/// cannot serve range queries; this trait captures exactly that contract.
-pub trait UnorderedIndex<V> {
-    /// Human-readable name used by the benchmark harness.
-    fn name(&self) -> &'static str;
-
-    /// Returns a copy of the value stored under `key`, if present.
-    fn get(&self, key: &[u8]) -> Option<V>;
-
-    /// Returns `true` when `key` is present without copying its value.
-    fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Inserts or overwrites `key`, returning the previous value if any.
-    fn set(&mut self, key: &[u8], value: V) -> Option<V>;
-
-    /// Removes `key`, returning its value if it was present.
-    fn del(&mut self, key: &[u8]) -> Option<V>;
-
-    /// Number of keys stored.
-    fn len(&self) -> usize;
-
-    /// Returns `true` when the index stores no keys.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Memory accounting for Figure 16-style comparisons.
-    fn stats(&self) -> IndexStats;
 }
 
 #[cfg(test)]
@@ -586,9 +521,7 @@ mod tests {
     fn default_methods_work() {
         let mut idx = StdOrdered::default();
         assert!(idx.is_empty());
-        assert!(!idx.contains(b"a"));
         idx.set(b"a", 1);
-        assert!(idx.contains(b"a"));
         assert!(!idx.is_empty());
     }
 

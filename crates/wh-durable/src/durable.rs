@@ -126,17 +126,16 @@ pub enum SyncPolicy {
     Manual,
 }
 
-/// Tuning for a [`DurableWormhole`]; `C` is the configuration of the
-/// index it logs ([`FromSorted::Config`]).
+/// How a [`DurableWormhole`] is opened: the configuration of the index it
+/// logs (`C`, [`FromSorted::Config`]) and when its writes become durable.
+/// Nothing here schedules a checkpoint: one runs when a caller calls
+/// [`DurableIndex::checkpoint`].
 #[derive(Debug, Clone, Copy)]
 pub struct DurableOptions<C = WormholeConfig> {
     /// In-memory index configuration.
     pub config: C,
     /// When operations are made durable (see [`SyncPolicy`]).
     pub sync: SyncPolicy,
-    /// [`DurableIndex::maybe_checkpoint`] triggers once the live WAL
-    /// segment outgrows this many bytes.
-    pub checkpoint_wal_bytes: u64,
 }
 
 impl<C: Default> Default for DurableOptions<C> {
@@ -144,7 +143,6 @@ impl<C: Default> Default for DurableOptions<C> {
         Self {
             config: C::default(),
             sync: SyncPolicy::Always,
-            checkpoint_wal_bytes: 8 << 20,
         }
     }
 }
@@ -186,9 +184,9 @@ pub struct DurableWormhole<V: DurableValue, I = Wormhole<V>> {
     wal: Wal,
     dir: PathBuf,
     sync: SyncPolicy,
-    checkpoint_wal_bytes: u64,
-    /// Serialises checkpoints; `maybe_checkpoint` try-locks it so policy
-    /// ticks never pile up behind a running checkpoint.
+    /// Serialises [`DurableIndex::checkpoint`] against itself: two at once
+    /// would take the same spare files and prune each other's segments
+    /// and snapshots. Writers never take it.
     checkpoint_lock: Mutex<()>,
     recovery: RecoveryReport,
     /// What `index` holds.
@@ -252,11 +250,7 @@ where
         // stream — leaves are packed directly and the MetaTrieHT is
         // derived from them (`from_sorted`), the paper's observation that
         // only the leaf list needs to be durable.
-        let DurableOptions {
-            config,
-            sync,
-            checkpoint_wal_bytes,
-        } = options;
+        let DurableOptions { config, sync } = options;
         let index = match base {
             Some(snap) => {
                 report.snapshot_records = snap.count;
@@ -346,7 +340,6 @@ where
             wal: Wal::new(Box::new(storage), next_lsn),
             dir,
             sync,
-            checkpoint_wal_bytes,
             checkpoint_lock: Mutex::new(()),
             recovery: report,
             values: PhantomData,
@@ -424,54 +417,6 @@ where
             SyncPolicy::Always => self.wal.commit(lsn).map(|_| ()),
             SyncPolicy::Manual => Ok(()),
         }
-    }
-
-    fn checkpoint_locked(&self) -> io::Result<u64> {
-        let timing = wh_telemetry::start_timing();
-        // 1. Rotate: seal the live segment; the snapshot will cover
-        //    exactly the sealed prefix, and every racing operation lands
-        //    in the new segment (named after its first LSN).
-        let covered = self.wal.rotate_with(|sealed| {
-            let path = lsn_path(&self.dir, "wal-", sealed + 1, ".log");
-            let storage = FileStorage::reuse(&path, WAL_SPARE, 0)?;
-            sync_dir(&self.dir)?;
-            Ok(Box::new(storage) as Box<dyn Storage>)
-        })?;
-        self.metrics().checkpoint_rotate_ns.record_elapsed(timing);
-
-        // 2. Fuzzy scan into the temp file — writers keep running.
-        let scan = wh_telemetry::start_timing();
-        let final_path = lsn_path(&self.dir, "snap-", covered, ".snap");
-        let mut writer = snapshot::SnapshotWriter::create(&final_path, covered)?;
-        let mut cursor = self.index.scan(b"");
-        while let Some(batch) = cursor.next_batch() {
-            for (key, value) in batch.iter() {
-                writer.push(key, |out| value.encode_into(out))?;
-            }
-        }
-        drop(cursor);
-        self.metrics().checkpoint_scan_ns.record_elapsed(scan);
-        let drain = wh_telemetry::start_timing();
-        let image = writer.finish()?;
-        self.metrics().checkpoint_drain_ns.record_elapsed(drain);
-        let sync = wh_telemetry::start_timing();
-        image.sync_all()?;
-        self.metrics().checkpoint_sync_ns.record_elapsed(sync);
-
-        // 3. Make the WAL durable through everything the scan could have
-        //    observed, BEFORE the snapshot becomes load-bearing: a fuzzy
-        //    image may embed a racing write, and that write must not be
-        //    revocable by a crash once the snapshot is published.
-        let publish = wh_telemetry::start_timing();
-        let scan_end = self.wal.last_assigned_lsn();
-        self.wal.commit(scan_end)?;
-
-        // 4. Publish (rename + dir fsync), then GC what it superseded.
-        snapshot::publish_snapshot(&final_path)?;
-        self.collect_garbage()?;
-        self.metrics().checkpoint_publish_ns.record_elapsed(publish);
-        self.metrics().checkpoint_ns.record_elapsed(timing);
-        Ok(covered)
     }
 
     /// Prunes what the new snapshot supersedes, keeping one generation of
@@ -559,23 +504,53 @@ where
         self.wal.sync_all()
     }
 
-    fn durable_watermark(&self) -> u64 {
-        self.wal.durable_lsn()
-    }
-
     fn checkpoint(&self) -> io::Result<u64> {
         let _guard = self.checkpoint_lock.lock();
-        self.checkpoint_locked()
-    }
+        let timing = wh_telemetry::start_timing();
+        // 1. Rotate: seal the live segment; the snapshot will cover
+        //    exactly the sealed prefix, and every racing operation lands
+        //    in the new segment (named after its first LSN).
+        let covered = self.wal.rotate_with(|sealed| {
+            let path = lsn_path(&self.dir, "wal-", sealed + 1, ".log");
+            let storage = FileStorage::reuse(&path, WAL_SPARE, 0)?;
+            sync_dir(&self.dir)?;
+            Ok(Box::new(storage) as Box<dyn Storage>)
+        })?;
+        self.metrics().checkpoint_rotate_ns.record_elapsed(timing);
 
-    fn maybe_checkpoint(&self) -> io::Result<Option<u64>> {
-        if self.wal.current_segment_len() < self.checkpoint_wal_bytes {
-            return Ok(None);
+        // 2. Fuzzy scan into the temp file — writers keep running.
+        let scan = wh_telemetry::start_timing();
+        let final_path = lsn_path(&self.dir, "snap-", covered, ".snap");
+        let mut writer = snapshot::SnapshotWriter::create(&final_path, covered)?;
+        let mut cursor = self.index.scan(b"");
+        while let Some(batch) = cursor.next_batch() {
+            for (key, value) in batch.iter() {
+                writer.push(key, |out| value.encode_into(out))?;
+            }
         }
-        match self.checkpoint_lock.try_lock() {
-            Some(_guard) => self.checkpoint_locked().map(Some),
-            None => Ok(None),
-        }
+        drop(cursor);
+        self.metrics().checkpoint_scan_ns.record_elapsed(scan);
+        let drain = wh_telemetry::start_timing();
+        let image = writer.finish()?;
+        self.metrics().checkpoint_drain_ns.record_elapsed(drain);
+        let sync = wh_telemetry::start_timing();
+        image.sync_all()?;
+        self.metrics().checkpoint_sync_ns.record_elapsed(sync);
+
+        // 3. Make the WAL durable through everything the scan could have
+        //    observed, BEFORE the snapshot becomes load-bearing: a fuzzy
+        //    image may embed a racing write, and that write must not be
+        //    revocable by a crash once the snapshot is published.
+        let publish = wh_telemetry::start_timing();
+        let scan_end = self.wal.last_assigned_lsn();
+        self.wal.commit(scan_end)?;
+
+        // 4. Publish (rename + dir fsync), then GC what it superseded.
+        snapshot::publish_snapshot(&final_path)?;
+        self.collect_garbage()?;
+        self.metrics().checkpoint_publish_ns.record_elapsed(publish);
+        self.metrics().checkpoint_ns.record_elapsed(timing);
+        Ok(covered)
     }
 }
 
@@ -750,9 +725,10 @@ mod tests {
     }
 
     /// Writers race checkpoints whose scans take a leaf a fill, so each
-    /// fill holds one optimistic read across a whole leaf of 64 keys. The
-    /// preloaded keys and the checkpoints scale with `WH_STRESS_MULT` for
-    /// the nightly soak.
+    /// fill holds one optimistic read across a whole leaf of 64 keys, and
+    /// two threads checkpoint at once, which `checkpoint_lock` serialises.
+    /// The preloaded keys and the checkpoints scale with `WH_STRESS_MULT`
+    /// for the nightly soak.
     #[test]
     fn checkpoint_under_concurrent_writers_loses_nothing() {
         let mult = std::env::var("WH_STRESS_MULT")
@@ -772,7 +748,7 @@ mod tests {
         // wait, which is inside the uninstrumented standard library.
         let idx = std::sync::Arc::new(idx);
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut threads: Vec<_> = (0..3u64)
+        let writers: Vec<_> = (0..3u64)
             .map(|w| {
                 let (idx, stop) = (std::sync::Arc::clone(&idx), std::sync::Arc::clone(&stop));
                 std::thread::spawn(move || {
@@ -787,37 +763,32 @@ mod tests {
                 })
             })
             .collect();
-        let (checkpointer, done) = (std::sync::Arc::clone(&idx), std::sync::Arc::clone(&stop));
-        threads.push(std::thread::spawn(move || {
-            for _ in 0..5 * mult {
-                checkpointer.checkpoint().unwrap();
-            }
-            done.store(true, std::sync::atomic::Ordering::Relaxed);
-        }));
-        for thread in threads {
+        // Both checkpointers start together, so their checkpoints overlap.
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let checkpointers: Vec<_> = (0..2)
+            .map(|_| {
+                let (idx, start) = (std::sync::Arc::clone(&idx), std::sync::Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..5 * mult {
+                        idx.checkpoint().unwrap();
+                    }
+                })
+            })
+            .collect();
+        // The writers stop once both checkpointers finished, failed or not.
+        let checkpoints: Vec<_> = checkpointers.into_iter().map(|t| t.join()).collect();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for thread in writers {
             thread.join().unwrap();
+        }
+        for checkpoint in checkpoints {
+            checkpoint.unwrap();
         }
         let expected: Vec<(Vec<u8>, u64)> = idx.range_from(b"", usize::MAX);
         drop(idx);
         let reopened: DurableWormhole<u64> = DurableWormhole::open_with(&dir, options).unwrap();
         assert_eq!(reopened.range_from(b"", usize::MAX), expected);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn maybe_checkpoint_honors_the_byte_threshold() {
-        let dir = test_dir("maybe");
-        let options = DurableOptions {
-            checkpoint_wal_bytes: 2_000,
-            ..tiny()
-        };
-        let idx: DurableWormhole<u64> = DurableWormhole::open_with(&dir, options).unwrap();
-        assert_eq!(idx.maybe_checkpoint().unwrap(), None, "empty log: no-op");
-        for i in 0..200u64 {
-            idx.set(format!("mc-{i:04}").as_bytes(), i);
-        }
-        assert!(idx.maybe_checkpoint().unwrap().is_some(), "log over budget");
-        assert_eq!(idx.maybe_checkpoint().unwrap(), None, "fresh segment again");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -833,9 +804,9 @@ mod tests {
             for i in 0..100u64 {
                 idx.set(format!("m-{i:03}").as_bytes(), i);
             }
-            assert_eq!(idx.durable_watermark(), 0, "nothing committed yet");
+            assert_eq!(idx.metrics().fsyncs.get(), 0, "nothing committed yet");
             assert_eq!(idx.wal_sync().unwrap(), 100);
-            assert_eq!(idx.durable_watermark(), 100);
+            assert_eq!(idx.metrics().fsyncs.get(), 1);
             for i in 100..150u64 {
                 idx.set(format!("m-{i:03}").as_bytes(), i);
             }

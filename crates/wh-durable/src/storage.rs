@@ -154,20 +154,24 @@ pub fn lsn_path(dir: &Path, prefix: &str, lsn: u64, suffix: &str) -> PathBuf {
 }
 
 /// The files in `dir` named `<prefix><lsn><suffix>`, with the LSN each
-/// name gives, ascending by LSN.
+/// name gives, ascending by LSN. An entry the listing cannot read is an
+/// error, not an absent file: recovery would replay without that segment
+/// or snapshot, and pruning would act on a partial listing.
 pub fn list_lsn_files(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut files: Vec<(u64, PathBuf)> = fs::read_dir(dir)?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter_map(|path| {
-            let name = path.file_name()?.to_str()?;
-            let lsn = name
-                .strip_prefix(prefix)?
-                .strip_suffix(suffix)?
-                .parse()
-                .ok()?;
-            Some((lsn, path))
-        })
-        .collect();
+    let lsn_of = |path: &Path| -> Option<u64> {
+        let name = path.file_name()?.to_str()?;
+        name.strip_prefix(prefix)?
+            .strip_suffix(suffix)?
+            .parse()
+            .ok()
+    };
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if let Some(lsn) = lsn_of(&path) {
+            files.push((lsn, path));
+        }
+    }
     files.sort();
     Ok(files)
 }

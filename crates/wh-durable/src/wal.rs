@@ -170,12 +170,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Bytes in the current (post-rotation) storage stream — the
-    /// checkpoint policy's log-growth signal.
-    pub fn current_segment_len(&self) -> u64 {
-        self.file.lock().len()
-    }
-
     /// Highest LSN sealed durable so far.
     pub fn durable_lsn(&self) -> u64 {
         self.durable_lsn.load(Ordering::Acquire)

@@ -1162,12 +1162,13 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     }
 }
 
-/// Pairs a fill copies at most for a consumer that takes them one at a
-/// time ([`Take::Stream`]). Continuing where the last fill stopped costs
-/// one seqlock compare, so such a fill need not take the rest of a leaf to
-/// be worth its cost: a consumer that stops early leaves the rest
-/// uncopied. A consumer that takes the batch whole ([`Take::Whole`]) gets
-/// the rest of the leaf in one fill.
+/// Pairs a fill copies at most under [`Take::Upto`], for a consumer that
+/// takes pairs one at a time (`Upto(usize::MAX)`) or through a window.
+/// Continuing where the last fill stopped costs one seqlock compare, so
+/// such a fill need not take the rest of a leaf to be worth its cost: a
+/// consumer that stops early leaves the rest uncopied. A consumer that
+/// takes the batch whole ([`Take::Whole`]) gets the rest of the leaf in
+/// one fill.
 const SCAN_CHUNK: usize = 16;
 
 /// Where a scan's last fill stopped.
@@ -1333,7 +1334,6 @@ impl<V: Clone + Send + Sync + 'static> CursorSource<V> for ScanSource<'_, V> {
         let wh = self.wh;
         let limit = match take {
             Take::Upto(count) => count.clamp(1, SCAN_CHUNK),
-            Take::Stream => SCAN_CHUNK,
             Take::Whole => usize::MAX,
         };
         let mut fill = Fill {

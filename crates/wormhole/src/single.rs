@@ -263,7 +263,7 @@ impl<V: Clone> CursorSource<V> for UnsafeScanSource<'_, V> {
     fn fill_next(&mut self, from: &[u8], batch: &mut ScanBatch<V>, take: Take) -> bool {
         let limit = match take {
             Take::Upto(count) => count.max(1),
-            Take::Stream | Take::Whole => usize::MAX,
+            Take::Whole => usize::MAX,
         };
         batch.clear();
         while self.next != NIL && batch.is_empty() {

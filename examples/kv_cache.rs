@@ -335,7 +335,6 @@ fn main() {
     let options = |sync| DurableOptions {
         config: store_config.clone(),
         sync,
-        checkpoint_wal_bytes: 8 << 20,
     };
     let expected: Vec<(Vec<u8>, u64)> = cache.range_from(b"", usize::MAX);
     drop(cache);

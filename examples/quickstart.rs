@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use index_traits::{ConcurrentOrderedIndex, OrderedIndex};
+use index_traits::{is_prefix_of, ConcurrentOrderedIndex, OrderedIndex};
 use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
 
 fn main() {
@@ -29,10 +29,9 @@ fn main() {
     }
 
     // Prefix query: all keys starting with "J".
-    let prefix = index_traits::KeyRange::prefix(b"J");
     println!("\nkeys with prefix \"J\":");
     for (key, _) in index.range_from(b"J", usize::MAX) {
-        if !prefix.contains(&key) {
+        if !is_prefix_of(b"J", &key) {
             break;
         }
         println!("  {}", String::from_utf8_lossy(&key));

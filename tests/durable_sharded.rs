@@ -27,7 +27,6 @@ fn options() -> DurableOptions<ShardedConfig> {
         config: ShardedConfig::with_boundaries(vec![b"h0".to_vec(), b"p0".to_vec()])
             .with_inner(WormholeConfig::optimized().with_leaf_capacity(8)),
         sync: SyncPolicy::Always,
-        checkpoint_wal_bytes: 8 << 20,
     }
 }
 
@@ -178,7 +177,6 @@ fn durable_batched_reads_match_per_key_gets() {
         DurableOptions {
             config: WormholeConfig::optimized().with_leaf_capacity(8),
             sync: SyncPolicy::Manual,
-            checkpoint_wal_bytes: 8 << 20,
         },
     )
     .unwrap();

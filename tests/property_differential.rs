@@ -10,7 +10,7 @@ use baseline_btree::BPlusTree;
 use baseline_cuckoo::CuckooHashTable;
 use baseline_masstree::Masstree;
 use baseline_skiplist::SkipList;
-use index_traits::{ConcurrentOrderedIndex, Cursor, OrderedIndex, UnorderedIndex};
+use index_traits::{ConcurrentOrderedIndex, Cursor, OrderedIndex};
 use proptest::prelude::*;
 use wh_shard::{RebalanceConfig, ShardedConfig, ShardedWormhole};
 use wormhole::{Wormhole, WormholeConfig, WormholeUnsafe};
