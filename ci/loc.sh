@@ -23,31 +23,37 @@ count() {
     ' {} +
 }
 
-if [ $# -eq 0 ]; then
-    total=0
-    for dir in crates/*/src src; do
-        lines=$(count "$dir")
-        total=$((total + lines))
-        printf '%7d  %s\n' "$lines" "$dir"
-    done
-    printf '%7d  total\n' "$total"
-    exit 0
+# One line: label $1, count now $2 and, with a BASE, its count there $3.
+row() {
+    if [ -n "$base" ]; then
+        printf '%7d %7d %+7d  %s\n' "$3" "$2" $(($2 - $3)) "$1"
+    else
+        printf '%7d  %s\n' "$2" "$1"
+    fi
+}
+
+base=
+if [ $# -gt 0 ]; then
+    git rev-parse --verify --quiet "$1^{commit}" >/dev/null ||
+        { echo "ci/loc.sh: $1 names no commit" >&2; exit 1; }
+    base=$(mktemp -d)
+    trap 'rm -rf "$base"' EXIT
+    # Through a file, so that a failing `git archive` stops the script.
+    git archive -o "$base/base.tar" "$1" -- crates src
+    tar -x -f "$base/base.tar" -C "$base"
+    printf '%7s %7s %7s\n' base now diff
 fi
 
-base=$(mktemp -d)
-trap 'rm -rf "$base"' EXIT
-git archive "$1" -- crates src | tar -x -C "$base"
-
-# Every crate that exists at BASE or now.
-dirs=$({ (cd "$base" && ls -d crates/*/src src 2>/dev/null); ls -d crates/*/src src; } | sort -u)
-printf '%7s %7s %7s\n' base now diff
+# Every crate that exists now or at BASE.
+dirs=$({ ls -d crates/*/src src; [ -z "$base" ] ||
+    (cd "$base" && ls -d crates/*/src src 2>/dev/null); } | LC_ALL=C sort -u)
+total=0
 total_base=0
-total_now=0
 for dir in $dirs; do
-    then_lines=$(count "$base/$dir")
-    now_lines=$(count "$dir")
+    lines=$(count "$dir")
+    then_lines=$([ -z "$base" ] && echo 0 || count "$base/$dir")
+    total=$((total + lines))
     total_base=$((total_base + then_lines))
-    total_now=$((total_now + now_lines))
-    printf '%7d %7d %+7d  %s\n' "$then_lines" "$now_lines" $((now_lines - then_lines)) "$dir"
+    row "$dir" "$lines" "$then_lines"
 done
-printf '%7d %7d %+7d  total\n' "$total_base" "$total_now" $((total_now - total_base))
+row total "$total" "$total_base"
