@@ -37,6 +37,12 @@ use crate::record;
 use crate::storage::Storage;
 use crate::telemetry::DurableMetrics;
 
+/// A sealed batch's buffer up to this capacity becomes the next batch's
+/// pending buffer, so a steady stream of batches encodes without
+/// reallocating; a larger one (a bulk load's single barrier) is dropped
+/// rather than held for the life of the log.
+const KEEP_BATCH_CAPACITY: usize = 1 << 20;
+
 struct WalSeq {
     /// Frames encoded but not yet handed to storage.
     pending: Vec<u8>,
@@ -138,7 +144,9 @@ impl Wal {
     /// With nothing pending everything is durable already, and nothing is
     /// written: a segment holds no `Commit` below its first LSN (see
     /// [`record`]'s frame walk). A storage error poisons the log for good
-    /// (see the module docs).
+    /// (see the module docs). The emptied buffer goes back as the pending
+    /// one when it is at most [`KEEP_BATCH_CAPACITY`] and nobody has
+    /// logged since the steal (a writer that has, grew its own).
     fn seal(&self, storage: &mut dyn Storage) -> io::Result<u64> {
         self.check_poisoned()?;
         let (mut batch, upto) = {
@@ -160,6 +168,13 @@ impl Wal {
         let durable = self.durable_lsn();
         self.metrics.commit_batch_ops.record(upto - durable);
         self.durable_lsn.store(upto, Ordering::Release);
+        if batch.capacity() <= KEEP_BATCH_CAPACITY {
+            batch.clear();
+            let mut seq = self.seq.lock();
+            if seq.pending.is_empty() {
+                seq.pending = batch;
+            }
+        }
         Ok(upto)
     }
 

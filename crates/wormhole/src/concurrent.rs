@@ -507,6 +507,9 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
         let mut last_key: Option<Vec<u8>> = None;
         // Nobody reads the index before it is returned.
         let mut bin = Bin::immediate();
+        // Every leaf is filled in buffers sized for the target: no growth
+        // step moves its items on the way.
+        tail.data.write().leaf = LeafNode::with_capacity(Vec::new(), Vec::new(), target);
 
         for (key, value) in pairs {
             if let Some(last) = &last_key {
@@ -523,7 +526,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                         // The finished leaf took its keys in ascending
                         // order: its first scan need not sort it.
                         left.leaf.ensure_key_sorted();
-                        let right = LeafNode::new(anchor, table_key);
+                        let right = LeafNode::with_capacity(anchor, table_key, target);
                         Self::link_split(commit, leaf, &mut left, right)
                     });
                     in_leaf = 0;
@@ -598,7 +601,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
     /// its frees: the neighbour step of every search, the locked reads' and
     /// the writers' included, reads anchors and `prev` links without a lock
     /// ([`Wormhole::resolve`]), and a merge retires the victim's anchor.
-    /// A retired block never holds a live `V` — `insert_growing` moves the
+    /// A retired block never holds a live `V` — a growing vector moves its
     /// items out of the buffer it retires, and a removed value goes back
     /// to the caller — so deferring delays only the blocks' own frees.
     #[inline]
@@ -1127,6 +1130,7 @@ impl<V: Clone + Send + Sync + 'static> Wormhole<V> {
                 stats.structure_bytes += meta.table.structure_bytes();
             }
         }
+        stats.structure_bytes += self.garbage.lock().structure_bytes();
         self.for_each_leaf(|_, data| {
             stats.key_bytes += data.leaf.key_bytes();
             // The leaf's `Arc` block holds two counts and the leaf.
@@ -1636,6 +1640,21 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             assert_eq!(wh.get(key), Some(i as u64), "key {key:?}");
         }
+    }
+
+    #[test]
+    fn from_sorted_fills_leaves_without_a_growth_step() {
+        // Every leaf is made with room for the load's target (¾ of the
+        // leaf capacity) and takes no more: none of its vectors grew.
+        let config = WormholeConfig::optimized();
+        let target = config.leaf_capacity * 3 / 4;
+        let keys = (0..10_000u64).map(|i| (format!("bulk-{i:06}").into_bytes(), i));
+        let wh: Wormhole<u64> = Wormhole::from_sorted(config, keys);
+        assert!(wh.leaf_count() > 100);
+        wh.for_each_leaf(|_, data| {
+            assert!(data.leaf.len() <= target);
+            assert_eq!(data.leaf.capacities(), [target; 3]);
+        });
     }
 
     #[test]

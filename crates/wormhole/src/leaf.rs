@@ -34,17 +34,33 @@
 //!
 //! The concurrent index's lock-free readers rely on one more rule, which
 //! every mutation here keeps: **a live leaf's vector is never reallocated
-//! in place.** It grows only through `insert_growing`, which moves its
-//! records into a larger buffer and retires the old one, or it is replaced
-//! whole — built off to the side in a buffer sized for it (`split_off`'s
-//! kept items, `absorb`'s merged tag array) and installed with one
-//! assignment, the old buffer going to the bin. Otherwise it only changes
-//! in place: a record written, moved within the buffer (`remove`,
-//! `swap_remove`, the in-place sort) or dropped from its end (`drain`). So
-//! a buffer pointer a racing reader loaded always names an allocation that
-//! held those records, and a length it loaded beside it names records that
-//! were written. `remove` and `ensure_key_sorted` work in place;
-//! `insert_absent` and `absorb` grow through `insert_growing`.
+//! in place.** It grows only through `regrow`, which moves its records
+//! into a larger buffer and retires the old one, or it is replaced whole —
+//! built off to the side in a buffer sized for it (`split_off`'s kept
+//! items, tags and key order, `absorb`'s merged tag array) and installed
+//! with one assignment, the old buffer going to the bin. Otherwise it only
+//! changes in place: a record written, moved within the buffer (`remove`,
+//! `swap_remove`, the in-place sort), appended within its room (`absorb`)
+//! or dropped from its end (`drain`). So a buffer pointer a racing reader
+//! loaded always names an allocation that held those records, and a
+//! length it loaded beside it names records that were written. `remove`
+//! and `ensure_key_sorted` work in place; `insert_absent` grows through
+//! `insert_growing` and `absorb` through `regrow`.
+//!
+//! Storage follows the fill. A full vector grows by a quarter of its
+//! capacity, at least 8 slots, and no further than the configured
+//! `leaf_capacity` while the leaf is within it: a split half of 64 filled
+//! again holds 80, 100, 125 and then 128 slots, where doubling gave it 128
+//! at its 65th key (leaves hold ~89 keys on average). A fat leaf past the
+//! capacity
+//! (§3.3) doubles, so its growth stays geometric. `split_off` gives both
+//! halves vectors of exactly their length, `absorb` grows a vector short
+//! of room to exactly the merged length, and the bulk load makes each leaf
+//! with room for its target ([`LeafNode::with_capacity`]), so it never
+//! grows one. The per-key budget of a leaf is then a 16-byte item record,
+//! a 4-byte tag-array entry, a 2-byte key-order slot and the key block's
+//! 4-byte length header with the allocator's rounding of the block to its
+//! chunk size, plus whatever slack the last growth step left.
 //! What the rule cannot cover is a reader whose loads of one vector's
 //! pointer and length straddle a whole replacement: closing that takes
 //! word-wise copies of the leaf header.
@@ -149,6 +165,12 @@ impl<V> LeafGarbage<V> {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// Heap bytes of the store's own room, which it keeps when emptied;
+    /// the blocks waiting in it are not counted.
+    pub fn structure_bytes(&self) -> usize {
+        self.0.capacity() * size_of::<Retired<V>>()
+    }
 }
 
 impl<V> Drop for LeafGarbage<V> {
@@ -212,21 +234,48 @@ impl<'a, V> Bin<'a, V> {
     }
 }
 
-/// Inserts into one of a leaf's vectors, retiring — instead of freeing —
-/// the old buffer when the insert has to grow it. Elements are *moved* into
-/// the grown buffer (`append`), which leaves their bytes (and therefore the
-/// key pointers a racing reader may have loaded) intact in the retired one.
+/// The capacity a full leaf vector of `capacity` slots grows to: a quarter
+/// more, at least 8 slots, and no further than `leaf_capacity` while it is
+/// within it. A fat leaf past that capacity (§3.3) doubles, so its growth
+/// stays geometric.
+fn grown_capacity(capacity: usize, leaf_capacity: usize) -> usize {
+    if capacity >= leaf_capacity {
+        (capacity * 2).max(8)
+    } else {
+        (capacity + (capacity / 4).max(8)).min(leaf_capacity)
+    }
+}
+
+/// Moves one of a leaf's vectors into a buffer of `capacity` slots when it
+/// has fewer, retiring — instead of freeing — the old buffer. Elements are
+/// *moved* into the new buffer (`append`), which leaves their bytes (and
+/// therefore the key pointers a racing reader may have loaded) intact in
+/// the retired one.
+fn regrow<T, V>(
+    v: &mut Vec<T>,
+    capacity: usize,
+    bin: &mut Bin<'_, V>,
+    block: fn(Vec<T>) -> Retired<V>,
+) {
+    if v.capacity() < capacity {
+        let mut grown = Vec::with_capacity(capacity);
+        grown.append(v);
+        bin.retire(block(std::mem::replace(v, grown)));
+    }
+}
+
+/// Inserts into one of a leaf's vectors, growing a full one by
+/// [`grown_capacity`] through [`regrow`].
 fn insert_growing<T, V>(
     v: &mut Vec<T>,
     pos: usize,
     item: T,
+    leaf_capacity: usize,
     bin: &mut Bin<'_, V>,
     block: fn(Vec<T>) -> Retired<V>,
 ) {
     if v.len() == v.capacity() {
-        let mut grown = Vec::with_capacity((v.capacity() * 2).max(8));
-        grown.append(v);
-        bin.retire(block(std::mem::replace(v, grown)));
+        regrow(v, grown_capacity(v.capacity(), leaf_capacity), bin, block);
     }
     v.insert(pos, item);
 }
@@ -317,13 +366,20 @@ pub struct LeafNode<V> {
 impl<V> LeafNode<V> {
     /// Creates an empty leaf with the given logical anchor and table key.
     pub fn new(anchor: Vec<u8>, table_key: Vec<u8>) -> Self {
+        Self::with_capacity(anchor, table_key, 0)
+    }
+
+    /// Creates an empty leaf with room for `capacity` items, which take no
+    /// growth step on their way in: the bulk load sizes every leaf it
+    /// fills for its target this way.
+    pub fn with_capacity(anchor: Vec<u8>, table_key: Vec<u8>, capacity: usize) -> Self {
         Self {
             anchor,
             table_key,
-            kvs: Vec::new(),
+            kvs: Vec::with_capacity(capacity),
             key_bytes: 0,
-            hash_order: Vec::new(),
-            key_order: Vec::new(),
+            hash_order: Vec::with_capacity(capacity),
+            key_order: Vec::with_capacity(capacity),
             sorted_cnt: 0,
         }
     }
@@ -362,6 +418,17 @@ impl<V> LeafNode<V> {
             + self.kvs.len() * keybox::HEADER
             + self.hash_order.capacity() * size_of::<TagSlot>()
             + self.key_order.capacity() * size_of::<u16>()
+    }
+
+    /// The capacities of the item records, the tag array and the key
+    /// order, in that order.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 3] {
+        [
+            self.kvs.capacity(),
+            self.hash_order.capacity(),
+            self.key_order.capacity(),
+        ]
     }
 
     /// The key of the item in storage slot `slot`.
@@ -516,19 +583,15 @@ impl<V> LeafNode<V> {
             key: KeyBox::new(key),
             value,
         };
-        insert_growing(&mut self.kvs, slot, kv, bin, Retired::Items);
+        let cap = config.leaf_capacity;
+        insert_growing(&mut self.kvs, slot, kv, cap, bin, Retired::Items);
         #[cfg(test)]
         tests::panic_if_armed();
         self.key_bytes += key.len();
         let entry = TagSlot::new(tag, slot);
-        insert_growing(&mut self.hash_order, pos, entry, bin, Retired::Tags);
-        insert_growing(
-            &mut self.key_order,
-            key_pos,
-            slot as u16,
-            bin,
-            Retired::Order,
-        );
+        insert_growing(&mut self.hash_order, pos, entry, cap, bin, Retired::Tags);
+        let order = &mut self.key_order;
+        insert_growing(order, key_pos, slot as u16, cap, bin, Retired::Order);
         if !config.sort_by_tag() {
             self.sorted_cnt = self.key_order.len();
         }
@@ -832,17 +895,17 @@ impl<V> LeafNode<V> {
     ) -> LeafNode<V> {
         debug_assert!(!self.key_view_lags());
         debug_assert!(at > 0 && at < self.key_order.len());
-        let moved: Vec<u16> = self.key_order.split_off(at);
+        let (kept_order, moved) = self.key_order.split_at(at);
         let mut right = LeafNode::new(anchor, table_key);
         // Deal the items out to the two halves, each into a vector sized
         // for it so that no push reallocates. This leaf may be racing
         // readers: its kept items are gathered off to the side and the
         // vector is replaced whole (the rule in the module docs).
         let mut keep = vec![false; self.kvs.len()];
-        for &i in &self.key_order {
+        for &i in kept_order {
             keep[i as usize] = true;
         }
-        let mut kept = Vec::with_capacity(self.key_order.len());
+        let mut kept = Vec::with_capacity(at);
         right.kvs.reserve_exact(moved.len());
         let mut remap = vec![u16::MAX; self.kvs.len()];
         for (i, kv) in self.kvs.drain(..).enumerate() {
@@ -856,13 +919,18 @@ impl<V> LeafNode<V> {
             }
         }
         bin.retire(Retired::Items(std::mem::replace(&mut self.kvs, kept)));
-        // Rebuild the orderings of both leaves from the remap.
-        self.key_order
-            .iter_mut()
-            .for_each(|i| *i = remap[*i as usize]);
-        self.sorted_cnt = self.key_order.len();
-        right.key_order = moved.iter().map(|&i| remap[i as usize]).collect();
+        // Rebuild the orderings of both leaves from the remap, each into a
+        // vector of its own length.
+        let renamed =
+            |order: &[u16]| -> Vec<u16> { order.iter().map(|&i| remap[usize::from(i)]).collect() };
+        right.key_order = renamed(moved);
         right.sorted_cnt = right.key_order.len();
+        let kept_order = renamed(kept_order);
+        bin.retire(Retired::Order(std::mem::replace(
+            &mut self.key_order,
+            kept_order,
+        )));
+        self.sorted_cnt = self.key_order.len();
         self.key_bytes -= right.key_bytes;
         // Deal the old tag array out to the two halves: each receives a
         // subsequence of a (tag, key)-sorted sequence, so both stay sorted
@@ -920,15 +988,16 @@ impl<V> LeafNode<V> {
             merged,
         )));
         self.key_bytes += victim.key_bytes;
-        for &i in &victim.key_order {
-            let (end, slot) = (self.key_order.len(), base as u16 + i);
-            insert_growing(&mut self.key_order, end, slot, bin, Retired::Order);
-        }
+        // The items and the key order need room for both leaves': a vector
+        // short of it moves into a buffer of exactly that much. Both only
+        // append, so the sorted prefix becomes the whole view.
+        let total = base + victim.kvs.len();
+        regrow(&mut self.key_order, total, bin, Retired::Order);
+        let shifted = victim.key_order.iter().map(|&i| base as u16 + i);
+        self.key_order.extend(shifted);
         self.sorted_cnt = self.key_order.len();
-        for kv in victim.kvs.drain(..) {
-            let end = self.kvs.len();
-            insert_growing(&mut self.kvs, end, kv, bin, Retired::Items);
-        }
+        regrow(&mut self.kvs, total, bin, Retired::Items);
+        self.kvs.append(&mut victim.kvs);
         // Readers may still be traversing the victim's (now drained)
         // storage and anchor: retire the buffers wholesale.
         bin.retire(Retired::Items(std::mem::take(&mut victim.kvs)));
@@ -1363,6 +1432,96 @@ pub(crate) mod tests {
         assert_eq!(std::mem::size_of::<TagSlot>(), 4);
         let entry = TagSlot::new(0xBEEF, 0x1234);
         assert_eq!((entry.tag(), entry.slot()), (0xBEEF, 0x1234));
+    }
+
+    /// A paper-sized leaf (128 items) holding the keys `keys`.
+    fn paper_leaf(keys: impl Iterator<Item = u64>) -> LeafNode<u64> {
+        let config = WormholeConfig::optimized();
+        let mut leaf = LeafNode::new(Vec::new(), Vec::new());
+        for i in keys {
+            insert(&mut leaf, format!("key-{i:05}").as_bytes(), i, &config);
+        }
+        leaf
+    }
+
+    /// Inserts the keys `keys` into `leaf` one by one, checking `bound`
+    /// against each vector's capacity after every insert, and returns how
+    /// many growth steps each vector took.
+    fn fill_counting_steps(
+        leaf: &mut LeafNode<u64>,
+        keys: impl Iterator<Item = u64>,
+        bound: impl Fn(usize) -> usize,
+    ) -> [usize; 3] {
+        let config = WormholeConfig::optimized();
+        let mut steps = [0; 3];
+        for i in keys {
+            let before = leaf.capacities();
+            insert(leaf, format!("key-{i:05}").as_bytes(), i, &config);
+            let now = leaf.capacities();
+            for v in 0..3 {
+                steps[v] += usize::from(now[v] != before[v]);
+                assert!(now[v] <= bound(leaf.len()), "vector {v}: {now:?}");
+            }
+        }
+        steps
+    }
+
+    #[test]
+    fn a_split_half_fills_in_quarter_steps() {
+        // A full leaf splits into two halves of 64; the left one is filled
+        // to the leaf capacity again. Each vector grows by a quarter of its
+        // length (8 slots at least), never past the leaf capacity, and
+        // takes four steps: 64, 80, 100, 125, 128.
+        let cap = WormholeConfig::optimized().leaf_capacity;
+        let mut leaf = paper_leaf((0..2 * cap as u64).step_by(2));
+        leaf.ensure_key_sorted();
+        let anchor = leaf.key_at(cap / 2).to_vec();
+        let right = leaf.split_off(cap / 2, anchor.clone(), anchor, &mut Bin::immediate());
+        assert_eq!((leaf.len(), right.len()), (cap / 2, cap / 2));
+        let odd = (1..cap as u64).step_by(2);
+        let bound = |len: usize| cap.min(len + (len / 4).max(8));
+        let steps = fill_counting_steps(&mut leaf, odd, bound);
+        assert_eq!(leaf.len(), cap);
+        assert!(steps.iter().all(|&s| s <= 4), "{steps:?}");
+        assert_eq!(leaf.capacities(), [cap; 3]);
+        leaf.check_invariants();
+    }
+
+    #[test]
+    fn a_fat_leaf_keeps_doubling() {
+        // A leaf that cannot split grows past the leaf capacity (§3.3):
+        // from there each vector doubles, so 2, 4 and 8 times the capacity
+        // take 1, 2 and 3 more steps.
+        let cap = WormholeConfig::optimized().leaf_capacity;
+        for times in [2usize, 4, 8] {
+            let mut leaf = paper_leaf(0..cap as u64);
+            let more = cap as u64..(times * cap) as u64;
+            let steps = fill_counting_steps(&mut leaf, more, |len| 2 * len);
+            assert_eq!(steps, [times.ilog2() as usize; 3], "{times} x");
+            assert_eq!(leaf.capacities(), [times * cap; 3]);
+        }
+    }
+
+    #[test]
+    fn split_off_sizes_both_halves_for_their_items() {
+        for n in [2u64, 9, 100, 128] {
+            let mut leaf = paper_leaf(0..n);
+            for at in [1, n as usize / 2, n as usize - 1] {
+                let mut left = leaf.clone();
+                left.ensure_key_sorted();
+                let anchor = left.key_at(at).to_vec();
+                let right = left.split_off(at, anchor.clone(), anchor, &mut Bin::immediate());
+                for half in [&left, &right] {
+                    assert_eq!(half.capacities(), [half.len(); 3], "{n} at {at}");
+                }
+            }
+            // The clone above is exact; the leaf itself has grown slack.
+            leaf.ensure_key_sorted();
+            let anchor = leaf.key_at(1).to_vec();
+            let right = leaf.split_off(1, anchor.clone(), anchor, &mut Bin::immediate());
+            assert_eq!(leaf.capacities(), [1; 3]);
+            assert_eq!(right.capacities(), [right.len(); 3]);
+        }
     }
 
     /// One step of the random leaf histories below.

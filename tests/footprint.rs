@@ -19,7 +19,9 @@
 //! shrinks the index lowers its ceilings in the same diff. After churn the
 //! bytes still queued in garbage bins and QSBR callbacks, which `stats()`
 //! does not count, are the difference of the two readings and get their
-//! own column.
+//! own column. The last column is the published MetaTrieHT's share
+//! (`WormholeMetrics::meta_bytes`, summed over shards); the concurrent
+//! index holds a second table of the same size, which `stats()` counts.
 //!
 //! What the count cannot see: it counts requested sizes, so the system
 //! allocator's rounding of a block up to its chunk size (a 40-byte key
@@ -56,58 +58,84 @@ const CEILINGS: [(KeysetId, [[f64; 5]; 2]); 4] = [
     (
         KeysetId::Az1,
         [
-            [85.1, 83.0, 87.6, 86.2, 112.5],
-            [90.3, 91.0, 90.3, 91.4, 113.7],
+            [79.6, 75.4, 84.3, 78.7, 102.6],
+            [83.2, 83.5, 83.6, 83.8, 103.3],
         ],
     ),
     (
         KeysetId::K3,
         [
-            [50.0, 50.7, 58.2, 56.2, 71.8],
-            [50.3, 48.2, 51.3, 49.2, 68.1],
+            [43.4, 43.2, 54.8, 48.7, 61.9],
+            [43.3, 40.7, 44.5, 41.7, 58.0],
         ],
     ),
     (
         KeysetId::K4,
         [
-            [57.8, 58.9, 66.0, 64.3, 80.1],
-            [58.3, 56.7, 59.5, 57.4, 76.1],
+            [51.7, 51.4, 62.0, 56.9, 70.9],
+            [51.5, 49.2, 52.7, 49.8, 66.2],
         ],
     ),
     (
         KeysetId::Url,
         [
-            [152.2, 152.8, 152.6, 154.5, 190.5],
-            [144.7, 143.6, 145.2, 144.3, 169.0],
+            [145.4, 145.1, 148.1, 146.6, 180.0],
+            [137.8, 136.1, 138.4, 136.8, 158.9],
         ],
     ),
 ];
 
 /// What one cell's build left allocated on this thread (`live`), how much
-/// of that was retired blocks its `reclaim` then freed (`queued`), and the
-/// index's own account of the rest.
+/// of that was retired blocks its `reclaim` then freed (`queued`), the
+/// index's own account of the rest, and the bytes of its published
+/// MetaTrieHT (`meta`).
 struct Reading {
     live: usize,
     queued: usize,
     stats: IndexStats,
+    meta: usize,
 }
 
-fn measure<I: ConcurrentOrderedIndex<u64>>(build: impl FnOnce() -> I, reclaim: fn(&I)) -> Reading {
+/// How a cell's front is read besides `stats()`: its retired blocks freed,
+/// its published tables' bytes.
+trait Front: ConcurrentOrderedIndex<u64> {
+    fn reclaim(&self);
+    fn meta_bytes(&self) -> usize;
+}
+
+impl Front for Wormhole<u64> {
+    fn reclaim(&self) {
+        Wormhole::reclaim(self);
+    }
+
+    fn meta_bytes(&self) -> usize {
+        self.metrics().meta_bytes.get() as usize
+    }
+}
+
+impl Front for ShardedWormhole<u64> {
+    fn reclaim(&self) {
+        (0..self.shard_count()).for_each(|i| self.shard(i).reclaim());
+    }
+
+    fn meta_bytes(&self) -> usize {
+        self.wormhole_metrics().meta_bytes.get() as usize
+    }
+}
+
+fn measure<I: Front>(build: impl FnOnce() -> I) -> Reading {
     let before = alloc::thread();
     let index = build();
     let live = alloc::thread().since(before).live_bytes;
-    reclaim(&index);
+    index.reclaim();
     let held = alloc::thread().since(before).live_bytes;
     let bytes = |b: isize| usize::try_from(b).expect("a build leaves bytes allocated");
     Reading {
         live: bytes(live),
         queued: bytes(live - held),
         stats: index.stats(),
+        meta: index.meta_bytes(),
     }
-}
-
-fn reclaim_shards(index: &ShardedWormhole<u64>) {
-    (0..index.shard_count()).for_each(|i| index.shard(i).reclaim());
 }
 
 /// Deletes three keys in four of the first half (their leaves merge),
@@ -143,46 +171,31 @@ fn footprint(id: KeysetId) {
         }
     };
     let readings = [
-        measure(
-            || {
-                let index = Wormhole::new();
-                set_all(&index);
-                index
-            },
-            Wormhole::reclaim,
-        ),
-        measure(
-            || Wormhole::from_sorted(WormholeConfig::default(), pairs()),
-            Wormhole::reclaim,
-        ),
-        measure(
-            || {
-                let index = ShardedWormhole::with_config(ShardedConfig::from_sample(4, &sorted));
-                set_all(&index);
-                index
-            },
-            reclaim_shards,
-        ),
-        measure(
-            || ShardedWormhole::from_sorted(ShardedConfig::from_sample(4, &sorted), pairs()),
-            reclaim_shards,
-        ),
-        measure(
-            || {
-                let index = Wormhole::new();
-                set_all(&index);
-                churn(&index, &keys);
-                index
-            },
-            Wormhole::reclaim,
-        ),
+        measure(|| {
+            let index = Wormhole::new();
+            set_all(&index);
+            index
+        }),
+        measure(|| Wormhole::from_sorted(WormholeConfig::default(), pairs())),
+        measure(|| {
+            let index = ShardedWormhole::with_config(ShardedConfig::from_sample(4, &sorted));
+            set_all(&index);
+            index
+        }),
+        measure(|| ShardedWormhole::from_sorted(ShardedConfig::from_sample(4, &sorted), pairs())),
+        measure(|| {
+            let index = Wormhole::new();
+            set_all(&index);
+            churn(&index, &keys);
+            index
+        }),
     ];
 
     let profile = usize::from(!cfg!(debug_assertions));
     let ceilings = CEILINGS.iter().find(|(k, _)| *k == id).unwrap().1[profile];
     let mut table = format!(
-        "{:<6} {:<22} {:>8} {:>10} {:>10} {:>8} {:>8}\n",
-        "keyset", "cell", "keys", "live B/key", "- payload", "queued", "stats"
+        "{:<6} {:<22} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8}\n",
+        "keyset", "cell", "keys", "live B/key", "- payload", "queued", "stats", "meta"
     );
     let mut failures = Vec::new();
     for (c, (name, reading)) in CELLS.iter().zip(&readings).enumerate() {
@@ -190,10 +203,11 @@ fn footprint(id: KeysetId) {
             live,
             queued,
             stats,
+            meta,
         } = reading;
         let per_key = |bytes: usize| bytes as f64 / stats.keys as f64;
         table += &format!(
-            "{:<6} {:<22} {:>8} {:>10.2} {:>10.2} {:>8.2} {:>8.2}\n",
+            "{:<6} {:<22} {:>8} {:>10.2} {:>10.2} {:>8.2} {:>8.2} {:>8.2}\n",
             id.name(),
             name,
             stats.keys,
@@ -201,6 +215,7 @@ fn footprint(id: KeysetId) {
             per_key(live - stats.key_bytes),
             per_key(*queued),
             per_key(stats.total_bytes()),
+            per_key(*meta),
         );
         let held = live - queued;
         if c < 4 && stats.total_bytes().abs_diff(held) * 100 > held {
