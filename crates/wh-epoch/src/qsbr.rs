@@ -269,9 +269,8 @@ impl Qsbr {
     /// [`Qsbr::wait_grace`] would return without waiting). Unlike
     /// `wait_grace` this runs no deferred callbacks — it only observes.
     ///
-    /// The asynchronous-grace users call this to *account* for how often
-    /// the start-early/wait-late pattern made the wait free (e.g. the shard
-    /// migration engine reports elapsed-for-free vs blocking grace waits).
+    /// Tests call it to observe whether a reader still holds a grace
+    /// period back.
     pub fn grace_elapsed(&self, target: u64) -> bool {
         self.shared.threads.lock().iter().all(|t| t.passed(target))
     }

@@ -25,10 +25,9 @@ use crate::telemetry::ShardMetrics;
 const GATHER_KEYS: usize = 128;
 
 /// The immutable routing state published to readers: one of these is live
-/// at any instant, swapped atomically by the migration engine and retired
-/// through the router's QSBR domain (`wh_epoch::Qsbr`) — the same
-/// async-grace pattern the concurrent Wormhole uses for its MetaTrieHT
-/// publications.
+/// at any instant, swapped atomically by a [`RouterWriter`], which frees
+/// the replaced table once a grace period of the router's QSBR domain
+/// (`wh_epoch::Qsbr`) has passed, before its publication returns.
 pub(crate) struct RouterTable {
     /// Publication counter, bumped by every swap. Long-lived consumers (a
     /// cross-shard scan segment) record it when they make a routing
@@ -64,22 +63,6 @@ impl RouterTable {
     }
 }
 
-/// Send-wrapper freeing a retired router table once its grace period has
-/// elapsed (queued through `Qsbr::defer`).
-struct RetiredRouter(*mut RouterTable);
-
-// SAFETY: the wrapper owns the only reference that will ever free the
-// table; the pointee is plain owned data (`Vec<u8>` keys).
-unsafe impl Send for RetiredRouter {}
-
-impl Drop for RetiredRouter {
-    fn drop(&mut self) {
-        // SAFETY: run after the grace period following the swap that
-        // unpublished the table — no reader can still hold it.
-        unsafe { drop(Box::from_raw(self.0)) }
-    }
-}
-
 /// A range-partitioned front over `N` independent concurrent [`Wormhole`]
 /// instances, with **online rebalancing**: the boundary between two
 /// adjacent shards can migrate at runtime without blocking readers or
@@ -101,7 +84,7 @@ impl Drop for RetiredRouter {
 /// only then does it publish, so ops that skipped the critical section
 /// are still ordered against every table swap. While the bias is
 /// revoked, ops fall back to classic read-side critical sections, which
-/// the migration engine orders with asynchronous grace periods — see
+/// the migration engine orders with grace periods — see
 /// the [crate docs](crate) for the full protocol, and
 /// [`ShardedWormhole::maybe_rebalance`] /
 /// [`ShardedWormhole::migrate_boundary`] for the entry points.
@@ -112,8 +95,8 @@ pub struct ShardedWormhole<V> {
     /// indirection.
     shards: Box<[Wormhole<V>]>,
     /// The live routing state. Readers dereference it inside a critical
-    /// section of `router_qsbr`; the migration engine swaps it and retires
-    /// the old table after a grace period.
+    /// section of `router_qsbr`; a [`RouterWriter`] swaps it and frees the
+    /// old table after a grace period.
     router: AtomicPtr<RouterTable>,
     /// QSBR domain protecting `router` publications.
     router_qsbr: Qsbr,
@@ -180,71 +163,12 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             }
             self.metrics.router_classic_entries.inc();
             let _guard = handle.enter();
-            // SAFETY: `router` always points to a live table; the migration
-            // engine retires a swapped-out table only after a grace period,
-            // and we are inside a critical section.
+            // SAFETY: `router` always points to a live table; a
+            // `RouterWriter` frees a swapped-out table only after a grace
+            // period, and we are inside a critical section.
             let router = unsafe { &*self.router.load(Ordering::Acquire) };
             f(router)
         })
-    }
-
-    /// Revokes the biased fast path and drains it: after this returns, no
-    /// thread is inside a fast section and every future point op falls back
-    /// to the classic critical-section path, so [`publish_router`]'s
-    /// grace-period protocol covers all of them. The migration engine calls
-    /// this once per migration, *before the first* publication; callers
-    /// must hold the migration mutex.
-    ///
-    /// [`publish_router`]: ShardedWormhole::publish_router
-    pub(crate) fn begin_router_mutation(&self) {
-        self.router_qsbr.drain_barrier();
-    }
-
-    /// Re-enables the biased fast path after the last publication of a
-    /// migration. Safe even though retired tables may still be aging: a
-    /// fast reader entering from here on can only load the final published
-    /// table (the bias store is ordered after the last swap), never a
-    /// retired one. Callers must hold the migration mutex.
-    pub(crate) fn end_router_mutation(&self) {
-        self.router_qsbr.resume_bias();
-    }
-
-    /// Publishes a new router table, starts — without waiting for — the
-    /// grace period retiring the old one, and returns the grace token.
-    /// Must only be called while holding the migration mutex, with the
-    /// biased fast path revoked ([`ShardedWormhole::begin_router_mutation`])
-    /// — fast sections do not participate in grace periods, so a swap while
-    /// the domain is biased could retire a table out from under them.
-    pub(crate) fn publish_router(
-        &self,
-        boundaries: Box<[Vec<u8>]>,
-        freeze: Option<(Vec<u8>, Vec<u8>)>,
-    ) -> u64 {
-        debug_assert!(
-            !self.router_qsbr.biased(),
-            "publish_router requires a preceding begin_router_mutation"
-        );
-        // SAFETY: the migration mutex serialises all swaps, so reading the
-        // current epoch without a guard is race-free.
-        let epoch = unsafe { &*self.router.load(Ordering::Acquire) }.epoch + 1;
-        let fresh = Box::into_raw(Box::new(RouterTable {
-            epoch,
-            boundaries,
-            freeze,
-        }));
-        let prev = self.router.swap(fresh, Ordering::AcqRel);
-        // Defer *before* starting the grace period so the retirement is
-        // stamped with this publication's grace token: the migration
-        // engine's own `wait_grace(grace)` then reclaims the table, rather
-        // than parking it until the following publication.
-        let retired = RetiredRouter(prev);
-        self.router_qsbr.defer(Box::new(move || drop(retired)));
-        self.router_qsbr.start_grace()
-    }
-
-    /// The router's QSBR domain (migration engine only).
-    pub(crate) fn router_qsbr(&self) -> &Qsbr {
-        &self.router_qsbr
     }
 
     /// The rebalance policy this index was built with.
@@ -297,7 +221,7 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     /// workers) must still execute through the routed public API — which
     /// re-routes inside its own protection span — and can compare epochs
     /// across calls to detect that boundaries moved between two batches
-    /// (epochs are monotonically increasing; see `publish_router`).
+    /// (epochs are monotonically increasing).
     pub fn route_batch(&self, keys: &[&[u8]], out: &mut Vec<usize>) -> u64 {
         out.reserve(keys.len());
         self.with_router(|router| {
@@ -451,10 +375,84 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     }
 }
 
+/// The router's write side: one migration's publications, made with the
+/// migration mutex held, which serialises every swap.
+///
+/// Creating it runs the draining barrier ([`Qsbr::drain_barrier`]): the
+/// bias is revoked and no fast section survives it, so every reader from
+/// then on routes inside a classic critical section, which a grace period
+/// covers. A [`RouterWriter::publish`] is therefore finished when it
+/// returns: the replaced table has outlived every reader and is freed.
+/// Dropping the guard, on the normal path or while a copy unwinds, first
+/// lifts a freeze that is still published, then restores the bias. The
+/// bias comes back after the last swap, so a fast section granted from
+/// then on can only load the final table.
+pub(crate) struct RouterWriter<'a, V> {
+    index: &'a ShardedWormhole<V>,
+    /// The held migration mutex's state: the guard cannot outlive the lock.
+    _migration: &'a MigrationState,
+    /// The boundaries the next publication swaps in: the live ones until
+    /// the migration moves one.
+    pub(crate) boundaries: Vec<Vec<u8>>,
+}
+
+impl<'a, V> RouterWriter<'a, V> {
+    /// Revokes the bias and drains the fast sections.
+    pub(crate) fn new(index: &'a ShardedWormhole<V>, migration: &'a MigrationState) -> Self {
+        index.router_qsbr.drain_barrier();
+        let mut writer = Self {
+            index,
+            _migration: migration,
+            boundaries: Vec::new(),
+        };
+        writer.boundaries = writer.live().boundaries.to_vec();
+        writer
+    }
+
+    /// Swaps in a table of `self.boundaries` whose writes in `freeze` wait,
+    /// and returns once the replaced table is freed: after the grace period
+    /// no read or write still routes by it.
+    pub(crate) fn publish(&mut self, freeze: Option<(Vec<u8>, Vec<u8>)>) {
+        let fresh = Box::new(RouterTable {
+            epoch: self.live().epoch + 1,
+            boundaries: self.boundaries.clone().into_boxed_slice(),
+            freeze,
+        });
+        let index = self.index;
+        let prev = index.router.swap(Box::into_raw(fresh), Ordering::AcqRel);
+        index.router_qsbr.synchronize();
+        // SAFETY: the swap unpublished `prev`, and every section that could
+        // have loaded it ended within the grace period just waited out (all
+        // of them classic: the barrier drained the fast ones).
+        unsafe { drop(Box::from_raw(prev)) };
+    }
+
+    /// The published table.
+    fn live(&self) -> &RouterTable {
+        // SAFETY: only a `RouterWriter` swaps the table, and the migration
+        // mutex it holds keeps any other from existing.
+        unsafe { &*self.index.router.load(Ordering::Acquire) }
+    }
+}
+
+impl<V> Drop for RouterWriter<'_, V> {
+    fn drop(&mut self) {
+        // A copy that unwound left its batch range frozen: publish the live
+        // boundaries without it, or every writer to the range waits forever.
+        // The copies already in the recipient stay unreachable.
+        let live = self.live();
+        if live.freeze.is_some() {
+            self.boundaries = live.boundaries.to_vec();
+            self.publish(None);
+        }
+        self.index.router_qsbr.resume_bias();
+    }
+}
+
 impl<V> Drop for ShardedWormhole<V> {
     fn drop(&mut self) {
-        // Table retirements still aging run when `router_qsbr` drops, after
-        // this body; each owns its table, never the live one freed here.
+        // Each replaced table was freed by the publication that replaced it;
+        // the live one is the only one left.
         // SAFETY: exclusively owned now.
         unsafe { drop(Box::from_raw(self.router.load(Ordering::Acquire))) };
     }
@@ -932,16 +930,13 @@ mod tests {
             let key = [(i % 256) as u8, (i / 256) as u8, i as u8];
             idx.set(&key, i);
         }
-        let boundaries = idx.boundaries().into_boxed_slice();
         // Freeze a range straddling the shard-1/shard-2 edge, as a
-        // mid-migration publication would.
-        let freeze = Some((vec![0x50u8], vec![0x90u8]));
-        {
-            let _migration = idx.migration.lock();
-            idx.begin_router_mutation();
-            idx.publish_router(boundaries, freeze);
-            idx.end_router_mutation();
-        }
+        // mid-migration publication would, and read it while the writer
+        // holds the bias revoked: the classic path a migration's reads take.
+        let migration = idx.migration.lock();
+        let mut router = RouterWriter::new(&idx, &migration);
+        router.publish(Some((vec![0x50u8], vec![0x90u8])));
+        let classic = idx.metrics().router_classic_entries.get();
         let key_bytes: Vec<Vec<u8>> = (0..1_050u64)
             .step_by(7)
             .map(|i| vec![(i % 256) as u8, (i / 256) as u8, i as u8])
@@ -956,15 +951,11 @@ mod tests {
                 assert_eq!(batched[i], None, "phantom value for {key:?}");
             }
         }
-        // Unfreeze (publish the same boundaries without a freeze window) and
-        // confirm the batch is identical.
-        let boundaries = idx.boundaries().into_boxed_slice();
-        {
-            let _migration = idx.migration.lock();
-            idx.begin_router_mutation();
-            idx.publish_router(boundaries, None);
-            idx.end_router_mutation();
-        }
+        assert_eq!(idx.metrics().router_classic_entries.get(), classic + 1);
+        // Dropping the writer lifts the freeze (the same boundaries without
+        // a freeze window); the batch is identical.
+        drop(router);
+        drop(migration);
         assert_eq!(idx.get_batch(&keys), batched);
     }
 
@@ -1031,7 +1022,7 @@ mod tests {
         assert_eq!(classic(), 0, "migration idle: no classic entries yet");
 
         let migration = idx.migration.lock();
-        idx.begin_router_mutation();
+        let router = RouterWriter::new(&idx, &migration);
         let fast_before = fast();
         let mut routed = 0u64;
         for i in 0..900u64 {
@@ -1067,7 +1058,7 @@ mod tests {
         assert!(classic() > routed, "scan fills entered classic sections");
         assert_eq!(fast(), fast_before, "no fast entry while revoked");
 
-        idx.end_router_mutation();
+        drop(router);
         drop(migration);
         let classic_after = classic();
         assert_eq!(idx.get(&key_of(2)), model.get(&key_of(2)).copied());

@@ -43,11 +43,10 @@
 //! Routing state lives in one immutable, heap-allocated table (the
 //! boundary array, a publication **epoch**, and an optional write-frozen
 //! range), published through an atomic pointer and protected by its own
-//! [`wh_epoch::Qsbr`] domain — the same asynchronous-grace publication
-//! pattern the concurrent Wormhole uses for its MetaTrieHT tables. The
-//! router domain is **biased**: migrations are rare and well-delimited,
-//! so the common case pays almost nothing for the protection it almost
-//! never needs.
+//! [`wh_epoch::Qsbr`] domain; a publication waits out its grace period
+//! and frees the table it replaced before it returns. The router domain
+//! is **biased**: migrations are rare and well-delimited, so the common
+//! case pays almost nothing for the protection it almost never needs.
 //!
 //! * **Point ops, migration idle** (the steady state): the table can only
 //!   be swapped by a migration, and none is running, so a routed op skips
@@ -79,16 +78,17 @@
 //!   so no op that skipped its critical section can still be
 //!   dereferencing a table the migration is about to retire. From there
 //!   the migration proceeds under the classic protocol: it swaps the
-//!   table (bumping the epoch), starts a grace period without waiting for
-//!   it, and completes it only at the next point it needs the ordering
-//!   guarantee; old tables are retired through `Qsbr::defer`. The grace
-//!   periods give the two reader-visibility guarantees the protocol rests
-//!   on: after the *freeze* publication's grace, no in-flight write can
-//!   still be mutating the batch range in the donor (so the copy is of
-//!   immutable data); after the *boundary* publication's grace, no
-//!   in-flight read or scan fill can still be resolving the range against
-//!   the donor (so the donor's stale copy can be drained). When the
-//!   migration finishes (or unwinds), it restores the bias *after* its
+//!   table (bumping the epoch), waits out a grace period
+//!   ([`wh_epoch::Qsbr::synchronize`]) and frees the old table. One guard,
+//!   held with the migration mutex, runs the barrier, every swap and the
+//!   bias's return. The grace periods give the two reader-visibility
+//!   guarantees the protocol rests on: after the *freeze* publication's
+//!   grace, no in-flight write can still be mutating the batch range in
+//!   the donor (so the copy is of immutable data); after the *boundary*
+//!   publication's grace, no in-flight read or scan fill can still be
+//!   resolving the range against the donor (so the donor's stale copy can
+//!   be drained). When the migration finishes (or unwinds, after a
+//!   republish that lifts its freeze), it restores the bias *after* its
 //!   last table swap: a fast section granted after the restore can only
 //!   have loaded the final table, whose retirement would again be behind
 //!   a future barrier.

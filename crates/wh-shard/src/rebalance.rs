@@ -16,25 +16,26 @@
 //! in **bounded batches** (at most [`RebalanceConfig::batch_keys`]-ish
 //! keys each, planned from a one-pass cursor scan of the donor's range).
 //!
-//! Before its first publication the migration executes a **draining
-//! barrier** (`wh_epoch::Qsbr::drain_barrier`): it revokes the
-//! migration-idle bias that lets point ops route *outside* any critical
-//! section, waits until every in-flight biased fast section has exited,
-//! and forces a grace period for classic sections. From then until the
-//! migration completes, every point op re-enters in slow-path mode
-//! (classic critical sections), so the per-batch grace periods below
-//! cover all of them; the bias — and with it the fast path — is restored
-//! when the migration finishes (normally or by unwinding).
+//! Every publication goes through one guard, `crate::index::RouterWriter`.
+//! Creating it executes a **draining barrier**
+//! (`wh_epoch::Qsbr::drain_barrier`): it revokes the migration-idle bias
+//! that lets point ops route *outside* any critical section, waits until
+//! every in-flight biased fast section has exited, and forces a grace
+//! period for classic sections. From then until the migration completes,
+//! every point op re-enters in slow-path mode (classic critical
+//! sections), so the per-batch grace periods below cover all of them; the
+//! guard's drop restores the bias — and with it the fast path — when the
+//! migration finishes (normally or by unwinding).
 //!
 //! Each batch then executes four steps against the epoch-published
 //! router table (see `crate::index::RouterTable`):
 //!
 //! 1. **Freeze.** Publish a router with the batch's range marked
-//!    write-frozen (boundaries unchanged) and complete an asynchronous
-//!    grace period on the router's QSBR domain. Point ops route inside
-//!    read-side critical sections of that domain, so after the grace
-//!    period every write that routed *before* the freeze has finished:
-//!    the batch range is now immutable in the donor. New writes to the
+//!    write-frozen (boundaries unchanged) and wait out a grace period on
+//!    the router's QSBR domain. Point ops route inside read-side critical
+//!    sections of that domain, so after the grace period every write that
+//!    routed *before* the freeze has finished: the batch range is now
+//!    immutable in the donor. New writes to the
 //!    range wait (bounded: one copy + one grace period); reads, and every
 //!    op outside the range, proceed untouched.
 //! 2. **Copy.** Stream the frozen range out of the donor through a
@@ -42,7 +43,7 @@
 //!    The copies are not yet reachable — the range still routes to the
 //!    donor — so readers never observe a half-copied range.
 //! 3. **Publish.** Swap in a router with the batch's new boundary (and no
-//!    freeze), then complete another async grace period. From this epoch
+//!    freeze), then wait out another grace period. From this epoch
 //!    on, every op routes the range to the recipient; the grace period
 //!    guarantees no in-flight read or scan batch is still resolving it
 //!    against the donor.
@@ -60,9 +61,12 @@
 //! (`crate::index`'s `RoutedSource`), so cursors stay globally ordered
 //! and resumable across a migration.
 //!
-//! Both grace periods use the same start-early/wait-late pattern as the
-//! Wormhole's split/merge publication; [`MigrationReport`] counts how
-//! often the wait was already free (`grace_waits_free`).
+//! Each publication waits for its grace period before it returns and
+//! frees the table it replaced then: the copy and the drain need the
+//! guarantee at once, so there is no later point to postpone the wait to.
+//! If a copy panics, the guard's drop republishes the boundaries without
+//! the freeze before it restores the bias, so an aborted migration never
+//! leaves writers to its range waiting.
 //!
 //! # The rebalancer
 //!
@@ -81,7 +85,7 @@
 use index_traits::ConcurrentOrderedIndex;
 
 use crate::config::sample_quantile;
-use crate::index::ShardedWormhole;
+use crate::index::{RouterWriter, ShardedWormhole};
 
 /// Policy knobs of [`ShardedWormhole::maybe_rebalance`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,10 +140,6 @@ pub struct MigrationReport {
     pub moved_keys: usize,
     /// Batches executed (freeze/copy/publish/drain rounds).
     pub batches: usize,
-    /// Async grace periods that had already elapsed when awaited.
-    pub grace_waits_free: usize,
-    /// Async grace periods that still had to wait for a reader.
-    pub grace_waits_blocked: usize,
 }
 
 /// Outcome of one [`ShardedWormhole::maybe_rebalance`] call.
@@ -192,69 +192,13 @@ impl std::fmt::Display for MigrateError {
 
 impl std::error::Error for MigrateError {}
 
-/// Unwind guard for a migration batch's freeze window: if the copy step
-/// panics, the drop republishes the current boundaries with no frozen
-/// range, so writers to the batch range are released instead of waiting
-/// forever on a migration that will never publish. Defused on the normal
-/// path (the boundary publication replaces the frozen table anyway).
-struct UnfreezeOnUnwind<'a, V: Clone + Send + Sync + 'static> {
-    index: &'a ShardedWormhole<V>,
-    /// The boundaries current for this batch (pre-move).
-    boundaries: &'a [Vec<u8>],
-    armed: bool,
-}
-
-impl<V: Clone + Send + Sync + 'static> UnfreezeOnUnwind<'_, V> {
-    /// Disarms the guard: the normal publication path takes over.
-    fn defuse(mut self) {
-        self.armed = false;
-    }
-}
-
-impl<V: Clone + Send + Sync + 'static> Drop for UnfreezeOnUnwind<'_, V> {
-    fn drop(&mut self) {
-        if self.armed {
-            // Still inside the migration mutex (the caller holds it across
-            // the unwind), so publishing here is race-free. The grace
-            // period is deliberately left to age asynchronously — nothing
-            // on the panic path waits on it.
-            let _ = self
-                .index
-                .publish_router(self.boundaries.to_vec().into_boxed_slice(), None);
-        }
-    }
-}
-
-/// RAII bracket for a migration's router mutations: construction revokes
-/// the biased fast path and drains it
-/// (`ShardedWormhole::begin_router_mutation`); drop — on the normal *and*
-/// unwind paths — restores it. Declared before the per-batch
-/// [`UnfreezeOnUnwind`] guards so that, when a copy panics, the guard's
-/// freeze-free republish still runs while the bias is revoked.
-struct BiasSection<'a, V: Clone + Send + Sync + 'static> {
-    index: &'a ShardedWormhole<V>,
-}
-
-impl<'a, V: Clone + Send + Sync + 'static> BiasSection<'a, V> {
-    fn begin(index: &'a ShardedWormhole<V>) -> Self {
-        index.begin_router_mutation();
-        Self { index }
-    }
-}
-
-impl<V: Clone + Send + Sync + 'static> Drop for BiasSection<'_, V> {
-    fn drop(&mut self) {
-        self.index.end_router_mutation();
-    }
-}
-
 impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
     /// Checks the per-shard load counters and, when an adjacent pair is
     /// imbalanced, migrates the boundary between them toward balance.
     /// Cheap when there is nothing to do (one counter sweep); safe to call
     /// from any thread at any frequency. See the [module docs](self).
     pub fn maybe_rebalance(&self) -> RebalanceOutcome {
-        let config = self.rebalance_config().clone();
+        let config = self.rebalance_config();
         let Some(mut state) = self.migration.try_lock() else {
             return RebalanceOutcome::Busy;
         };
@@ -325,7 +269,7 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
         let Some(target) = sample_quantile(&sample, rank, seen).map(<[u8]>::to_vec) else {
             return RebalanceOutcome::NoMove { pair };
         };
-        match self.migrate_locked(pair, &target, &config) {
+        match self.migrate_locked(&state, pair, &target) {
             Ok(report) if report.batches == 0 && report.from_boundary == report.to_boundary => {
                 // The quantile landed on the current boundary: nothing moved.
                 RebalanceOutcome::NoMove { pair }
@@ -347,20 +291,18 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
         pair: usize,
         target: &[u8],
     ) -> Result<MigrationReport, MigrateError> {
-        let config = self.rebalance_config().clone();
-        let _guard = self.migration.lock();
-        self.migrate_locked(pair, target, &config)
+        self.migrate_locked(&self.migration.lock(), pair, target)
     }
 
-    /// The migration engine. Caller must hold the migration mutex (which
-    /// serialises router publications).
+    /// The migration engine, run with the migration mutex held: `migration`
+    /// is its state.
     fn migrate_locked(
         &self,
+        migration: &MigrationState,
         pair: usize,
         target: &[u8],
-        config: &RebalanceConfig,
     ) -> Result<MigrationReport, MigrateError> {
-        let mut boundaries = self.boundaries();
+        let boundaries = self.boundaries();
         if pair >= boundaries.len() {
             return Err(MigrateError::NoSuchBoundary {
                 pair,
@@ -390,8 +332,6 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             to_boundary: target.to_vec(),
             moved_keys: 0,
             batches: 0,
-            grace_waits_free: 0,
-            grace_waits_blocked: 0,
         };
         if target == cur.as_slice() {
             // Explicit no-op: the boundary is already there.
@@ -417,7 +357,8 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
         // inside it: the first is the range's own start). Concurrent
         // inserts make the batch sizes approximate, which is fine — the
         // copy step re-reads the live frozen range exactly.
-        let (steps, _) = self.stride_sample(donor, &range_lo, Some(&range_hi), config.batch_keys);
+        let batch_keys = self.rebalance_config().batch_keys;
+        let (steps, _) = self.stride_sample(donor, &range_lo, Some(&range_hi), batch_keys);
         let mut schedule: Vec<Vec<u8>> = steps.into_iter().skip(1).collect();
         if moving_down {
             schedule.reverse();
@@ -426,8 +367,8 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
 
         // Revoke and drain the biased fast path before the first
         // publication; restored (even on a panicking copy) when the
-        // section drops at the end of the migration.
-        let _bias = BiasSection::begin(self);
+        // writer drops at the end of the migration.
+        let mut router = RouterWriter::new(self, migration);
 
         let mut cur_now = cur;
         for next_boundary in schedule {
@@ -442,24 +383,12 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             debug_assert!(freeze_lo < freeze_hi, "degenerate migration batch");
 
             // 1. Freeze writes to the batch range; after the grace period
-            // every in-flight write that routed pre-freeze has landed.
-            // The unwind guard republishes a freeze-free router if the
-            // copy below panics (a panicking `V::clone`, say): an aborted
-            // migration must never leave the range frozen forever, which
-            // would livelock every future writer to it. The key/value
-            // state is still consistent on that path — copies already in
-            // the recipient stay unreachable and are overwritten by any
-            // retried migration.
-            let grace = self.publish_router(
-                boundaries.clone().into_boxed_slice(),
-                Some((freeze_lo.clone(), freeze_hi.clone())),
-            );
-            let unfreeze = UnfreezeOnUnwind {
-                index: self,
-                boundaries: &boundaries,
-                armed: true,
-            };
-            self.account_grace(&mut report, grace);
+            // every in-flight write that routed pre-freeze has landed. If
+            // the copy below panics (a panicking `V::clone`, say), the
+            // writer's drop lifts the freeze; copies already in the
+            // recipient stay unreachable and are overwritten by any retried
+            // migration.
+            router.publish(Some((freeze_lo.clone(), freeze_hi.clone())));
 
             // 2. Copy the now-immutable range donor → recipient.
             {
@@ -472,13 +401,11 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
                     report.moved_keys += 1;
                 }
             }
-            unfreeze.defuse();
 
             // 3. Publish the new boundary (and unfreeze); after the grace
             // period no reader still resolves the range against the donor.
-            boundaries[pair] = next_boundary.clone();
-            let grace = self.publish_router(boundaries.clone().into_boxed_slice(), None);
-            self.account_grace(&mut report, grace);
+            router.boundaries[pair] = next_boundary.clone();
+            router.publish(None);
 
             // 4. Drain the donor's stale copy of the range; its deletes
             // shrink the structure through the ordinary merge engine.
@@ -492,17 +419,6 @@ impl<V: Clone + Send + Sync + 'static> ShardedWormhole<V> {
             .migration_moved_keys
             .add(report.moved_keys as u64);
         Ok(report)
-    }
-
-    /// Completes an asynchronous grace period, recording whether it had
-    /// already elapsed for free (the expected steady state).
-    fn account_grace(&self, report: &mut MigrationReport, grace: u64) {
-        if self.router_qsbr().grace_elapsed(grace) {
-            report.grace_waits_free += 1;
-        } else {
-            report.grace_waits_blocked += 1;
-        }
-        self.router_qsbr().wait_grace(grace);
     }
 
     /// One cursor pass over shard `shard` from `lo` up to `hi` (or its
@@ -793,34 +709,63 @@ mod tests {
     fn panicking_copy_unfreezes_the_range() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
+        use wh_telemetry::{MetricValue, Registry};
 
-        // A value whose clone panics on demand: the migration copy step
-        // clones values, so arming the bomb aborts a migration mid-batch.
+        // A value whose clone of a clone panics on demand. The planning
+        // scan clones each stored value once into its batch; the copy step
+        // clones that batch value again, so arming the bomb aborts a
+        // migration in its copy, after the batch range was frozen.
         #[derive(Debug)]
-        struct Bomb(Arc<AtomicBool>);
+        struct Bomb {
+            armed: Arc<AtomicBool>,
+            cloned: bool,
+        }
         impl Clone for Bomb {
             fn clone(&self) -> Self {
-                assert!(!self.0.load(Ordering::Relaxed), "armed bomb cloned");
-                Bomb(Arc::clone(&self.0))
+                assert!(
+                    !(self.cloned && self.armed.load(Ordering::Relaxed)),
+                    "armed bomb cloned twice"
+                );
+                Bomb {
+                    armed: Arc::clone(&self.armed),
+                    cloned: true,
+                }
             }
         }
 
         let idx: ShardedWormhole<Bomb> = ShardedWormhole::with_config(config());
         let armed = Arc::new(AtomicBool::new(false));
+        let bomb = || Bomb {
+            armed: Arc::clone(&armed),
+            cloned: false,
+        };
         for i in 0..200u64 {
-            idx.set(format!("a{i:05}").as_bytes(), Bomb(Arc::clone(&armed)));
+            idx.set(format!("a{i:05}").as_bytes(), bomb());
         }
+        let registry = Registry::new();
+        idx.register_metrics(&registry, "wh_shard");
+        let epoch = idx.router_epoch();
         armed.store(true, Ordering::Relaxed);
         let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             idx.migrate_boundary(0, b"a00100")
         }));
         assert!(aborted.is_err(), "armed migration must panic in its copy");
-        // The unwind guard must have republished a freeze-free router:
-        // writes to the (formerly frozen) batch range complete instead of
-        // spinning forever.
+        // Two publications: the freeze, then the unwind's unfrozen
+        // republish. Writes to the formerly frozen range complete instead
+        // of spinning forever, routed ops take the fast entry again, and
+        // no replaced table is left queued in the router's domain.
+        assert_eq!(idx.router_epoch(), epoch + 2, "the copy step panicked");
         armed.store(false, Ordering::Relaxed);
-        idx.set(b"a00150x", Bomb(Arc::clone(&armed)));
+        idx.set(b"a00150x", bomb());
+        let fast = idx.metrics().router_fast_entries.get();
         assert!(idx.get(b"a00150x").is_some());
+        assert_eq!(idx.metrics().router_fast_entries.get(), fast + 1);
+        let snap = registry.snapshot();
+        let depth = snap.get("wh_shard_router_epoch_deferred_depth");
+        assert!(
+            matches!(depth, Some(MetricValue::Gauge { value: 0, .. })),
+            "deferred depth {depth:?}"
+        );
         // A retried migration overwrites any unreachable partial copies
         // and leaves the index fully consistent.
         let report = idx.migrate_boundary(0, b"a00100").expect("retry succeeds");

@@ -240,13 +240,8 @@ fn main() {
                         moved += report.moved_keys;
                         println!(
                             "  rebalance: boundary {} of donor shard {} moved \
-                             ({} keys in {} batches, grace waits {} free / {} blocked)",
-                            report.pair,
-                            report.donor,
-                            report.moved_keys,
-                            report.batches,
-                            report.grace_waits_free,
-                            report.grace_waits_blocked,
+                             ({} keys in {} batches)",
+                            report.pair, report.donor, report.moved_keys, report.batches,
                         );
                     }
                 }
